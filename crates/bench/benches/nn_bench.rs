@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use onslicing_nn::{Activation, BayesianMlp, GaussianPolicy, Mlp};
+use onslicing_nn::{Activation, BayesianMlp, GaussianPolicy, Mlp, PredictScratch};
 use onslicing_slices::{ACTION_DIM, STATE_DIM};
 
 fn bench_mlp(c: &mut Criterion) {
@@ -37,10 +37,11 @@ fn bench_policy_sample(c: &mut Criterion) {
 
 fn bench_bayesian_predict(c: &mut Criterion) {
     let mut rng = ChaCha8Rng::seed_from_u64(2);
-    let mut net = BayesianMlp::new(&[STATE_DIM, 64, 32, 1], &mut rng);
+    let net = BayesianMlp::new(&[STATE_DIM, 64, 32, 1], &mut rng);
+    let mut scratch = PredictScratch::new();
     let x = vec![0.3; STATE_DIM];
     c.bench_function("bayesian_predict_16_samples", |b| {
-        b.iter(|| std::hint::black_box(net.predict(&x, 16, &mut rng)))
+        b.iter(|| std::hint::black_box(net.predict_with(&x, 16, &mut rng, &mut scratch)))
     });
 }
 

@@ -15,11 +15,11 @@
 //! the unsafe fixed-penalty DRL of Fig. 3) are just different configurations
 //! of the same agent.
 
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
+use onslicing_nn::policy::standard_normal;
 use onslicing_nn::PolicySample;
 use onslicing_rl::{
     behavior_clone, BcConfig, CostEstimatorConfig, CostValueEstimator, Demonstration,
@@ -684,12 +684,6 @@ impl OnSlicingAgent {
     pub fn pending_transitions(&self) -> usize {
         self.buffer.num_ready()
     }
-}
-
-fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 #[cfg(test)]

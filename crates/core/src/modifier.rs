@@ -24,6 +24,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use onslicing_nn::policy::standard_normal;
 use onslicing_slices::{Action, ResourceKind};
 
 /// Configuration of the action modifier.
@@ -120,12 +121,6 @@ impl Default for ActionModifier {
     fn default() -> Self {
         Self::new(ModifierConfig::default())
     }
-}
-
-fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 #[cfg(test)]

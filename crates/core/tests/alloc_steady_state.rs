@@ -2,14 +2,18 @@
 //! extended to the orchestrator): after a warm-up episode, an evaluation
 //! slot must run without touching the allocator at all — the gather
 //! buffers, fused cell batches, coordination scratch and outcome vectors
-//! are all reused, and the fast Bayesian predict path draws through its
-//! cached σ matrices.
+//! are all reused, and the Bayesian predict path runs entirely inside its
+//! `PredictScratch` (16 sample rows stay below the GEMM's parallel fan-out
+//! threshold, so no block list is allocated either).
 //!
 //! The counting allocator is process-global, so this lives in its own
-//! integration-test binary.
+//! integration-test binary and its tests take turns behind [`SERIAL`]: one
+//! test's warm-up would otherwise allocate inside the other's counting
+//! window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use onslicing_core::{
     AgentConfig, CoordinationMode, MultiSliceEnvironment, OnSlicingAgent, Orchestrator,
@@ -46,6 +50,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Held for a whole test; a failed sibling must not poison the other.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn count_allocations(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.store(0, Ordering::SeqCst);
@@ -94,12 +105,13 @@ fn build_orchestrator() -> Orchestrator {
 
 #[test]
 fn evaluation_slots_allocate_nothing_in_steady_state() {
+    let _turn = serial();
     let mut orch = build_orchestrator();
     let horizon = orch.env().envs()[0].horizon();
 
     // Warm-up: one full evaluation episode sizes every reusable buffer —
-    // the gather vectors, both cell batches, the σ caches of the fast
-    // Bayesian predict path, the coordination scratch and the outcome's
+    // the gather vectors, both cell batches, the Bayesian predictor's
+    // scratch, the coordination scratch and the outcome's
     // own vectors (including the episode-cost accumulators, which reach
     // their full-episode capacity here and keep it across resets).
     let mut outcome = SlotOutcome::default();
@@ -134,6 +146,7 @@ fn learning_slots_only_allocate_for_recorded_transitions() {
     // Guard against regressions with a generous per-slot ceiling: a handful
     // of allocations per slice (the transition's vectors), not the hundreds
     // the dispatched path used to make.
+    let _turn = serial();
     let mut orch = build_orchestrator();
     let horizon = orch.env().envs()[0].horizon();
     let mut outcome = SlotOutcome::default();

@@ -51,7 +51,11 @@ use crate::{
 
 /// Version stamp of the fleet-checkpoint JSON layout; bump on breaking
 /// changes so stale files fail loudly instead of mis-restoring.
-pub const FLEET_CHECKPOINT_FORMAT_VERSION: u32 = 1;
+///
+/// v2: the Bayesian cost predictor samples pre-activations instead of
+/// weights, so a v1 checkpoint would resume onto a different RNG draw
+/// sequence than its writer would have produced; it is refused instead.
+pub const FLEET_CHECKPOINT_FORMAT_VERSION: u32 = 2;
 
 /// A running elastic fleet that can be driven from outside: stepped in
 /// windows, fed live control requests at window boundaries, checkpointed
@@ -705,14 +709,16 @@ mod tests {
         fleet.advance_to(4).unwrap();
         let checkpoint = fleet.checkpoint();
         assert!(fleet.finish(0.0).unwrap_err().contains("incomplete"));
-        // Version gate: a stale stamp reports the version, not a missing
-        // field; a missing stamp is malformed.
-        let mut doctored = checkpoint.to_json();
-        doctored = doctored.replacen("\"format_version\":1", "\"format_version\":9", 1);
+        // Version gate: a stale stamp (v1 = the weight-sampling predictor's
+        // RNG stream) reports the version, not a missing field; a missing
+        // stamp is malformed.
+        let json = checkpoint.to_json();
+        assert!(json.starts_with("{\"format_version\":2,"));
+        let doctored = json.replacen("\"format_version\":2", "\"format_version\":1", 1);
         let err = FleetCheckpoint::from_json(&doctored).unwrap_err();
         assert_eq!(
             err,
-            "fleet checkpoint format version 9 is not supported (expected 1)"
+            "fleet checkpoint format version 1 is not supported (expected 2)"
         );
         let err = FleetCheckpoint::from_json("{\"slot\":4}").unwrap_err();
         assert!(err.contains("missing format_version"), "{err}");

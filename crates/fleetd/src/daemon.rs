@@ -55,6 +55,10 @@ pub const MAX_REQUEST_LINE_BYTES: usize = 64 * 1024;
 struct ControlMsg {
     line: String,
     reply: mpsc::Sender<String>,
+    /// Disconnects once the connection thread has written the response to
+    /// its client (or given up on it): what a shutdown waits on, so the
+    /// process does not exit between queuing the response and sending it.
+    written: mpsc::Receiver<()>,
 }
 
 /// Why the daemon's serve loop ended.
@@ -237,10 +241,12 @@ fn connection_loop(stream: UnixStream, tx: mpsc::Sender<ControlMsg>) {
             continue;
         }
         let (reply_tx, reply_rx) = mpsc::channel();
+        let (written_tx, written_rx) = mpsc::channel();
         if tx
             .send(ControlMsg {
                 line: line.trim_end_matches(['\n', '\r']).to_string(),
                 reply: reply_tx,
+                written: written_rx,
             })
             .is_err()
         {
@@ -248,10 +254,9 @@ fn connection_loop(stream: UnixStream, tx: mpsc::Sender<ControlMsg>) {
             break;
         }
         let Ok(response) = reply_rx.recv() else { break };
-        if write_half
-            .write_all(format!("{response}\n").as_bytes())
-            .is_err()
-        {
+        let sent = write_half.write_all(format!("{response}\n").as_bytes());
+        drop(written_tx);
+        if sent.is_err() {
             break;
         }
     }
@@ -542,6 +547,9 @@ fn serve(
             append_request_log(&mut request_log, service.fleet.slot(), &msg.line, &response);
             let _ = msg.reply.send(response);
             if service.stop {
+                // Let the client read its answer before the process exits
+                // (bounded: a stuck client must not keep the daemon alive).
+                let _ = msg.written.recv_timeout(Duration::from_secs(1));
                 return Ok(ExitReason::Shutdown);
             }
             next = rx.try_recv().ok();
@@ -676,7 +684,7 @@ mod tests {
         // considered (it is not in the checkpoint namespace).
         std::fs::write(
             dir.join(format!("{}.tmp", checkpoint_file_name(24))),
-            "{\"format_version\":1,\"scenario_na",
+            "{\"format_version\":2,\"scenario_na",
         )
         .unwrap();
         let fleet = build_or_resume(&test_config(&dir)).unwrap();
@@ -688,9 +696,10 @@ mod tests {
     fn stale_format_version_falls_back_to_the_next_older_checkpoint() {
         let dir = scratch("stale-format");
         plant(&dir, 8, &checkpoint_json(SCENARIO, SEED, 8));
+        // v1: written by a binary with the weight-sampling predictor.
         let doctored = checkpoint_json(SCENARIO, SEED, 16).replacen(
+            "\"format_version\":2",
             "\"format_version\":1",
-            "\"format_version\":9",
             1,
         );
         plant(&dir, 16, &doctored);
@@ -698,7 +707,7 @@ mod tests {
         assert_eq!(
             fleet.slot(),
             8,
-            "the v9 file must be skipped with a warning"
+            "the v1 file must be skipped with a warning"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -775,7 +784,7 @@ mod tests {
     #[test]
     fn all_checkpoints_bad_means_fresh_start_not_an_error() {
         let dir = scratch("all-bad");
-        plant(&dir, 8, "{\"format_version\":1,\"scenario_na");
+        plant(&dir, 8, "{\"format_version\":2,\"scenario_na");
         plant(&dir, 16, &checkpoint_json(SCENARIO, 99, 16));
         let fleet = build_or_resume(&test_config(&dir)).unwrap();
         assert_eq!(fleet.slot(), 0, "every file skipped, fresh start");

@@ -194,18 +194,32 @@ fn double_start_is_refused_and_stale_locks_are_reclaimed() {
 
 #[test]
 fn rolling_upgrade_drill_is_bit_exact() {
-    // Uninterrupted arm: one daemon process runs the whole scenario with a
-    // live admission at slot 20.
+    // Both arms issue the same two live admissions: one at slot 8, before
+    // the slot-10 surge while the cold cell still has room, so a
+    // live-admitted slice rides across the restart; and one at slot 20,
+    // mid-surge, immediately before the stop. Whether the second is granted
+    // depends on the seed — the contract is that both arms adjudicate it
+    // identically, not which way it goes.
+    const ADMIT: &str = "{\"op\":\"admit\",\"kind\":\"hvs\"}";
+    let drill = |socket: &Path| {
+        ctl_ok(socket, "{\"op\":\"step\",\"to_slot\":8}");
+        let early = ctl_ok(socket, ADMIT);
+        ctl_ok(socket, "{\"op\":\"step\",\"to_slot\":20}");
+        let late = ctl_ok(socket, ADMIT);
+        assert_eq!(late.get("slot").and_then(Value::as_u64), Some(20));
+        (early, late)
+    };
+
+    // Uninterrupted arm: one daemon process runs the whole scenario.
     let uninterrupted = TestDir::new("drill-a");
     let config = uninterrupted.write_config();
     let mut daemon = spawn_daemon(&config, &[]);
     wait_ready(&uninterrupted.socket());
-    ctl_ok(&uninterrupted.socket(), "{\"op\":\"step\",\"to_slot\":20}");
-    let admit = ctl_ok(
-        &uninterrupted.socket(),
-        "{\"op\":\"admit\",\"kind\":\"hvs\"}",
+    let reference_admits = drill(&uninterrupted.socket());
+    assert_eq!(
+        reference_admits.0.get("outcome").and_then(Value::as_str),
+        Some("granted")
     );
-    assert_eq!(admit.get("slot").and_then(Value::as_u64), Some(20));
     let reference = run_to_completion(
         &uninterrupted.socket(),
         &uninterrupted.state_dir(),
@@ -213,16 +227,15 @@ fn rolling_upgrade_drill_is_bit_exact() {
     );
 
     // Upgrade arm: same drill, but the daemon is stopped right after the
-    // admission and a "rebuilt" daemon resumes the same state dir.
+    // slot-20 admission and a "rebuilt" daemon resumes the same state dir.
     let upgraded = TestDir::new("drill-b");
     let config = upgraded.write_config();
     let mut first = spawn_daemon(&config, &[]);
     wait_ready(&upgraded.socket());
-    ctl_ok(&upgraded.socket(), "{\"op\":\"step\",\"to_slot\":20}");
-    let admit = ctl_ok(&upgraded.socket(), "{\"op\":\"admit\",\"kind\":\"hvs\"}");
     assert_eq!(
-        admit.get("outcome").and_then(Value::as_str),
-        Some("granted")
+        drill(&upgraded.socket()),
+        reference_admits,
+        "both arms must adjudicate the live admissions alike"
     );
     ctl_ok(&upgraded.socket(), "{\"op\":\"shutdown\"}");
     assert!(wait_exit(&mut first).success());

@@ -4,28 +4,42 @@
 //! the **mean** and the **standard deviation** of the baseline policy's
 //! remaining-episode cost under the current state. The paper trains a
 //! probabilistic model with variational inference: the weight posterior is
-//! approximated by a diagonal Gaussian `q(φ) = N(μ, σ²)`, trained by
-//! maximizing the evidence lower bound
+//! approximated by a diagonal Gaussian `q(φ) = N(μ, σ²)`, `σ = softplus(ρ)`,
+//! trained by maximizing the evidence lower bound
 //!
 //! ```text
 //! ELBO = E_q[ log p(D | φ) ] − KL( q(φ) ‖ p(φ) )        (Eq. 7)
 //! ```
 //!
-//! with a standard-normal prior `p(φ)`. This module implements that with the
-//! local reparameterization trick: each forward pass samples
-//! `w = μ + softplus(ρ) · ε`, `ε ∼ N(0, 1)`, and gradients flow through both
-//! `μ` and `ρ`.
+//! with a standard-normal prior `p(φ)`. The two stochastic paths sample
+//! different things:
 //!
-//! [`BayesianMlp::predict`] aggregates several stochastic forward passes into
-//! a predictive mean and standard deviation, which is exactly the `(μ, σ)`
-//! pair the switching rule consumes.
+//! * **Training** ([`BayesianMlp::resample_weights`] →
+//!   [`BayesianMlp::forward_batch`] → [`BayesianMlp::backward_batch`]) uses
+//!   the plain reparameterization trick: one weight draw
+//!   `W = μ + σ · ε`, `ε ∼ N(0, 1)` per call, shared by the whole minibatch,
+//!   with gradients flowing through both `μ` and `ρ`.
+//! * **Prediction** ([`BayesianMlp::predict_with`]) uses the *local*
+//!   reparameterization trick: for a factorized Gaussian posterior and a
+//!   fixed input row `x`, every pre-activation is itself exactly Gaussian and
+//!   independent of the others,
+//!   `y_r ∼ N(μ_r·x + μ_b, σ²_r·x² + σ²_b)`, so the pass samples the
+//!   pre-activations (one draw per unit) instead of the weights (one draw
+//!   per connection) and runs all posterior samples as one batch through the
+//!   GEMM kernels. The predictive distribution is the same; only the number
+//!   of RNG draws differs.
+//!
+//! `predict_with` aggregates the stochastic passes into a predictive mean and
+//! standard deviation, which is exactly the `(μ, σ)` pair the switching rule
+//! consumes. The per-weight-sampling predictor it replaced survives in this
+//! module's tests as the distributional oracle.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::activation::Activation;
 use crate::matrix::Matrix;
-use crate::policy::standard_normal;
+use crate::policy::{standard_normal, standard_normal_pair};
 use crate::{softplus, softplus_derivative};
 
 /// Summary statistics of the stochastic predictions of a [`BayesianMlp`].
@@ -56,9 +70,7 @@ pub struct BayesianLinear {
     grad_weight_rho: Matrix,
     grad_bias_mu: Vec<f64>,
     grad_bias_rho: Vec<f64>,
-    // Caches from the last stochastic forward pass.
-    cached_input: Vec<f64>,
-    cached_pre_activation: Vec<f64>,
+    // The ε of the last `resample_weights` draw, for `backward_batch`.
     cached_weight_eps: Matrix,
     cached_bias_eps: Vec<f64>,
     // Materialized weight sample `W = μ + softplus(ρ)·ε` for the batched
@@ -101,8 +113,6 @@ impl BayesianLinear {
             grad_weight_rho: Matrix::zeros(out_dim, in_dim),
             grad_bias_mu: vec![0.0; out_dim],
             grad_bias_rho: vec![0.0; out_dim],
-            cached_input: Vec::new(),
-            cached_pre_activation: Vec::new(),
             cached_weight_eps: Matrix::zeros(out_dim, in_dim),
             cached_bias_eps: vec![0.0; out_dim],
             // Deliberately empty until the first `resample_weights` call, so
@@ -132,77 +142,6 @@ impl BayesianLinear {
             *p += b;
         }
         pre.iter().map(|&x| self.activation.apply(x)).collect()
-    }
-
-    /// Stochastic forward pass sampling weights with the reparameterization
-    /// trick and caching everything needed by [`BayesianLinear::backward`].
-    #[allow(clippy::needless_range_loop)] // row/column ranges mirror the math
-    pub fn forward_sample<R: Rng + ?Sized>(&mut self, input: &[f64], rng: &mut R) -> Vec<f64> {
-        debug_assert_eq!(input.len(), self.in_dim);
-        let mut pre = vec![0.0; self.out_dim];
-        let mut eps_w = Matrix::zeros(self.out_dim, self.in_dim);
-        let mut eps_b = vec![0.0; self.out_dim];
-        for r in 0..self.out_dim {
-            let mut acc = 0.0;
-            for c in 0..self.in_dim {
-                let eps = standard_normal(rng);
-                eps_w.set(r, c, eps);
-                let w = self.weight_mu.get(r, c) + softplus(self.weight_rho.get(r, c)) * eps;
-                acc += w * input[c];
-            }
-            let eb = standard_normal(rng);
-            eps_b[r] = eb;
-            let b = self.bias_mu[r] + softplus(self.bias_rho[r]) * eb;
-            pre[r] = acc + b;
-        }
-        let out = pre.iter().map(|&x| self.activation.apply(x)).collect();
-        self.cached_input = input.to_vec();
-        self.cached_pre_activation = pre;
-        self.cached_weight_eps = eps_w;
-        self.cached_bias_eps = eps_b;
-        out
-    }
-
-    /// Backward pass through the last [`BayesianLinear::forward_sample`] call.
-    ///
-    /// `grad_output` is `dL/dy`; the return value is `dL/dx`. Gradients for
-    /// `μ` and `ρ` are accumulated.
-    ///
-    /// # Panics
-    /// Panics if called before `forward_sample`.
-    #[allow(clippy::needless_range_loop)] // row/column ranges mirror the math
-    pub fn backward(&mut self, grad_output: &[f64]) -> Vec<f64> {
-        assert!(
-            !self.cached_pre_activation.is_empty(),
-            "backward called before forward_sample"
-        );
-        debug_assert_eq!(grad_output.len(), self.out_dim);
-        let mut grad_input = vec![0.0; self.in_dim];
-        for r in 0..self.out_dim {
-            let delta = grad_output[r] * self.activation.derivative(self.cached_pre_activation[r]);
-            if delta == 0.0 {
-                continue;
-            }
-            for c in 0..self.in_dim {
-                let eps = self.cached_weight_eps.get(r, c);
-                let rho = self.weight_rho.get(r, c);
-                let x = self.cached_input[c];
-                // w = mu + softplus(rho) * eps
-                self.grad_weight_mu
-                    .set(r, c, self.grad_weight_mu.get(r, c) + delta * x);
-                self.grad_weight_rho.set(
-                    r,
-                    c,
-                    self.grad_weight_rho.get(r, c) + delta * x * eps * softplus_derivative(rho),
-                );
-                let w = self.weight_mu.get(r, c) + softplus(rho) * eps;
-                grad_input[c] += delta * w;
-            }
-            self.grad_bias_mu[r] += delta;
-            self.grad_bias_rho[r] +=
-                delta * self.cached_bias_eps[r] * softplus_derivative(self.bias_rho[r]);
-        }
-        grad_input
     }
 
     /// Draws one posterior weight sample and materializes the effective
@@ -462,30 +401,36 @@ impl BayesWorkspace {
     }
 }
 
-/// Reusable scratch for the fast predict path ([`BayesianMlp::predict_with`]).
+/// Reusable scratch for [`BayesianMlp::predict_with`].
 ///
-/// Holds the materialized posterior scales `σ = softplus(ρ)` (so the hot
-/// sampling loop pays one multiply-add per weight instead of a `softplus`
-/// evaluation per draw) plus ping-pong activation buffers, making repeated
-/// predictions allocation-free at steady state.
+/// Caches, per layer, the transposed posterior means `μᵀ` and variances
+/// `(σ²)ᵀ` (`in × out`, the right-hand operands of the two GEMMs of a
+/// pre-activation-sampling pass, so the hot path pays neither a `softplus`
+/// nor a transpose) plus the bias variances, and owns every activation
+/// buffer, making repeated predictions allocation-free at steady state.
 ///
-/// The σ cache is **stale after any parameter update**: the owner must call
-/// [`PredictScratch::invalidate`] after `fit`/optimizer steps so the next
-/// prediction recomputes it. A freshly created (or deserialized-into-default)
-/// scratch starts invalid, so forgetting to persist it can never change
-/// results.
+/// The parameter cache is **stale after any parameter update**: the owner
+/// must call [`PredictScratch::invalidate`] after `fit`/optimizer steps so
+/// the next prediction recomputes it. A freshly created (or
+/// deserialized-into-default) scratch starts invalid, so forgetting to
+/// persist it can never change results.
 #[derive(Debug, Clone, Default)]
 pub struct PredictScratch {
-    /// Per-layer `softplus(weight_rho)`.
-    sigma_w: Vec<Matrix>,
-    /// Per-layer `softplus(bias_rho)`.
-    sigma_b: Vec<Vec<f64>>,
-    /// Ping-pong activation buffers.
-    x: Vec<f64>,
-    y: Vec<f64>,
-    /// Scalar outputs of the stochastic passes of one predict call.
-    values: Vec<f64>,
-    /// Whether the σ cache matches the network's current parameters.
+    /// Per-layer `weight_muᵀ`.
+    mu_t: Vec<Matrix>,
+    /// Per-layer `(softplus(weight_rho)²)ᵀ`.
+    var_t: Vec<Matrix>,
+    /// Per-layer `softplus(bias_rho)²`.
+    var_b: Vec<Vec<f64>>,
+    /// Layer input batch, its element-wise square, and the next layer's
+    /// input (swapped with `x` after every layer).
+    x: Matrix,
+    x_sq: Matrix,
+    y: Matrix,
+    /// Pre-activation means and standard deviations of the current layer.
+    mean: Matrix,
+    std: Matrix,
+    /// Whether the parameter cache matches the network's current parameters.
     fresh: bool,
 }
 
@@ -495,8 +440,9 @@ impl PredictScratch {
         Self::default()
     }
 
-    /// Marks the σ cache stale; the next [`BayesianMlp::predict_with`] call
-    /// recomputes it. Call after any update to the network's parameters.
+    /// Marks the parameter cache stale; the next
+    /// [`BayesianMlp::predict_with`] call recomputes it. Call after any
+    /// update to the network's parameters.
     pub fn invalidate(&mut self) {
         self.fresh = false;
     }
@@ -558,25 +504,6 @@ impl BayesianMlp {
             x = layer.forward_mean(&x);
         }
         x
-    }
-
-    /// One stochastic forward pass (weights sampled from the posterior),
-    /// caching intermediates for [`BayesianMlp::backward`].
-    pub fn forward_sample<R: Rng + ?Sized>(&mut self, input: &[f64], rng: &mut R) -> Vec<f64> {
-        let mut x = input.to_vec();
-        for layer in &mut self.layers {
-            x = layer.forward_sample(&x, rng);
-        }
-        x
-    }
-
-    /// Backpropagates through the last stochastic forward pass.
-    pub fn backward(&mut self, grad_output: &[f64]) -> Vec<f64> {
-        let mut g = grad_output.to_vec();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
     }
 
     /// Draws one posterior weight sample per layer for the batched passes.
@@ -697,48 +624,16 @@ impl BayesianMlp {
     }
 
     /// Predictive mean and standard deviation of the scalar output, estimated
-    /// from `num_samples` stochastic forward passes.
+    /// from `num_samples` posterior samples.
     ///
-    /// # Panics
-    /// Panics if the network output is not scalar or `num_samples == 0`.
-    pub fn predict<R: Rng + ?Sized>(
-        &mut self,
-        input: &[f64],
-        num_samples: usize,
-        rng: &mut R,
-    ) -> BayesianPrediction {
-        assert_eq!(
-            self.output_dim(),
-            1,
-            "predict requires a scalar output head"
-        );
-        assert!(num_samples > 0, "at least one posterior sample is required");
-        let mut values = Vec::with_capacity(num_samples);
-        for _ in 0..num_samples {
-            values.push(self.forward_sample(input, rng)[0]);
-        }
-        let mean = values.iter().sum::<f64>() / num_samples as f64;
-        let var = if num_samples > 1 {
-            values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (num_samples - 1) as f64
-        } else {
-            0.0
-        };
-        BayesianPrediction {
-            mean,
-            std: var.max(0.0).sqrt(),
-        }
-    }
-
-    /// Fast form of [`BayesianMlp::predict`]: same stochastic passes, same
-    /// RNG draw sequence, same accumulation order — **bit-identical** output
-    /// — but through caller-owned scratch buffers, with the posterior scales
-    /// `softplus(ρ)` cached in `scratch` instead of recomputed per draw, and
-    /// zero allocations at steady state.
-    ///
-    /// Unlike `predict` this takes `&self`: it does not populate the
-    /// backward caches (`predict` results are never backpropagated). The
-    /// caller must [`PredictScratch::invalidate`] the scratch after any
-    /// parameter update.
+    /// Samples pre-activations rather than weights (see the module docs):
+    /// layer 0 sees the one shared input row, so its pre-activation means
+    /// and variances are computed once and every sample only adds its own
+    /// noise; from layer 1 on the samples are a `num_samples`-row batch and
+    /// each layer costs two GEMMs (`X·μᵀ` and `X²·(σ²)ᵀ`) plus one Gaussian
+    /// draw per unit per sample. All buffers live in `scratch`, so a warm
+    /// call allocates nothing; the caller must
+    /// [`PredictScratch::invalidate`] the scratch after any parameter update.
     ///
     /// # Panics
     /// Panics if the network output is not scalar or `num_samples == 0`.
@@ -757,44 +652,50 @@ impl BayesianMlp {
         assert!(num_samples > 0, "at least one posterior sample is required");
         assert_eq!(input.len(), self.input_dim(), "predict input dim mismatch");
         if !scratch.fresh {
-            self.refresh_sigma_cache(scratch);
+            self.refresh_parameter_cache(scratch);
         }
         let PredictScratch {
-            sigma_w,
-            sigma_b,
+            mu_t,
+            var_t,
+            var_b,
             x,
+            x_sq,
             y,
-            values,
+            mean,
+            std,
             ..
         } = scratch;
-        values.clear();
-        for _ in 0..num_samples {
-            x.clear();
-            x.extend_from_slice(input);
-            for (layer, (sw, sb)) in self.layers.iter().zip(sigma_w.iter().zip(sigma_b.iter())) {
-                debug_assert_eq!(x.len(), layer.in_dim);
-                y.resize(layer.out_dim, 0.0);
-                for r in 0..layer.out_dim {
-                    let mu_row = layer.weight_mu.row(r);
-                    let sig_row = sw.row(r);
-                    // Single sequential accumulator and the exact draw order
-                    // of `forward_sample` (per row: in_dim weight draws, then
-                    // one bias draw) — this is what keeps the fast path
-                    // bit-identical on a shared RNG stream.
-                    let mut acc = 0.0;
-                    for (c, &xc) in x.iter().enumerate() {
-                        let eps = standard_normal(rng);
-                        let w = mu_row[c] + sig_row[c] * eps;
-                        acc += w * xc;
-                    }
-                    let eb = standard_normal(rng);
-                    let b = layer.bias_mu[r] + sb[r] * eb;
-                    y[r] = layer.activation.apply(acc + b);
-                }
-                std::mem::swap(x, y);
+        x.resize(1, input.len());
+        x.copy_row_from(0, input);
+        for (i, layer) in self.layers.iter().enumerate() {
+            x_sq.resize(x.rows(), x.cols());
+            for (sq, &v) in x_sq.data_mut().iter_mut().zip(x.data()) {
+                *sq = v * v;
             }
-            values.push(x[0]);
+            x.matmul_into(&mu_t[i], mean);
+            mean.add_row_broadcast(&layer.bias_mu);
+            x_sq.matmul_into(&var_t[i], std);
+            std.add_row_broadcast(&var_b[i]);
+            for v in std.data_mut() {
+                *v = v.sqrt();
+            }
+            y.resize(num_samples, layer.out_dim);
+            fill_standard_normal(rng, y.data_mut());
+            for s in 0..num_samples {
+                // One shared statistics row until the first noise is added.
+                let stats_row = if mean.rows() == 1 { 0 } else { s };
+                for ((out, &m), &sd) in y
+                    .row_mut(s)
+                    .iter_mut()
+                    .zip(mean.row(stats_row))
+                    .zip(std.row(stats_row))
+                {
+                    *out = layer.activation.apply(m + sd * *out);
+                }
+            }
+            std::mem::swap(x, y);
         }
+        let values = x.data();
         let mean = values.iter().sum::<f64>() / num_samples as f64;
         let var = if num_samples > 1 {
             values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (num_samples - 1) as f64
@@ -807,25 +708,38 @@ impl BayesianMlp {
         }
     }
 
-    /// Rematerializes `softplus(ρ)` for every weight and bias into `scratch`.
-    fn refresh_sigma_cache(&self, scratch: &mut PredictScratch) {
-        scratch
-            .sigma_w
-            .resize_with(self.layers.len(), Matrix::default);
-        scratch.sigma_b.resize_with(self.layers.len(), Vec::new);
-        for (layer, (sw, sb)) in self
-            .layers
-            .iter()
-            .zip(scratch.sigma_w.iter_mut().zip(scratch.sigma_b.iter_mut()))
-        {
-            sw.resize(layer.out_dim, layer.in_dim);
-            for (s, &r) in sw.data_mut().iter_mut().zip(layer.weight_rho.data()) {
-                *s = softplus(r);
+    /// Rematerializes `μᵀ`, `(σ²)ᵀ` and the bias variances into `scratch`.
+    fn refresh_parameter_cache(&self, scratch: &mut PredictScratch) {
+        let variance = |rho: f64| {
+            let sigma = softplus(rho);
+            sigma * sigma
+        };
+        let n = self.layers.len();
+        scratch.mu_t.resize_with(n, Matrix::default);
+        scratch.var_t.resize_with(n, Matrix::default);
+        scratch.var_b.resize_with(n, Vec::new);
+        for (i, layer) in self.layers.iter().enumerate() {
+            layer.weight_mu.transpose_into(&mut scratch.mu_t[i]);
+            layer.weight_rho.transpose_into(&mut scratch.var_t[i]);
+            for v in scratch.var_t[i].data_mut() {
+                *v = variance(*v);
             }
-            sb.clear();
-            sb.extend(layer.bias_rho.iter().map(|&r| softplus(r)));
+            scratch.var_b[i].clear();
+            scratch.var_b[i].extend(layer.bias_rho.iter().map(|&rho| variance(rho)));
         }
         scratch.fresh = true;
+    }
+}
+
+/// Fills `out` with independent standard-normal draws, two per Box–Muller
+/// transform (an odd-length tail discards the second half of its pair).
+fn fill_standard_normal<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
+    for pair in out.chunks_mut(2) {
+        let (a, b) = standard_normal_pair(rng);
+        pair[0] = a;
+        if let Some(second) = pair.get_mut(1) {
+            *second = b;
+        }
     }
 }
 
@@ -848,6 +762,89 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
+    // The per-weight-sampling predictor that `predict_with` replaced (one ε
+    // per weight, the plain reparameterization trick), kept only as the
+    // distributional oracle.
+
+    impl BayesianLinear {
+        /// Stochastic forward pass sampling every weight.
+        fn forward_sample<R: Rng + ?Sized>(&self, input: &[f64], rng: &mut R) -> Vec<f64> {
+            assert_eq!(input.len(), self.in_dim);
+            (0..self.out_dim)
+                .map(|r| {
+                    let mut acc = 0.0;
+                    for (c, &x) in input.iter().enumerate() {
+                        let sigma = softplus(self.weight_rho.get(r, c));
+                        acc += (self.weight_mu.get(r, c) + sigma * standard_normal(rng)) * x;
+                    }
+                    let bias = self.bias_mu[r] + softplus(self.bias_rho[r]) * standard_normal(rng);
+                    self.activation.apply(acc + bias)
+                })
+                .collect()
+        }
+    }
+
+    impl BayesianMlp {
+        fn forward_sample<R: Rng + ?Sized>(&self, input: &[f64], rng: &mut R) -> Vec<f64> {
+            let mut x = input.to_vec();
+            for layer in &self.layers {
+                x = layer.forward_sample(&x, rng);
+            }
+            x
+        }
+
+        /// Predictive mean and std from `num_samples` weight-sampling passes.
+        fn predict<R: Rng + ?Sized>(
+            &self,
+            input: &[f64],
+            num_samples: usize,
+            rng: &mut R,
+        ) -> BayesianPrediction {
+            let values: Vec<f64> = (0..num_samples)
+                .map(|_| self.forward_sample(input, rng)[0])
+                .collect();
+            let mean = values.iter().sum::<f64>() / num_samples as f64;
+            let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>()
+                / (num_samples - 1) as f64;
+            BayesianPrediction {
+                mean,
+                std: var.sqrt(),
+            }
+        }
+    }
+
+    /// A `[9, 64, 32, 1]` estimator trunk (the production shape) trained for
+    /// a few epochs through the batched path, so the posterior means are not
+    /// the initializer's and the scales have moved off their common start.
+    fn trained_trunk() -> BayesianMlp {
+        let mut rng = ChaCha8Rng::seed_from_u64(40);
+        let mut net = BayesianMlp::new(&[9, 64, 32, 1], &mut rng);
+        let mut opt = Adam::new(net.num_parameters(), 5e-3);
+        let batch = 48;
+        let mut states = Matrix::zeros(batch, 9);
+        let mut targets = vec![0.0; batch];
+        for (b, target) in targets.iter_mut().enumerate() {
+            for (c, v) in states.row_mut(b).iter_mut().enumerate() {
+                *v = rng.gen_range(0.0..1.0);
+                *target += if c % 2 == 0 { -*v } else { 0.5 * *v };
+            }
+        }
+        let mut ws = BayesWorkspace::new();
+        let mut grad = Matrix::zeros(batch, 1);
+        for _ in 0..60 {
+            net.zero_grad();
+            net.resample_weights(&mut rng);
+            let y = net.forward_batch(&states, &mut ws);
+            for (b, target) in targets.iter().enumerate() {
+                grad.set(b, 0, (y.get(b, 0) - target) / batch as f64);
+            }
+            net.backward_batch(&grad, &mut ws);
+            net.accumulate_kl_grad(1e-4 / batch as f64);
+            opt.step_set(&mut net);
+        }
+        net
+    }
+
     #[test]
     fn forward_mean_has_expected_shape() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
@@ -862,7 +859,7 @@ mod tests {
     #[test]
     fn stochastic_passes_differ_but_stay_near_the_mean_pass() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut net = BayesianMlp::new(&[2, 16, 1], &mut rng);
+        let net = BayesianMlp::new(&[2, 16, 1], &mut rng);
         let x = [0.4, 0.6];
         let mean_pass = net.forward_mean(&x)[0];
         let a = net.forward_sample(&x, &mut rng)[0];
@@ -897,8 +894,13 @@ mod tests {
         }
         let x = [0.3, -0.2, 0.5];
         layer.zero_grad();
-        let _ = layer.forward_sample(&x, &mut rng);
-        let _ = layer.backward(&[1.0, 1.0]);
+        layer.resample_weights(&mut rng);
+        let input = Matrix::from_vec(1, 3, x.to_vec());
+        let (mut weights_t, mut pre, mut out) =
+            (Matrix::default(), Matrix::default(), Matrix::default());
+        layer.forward_batch_into(&input, &mut weights_t, &mut pre, &mut out);
+        let mut delta = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
+        layer.backward_batch(&mut delta, &input, &pre, &mut Matrix::default(), None);
         let h = 1e-6;
         for r in 0..2 {
             for c in 0..3 {
@@ -930,17 +932,22 @@ mod tests {
                 (x, 2.0 * x)
             })
             .collect();
+        let states = Matrix::from_vec(32, 1, dataset.iter().map(|(x, _)| *x).collect());
+        let mut ws = BayesWorkspace::new();
+        let mut grad = Matrix::zeros(32, 1);
         for _ in 0..400 {
             net.zero_grad();
-            for (x, t) in &dataset {
-                let y = net.forward_sample(&[*x], &mut rng)[0];
+            net.resample_weights(&mut rng);
+            let y = net.forward_batch(&states, &mut ws);
+            for (b, (_, t)) in dataset.iter().enumerate() {
                 // d/dy of 0.5*(y-t)^2, averaged over the dataset
-                net.backward(&[(y - t) / dataset.len() as f64]);
+                grad.set(b, 0, (y.get(b, 0) - t) / dataset.len() as f64);
             }
+            net.backward_batch(&grad, &mut ws);
             net.accumulate_kl_grad(1e-4 / dataset.len() as f64);
             opt.step(net.param_grad_pairs());
         }
-        let pred = net.predict(&[0.5], 64, &mut rng);
+        let pred = net.predict_with(&[0.5], 64, &mut rng, &mut PredictScratch::new());
         assert!(
             (pred.mean - 1.0).abs() < 0.2,
             "predictive mean {} should be near 1.0",
@@ -954,21 +961,59 @@ mod tests {
     }
 
     #[test]
-    fn fast_predict_is_bit_identical_to_reference_predict() {
-        let mut rng = ChaCha8Rng::seed_from_u64(21);
-        let mut net = BayesianMlp::new(&[3, 17, 9, 1], &mut rng);
+    fn fast_predict_matches_the_weight_sampling_reference_in_distribution() {
+        // Same predictive distribution, different draws: pool many 16-sample
+        // predictions of each path and compare the first two moments within
+        // Monte-Carlo tolerance (≈ 5 standard errors of either estimate).
+        let net = trained_trunk();
+        let input = [0.9, 0.1, 0.5, 0.3, 0.7, 0.2, 0.8, 0.4, 0.6];
+        let (rounds, samples) = (500usize, 16usize);
+        let pooled = |predict: &mut dyn FnMut() -> BayesianPrediction| {
+            let (mut mean, mut var) = (0.0, 0.0);
+            for _ in 0..rounds {
+                let p = predict();
+                mean += p.mean;
+                var += p.std * p.std;
+            }
+            (mean / rounds as f64, (var / rounds as f64).sqrt())
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(41);
+        let (ref_mean, ref_std) = pooled(&mut || net.predict(&input, samples, &mut rng));
         let mut scratch = PredictScratch::new();
-        let input = [0.25, -0.4, 0.9];
-        for samples in [1usize, 2, 16] {
-            let mut rng_ref = ChaCha8Rng::seed_from_u64(777 + samples as u64);
-            let mut rng_fast = rng_ref.clone();
-            let reference = net.predict(&input, samples, &mut rng_ref);
-            let fast = net.predict_with(&input, samples, &mut rng_fast, &mut scratch);
-            assert_eq!(fast.mean.to_bits(), reference.mean.to_bits());
-            assert_eq!(fast.std.to_bits(), reference.std.to_bits());
-            // Both paths must consume the identical number of draws.
-            assert_eq!(rng_ref.gen::<u64>(), rng_fast.gen::<u64>());
-        }
+        let (new_mean, new_std) =
+            pooled(&mut || net.predict_with(&input, samples, &mut rng, &mut scratch));
+        assert!(ref_std > 0.01, "the oracle needs a non-trivial spread");
+        let n = (rounds * samples) as f64;
+        let mean_tol = 5.0 * ref_std * (2.0 / n).sqrt();
+        let std_tol = 5.0 * ref_std / n.sqrt();
+        assert!(
+            (new_mean - ref_mean).abs() < mean_tol,
+            "predictive mean {new_mean} vs reference {ref_mean} (tol {mean_tol})"
+        );
+        assert!(
+            (new_std - ref_std).abs() < std_tol,
+            "predictive std {new_std} vs reference {ref_std} (tol {std_tol})"
+        );
+    }
+
+    #[test]
+    fn first_layer_pre_activation_moments_match_the_closed_form() {
+        // One linear layer, identity activation: the output is exactly
+        // N(μ·x + μ_b, σ²·x² + σ_b²), whichever path samples it.
+        let mut rng = ChaCha8Rng::seed_from_u64(42);
+        let mut net = BayesianMlp::new(&[4, 1], &mut rng);
+        net.layers[0].weight_rho.fill(-0.5);
+        net.layers[0].bias_rho[0] = -1.0;
+        net.layers[0].bias_mu[0] = 0.3;
+        let x = [0.5, -1.5, 2.0, 0.25];
+        let layer = &net.layers[0];
+        let mean: f64 = crate::matrix::dot(layer.weight_mu.row(0), &x) + 0.3;
+        let var: f64 =
+            x.iter().map(|v| v * v).sum::<f64>() * softplus(-0.5).powi(2) + softplus(-1.0).powi(2);
+        let n = 40_000;
+        let p = net.predict_with(&x, n, &mut rng, &mut PredictScratch::new());
+        assert!((p.mean - mean).abs() < 5.0 * (var / n as f64).sqrt());
+        assert!((p.std - var.sqrt()).abs() < 5.0 * (var / (2 * n) as f64).sqrt());
     }
 
     #[test]
@@ -978,27 +1023,51 @@ mod tests {
         let mut scratch = PredictScratch::new();
         let input = [0.3, 0.6];
         let _ = net.predict_with(&input, 4, &mut ChaCha8Rng::seed_from_u64(1), &mut scratch);
-        // Perturb the posterior scales; a stale σ cache would now diverge.
+        // Perturb the posterior; a stale parameter cache would now diverge.
         for layer in &mut net.layers {
             layer.weight_rho.fill(-1.0);
             for rho in &mut layer.bias_rho {
                 *rho = -1.0;
             }
         }
+        let mut stale = scratch.clone();
         scratch.invalidate();
-        let mut rng_ref = ChaCha8Rng::seed_from_u64(2);
-        let mut rng_fast = rng_ref.clone();
-        let reference = net.predict(&input, 8, &mut rng_ref);
-        let fast = net.predict_with(&input, 8, &mut rng_fast, &mut scratch);
-        assert_eq!(fast.mean.to_bits(), reference.mean.to_bits());
-        assert_eq!(fast.std.to_bits(), reference.std.to_bits());
+        let seeded = || ChaCha8Rng::seed_from_u64(2);
+        let cold = net.predict_with(&input, 8, &mut seeded(), &mut PredictScratch::new());
+        let warm = net.predict_with(&input, 8, &mut seeded(), &mut scratch);
+        assert_eq!(warm.mean.to_bits(), cold.mean.to_bits());
+        assert_eq!(warm.std.to_bits(), cold.std.to_bits());
+        let old = net.predict_with(&input, 8, &mut seeded(), &mut stale);
+        assert_ne!(old.std.to_bits(), cold.std.to_bits());
+    }
+
+    #[test]
+    fn predict_consumes_one_box_muller_pair_per_two_units() {
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        let net = BayesianMlp::new(&[3, 6, 5, 1], &mut rng);
+        let samples = 3;
+        let mut used = ChaCha8Rng::seed_from_u64(9);
+        let mut expected = used.clone();
+        let _ = net.predict_with(
+            &[0.1, 0.2, 0.3],
+            samples,
+            &mut used,
+            &mut PredictScratch::new(),
+        );
+        // Per layer ⌈samples · out_dim / 2⌉ pairs of two uniforms each.
+        for out_dim in [6usize, 5, 1] {
+            for _ in 0..(samples * out_dim).div_ceil(2) {
+                let _ = standard_normal_pair(&mut expected);
+            }
+        }
+        assert_eq!(used.gen::<u64>(), expected.gen::<u64>());
     }
 
     #[test]
     fn predict_with_one_sample_has_zero_std() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let mut net = BayesianMlp::new(&[2, 8, 1], &mut rng);
-        let p = net.predict(&[0.2, 0.8], 1, &mut rng);
+        let net = BayesianMlp::new(&[2, 8, 1], &mut rng);
+        let p = net.predict_with(&[0.2, 0.8], 1, &mut rng, &mut PredictScratch::new());
         assert_eq!(p.std, 0.0);
     }
 
@@ -1038,18 +1107,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "backward called before forward_sample")]
+    #[should_panic(expected = "backward_batch called before forward_batch")]
     fn backward_without_forward_panics() {
         let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let mut layer = BayesianLinear::new(2, 2, Activation::Relu, &mut rng);
-        let _ = layer.backward(&[1.0, 1.0]);
+        let mut net = BayesianMlp::new(&[2, 4, 1], &mut rng);
+        net.backward_batch(&Matrix::zeros(3, 1), &mut BayesWorkspace::new());
     }
 
     #[test]
     #[should_panic(expected = "scalar output head")]
     fn predict_requires_scalar_output() {
         let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let mut net = BayesianMlp::new(&[2, 4, 2], &mut rng);
-        let _ = net.predict(&[0.1, 0.2], 4, &mut rng);
+        let net = BayesianMlp::new(&[2, 4, 2], &mut rng);
+        let _ = net.predict_with(&[0.1, 0.2], 4, &mut rng, &mut PredictScratch::new());
     }
 }

@@ -27,13 +27,24 @@ use crate::softplus_derivative;
 
 /// Draws a standard-normal sample using the Box–Muller transform.
 ///
-/// Kept local to avoid pulling in `rand_distr`; the policy and the Bayesian
-/// layers only ever need scalar `N(0, 1)` draws.
+/// Kept local to avoid pulling in `rand_distr`; this is the one scalar
+/// `N(0, 1)` sampler of the `nn` and `core` crates.
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // u1 in (0, 1] so that ln(u1) is finite.
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// Draws two independent standard-normal samples from one Box–Muller
+/// transform (the cosine and the sine branch of the same radius), for the
+/// same two uniforms [`standard_normal`] spends on a single draw.
+pub fn standard_normal_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
+    let u1: f64 = 1.0 - rng.gen::<f64>();
+    let u2: f64 = rng.gen();
+    let radius = (-2.0 * u1.ln()).sqrt();
+    let (sin, cos) = (2.0 * std::f64::consts::PI * u2).sin_cos();
+    (radius * cos, radius * sin)
 }
 
 /// A sample drawn from a [`GaussianPolicy`].
@@ -475,6 +486,46 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let net = Mlp::new(&[4, 12, 3], Activation::Tanh, Activation::Sigmoid, &mut rng);
         GaussianPolicy::from_mean_net(net, 3, 0.2)
+    }
+
+    #[test]
+    fn standard_normal_pair_halves_are_unit_variance_and_uncorrelated() {
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let n = 200_000;
+        let (mut sa, mut sb, mut saa, mut sbb, mut sab) = (0.0, 0.0, 0.0, 0.0, 0.0);
+        for _ in 0..n {
+            let (a, b) = standard_normal_pair(&mut rng);
+            sa += a;
+            sb += b;
+            saa += a * a;
+            sbb += b * b;
+            sab += a * b;
+        }
+        let n = n as f64;
+        // Standard errors: mean 1/√n, second moments √2/√n, cross 1/√n.
+        let tol = 5.0 / n.sqrt();
+        assert!((sa / n).abs() < tol && (sb / n).abs() < tol);
+        assert!(
+            (saa / n - 1.0).abs() < 1.5 * tol,
+            "cos half var {}",
+            saa / n
+        );
+        assert!(
+            (sbb / n - 1.0).abs() < 1.5 * tol,
+            "sin half var {}",
+            sbb / n
+        );
+        assert!((sab / n).abs() < tol, "halves correlate: {}", sab / n);
+    }
+
+    #[test]
+    fn standard_normal_pair_spends_the_uniforms_of_one_scalar_draw() {
+        let mut pair_rng = ChaCha8Rng::seed_from_u64(18);
+        let mut scalar_rng = pair_rng.clone();
+        let (a, _) = standard_normal_pair(&mut pair_rng);
+        let z = standard_normal(&mut scalar_rng);
+        assert!((a - z).abs() < 1e-12);
+        assert_eq!(pair_rng.gen::<u64>(), scalar_rng.gen::<u64>());
     }
 
     #[test]

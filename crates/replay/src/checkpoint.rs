@@ -56,7 +56,13 @@ pub fn peek_format_version(text: &str, what: &str, expected: u32) -> Result<(), 
 /// (`unenforced_admissions`) — the elastic fleet admits and migrates
 /// between slots, and a checkpoint taken at such a boundary must not drop
 /// the capacity pledges — so v2 snapshots no longer parse.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 3;
+///
+/// v4: the Bayesian cost predictor samples pre-activations instead of
+/// weights, drawing a different number of values from each agent's RNG per
+/// slot. A v3 snapshot still parses, but resuming it would continue on a
+/// different draw sequence than the binary that wrote it — a silent break
+/// of the upgrade-invariance contract — so it is refused instead.
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 4;
 
 /// A versioned, self-describing snapshot of a scenario run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -152,7 +158,10 @@ impl Checkpoint {
 
 /// Version stamp of the per-slice snapshot JSON layout; bump on breaking
 /// changes to the agent/environment serialization.
-pub const SLICE_SNAPSHOT_FORMAT_VERSION: u32 = 1;
+///
+/// v2: same reason as [`CHECKPOINT_FORMAT_VERSION`] v4 — the agent's RNG
+/// stream advances differently under the pre-activation-sampling predictor.
+pub const SLICE_SNAPSHOT_FORMAT_VERSION: u32 = 2;
 
 /// A versioned snapshot of **one** slice's complete state, extracted from a
 /// live engine without disturbing it — the file-format twin of the
@@ -308,19 +317,22 @@ mod tests {
 
     #[test]
     fn stale_format_versions_fail_with_the_version_error_not_a_parse_error() {
-        // A v2-era file is structurally incompatible (fields have come and
-        // gone since), so the loader must report the version mismatch — the
-        // actionable message — instead of tripping over a missing field.
-        let stale = r#"{"format_version":2,"scenario":"steady","seed":7}"#;
-        let err = Checkpoint::from_json(stale).unwrap_err();
-        assert_eq!(
-            err,
-            "checkpoint format version 2 is not supported (expected 3)"
-        );
-        let stale_snapshot = r#"{"format_version":9,"scenario":"steady"}"#;
+        // A stale file may be structurally incompatible (v2: fields have
+        // come and gone) or parse fine but continue on the wrong RNG stream
+        // (v3 / snapshot v1: written under the weight-sampling predictor);
+        // either way the loader must report the version mismatch — the
+        // actionable message — before it looks at any other field.
+        for version in [2, 3] {
+            let stale = format!(r#"{{"format_version":{version},"scenario":"steady","seed":7}}"#);
+            assert_eq!(
+                Checkpoint::from_json(&stale).unwrap_err(),
+                format!("checkpoint format version {version} is not supported (expected 4)")
+            );
+        }
+        let stale_snapshot = r#"{"format_version":1,"scenario":"steady"}"#;
         let err = SliceSnapshot::from_json(stale_snapshot).unwrap_err();
         assert!(
-            err.contains("format version 9 is not supported (expected 1)"),
+            err.contains("format version 1 is not supported (expected 2)"),
             "{err}"
         );
         // A document with no stamp at all is malformed, not "version 0".

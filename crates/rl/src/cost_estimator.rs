@@ -58,9 +58,9 @@ pub struct CostValueEstimator {
     network: BayesianMlp,
     optimizer: Adam,
     config: CostEstimatorConfig,
-    /// Scratch memory for the fast predict path — never serialized; a
-    /// deserialized estimator starts with an invalid (empty) cache and
-    /// rebuilds it on first use.
+    /// Scratch memory of the predict path — never serialized; a deserialized
+    /// estimator starts with an invalid (empty) cache and rebuilds it on
+    /// first use.
     #[serde(skip)]
     predict_scratch: PredictScratch,
 }
@@ -155,7 +155,7 @@ impl CostValueEstimator {
             self.optimizer.step_set(&mut self.network);
             epoch_errors.push(err_sum / n);
         }
-        // Parameters moved: the fast-predict σ cache is stale.
+        // Parameters moved: the predict path's parameter cache is stale.
         self.predict_scratch.invalidate();
         epoch_errors
     }
@@ -163,10 +163,9 @@ impl CostValueEstimator {
     /// Predictive mean and standard deviation of the baseline's remaining
     /// episode cost at the given state.
     ///
-    /// Runs the allocation-free fast path ([`BayesianMlp::predict_with`]),
-    /// which is bit-identical to the reference `BayesianMlp::predict` on a
-    /// shared RNG stream — the switch rule and all goldens see the exact
-    /// same numbers.
+    /// Runs [`BayesianMlp::predict_with`] — `prediction_samples` posterior
+    /// samples pushed as one batch through the trunk, allocation-free once
+    /// the estimator's scratch is warm.
     pub fn predict<R: Rng + ?Sized>(&mut self, state: &[f64], rng: &mut R) -> BayesianPrediction {
         let mut p = self.network.predict_with(
             state,
@@ -302,8 +301,13 @@ mod tests {
     fn fit_invalidates_the_fast_predict_cache() {
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let mut est = CostValueEstimator::new(2, CostEstimatorConfig::default(), &mut rng);
-        // Warm the σ cache, then move the parameters with a fit.
-        let _ = est.predict(&[0.1, 0.2], &mut ChaCha8Rng::seed_from_u64(5));
+        // Warm the parameter cache (and leave the activation buffers in the
+        // state several predictions leave them in), then move the parameters
+        // with a fit.
+        let mut warm_rng = ChaCha8Rng::seed_from_u64(5);
+        for i in 0..3 {
+            let _ = est.predict(&[0.1 * i as f64, 0.2], &mut warm_rng);
+        }
         let dataset: Vec<CostToGoSample> = (0..16)
             .map(|i| CostToGoSample {
                 state: vec![i as f64 / 16.0, 0.5],

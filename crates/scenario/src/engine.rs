@@ -1970,24 +1970,28 @@ mod tests {
             .at(30, ScenarioEvent::TeardownSlice { slice: 1 });
         let mut scripted = ScenarioEngine::new(scripted_scenario, quick_config()).unwrap();
         let mut scripted_rec = Recorder::default();
-        let scripted_report = scripted.run_with_observer(&mut scripted_rec);
-
         let mut live = ScenarioEngine::new(tiny_scenario(), quick_config()).unwrap();
         let mut live_rec = Recorder::default();
-        live.run_until(1, &mut live_rec);
-        assert_eq!(
-            live.inject_event(&ScenarioEvent::AdmitSlice { slice: spec }, &mut live_rec)
-                .unwrap(),
-            LiveEventOutcome::Applied
-        );
-        live.run_until(10, &mut live_rec);
-        // The deployment is near capacity by now: the same admission that
-        // the scripted run denies at slot 10 must be denied live too.
-        assert_eq!(
-            live.inject_event(&ScenarioEvent::AdmitSlice { slice: spec }, &mut live_rec)
-                .unwrap(),
-            LiveEventOutcome::Denied
-        );
+        // Whether the deployment has room for one more slice depends on the
+        // shares learned so far; whatever the scripted timeline decided for
+        // an admission, the live injection at the same boundary must decide.
+        for slot in [1, 10] {
+            let denied_before = scripted.run.report.admissions_denied;
+            scripted.run_until(slot + 1, &mut scripted_rec);
+            let scripted_outcome = if scripted.run.report.admissions_denied > denied_before {
+                LiveEventOutcome::Denied
+            } else {
+                LiveEventOutcome::Applied
+            };
+            live.run_until(slot, &mut live_rec);
+            assert_eq!(
+                live.inject_event(&ScenarioEvent::AdmitSlice { slice: spec }, &mut live_rec)
+                    .unwrap(),
+                scripted_outcome,
+                "admission at slot {slot}"
+            );
+        }
+        let scripted_report = scripted.run_with_observer(&mut scripted_rec);
         live.run_until(20, &mut live_rec);
         assert_eq!(
             live.inject_event(

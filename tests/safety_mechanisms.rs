@@ -2,7 +2,7 @@
 //! ablations (OnSlicing vs -NE vs -NB) and the constraint-aware reward
 //! shaping, at CI scale.
 
-use onslicing::core::{AgentConfig, CoordinationMode, DeploymentBuilder};
+use onslicing::core::{AgentConfig, CoordinationMode, DeploymentBuilder, SlotOutcome};
 
 fn online_violation(config: AgentConfig, seed: u64) -> f64 {
     let mut orch = DeploymentBuilder::new()
@@ -61,5 +61,68 @@ fn removing_the_switch_does_not_reduce_violations() {
     assert!(
         without_switch + 1e-9 >= with_switch,
         "OnSlicing-NB ({without_switch:.1}%) should not violate less than OnSlicing ({with_switch:.1}%)"
+    );
+}
+
+/// Drives `episodes` online episodes slot by slot and returns, for every
+/// slice-episode in which the safety switch fired, the cost the slice had
+/// accumulated *before* the slot of the first baseline action, as a fraction
+/// of its episode budget `T · C_max`.
+fn budget_spent_at_first_switch(config: AgentConfig, seed: u64, episodes: usize) -> Vec<f64> {
+    let mut orch = DeploymentBuilder::new()
+        .agent_config(config)
+        .coordination(CoordinationMode::default())
+        .scaled_down(16)
+        .seed(seed)
+        .build();
+    orch.offline_pretrain_all(2);
+    let horizon = orch.env().envs()[0].horizon();
+    let mut outcome = SlotOutcome::default();
+    let mut fired_at = Vec::new();
+    for _ in 0..episodes {
+        orch.env_mut().reset_all();
+        let mut spent = vec![0.0; orch.num_slices()];
+        let mut fired = vec![false; orch.num_slices()];
+        for _ in 0..horizon {
+            orch.run_slot_into(true, &mut outcome);
+            for (i, agent) in orch.agents().iter().enumerate() {
+                if outcome.decisions[i].used_baseline && !fired[i] {
+                    fired[i] = true;
+                    fired_at.push(spent[i] / agent.sla().episode_cost_budget(horizon));
+                }
+                spent[i] += outcome.kpis[i].cost;
+            }
+        }
+        for agent in orch.agents_mut() {
+            agent.end_episode();
+        }
+    }
+    fired_at
+}
+
+/// The switching rule of Eq. 8 under the pre-activation-sampling estimator:
+/// with π_φ the switch is *proactive* — it fires while the episode budget
+/// `T · C_max` is not yet exhausted, because the predicted remaining cost of
+/// the baseline is counted in (one expensive slot can still carry a slice
+/// past the budget before the rule gets to look, hence "most", over seeds) —
+/// and without π_φ (OnSlicing-NE) it can only be reactive: never before the
+/// cumulative cost alone has reached the budget.
+#[test]
+fn the_switch_is_proactive_with_the_estimator_and_reactive_without_it() {
+    let over_seeds = |config: AgentConfig| -> Vec<f64> {
+        (0..6)
+            .flat_map(|seed| budget_spent_at_first_switch(config, seed, 4))
+            .collect()
+    };
+    let proactive = over_seeds(AgentConfig::onslicing());
+    let in_time = proactive.iter().filter(|spent| **spent < 1.0).count();
+    assert!(
+        !proactive.is_empty() && 2 * in_time > proactive.len(),
+        "most switches must fire before the budget is exhausted: {proactive:.2?}"
+    );
+    let reactive = over_seeds(AgentConfig::onslicing_ne());
+    assert!(
+        !reactive.is_empty() && reactive.iter().all(|spent| *spent >= 1.0),
+        "without the estimator the switch may only fire on an exhausted budget: {reactive:.2?}"
     );
 }
