@@ -14,7 +14,7 @@ fn bench_dual_update(c: &mut Criterion) {
     let mut domains = DomainSet::testbed_default();
     let requests = vec![Action::uniform(0.5); 3];
     c.bench_function("domain_set_dual_update_3_slices", |b| {
-        b.iter(|| std::hint::black_box(domains.update_coordination(requests.iter())))
+        b.iter(|| std::hint::black_box(domains.update_coordination_slice(&requests)))
     });
 }
 
@@ -36,12 +36,12 @@ fn bench_coordination_round(c: &mut Criterion) {
         let originals = vec![Action::uniform(0.6); num_slices];
         c.bench_function(&format!("coordination_round_{num_slices}_slices"), |b| {
             b.iter(|| {
-                let betas = domains.update_coordination(originals.iter());
+                let betas = domains.update_coordination_slice(&originals);
                 let modified: Vec<Action> = originals
                     .iter()
                     .map(|a| modifier.modify(a, &betas, &mut rng))
                     .collect();
-                std::hint::black_box(domains.is_feasible(modified.iter()))
+                std::hint::black_box(domains.is_feasible_slice(&modified))
             })
         });
     }

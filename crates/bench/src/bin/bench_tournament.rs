@@ -28,7 +28,7 @@ use std::process::ExitCode;
 
 use serde::Serialize;
 
-use onslicing_fleet::{BalancerConfig, ElasticFleetConfig, ElasticFleetRunner, BALANCE_POLICIES};
+use onslicing_fleet::{BalancerConfig, ElasticFleet, ElasticFleetConfig, BALANCE_POLICIES};
 use onslicing_scenario::all_fleet_builtins;
 
 /// One cell of the tournament matrix: what one policy did on one scenario.
@@ -156,13 +156,12 @@ fn run() -> Result<bool, String> {
                     .expect("registered policy names parse"),
                 ..BalancerConfig::default()
             };
-            let outcome = ElasticFleetRunner::new(
+            let outcome = ElasticFleet::run(
                 scenario.clone(),
                 ElasticFleetConfig::new(opts.cells)
                     .with_seed(opts.seed)
                     .with_balancer(balancer),
-            )?
-            .run()?;
+            )?;
             let report = &outcome.report;
             // The tournament's standing invariant: no registered policy may
             // produce a non-finite metric on any built-in.

@@ -1,5 +1,5 @@
 //! Emits `BENCH_fleet.json` — the cells×slices scaling record of the
-//! multi-cell fleet runner, tracked across PRs alongside
+//! multi-cell fleet, tracked across PRs alongside
 //! `BENCH_hotpath.json` and `BENCH_scenario.json`.
 //!
 //! Default mode runs the `fleet-soak` per-cell workload (12 slices plus
@@ -61,7 +61,7 @@ use std::process::ExitCode;
 use serde::Serialize;
 
 use onslicing_fleet::{
-    BalancerConfig, ElasticFleetConfig, ElasticFleetRunner, FleetConfig, FleetReport, FleetRunner,
+    BalancerConfig, ElasticFleet, ElasticFleetConfig, FleetOutcome, FleetReport,
 };
 use onslicing_scenario::{builtin, fleet_by_name, FleetScenario, FLEET_BUILTIN_NAMES};
 
@@ -249,28 +249,30 @@ fn parse_options() -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Runs a fleet scenario through the elastic runner.
-fn run_elastic(
+/// Runs a fleet scenario start to finish. The frozen-sharding modes (the
+/// scaling curve, `--trace-out` without `--fleet-scenario`) pass a plain
+/// scenario wrapped in an event-free [`FleetScenario`] and
+/// [`BalancerConfig::disabled`]: the cells then never synchronize.
+fn run_fleet(
     fleet: &FleetScenario,
     cells: usize,
     seed: u64,
     balancer: BalancerConfig,
-) -> Result<onslicing_fleet::FleetOutcome, String> {
-    ElasticFleetRunner::new(
+) -> Result<FleetOutcome, String> {
+    ElasticFleet::run(
         fleet.clone(),
         ElasticFleetConfig::new(cells)
             .with_seed(seed)
             .with_balancer(balancer),
-    )?
-    .run()
+    )
 }
 
 fn run() -> Result<bool, String> {
     let opts = parse_options()?;
 
     if let Some(name) = &opts.fleet_scenario {
-        // Elastic determinism-gate mode: run a fleet scenario through the
-        // elastic runner and write only the byte-deterministic trace.
+        // Elastic determinism-gate mode: run a fleet scenario and write only
+        // the byte-deterministic trace.
         let Some(fleet) = fleet_by_name(name) else {
             return Err(format!(
                 "`{name}` is not a built-in fleet scenario (built-ins: {})",
@@ -285,7 +287,7 @@ fn run() -> Result<bool, String> {
         } else {
             BalancerConfig::disabled()
         };
-        let outcome = run_elastic(&fleet, opts.trace_cells, opts.seed, balancer)?;
+        let outcome = run_fleet(&fleet, opts.trace_cells, opts.seed, balancer)?;
         if outcome.report.has_non_finite() {
             eprintln!("fleet_runner: non-finite metrics in the elastic trace run");
             return Ok(false);
@@ -303,14 +305,16 @@ fn run() -> Result<bool, String> {
     }
 
     let scenario = builtin::by_name_or_file(&opts.scenario)?;
+    let frozen = FleetScenario::new(scenario, 1);
 
     if let Some(trace_out) = &opts.trace_out {
         // Determinism-gate mode: one fleet, trace only, no timing fields.
-        let runner = FleetRunner::new(
-            scenario,
-            FleetConfig::new(opts.trace_cells).with_seed(opts.seed),
+        let outcome = run_fleet(
+            &frozen,
+            opts.trace_cells,
+            opts.seed,
+            BalancerConfig::disabled(),
         )?;
-        let outcome = runner.run()?;
         if outcome.report.has_non_finite() {
             eprintln!("fleet_runner: non-finite metrics in the trace run");
             return Ok(false);
@@ -333,11 +337,7 @@ fn run() -> Result<bool, String> {
     );
     let mut curve = Vec::with_capacity(opts.cells.len());
     for &cells in &opts.cells {
-        let runner = FleetRunner::new(
-            scenario.clone(),
-            FleetConfig::new(cells).with_seed(opts.seed),
-        )?;
-        let outcome = runner.run()?;
+        let outcome = run_fleet(&frozen, cells, opts.seed, BalancerConfig::disabled())?;
         let report = &outcome.report;
         if report.has_non_finite() {
             eprintln!("fleet_runner: non-finite metrics at {cells} cell(s)");
@@ -378,7 +378,7 @@ fn run() -> Result<bool, String> {
     let hotspot = fleet_by_name("hotspot-shift").expect("hotspot-shift is a built-in");
     let arm = |balancer: BalancerConfig| -> Result<Vec<FleetReport>, String> {
         (opts.seed..opts.seed + REBALANCE_SEEDS)
-            .map(|seed| Ok(run_elastic(&hotspot, 2, seed, balancer)?.report))
+            .map(|seed| Ok(run_fleet(&hotspot, 2, seed, balancer)?.report))
             .collect()
     };
     let off = arm(BalancerConfig::disabled())?;
@@ -419,7 +419,7 @@ fn run() -> Result<bool, String> {
         schedule: "single-thread-pinned (RAYON_NUM_THREADS=1 for reproducible gating)".to_string(),
         scenario: opts.scenario.clone(),
         seed: opts.seed,
-        slices_per_cell_initial: scenario.initial_slices.len(),
+        slices_per_cell_initial: frozen.base.initial_slices.len(),
         curve,
         aggregate_speedup_max_vs_min_cells: speedup,
         rebalance_comparison,

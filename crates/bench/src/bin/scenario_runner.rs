@@ -26,7 +26,7 @@ use std::process::ExitCode;
 
 use serde::Serialize;
 
-use onslicing_fleet::{ElasticFleetConfig, ElasticFleetRunner};
+use onslicing_fleet::{ElasticFleet, ElasticFleetConfig};
 use onslicing_scenario::{
     builtin, fleet, Scenario, ScenarioConfig, ScenarioEngine, ScenarioReport,
 };
@@ -230,17 +230,10 @@ fn main() -> ExitCode {
     let mut fleet_reports = Vec::new();
     for fleet_scenario in fleet_scenarios {
         let cells = fleet_scenario.min_cells.max(2);
-        let runner = match ElasticFleetRunner::new(
+        let outcome = match ElasticFleet::run(
             fleet_scenario,
             ElasticFleetConfig::new(cells).with_seed(args.seed),
         ) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("scenario_runner: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let outcome = match runner.run() {
             Ok(o) => o,
             Err(e) => {
                 eprintln!("scenario_runner: {e}");

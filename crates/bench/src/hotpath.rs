@@ -162,7 +162,7 @@ impl NaiveLayer {
     }
 }
 
-/// The seed's per-sample MLP (stack of [`NaiveLayer`]s).
+/// The seed's per-sample MLP (stack of `NaiveLayer`s).
 pub struct NaiveMlp {
     layers: Vec<NaiveLayer>,
 }

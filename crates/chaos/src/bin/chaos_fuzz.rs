@@ -19,7 +19,7 @@
 use std::process::ExitCode;
 
 use onslicing_chaos::{chaos_case, check_case_with_scratch, shrink_case};
-use onslicing_fleet::ElasticFleetRunner;
+use onslicing_fleet::ElasticFleet;
 use proptest::generate_case;
 use rand::{SeedableRng, Xoshiro256PlusPlus};
 
@@ -71,9 +71,7 @@ fn main() -> ExitCode {
     for i in 0..args.cases {
         let case = generate_case(&strategy, &mut rng);
         if args.trace_out.is_some() {
-            let outcome = ElasticFleetRunner::new(case.scenario.clone(), case.fleet_config())
-                .and_then(|runner| runner.run());
-            match outcome {
+            match ElasticFleet::run(case.scenario.clone(), case.fleet_config()) {
                 Ok(outcome) => {
                     traces.push_str(&outcome.trace.to_json());
                     traces.push('\n');

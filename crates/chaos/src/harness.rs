@@ -3,14 +3,15 @@
 //! One [`check_case`] call asserts, over the case's scenario and drive
 //! plan, the repo's machine-checked laws:
 //!
-//! 1. **Reference run** — the one-shot [`ElasticFleetRunner`] completes and
-//!    produces a finite [`FleetReport`] and finite telemetry everywhere.
+//! 1. **Reference run** — the one-shot [`ElasticFleet::run`] completes and
+//!    produces a finite [`onslicing_fleet::FleetReport`] and finite
+//!    telemetry everywhere.
 //! 2. **Balancer cadence** — every recorded migration sits on a scheduled
 //!    cadence boundary (`slot = k · cadence_slots`, `k ≥ 1`); a disabled
 //!    balancer migrates nothing.
 //! 3. **Window equivalence** — driving [`ElasticFleet::advance_to`]
 //!    through the plan's window sequence yields a final fleet trace
-//!    byte-identical to the one-shot runner's.
+//!    byte-identical to the one-shot run's.
 //! 4. **Chaos resume** — at plan-chosen boundaries the fleet is
 //!    checkpointed to disk, dropped, and resumed from the file (with a
 //!    torn-write `.tmp` artifact planted next to it); the resumed run's
@@ -18,9 +19,11 @@
 //!    checkpoint GC sweeps the torn artifact.
 //! 5. **Admission law** — at window boundaries, back-to-back live
 //!    admissions are granted *exactly* as long as every resource's residual
-//!    capacity covers the estimated share plus headroom plus every earlier
-//!    same-boundary grant's reservation — predicted here by independent
-//!    arithmetic over [`DomainSet`] residuals, never by asking the
+//!    capacity covers what the case's admission policy claims for the
+//!    newcomer (`greedy`: the estimated share; `cautious`: twice it) plus
+//!    headroom plus every earlier same-boundary grant's reservation —
+//!    predicted here by independent arithmetic over
+//!    [`onslicing_domains::DomainSet`] residuals, never by asking the
 //!    controller; and a fleet at its scenario end admits nothing.
 //! 6. **Admission conservation** — every scripted fleet admission is
 //!    adjudicated (granted or denied fleet-wide); none is silently
@@ -33,7 +36,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use onslicing_fleet::{ElasticFleet, ElasticFleetRunner, FleetCheckpoint, FleetOutcome};
+use onslicing_fleet::{ElasticFleet, FleetCheckpoint, FleetOutcome};
 use onslicing_replay::{checkpoint_file_name, gc_checkpoint_dir, list_checkpoint_slots};
 use onslicing_scenario::ScenarioEngine;
 use onslicing_scenario::SliceSpec;
@@ -68,10 +71,7 @@ pub fn check_case_with_scratch(case: &ChaosCase) -> Result<(), String> {
 pub fn check_case(case: &ChaosCase, scratch: &Path) -> Result<(), String> {
     case.validate()
         .map_err(|e| format!("generator soundness: produced an invalid case: {e}"))?;
-    let runner = ElasticFleetRunner::new(case.scenario.clone(), case.fleet_config())
-        .map_err(|e| format!("reference runner rejected a validated case: {e}"))?;
-    let reference = runner
-        .run()
+    let reference = ElasticFleet::run(case.scenario.clone(), case.fleet_config())
         .map_err(|e| format!("reference run failed: {e}"))?;
     check_finite(&reference)?;
     check_balancer_cadence(case, &reference)?;
@@ -324,19 +324,31 @@ fn check_admission_law(case: &ChaosCase, fleet: &ElasticFleet) -> Result<(), Str
 }
 
 /// How many more admissions one cell's residual capacity supports,
-/// replicating the controller's arithmetic over [`DomainSet`] residuals —
+/// replicating the controller's arithmetic over `DomainSet` residuals —
 /// the same floating-point expression, evaluated independently:
 /// grant `k` requires, for every resource `r`,
-/// `residual(r) >= share + headroom · capacity(r) + (pending + k) · share`.
+/// `residual(r) >= claim + headroom · capacity(r) + (pending + k) · share`,
+/// where the newcomer's own `claim` is the law of the case's admission
+/// policy, written out here rather than looked up in the registry: `share`
+/// under `greedy`, `2 · share` under `cautious`.
 fn predicted_cell_grants(case: &ChaosCase, engine: &ScenarioEngine) -> Result<usize, String> {
     let domains = engine.orchestrator().domains();
     let share = case.estimated_share;
+    let claim = match case.admission_policy.as_str() {
+        "greedy" => share,
+        "cautious" => 2.0 * share,
+        other => {
+            return Err(format!(
+                "admission law: the harness has no independent oracle for policy `{other}`"
+            ))
+        }
+    };
     let pending = engine.pending_admissions();
     let mut k = 0usize;
     loop {
         let reserved = (pending + k) as f64 * share;
         let fits = ResourceKind::ALL.iter().all(|&r| {
-            let required = share + case.headroom * domains.capacity_of(r) + reserved;
+            let required = claim + case.headroom * domains.capacity_of(r) + reserved;
             domains.residual_capacity(r) >= required
         });
         if !fits {

@@ -52,3 +52,17 @@ fn slot0_fleet_admission_triggers_no_balancer_round() {
         "../regressions/slot0_admission_balancer_round.json"
     ));
 }
+
+/// The harness's own admission-law oracle used to evaluate the `greedy` law
+/// (`share + headroom · capacity + reserved`) whatever policy the case ran,
+/// so every `cautious` case (`2 · share + …`) whose budget differed by a
+/// whole grant failed the battery — `chaos_fuzz --cases 48 --seed 1` cases
+/// 3, 10 and 45. The oracle now evaluates the law of the case's own policy.
+#[test]
+fn cautious_admission_law_is_predicted_by_the_cautious_oracle() {
+    run_regression(include_str!("../regressions/cautious_law_none_fit.json"));
+    run_regression(include_str!("../regressions/cautious_law_wide_cell.json"));
+    run_regression(include_str!(
+        "../regressions/cautious_law_with_headroom.json"
+    ));
+}

@@ -5,7 +5,7 @@
 //! policies and the experiment plumbing that reproduces the paper's
 //! evaluation.
 //!
-//! * [`env`] — the gym-style per-slice environment (15-minute slots, 96-slot
+//! * [`mod@env`] — the gym-style per-slice environment (15-minute slots, 96-slot
 //!   episodes) over the `onslicing_netsim` simulator;
 //! * [`agent`] — the OnSlicing agent combining `π_θ` (PPO), `π_b` (rule-based
 //!   baseline), `π_φ` (variational cost estimator) and `π_a` (action

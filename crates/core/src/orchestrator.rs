@@ -30,9 +30,12 @@
 //!    ([`OnSlicingAgent::decide_finish`]), drawing exactly the action-sample
 //!    variates the dispatched path would.
 //!
-//! The composition is bit-identical to the per-slice reference path, which is
-//! kept as [`Orchestrator::run_slot_reference`] for equivalence tests and as
-//! the fallback when the cell holds heterogeneous trunk shapes.
+//! The composition is bit-identical to dispatching one
+//! [`OnSlicingAgent::decide`] / [`OnSlicingAgent::record`] per slice; this
+//! module's tests keep that per-slice loop as their reference. The shared
+//! trunk shape is checked once, where a slice enters the cell
+//! ([`Orchestrator::new`], [`Orchestrator::admit_slice`],
+//! [`Orchestrator::import_slice`]), never per slot.
 //!
 //! ## Parallelism
 //!
@@ -53,7 +56,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use onslicing_domains::{DomainSet, SliceId};
-use onslicing_nn::{CellBatch, Mlp};
+use onslicing_nn::CellBatch;
 use onslicing_rl::PpoUpdateScratch;
 use onslicing_slices::{Action, Sla, SliceState, STATE_DIM};
 
@@ -130,6 +133,16 @@ pub enum OrchestratorError {
     /// The referenced slice is not (or no longer) active in this
     /// orchestrator.
     InactiveSlice(SliceId),
+    /// The slice's policy and critic networks do not have the layer
+    /// dimensions the cell's agents share, so the cell's fused forward pass
+    /// cannot run it.
+    TrunkMismatch {
+        /// Per-layer `(in, out)` dimensions of the cell's policy-mean and
+        /// critic networks.
+        cell: String,
+        /// The same for the rejected slice.
+        slice: String,
+    },
 }
 
 impl std::fmt::Display for OrchestratorError {
@@ -139,6 +152,10 @@ impl std::fmt::Display for OrchestratorError {
                 write!(f, "domain managers rejected {id}: {reason}")
             }
             OrchestratorError::InactiveSlice(id) => write!(f, "{id} is not an active slice"),
+            OrchestratorError::TrunkMismatch { cell, slice } => write!(
+                f,
+                "slice networks have layer dimensions {slice}, the cell's agents share {cell}"
+            ),
         }
     }
 }
@@ -279,7 +296,8 @@ impl Orchestrator {
     /// environment.
     ///
     /// # Panics
-    /// Panics if the numbers of agents and environments differ.
+    /// Panics if the numbers of agents and environments differ, or if the
+    /// agents do not all share one trunk shape.
     pub fn new(
         env: MultiSliceEnvironment,
         agents: Vec<OnSlicingAgent>,
@@ -291,6 +309,13 @@ impl Orchestrator {
             agents.len(),
             "one agent per slice environment is required"
         );
+        for agent in agents.iter().skip(1) {
+            assert_eq!(
+                trunk_shape(agent),
+                trunk_shape(&agents[0]),
+                "every agent of a cell must share one trunk shape"
+            );
+        }
         let slice_ids: Vec<SliceId> = (0..agents.len() as u32).map(SliceId).collect();
         let mut orchestrator = Self {
             env,
@@ -343,12 +368,22 @@ impl Orchestrator {
     /// Admits a new slice mid-run: registers it with every domain manager,
     /// appends its agent and environment, and returns its stable id. The
     /// caller decides *whether* admission is allowed (capacity checks live
-    /// in the admission controller, not here).
+    /// in the admission controller, not here); an agent whose networks do
+    /// not have the cell's trunk shape is refused before anything changes.
     pub fn admit_slice(
         &mut self,
         agent: OnSlicingAgent,
         env: SliceEnvironment,
     ) -> Result<SliceId, OrchestratorError> {
+        if let Some(first) = self.agents.first() {
+            let (cell, slice) = (trunk_shape(first), trunk_shape(&agent));
+            if cell != slice {
+                return Err(OrchestratorError::TrunkMismatch {
+                    cell: format!("{cell:?}"),
+                    slice: format!("{slice:?}"),
+                });
+            }
+        }
         let id = SliceId(self.next_slice_id);
         self.domains
             .create_slice(id)
@@ -452,12 +487,11 @@ impl Orchestrator {
             });
     }
 
-    /// Allocation-free [`Orchestrator::coordinate`]: the enforceable actions
-    /// land in `executed` (cleared first), and every β update, feasibility
-    /// check and last-resort projection runs in place through the domain
-    /// set's slice APIs. The round structure — and therefore every modifier
-    /// RNG draw and every β trajectory — matches the allocating variant
-    /// bit-for-bit.
+    /// Resolves the slices' proposed actions against the shared capacities:
+    /// the enforceable actions land in `executed` (cleared first) and the
+    /// interaction count is returned. Every β update, feasibility check and
+    /// last-resort projection runs in place, so a warm `executed` makes the
+    /// round allocation-free.
     fn coordinate_in_place(&mut self, proposals: &[Action], executed: &mut Vec<Action>) -> usize {
         executed.clear();
         match self.config.coordination {
@@ -497,69 +531,18 @@ impl Orchestrator {
         }
     }
 
-    /// Resolves the slices' proposed actions against the shared capacities
-    /// and returns the enforceable actions plus the interaction count.
-    fn coordinate(&mut self, proposals: &[Action]) -> (Vec<Action>, usize) {
-        match self.config.coordination {
-            CoordinationMode::Projection => (self.domains.project(proposals.iter()), 1),
-            CoordinationMode::Modifier {
-                max_rounds,
-                warm_start,
-            } => {
-                if !warm_start {
-                    self.domains.reset_betas();
-                }
-                let mut betas = self.domains.betas();
-                let mut actions: Vec<Action> = proposals
-                    .iter()
-                    .zip(self.agents.iter_mut())
-                    .map(|(a, agent)| agent.modify(a, &betas))
-                    .collect();
-                let mut rounds = 1;
-                loop {
-                    betas = self.domains.update_coordination(actions.iter());
-                    if self.domains.is_feasible(actions.iter()) || rounds >= max_rounds {
-                        break;
-                    }
-                    actions = proposals
-                        .iter()
-                        .zip(self.agents.iter_mut())
-                        .map(|(a, agent)| agent.modify(a, &betas))
-                        .collect();
-                    rounds += 1;
-                }
-                if !self.domains.is_feasible(actions.iter()) {
-                    actions = self.domains.project(actions.iter());
-                }
-                (actions, rounds)
-            }
-        }
-    }
-
-    /// Whether every agent in the cell shares one trunk shape (policy mean
-    /// net and critic), making the fused slot path applicable.
-    fn cell_is_fusable(&self) -> bool {
-        let Some(first) = self.agents.first() else {
-            return true;
-        };
-        let mean0 = first.ppo().policy().mean_net();
-        let critic0 = first.ppo().critic();
-        self.agents.iter().skip(1).all(|agent| {
-            same_trunk(agent.ppo().policy().mean_net(), mean0)
-                && same_trunk(agent.ppo().critic(), critic0)
-        })
-    }
-
     /// Runs one coordinated slot across all slices.
     ///
     /// When `learn` is true the agents sample stochastic actions and record
     /// transitions; when false they act deterministically (test-time
     /// evaluation).
     ///
-    /// Cells whose agents share one trunk architecture (the normal case) take
-    /// the fused gather → GEMM → scatter path; heterogeneous cells fall back
-    /// to the dispatched [`Orchestrator::run_slot_reference`]. Both produce
-    /// bit-identical outcomes.
+    /// One observation row per slice is gathered into the cell batch, the
+    /// policy means and critic values of the whole cell are computed in two
+    /// fused layer-major sweeps, and the rows are scattered back through the
+    /// agents' phased decide. RNG-draw order per agent is exactly that of a
+    /// per-slice [`OnSlicingAgent::decide`], so the outcome is bit-identical
+    /// to dispatching the slices one by one.
     pub fn run_slot(&mut self, learn: bool) -> SlotOutcome {
         let mut out = SlotOutcome::default();
         self.run_slot_into(learn, &mut out);
@@ -571,21 +554,6 @@ impl Orchestrator {
     /// whole slot allocation-free in steady state.
     pub fn run_slot_into(&mut self, learn: bool, out: &mut SlotOutcome) {
         let mut ws = std::mem::take(&mut self.workspace);
-        if self.cell_is_fusable() {
-            self.run_slot_fused(learn, &mut ws, out);
-        } else {
-            *out = self.run_slot_reference(learn);
-        }
-        self.workspace = ws;
-    }
-
-    /// The fused slot path: one observation row per slice is gathered into
-    /// the cell batch, the policy means and critic values of the whole cell
-    /// are computed in two fused layer-major sweeps, and the rows are
-    /// scattered back through the agents' phased decide. RNG-draw order per
-    /// agent is exactly that of the dispatched path, so the outcome is
-    /// bit-identical.
-    fn run_slot_fused(&mut self, learn: bool, ws: &mut SlotWorkspace, out: &mut SlotOutcome) {
         let n = self.agents.len();
         // Gather: observations, costs and the stacked observation rows.
         ws.states.clear();
@@ -619,7 +587,7 @@ impl Orchestrator {
                 critic_cell,
                 values,
                 ..
-            } = ws;
+            } = &mut ws;
             {
                 let src = policy_cell.input();
                 let dst = critic_cell.input_mut(n, STATE_DIM);
@@ -683,63 +651,7 @@ impl Orchestrator {
             );
             kpis.push(result.kpi);
         }
-    }
-
-    /// The dispatched per-slice reference path: one forward pass per network
-    /// per slice, exactly as the pre-fusion orchestrator ran it. Kept as the
-    /// fallback for heterogeneous-trunk cells and as the ground truth the
-    /// fused path is tested (and benchmarked) against.
-    pub fn run_slot_reference(&mut self, learn: bool) -> SlotOutcome {
-        let states: Vec<_> = self.env.envs().iter().map(|e| e.state()).collect();
-        let costs: Vec<f64> = self
-            .env
-            .envs()
-            .iter()
-            .map(|e| e.cumulative_cost())
-            .collect();
-        // Decision phase: every agent proposes independently (own networks,
-        // own RNG).
-        let decisions: Vec<Decision> = self
-            .agents
-            .iter_mut()
-            .enumerate()
-            .map(|(i, agent)| agent.decide(&states[i], costs[i], !learn))
-            .collect();
-        let proposals: Vec<Action> = decisions.iter().map(|d| d.action).collect();
-        let (executed, interactions) = self.coordinate(&proposals);
-        for (i, action) in executed.iter().enumerate() {
-            self.domains
-                .enforce(self.slice_ids[i], *action)
-                .expect("active slices are registered with every domain");
-        }
-        // Execution phase: each slice steps its own simulator and records its
-        // own outcome. The agent only stores a learning transition when the
-        // decision carried a stochastic sample (i.e. `learn` was true and π_θ
-        // acted); recording always happens so episode usage/cost summaries
-        // stay available.
-        let kpis: Vec<SlotKpi> = self
-            .agents
-            .iter_mut()
-            .zip(self.env.envs_mut().iter_mut())
-            .enumerate()
-            .map(|(i, (agent, env))| {
-                let result = env.step(&executed[i]);
-                agent.record(
-                    &states[i],
-                    &decisions[i],
-                    &executed[i],
-                    &result.kpi,
-                    result.done,
-                );
-                result.kpi
-            })
-            .collect();
-        SlotOutcome {
-            decisions,
-            executed,
-            kpis,
-            interactions,
-        }
+        self.workspace = ws;
     }
 
     /// Runs one full episode (one emulated day) and returns its metrics.
@@ -805,14 +717,16 @@ impl Orchestrator {
     }
 }
 
-/// Whether two networks share layer count and per-layer dimensions (the
-/// trunk *shape* — weights are free to differ).
-fn same_trunk(a: &Mlp, b: &Mlp) -> bool {
-    a.num_layers() == b.num_layers()
-        && a.layers_ref()
+/// Per-layer `(in, out)` dimensions of the two networks the fused slot path
+/// sweeps across the cell — the agent's policy-mean net and its critic.
+/// Weights are free to differ between the agents of a cell; these are not.
+fn trunk_shape(agent: &OnSlicingAgent) -> [Vec<(usize, usize)>; 2] {
+    [agent.ppo().policy().mean_net(), agent.ppo().critic()].map(|net| {
+        net.layers_ref()
             .iter()
-            .zip(b.layers_ref())
-            .all(|(x, y)| x.in_dim() == y.in_dim() && x.out_dim() == y.out_dim())
+            .map(|l| (l.in_dim(), l.out_dim()))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -871,7 +785,7 @@ mod tests {
         orch.env_mut().reset_all();
         for _ in 0..10 {
             let outcome = orch.run_slot(true);
-            assert!(orch.domains().is_feasible(outcome.executed.iter()));
+            assert!(orch.domains().is_feasible_slice(&outcome.executed));
         }
     }
 
@@ -881,7 +795,7 @@ mod tests {
         orch.env_mut().reset_all();
         for _ in 0..5 {
             let outcome = orch.run_slot(true);
-            assert!(orch.domains().is_feasible(outcome.executed.iter()));
+            assert!(orch.domains().is_feasible_slice(&outcome.executed));
             assert_eq!(outcome.interactions, 1);
         }
     }
@@ -909,6 +823,16 @@ mod tests {
     }
 
     fn extra_slice(kind: SliceKind, seed: u64) -> (OnSlicingAgent, crate::env::SliceEnvironment) {
+        extra_slice_with(kind, seed, true)
+    }
+
+    /// `scaled_down` gives every agent the small trunks; `small_networks =
+    /// false` builds a full-size newcomer that does not fit such a cell.
+    fn extra_slice_with(
+        kind: SliceKind,
+        seed: u64,
+        small_networks: bool,
+    ) -> (OnSlicingAgent, crate::env::SliceEnvironment) {
         let network = NetworkConfig::testbed_default();
         let sla = Sla::for_kind(kind);
         let baseline = RuleBasedBaseline::calibrate(
@@ -920,14 +844,9 @@ mod tests {
             seed,
         );
         let env = crate::env::SliceEnvironment::new(kind, network, seed);
-        let horizon = env.horizon();
-        let agent = OnSlicingAgent::new(
-            kind,
-            sla,
-            baseline,
-            AgentConfig::onslicing().scaled_down(horizon),
-            seed,
-        );
+        let mut config = AgentConfig::onslicing().scaled_down(env.horizon());
+        config.use_small_networks = small_networks;
+        let agent = OnSlicingAgent::new(kind, sla, baseline, config, seed);
         (agent, env)
     }
 
@@ -948,7 +867,7 @@ mod tests {
         assert!(orch.domains().has_slice(id));
         let outcome = orch.run_slot(true);
         assert_eq!(outcome.executed.len(), 4);
-        assert!(orch.domains().is_feasible(outcome.executed.iter()));
+        assert!(orch.domains().is_feasible_slice(&outcome.executed));
 
         // Tear down a *middle* slice: ids stay stable, positions shift.
         let (torn_agent, _torn_env) = orch.teardown_slice(SliceId(1)).unwrap();
@@ -1115,6 +1034,50 @@ mod tests {
         );
     }
 
+    /// The dispatched per-slice reference the fused path is tested against:
+    /// one [`OnSlicingAgent::decide`] and one [`OnSlicingAgent::record`] per
+    /// slice (each running its own forward passes), around the same
+    /// coordination and enforcement.
+    fn reference_slot(orch: &mut Orchestrator, learn: bool) -> SlotOutcome {
+        let states: Vec<_> = orch.env.envs().iter().map(|e| e.state()).collect();
+        let decisions: Vec<Decision> = orch
+            .agents
+            .iter_mut()
+            .zip(orch.env.envs())
+            .zip(&states)
+            .map(|((agent, env), state)| agent.decide(state, env.cumulative_cost(), !learn))
+            .collect();
+        let proposals: Vec<Action> = decisions.iter().map(|d| d.action).collect();
+        let mut executed = Vec::new();
+        let interactions = orch.coordinate_in_place(&proposals, &mut executed);
+        for (id, action) in orch.slice_ids.iter().zip(&executed) {
+            orch.domains.enforce(*id, *action).unwrap();
+        }
+        let kpis = orch
+            .agents
+            .iter_mut()
+            .zip(orch.env.envs_mut().iter_mut())
+            .enumerate()
+            .map(|(i, (agent, env))| {
+                let result = env.step(&executed[i]);
+                agent.record(
+                    &states[i],
+                    &decisions[i],
+                    &executed[i],
+                    &result.kpi,
+                    result.done,
+                );
+                result.kpi
+            })
+            .collect();
+        SlotOutcome {
+            decisions,
+            executed,
+            kpis,
+            interactions,
+        }
+    }
+
     #[test]
     fn fused_slot_is_bit_identical_to_the_reference_path() {
         // Two clones of the same deployment: one runs the fused path, the
@@ -1128,11 +1091,10 @@ mod tests {
         let mut reference = fused.clone();
         fused.env_mut().reset_all();
         reference.env_mut().reset_all();
-        assert!(fused.cell_is_fusable());
         for slot in 0..6 {
             let learn = slot % 2 == 0;
             let a = fused.run_slot(learn);
-            let b = reference.run_slot_reference(learn);
+            let b = reference_slot(&mut reference, learn);
             assert_eq!(a, b, "slot {slot} (learn={learn}) diverged");
         }
         for (a, b) in fused.agents().iter().zip(reference.agents()) {
@@ -1156,32 +1118,32 @@ mod tests {
         let mut reference = fused.clone();
         fused.env_mut().reset_all();
         reference.env_mut().reset_all();
-        assert_eq!(fused.run_slot(true), reference.run_slot_reference(true));
+        assert_eq!(fused.run_slot(true), reference_slot(&mut reference, true));
 
         for orch in [&mut fused, &mut reference] {
             let (agent, env) = extra_slice(SliceKind::Mar, 400);
             orch.admit_slice(agent, env).unwrap();
         }
-        assert_eq!(fused.run_slot(true), reference.run_slot_reference(true));
+        assert_eq!(fused.run_slot(true), reference_slot(&mut reference, true));
 
         for orch in [&mut fused, &mut reference] {
             orch.teardown_slice(SliceId(1)).unwrap();
         }
-        assert_eq!(fused.run_slot(false), reference.run_slot_reference(false));
+        assert_eq!(fused.run_slot(false), reference_slot(&mut reference, false));
 
         // Down to one slice, then none.
         for id in [SliceId(0), SliceId(2)] {
             for orch in [&mut fused, &mut reference] {
                 orch.teardown_slice(id).unwrap();
             }
-            assert_eq!(fused.run_slot(true), reference.run_slot_reference(true));
+            assert_eq!(fused.run_slot(true), reference_slot(&mut reference, true));
         }
         assert_eq!(fused.num_slices(), 1);
         for orch in [&mut fused, &mut reference] {
             orch.teardown_slice(SliceId(3)).unwrap();
         }
         assert_eq!(fused.num_slices(), 0);
-        assert_eq!(fused.run_slot(true), reference.run_slot_reference(true));
+        assert_eq!(fused.run_slot(true), reference_slot(&mut reference, true));
         for (a, b) in fused.agents().iter().zip(reference.agents()) {
             assert_eq!(
                 serde_json::to_string(a).unwrap(),
@@ -1205,7 +1167,7 @@ mod tests {
         reference.env_mut().reset_all();
         let horizon = reference.env().envs()[0].horizon();
         for _ in 0..horizon {
-            reference.run_slot_reference(true);
+            reference_slot(&mut reference, true);
         }
         for agent in reference.agents_mut() {
             agent.end_episode();
@@ -1223,35 +1185,51 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_trunks_fall_back_to_the_reference_path() {
-        // An orchestrator whose extra agent uses the small networks is not
-        // fusable; run_slot must still work (via the dispatched fallback)
-        // and keep producing feasible actions.
+    fn mixed_trunk_slices_are_refused_leaving_the_cell_unchanged() {
         let mut orch = build(AgentConfig::onslicing(), CoordinationMode::default());
-        let network = NetworkConfig::testbed_default();
-        let kind = SliceKind::Mar;
-        let sla = Sla::for_kind(kind);
-        let baseline = RuleBasedBaseline::calibrate(
-            kind,
-            &sla,
-            &network,
-            kind.default_peak_users_per_second(),
-            4,
-            700,
+        let (full_size, env) = extra_slice_with(SliceKind::Mar, 700, false);
+        let before = serde_json::to_string(&orch).unwrap();
+        let checkpoint = SliceCheckpoint {
+            kind: SliceKind::Mar,
+            agent: full_size.clone(),
+            env: env.clone(),
+        };
+        for result in [
+            orch.admit_slice(full_size, env.clone()),
+            orch.import_slice(checkpoint),
+        ] {
+            match result {
+                Err(OrchestratorError::TrunkMismatch { cell, slice }) => {
+                    assert_ne!(cell, slice);
+                    assert!(
+                        cell.contains("(9, ") && slice.contains("(9, "),
+                        "{cell} {slice}"
+                    );
+                }
+                other => panic!("expected TrunkMismatch, got {other:?}"),
+            }
+        }
+        // Nothing moved: slice count, domain registrations, the id counter.
+        assert_eq!(orch.num_slices(), 3);
+        assert!(!orch.domains().has_slice(SliceId(3)));
+        assert_eq!(serde_json::to_string(&orch).unwrap(), before);
+        // The next fitting slice still gets the id the refusals did not burn.
+        let (small, env) = extra_slice(SliceKind::Mar, 700);
+        assert_eq!(orch.admit_slice(small, env).unwrap(), SliceId(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "must share one trunk shape")]
+    fn mixed_trunk_cells_cannot_be_constructed() {
+        let orch = build(AgentConfig::onslicing(), CoordinationMode::default());
+        let mut agents = orch.agents().to_vec();
+        agents[2] = extra_slice_with(SliceKind::Rdc, 2, false).0;
+        let _ = Orchestrator::new(
+            orch.env().clone(),
+            agents,
+            DomainSet::testbed_default(),
+            OrchestratorConfig::default(),
         );
-        let env = crate::env::SliceEnvironment::new(kind, network, 700);
-        let horizon = env.horizon();
-        // `scaled_down` switches every agent to the small trunks, so a
-        // full-size newcomer is what makes the cell heterogeneous.
-        let mut config = AgentConfig::onslicing().scaled_down(horizon);
-        config.use_small_networks = false;
-        let agent = OnSlicingAgent::new(kind, sla, baseline, config, 700);
-        orch.admit_slice(agent, env).unwrap();
-        assert!(!orch.cell_is_fusable());
-        orch.env_mut().reset_all();
-        let outcome = orch.run_slot(true);
-        assert_eq!(outcome.executed.len(), 4);
-        assert!(orch.domains().is_feasible(outcome.executed.iter()));
     }
 
     #[test]

@@ -67,63 +67,35 @@ impl ParameterCoordinator {
         self.capacity = capacity;
     }
 
-    /// Excess demand `Σ_i â_i,k − L_max` for a set of requested shares
-    /// (positive when the resource is over-requested).
-    pub fn excess(&self, requested_shares: &[f64]) -> f64 {
-        self.excess_of_total(requested_shares.iter().sum::<f64>())
-    }
-
-    /// [`ParameterCoordinator::excess`] for an already-summed demand total.
-    /// The allocation-free coordination path sums shares straight off the
-    /// action slice and feeds the total here.
+    /// Excess demand `Σ_i â_i,k − L_max` for requested shares summing to
+    /// `total` (positive when the resource is over-requested). Callers sum
+    /// the shares straight off the action slice, so no per-resource share
+    /// vector is ever materialized.
     pub fn excess_of_total(&self, total: f64) -> f64 {
         total - self.capacity
     }
 
-    /// Whether the requests fit within the capacity.
+    /// Whether requests summing to `total` fit within the capacity.
     ///
     /// A 0.1 % over-allocation tolerance is accepted: the dual-ascent
     /// coordination converges geometrically, so insisting on exact
     /// feasibility would waste interactions on a vanishing sliver.
-    pub fn is_feasible(&self, requested_shares: &[f64]) -> bool {
-        self.is_feasible_total(requested_shares.iter().sum::<f64>())
-    }
-
-    /// [`ParameterCoordinator::is_feasible`] for an already-summed total.
     pub fn is_feasible_total(&self, total: f64) -> bool {
         self.excess_of_total(total) <= 1e-3
     }
 
-    /// One sub-gradient update of Eq. 14:
+    /// One sub-gradient update of Eq. 14 for requests summing to `total`:
     /// `β_k ← [β_k + ε (Σ_i â_i,k − L_max)]⁺`. Returns the new value.
-    pub fn update(&mut self, requested_shares: &[f64]) -> f64 {
-        self.update_total(requested_shares.iter().sum::<f64>())
-    }
-
-    /// [`ParameterCoordinator::update`] for an already-summed total.
     pub fn update_total(&mut self, total: f64) -> f64 {
         let excess = self.excess_of_total(total);
         self.beta = (self.beta + self.step_size * excess).max(0.0);
         self.beta
     }
 
-    /// Scales the requested shares down proportionally so they fit the
-    /// capacity — the *projection* method used by the baseline and by OnRL
-    /// (and shown in Table 3 to cause SLA violations). Requests that already
-    /// fit are returned unchanged.
-    pub fn project(&self, requested_shares: &[f64]) -> Vec<f64> {
-        let total: f64 = requested_shares.iter().sum();
-        let scale = self.project_scale(total);
-        if scale >= 1.0 {
-            return requested_shares.to_vec();
-        }
-        requested_shares.iter().map(|s| s * scale).collect()
-    }
-
-    /// The proportional scale-down factor projection would apply to requests
-    /// summing to `total` (`1.0` when they already fit). Lets callers project
-    /// an action slice in place without materializing per-resource share
-    /// vectors.
+    /// The proportional scale-down factor that fits requests summing to
+    /// `total` into the capacity (`1.0` when they already fit) — the
+    /// *projection* method used by the baseline and by OnRL (and shown in
+    /// Table 3 to cause SLA violations).
     pub fn project_scale(&self, total: f64) -> f64 {
         if total <= self.capacity || total <= 0.0 {
             1.0
@@ -146,46 +118,45 @@ mod tests {
         let mut c = coord();
         assert_eq!(c.beta(), 0.0);
         // Under-subscription cannot push beta below zero.
-        c.update(&[0.1, 0.2]);
+        c.update_total(0.1 + 0.2);
         assert_eq!(c.beta(), 0.0);
     }
 
     #[test]
     fn over_request_raises_beta_by_eps_times_excess() {
         let mut c = coord();
-        let new_beta = c.update(&[0.8, 0.6]); // excess 0.4
+        let new_beta = c.update_total(0.8 + 0.6); // excess 0.4
         assert!((new_beta - 0.2).abs() < 1e-12);
         // A second identical round keeps raising it.
-        let again = c.update(&[0.8, 0.6]);
+        let again = c.update_total(0.8 + 0.6);
         assert!((again - 0.4).abs() < 1e-12);
     }
 
     #[test]
     fn beta_decays_once_requests_become_feasible() {
         let mut c = coord();
-        c.update(&[0.9, 0.9]); // beta = 0.4
-        c.update(&[0.3, 0.3]); // excess -0.4 -> beta 0.2
+        c.update_total(0.9 + 0.9); // beta = 0.4
+        c.update_total(0.3 + 0.3); // excess -0.4 -> beta 0.2
         assert!((c.beta() - 0.2).abs() < 1e-12);
-        c.update(&[0.1, 0.1]);
+        c.update_total(0.1 + 0.1);
         assert!(c.beta() < 0.2);
     }
 
     #[test]
     fn feasibility_check_matches_excess_sign() {
         let c = coord();
-        assert!(c.is_feasible(&[0.5, 0.5]));
-        assert!(!c.is_feasible(&[0.51, 0.5]));
-        assert!((c.excess(&[0.7, 0.5]) - 0.2).abs() < 1e-12);
+        assert!(c.is_feasible_total(0.5 + 0.5));
+        assert!(!c.is_feasible_total(0.51 + 0.5));
+        assert!((c.excess_of_total(0.7 + 0.5) - 0.2).abs() < 1e-12);
     }
 
     #[test]
     fn projection_scales_down_only_when_infeasible() {
         let c = coord();
-        let fit = c.project(&[0.2, 0.3]);
-        assert_eq!(fit, vec![0.2, 0.3]);
-        let squeezed = c.project(&[1.0, 1.0]);
-        assert!((squeezed.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((squeezed[0] - 0.5).abs() < 1e-12);
+        assert_eq!(c.project_scale(0.2 + 0.3), 1.0);
+        let scale = c.project_scale(1.0 + 1.0);
+        assert!((scale * (1.0 + 1.0) - 1.0).abs() < 1e-12);
+        assert!((scale * 1.0 - 0.5).abs() < 1e-12);
     }
 
     #[test]

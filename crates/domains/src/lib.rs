@@ -32,10 +32,10 @@
 //!
 //! // Two slices each asking for 70 % of every resource over-request the
 //! // infrastructure; one coordination round raises the betas.
-//! let requests = vec![(a, Action::uniform(0.7)), (b, Action::uniform(0.7))];
-//! assert!(!domains.is_feasible(requests.iter().map(|(_, act)| act)));
-//! domains.update_coordination(requests.iter().map(|(_, act)| act));
-//! assert!(domains.betas().iter().any(|&b| b > 0.0));
+//! let requests = [Action::uniform(0.7), Action::uniform(0.7)];
+//! assert!(!domains.is_feasible_slice(&requests));
+//! let betas = domains.update_coordination_slice(&requests);
+//! assert!(betas.iter().any(|&b| b > 0.0));
 //! ```
 
 pub mod coordinator;
@@ -45,7 +45,7 @@ pub mod set;
 
 pub use coordinator::ParameterCoordinator;
 pub use manager::{DomainKind, DomainManager};
-pub use messages::{CapacityOverride, CoordinationUpdate, ResourceRequest, SliceConfigCommand};
+pub use messages::{CapacityOverride, SliceConfigCommand};
 pub use set::DomainSet;
 
 use serde::{Deserialize, Serialize};

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use onslicing_slices::{Action, ResourceKind};
 
 use crate::coordinator::ParameterCoordinator;
-use crate::messages::{CoordinationUpdate, SliceConfigCommand};
+use crate::messages::SliceConfigCommand;
 use crate::SliceId;
 
 /// The four technical domains of the end-to-end slice.
@@ -217,23 +217,9 @@ impl DomainManager {
             .sum()
     }
 
-    /// Whether a set of requested actions fits every resource this manager
-    /// owns.
-    pub fn is_feasible<'a, I>(&self, requests: I) -> bool
-    where
-        I: IntoIterator<Item = &'a Action>,
-        I::IntoIter: Clone,
-    {
-        let iter = requests.into_iter();
-        self.coordinators.iter().all(|c| {
-            let shares: Vec<f64> = iter.clone().map(|a| a.resource_share(c.resource)).collect();
-            c.is_feasible(&shares)
-        })
-    }
-
-    /// Allocation-free [`DomainManager::is_feasible`] over a slice of
-    /// actions: shares are summed straight off the slice, so the hot
-    /// coordination loop materializes nothing.
+    /// Whether the requested actions fit every resource this manager owns.
+    /// Shares are summed straight off the slice, so the hot coordination
+    /// loop materializes nothing.
     pub fn is_feasible_slice(&self, actions: &[Action]) -> bool {
         self.coordinators.iter().all(|c| {
             let total: f64 = actions.iter().map(|a| a.resource_share(c.resource)).sum();
@@ -241,9 +227,8 @@ impl DomainManager {
         })
     }
 
-    /// Allocation-free coordination round: performs exactly the `β_k`
-    /// updates of [`DomainManager::update_coordination`] without building
-    /// the per-resource share vectors or the report.
+    /// One coordination round: updates every owned resource's `β_k` from the
+    /// requested actions (Eq. 14), allocating nothing.
     pub fn update_coordination_in_place(&mut self, actions: &[Action]) {
         for c in &mut self.coordinators {
             let total: f64 = actions.iter().map(|a| a.resource_share(c.resource)).sum();
@@ -256,36 +241,6 @@ impl DomainManager {
         for c in &self.coordinators {
             f(c.resource, c.beta());
         }
-    }
-
-    /// One coordination round: updates every owned resource's `β_k` from the
-    /// requested actions (Eq. 14) and reports the refreshed values.
-    pub fn update_coordination<'a, I>(&mut self, slot: usize, requests: I) -> CoordinationUpdate
-    where
-        I: IntoIterator<Item = &'a Action>,
-        I::IntoIter: Clone,
-    {
-        let iter = requests.into_iter();
-        let mut betas = Vec::with_capacity(self.coordinators.len());
-        let mut feasible = true;
-        for c in &mut self.coordinators {
-            let shares: Vec<f64> = iter.clone().map(|a| a.resource_share(c.resource)).collect();
-            feasible &= c.is_feasible(&shares);
-            betas.push((c.resource, c.update(&shares)));
-        }
-        CoordinationUpdate {
-            slot,
-            betas,
-            feasible,
-        }
-    }
-
-    /// The current dual variables of this manager's resources.
-    pub fn betas(&self) -> Vec<(ResourceKind, f64)> {
-        self.coordinators
-            .iter()
-            .map(|c| (c.resource, c.beta()))
-            .collect()
     }
 
     /// Overwrites the dual variable of one owned resource (warm start or
@@ -306,30 +261,10 @@ impl DomainManager {
         }
     }
 
-    /// Projects the requested actions so that every owned resource fits its
-    /// capacity, scaling each resource independently — the baseline /
-    /// OnRL over-request handling the paper compares against.
-    pub fn project<'a, I>(&self, requests: I) -> Vec<Action>
-    where
-        I: IntoIterator<Item = &'a Action>,
-    {
-        let mut actions: Vec<Action> = requests.into_iter().copied().collect();
-        for c in &self.coordinators {
-            let shares: Vec<f64> = actions
-                .iter()
-                .map(|a| a.resource_share(c.resource))
-                .collect();
-            let projected = c.project(&shares);
-            for (a, p) in actions.iter_mut().zip(projected) {
-                a.set(c.resource.action_dim(), p);
-            }
-        }
-        actions
-    }
-
-    /// Allocation-free [`DomainManager::project`]: scales the actions in
-    /// place, resource by resource. Bit-identical to the allocating variant —
-    /// actions that already fit a resource are left untouched rather than
+    /// Projects the requested actions, in place, so that every owned
+    /// resource fits its capacity, scaling each resource independently — the
+    /// baseline / OnRL over-request handling the paper compares against.
+    /// Actions that already fit a resource are left untouched rather than
     /// multiplied by `1.0`.
     pub fn project_in_place(&self, actions: &mut [Action]) {
         for c in &self.coordinators {
@@ -348,6 +283,20 @@ impl DomainManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The manager's `(resource, β_k)` pairs, collected for assertions.
+    fn betas(m: &DomainManager) -> Vec<(ResourceKind, f64)> {
+        let mut out = Vec::new();
+        m.for_each_beta(|r, b| out.push((r, b)));
+        out
+    }
+
+    fn beta_for(m: &DomainManager, resource: ResourceKind) -> f64 {
+        betas(m)
+            .iter()
+            .find(|(r, _)| *r == resource)
+            .map_or(0.0, |(_, b)| *b)
+    }
 
     #[test]
     fn domains_own_disjoint_resources_covering_all_six() {
@@ -395,40 +344,32 @@ mod tests {
         let mut rdm = DomainManager::new(DomainKind::Radio);
         let fits = [Action::uniform(0.4), Action::uniform(0.4)];
         let too_much = [Action::uniform(0.7), Action::uniform(0.7)];
-        assert!(rdm.is_feasible(fits.iter()));
-        assert!(!rdm.is_feasible(too_much.iter()));
+        assert!(rdm.is_feasible_slice(&fits));
+        assert!(!rdm.is_feasible_slice(&too_much));
 
-        let upd = rdm.update_coordination(0, too_much.iter());
-        assert!(!upd.feasible);
-        assert!(upd.beta_for(ResourceKind::UplinkRadio) > 0.0);
+        rdm.update_coordination_in_place(&too_much);
+        assert!(beta_for(&rdm, ResourceKind::UplinkRadio) > 0.0);
         // Radio manager knows nothing about edge CPU.
-        assert_eq!(upd.beta_for(ResourceKind::EdgeCpu), 0.0);
+        assert_eq!(beta_for(&rdm, ResourceKind::EdgeCpu), 0.0);
     }
 
     #[test]
     fn betas_warm_start_and_reset() {
         let mut tdm = DomainManager::new(DomainKind::Transport);
         tdm.set_beta(ResourceKind::TransportBandwidth, 0.4);
-        assert_eq!(
-            tdm.betas()
-                .iter()
-                .find(|(r, _)| *r == ResourceKind::TransportBandwidth)
-                .unwrap()
-                .1,
-            0.4
-        );
+        assert_eq!(beta_for(&tdm, ResourceKind::TransportBandwidth), 0.4);
         tdm.reset_betas();
-        assert!(tdm.betas().iter().all(|(_, b)| *b == 0.0));
+        assert!(betas(&tdm).iter().all(|(_, b)| *b == 0.0));
         // Setting a beta for a resource the TDM does not own is a no-op.
         tdm.set_beta(ResourceKind::EdgeCpu, 0.9);
-        assert!(tdm.betas().iter().all(|(_, b)| *b == 0.0));
+        assert!(betas(&tdm).iter().all(|(_, b)| *b == 0.0));
     }
 
     #[test]
     fn projection_only_touches_owned_resources() {
         let rdm = DomainManager::new(DomainKind::Radio);
-        let requests = [Action::uniform(0.8), Action::uniform(0.8)];
-        let projected = rdm.project(requests.iter());
+        let mut projected = [Action::uniform(0.8), Action::uniform(0.8)];
+        rdm.project_in_place(&mut projected);
         // Radio shares scaled to fit...
         let total_ul: f64 = projected.iter().map(|a| a.ul_bandwidth).sum();
         assert!((total_ul - 1.0).abs() < 1e-9);
@@ -444,17 +385,17 @@ mod tests {
         assert_eq!(tdm.capacity_of(ResourceKind::EdgeCpu), None);
 
         let healthy = [Action::uniform(0.4), Action::uniform(0.4)];
-        assert!(tdm.is_feasible(healthy.iter()));
+        assert!(tdm.is_feasible_slice(&healthy));
         tdm.set_capacity_scale(0.5);
-        assert!(!tdm.is_feasible(healthy.iter()));
+        assert!(!tdm.is_feasible_slice(&healthy));
         assert_eq!(tdm.capacity_of(ResourceKind::TransportPath), Some(0.5));
         // The degraded capacity also feeds the dual update.
-        let upd = tdm.update_coordination(0, healthy.iter());
-        assert!(upd.beta_for(ResourceKind::TransportBandwidth) > 0.0);
+        tdm.update_coordination_in_place(&healthy);
+        assert!(beta_for(&tdm, ResourceKind::TransportBandwidth) > 0.0);
         // Recovery restores the nominal capacity.
         tdm.set_capacity_scale(1.0);
         assert_eq!(tdm.capacity_of(ResourceKind::TransportPath), Some(1.0));
-        assert!(tdm.is_feasible(healthy.iter()));
+        assert!(tdm.is_feasible_slice(&healthy));
     }
 
     #[test]
@@ -468,9 +409,8 @@ mod tests {
         let mut cdm = DomainManager::new(DomainKind::Core);
         assert!(cdm.resources().is_empty());
         let requests = vec![Action::uniform(0.9); 5];
-        assert!(cdm.is_feasible(requests.iter()));
-        let upd = cdm.update_coordination(0, requests.iter());
-        assert!(upd.feasible);
-        assert!(upd.betas.is_empty());
+        assert!(cdm.is_feasible_slice(&requests));
+        cdm.update_coordination_in_place(&requests);
+        assert!(betas(&cdm).is_empty());
     }
 }

@@ -1,59 +1,17 @@
-//! Message types exchanged between OnSlicing agents and domain managers.
+//! Message types the orchestration layers send to the domain managers.
 //!
 //! On the testbed the agents and managers talk over a unified REST API (§6).
-//! These structs are the payloads of that interface: a resource request from
-//! an agent, the coordination update a manager answers with, and the slice
-//! lifecycle commands the orchestrator issues. Keeping them as plain
+//! These structs are the payloads of the part of that interface the engine
+//! drives: the slice lifecycle commands the orchestrator issues and the
+//! capacity overrides a scenario's fault events inject. Keeping them as plain
 //! serializable data means the same types could be put on the wire unchanged.
 
 use serde::{Deserialize, Serialize};
 
-use onslicing_slices::{Action, ResourceKind};
+use onslicing_slices::Action;
 
 use crate::manager::DomainKind;
 use crate::SliceId;
-
-/// A slice agent's resource request for the upcoming slot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ResourceRequest {
-    /// The requesting slice.
-    pub slice: SliceId,
-    /// The slot index the request applies to.
-    pub slot: usize,
-    /// The (possibly already modified) orchestration action.
-    pub action: Action,
-}
-
-impl ResourceRequest {
-    /// The share this request asks of the given resource.
-    pub fn share_of(&self, resource: ResourceKind) -> f64 {
-        self.action.resource_share(resource)
-    }
-}
-
-/// A domain manager's answer to a coordination round: the refreshed dual
-/// variables for the resources it owns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CoordinationUpdate {
-    /// The slot index the update applies to.
-    pub slot: usize,
-    /// `(resource, β_k)` pairs for every resource the manager owns.
-    pub betas: Vec<(ResourceKind, f64)>,
-    /// Whether all resources of this manager are currently feasible.
-    pub feasible: bool,
-}
-
-impl CoordinationUpdate {
-    /// Looks up the dual variable of one resource (0 when the manager does
-    /// not own it).
-    pub fn beta_for(&self, resource: ResourceKind) -> f64 {
-        self.betas
-            .iter()
-            .find(|(r, _)| *r == resource)
-            .map(|(_, b)| *b)
-            .unwrap_or(0.0)
-    }
-}
 
 /// A fault-injection / recovery notification for one domain: the effective
 /// capacity of every resource the domain owns becomes `nominal · scale`
@@ -94,28 +52,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn resource_request_reads_the_right_share() {
-        let req = ResourceRequest {
-            slice: SliceId(3),
-            slot: 7,
-            action: Action::uniform(0.25),
-        };
-        assert_eq!(req.share_of(ResourceKind::EdgeCpu), 0.25);
-        assert_eq!(req.slice, SliceId(3));
-    }
-
-    #[test]
-    fn coordination_update_lookup_defaults_to_zero() {
-        let upd = CoordinationUpdate {
-            slot: 1,
-            betas: vec![(ResourceKind::UplinkRadio, 0.3)],
-            feasible: false,
-        };
-        assert_eq!(upd.beta_for(ResourceKind::UplinkRadio), 0.3);
-        assert_eq!(upd.beta_for(ResourceKind::EdgeRam), 0.0);
-    }
-
-    #[test]
     fn commands_report_their_slice() {
         assert_eq!(SliceConfigCommand::Create(SliceId(1)).slice(), SliceId(1));
         assert_eq!(SliceConfigCommand::Delete(SliceId(2)).slice(), SliceId(2));
@@ -127,13 +63,16 @@ mod tests {
 
     #[test]
     fn messages_serialize_round_trip() {
-        let req = ResourceRequest {
-            slice: SliceId(9),
-            slot: 42,
-            action: Action::uniform(0.5),
+        let command = SliceConfigCommand::Adjust(SliceId(9), Action::uniform(0.5));
+        let json = serde_json::to_string(&command).unwrap();
+        let back: SliceConfigCommand = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, command);
+        let fault = CapacityOverride {
+            domain: DomainKind::Transport,
+            scale: 0.5,
         };
-        let json = serde_json::to_string(&req).unwrap();
-        let back: ResourceRequest = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, req);
+        let json = serde_json::to_string(&fault).unwrap();
+        let back: CapacityOverride = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, fault);
     }
 }

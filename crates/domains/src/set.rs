@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use onslicing_slices::{Action, ResourceKind};
 
 use crate::manager::{DomainKind, DomainManager};
-use crate::messages::SliceConfigCommand;
+use crate::messages::{CapacityOverride, SliceConfigCommand};
 use crate::SliceId;
 
 /// The four domain managers of one end-to-end infrastructure.
@@ -67,7 +67,7 @@ impl DomainSet {
     }
 
     /// Applies a [`CapacityOverride`] message (fault injection / recovery).
-    pub fn apply_capacity_override(&mut self, o: &crate::messages::CapacityOverride) {
+    pub fn apply_capacity_override(&mut self, o: &CapacityOverride) {
         self.set_domain_capacity_scale(o.domain, o.scale);
     }
 
@@ -130,34 +130,6 @@ impl DomainSet {
         Ok(())
     }
 
-    /// Whether the given requested actions fit every resource of every
-    /// domain.
-    pub fn is_feasible<'a, I>(&self, requests: I) -> bool
-    where
-        I: IntoIterator<Item = &'a Action>,
-        I::IntoIter: Clone,
-    {
-        let actions: Vec<&Action> = requests.into_iter().collect();
-        self.managers
-            .iter()
-            .all(|m| m.is_feasible(actions.iter().copied()))
-    }
-
-    /// One coordination round across all domains: every manager updates its
-    /// owned `β_k` (Eq. 14). Returns the full per-resource `β` vector in
-    /// [`ResourceKind::ALL`] order.
-    pub fn update_coordination<'a, I>(&mut self, requests: I) -> [f64; 6]
-    where
-        I: IntoIterator<Item = &'a Action>,
-        I::IntoIter: Clone,
-    {
-        let actions: Vec<&Action> = requests.into_iter().collect();
-        for m in &mut self.managers {
-            let _ = m.update_coordination(0, actions.iter().copied());
-        }
-        self.betas()
-    }
-
     /// The current `β` vector in [`ResourceKind::ALL`] order.
     pub fn betas(&self) -> [f64; 6] {
         let mut out = [0.0; 6];
@@ -167,14 +139,15 @@ impl DomainSet {
         out
     }
 
-    /// Allocation-free [`DomainSet::is_feasible`] over a slice of actions.
+    /// Whether the requested actions fit every resource of every domain.
     pub fn is_feasible_slice(&self, actions: &[Action]) -> bool {
         self.managers.iter().all(|m| m.is_feasible_slice(actions))
     }
 
-    /// Allocation-free [`DomainSet::update_coordination`] over a slice of
-    /// actions: the same dual-ascent round, with the refreshed `β` vector
-    /// returned on the stack and nothing materialized along the way.
+    /// One coordination round across all domains: every manager updates its
+    /// owned `β_k` (Eq. 14). Returns the full per-resource `β` vector in
+    /// [`ResourceKind::ALL`] order, on the stack — nothing is materialized
+    /// along the way.
     pub fn update_coordination_slice(&mut self, actions: &[Action]) -> [f64; 6] {
         for m in &mut self.managers {
             m.update_coordination_in_place(actions);
@@ -182,9 +155,8 @@ impl DomainSet {
         self.betas()
     }
 
-    /// Allocation-free [`DomainSet::project`]: scales the actions in place,
-    /// resource by resource, in the same manager order (bit-identical to the
-    /// allocating variant).
+    /// Scales the requested actions down in place, resource by resource, so
+    /// that every capacity is respected — the baseline's *projection* method.
     pub fn project_in_place(&self, actions: &mut [Action]) {
         for m in &self.managers {
             m.project_in_place(actions);
@@ -214,27 +186,10 @@ impl DomainSet {
         }
     }
 
-    /// Scales the requested actions down, resource by resource, so that every
-    /// capacity is respected — the baseline's *projection* method.
-    pub fn project<'a, I>(&self, requests: I) -> Vec<Action>
-    where
-        I: IntoIterator<Item = &'a Action>,
-    {
-        let mut actions: Vec<Action> = requests.into_iter().copied().collect();
-        for m in &self.managers {
-            actions = m.project(actions.iter());
-        }
-        actions
-    }
-
     /// The per-resource excess demand (`Σ â − L`, positive entries mean
     /// over-request) in [`ResourceKind::ALL`] order, against the *effective*
     /// (possibly fault-degraded) capacities.
-    pub fn excess<'a, I>(&self, requests: I) -> [f64; 6]
-    where
-        I: IntoIterator<Item = &'a Action>,
-    {
-        let actions: Vec<&Action> = requests.into_iter().collect();
+    pub fn excess(&self, actions: &[Action]) -> [f64; 6] {
         let mut out = [0.0; 6];
         for (i, r) in ResourceKind::ALL.iter().enumerate() {
             let total: f64 = actions.iter().map(|a| a.resource_share(*r)).sum();
@@ -276,10 +231,10 @@ mod tests {
             Action::uniform(0.3),
             Action::uniform(0.3),
         ];
-        assert!(set.is_feasible(ok.iter()));
+        assert!(set.is_feasible_slice(&ok));
         let mut bad = ok.clone();
         bad[0].ram = 0.9; // 0.9 + 0.3 + 0.3 > 1
-        assert!(!set.is_feasible(bad.iter()));
+        assert!(!set.is_feasible_slice(&bad));
     }
 
     #[test]
@@ -289,7 +244,7 @@ mod tests {
         a.cpu = 0.8;
         let mut b = Action::zeros();
         b.cpu = 0.6;
-        let betas = set.update_coordination([&a, &b]);
+        let betas = set.update_coordination_slice(&[a, b]);
         assert!(betas[ResourceKind::EdgeCpu.index()] > 0.0);
         assert_eq!(betas[ResourceKind::UplinkRadio.index()], 0.0);
         assert_eq!(betas[ResourceKind::TransportPath.index()], 0.0);
@@ -307,13 +262,13 @@ mod tests {
     #[test]
     fn projection_makes_any_request_set_feasible() {
         let set = DomainSet::testbed_default();
-        let requests = [
+        let mut projected = [
             Action::uniform(0.9),
             Action::uniform(0.8),
             Action::uniform(0.7),
         ];
-        let projected = set.project(requests.iter());
-        assert!(set.is_feasible(projected.iter()));
+        set.project_in_place(&mut projected);
+        assert!(set.is_feasible_slice(&projected));
         // Projection preserves relative ordering.
         assert!(projected[0].cpu > projected[2].cpu);
     }
@@ -322,7 +277,7 @@ mod tests {
     fn excess_reports_per_resource_overload() {
         let set = DomainSet::testbed_default();
         let requests = [Action::uniform(0.6), Action::uniform(0.6)];
-        let excess = set.excess(requests.iter());
+        let excess = set.excess(&requests);
         for e in excess {
             assert!((e - 0.2).abs() < 1e-12);
         }
@@ -336,22 +291,23 @@ mod tests {
         assert!((set.residual_capacity(ResourceKind::TransportBandwidth) - 0.7).abs() < 1e-12);
 
         let requests = [Action::uniform(0.4), Action::uniform(0.4)];
-        assert!(set.is_feasible(requests.iter()));
+        assert!(set.is_feasible_slice(&requests));
         set.set_domain_capacity_scale(DomainKind::Transport, 0.5);
         assert_eq!(set.capacity_of(ResourceKind::TransportPath), 0.5);
         // Untouched domains keep their nominal capacity.
         assert_eq!(set.capacity_of(ResourceKind::EdgeCpu), 1.0);
-        assert!(!set.is_feasible(requests.iter()));
+        assert!(!set.is_feasible_slice(&requests));
         // `excess` prices the degraded transport, not the healthy radio.
-        let excess = set.excess(requests.iter());
+        let excess = set.excess(&requests);
         assert!((excess[ResourceKind::TransportBandwidth.index()] - 0.3).abs() < 1e-12);
         assert!((excess[ResourceKind::UplinkRadio.index()] + 0.2).abs() < 1e-12);
         // Projection respects the degraded capacity too.
-        let projected = set.project(requests.iter());
-        assert!(set.is_feasible(projected.iter()));
+        let mut projected = requests;
+        set.project_in_place(&mut projected);
+        assert!(set.is_feasible_slice(&projected));
         // Healing restores everything.
         set.clear_capacity_overrides();
-        assert!(set.is_feasible(requests.iter()));
+        assert!(set.is_feasible_slice(&requests));
         assert!((set.residual_capacity(ResourceKind::TransportBandwidth) - 0.7).abs() < 1e-12);
     }
 
@@ -373,8 +329,8 @@ mod tests {
         let mut set = DomainSet::testbed_default();
         let mut requests = vec![Action::uniform(0.8), Action::uniform(0.8)];
         let mut rounds = 0;
-        while !set.is_feasible(requests.iter()) && rounds < 20 {
-            let betas = set.update_coordination(requests.iter());
+        while !set.is_feasible_slice(&requests) && rounds < 20 {
+            let betas = set.update_coordination_slice(&requests);
             let price: f64 = betas.iter().sum();
             for a in &mut requests {
                 let scale = (1.0 - 0.1 * price).clamp(0.5, 1.0);
@@ -383,7 +339,7 @@ mod tests {
             rounds += 1;
         }
         assert!(
-            set.is_feasible(requests.iter()),
+            set.is_feasible_slice(&requests),
             "coordination failed to converge"
         );
         assert!(rounds <= 10, "too many interactions: {rounds}");

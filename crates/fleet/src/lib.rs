@@ -8,6 +8,13 @@
 //! orchestrator), and aggregates the per-cell telemetry into one
 //! fleet-level report.
 //!
+//! There is one runner, [`ElasticFleet`]: a steppable, checkpointable
+//! machine that also routes fleet-level admissions and migrates slices
+//! between cells on a balancer cadence. [`ElasticFleet::run`] executes a
+//! [`onslicing_scenario::FleetScenario`] start to finish; a fleet of
+//! frozen shards (no fleet events, [`BalancerConfig::disabled`]) is the
+//! same call, and its cells then step straight through in one window.
+//!
 //! This is the scale axis of conf_conext_LiuCH21's per-slice-parallel
 //! design taken one level up: slice-local work dominates and cross-slice
 //! coordination is confined to a cell, so cells share *nothing* — no RNG,
@@ -39,22 +46,19 @@
 //!   Because cells share no state, this is the number that scales with the
 //!   cell count; the `fleet_runner` bench tracks its scaling curve.
 
-use std::time::Instant;
-
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use onslicing_replay::{percentile, TelemetryRecorder, TelemetryTrace};
-use onslicing_scenario::{Scenario, ScenarioConfig, ScenarioEngine, ScenarioReport};
+use onslicing_replay::{atomic_write, percentile, TelemetryTrace};
+use onslicing_scenario::ScenarioReport;
 
 pub mod balancer;
-pub mod elastic;
 pub mod live;
 pub mod policy;
 
 pub use balancer::{cell_utilization, BalancerConfig, CellRuntime, FleetBalancer, MigrationRecord};
-pub use elastic::{ElasticFleetConfig, ElasticFleetRunner};
-pub use live::{ElasticFleet, FleetCheckpoint, FLEET_CHECKPOINT_FORMAT_VERSION};
+pub use live::{
+    ElasticFleet, ElasticFleetConfig, FleetCheckpoint, FLEET_CHECKPOINT_FORMAT_VERSION,
+};
 pub use policy::{
     balance_policy_by_name, balance_policy_names, BalancePolicy, BalancePolicyName, BalanceSignals,
     BALANCE_POLICIES,
@@ -62,33 +66,6 @@ pub use policy::{
 
 /// Version stamp of the fleet-trace JSON layout; bump on breaking changes.
 pub const FLEET_TRACE_FORMAT_VERSION: u32 = 1;
-
-/// Tuning of a fleet run: the cell count plus the per-cell scenario
-/// configuration whose `seed` acts as the fleet-wide master seed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FleetConfig {
-    /// Number of independent cells.
-    pub cells: usize,
-    /// Base per-cell configuration; `base.seed` is the fleet master seed
-    /// from which every cell's own seed is derived.
-    pub base: ScenarioConfig,
-}
-
-impl FleetConfig {
-    /// A fleet of `cells` cells with the default scenario tuning.
-    pub fn new(cells: usize) -> Self {
-        Self {
-            cells,
-            base: ScenarioConfig::default(),
-        }
-    }
-
-    /// Replaces the fleet master seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.base.seed = seed;
-        self
-    }
-}
 
 /// One cell's complete outcome: the scenario report, the deterministic
 /// telemetry trace and the measured per-slot wall-clock latencies.
@@ -183,7 +160,7 @@ pub struct FleetReport {
     /// 99th-percentile per-slot latency, in ms.
     pub slot_latency_p99_ms: f64,
     /// Live migrations the balancer applied, in application order (empty
-    /// for frozen-sharding runs).
+    /// when the balancer is disabled).
     pub migrations: Vec<MigrationRecord>,
     /// Fleet-routed admissions granted (placed on some cell).
     pub fleet_admissions_granted: usize,
@@ -278,14 +255,15 @@ impl FleetTrace {
         Ok(trace)
     }
 
-    /// Writes the trace to a file.
+    /// Writes the trace to a file crash-safely (temp file + fsync + atomic
+    /// rename).
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), String> {
-        std::fs::write(path.as_ref(), self.to_json())
-            .map_err(|e| format!("cannot write fleet trace {}: {e}", path.as_ref().display()))
+        atomic_write(path.as_ref(), &self.to_json())
+            .map_err(|e| format!("cannot write fleet trace: {e}"))
     }
 }
 
-/// The complete outcome of [`FleetRunner::run`].
+/// The complete outcome of [`ElasticFleet::run`] / [`ElasticFleet::finish`].
 #[derive(Debug, Clone)]
 pub struct FleetOutcome {
     /// The aggregated fleet report.
@@ -294,120 +272,6 @@ pub struct FleetOutcome {
     pub trace: FleetTrace,
     /// The raw per-cell outcomes, in cell order.
     pub cells: Vec<CellOutcome>,
-}
-
-/// The fleet runner: one scenario instantiated `N` times with derived
-/// seeds, executed cell-parallel, aggregated into a [`FleetReport`].
-#[derive(Debug, Clone)]
-pub struct FleetRunner {
-    scenario: Scenario,
-    config: FleetConfig,
-}
-
-impl FleetRunner {
-    /// Validates the scenario and fleet tuning.
-    pub fn new(scenario: Scenario, config: FleetConfig) -> Result<Self, String> {
-        scenario.validate()?;
-        if config.cells == 0 {
-            return Err("a fleet needs at least one cell".to_string());
-        }
-        if config.cells > u32::MAX as usize {
-            return Err("cell count exceeds the u32 cell-index space".to_string());
-        }
-        Ok(Self { scenario, config })
-    }
-
-    /// The per-cell scenario.
-    pub fn scenario(&self) -> &Scenario {
-        &self.scenario
-    }
-
-    /// The fleet configuration.
-    pub fn config(&self) -> &FleetConfig {
-        &self.config
-    }
-
-    /// The derived master seed of every cell, in cell order.
-    pub fn cell_seeds(&self) -> Vec<u64> {
-        (0..self.config.cells)
-            .map(|i| self.config.base.for_cell(i as u32).seed)
-            .collect()
-    }
-
-    /// Builds and executes every cell — in parallel across the rayon pool,
-    /// each cell nesting the per-slice fan-out of its own orchestrator —
-    /// and aggregates the outcomes. Cell construction (baseline
-    /// calibration, offline pre-training) happens inside the parallel
-    /// region too: it is per-cell work like everything else.
-    pub fn run(&self) -> Result<FleetOutcome, String> {
-        // detlint: allow(wall-clock) -- report-only: wall_clock_ms lands in
-        // FleetReport; FleetTrace (the byte-compared artifact) excludes it.
-        let start = Instant::now();
-        let cells: Result<Vec<CellOutcome>, String> = (0..self.config.cells)
-            .into_par_iter()
-            .map(|i| run_cell(self.scenario.clone(), self.config.base, i as u32))
-            .collect();
-        let cells = cells?;
-        let wall_clock_ms = start.elapsed().as_secs_f64() * 1_000.0;
-        let report = aggregate_fleet(
-            &self.scenario.name,
-            self.config.base.seed,
-            &cells,
-            wall_clock_ms,
-        );
-        let trace = FleetTrace {
-            format_version: FLEET_TRACE_FORMAT_VERSION,
-            scenario: self.scenario.name.clone(),
-            master_seed: self.config.base.seed,
-            cells: cells
-                .iter()
-                .map(|c| CellTraceEntry {
-                    cell: c.cell,
-                    seed: c.seed,
-                    trace: c.trace.clone(),
-                })
-                .collect(),
-        };
-        Ok(FleetOutcome {
-            report,
-            trace,
-            cells,
-        })
-    }
-}
-
-/// Builds and runs one cell: scenario instantiation with the derived seed,
-/// slot-stepwise execution with per-slot latency measurement, telemetry
-/// recording.
-fn run_cell(scenario: Scenario, base: ScenarioConfig, cell: u32) -> Result<CellOutcome, String> {
-    let config = base.for_cell(cell);
-    let seed = config.seed;
-    let mut engine = ScenarioEngine::new(scenario, config)?;
-    let mut recorder = TelemetryRecorder::new(&engine);
-    let total_slots = engine.scenario().total_slots;
-    let mut slot_latencies_ms = Vec::with_capacity(total_slots);
-    while engine.current_slot() < total_slots {
-        // detlint: allow(wall-clock) -- report-only: slot latencies feed the
-        // report's percentile fields; no trace or balancer plan reads them.
-        let slot_start = Instant::now();
-        engine.step_slot(&mut recorder);
-        slot_latencies_ms.push(slot_start.elapsed().as_secs_f64() * 1_000.0);
-    }
-    // The timeline is exhausted; this call only closes the final partial
-    // episodes and produces the aggregated report.
-    let report = engine.run_with_observer(&mut recorder);
-    if report.has_non_finite() {
-        return Err(format!(
-            "cell {cell} (seed {seed}) produced non-finite metrics"
-        ));
-    }
-    Ok(CellOutcome {
-        cell,
-        seed,
-        report,
-        trace: recorder.finalize(),
-        slot_latencies_ms,
-    })
 }
 
 /// Folds per-cell outcomes into the fleet-level report.
@@ -496,8 +360,7 @@ pub fn aggregate_fleet(
         slot_latency_p50_ms: percentile(&latencies, 50.0),
         slot_latency_p90_ms: percentile(&latencies, 90.0),
         slot_latency_p99_ms: percentile(&latencies, 99.0),
-        // Elastic-fleet fields; the frozen runner never migrates and the
-        // elastic runner overwrites these after aggregation.
+        // `ElasticFleet::finish` overwrites these after aggregation.
         migrations: Vec::new(),
         fleet_admissions_granted: 0,
         fleet_admissions_denied: 0,
@@ -508,7 +371,7 @@ pub fn aggregate_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use onslicing_scenario::{derive_cell_seed, SliceSpec};
+    use onslicing_scenario::{derive_cell_seed, FleetScenario, Scenario, SliceSpec};
     use onslicing_slices::SliceKind;
 
     fn tiny_scenario() -> Scenario {
@@ -518,10 +381,19 @@ mod tests {
             .slice(SliceSpec::new(SliceKind::Rdc))
     }
 
+    /// `cells` frozen shards of `scenario`: no fleet events, balancer off.
+    fn frozen(scenario: Scenario, cells: usize, seed: u64) -> Result<FleetOutcome, String> {
+        ElasticFleet::run(
+            FleetScenario::new(scenario, 1),
+            ElasticFleetConfig::new(cells)
+                .with_seed(seed)
+                .with_balancer(BalancerConfig::disabled()),
+        )
+    }
+
     #[test]
     fn fleet_run_aggregates_every_cell() {
-        let runner = FleetRunner::new(tiny_scenario(), FleetConfig::new(3).with_seed(7)).unwrap();
-        let outcome = runner.run().unwrap();
+        let outcome = frozen(tiny_scenario(), 3, 7).unwrap();
         let report = &outcome.report;
         assert_eq!(report.cells, 3);
         assert_eq!(report.scenario, "tiny-fleet");
@@ -533,7 +405,7 @@ mod tests {
         assert!(!report.has_non_finite());
         assert!(
             report.migrations.is_empty(),
-            "the frozen runner never migrates"
+            "a disabled balancer never migrates"
         );
         assert!(report.slice_slots_per_second > 0.0);
         assert!(report.aggregate_cell_slots_per_second > 0.0);
@@ -556,9 +428,8 @@ mod tests {
 
     #[test]
     fn fleet_traces_are_reproducible_and_version_gated() {
-        let runner = FleetRunner::new(tiny_scenario(), FleetConfig::new(2).with_seed(3)).unwrap();
-        let a = runner.run().unwrap().trace;
-        let b = runner.run().unwrap().trace;
+        let a = frozen(tiny_scenario(), 2, 3).unwrap().trace;
+        let b = frozen(tiny_scenario(), 2, 3).unwrap().trace;
         assert_eq!(a.to_json(), b.to_json());
         let back = FleetTrace::from_json(&a.to_json()).unwrap();
         assert_eq!(back, a);
@@ -570,9 +441,32 @@ mod tests {
     }
 
     #[test]
+    fn fleet_trace_save_is_atomic_and_leaves_no_temp_file() {
+        let trace = frozen(tiny_scenario(), 1, 3).unwrap().trace;
+        let dir =
+            std::env::temp_dir().join(format!("onslicing-fleet-trace-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("TRACE_FLEET_tiny.json");
+        trace.save(&path).unwrap();
+        let loaded = FleetTrace::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(loaded, trace);
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(
+            names,
+            ["TRACE_FLEET_tiny.json"],
+            "save must not leave temp files"
+        );
+        assert!(trace.save(dir.join("no/such/dir/trace.json")).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn non_finite_metrics_fail_the_smoke_gate() {
-        let runner = FleetRunner::new(tiny_scenario(), FleetConfig::new(2).with_seed(1)).unwrap();
-        let report = runner.run().unwrap().report;
+        let report = frozen(tiny_scenario(), 2, 1).unwrap().report;
         assert!(!report.has_non_finite());
         // An infinite aggregate metric must trip the gate — this is the
         // regression the old `is_nan()` check waved through.
@@ -593,18 +487,20 @@ mod tests {
 
     #[test]
     fn invalid_fleets_are_rejected() {
-        assert!(FleetRunner::new(tiny_scenario(), FleetConfig::new(0)).is_err());
-        let empty = Scenario::new("empty", 8, 16);
-        assert!(FleetRunner::new(empty, FleetConfig::new(2)).is_err());
+        assert!(frozen(tiny_scenario(), 0, 0).is_err());
+        assert!(frozen(Scenario::new("empty", 8, 16), 2, 0).is_err());
     }
 
     #[test]
     fn cell_seeds_match_the_scenario_derivation() {
-        let runner = FleetRunner::new(tiny_scenario(), FleetConfig::new(5).with_seed(11)).unwrap();
-        let seeds = runner.cell_seeds();
-        assert_eq!(seeds.len(), 5);
-        for (i, s) in seeds.iter().enumerate() {
-            assert_eq!(*s, derive_cell_seed(11, i as u32));
+        let fleet = ElasticFleet::new(
+            FleetScenario::new(tiny_scenario(), 1),
+            ElasticFleetConfig::new(5).with_seed(11),
+        )
+        .unwrap();
+        assert_eq!(fleet.cells().len(), 5);
+        for (i, cell) in fleet.cells().iter().enumerate() {
+            assert_eq!(cell.seed, derive_cell_seed(11, i as u32));
         }
     }
 }

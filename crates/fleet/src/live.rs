@@ -1,20 +1,24 @@
-//! The live elastic fleet: the scripted runner's step loop extracted into
-//! an externally drivable, checkpointable state machine.
+//! The elastic fleet: the one fleet runner, an externally drivable,
+//! checkpointable state machine.
 //!
-//! [`crate::ElasticFleetRunner`] executes a whole [`FleetScenario`] in one
-//! call; a long-running service cannot — it must advance the fleet in
-//! bounded windows, apply control requests (admissions, teardowns, SLA
-//! renegotiations) between them, snapshot itself on a cadence and survive
-//! a stop → restart cycle bit-for-bit. [`ElasticFleet`] is that machine:
+//! A batch caller runs a whole [`FleetScenario`] with
+//! [`ElasticFleet::run`]; a long-running service cannot — it must advance
+//! the fleet in bounded windows, apply control requests (admissions,
+//! teardowns, SLA renegotiations) between them, snapshot itself on a
+//! cadence and survive a stop → restart cycle bit-for-bit. Both drive the
+//! same machine:
 //!
 //! * [`ElasticFleet::advance_to`] steps every cell rayon-parallel to the
 //!   next **sync point** (a balancer cadence boundary, a scripted
-//!   fleet-admission slot, or the caller's target), running the sequential
-//!   fleet layer — scripted admissions routed least-utilized-first, then
-//!   the balancer round — exactly where the scripted runner would. The
-//!   runner is now a thin wrapper: build, `advance_to(total_slots)`,
-//!   [`ElasticFleet::finish`]; its traces are byte-identical to before the
-//!   extraction.
+//!   fleet-admission slot, or the caller's target), then runs the
+//!   sequential fleet layer there: scripted admissions are routed to the
+//!   least-utilized cell that passes its admission check, then the
+//!   [`FleetBalancer`] migrates slices away from overloaded cells. Every
+//!   sync point is a pure function of deterministic state, so the
+//!   [`FleetTrace`] — migrations included — is byte-identical across rayon
+//!   worker counts and across any choice of window boundaries, and a run
+//!   whose balancer plans nothing is byte-identical to cells that never
+//!   synchronized at all.
 //! * [`ElasticFleet::admit`] / [`ElasticFleet::inject_cell_event`] apply
 //!   live control between windows through the same admission-reservation
 //!   rule ([`ScenarioEngine::check_admission`]) the scripted paths use, so
@@ -34,16 +38,20 @@
 //! current slot, so checkpoints don't store it and a restored fleet cannot
 //! re-run (or skip) a balancer round.
 
+use std::time::Instant;
+
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
+use onslicing_core::OnSlicingAgent;
 use onslicing_replay::{atomic_write, peek_format_version, TelemetryRecorder};
 use onslicing_scenario::{
-    FleetScenario, LiveEventOutcome, ScenarioEngine, ScenarioEvent, SliceSpec,
+    FleetScenario, LiveEventOutcome, ScenarioConfig, ScenarioEngine, ScenarioEvent, SliceSpec,
 };
 
-use crate::balancer::{cell_utilization, CellRuntime, FleetBalancer, MigrationRecord};
-use crate::elastic::ElasticFleetConfig;
+use crate::balancer::{
+    cell_utilization, BalancerConfig, CellRuntime, FleetBalancer, MigrationRecord,
+};
 use crate::{
     aggregate_fleet, CellOutcome, CellTraceEntry, FleetOutcome, FleetTrace,
     FLEET_TRACE_FORMAT_VERSION,
@@ -56,6 +64,40 @@ use crate::{
 /// weights, so a v1 checkpoint would resume onto a different RNG draw
 /// sequence than its writer would have produced; it is refused instead.
 pub const FLEET_CHECKPOINT_FORMAT_VERSION: u32 = 2;
+
+/// Tuning of an elastic fleet run.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct ElasticFleetConfig {
+    /// Number of cells.
+    pub cells: usize,
+    /// Base per-cell configuration; `base.seed` is the fleet master seed.
+    pub base: ScenarioConfig,
+    /// Balancer tuning (disable for the frozen-sharding control arm).
+    pub balancer: BalancerConfig,
+}
+
+impl ElasticFleetConfig {
+    /// An elastic fleet of `cells` cells with default tuning.
+    pub fn new(cells: usize) -> Self {
+        Self {
+            cells,
+            base: ScenarioConfig::default(),
+            balancer: BalancerConfig::default(),
+        }
+    }
+
+    /// Replaces the fleet master seed.
+    pub fn with_seed(mut self, seed: u64) -> Self {
+        self.base.seed = seed;
+        self
+    }
+
+    /// Replaces the balancer tuning.
+    pub fn with_balancer(mut self, balancer: BalancerConfig) -> Self {
+        self.balancer = balancer;
+        self
+    }
+}
 
 /// A running elastic fleet that can be driven from outside: stepped in
 /// windows, fed live control requests at window boundaries, checkpointed
@@ -80,9 +122,8 @@ pub struct ElasticFleet {
 }
 
 impl ElasticFleet {
-    /// Checks that `scenario` and `config` form a buildable fleet, without
-    /// building one — the runner's constructor-time validation.
-    pub fn validate(scenario: &FleetScenario, config: &ElasticFleetConfig) -> Result<(), String> {
+    /// Checks that `scenario` and `config` form a buildable fleet.
+    fn validate(scenario: &FleetScenario, config: &ElasticFleetConfig) -> Result<(), String> {
         scenario.validate()?;
         config.balancer.validate()?;
         if config.cells == 0 {
@@ -135,14 +176,31 @@ impl ElasticFleet {
         let mut fleet = Self::assemble(scenario, config, cells, balancer, Vec::new(), 0, 0, 0);
         // Establish the sync-point invariant: fleet-layer work scheduled at
         // slot 0 (a scripted admission, typically) runs before the caller
-        // sees the fleet — exactly where the scripted runner would run it.
-        // `assemble` positions the cursor *past* every sync point at or
-        // before the current slot, which is right for restored checkpoints
-        // (their slot-0 work ran before capture) but would silently drop a
-        // slot-0 admission on a fresh fleet: rewind before processing.
+        // sees the fleet. `assemble` positions the cursor *past* every sync
+        // point at or before the current slot, which is right for restored
+        // checkpoints (their slot-0 work ran before capture) but would
+        // silently drop a slot-0 admission on a fresh fleet: rewind before
+        // processing.
         fleet.next_sync = 0;
         fleet.process_due_syncs()?;
         Ok(fleet)
+    }
+
+    /// Builds the fleet, runs it start to finish and aggregates the outcome,
+    /// measuring the wall clock the report's throughput fields are over. For
+    /// a fleet driven in windows (the service daemon), call
+    /// [`ElasticFleet::new`], [`ElasticFleet::advance_to`] and
+    /// [`ElasticFleet::finish`] yourself.
+    pub fn run(
+        scenario: FleetScenario,
+        config: ElasticFleetConfig,
+    ) -> Result<FleetOutcome, String> {
+        // detlint: allow(wall-clock) -- report-only: wall_clock_ms lands in
+        // FleetReport; FleetTrace (the byte-compared artifact) excludes it.
+        let start = Instant::now();
+        let mut fleet = Self::new(scenario, config)?;
+        fleet.advance_to(fleet.total_slots())?;
+        fleet.finish(start.elapsed().as_secs_f64() * 1_000.0)
     }
 
     /// Builds the struct and positions the sync cursor per the invariant.
@@ -302,7 +360,7 @@ impl ElasticFleet {
                     // detlint: allow(wall-clock) -- report-only: slot
                     // latencies feed the report's percentile fields; every
                     // balancer plan reads deterministic signals only.
-                    let slot_start = std::time::Instant::now();
+                    let slot_start = Instant::now();
                     c.engine.step_slot(&mut c.recorder);
                     c.slot_latencies_ms
                         .push(slot_start.elapsed().as_secs_f64() * 1_000.0);
@@ -453,7 +511,7 @@ impl ElasticFleet {
 
 /// The internal sync points of a fleet run: scripted fleet-admission slots
 /// and balancer cadence boundaries, plus the scenario end, ascending and
-/// deduplicated — the exact schedule the scripted runner has always used.
+/// deduplicated.
 fn compute_sync_points(scenario: &FleetScenario, config: &ElasticFleetConfig) -> Vec<usize> {
     let total = scenario.base.total_slots;
     let mut points: Vec<usize> = scenario
@@ -499,6 +557,17 @@ fn route_fleet_admission(
     None
 }
 
+/// Per-layer `(in, out)` dimensions of an agent's policy-mean and critic
+/// networks — what every agent of a cell must share.
+fn trunk_shape(agent: &OnSlicingAgent) -> [Vec<(usize, usize)>; 2] {
+    [agent.ppo().policy().mean_net(), agent.ppo().critic()].map(|net| {
+        net.layers_ref()
+            .iter()
+            .map(|l| (l.in_dim(), l.out_dim()))
+            .collect()
+    })
+}
+
 /// A versioned, self-describing snapshot of a whole elastic fleet run:
 /// every cell's deployment and telemetry recorder, the balancer's window
 /// baselines, the scripted-timeline cursor and the admission counters.
@@ -541,6 +610,22 @@ impl FleetCheckpoint {
         self.balancer
             .validate_cells(self.cells.len())
             .map_err(|e| format!("fleet checkpoint is inconsistent: {e}"))?;
+        // An orchestrator refuses a slice whose networks do not have its
+        // cell's trunk shape where the slice enters; a file edited by hand
+        // never went through that door, and the cell's fused forward pass
+        // would hit its shape assert mid-run.
+        for c in &self.cells {
+            let mut shapes = c.engine.orchestrator().agents().iter().map(trunk_shape);
+            if let Some(first) = shapes.next() {
+                if let Some(other) = shapes.find(|s| *s != first) {
+                    return Err(format!(
+                        "fleet checkpoint is inconsistent: cell {} mixes agents with layer \
+                         dimensions {first:?} and {other:?}",
+                        c.cell
+                    ));
+                }
+            }
+        }
         Ok(ElasticFleet::assemble(
             self.scenario,
             self.config,
@@ -625,11 +710,9 @@ mod tests {
 
     #[test]
     fn stepwise_advance_matches_one_shot_runner_bit_for_bit() {
-        // The extracted machine, driven in awkward uneven windows, must
-        // produce the exact trace of the scripted runner's single run().
-        let runner =
-            crate::ElasticFleetRunner::new(tiny_fleet_scenario(), quick_config(2)).unwrap();
-        let reference = runner.run().unwrap();
+        // The machine, driven in awkward uneven windows, must produce the
+        // exact trace of a single run().
+        let reference = ElasticFleet::run(tiny_fleet_scenario(), quick_config(2)).unwrap();
 
         let mut fleet = ElasticFleet::new(tiny_fleet_scenario(), quick_config(2)).unwrap();
         for target in [1usize, 4, 5, 9, 16, 17, 31, 32, 32] {
@@ -725,6 +808,32 @@ mod tests {
     }
 
     #[test]
+    fn restore_refuses_a_checkpoint_doctored_to_mix_trunk_shapes() {
+        let mut fleet = ElasticFleet::new(tiny_fleet_scenario(), quick_config(2)).unwrap();
+        fleet.advance_to(4).unwrap();
+        let mut checkpoint = fleet.checkpoint();
+        // Swap one agent of cell 1 for a twin with the other network size —
+        // a cell no orchestrator entry point would have let form.
+        let agents = checkpoint.cells[1].engine.orchestrator_mut().agents_mut();
+        let mut config = *agents[0].config();
+        config.use_small_networks = !config.use_small_networks;
+        agents[0] = OnSlicingAgent::new(
+            agents[0].kind(),
+            *agents[0].sla(),
+            agents[0].baseline().clone(),
+            config,
+            0,
+        );
+        let err = checkpoint.restore().unwrap_err();
+        assert!(
+            err.contains("cell 1 mixes agents with layer dimensions"),
+            "{err}"
+        );
+        // Untouched, the same checkpoint restores.
+        assert!(fleet.checkpoint().restore().is_ok());
+    }
+
+    #[test]
     fn slot0_fleet_admission_is_adjudicated_without_a_balancer_round() {
         // A fleet admission scripted at slot 0 creates sync point 0. The
         // construction-time cursor must not skip it (the admission would be
@@ -814,13 +923,10 @@ mod tests {
     #[test]
     fn builtin_fleet_scenarios_run_through_the_live_machine() {
         // hotspot-shift exercises migrations + fleet admissions end to end
-        // through advance_to; the result must match the scripted runner.
+        // through advance_to; the result must match the one-shot run.
         let scenario = fleet_by_name("hotspot-shift").unwrap();
         let config = ElasticFleetConfig::new(2).with_seed(5);
-        let reference = crate::ElasticFleetRunner::new(scenario.clone(), config)
-            .unwrap()
-            .run()
-            .unwrap();
+        let reference = ElasticFleet::run(scenario.clone(), config).unwrap();
         let mut fleet = ElasticFleet::new(scenario, config).unwrap();
         let total = fleet.total_slots();
         let mut target = 7;

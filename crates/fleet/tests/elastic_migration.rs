@@ -4,13 +4,16 @@
 //! The load-bearing property: an elastic run whose balancer plans nothing
 //! — disabled, or enabled with an infinite load-gap threshold (window-
 //! stepped exactly like a migrating run) — emits a [`FleetTrace`] that is
-//! **byte-identical** to the frozen PR 4 runner's. Migration must be a
-//! pure re-homing of state: the machinery itself may not perturb a single
-//! bit of telemetry when no slice actually moves.
+//! **byte-identical** to the traces of the same cells run as plain,
+//! unrelated scenario engines. Cells share nothing, and migration must be
+//! a pure re-homing of state: the machinery itself may not perturb a
+//! single bit of telemetry when no slice actually moves.
 
 use onslicing_fleet::{
-    BalancerConfig, ElasticFleetConfig, ElasticFleetRunner, FleetConfig, FleetRunner,
+    BalancerConfig, CellTraceEntry, ElasticFleet, ElasticFleetConfig, FleetTrace,
+    FLEET_TRACE_FORMAT_VERSION,
 };
+use onslicing_replay::record_scenario;
 use onslicing_scenario::{
     hotspot_shift, AdmissionConfig, FleetScenario, Scenario, ScenarioConfig, ScenarioEngine,
     SliceSpec,
@@ -29,32 +32,43 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// migrate(slice, A→B) is pure state motion: with the balancer forced
-    /// to a no-op plan (and with it disabled outright), the elastic runner
-    /// reproduces the frozen runner's telemetry byte for byte — for random
-    /// seeds and cell counts.
+    /// to a no-op plan (and with it disabled outright), the elastic fleet
+    /// reproduces, byte for byte, the telemetry of its cells run one by one
+    /// as plain scenario engines outside any fleet — for random seeds and
+    /// cell counts.
     #[test]
     fn noop_elastic_runs_are_byte_identical_to_the_frozen_runner(
         seed in 0u64..10_000,
         cells in 1usize..4,
     ) {
-        let frozen = FleetRunner::new(tiny_base(), FleetConfig::new(cells).with_seed(seed))
-            .unwrap()
-            .run()
-            .unwrap();
+        let base = ScenarioConfig { seed, ..ScenarioConfig::default() };
+        let reference = FleetTrace {
+            format_version: FLEET_TRACE_FORMAT_VERSION,
+            scenario: tiny_base().name,
+            master_seed: seed,
+            cells: (0..cells as u32)
+                .map(|cell| {
+                    let config = base.for_cell(cell);
+                    CellTraceEntry {
+                        cell,
+                        seed: config.seed,
+                        trace: record_scenario(tiny_base(), config).unwrap().0,
+                    }
+                })
+                .collect(),
+        }
+        .to_json();
         let elastic = |balancer: BalancerConfig| {
-            ElasticFleetRunner::new(
+            ElasticFleet::run(
                 FleetScenario::new(tiny_base(), 1),
                 ElasticFleetConfig::new(cells).with_seed(seed).with_balancer(balancer),
             )
-            .unwrap()
-            .run()
             .unwrap()
         };
         let disabled = elastic(BalancerConfig::disabled());
         let forced_noop = elastic(BalancerConfig::forced_noop());
         prop_assert!(disabled.report.migrations.is_empty());
         prop_assert!(forced_noop.report.migrations.is_empty());
-        let reference = frozen.trace.to_json();
         prop_assert_eq!(disabled.trace.to_json(), reference.clone());
         // The forced-noop run was window-stepped on the balancer cadence —
         // the windowing itself must not leave a trace.
@@ -119,14 +133,12 @@ fn hotspot_shift_balancer_strictly_reduces_fleet_sla_violations() {
     // episode in a new cell), so the claim is about the mean over seeds.
     const SEEDS: u64 = 8;
     let run = |seed: u64, balancer: BalancerConfig| {
-        ElasticFleetRunner::new(
+        ElasticFleet::run(
             hotspot_shift(),
             ElasticFleetConfig::new(2)
                 .with_seed(seed)
                 .with_balancer(balancer),
         )
-        .unwrap()
-        .run()
         .unwrap()
     };
     let (mut frozen_sum, mut balanced_sum, mut migrations, mut granted) = (0.0, 0.0, 0, 0);
@@ -200,10 +212,7 @@ fn fleet_admissions_are_denied_fleet_wide_when_no_cell_can_host() {
         },
         balancer: BalancerConfig::disabled(),
     };
-    let outcome = ElasticFleetRunner::new(fleet, config)
-        .unwrap()
-        .run()
-        .unwrap();
+    let outcome = ElasticFleet::run(fleet, config).unwrap();
     assert_eq!(outcome.report.fleet_admissions_granted, 0);
     assert_eq!(outcome.report.fleet_admissions_denied, 1);
     assert_eq!(outcome.report.peak_slices, 4, "no cell grew");
@@ -213,7 +222,7 @@ fn fleet_admissions_are_denied_fleet_wide_when_no_cell_can_host() {
 fn elastic_runner_rejects_underprovisioned_fleets() {
     // hotspot-shift targets cell 0 and declares min_cells = 2.
     assert!(
-        ElasticFleetRunner::new(hotspot_shift(), ElasticFleetConfig::new(1))
+        ElasticFleet::run(hotspot_shift(), ElasticFleetConfig::new(1))
             .unwrap_err()
             .contains("at least 2 cells")
     );
@@ -221,5 +230,5 @@ fn elastic_runner_rejects_underprovisioned_fleets() {
         cadence_slots: 0,
         ..BalancerConfig::default()
     });
-    assert!(ElasticFleetRunner::new(hotspot_shift(), bad_balancer).is_err());
+    assert!(ElasticFleet::run(hotspot_shift(), bad_balancer).is_err());
 }

@@ -14,8 +14,8 @@
 //!   actually win" claim behind the tournament bench.
 
 use onslicing_fleet::{
-    balance_policy_by_name, balance_policy_names, BalancePolicyName, BalancerConfig,
-    ElasticFleetConfig, ElasticFleetRunner, FleetCheckpoint, FleetOutcome, BALANCE_POLICIES,
+    balance_policy_by_name, balance_policy_names, BalancePolicyName, BalancerConfig, ElasticFleet,
+    ElasticFleetConfig, FleetCheckpoint, FleetOutcome, BALANCE_POLICIES,
 };
 use onslicing_scenario::{diurnal_fleet, hotspot_shift};
 use serde::{Deserialize, Serialize};
@@ -30,10 +30,7 @@ fn config_with(policy: BalancePolicyName) -> ElasticFleetConfig {
 }
 
 fn run_diurnal(policy: BalancePolicyName) -> FleetOutcome {
-    ElasticFleetRunner::new(diurnal_fleet(), config_with(policy))
-        .unwrap()
-        .run()
-        .unwrap()
+    ElasticFleet::run(diurnal_fleet(), config_with(policy)).unwrap()
 }
 
 #[test]
@@ -76,16 +73,11 @@ fn every_registered_policy_resolves_and_round_trips_by_name() {
 #[test]
 fn greedy_through_the_registry_is_byte_identical_to_the_default_config() {
     let implicit =
-        ElasticFleetRunner::new(hotspot_shift(), ElasticFleetConfig::new(2).with_seed(0))
-            .unwrap()
-            .run()
-            .unwrap();
-    let explicit = ElasticFleetRunner::new(
+        ElasticFleet::run(hotspot_shift(), ElasticFleetConfig::new(2).with_seed(0)).unwrap();
+    let explicit = ElasticFleet::run(
         hotspot_shift(),
         config_with(BalancePolicyName::parse("greedy").unwrap()),
     )
-    .unwrap()
-    .run()
     .unwrap();
     assert_eq!(
         implicit.trace.to_json(),
@@ -159,10 +151,7 @@ fn tournament_has_a_non_greedy_winner_on_diurnal_fleet() {
     // the claim.
     const SEEDS: u64 = 8;
     let run = |seed: u64, policy: BalancePolicyName| {
-        ElasticFleetRunner::new(diurnal_fleet(), config_with(policy).with_seed(seed))
-            .unwrap()
-            .run()
-            .unwrap()
+        ElasticFleet::run(diurnal_fleet(), config_with(policy).with_seed(seed)).unwrap()
     };
     let (mut greedy, mut predictive) = (PeakTally::default(), PeakTally::default());
     for seed in 0..SEEDS {
@@ -209,8 +198,7 @@ fn non_greedy_policies_survive_checkpoint_resume_byte_identically() {
         );
         // Kill the fleet mid-run — past the first rebalancing round — and
         // resume from the serialized checkpoint.
-        let mut fleet =
-            onslicing_fleet::ElasticFleet::new(diurnal_fleet(), config_with(policy)).unwrap();
+        let mut fleet = ElasticFleet::new(diurnal_fleet(), config_with(policy)).unwrap();
         let total = fleet.total_slots();
         fleet.advance_to(total / 2).unwrap();
         let frozen = fleet.checkpoint().to_json();

@@ -9,11 +9,10 @@
 //! rayon reads `RAYON_NUM_THREADS` on every call, and mutating the process
 //! environment is only safe while no other thread reads it concurrently.
 
-use onslicing_fleet::{
-    BalancePolicyName, BalancerConfig, ElasticFleetConfig, ElasticFleetRunner, FleetConfig,
-    FleetRunner,
+use onslicing_fleet::{BalancePolicyName, BalancerConfig, ElasticFleet, ElasticFleetConfig};
+use onslicing_scenario::{
+    diurnal_fleet, hotspot_shift, AdmissionPolicyName, FleetScenario, Scenario, SliceSpec,
 };
-use onslicing_scenario::{diurnal_fleet, hotspot_shift, AdmissionPolicyName, Scenario, SliceSpec};
 use onslicing_slices::SliceKind;
 
 #[test]
@@ -24,17 +23,18 @@ fn fleet_trace_is_byte_identical_across_thread_counts() {
         .slice(SliceSpec::new(SliceKind::Hvs))
         .slice(SliceSpec::new(SliceKind::Rdc));
     let record = || {
-        let runner = FleetRunner::new(scenario.clone(), FleetConfig::new(3).with_seed(5)).unwrap();
-        runner.run().unwrap().trace.to_json()
+        let config = ElasticFleetConfig::new(3)
+            .with_seed(5)
+            .with_balancer(BalancerConfig::disabled());
+        let outcome = ElasticFleet::run(FleetScenario::new(scenario.clone(), 1), config).unwrap();
+        outcome.trace.to_json()
     };
     // The elastic twin: a migrating hotspot-shift fleet — the balancer's
     // plan (and therefore the migration schedule embedded in the trace)
     // must be a pure function of deterministic state, never of scheduling.
     let record_elastic = || {
-        let runner =
-            ElasticFleetRunner::new(hotspot_shift(), ElasticFleetConfig::new(2).with_seed(5))
-                .unwrap();
-        let outcome = runner.run().unwrap();
+        let outcome =
+            ElasticFleet::run(hotspot_shift(), ElasticFleetConfig::new(2).with_seed(5)).unwrap();
         assert!(
             !outcome.report.migrations.is_empty(),
             "the hotspot run must actually migrate for this gate to bite"
@@ -52,8 +52,8 @@ fn fleet_trace_is_byte_identical_across_thread_counts() {
                 ..BalancerConfig::default()
             });
         config.base.admission.policy = AdmissionPolicyName::parse("cautious").unwrap();
-        let runner = ElasticFleetRunner::new(diurnal_fleet(), config).unwrap();
-        runner.run().unwrap().trace.to_json()
+        let outcome = ElasticFleet::run(diurnal_fleet(), config).unwrap();
+        outcome.trace.to_json()
     };
     let previous = std::env::var("RAYON_NUM_THREADS").ok();
     let default_threads = record();

@@ -32,9 +32,7 @@ use std::time::Duration;
 use serde::Value;
 
 use onslicing_fleet::{ElasticFleet, FleetCheckpoint};
-use onslicing_replay::{
-    atomic_write, checkpoint_file_name, gc_checkpoint_dir, list_checkpoint_slots,
-};
+use onslicing_replay::{checkpoint_file_name, gc_checkpoint_dir, list_checkpoint_slots};
 use onslicing_scenario::{fleet_by_name, LiveEventOutcome, ScenarioEvent, FLEET_BUILTIN_NAMES};
 
 use crate::config::FleetdConfig;
@@ -588,8 +586,7 @@ fn finalize(config: &FleetdConfig, mut service: Service<'_>) -> Result<ExitReaso
     let scenario = service.fleet.scenario().name.clone();
     let outcome = service.fleet.finish(0.0)?;
     let trace_path = final_trace_path(&config.state_dir, &scenario);
-    atomic_write(&trace_path, &outcome.trace.to_json())
-        .map_err(|e| format!("cannot write final trace: {e}"))?;
+    outcome.trace.save(&trace_path)?;
     eprintln!(
         "fleetd: scenario complete, trace at {}",
         trace_path.display()

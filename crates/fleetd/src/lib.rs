@@ -2,7 +2,7 @@
 //!
 //! The elastic fleet as a long-running **service daemon**. Everything the
 //! rest of the workspace runs as a one-shot simulation —
-//! [`onslicing_fleet::ElasticFleetRunner`] building a fleet, stepping it
+//! [`onslicing_fleet::ElasticFleet::run`] building a fleet, stepping it
 //! to the end and aggregating a report — `fleetd` runs continuously:
 //!
 //! * **Config file** ([`config`]) — a `config.toml` names the built-in

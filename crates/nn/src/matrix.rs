@@ -351,7 +351,7 @@ impl Matrix {
     /// When the rayon pool has more than one worker and the output is at
     /// least `4 × PAR_ROW_BLOCKS_MIN` rows tall, the independent 4-row
     /// blocks fan out across the pool. Each block runs the identical
-    /// [`gemm_block_rows`] cascade, so results are bit-identical at any
+    /// `gemm_block_rows` cascade, so results are bit-identical at any
     /// thread count (the parallel driver does allocate a transient block
     /// list; the steady-state single-thread path allocates nothing).
     ///

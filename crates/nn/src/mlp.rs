@@ -1,4 +1,4 @@
-//! Multi-layer perceptron built from [`Dense`](crate::layer::Dense) layers.
+//! Multi-layer perceptron built from [`Dense`] layers.
 //!
 //! The OnSlicing paper uses 3-layer fully connected trunks of sizes
 //! `128 x 64 x 32` with ReLU hidden activations for every policy network

@@ -17,8 +17,6 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use onslicing_core::SliceCheckpoint;
-use onslicing_domains::SliceId;
 use onslicing_scenario::{AdmissionPolicyName, ScenarioEngine};
 
 use crate::fsio::atomic_write;
@@ -156,101 +154,6 @@ impl Checkpoint {
     }
 }
 
-/// Version stamp of the per-slice snapshot JSON layout; bump on breaking
-/// changes to the agent/environment serialization.
-///
-/// v2: same reason as [`CHECKPOINT_FORMAT_VERSION`] v4 — the agent's RNG
-/// stream advances differently under the pre-activation-sampling predictor.
-pub const SLICE_SNAPSHOT_FORMAT_VERSION: u32 = 2;
-
-/// A versioned snapshot of **one** slice's complete state, extracted from a
-/// live engine without disturbing it — the file-format twin of the
-/// in-memory [`SliceCheckpoint`] the fleet balancer migrates.
-///
-/// Where [`Checkpoint`] snapshots a whole deployment, a `SliceSnapshot`
-/// carries a single slice (agent weights/optimizer/RNG, environment
-/// simulator/trace cursors, mid-episode position included), small enough to
-/// ship between processes or archive per migration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SliceSnapshot {
-    /// Layout version ([`SLICE_SNAPSHOT_FORMAT_VERSION`] at capture time).
-    pub format_version: u32,
-    /// Name of the scenario the slice was running in.
-    pub scenario: String,
-    /// Master seed of the source run.
-    pub seed: u64,
-    /// Next slot the source engine would execute at capture time.
-    pub slot: usize,
-    /// The slice's id in the source engine.
-    pub slice: u32,
-    /// The detached slice state.
-    state: SliceCheckpoint,
-}
-
-impl SliceSnapshot {
-    /// Extracts slice `slice`'s state from a live engine, non-destructively
-    /// (the engine keeps running the slice; the snapshot is a deep copy).
-    pub fn extract(engine: &ScenarioEngine, slice: u32) -> Result<Self, String> {
-        let orch = engine.orchestrator();
-        let index = orch
-            .index_of(SliceId(slice))
-            .ok_or_else(|| format!("slice {slice} is not active in this engine"))?;
-        let agent = orch.agents()[index].clone();
-        let env = orch.env().envs()[index].clone();
-        Ok(Self {
-            format_version: SLICE_SNAPSHOT_FORMAT_VERSION,
-            scenario: engine.scenario().name.clone(),
-            seed: engine.config().seed,
-            slot: engine.current_slot(),
-            slice,
-            state: SliceCheckpoint {
-                kind: agent.kind(),
-                agent,
-                env,
-            },
-        })
-    }
-
-    /// Consumes the snapshot and returns the slice state, ready for
-    /// [`onslicing_core::Orchestrator::import_slice`] or
-    /// [`ScenarioEngine::inject_slice`].
-    pub fn into_state(self) -> SliceCheckpoint {
-        self.state
-    }
-
-    /// Serializes to compact JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("slice snapshot serialization cannot fail")
-    }
-
-    /// Parses a snapshot, rejecting unknown layout versions (the version
-    /// stamp is peeked before the structural parse, like [`Checkpoint`]).
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        peek_format_version(text, "slice snapshot", SLICE_SNAPSHOT_FORMAT_VERSION)?;
-        let snapshot: SliceSnapshot =
-            serde_json::from_str(text).map_err(|e| format!("malformed slice snapshot: {e}"))?;
-        Ok(snapshot)
-    }
-
-    /// Writes the snapshot to a file crash-safely (temp file + fsync +
-    /// atomic rename).
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), String> {
-        atomic_write(path.as_ref(), &self.to_json())
-            .map_err(|e| format!("cannot write slice snapshot: {e}"))
-    }
-
-    /// Reads and validates a snapshot file.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path.as_ref()).map_err(|e| {
-            format!(
-                "cannot read slice snapshot {}: {e}",
-                path.as_ref().display()
-            )
-        })?;
-        Self::from_json(&text)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,9 +222,9 @@ mod tests {
     fn stale_format_versions_fail_with_the_version_error_not_a_parse_error() {
         // A stale file may be structurally incompatible (v2: fields have
         // come and gone) or parse fine but continue on the wrong RNG stream
-        // (v3 / snapshot v1: written under the weight-sampling predictor);
-        // either way the loader must report the version mismatch — the
-        // actionable message — before it looks at any other field.
+        // (v3: written under the weight-sampling predictor); either way the
+        // loader must report the version mismatch — the actionable message —
+        // before it looks at any other field.
         for version in [2, 3] {
             let stale = format!(r#"{{"format_version":{version},"scenario":"steady","seed":7}}"#);
             assert_eq!(
@@ -329,12 +232,6 @@ mod tests {
                 format!("checkpoint format version {version} is not supported (expected 4)")
             );
         }
-        let stale_snapshot = r#"{"format_version":1,"scenario":"steady"}"#;
-        let err = SliceSnapshot::from_json(stale_snapshot).unwrap_err();
-        assert!(
-            err.contains("format version 1 is not supported (expected 2)"),
-            "{err}"
-        );
         // A document with no stamp at all is malformed, not "version 0".
         let err = Checkpoint::from_json(r#"{"scenario":"steady"}"#).unwrap_err();
         assert!(err.contains("missing format_version"), "{err}");
@@ -353,13 +250,6 @@ mod tests {
             assert!(
                 Checkpoint::from_json(&full[..cut]).is_err(),
                 "checkpoint cut at byte {cut} must be rejected"
-            );
-        }
-        let snapshot = SliceSnapshot::extract(&engine, 0).unwrap().to_json();
-        for cut in [1, snapshot.len() / 2, snapshot.len() - 1] {
-            assert!(
-                SliceSnapshot::from_json(&snapshot[..cut]).is_err(),
-                "slice snapshot cut at byte {cut} must be rejected"
             );
         }
     }
@@ -386,46 +276,5 @@ mod tests {
             "save must not leave temp files: {temps:?}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn slice_snapshots_extract_exact_state_without_disturbing_the_engine() {
-        let mut engine = ScenarioEngine::new(builtin::steady(), ScenarioConfig::default()).unwrap();
-        engine.run_until(7, &mut ());
-        let before = serde_json::to_string(&engine).unwrap();
-        let snapshot = SliceSnapshot::extract(&engine, 1).unwrap();
-        assert_eq!(snapshot.scenario, "steady");
-        assert_eq!(snapshot.slot, 7);
-        assert_eq!(snapshot.slice, 1);
-        // Extraction is a pure read.
-        assert_eq!(serde_json::to_string(&engine).unwrap(), before);
-        // The snapshot equals a destructive export from an engine clone.
-        let mut clone: ScenarioEngine = serde_json::from_str(&before).unwrap();
-        let exported = clone.extract_slice(1, 7).unwrap().checkpoint;
-        let round = SliceSnapshot::from_json(&snapshot.to_json()).unwrap();
-        let state = round.into_state();
-        assert_eq!(state.kind, exported.kind);
-        assert_eq!(
-            serde_json::to_string(&state.agent).unwrap(),
-            serde_json::to_string(&exported.agent).unwrap()
-        );
-        assert_eq!(
-            serde_json::to_string(&state.env).unwrap(),
-            serde_json::to_string(&exported.env).unwrap()
-        );
-    }
-
-    #[test]
-    fn slice_snapshot_errors_are_graceful() {
-        let engine = ScenarioEngine::new(builtin::steady(), ScenarioConfig::default()).unwrap();
-        assert!(SliceSnapshot::extract(&engine, 99)
-            .unwrap_err()
-            .contains("not active"));
-        let mut snapshot = SliceSnapshot::extract(&engine, 0).unwrap();
-        snapshot.format_version = 999;
-        assert!(SliceSnapshot::from_json(&snapshot.to_json())
-            .unwrap_err()
-            .contains("version 999"));
-        assert!(SliceSnapshot::from_json("{not json").is_err());
     }
 }

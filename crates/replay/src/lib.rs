@@ -31,10 +31,7 @@ pub mod fsio;
 pub mod golden;
 pub mod telemetry;
 
-pub use checkpoint::{
-    peek_format_version, Checkpoint, SliceSnapshot, CHECKPOINT_FORMAT_VERSION,
-    SLICE_SNAPSHOT_FORMAT_VERSION,
-};
+pub use checkpoint::{peek_format_version, Checkpoint, CHECKPOINT_FORMAT_VERSION};
 pub use fsio::{
     atomic_write, checkpoint_file_name, gc_checkpoint_dir, list_checkpoint_slots,
     parse_checkpoint_slot, ATOMIC_WRITE_PAUSE_ENV,

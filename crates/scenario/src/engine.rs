@@ -1605,7 +1605,7 @@ mod tests {
         // A further same-boundary grant would need 1.2 of a 1.0 residual.
         assert!(engine.check_admission().is_err());
         // The reservation survives a checkpoint taken at the boundary —
-        // the elastic runner admits between slots, so dropping it on
+        // the elastic fleet admits between slots, so dropping it on
         // restore would re-open the over-admission hole.
         let json = serde_json::to_string(&engine).unwrap();
         let mut restored: ScenarioEngine = serde_json::from_str(&json).unwrap();

@@ -17,17 +17,18 @@ fn main() {
     let requests = [Action::uniform(0.7), Action::uniform(0.6)];
     println!(
         "initial feasibility: {}",
-        domains.is_feasible(requests.iter())
+        domains.is_feasible_slice(&requests)
     );
     for round in 1..=3 {
-        let betas = domains.update_coordination(requests.iter());
+        let betas = domains.update_coordination_slice(&requests);
         println!(
             "round {round}: beta[edge-cpu] = {:.3}, beta[ul-radio] = {:.3}",
             betas[ResourceKind::EdgeCpu.index()],
             betas[ResourceKind::UplinkRadio.index()]
         );
     }
-    let projected = domains.project(requests.iter());
+    let mut projected = requests;
+    domains.project_in_place(&mut projected);
     println!(
         "projection fallback: cpu shares {:.2} + {:.2} = {:.2}",
         projected[0].cpu,

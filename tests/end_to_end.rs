@@ -141,7 +141,7 @@ fn coordination_always_produces_feasible_allocations() {
         for _ in 0..8 {
             let outcome = orch.run_slot(true);
             assert!(
-                orch.domains().is_feasible(outcome.executed.iter()),
+                orch.domains().is_feasible_slice(&outcome.executed),
                 "{mode:?}: executed allocation must respect every capacity"
             );
         }

@@ -92,8 +92,9 @@ proptest! {
         actions in prop::collection::vec(action_strategy(), 1..6)
     ) {
         let domains = DomainSet::testbed_default();
-        let projected = domains.project(actions.iter());
-        prop_assert!(domains.is_feasible(projected.iter()));
+        let mut projected = actions.clone();
+        domains.project_in_place(&mut projected);
+        prop_assert!(domains.is_feasible_slice(&projected));
         for (orig, proj) in actions.iter().zip(projected.iter()) {
             for (a, b) in orig.to_vec().iter().zip(proj.to_vec().iter()) {
                 prop_assert!(*b <= a + 1e-12);
@@ -127,8 +128,8 @@ proptest! {
         actions in prop::collection::vec(action_strategy(), 1..5)
     ) {
         let mut domains = DomainSet::testbed_default();
-        let excess = domains.excess(actions.iter());
-        let betas = domains.update_coordination(actions.iter());
+        let excess = domains.excess(&actions);
+        let betas = domains.update_coordination_slice(&actions);
         for (i, beta) in betas.iter().enumerate() {
             prop_assert!(*beta >= 0.0);
             if excess[i] <= 0.0 {
