@@ -6,7 +6,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use onslicing_nn::{Activation, BayesianMlp, GaussianPolicy, Mlp, PredictScratch};
+use onslicing_nn::{
+    Activation, BatchWorkspace, BayesianMlp, GaussianPolicy, Matrix, Mlp, PredictScratch,
+};
 use onslicing_slices::{ACTION_DIM, STATE_DIM};
 
 fn bench_mlp(c: &mut Criterion) {
@@ -16,12 +18,14 @@ fn bench_mlp(c: &mut Criterion) {
     c.bench_function("mlp_forward_128x64x32", |b| {
         b.iter(|| std::hint::black_box(net.forward(&x)))
     });
+    let batch = Matrix::from_vec(1, STATE_DIM, x.clone());
+    let grad = Matrix::from_vec(1, ACTION_DIM, vec![1.0 / ACTION_DIM as f64; ACTION_DIM]);
+    let mut ws = BatchWorkspace::new();
     c.bench_function("mlp_forward_backward_128x64x32", |b| {
         b.iter(|| {
             net.zero_grad();
-            let y = net.forward_train(&x);
-            let grad = vec![1.0 / y.len() as f64; y.len()];
-            std::hint::black_box(net.backward(&grad))
+            std::hint::black_box(net.forward_batch(&batch, &mut ws));
+            net.backward_batch(&grad, &mut ws);
         })
     });
 }

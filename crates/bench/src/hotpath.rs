@@ -14,7 +14,7 @@ use onslicing_core::{
 };
 use onslicing_domains::DomainSet;
 use onslicing_netsim::NetworkConfig;
-use onslicing_nn::{Activation, Adam, GaussianPolicy, Matrix, Mlp};
+use onslicing_nn::{Activation, GaussianPolicy, Matrix, Mlp};
 use onslicing_rl::{PpoAgent, PpoConfig, RolloutBuffer, Transition};
 use onslicing_slices::{Action, ActionDim, ResourceKind, Sla, SliceKind, ACTION_DIM, STATE_DIM};
 
@@ -92,6 +92,16 @@ fn naive_t_matvec(m: &Matrix, v: &[f64]) -> Vec<f64> {
     out
 }
 
+fn naive_outer(a: &[f64], b: &[f64]) -> Matrix {
+    let mut out = Matrix::zeros(a.len(), b.len());
+    for (i, &ai) in a.iter().enumerate() {
+        for (o, &bj) in out.row_mut(i).iter_mut().zip(b.iter()) {
+            *o = ai * bj;
+        }
+    }
+    out
+}
+
 impl NaiveLayer {
     fn from_dense(layer: &onslicing_nn::Dense) -> Self {
         Self {
@@ -130,7 +140,7 @@ impl NaiveLayer {
             .zip(self.cached_pre.iter())
             .map(|(&g, &z)| g * self.activation.derivative(z))
             .collect();
-        let gw = Matrix::outer(&delta, &self.cached_input);
+        let gw = naive_outer(&delta, &self.cached_input);
         self.grad_weights.add_scaled_assign(&gw, 1.0);
         for (gb, d) in self.grad_bias.iter_mut().zip(delta.iter()) {
             *gb += d;
@@ -226,6 +236,48 @@ impl NaiveMlp {
     }
 }
 
+/// The seed's Adam step: collects every gradient into a fresh `Vec`, clips
+/// by global norm there, and walks a `(parameter, gradient)` pair vector.
+struct NaiveAdam {
+    learning_rate: f64,
+    step_count: i32,
+    first_moment: Vec<f64>,
+    second_moment: Vec<f64>,
+}
+
+impl NaiveAdam {
+    fn new(num_params: usize, learning_rate: f64) -> Self {
+        Self {
+            learning_rate,
+            step_count: 0,
+            first_moment: vec![0.0; num_params],
+            second_moment: vec![0.0; num_params],
+        }
+    }
+
+    fn step(&mut self, pairs: Vec<(&mut f64, f64)>) {
+        let (beta1, beta2, epsilon, clip) = (0.9f64, 0.999f64, 1e-8, 5.0);
+        self.step_count += 1;
+        let mut grads: Vec<f64> = pairs.iter().map(|(_, g)| *g).collect();
+        let norm = grads.iter().map(|g| g * g).sum::<f64>().sqrt();
+        if norm > clip {
+            for g in &mut grads {
+                *g *= clip / norm;
+            }
+        }
+        let bc1 = 1.0 - beta1.powi(self.step_count);
+        let bc2 = 1.0 - beta2.powi(self.step_count);
+        for (i, (param, _)) in pairs.into_iter().enumerate() {
+            let g = grads[i];
+            self.first_moment[i] = beta1 * self.first_moment[i] + (1.0 - beta1) * g;
+            self.second_moment[i] = beta2 * self.second_moment[i] + (1.0 - beta2) * g * g;
+            let m_hat = self.first_moment[i] / bc1;
+            let v_hat = self.second_moment[i] / bc2;
+            *param -= self.learning_rate * m_hat / (v_hat.sqrt() + epsilon);
+        }
+    }
+}
+
 /// The pre-batching PPO learner: the seed's sample-by-sample minibatch loops
 /// over the seed's naive kernels. Kept as the baseline the criterion
 /// comparison and `BENCH_hotpath.json` measure the batched path against.
@@ -233,8 +285,8 @@ pub struct PerSamplePpo {
     mean_net: NaiveMlp,
     critic: NaiveMlp,
     std: Vec<f64>,
-    actor_opt: Adam,
-    critic_opt: Adam,
+    actor_opt: NaiveAdam,
+    critic_opt: NaiveAdam,
     config: PpoConfig,
 }
 
@@ -247,8 +299,8 @@ impl PerSamplePpo {
         // The std parameters train too, but their gradient cost is O(action
         // dim) on both paths; pinning them keeps the baseline simple without
         // skewing the comparison.
-        let actor_opt = Adam::new(mean_net.num_parameters(), config.actor_lr);
-        let critic_opt = Adam::new(critic.num_parameters(), config.critic_lr);
+        let actor_opt = NaiveAdam::new(mean_net.num_parameters(), config.actor_lr);
+        let critic_opt = NaiveAdam::new(critic.num_parameters(), config.critic_lr);
         Self {
             mean_net,
             critic,

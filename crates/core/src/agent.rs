@@ -378,14 +378,10 @@ impl OnSlicingAgent {
     /// The proactive switching statistic `E_t` of Eq. 8: the cumulative cost
     /// plus (when the estimator is enabled) the predicted mean and η-scaled
     /// standard deviation of the baseline's remaining episode cost.
-    pub fn switching_statistic(&mut self, state: &SliceState, cumulative_cost: f64) -> f64 {
-        self.switching_statistic_row(&state.to_vec(), cumulative_cost)
-    }
-
-    /// [`OnSlicingAgent::switching_statistic`] over an already-flattened
-    /// observation row ([`SliceState::write_row`] layout). The fused slot path
-    /// feeds rows straight from the gathered cell batch so the statistic costs
-    /// no allocation.
+    ///
+    /// `state_row` is the flattened observation ([`SliceState::write_row`]
+    /// layout); the slot path feeds rows straight from the gathered cell
+    /// batch so the statistic costs no allocation.
     pub fn switching_statistic_row(&mut self, state_row: &[f64], cumulative_cost: f64) -> f64 {
         if !self.config.enable_estimator {
             return cumulative_cost;
@@ -404,7 +400,9 @@ impl OnSlicingAgent {
     }
 
     /// Produces the agent's orchestration decision for the upcoming slot
-    /// (before distributed coordination).
+    /// (before distributed coordination): the two phases the orchestrator
+    /// runs around its fused cell batch, composed over this agent's own
+    /// policy mean.
     ///
     /// `deterministic` selects the policy mean instead of sampling (used for
     /// test-time evaluation).
@@ -414,46 +412,14 @@ impl OnSlicingAgent {
         cumulative_cost: f64,
         deterministic: bool,
     ) -> Decision {
-        let statistic = if self.config.enable_switching {
-            self.switching_statistic(state, cumulative_cost)
-        } else {
-            cumulative_cost
-        };
-        if self.config.enable_switching && !self.switched {
-            let budget = self.sla.episode_cost_budget(self.config.horizon);
-            if statistic >= budget {
-                self.switched = true;
-            }
-        }
-        if self.switched {
-            return Decision {
-                action: self.baseline.act(state),
-                used_baseline: true,
-                sample: None,
-                switching_statistic: statistic,
-            };
-        }
-        if deterministic {
-            let action = Action::from_vec(&self.ppo.act_deterministic(&state.to_vec()));
-            return Decision {
-                action,
-                used_baseline: false,
-                sample: None,
-                switching_statistic: statistic,
-            };
-        }
-        let sample = self.ppo.act(&state.to_vec(), &mut self.rng);
-        Decision {
-            action: Action::from_vec(&sample.action),
-            used_baseline: false,
-            sample: Some(sample),
-            switching_statistic: statistic,
-        }
+        let row = state.to_vec();
+        let statistic = self.decide_phase_switch(&row, cumulative_cost);
+        let mean = self.ppo.act_deterministic(&row);
+        self.decide_finish(state, statistic, &mean, deterministic)
     }
 
-    /// First phase of the fused (cell-batched) slot decide: draws the
-    /// switching statistic — consuming exactly the RNG draws
-    /// [`OnSlicingAgent::decide`] would — and performs the proactive switch
+    /// First phase of the slot decide: draws the switching statistic (the
+    /// estimator's RNG draws happen here) and performs the proactive switch
     /// classification. Returns the statistic; whether the baseline acts is
     /// visible via [`OnSlicingAgent::has_switched`].
     ///
@@ -476,13 +442,11 @@ impl OnSlicingAgent {
         statistic
     }
 
-    /// Last phase of the fused slot decide: builds the decision from the
-    /// fused policy-mean row. `statistic` must come from the matching
+    /// Last phase of the slot decide: builds the decision from the
+    /// policy-mean row. `statistic` must come from the matching
     /// [`OnSlicingAgent::decide_phase_switch`] call, and `mean` must carry
     /// the bits `ppo().policy().mean_action(&state.to_vec())` would produce
-    /// (the fused cell batch guarantees this). The composition
-    /// `decide_phase_switch` → `decide_finish` is bit-identical to
-    /// [`OnSlicingAgent::decide`] on a shared RNG stream.
+    /// (the fused cell batch guarantees this).
     pub fn decide_finish(
         &mut self,
         state: &SliceState,
@@ -538,11 +502,9 @@ impl OnSlicingAgent {
         }
     }
 
-    /// Records the outcome of a slot.
-    ///
-    /// `state` is the observation the decision was made from, `decision` the
-    /// agent's own proposal, `executed` the action actually enforced after
-    /// coordination, and `kpi` the resulting measurements.
+    /// Records the outcome of a slot:
+    /// [`OnSlicingAgent::record_with_value`] over this agent's own critic
+    /// estimate of `state`.
     pub fn record(
         &mut self,
         state: &SliceState,
@@ -551,42 +513,17 @@ impl OnSlicingAgent {
         kpi: &SlotKpi,
         done: bool,
     ) {
-        self.episode_costs.push(kpi.cost);
-        self.episode_usages.push(kpi.resource_usage_percent());
-        match &decision.sample {
-            Some(sample) => {
-                self.learned_this_episode = true;
-                let state_vec = state.to_vec();
-                let value = self.ppo.value(&state_vec);
-                self.buffer.push(Transition {
-                    state: state_vec,
-                    raw_action: sample.raw_action.clone(),
-                    action: executed.to_vec(),
-                    log_prob: sample.log_prob,
-                    reward: self.shaped_reward(kpi),
-                    cost: kpi.cost,
-                    value,
-                    done,
-                });
-            }
-            None => {
-                // First baseline slot after a switch: remember the critic's
-                // estimate of the remaining (shaped) return so the truncated
-                // episode can be bootstrapped (§3, "Smooth Policy
-                // Improvement").
-                if decision.used_baseline && self.pending_bootstrap.is_none() {
-                    self.pending_bootstrap = Some(self.ppo.value(&state.to_vec()));
-                }
-            }
-        }
+        let value = self.ppo.value(&state.to_vec());
+        self.record_with_value(state, decision, executed, kpi, done, value);
     }
 
-    /// [`OnSlicingAgent::record`] with the critic value of `state` already
-    /// computed (the fused cell batch evaluates every agent's critic in one
-    /// layer-major sweep). `value` must carry the bits
-    /// `ppo().value(&state.to_vec())` would produce; the critic forward is
-    /// pure, so the fused value is bit-identical and this method records
-    /// exactly what `record` would.
+    /// Records the outcome of a slot.
+    ///
+    /// `state` is the observation the decision was made from, `decision` the
+    /// agent's own proposal, `executed` the action actually enforced after
+    /// coordination, `kpi` the resulting measurements, and `value` the
+    /// critic's estimate `ppo().value(&state.to_vec())` (the fused cell
+    /// batch evaluates every agent's critic in one layer-major sweep).
     pub fn record_with_value(
         &mut self,
         state: &SliceState,
@@ -613,6 +550,10 @@ impl OnSlicingAgent {
                 });
             }
             None => {
+                // First baseline slot after a switch: remember the critic's
+                // estimate of the remaining (shaped) return so the truncated
+                // episode can be bootstrapped (§3, "Smooth Policy
+                // Improvement").
                 if decision.used_baseline && self.pending_bootstrap.is_none() {
                     self.pending_bootstrap = Some(value);
                 }
@@ -829,8 +770,8 @@ mod tests {
             quick_agent(SliceKind::Mar, AgentConfig::onslicing_estimator_noise(1.0));
         agent.offline_pretrain(&mut env, 1);
         let state = env.reset();
-        let a = agent.switching_statistic(&state, 0.0);
-        let b = agent.switching_statistic(&state, 0.0);
+        let a = agent.switching_statistic_row(&state.to_vec(), 0.0);
+        let b = agent.switching_statistic_row(&state.to_vec(), 0.0);
         assert_ne!(a, b, "noisy estimator should vary between calls");
     }
 }

@@ -74,11 +74,6 @@ impl Activation {
         }
     }
 
-    /// Applies the activation to every element of a slice, returning a new vector.
-    pub fn apply_vec(self, xs: &[f64]) -> Vec<f64> {
-        xs.iter().map(|&x| self.apply(x)).collect()
-    }
-
     /// Writes `act(src[i])` into `dst[i]` — the allocation-free batched
     /// forward kernel.
     ///
@@ -176,8 +171,11 @@ mod tests {
 
     #[test]
     fn apply_vec_maps_each_element() {
-        let v = Activation::Relu.apply_vec(&[-1.0, 0.0, 2.0]);
+        let mut v = vec![f64::NAN; 3];
+        Activation::Relu.apply_into(&[-1.0, 0.0, 2.0], &mut v);
         assert_eq!(v, vec![0.0, 0.0, 2.0]);
+        Activation::Tanh.apply_into(&[-1.0, 0.0, 2.0], &mut v);
+        assert_eq!(v, vec![(-1.0f64).tanh(), 0.0, 2.0f64.tanh()]);
     }
 
     #[test]

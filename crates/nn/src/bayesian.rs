@@ -266,8 +266,8 @@ impl BayesianLinear {
             + self.grad_bias_rho.iter().map(|g| g * g).sum::<f64>()
     }
 
-    /// Visits `(params, grads, scale)` blocks in
-    /// [`BayesianLinear::param_grad_pairs`] order without allocating.
+    /// Visits `(params, grads, scale)` blocks — `weight_mu`, `weight_rho`,
+    /// `bias_mu`, `bias_rho` — without allocating.
     pub fn visit_param_blocks(&mut self, f: &mut crate::optimizer::ParamBlockVisitor<'_>) {
         f(self.weight_mu.data_mut(), self.grad_weight_mu.data(), 1.0);
         f(self.weight_rho.data_mut(), self.grad_weight_rho.data(), 1.0);
@@ -347,28 +347,6 @@ impl BayesianLinear {
     /// Number of trainable parameters (`μ` and `ρ` for weights and biases).
     pub fn num_parameters(&self) -> usize {
         2 * (self.out_dim * self.in_dim + self.out_dim)
-    }
-
-    /// `(parameter, gradient)` pairs for the optimizer, ordered
-    /// `weight_mu, weight_rho, bias_mu, bias_rho`.
-    pub fn param_grad_pairs(&mut self) -> Vec<(&mut f64, f64)> {
-        let grads: Vec<f64> = self
-            .grad_weight_mu
-            .data()
-            .iter()
-            .copied()
-            .chain(self.grad_weight_rho.data().iter().copied())
-            .chain(self.grad_bias_mu.iter().copied())
-            .chain(self.grad_bias_rho.iter().copied())
-            .collect();
-        self.weight_mu
-            .data_mut()
-            .iter_mut()
-            .chain(self.weight_rho.data_mut().iter_mut())
-            .chain(self.bias_mu.iter_mut())
-            .chain(self.bias_rho.iter_mut())
-            .zip(grads)
-            .collect()
     }
 }
 
@@ -604,15 +582,6 @@ impl BayesianMlp {
     /// Total number of trainable parameters.
     pub fn num_parameters(&self) -> usize {
         self.layers.iter().map(|l| l.num_parameters()).sum()
-    }
-
-    /// `(parameter, gradient)` pairs across all layers.
-    pub fn param_grad_pairs(&mut self) -> Vec<(&mut f64, f64)> {
-        let mut out = Vec::with_capacity(self.num_parameters());
-        for layer in &mut self.layers {
-            out.extend(layer.param_grad_pairs());
-        }
-        out
     }
 
     /// Squared l2 norm of all accumulated gradients.
@@ -945,7 +914,7 @@ mod tests {
             }
             net.backward_batch(&grad, &mut ws);
             net.accumulate_kl_grad(1e-4 / dataset.len() as f64);
-            opt.step(net.param_grad_pairs());
+            opt.step_set(&mut net);
         }
         let pred = net.predict_with(&[0.5], 64, &mut rng, &mut PredictScratch::new());
         assert!(
@@ -1080,7 +1049,7 @@ mod tests {
         for _ in 0..200 {
             net.zero_grad();
             net.accumulate_kl_grad(1.0);
-            opt.step(net.param_grad_pairs());
+            opt.step_set(&mut net);
         }
         let after = net.kl_to_prior();
         assert!(

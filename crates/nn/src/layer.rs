@@ -1,9 +1,10 @@
 //! Fully connected (dense) layer with explicit forward/backward passes.
 //!
-//! Gradients are *accumulated* into the layer (`grad_weights`, `grad_bias`)
-//! so that minibatch training simply calls `forward_train`/`backward` once
-//! per sample and divides by the batch size before the optimizer step (or
-//! equivalently scales the loss gradient by `1 / batch`).
+//! Training is batched: [`Dense::forward_batch_into`] runs one GEMM for the
+//! whole minibatch and [`Dense::backward_batch`] *accumulates* its gradients
+//! into the layer (`grad_weights`, `grad_bias`); the caller scales the loss
+//! gradient by `1 / batch` and owns every activation buffer, so the layer
+//! itself holds parameters and gradients only.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -20,9 +21,6 @@ pub struct Dense {
     grad_weights: Matrix,
     grad_bias: Vec<f64>,
     activation: Activation,
-    // Caches populated by `forward_train` and consumed by `backward`.
-    cached_input: Vec<f64>,
-    cached_pre_activation: Vec<f64>,
 }
 
 impl Dense {
@@ -47,8 +45,6 @@ impl Dense {
             grad_weights: Matrix::zeros(out_dim, in_dim),
             grad_bias: vec![0.0; out_dim],
             activation,
-            cached_input: Vec::new(),
-            cached_pre_activation: Vec::new(),
         }
     }
 
@@ -67,7 +63,7 @@ impl Dense {
         self.activation
     }
 
-    /// Inference-only forward pass (does not populate caches).
+    /// Inference-only forward pass.
     pub fn forward(&self, input: &[f64]) -> Vec<f64> {
         debug_assert_eq!(
             input.len(),
@@ -104,51 +100,6 @@ impl Dense {
         for (p, b) in out.iter_mut().zip(self.bias.iter()) {
             *p = self.activation.apply(*p + b);
         }
-    }
-
-    /// Forward pass that caches the input and pre-activation for `backward`.
-    pub fn forward_train(&mut self, input: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(
-            input.len(),
-            self.in_dim(),
-            "dense layer input size mismatch"
-        );
-        let mut pre = self.weights.matvec(input);
-        for (p, b) in pre.iter_mut().zip(self.bias.iter()) {
-            *p += b;
-        }
-        let out = pre.iter().map(|&x| self.activation.apply(x)).collect();
-        self.cached_input = input.to_vec();
-        self.cached_pre_activation = pre;
-        out
-    }
-
-    /// Backward pass. `grad_output` is `dL/dy`; the return value is `dL/dx`.
-    ///
-    /// Parameter gradients are accumulated into the layer.
-    ///
-    /// # Panics
-    /// Panics if called before `forward_train` (no cached activations).
-    pub fn backward(&mut self, grad_output: &[f64]) -> Vec<f64> {
-        assert!(
-            !self.cached_pre_activation.is_empty(),
-            "backward called before forward_train"
-        );
-        debug_assert_eq!(grad_output.len(), self.out_dim());
-        // delta = dL/d(pre-activation)
-        let delta: Vec<f64> = grad_output
-            .iter()
-            .zip(self.cached_pre_activation.iter())
-            .map(|(&g, &z)| g * self.activation.derivative(z))
-            .collect();
-        // dL/dW += delta ⊗ input, dL/db += delta
-        let gw = Matrix::outer(&delta, &self.cached_input);
-        self.grad_weights.add_scaled_assign(&gw, 1.0);
-        for (gb, d) in self.grad_bias.iter_mut().zip(delta.iter()) {
-            *gb += d;
-        }
-        // dL/dx = Wᵀ delta
-        self.weights.t_matvec(&delta)
     }
 
     /// Batched forward pass: one GEMM for the whole minibatch.
@@ -252,8 +203,8 @@ impl Dense {
             + self.grad_bias.iter().map(|g| g * g).sum::<f64>()
     }
 
-    /// Visits `(params, grads, scale)` blocks in the same order as
-    /// [`Dense::param_grad_pairs`] without allocating.
+    /// Visits `(params, grads, scale)` blocks — weights, then bias, the
+    /// order of [`Dense::parameters`] — without allocating.
     pub fn visit_param_blocks(&mut self, f: &mut crate::optimizer::ParamBlockVisitor<'_>) {
         f(self.weights.data_mut(), self.grad_weights.data(), 1.0);
         f(&mut self.bias, &self.grad_bias, 1.0);
@@ -270,26 +221,6 @@ impl Dense {
     /// Number of trainable parameters in this layer.
     pub fn num_parameters(&self) -> usize {
         self.weights.rows() * self.weights.cols() + self.bias.len()
-    }
-
-    /// Returns `(parameter, gradient)` pairs for the optimizer.
-    ///
-    /// Gradients are copied (they are small), parameters are mutable
-    /// references so that an optimizer can update them in place.
-    pub fn param_grad_pairs(&mut self) -> Vec<(&mut f64, f64)> {
-        let grads: Vec<f64> = self
-            .grad_weights
-            .data()
-            .iter()
-            .copied()
-            .chain(self.grad_bias.iter().copied())
-            .collect();
-        self.weights
-            .data_mut()
-            .iter_mut()
-            .chain(self.bias.iter_mut())
-            .zip(grads)
-            .collect()
     }
 
     /// Immutable snapshot of the flat parameter vector (weights then bias).
@@ -316,22 +247,32 @@ impl Dense {
         self.weights.data_mut().copy_from_slice(&params[..nw]);
         self.bias.copy_from_slice(&params[nw..]);
     }
-
-    /// Scales accumulated gradients by `s` (used to average over a batch).
-    pub fn scale_grad(&mut self, s: f64) {
-        let scaled = self.grad_weights.scale(s);
-        self.grad_weights = scaled;
-        for g in &mut self.grad_bias {
-            *g *= s;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::{batch_matrix, BATCHES};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// Σ over the batch of Σ over the outputs, through the inference path.
+    fn sum_loss(layer: &Dense, x: &Matrix) -> f64 {
+        (0..x.rows())
+            .map(|b| layer.forward(x.row(b)).iter().sum::<f64>())
+            .sum()
+    }
+
+    /// Runs forward + backward with `dL/dy = 1` and returns `dL/dx`.
+    fn backward_ones(layer: &mut Dense, x: &Matrix) -> Matrix {
+        let (mut wt, mut pre, mut out) = (Matrix::default(), Matrix::default(), Matrix::default());
+        layer.forward_batch_into(x, &mut wt, &mut pre, &mut out);
+        let mut delta = Matrix::zeros(x.rows(), layer.out_dim());
+        delta.fill(1.0);
+        let mut dx = Matrix::default();
+        layer.backward_batch(&mut delta, x, &pre, Some(&mut dx));
+        dx
+    }
 
     #[test]
     fn forward_matches_manual_computation() {
@@ -343,50 +284,55 @@ mod tests {
     }
 
     #[test]
-    fn forward_train_equals_forward() {
+    fn forward_batch_rows_equal_forward() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut layer = Dense::new(5, 3, Activation::Relu, &mut rng);
-        let x = vec![0.1, -0.2, 0.3, 0.4, -0.5];
-        let a = layer.forward(&x);
-        let b = layer.forward_train(&x);
-        assert_eq!(a, b);
+        let layer = Dense::new(5, 3, Activation::Relu, &mut rng);
+        for batch in BATCHES {
+            let x = batch_matrix(batch, 5, 0.0);
+            let (mut wt, mut pre, mut out) =
+                (Matrix::default(), Matrix::default(), Matrix::default());
+            layer.forward_batch_into(&x, &mut wt, &mut pre, &mut out);
+            assert_eq!((out.rows(), out.cols()), (batch, 3));
+            for b in 0..batch {
+                for (y, r) in out.row(b).iter().zip(layer.forward(x.row(b))) {
+                    assert!((y - r).abs() < 1e-12, "batch {batch} row {b}: {y} vs {r}");
+                }
+            }
+        }
     }
 
     #[test]
     fn backward_gradients_match_finite_differences() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let mut layer = Dense::new(3, 2, Activation::Tanh, &mut rng);
-        let x = vec![0.3, -0.7, 0.2];
-        // Loss = sum(y). dL/dy = ones.
-        let loss = |layer: &Dense| -> f64 { layer.forward(&x).iter().sum() };
+        for batch in BATCHES {
+            let x = batch_matrix(batch, 3, 0.0);
+            layer.zero_grad();
+            backward_ones(&mut layer, &x);
+            let analytic: Vec<f64> = layer
+                .grad_weights
+                .data()
+                .iter()
+                .copied()
+                .chain(layer.grad_bias.iter().copied())
+                .collect();
 
-        layer.zero_grad();
-        let _ = layer.forward_train(&x);
-        let _ = layer.backward(&[1.0, 1.0]);
-        let analytic: Vec<f64> = layer
-            .grad_weights
-            .data()
-            .iter()
-            .copied()
-            .chain(layer.grad_bias.iter().copied())
-            .collect();
-
-        let params = layer.parameters();
-        let h = 1e-6;
-        for (i, analytic_g) in analytic.iter().enumerate() {
-            let mut plus = params.clone();
-            plus[i] += h;
-            let mut minus = params.clone();
-            minus[i] -= h;
-            let mut l_plus = layer.clone();
-            l_plus.set_parameters(&plus);
-            let mut l_minus = layer.clone();
-            l_minus.set_parameters(&minus);
-            let numeric = (loss(&mut l_plus) - loss(&mut l_minus)) / (2.0 * h);
-            assert!(
-                (numeric - analytic_g).abs() < 1e-4,
-                "param {i}: numeric {numeric} vs analytic {analytic_g}"
-            );
+            let params = layer.parameters();
+            let h = 1e-6;
+            for (i, analytic_g) in analytic.iter().enumerate() {
+                let mut plus = layer.clone();
+                let mut minus = layer.clone();
+                let mut p = params.clone();
+                p[i] += h;
+                plus.set_parameters(&p);
+                p[i] -= 2.0 * h;
+                minus.set_parameters(&p);
+                let numeric = (sum_loss(&plus, &x) - sum_loss(&minus, &x)) / (2.0 * h);
+                assert!(
+                    (numeric - analytic_g).abs() < 1e-4,
+                    "batch {batch} param {i}: numeric {numeric} vs analytic {analytic_g}"
+                );
+            }
         }
     }
 
@@ -394,19 +340,23 @@ mod tests {
     fn input_gradient_matches_finite_differences() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let mut layer = Dense::new(4, 3, Activation::Sigmoid, &mut rng);
-        let x = vec![0.5, -0.1, 0.9, 0.0];
-        let _ = layer.forward_train(&x);
-        let dx = layer.backward(&[1.0, 1.0, 1.0]);
-        let h = 1e-6;
-        for i in 0..x.len() {
-            let mut xp = x.clone();
-            xp[i] += h;
-            let mut xm = x.clone();
-            xm[i] -= h;
-            let fp: f64 = layer.forward(&xp).iter().sum();
-            let fm: f64 = layer.forward(&xm).iter().sum();
-            let numeric = (fp - fm) / (2.0 * h);
-            assert!((numeric - dx[i]).abs() < 1e-5);
+        for batch in BATCHES {
+            let x = batch_matrix(batch, 4, 0.0);
+            let dx = backward_ones(&mut layer, &x);
+            assert_eq!((dx.rows(), dx.cols()), (batch, 4));
+            let h = 1e-6;
+            for b in 0..batch {
+                for i in 0..4 {
+                    let mut xp = x.row(b).to_vec();
+                    xp[i] += h;
+                    let mut xm = x.row(b).to_vec();
+                    xm[i] -= h;
+                    let fp: f64 = layer.forward(&xp).iter().sum();
+                    let fm: f64 = layer.forward(&xm).iter().sum();
+                    let numeric = (fp - fm) / (2.0 * h);
+                    assert!((numeric - dx.get(b, i)).abs() < 1e-5);
+                }
+            }
         }
     }
 
@@ -414,11 +364,10 @@ mod tests {
     fn zero_grad_resets_accumulation() {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let mut layer = Dense::new(2, 2, Activation::Relu, &mut rng);
-        let _ = layer.forward_train(&[1.0, 1.0]);
-        let _ = layer.backward(&[1.0, 1.0]);
+        backward_ones(&mut layer, &Matrix::from_vec(1, 2, vec![1.0, 1.0]));
+        assert!(layer.grad_norm_squared() > 0.0);
         layer.zero_grad();
-        let pairs = layer.param_grad_pairs();
-        assert!(pairs.iter().all(|(_, g)| *g == 0.0));
+        layer.visit_param_blocks(&mut |_, grads, _| assert!(grads.iter().all(|&g| g == 0.0)));
     }
 
     #[test]
@@ -432,10 +381,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "backward called before forward_train")]
+    #[should_panic(expected = "backward_batch delta shape mismatch")]
     fn backward_without_forward_panics() {
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let mut layer = Dense::new(2, 2, Activation::Relu, &mut rng);
-        let _ = layer.backward(&[1.0, 1.0]);
+        // `pre` was never filled by a forward pass.
+        let x = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
+        let mut delta = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
+        layer.backward_batch(&mut delta, &x, &Matrix::default(), None);
     }
 }

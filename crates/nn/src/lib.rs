@@ -22,21 +22,22 @@
 //! ## Quick example
 //!
 //! ```
-//! use onslicing_nn::{Mlp, Activation, Adam, mse_loss, mse_grad};
+//! use onslicing_nn::{Activation, Adam, BatchWorkspace, Matrix, Mlp, mse_grad};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
-//! // 2-in, 1-out regression network.
+//! // 2-in, 1-out regression network, trained on a one-row minibatch.
 //! let mut net = Mlp::new(&[2, 16, 16, 1], Activation::Relu, Activation::Identity, &mut rng);
 //! let mut opt = Adam::new(net.num_parameters(), 1e-2);
+//! let x = Matrix::from_vec(1, 2, vec![0.3, 0.7]);
+//! let target = [0.3f64 + 0.7];
+//! let mut ws = BatchWorkspace::new();
 //! for _ in 0..500 {
-//!     let x = vec![0.3, 0.7];
-//!     let target = vec![0.3f64 + 0.7];
 //!     net.zero_grad();
-//!     let y = net.forward_train(&x);
-//!     let grad = mse_grad(&y, &target);
-//!     net.backward(&grad);
-//!     opt.step(net.param_grad_pairs());
+//!     let y = net.forward_batch(&x, &mut ws);
+//!     let grad = Matrix::from_vec(1, 1, mse_grad(y.row(0), &target));
+//!     net.backward_batch(&grad, &mut ws);
+//!     opt.step_set(&mut net);
 //! }
 //! let y = net.forward(&[0.3, 0.7]);
 //! assert!((y[0] - 1.0).abs() < 0.05);
@@ -62,7 +63,7 @@ pub use layer::Dense;
 pub use loss::{gaussian_nll, gaussian_nll_grad, huber_grad, huber_loss, mse_grad, mse_loss};
 pub use matrix::Matrix;
 pub use mlp::{BatchWorkspace, Mlp};
-pub use optimizer::{Adam, ParameterSet, Sgd};
+pub use optimizer::{Adam, ParameterSet};
 pub use policy::{GaussianPolicy, PolicySample};
 
 /// Numerically stable softplus, `log(1 + e^x)`.
@@ -91,6 +92,26 @@ pub fn sigmoid(x: f64) -> f64 {
     } else {
         let e = x.exp();
         e / (1.0 + e)
+    }
+}
+
+/// Fixtures shared by the unit tests of the batched path.
+#[cfg(test)]
+pub(crate) mod test_util {
+    use crate::matrix::Matrix;
+
+    /// Batch sizes every batched check runs at: a single ragged row, a
+    /// 4-row block plus a ragged row, sixteen whole blocks, and sixteen
+    /// blocks plus ragged rows.
+    pub const BATCHES: [usize; 4] = [1, 5, 64, 67];
+
+    /// Deterministic, non-trivial `(batch × dim)` matrix with entries in
+    /// `[-1, 1]`.
+    pub fn batch_matrix(batch: usize, dim: usize, phase: f64) -> Matrix {
+        let data = (0..batch * dim)
+            .map(|i| (i as f64 * 0.37 + phase).sin())
+            .collect();
+        Matrix::from_vec(batch, dim, data)
     }
 }
 

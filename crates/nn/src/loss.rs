@@ -1,8 +1,9 @@
 //! Loss functions and their gradients.
 //!
 //! Training in this repository is done with explicit gradient computation:
-//! the caller evaluates the loss gradient with respect to the network output
-//! and passes it to [`Mlp::backward`](crate::mlp::Mlp::backward).
+//! the caller evaluates the loss gradient with respect to the network output,
+//! one row per sample, and passes the batch to
+//! [`Mlp::backward_batch`](crate::mlp::Mlp::backward_batch).
 
 /// Mean squared error `1/n Σ (y - t)²`.
 ///

@@ -26,12 +26,9 @@
 //! element (whatever the tile width), and the matvec kernels reproduce
 //! [`dot`]'s four-accumulator order per row. Cell-fused callers
 //! (`onslicing_nn::cell`) therefore produce bit-identical results to the
-//! per-slice paths they replace, and the optional rayon row-tile parallelism
-//! in [`Matrix::matmul_into`] cannot change a single bit: threads only
-//! partition *which* 4-row block a worker computes, never the reduction
-//! order within an element.
+//! per-slice paths they replace. The kernels never spawn threads:
+//! parallelism lives one level up, across slices and cells.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Widest register tile, in output columns, tried by the tiled GEMM kernels
@@ -46,12 +43,6 @@ use serde::{Deserialize, Serialize};
 /// Must be a power of two ≥ 8. Changing it is safe for determinism — the
 /// per-element reduction order is tile-width-invariant (see module docs).
 pub const TILE_W: usize = 16;
-
-/// 4-row output blocks beyond which [`Matrix::matmul_into`] fans the blocks
-/// out across the rayon pool (only when more than one worker is configured).
-/// 16 blocks = 64 output rows ≈ the smallest GEMM where spawn overhead is
-/// clearly amortized on the minibatch shapes this workspace uses.
-const PAR_ROW_BLOCKS_MIN: usize = 16;
 
 /// Row-major dense matrix of `f64`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -123,10 +114,6 @@ fn gemm_tile_tn<const W: usize>(
 /// One 4-row block of `out = A · B`: runs the register-tile cascade
 /// (`TILE_W` down to the scalar tail) over all `n` output columns of rows
 /// `i..i + 4`, writing into the block's slice of the output buffer.
-///
-/// Shared by the sequential and the rayon row-tiled drivers of
-/// [`Matrix::matmul_into`], so the two orderings are the same code path per
-/// element — bit-identity across thread counts by construction.
 #[inline(always)]
 fn gemm_block_rows(a_data: &[f64], kd: usize, b_data: &[f64], n: usize, i: usize, out: &mut [f64]) {
     let a = [
@@ -245,15 +232,6 @@ impl Matrix {
         }
     }
 
-    /// Identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m.set(i, i, 1.0);
-        }
-        m
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -348,13 +326,6 @@ impl Matrix {
     /// instead of a store-bandwidth-bound row update. Ragged edges fall back
     /// to an unrolled row-axpy loop.
     ///
-    /// When the rayon pool has more than one worker and the output is at
-    /// least `4 × PAR_ROW_BLOCKS_MIN` rows tall, the independent 4-row
-    /// blocks fan out across the pool. Each block runs the identical
-    /// `gemm_block_rows` cascade, so results are bit-identical at any
-    /// thread count (the parallel driver does allocate a transient block
-    /// list; the steady-state single-thread path allocates nothing).
-    ///
     /// # Panics
     /// Panics if the inner dimensions disagree.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
@@ -362,27 +333,15 @@ impl Matrix {
         out.resize(self.rows, other.cols);
         let (m, kd, n) = (self.rows, self.cols, other.cols);
         let m_main = m - m % 4;
-        let blocks = m_main / 4;
-        if blocks >= PAR_ROW_BLOCKS_MIN && n > 0 && rayon::current_num_threads() > 1 {
-            let block_views: Vec<(usize, &mut [f64])> = out.data[..m_main * n]
-                .chunks_mut(4 * n)
-                .enumerate()
-                .collect();
-            block_views.into_par_iter().for_each(|(blk, out_block)| {
-                gemm_block_rows(&self.data, kd, &other.data, n, blk * 4, out_block);
-            });
-        } else {
-            for blk in 0..blocks {
-                let i = blk * 4;
-                gemm_block_rows(
-                    &self.data,
-                    kd,
-                    &other.data,
-                    n,
-                    i,
-                    &mut out.data[i * n..(i + 4) * n],
-                );
-            }
+        for i in (0..m_main).step_by(4) {
+            gemm_block_rows(
+                &self.data,
+                kd,
+                &other.data,
+                n,
+                i,
+                &mut out.data[i * n..(i + 4) * n],
+            );
         }
         // Ragged row edge: plain unrolled axpy over the full width.
         for i in m_main..m {
@@ -507,29 +466,6 @@ impl Matrix {
         }
     }
 
-    /// Transposed-matrix-vector product `selfᵀ * v`.
-    pub fn t_matvec(&self, v: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.cols];
-        self.t_matvec_into(v, &mut out);
-        out
-    }
-
-    /// Transposed-matrix-vector product into a caller-owned buffer.
-    ///
-    /// # Panics
-    /// Panics if the dimensions disagree.
-    pub fn t_matvec_into(&self, v: &[f64], out: &mut [f64]) {
-        assert_eq!(self.rows, v.len(), "t_matvec dimension mismatch");
-        assert_eq!(self.cols, out.len(), "t_matvec output length mismatch");
-        out.fill(0.0);
-        for (i, &vi) in v.iter().enumerate() {
-            let row = self.row(i);
-            for (o, a) in out.iter_mut().zip(row.iter()) {
-                *o += a * vi;
-            }
-        }
-    }
-
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::default();
@@ -551,53 +487,12 @@ impl Matrix {
         }
     }
 
-    /// Element-wise addition.
-    pub fn add(&self, other: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let data = self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| a + b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
     /// In-place element-wise addition of `scale * other`.
     pub fn add_scaled_assign(&mut self, other: &Matrix, scale: f64) {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
             *a += scale * b;
         }
-    }
-
-    /// Multiplies every element by `s`.
-    pub fn scale(&self, s: f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|v| v * s).collect(),
-        }
-    }
-
-    /// Outer product of two vectors: `a ⊗ b` with shape `(a.len(), b.len())`.
-    pub fn outer(a: &[f64], b: &[f64]) -> Matrix {
-        let mut out = Matrix::zeros(a.len(), b.len());
-        for (i, &ai) in a.iter().enumerate() {
-            for (j, &bj) in b.iter().enumerate() {
-                out.data[i * b.len() + j] = ai * bj;
-            }
-        }
-        out
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Fills the matrix with a constant value.
@@ -631,17 +526,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     (s0 + s1) + (s2 + s3) + tail
 }
 
-/// Euclidean (l2) norm of a slice.
-pub fn l2_norm(a: &[f64]) -> f64 {
-    a.iter().map(|v| v * v).sum::<f64>().sqrt()
-}
-
-/// Squared Euclidean distance between two equal-length slices.
-pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "squared_distance length mismatch");
-    a.iter().zip(b.iter()).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -658,7 +542,11 @@ mod tests {
     #[test]
     fn identity_is_matmul_neutral() {
         let a = Matrix::from_rows(&[vec![1.0, -2.0, 0.5], vec![3.0, 4.0, -1.0]]);
-        let i = Matrix::identity(3);
+        let i = Matrix::from_rows(&[
+            vec![1.0, 0.0, 0.0],
+            vec![0.0, 1.0, 0.0],
+            vec![0.0, 0.0, 1.0],
+        ]);
         assert_eq!(a.matmul(&i), a);
     }
 
@@ -668,8 +556,10 @@ mod tests {
         let v = vec![1.0, 0.5, -1.0];
         let mv = a.matvec(&v);
         assert_eq!(mv, vec![1.0 + 1.0 - 3.0, 4.0 + 2.5 - 6.0]);
+        // The transposed product is read through `transpose`, as the
+        // kernel tests do.
         let u = vec![2.0, -1.0];
-        let tv = a.t_matvec(&u);
+        let tv = a.transpose().matvec(&u);
         assert_eq!(tv, vec![2.0 - 4.0, 4.0 - 5.0, 6.0 - 6.0]);
     }
 
@@ -681,18 +571,15 @@ mod tests {
 
     #[test]
     fn outer_product_shape_and_values() {
-        let o = Matrix::outer(&[1.0, 2.0], &[3.0, 4.0, 5.0]);
+        // a ⊗ b is the GEMM with a one-wide inner dimension.
+        let o = Matrix::from_vec(2, 1, vec![1.0, 2.0]).matmul(&Matrix::from_vec(
+            1,
+            3,
+            vec![3.0, 4.0, 5.0],
+        ));
         assert_eq!(o.rows(), 2);
         assert_eq!(o.cols(), 3);
         assert_eq!(o.row(1), &[6.0, 8.0, 10.0]);
-    }
-
-    #[test]
-    fn add_and_scale() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0]]);
-        let b = Matrix::from_rows(&[vec![3.0, -2.0]]);
-        assert_eq!(a.add(&b).row(0), &[4.0, 0.0]);
-        assert_eq!(a.scale(2.0).row(0), &[2.0, 4.0]);
     }
 
     #[test]
@@ -707,14 +594,8 @@ mod tests {
     #[test]
     fn vector_helpers() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert!((l2_norm(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
-        assert!((squared_distance(&[1.0, 1.0], &[2.0, 3.0]) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn frobenius_norm_matches_l2_of_flat_data() {
-        let a = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, 4.0]]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
+        // Five elements: one unrolled 4-chunk plus the scalar tail.
+        assert_eq!(dot(&[1.0, 2.0, 3.0, 4.0, 5.0], &[1.0; 5]), 15.0);
     }
 
     #[test]

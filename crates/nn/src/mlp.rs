@@ -153,26 +153,6 @@ impl Mlp {
         x
     }
 
-    /// Forward pass caching intermediate values for [`Mlp::backward`].
-    pub fn forward_train(&mut self, input: &[f64]) -> Vec<f64> {
-        let mut x = input.to_vec();
-        for layer in &mut self.layers {
-            x = layer.forward_train(&x);
-        }
-        x
-    }
-
-    /// Backpropagates `dL/dy` through the network and accumulates parameter
-    /// gradients. Returns `dL/dx` (rarely needed, but useful when an MLP is a
-    /// sub-module of a larger differentiable computation).
-    pub fn backward(&mut self, grad_output: &[f64]) -> Vec<f64> {
-        let mut g = grad_output.to_vec();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
-    }
-
     /// Batched forward pass: one GEMM per layer for the whole minibatch.
     ///
     /// `input` is `(batch × input_dim)`. Activations and pre-activations are
@@ -257,8 +237,8 @@ impl Mlp {
         self.layers.iter().map(Dense::grad_norm_squared).sum()
     }
 
-    /// Visits `(params, grads, scale)` blocks in [`Mlp::param_grad_pairs`]
-    /// order without allocating.
+    /// Visits `(params, grads, scale)` blocks layer by layer — the order of
+    /// [`Mlp::parameters`] — without allocating.
     pub fn visit_param_blocks(&mut self, f: &mut crate::optimizer::ParamBlockVisitor<'_>) {
         for layer in &mut self.layers {
             layer.visit_param_blocks(f);
@@ -272,25 +252,9 @@ impl Mlp {
         }
     }
 
-    /// Scales all accumulated gradients (e.g. by `1/batch_size`).
-    pub fn scale_grad(&mut self, s: f64) {
-        for layer in &mut self.layers {
-            layer.scale_grad(s);
-        }
-    }
-
     /// Total number of trainable parameters.
     pub fn num_parameters(&self) -> usize {
         self.layers.iter().map(|l| l.num_parameters()).sum()
-    }
-
-    /// Returns `(parameter, gradient)` pairs across all layers.
-    pub fn param_grad_pairs(&mut self) -> Vec<(&mut f64, f64)> {
-        let mut out = Vec::with_capacity(self.num_parameters());
-        for layer in &mut self.layers {
-            out.extend(layer.param_grad_pairs());
-        }
-        out
     }
 
     /// Flat snapshot of all parameters.
@@ -344,8 +308,59 @@ mod tests {
     use super::*;
     use crate::loss::{mse_grad, mse_loss};
     use crate::optimizer::Adam;
+    use crate::test_util::{batch_matrix, BATCHES};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// The accumulated gradients in [`Mlp::parameters`] order.
+    fn flat_grads(net: &mut Mlp) -> Vec<f64> {
+        let mut out = Vec::new();
+        net.visit_param_blocks(&mut |_, grads, _| out.extend_from_slice(grads));
+        out
+    }
+
+    /// Stateless per-sample backprop: `Σ_b ∂L_b/∂θ` in [`Mlp::parameters`]
+    /// order, from `weights()`/`bias()` alone (an outer product for the
+    /// weights, `Wᵀδ` for the input gradient) — the reference the batched
+    /// GEMM path is compared against.
+    fn per_sample_reference_grads(net: &Mlp, inputs: &Matrix, grads: &Matrix) -> Vec<f64> {
+        let mut total = vec![0.0; net.num_parameters()];
+        for b in 0..inputs.rows() {
+            let mut acts = vec![inputs.row(b).to_vec()];
+            let mut pres = Vec::new();
+            for layer in net.layers_ref() {
+                let mut pre = layer.weights().matvec(&acts[acts.len() - 1]);
+                for (p, bias) in pre.iter_mut().zip(layer.bias()) {
+                    *p += bias;
+                }
+                acts.push(pre.iter().map(|&z| layer.activation().apply(z)).collect());
+                pres.push(pre);
+            }
+            let mut g = grads.row(b).to_vec();
+            let mut end = total.len();
+            for (l, layer) in net.layers_ref().iter().enumerate().rev() {
+                let (w, in_dim) = (layer.weights(), layer.in_dim());
+                let delta: Vec<f64> = g
+                    .iter()
+                    .zip(&pres[l])
+                    .map(|(g, &z)| g * layer.activation().derivative(z))
+                    .collect();
+                let start = end - layer.num_parameters();
+                let (gw, gb) = total[start..end].split_at_mut(in_dim * layer.out_dim());
+                for (r, d) in delta.iter().enumerate() {
+                    for (c, x) in acts[l].iter().enumerate() {
+                        gw[r * in_dim + c] += d * x;
+                    }
+                    gb[r] += d;
+                }
+                g = (0..in_dim)
+                    .map(|c| delta.iter().enumerate().map(|(r, d)| w.get(r, c) * d).sum())
+                    .collect();
+                end = start;
+            }
+        }
+        total
+    }
 
     #[test]
     fn dimensions_are_derived_from_sizes() {
@@ -387,34 +402,43 @@ mod tests {
     fn gradient_check_full_network() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let mut net = Mlp::new(&[3, 5, 2], Activation::Tanh, Activation::Identity, &mut rng);
-        let x = vec![0.2, -0.4, 0.8];
-        let target = vec![0.5, -0.5];
+        let mut ws = BatchWorkspace::new();
+        for batch in BATCHES {
+            let x = batch_matrix(batch, 3, 0.0);
+            let target = batch_matrix(batch, 2, 1.0);
+            // L = Σ_b mse(net(x_b), t_b), evaluated through the inference path.
+            let loss = |net: &Mlp| -> f64 {
+                (0..batch)
+                    .map(|b| mse_loss(&net.forward(x.row(b)), target.row(b)))
+                    .sum()
+            };
 
-        net.zero_grad();
-        let y = net.forward_train(&x);
-        let grad = mse_grad(&y, &target);
-        net.backward(&grad);
+            net.zero_grad();
+            let y = net.forward_batch(&x, &mut ws);
+            let mut grad = Matrix::zeros(batch, 2);
+            for b in 0..batch {
+                grad.copy_row_from(b, &mse_grad(y.row(b), target.row(b)));
+            }
+            net.backward_batch(&grad, &mut ws);
 
-        let analytic: Vec<f64> = net.param_grad_pairs().iter().map(|(_, g)| *g).collect();
-        let params = net.parameters();
-        let h = 1e-6;
-        for i in (0..params.len()).step_by(7) {
-            let mut plus = params.clone();
-            plus[i] += h;
-            let mut minus = params.clone();
-            minus[i] -= h;
-            let mut np = net.clone();
-            np.set_parameters(&plus);
-            let mut nm = net.clone();
-            nm.set_parameters(&minus);
-            let lp = mse_loss(&np.forward(&x), &target);
-            let lm = mse_loss(&nm.forward(&x), &target);
-            let numeric = (lp - lm) / (2.0 * h);
-            assert!(
-                (numeric - analytic[i]).abs() < 1e-4,
-                "param {i}: numeric {numeric} vs analytic {}",
-                analytic[i]
-            );
+            let analytic = flat_grads(&mut net);
+            let params = net.parameters();
+            let h = 1e-6;
+            for i in (0..params.len()).step_by(7) {
+                let mut p = params.clone();
+                let mut np = net.clone();
+                p[i] += h;
+                np.set_parameters(&p);
+                let mut nm = net.clone();
+                p[i] -= 2.0 * h;
+                nm.set_parameters(&p);
+                let numeric = (loss(&np) - loss(&nm)) / (2.0 * h);
+                assert!(
+                    (numeric - analytic[i]).abs() < 1e-4,
+                    "batch {batch} param {i}: numeric {numeric} vs analytic {}",
+                    analytic[i]
+                );
+            }
         }
     }
 
@@ -428,32 +452,33 @@ mod tests {
             &mut rng,
         );
         let mut opt = Adam::new(net.num_parameters(), 5e-3);
-        // Learn f(a, b) = a * 0.5 + b * 0.25.
-        let dataset: Vec<(Vec<f64>, Vec<f64>)> = (0..64)
-            .map(|i| {
-                let a = (i % 8) as f64 / 8.0;
-                let b = (i / 8) as f64 / 8.0;
-                (vec![a, b], vec![0.5 * a + 0.25 * b])
-            })
-            .collect();
+        // Learn f(a, b) = a * 0.5 + b * 0.25 on an 8 × 8 grid.
+        let n = 64;
+        let mut inputs = Matrix::zeros(n, 2);
+        let mut targets = Matrix::zeros(n, 1);
+        for i in 0..n {
+            let a = (i % 8) as f64 / 8.0;
+            let b = (i / 8) as f64 / 8.0;
+            inputs.copy_row_from(i, &[a, b]);
+            targets.set(i, 0, 0.5 * a + 0.25 * b);
+        }
+        let mut ws = BatchWorkspace::new();
+        let mut grad = Matrix::zeros(n, 1);
         for _ in 0..400 {
             net.zero_grad();
-            for (x, t) in &dataset {
-                let y = net.forward_train(x);
-                let mut g = mse_grad(&y, t);
-                for gi in &mut g {
-                    *gi /= dataset.len() as f64;
-                }
-                net.backward(&g);
+            let y = net.forward_batch(&inputs, &mut ws);
+            for i in 0..n {
+                let g = mse_grad(y.row(i), targets.row(i));
+                grad.set(i, 0, g[0] / n as f64);
             }
-            opt.step(net.param_grad_pairs());
+            net.backward_batch(&grad, &mut ws);
+            opt.step_set(&mut net);
         }
-        let mut total = 0.0;
-        for (x, t) in &dataset {
-            total += mse_loss(&net.forward(x), t);
-        }
+        let total: f64 = (0..n)
+            .map(|i| mse_loss(&net.forward(inputs.row(i)), targets.row(i)))
+            .sum();
         assert!(
-            total / (dataset.len() as f64) < 1e-3,
+            total / (n as f64) < 1e-3,
             "network failed to fit linear target"
         );
     }
@@ -486,46 +511,28 @@ mod tests {
     #[test]
     fn backward_batch_accumulates_the_same_gradients_as_per_sample_backward() {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let proto = Mlp::new(
+        let mut net = Mlp::new(
             &[4, 12, 6, 2],
             Activation::Tanh,
             Activation::Identity,
             &mut rng,
         );
-        let mut per_sample = proto.clone();
-        let mut batched = proto.clone();
-        let batch = 9;
-        let mut inputs = Matrix::zeros(batch, 4);
-        let mut grads = Matrix::zeros(batch, 2);
-        for b in 0..batch {
-            for c in 0..4 {
-                inputs.set(b, c, ((b * 4 + c) as f64 * 0.37).sin());
-            }
-            grads.set(b, 0, 0.5 - b as f64 * 0.1);
-            grads.set(b, 1, 0.2 + b as f64 * 0.05);
-        }
-
-        per_sample.zero_grad();
-        for b in 0..batch {
-            let _ = per_sample.forward_train(inputs.row(b));
-            per_sample.backward(grads.row(b));
-        }
-        batched.zero_grad();
         let mut ws = BatchWorkspace::new();
-        let _ = batched.forward_batch(&inputs, &mut ws);
-        batched.backward_batch(&grads, &mut ws);
+        for batch in BATCHES {
+            let inputs = batch_matrix(batch, 4, 0.0);
+            let grads = batch_matrix(batch, 2, 2.0);
+            let reference = per_sample_reference_grads(&net, &inputs, &grads);
 
-        let a: Vec<f64> = per_sample
-            .param_grad_pairs()
-            .iter()
-            .map(|(_, g)| *g)
-            .collect();
-        let b: Vec<f64> = batched.param_grad_pairs().iter().map(|(_, g)| *g).collect();
-        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-            assert!(
-                (x - y).abs() < 1e-12,
-                "grad {i}: per-sample {x} vs batched {y}"
-            );
+            net.zero_grad();
+            let _ = net.forward_batch(&inputs, &mut ws);
+            net.backward_batch(&grads, &mut ws);
+
+            for (i, (x, y)) in reference.iter().zip(flat_grads(&mut net)).enumerate() {
+                assert!(
+                    (x - y).abs() < 1e-12,
+                    "batch {batch} grad {i}: per-sample {x} vs batched {y}"
+                );
+            }
         }
     }
 

@@ -1,14 +1,13 @@
-//! First-order optimizers (SGD with momentum, Adam).
+//! The Adam optimizer.
 //!
-//! Both optimizers work on `(parameter, gradient)` pairs as produced by
-//! [`Mlp::param_grad_pairs`](crate::mlp::Mlp::param_grad_pairs), so the same
-//! optimizer drives plain MLPs, Gaussian policies and Bayesian networks.
+//! [`Adam::step_set`] updates any [`ParameterSet`] in place, block by block,
+//! so the same optimizer drives plain MLPs, Gaussian policies and Bayesian
+//! networks without a per-step allocation.
 
 use serde::{Deserialize, Serialize};
 
 /// A model whose parameters and accumulated gradients can be visited as
-/// contiguous blocks — the allocation-free alternative to
-/// [`Mlp::param_grad_pairs`](crate::mlp::Mlp::param_grad_pairs).
+/// contiguous blocks.
 ///
 /// Implementations must visit the same blocks in the same order on every
 /// call, and the total length must match the size the optimizer was created
@@ -26,7 +25,7 @@ pub trait ParameterSet {
 /// Visitor over `(params, grads, scale)` parameter blocks.
 pub type ParamBlockVisitor<'a> = dyn FnMut(&mut [f64], &[f64], f64) + 'a;
 
-/// Adam optimizer (Kingma & Ba, 2015) with optional gradient clipping.
+/// Adam optimizer (Kingma & Ba, 2015) with global-norm gradient clipping.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Adam {
     learning_rate: f64,
@@ -55,65 +54,13 @@ impl Adam {
         }
     }
 
-    /// Sets the global-norm gradient clip (`None` disables clipping).
-    pub fn with_max_grad_norm(mut self, clip: Option<f64>) -> Self {
-        self.max_grad_norm = clip;
-        self
-    }
-
-    /// Changes the learning rate (e.g. for schedules).
-    pub fn set_learning_rate(&mut self, lr: f64) {
-        self.learning_rate = lr;
-    }
-
     /// Current learning rate.
     pub fn learning_rate(&self) -> f64 {
         self.learning_rate
     }
 
-    /// Number of optimizer steps taken so far.
-    pub fn steps_taken(&self) -> u64 {
-        self.step_count
-    }
-
-    /// Applies one Adam update to the given `(parameter, gradient)` pairs.
-    ///
-    /// # Panics
-    /// Panics if the number of pairs does not match the size the optimizer
-    /// was created with.
-    pub fn step(&mut self, pairs: Vec<(&mut f64, f64)>) {
-        assert_eq!(
-            pairs.len(),
-            self.first_moment.len(),
-            "optimizer was created for a different parameter count"
-        );
-        self.step_count += 1;
-        let mut grads: Vec<f64> = pairs.iter().map(|(_, g)| *g).collect();
-        if let Some(clip) = self.max_grad_norm {
-            let norm = grads.iter().map(|g| g * g).sum::<f64>().sqrt();
-            if norm > clip && norm > 0.0 {
-                let scale = clip / norm;
-                for g in &mut grads {
-                    *g *= scale;
-                }
-            }
-        }
-        let bc1 = 1.0 - self.beta1.powi(self.step_count as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.step_count as i32);
-        for (i, (param, _)) in pairs.into_iter().enumerate() {
-            let g = grads[i];
-            self.first_moment[i] = self.beta1 * self.first_moment[i] + (1.0 - self.beta1) * g;
-            self.second_moment[i] = self.beta2 * self.second_moment[i] + (1.0 - self.beta2) * g * g;
-            let m_hat = self.first_moment[i] / bc1;
-            let v_hat = self.second_moment[i] / bc2;
-            *param -= self.learning_rate * m_hat / (v_hat.sqrt() + self.epsilon);
-        }
-    }
-
-    /// Applies one Adam update directly on a [`ParameterSet`] — numerically
-    /// identical to [`Adam::step`] but without materializing the
-    /// `(parameter, gradient)` pair vector, so the training loop stays free
-    /// of per-step heap allocations.
+    /// Applies one Adam update to a [`ParameterSet`] in place, with no
+    /// per-step heap allocation.
     ///
     /// # Panics
     /// Panics if the set's total parameter count does not match the size the
@@ -131,8 +78,13 @@ impl Adam {
             }
             None => 1.0,
         };
-        let inv_bc1 = 1.0 / (1.0 - self.beta1.powi(self.step_count as i32));
-        let inv_bc2 = 1.0 / (1.0 - self.beta2.powi(self.step_count as i32));
+        // The counter lives in checkpoints and only ever grows; past
+        // `i32::MAX` a plain cast would wrap to a negative exponent. βⁿ is
+        // already exactly 0.0 long before that, so saturating changes no
+        // reachable step.
+        let exponent = self.step_count.min(i32::MAX as u64) as i32;
+        let inv_bc1 = 1.0 / (1.0 - self.beta1.powi(exponent));
+        let inv_bc2 = 1.0 / (1.0 - self.beta2.powi(exponent));
         let (lr, b1, b2, eps) = (self.learning_rate, self.beta1, self.beta2, self.epsilon);
         let first = &mut self.first_moment;
         let second = &mut self.second_moment;
@@ -174,125 +126,107 @@ impl Adam {
             "optimizer was created for a different parameter count"
         );
     }
-
-    /// Resets the moment estimates and step counter.
-    pub fn reset(&mut self) {
-        self.step_count = 0;
-        for m in &mut self.first_moment {
-            *m = 0.0;
-        }
-        for v in &mut self.second_moment {
-            *v = 0.0;
-        }
-    }
-}
-
-/// Stochastic gradient descent with classical momentum.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Sgd {
-    learning_rate: f64,
-    momentum: f64,
-    velocity: Vec<f64>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer for `num_params` parameters.
-    pub fn new(num_params: usize, learning_rate: f64, momentum: f64) -> Self {
-        Self {
-            learning_rate,
-            momentum,
-            velocity: vec![0.0; num_params],
-        }
-    }
-
-    /// Applies one SGD update.
-    ///
-    /// # Panics
-    /// Panics if the number of pairs does not match the optimizer size.
-    pub fn step(&mut self, pairs: Vec<(&mut f64, f64)>) {
-        assert_eq!(pairs.len(), self.velocity.len(), "parameter count mismatch");
-        for (i, (param, grad)) in pairs.into_iter().enumerate() {
-            self.velocity[i] = self.momentum * self.velocity[i] - self.learning_rate * grad;
-            *param += self.velocity[i];
-        }
-    }
-
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f64 {
-        self.learning_rate
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A flat parameter vector with externally written gradients.
+    struct Flat {
+        params: Vec<f64>,
+        grads: Vec<f64>,
+    }
+
+    impl Flat {
+        fn new(params: &[f64]) -> Self {
+            Self {
+                params: params.to_vec(),
+                grads: vec![0.0; params.len()],
+            }
+        }
+    }
+
+    impl ParameterSet for Flat {
+        fn grad_norm_squared(&self) -> f64 {
+            self.grads.iter().map(|g| g * g).sum()
+        }
+
+        fn visit_param_blocks(&mut self, f: &mut ParamBlockVisitor<'_>) {
+            f(&mut self.params, &self.grads, 1.0);
+        }
+    }
+
     /// Minimizes f(x) = (x - 3)^2 starting at 0 and checks convergence.
     #[test]
     fn adam_minimizes_a_quadratic() {
-        let mut x = 0.0f64;
+        let mut x = Flat::new(&[0.0]);
         let mut opt = Adam::new(1, 0.1);
         for _ in 0..500 {
-            let grad = 2.0 * (x - 3.0);
-            opt.step(vec![(&mut x, grad)]);
+            x.grads[0] = 2.0 * (x.params[0] - 3.0);
+            opt.step_set(&mut x);
         }
+        let x = x.params[0];
         assert!((x - 3.0).abs() < 1e-3, "adam did not converge: {x}");
     }
 
     #[test]
-    fn sgd_minimizes_a_quadratic() {
-        let mut x = 10.0f64;
-        let mut opt = Sgd::new(1, 0.05, 0.9);
-        for _ in 0..500 {
-            let grad = 2.0 * (x - 3.0);
-            opt.step(vec![(&mut x, grad)]);
-        }
-        assert!((x - 3.0).abs() < 1e-2, "sgd did not converge: {x}");
-    }
-
-    #[test]
     fn adam_handles_multidimensional_problems() {
-        let mut params = [5.0f64, -4.0, 2.0];
+        let mut set = Flat::new(&[5.0, -4.0, 2.0]);
         let targets = [1.0, 2.0, 3.0];
         let mut opt = Adam::new(3, 0.05);
         for _ in 0..2000 {
-            let grads: Vec<f64> = params
-                .iter()
-                .zip(targets.iter())
-                .map(|(p, t)| 2.0 * (p - t))
-                .collect();
-            let pairs: Vec<(&mut f64, f64)> = params.iter_mut().zip(grads).collect();
-            opt.step(pairs);
+            for ((g, p), t) in set.grads.iter_mut().zip(&set.params).zip(&targets) {
+                *g = 2.0 * (p - t);
+            }
+            opt.step_set(&mut set);
         }
-        for (p, t) in params.iter().zip(targets.iter()) {
+        for (p, t) in set.params.iter().zip(targets.iter()) {
             assert!((p - t).abs() < 1e-2);
         }
     }
 
     #[test]
     fn gradient_clipping_limits_update_magnitude() {
-        let mut x = 0.0f64;
-        let mut opt = Adam::new(1, 1.0).with_max_grad_norm(Some(1e-3));
-        opt.step(vec![(&mut x, 1e9)]);
-        // With clipping, Adam's first step is bounded by the learning rate.
-        assert!(x.abs() <= 1.0 + 1e-9);
+        let mut x = Flat::new(&[0.0]);
+        let mut opt = Adam::new(1, 1.0);
+        x.grads[0] = 1e9;
+        opt.step_set(&mut x);
+        // Adam's first step is bounded by the learning rate.
+        assert!(x.params[0].abs() <= 1.0 + 1e-9);
+        // The moments saw the gradient clipped to the global norm of 5, not
+        // the raw 1e9.
+        assert!((opt.first_moment[0] - 0.1 * 5.0).abs() < 1e-12);
+        assert!((opt.second_moment[0] - 0.001 * 25.0).abs() < 1e-12);
     }
 
     #[test]
-    fn reset_clears_state() {
-        let mut x = 0.0f64;
-        let mut opt = Adam::new(1, 0.1);
-        opt.step(vec![(&mut x, 1.0)]);
-        assert_eq!(opt.steps_taken(), 1);
-        opt.reset();
-        assert_eq!(opt.steps_taken(), 0);
+    fn bias_correction_survives_step_counts_beyond_i32() {
+        // A long-running daemon's counter, as a checkpoint would carry it.
+        let json = serde_json::to_string(&Adam::new(1, 0.1)).expect("serialize");
+        let doctored = json.replace("\"step_count\":0", "\"step_count\":2147483647");
+        assert_ne!(json, doctored, "step_count not found in {json}");
+        let mut opt: Adam = serde_json::from_str(&doctored).expect("deserialize");
+        let mut x = Flat::new(&[0.0]);
+        for _ in 0..2 {
+            let before = x.params[0];
+            x.grads[0] = 1.0;
+            opt.step_set(&mut x);
+            let after = x.params[0];
+            assert!(
+                after.is_finite() && after < before,
+                "step {} did not descend: {before} -> {after}",
+                opt.step_count
+            );
+        }
+        assert_eq!(opt.step_count, (1u64 << 31) + 1);
     }
 
     #[test]
     #[should_panic(expected = "different parameter count")]
     fn wrong_parameter_count_panics() {
-        let mut x = 0.0f64;
+        let mut x = Flat::new(&[0.0]);
         let mut opt = Adam::new(2, 0.1);
-        opt.step(vec![(&mut x, 1.0)]);
+        opt.step_set(&mut x);
     }
 }

@@ -140,32 +140,17 @@ impl GaussianPolicy {
         self.mean_net.forward(state)
     }
 
-    /// Draws a stochastic action for the given state.
+    /// Draws a stochastic action for the given state:
+    /// [`GaussianPolicy::sample_with_mean`] over
+    /// [`GaussianPolicy::mean_action`].
     pub fn sample<R: Rng + ?Sized>(&self, state: &[f64], rng: &mut R) -> PolicySample {
-        let mean = self.mean_net.forward(state);
-        let std = self.std();
-        let mut raw = Vec::with_capacity(mean.len());
-        for (m, s) in mean.iter().zip(std.iter()) {
-            let z = standard_normal(rng);
-            raw.push(m + s * z);
-        }
-        let log_prob = self.log_prob_given(&mean, &std, &raw);
-        let action = raw.iter().map(|&a| a.clamp(0.0, 1.0)).collect();
-        PolicySample {
-            raw_action: raw,
-            action,
-            mean,
-            std,
-            log_prob,
-        }
+        self.sample_with_mean(&self.mean_action(state), rng)
     }
 
-    /// Like [`GaussianPolicy::sample`], but with the policy mean already
-    /// computed — the scatter half of the fused cell batch hands each agent
-    /// its mean row ([`crate::cell::CellBatch`]). Bit-identical to `sample`
-    /// on a shared RNG stream whenever `mean` carries exactly the bits
-    /// `mean_action(state)` would produce: the draw order, the raw-sample
-    /// arithmetic and the log-density are the same code path.
+    /// Draws a stochastic action around an already computed policy mean —
+    /// the scatter half of the fused cell batch hands each agent its mean
+    /// row ([`crate::cell::CellBatch`]). One standard-normal draw per
+    /// action dimension, in dimension order.
     pub fn sample_with_mean<R: Rng + ?Sized>(&self, mean: &[f64], rng: &mut R) -> PolicySample {
         debug_assert_eq!(mean.len(), self.action_dim(), "mean length mismatch");
         let std = self.std();
@@ -212,66 +197,16 @@ impl GaussianPolicy {
             .sum()
     }
 
-    /// Accumulates the gradient of the loss `-weight · log π(raw_action | state)`
-    /// with respect to all policy parameters, so that stepping the optimizer
-    /// (which minimizes) performs policy-gradient *ascent* on
-    /// `weight · log π`.
-    ///
-    /// This is the policy-gradient building block used by PPO: the caller
-    /// computes the (clipped) surrogate weight per transition and this method
-    /// backpropagates it. Gradients accumulate until [`GaussianPolicy::zero_grad`].
-    ///
-    /// Internally the std-deviation gradients are stored in the ascent
-    /// convention and negated in [`GaussianPolicy::param_grad_pairs`]; the
-    /// mean-network gradients are negated here at the MLP boundary.
-    pub fn accumulate_log_prob_grad(&mut self, state: &[f64], raw_action: &[f64], weight: f64) {
-        let mean = self.mean_net.forward_train(state);
-        let std = self.std();
-        // d logp / d mean_i = (a_i - m_i) / s_i^2
-        // d logp / d s_i    = ((a_i - m_i)^2 - s_i^2) / s_i^3
-        let mut grad_out = Vec::with_capacity(mean.len());
-        for (i, ((m, s), a)) in mean
-            .iter()
-            .zip(std.iter())
-            .zip(raw_action.iter())
-            .enumerate()
-        {
-            let s = s.max(1e-9);
-            let diff = a - m;
-            // Descent gradient on -weight*logp wrt the mean output.
-            grad_out.push(-weight * diff / (s * s));
-            let d_logp_d_std = (diff * diff - s * s) / (s * s * s);
-            let d_std_d_rho = softplus_derivative(self.log_std_rho[i]);
-            // Ascent convention, negated later in `param_grad_pairs`.
-            self.grad_log_std_rho[i] += weight * d_logp_d_std * d_std_d_rho;
-        }
-        self.mean_net.backward(&grad_out);
-    }
-
     /// Batched log-probability evaluation: one forward GEMM per layer for
     /// the whole minibatch.
     ///
-    /// `states` is `(batch × state_dim)`, `raw_actions` is
+    /// The `(batch × state_dim)` state batch was already gathered into
+    /// [`BatchWorkspace::input_mut`] (the PPO minibatch loop writes shuffled
+    /// rows straight into the workspace); `raw_actions` is
     /// `(batch × action_dim)`; `log_probs` is cleared and refilled with one
     /// log-density per row. The policy means stay cached in `ws`, so a
     /// following [`GaussianPolicy::accumulate_log_prob_grad_batch`] call
     /// reuses this single forward pass instead of running its own.
-    pub fn log_probs_batch(
-        &self,
-        states: &Matrix,
-        raw_actions: &Matrix,
-        ws: &mut BatchWorkspace,
-        log_probs: &mut Vec<f64>,
-    ) {
-        assert_eq!(states.rows(), raw_actions.rows(), "batch size mismatch");
-        let buf = ws.input_mut(states.rows(), states.cols());
-        buf.data_mut().copy_from_slice(states.data());
-        self.log_probs_batch_prefilled(raw_actions, ws, log_probs);
-    }
-
-    /// Like [`GaussianPolicy::log_probs_batch`], but the state batch was
-    /// already gathered into [`BatchWorkspace::input_mut`] (the PPO minibatch
-    /// loop writes shuffled rows straight into the workspace).
     pub fn log_probs_batch_prefilled(
         &self,
         raw_actions: &Matrix,
@@ -313,13 +248,20 @@ impl GaussianPolicy {
     }
 
     /// Batched policy-gradient accumulation for the minibatch evaluated by
-    /// the immediately preceding [`GaussianPolicy::log_probs_batch`] call on
-    /// `ws` (the cached means and activations are reused — one forward and
-    /// one backward GEMM pass per layer per minibatch in total).
+    /// the immediately preceding
+    /// [`GaussianPolicy::log_probs_batch_prefilled`] call on `ws` (the
+    /// cached means and activations are reused — one forward and one
+    /// backward GEMM pass per layer per minibatch in total).
     ///
-    /// `weights[b]` is the per-transition surrogate weight; like the
-    /// per-sample [`GaussianPolicy::accumulate_log_prob_grad`], the
-    /// accumulated gradient descends `-Σ_b weights[b] · log π(a_b | s_b)`.
+    /// This is the policy-gradient building block used by PPO: `weights[b]`
+    /// is the (clipped) surrogate weight of transition `b`, and the
+    /// accumulated gradient descends `-Σ_b weights[b] · log π(a_b | s_b)`,
+    /// so that stepping the optimizer (which minimizes) performs
+    /// policy-gradient *ascent* on `Σ_b weights[b] · log π`. Gradients
+    /// accumulate until [`GaussianPolicy::zero_grad`]; the std-deviation
+    /// gradients are stored in the ascent convention and flipped by the
+    /// `-1` block scale of [`ParameterSet::visit_param_blocks`], the
+    /// mean-network gradients are negated here at the MLP boundary.
     /// `grad_buf` is a caller-owned scratch matrix.
     ///
     /// # Panics
@@ -371,7 +313,7 @@ impl GaussianPolicy {
                     let diff = a - m;
                     // Descent gradient on -w·logp wrt the mean output.
                     grad_row[i] = -w * diff * inv_var[i];
-                    // Ascent convention, negated in `param_grad_pairs`.
+                    // Ascent convention, see `visit_param_blocks`.
                     self.grad_log_std_rho[i] += w * (diff * diff * rho_quad[i] - rho_const[i]);
                 }
             }
@@ -386,7 +328,7 @@ impl GaussianPolicy {
             let s = softplus(rho) + self.min_std;
             // d entropy / d s = 1 / s ; ascent on entropy == descent on -entropy.
             let d_ent_d_rho = (1.0 / s) * softplus_derivative(rho);
-            // Stored in ascent convention (see `param_grad_pairs`).
+            // Stored in ascent convention (see `visit_param_blocks`).
             self.grad_log_std_rho[i] += coeff * d_ent_d_rho;
         }
     }
@@ -399,27 +341,9 @@ impl GaussianPolicy {
         }
     }
 
-    /// Scales accumulated gradients (e.g. by `1 / batch_size`).
-    pub fn scale_grad(&mut self, s: f64) {
-        self.mean_net.scale_grad(s);
-        for g in &mut self.grad_log_std_rho {
-            *g *= s;
-        }
-    }
-
     /// Total number of trainable parameters (mean network + std parameters).
     pub fn num_parameters(&self) -> usize {
         self.mean_net.num_parameters() + self.log_std_rho.len()
-    }
-
-    /// `(parameter, gradient)` pairs in the *descent* convention expected by
-    /// the optimizers: stepping along the negative gradient decreases
-    /// `-(weight · log π)` (i.e. performs policy-gradient ascent).
-    pub fn param_grad_pairs(&mut self) -> Vec<(&mut f64, f64)> {
-        let mut pairs = self.mean_net.param_grad_pairs();
-        let std_grads: Vec<f64> = self.grad_log_std_rho.iter().map(|g| -g).collect();
-        pairs.extend(self.log_std_rho.iter_mut().zip(std_grads));
-        pairs
     }
 
     /// Flat snapshot of all parameters (mean network, then std parameters).
@@ -471,7 +395,7 @@ impl ParameterSet for GaussianPolicy {
         self.mean_net.visit_param_blocks(f);
         // Std-deviation gradients are stored in the ascent convention; the
         // -1 scale flips them to the descent convention the optimizer
-        // expects, matching `param_grad_pairs`.
+        // expects.
         f(&mut self.log_std_rho, &self.grad_log_std_rho, -1.0);
     }
 }
@@ -479,6 +403,7 @@ impl ParameterSet for GaussianPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::{batch_matrix, BATCHES};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -486,6 +411,21 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let net = Mlp::new(&[4, 12, 3], Activation::Tanh, Activation::Sigmoid, &mut rng);
         GaussianPolicy::from_mean_net(net, 3, 0.2)
+    }
+
+    /// Gathers `states` into the workspace and evaluates the batch.
+    fn log_probs_of(
+        p: &GaussianPolicy,
+        states: &Matrix,
+        raw: &Matrix,
+        ws: &mut BatchWorkspace,
+    ) -> Vec<f64> {
+        ws.input_mut(states.rows(), states.cols())
+            .data_mut()
+            .copy_from_slice(states.data());
+        let mut log_probs = Vec::new();
+        p.log_probs_batch_prefilled(raw, ws, &mut log_probs);
+        log_probs
     }
 
     #[test]
@@ -634,26 +574,94 @@ mod tests {
         let mut policy = GaussianPolicy::from_mean_net(net, 1, 0.15);
         let mut opt = crate::optimizer::Adam::new(policy.num_parameters(), 5e-3);
         let state = [1.0];
+        let (mut ws, mut grad_buf) = (BatchWorkspace::new(), Matrix::default());
+        let states = Matrix::from_vec(16, 1, vec![state[0]; 16]);
+        let mut raw = Matrix::zeros(16, 1);
+        let mut weights = vec![0.0; 16];
         for _ in 0..600 {
             policy.zero_grad();
-            let mut batch = Vec::new();
-            for _ in 0..16 {
+            for (b, reward) in weights.iter_mut().enumerate() {
                 let s = policy.sample(&state, &mut rng);
-                let reward = -(s.action[0] - 0.8) * (s.action[0] - 0.8);
-                batch.push((s, reward));
+                raw.set(b, 0, s.raw_action[0]);
+                *reward = -(s.action[0] - 0.8) * (s.action[0] - 0.8);
             }
-            let mean_r = batch.iter().map(|(_, r)| *r).sum::<f64>() / batch.len() as f64;
-            for (s, r) in &batch {
-                let advantage = r - mean_r;
-                policy.accumulate_log_prob_grad(&state, &s.raw_action, advantage / 16.0);
+            let mean_r = weights.iter().sum::<f64>() / 16.0;
+            for w in &mut weights {
+                *w = (*w - mean_r) / 16.0;
             }
-            opt.step(policy.param_grad_pairs());
+            log_probs_of(&policy, &states, &raw, &mut ws);
+            policy.accumulate_log_prob_grad_batch(&raw, &weights, &mut ws, &mut grad_buf);
+            opt.step_set(&mut policy);
         }
         let m = policy.mean_action(&state)[0];
         assert!(
             (m - 0.8).abs() < 0.1,
             "policy mean {m} did not move toward 0.8"
         );
+    }
+
+    #[test]
+    fn log_probs_batch_prefilled_matches_per_row_log_prob() {
+        let p = small_policy(15);
+        let mut ws = BatchWorkspace::new();
+        for batch in BATCHES {
+            let states = batch_matrix(batch, 4, 0.0);
+            let raw = batch_matrix(batch, 3, 1.0);
+            let log_probs = log_probs_of(&p, &states, &raw, &mut ws);
+            assert_eq!(log_probs.len(), batch);
+            for (b, lp) in log_probs.iter().enumerate() {
+                let reference = p.log_prob(states.row(b), raw.row(b));
+                assert!(
+                    (lp - reference).abs() < 1e-12,
+                    "batch {batch} row {b}: {lp} vs {reference}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn accumulate_log_prob_grad_batch_matches_finite_differences() {
+        let mut p = small_policy(16);
+        let (mut ws, mut grad_buf) = (BatchWorkspace::new(), Matrix::default());
+        for batch in BATCHES {
+            let states = batch_matrix(batch, 4, 0.0);
+            let raw = batch_matrix(batch, 3, 1.0);
+            let weights: Vec<f64> = (0..batch).map(|b| (b as f64 * 0.9).cos()).collect();
+            // What the accumulated gradient descends, through the
+            // single-row inference path.
+            let objective = |p: &GaussianPolicy| -> f64 {
+                (0..batch)
+                    .map(|b| -weights[b] * p.log_prob(states.row(b), raw.row(b)))
+                    .sum()
+            };
+
+            p.zero_grad();
+            log_probs_of(&p, &states, &raw, &mut ws);
+            p.accumulate_log_prob_grad_batch(&raw, &weights, &mut ws, &mut grad_buf);
+            // Mean-net weights first, `log_std_rho` last — `parameters` order.
+            let mut analytic = Vec::new();
+            p.visit_param_blocks(&mut |_, grads, scale| {
+                analytic.extend(grads.iter().map(|g| g * scale));
+            });
+
+            let params = p.parameters();
+            assert_eq!(analytic.len(), params.len());
+            let h = 1e-6;
+            for (i, analytic_g) in analytic.iter().enumerate() {
+                let mut theta = params.clone();
+                let mut plus = p.clone();
+                theta[i] += h;
+                plus.set_parameters(&theta);
+                let mut minus = p.clone();
+                theta[i] -= 2.0 * h;
+                minus.set_parameters(&theta);
+                let numeric = (objective(&plus) - objective(&minus)) / (2.0 * h);
+                assert!(
+                    (numeric - analytic_g).abs() < 1e-4 * (1.0 + analytic_g.abs()),
+                    "batch {batch} param {i}: numeric {numeric} vs analytic {analytic_g}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -685,7 +693,7 @@ mod tests {
         for _ in 0..50 {
             p.zero_grad();
             p.accumulate_entropy_grad(0.1);
-            opt.step(p.param_grad_pairs());
+            opt.step_set(&mut p);
         }
         let after: f64 = p.std().iter().sum();
         assert!(

@@ -121,3 +121,44 @@ proptest! {
         }
     }
 }
+
+/// Checkpoints written before `Dense` lost its per-sample caches carry two
+/// (always empty) arrays per dense layer, under the same format version.
+/// Such a file must restore and resume exactly like the one this build
+/// writes.
+#[test]
+fn parent_format_checkpoint_with_dense_cache_keys_resumes_bit_for_bit() {
+    let mut engine = ScenarioEngine::new(quick_scenario(true), config(11)).unwrap();
+    engine.run_until(9, &mut ());
+    let json = Checkpoint::capture(&engine).to_json();
+    drop(engine);
+
+    let mut doctored = json.clone();
+    let mut dense_layers = 0;
+    for act in ["Relu", "Sigmoid", "Tanh", "LeakyRelu", "Identity"] {
+        let tail = format!(r#""activation":"{act}"}}"#);
+        dense_layers += json.matches(&tail).count();
+        doctored = doctored.replace(
+            &tail,
+            &format!(r#""activation":"{act}","cached_input":[],"cached_pre_activation":[]}}"#),
+        );
+    }
+    // Two slices, each with a three-layer policy mean net and critic.
+    assert_eq!(dense_layers, 12, "dense layers found in the checkpoint");
+
+    let resume = |text: &str| {
+        let mut restored = Checkpoint::from_json(text).unwrap().restore();
+        let mut tail = TelemetryRecorder::new(&restored);
+        let report = restored.run_with_observer(&mut tail);
+        // Every weight, Adam moment, buffer and RNG stream at the end of
+        // the run (the engine around it also carries wall-clock totals).
+        let end_state = serde_json::to_string(restored.orchestrator()).unwrap();
+        (report, tail.finalize(), end_state)
+    };
+    let (report, trace, end_state) = resume(&json);
+    let (old_report, old_trace, old_end_state) = resume(&doctored);
+    assert!(report.deterministic_fields_eq(&old_report));
+    assert_eq!(trace.slots, old_trace.slots);
+    assert_eq!(trace.episodes, old_trace.episodes);
+    assert_eq!(end_state, old_end_state);
+}
