@@ -9,8 +9,9 @@
 //! cargo run --release --bin bench_regress -- ci-bench.json baselines/BENCH_hotpath.json --update
 //! ```
 //!
-//! Tolerances (overridable with `--slower-tol` / `--speedup-tol`, both
-//! fractions): latency-like `*_ns`/`*_ms` metrics may regress up to +35 %,
+//! Tolerances (the constants of `Tolerances::default()`, deliberately not
+//! settable here — a settable tolerance on a gate is a way to pass it):
+//! latency-like `*_ns`/`*_ms` metrics may regress up to +35 %,
 //! throughput-like `*speedup*`/`*per_second*` metrics may lose up to 15 %,
 //! and deterministic metrics (SLA violation rates, cost statistics, counts,
 //! schema strings) must match exactly. Structural drift — metrics added,
@@ -23,32 +24,16 @@ use std::process::ExitCode;
 use onslicing_bench::regress::{compare_json, Tolerances};
 
 fn usage() -> String {
-    "usage: bench_regress <fresh.json> <baseline.json> [--update] \
-     [--slower-tol X] [--speedup-tol Y]"
-        .to_string()
+    "usage: bench_regress <fresh.json> <baseline.json> [--update]".to_string()
 }
 
 fn run() -> Result<bool, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut positional = Vec::new();
     let mut update = false;
-    let mut tol = Tolerances::default();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
+    for arg in &args {
         match arg.as_str() {
             "--update" => update = true,
-            "--slower-tol" => {
-                let v = iter.next().ok_or("--slower-tol needs a value")?;
-                tol.slower = v
-                    .parse()
-                    .map_err(|_| format!("invalid --slower-tol `{v}`"))?;
-            }
-            "--speedup-tol" => {
-                let v = iter.next().ok_or("--speedup-tol needs a value")?;
-                tol.speedup_loss = v
-                    .parse()
-                    .map_err(|_| format!("invalid --speedup-tol `{v}`"))?;
-            }
             other if other.starts_with("--") => return Err(format!("unknown option `{other}`")),
             name => positional.push(name.to_string()),
         }
@@ -76,7 +61,7 @@ fn run() -> Result<bool, String> {
              (first run? create it with --update and commit it)"
         )
     })?;
-    let report = compare_json(&baseline, &fresh, &tol)?;
+    let report = compare_json(&baseline, &fresh, &Tolerances::default())?;
     if report.passed() {
         println!(
             "bench_regress ok: {fresh_path} within tolerance of {baseline_path} \

@@ -1,8 +1,7 @@
 //! Shared fixtures for the hot-path benchmarks: the batched NN/PPO path
 //! versus a faithful reconstruction of the former per-sample path.
 //!
-//! Used by both `benches/hotpath_bench.rs` (criterion) and the
-//! `bench_hotpath` binary (which emits the machine-readable
+//! Used by the `bench_hotpath` binary (which emits the machine-readable
 //! `BENCH_hotpath.json` tracked across PRs).
 
 use rand::{Rng, SeedableRng};
@@ -279,8 +278,8 @@ impl NaiveAdam {
 }
 
 /// The pre-batching PPO learner: the seed's sample-by-sample minibatch loops
-/// over the seed's naive kernels. Kept as the baseline the criterion
-/// comparison and `BENCH_hotpath.json` measure the batched path against.
+/// over the seed's naive kernels. Kept as the baseline `BENCH_hotpath.json`
+/// measures the batched path against.
 pub struct PerSamplePpo {
     mean_net: NaiveMlp,
     critic: NaiveMlp,

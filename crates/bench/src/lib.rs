@@ -8,12 +8,9 @@
 //!   an optional `--full` flag that switches from the CI-scale configuration
 //!   (short episodes, few epochs) to a paper-scale run (96-slot episodes,
 //!   many more epochs — minutes to hours of compute).
-//! * `benches/` contains Criterion micro-benchmarks of the building blocks
-//!   (neural-network passes, simulator slots, PPO updates, coordination
-//!   rounds and full orchestration episodes).
 //!
-//! The helpers in this library are shared by both: deployment construction,
-//! method presets, and plain-text table/series printing.
+//! The helpers in this library are shared by the binaries: deployment
+//! construction, method presets, and plain-text table/series printing.
 
 pub mod hotpath;
 pub mod regress;

@@ -46,7 +46,7 @@ pub struct DrivePlan {
     /// Window sequence; after the last window the fleet runs to the end.
     pub windows: Vec<WindowOp>,
     /// Whether the reservation-aware admission-law probe runs at every
-    /// window boundary (on a throwaway restored copy of the fleet).
+    /// window boundary (on a throwaway clone of the fleet).
     pub probe_admissions: bool,
 }
 

@@ -279,14 +279,11 @@ fn kill_and_resume(fleet: ElasticFleet, dir: &Path) -> Result<ElasticFleet, Stri
     Ok(resumed)
 }
 
-/// Invariant 5 (admission law): on a throwaway restored copy of the fleet,
-/// admit back-to-back until denial and compare the grant count against the
+/// Invariant 5 (admission law): on a throwaway clone of the fleet, admit
+/// back-to-back until denial and compare the grant count against the
 /// independently predicted residual-capacity budget.
 fn check_admission_law(case: &ChaosCase, fleet: &ElasticFleet) -> Result<(), String> {
-    let mut probe = fleet
-        .checkpoint()
-        .restore()
-        .map_err(|e| format!("admission law: probe restore failed: {e}"))?;
+    let mut probe = fleet.clone();
     let spec = SliceSpec::new(SliceKind::Mar);
     if probe.is_complete() {
         if let Some((cell, slice)) = probe.admit(&spec) {

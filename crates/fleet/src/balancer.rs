@@ -22,7 +22,7 @@
 //! parallel stepping windows, so the same fleet produces the same migration
 //! schedule whatever the rayon worker count.
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use onslicing_replay::{MigrationEvent, TelemetryRecorder};
 use onslicing_scenario::ScenarioEngine;
@@ -31,7 +31,7 @@ use onslicing_slices::{ResourceKind, SliceKind};
 use crate::policy::{BalancePolicyName, BalanceSignals};
 
 /// Tuning of the fleet balancer.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BalancerConfig {
     /// Whether rebalancing runs at all (off = PR 4's frozen sharding).
     pub enabled: bool,
@@ -69,59 +69,6 @@ impl Default for BalancerConfig {
             min_slices_per_cell: 1,
             policy: BalancePolicyName::GREEDY,
         }
-    }
-}
-
-// Hand-written instead of derived so that the `policy` field is optional on
-// input (checkpoints and configs predating the registry carry none) and
-// defaults to `greedy`, the historical behaviour.
-impl Serialize for BalancerConfig {
-    fn serialize_value(&self) -> Value {
-        Value::Obj(vec![
-            ("enabled".to_string(), self.enabled.serialize_value()),
-            (
-                "cadence_slots".to_string(),
-                self.cadence_slots.serialize_value(),
-            ),
-            (
-                "max_migrations_per_round".to_string(),
-                self.max_migrations_per_round.serialize_value(),
-            ),
-            (
-                "min_load_gap".to_string(),
-                self.min_load_gap.serialize_value(),
-            ),
-            (
-                "violation_weight".to_string(),
-                self.violation_weight.serialize_value(),
-            ),
-            (
-                "min_slices_per_cell".to_string(),
-                self.min_slices_per_cell.serialize_value(),
-            ),
-            ("policy".to_string(), self.policy.serialize_value()),
-        ])
-    }
-}
-
-impl Deserialize for BalancerConfig {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| DeError::msg(format!("BalancerConfig: missing field `{name}`")))
-        };
-        Ok(Self {
-            enabled: bool::from_value(field("enabled")?)?,
-            cadence_slots: usize::from_value(field("cadence_slots")?)?,
-            max_migrations_per_round: usize::from_value(field("max_migrations_per_round")?)?,
-            min_load_gap: f64::from_value(field("min_load_gap")?)?,
-            violation_weight: f64::from_value(field("violation_weight")?)?,
-            min_slices_per_cell: usize::from_value(field("min_slices_per_cell")?)?,
-            policy: match v.get("policy") {
-                Some(p) => BalancePolicyName::from_value(p)?,
-                None => BalancePolicyName::GREEDY,
-            },
-        })
     }
 }
 
@@ -195,7 +142,7 @@ pub struct MigrationRecord {
 /// Serializable so a fleet checkpoint can freeze every cell whole —
 /// deployment, telemetry-so-far and (report-only) latency samples — and a
 /// restored cell continues exactly where the snapshot stopped.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CellRuntime {
     /// Cell index (0-based).
     pub cell: u32,
@@ -488,5 +435,27 @@ mod tests {
         }
         .validate()
         .unwrap();
+    }
+
+    #[test]
+    fn balancer_config_keys_are_pinned_in_order() {
+        // Part of every fleet checkpoint's layout: a reordered or renamed
+        // field is a format change.
+        let serde::Value::Obj(pairs) = BalancerConfig::default().serialize_value() else {
+            panic!("a balancer config serializes to an object");
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "enabled",
+                "cadence_slots",
+                "max_migrations_per_round",
+                "min_load_gap",
+                "violation_weight",
+                "min_slices_per_cell",
+                "policy",
+            ]
+        );
     }
 }

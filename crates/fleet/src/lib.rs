@@ -48,7 +48,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use onslicing_replay::{atomic_write, percentile, TelemetryTrace};
+use onslicing_replay::{atomic_write, from_versioned_json, percentile, TelemetryTrace};
 use onslicing_scenario::ScenarioReport;
 
 pub mod balancer;
@@ -242,17 +242,10 @@ impl FleetTrace {
         serde_json::to_string_pretty(self).expect("fleet trace serialization cannot fail")
     }
 
-    /// Parses a fleet trace, rejecting unknown layout versions.
+    /// Parses a fleet trace, rejecting unknown layout versions before any
+    /// other field is read ([`from_versioned_json`]).
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let trace: FleetTrace =
-            serde_json::from_str(text).map_err(|e| format!("malformed fleet trace: {e}"))?;
-        if trace.format_version != FLEET_TRACE_FORMAT_VERSION {
-            return Err(format!(
-                "fleet trace format version {} is not supported (expected {})",
-                trace.format_version, FLEET_TRACE_FORMAT_VERSION
-            ));
-        }
-        Ok(trace)
+        from_versioned_json(text, "fleet trace", FLEET_TRACE_FORMAT_VERSION)
     }
 
     /// Writes the trace to a file crash-safely (temp file + fsync + atomic
@@ -438,6 +431,18 @@ mod tests {
         assert!(FleetTrace::from_json(&bad.to_json())
             .unwrap_err()
             .contains("version 99"));
+    }
+
+    #[test]
+    fn stale_fleet_trace_versions_fail_with_the_version_error_not_a_missing_field() {
+        let stale = r#"{"format_version":0,"scenario":"tiny"}"#;
+        assert_eq!(
+            FleetTrace::from_json(stale).unwrap_err(),
+            format!(
+                "fleet trace format version 0 is not supported \
+                 (expected {FLEET_TRACE_FORMAT_VERSION})"
+            )
+        );
     }
 
     #[test]

@@ -24,11 +24,14 @@
 //!   rule ([`ScenarioEngine::check_admission`]) the scripted paths use, so
 //!   a fleet driven by a logged request stream is bit-for-bit a fleet with
 //!   those events spliced into the timeline.
-//! * [`ElasticFleet::checkpoint`] freezes everything — every cell's
-//!   deployment and telemetry recorder, the balancer's window baselines,
-//!   the scripted-timeline cursor and the admission counters — into a
-//!   versioned [`FleetCheckpoint`] whose restore continues the run
-//!   byte-exactly.
+//! * The live fleet **is** its own checkpoint: everything that defines the
+//!   run — every cell's deployment and telemetry recorder, the balancer's
+//!   window baselines, the scripted-timeline cursor, the admission counters
+//!   and the self-describing header — is declared once, in
+//!   [`FleetCheckpoint`], and the machine owns one. [`ElasticFleet::checkpoint`]
+//!   lends it (serialising reads the live state, nothing is copied);
+//!   [`FleetCheckpoint::restore`] validates a loaded one and wraps it, and
+//!   the run continues byte-exactly.
 //!
 //! ## Sync-point invariant
 //!
@@ -44,7 +47,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use onslicing_core::OnSlicingAgent;
-use onslicing_replay::{atomic_write, peek_format_version, TelemetryRecorder};
+use onslicing_replay::{atomic_write, from_versioned_json, TelemetryRecorder};
 use onslicing_scenario::{
     FleetScenario, LiveEventOutcome, ScenarioConfig, ScenarioEngine, ScenarioEvent, SliceSpec,
 };
@@ -102,20 +105,14 @@ impl ElasticFleetConfig {
 /// A running elastic fleet that can be driven from outside: stepped in
 /// windows, fed live control requests at window boundaries, checkpointed
 /// and resumed. See the module docs for the contract.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ElasticFleet {
-    scenario: FleetScenario,
-    config: ElasticFleetConfig,
-    cells: Vec<CellRuntime>,
-    balancer: FleetBalancer,
-    migrations: Vec<MigrationRecord>,
-    /// Cursor into the scripted fleet admissions (sorted by slot).
-    next_admission: usize,
-    fleet_admissions_granted: usize,
-    fleet_admissions_denied: usize,
+    /// The whole serialisable machine, header included (`state.slot` is
+    /// kept current wherever the cells advance).
+    state: FleetCheckpoint,
     /// Internal sync points (balancer cadence boundaries and scripted
-    /// fleet-admission slots, plus the scenario end), ascending. Recomputed
-    /// from the scenario and config — never serialized.
+    /// fleet-admission slots, plus the scenario end), ascending. A pure
+    /// function of the scenario and config — never serialized.
     sync_points: Vec<usize>,
     /// First entry of `sync_points` strictly above the current slot.
     next_sync: usize,
@@ -172,16 +169,29 @@ impl ElasticFleet {
             })
             .collect();
         let cells = cells?;
-        let balancer = FleetBalancer::new(config.balancer, cells.len());
-        let mut fleet = Self::assemble(scenario, config, cells, balancer, Vec::new(), 0, 0, 0);
-        // Establish the sync-point invariant: fleet-layer work scheduled at
-        // slot 0 (a scripted admission, typically) runs before the caller
-        // sees the fleet. `assemble` positions the cursor *past* every sync
-        // point at or before the current slot, which is right for restored
-        // checkpoints (their slot-0 work ran before capture) but would
-        // silently drop a slot-0 admission on a fresh fleet: rewind before
-        // processing.
-        fleet.next_sync = 0;
+        let mut fleet = Self {
+            sync_points: compute_sync_points(&scenario, &config),
+            // Unlike a restored fleet's cursor (past every sync point at or
+            // before its slot), a fresh one starts *at* the first sync
+            // point: fleet-layer work scheduled at slot 0 (a scripted
+            // admission, typically) runs before the caller sees the fleet.
+            next_sync: 0,
+            state: FleetCheckpoint {
+                format_version: FLEET_CHECKPOINT_FORMAT_VERSION,
+                scenario_name: scenario.name.clone(),
+                master_seed: config.base.seed,
+                slot: 0,
+                total_slots,
+                scenario,
+                config,
+                balancer: FleetBalancer::new(config.balancer, cells.len()),
+                cells,
+                migrations: Vec::new(),
+                next_admission: 0,
+                fleet_admissions_granted: 0,
+                fleet_admissions_denied: 0,
+            },
+        };
         fleet.process_due_syncs()?;
         Ok(fleet)
     }
@@ -203,54 +213,25 @@ impl ElasticFleet {
         fleet.finish(start.elapsed().as_secs_f64() * 1_000.0)
     }
 
-    /// Builds the struct and positions the sync cursor per the invariant.
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        scenario: FleetScenario,
-        config: ElasticFleetConfig,
-        cells: Vec<CellRuntime>,
-        balancer: FleetBalancer,
-        migrations: Vec<MigrationRecord>,
-        next_admission: usize,
-        fleet_admissions_granted: usize,
-        fleet_admissions_denied: usize,
-    ) -> Self {
-        let sync_points = compute_sync_points(&scenario, &config);
-        let slot = cells.first().map(|c| c.engine.current_slot()).unwrap_or(0);
-        let next_sync = sync_points.partition_point(|s| *s <= slot);
-        Self {
-            scenario,
-            config,
-            cells,
-            balancer,
-            migrations,
-            next_admission,
-            fleet_admissions_granted,
-            fleet_admissions_denied,
-            sync_points,
-            next_sync,
-        }
-    }
-
     /// The fleet scenario.
     pub fn scenario(&self) -> &FleetScenario {
-        &self.scenario
+        &self.state.scenario
     }
 
     /// The fleet configuration.
     pub fn config(&self) -> &ElasticFleetConfig {
-        &self.config
+        &self.state.config
     }
 
-    /// The current global slot. All cells are aligned at every public API
-    /// boundary, so the first cell speaks for the fleet.
+    /// The current global slot; all cells are aligned on it at every public
+    /// API boundary.
     pub fn slot(&self) -> usize {
-        self.cells[0].engine.current_slot()
+        self.state.slot
     }
 
     /// Scheduled end of the scenario, in slots.
     pub fn total_slots(&self) -> usize {
-        self.scenario.base.total_slots
+        self.state.total_slots
     }
 
     /// Whether every scheduled slot has executed.
@@ -260,27 +241,28 @@ impl ElasticFleet {
 
     /// The live cells, in cell order.
     pub fn cells(&self) -> &[CellRuntime] {
-        &self.cells
+        &self.state.cells
     }
 
     /// Migrations applied so far, in application order.
     pub fn migrations(&self) -> &[MigrationRecord] {
-        &self.migrations
+        &self.state.migrations
     }
 
     /// Fleet-routed admissions granted so far (scripted and live alike).
     pub fn fleet_admissions_granted(&self) -> usize {
-        self.fleet_admissions_granted
+        self.state.fleet_admissions_granted
     }
 
     /// Fleet-routed admissions denied fleet-wide so far.
     pub fn fleet_admissions_denied(&self) -> usize {
-        self.fleet_admissions_denied
+        self.state.fleet_admissions_denied
     }
 
     /// Total active slices across the fleet.
     pub fn active_slices(&self) -> usize {
-        self.cells
+        self.state
+            .cells
             .iter()
             .map(|c| c.engine.orchestrator().num_slices())
             .sum()
@@ -289,7 +271,8 @@ impl ElasticFleet {
     /// Deterministic per-cell utilization (worst-resource enforced share),
     /// in cell order.
     pub fn cell_utilizations(&self) -> Vec<f64> {
-        self.cells
+        self.state
+            .cells
             .iter()
             .map(|c| cell_utilization(&c.engine))
             .collect()
@@ -300,23 +283,24 @@ impl ElasticFleet {
     /// round when the sync sits on the cadence. The scenario-end pseudo-sync
     /// does no fleet work.
     fn process_due_syncs(&mut self) -> Result<(), String> {
-        let slot = self.slot();
-        let total = self.total_slots();
-        while self.next_sync < self.sync_points.len() && self.sync_points[self.next_sync] <= slot {
+        let state = &mut self.state;
+        while self.next_sync < self.sync_points.len()
+            && self.sync_points[self.next_sync] <= state.slot
+        {
             let sync = self.sync_points[self.next_sync];
             self.next_sync += 1;
-            if sync >= total {
+            if sync >= state.total_slots {
                 continue;
             }
-            let admissions = self.scenario.fleet_admissions();
-            while self.next_admission < admissions.len()
-                && admissions[self.next_admission].0 <= sync
+            let admissions = state.scenario.fleet_admissions();
+            while state.next_admission < admissions.len()
+                && admissions[state.next_admission].0 <= sync
             {
-                let (_, spec) = admissions[self.next_admission];
-                self.next_admission += 1;
-                match route_fleet_admission(&mut self.cells, &spec, sync) {
-                    Some(_) => self.fleet_admissions_granted += 1,
-                    None => self.fleet_admissions_denied += 1,
+                let (_, spec) = admissions[state.next_admission];
+                state.next_admission += 1;
+                match route_fleet_admission(&mut state.cells, &spec, sync) {
+                    Some(_) => state.fleet_admissions_granted += 1,
+                    None => state.fleet_admissions_denied += 1,
                 }
             }
             // The cadence schedule starts at `1 * cadence_slots` (see
@@ -325,12 +309,12 @@ impl ElasticFleet {
             // satisfies `is_multiple_of` for every cadence — without the
             // guard that admission would trigger an unscheduled balancer
             // round before any slot has executed.
-            if self.config.balancer.enabled
+            if state.config.balancer.enabled
                 && sync > 0
-                && sync.is_multiple_of(self.config.balancer.cadence_slots)
+                && sync.is_multiple_of(state.config.balancer.cadence_slots)
             {
-                let migrated = self.balancer.rebalance(sync, &mut self.cells)?;
-                self.migrations.extend(migrated);
+                let migrated = state.balancer.rebalance(sync, &mut state.cells)?;
+                state.migrations.extend(migrated);
             }
         }
         Ok(())
@@ -355,7 +339,7 @@ impl ElasticFleet {
                 .copied()
                 .unwrap_or(self.total_slots())
                 .min(target);
-            self.cells.par_iter_mut().for_each(|c| {
+            self.state.cells.par_iter_mut().for_each(|c| {
                 while c.engine.current_slot() < stop {
                     // detlint: allow(wall-clock) -- report-only: slot
                     // latencies feed the report's percentile fields; every
@@ -366,6 +350,7 @@ impl ElasticFleet {
                         .push(slot_start.elapsed().as_secs_f64() * 1_000.0);
                 }
             });
+            self.state.slot = stop;
         }
     }
 
@@ -381,16 +366,16 @@ impl ElasticFleet {
         // slice granted here would never run (and its zero-slot episode
         // would pollute the final aggregation): deny fleet-wide.
         if self.is_complete() {
-            self.fleet_admissions_denied += 1;
+            self.state.fleet_admissions_denied += 1;
             return None;
         }
-        match route_fleet_admission(&mut self.cells, spec, slot) {
+        match route_fleet_admission(&mut self.state.cells, spec, slot) {
             Some(placement) => {
-                self.fleet_admissions_granted += 1;
+                self.state.fleet_admissions_granted += 1;
                 Some(placement)
             }
             None => {
-                self.fleet_admissions_denied += 1;
+                self.state.fleet_admissions_denied += 1;
                 None
             }
         }
@@ -405,44 +390,22 @@ impl ElasticFleet {
         cell: u32,
         event: &ScenarioEvent,
     ) -> Result<LiveEventOutcome, String> {
-        let index = self
-            .cells
+        let cells = &mut self.state.cells;
+        let index = cells
             .iter()
             .position(|c| c.cell == cell)
-            .ok_or_else(|| format!("no such cell {cell} (fleet has {})", self.cells.len()))?;
-        let c = &mut self.cells[index];
+            .ok_or_else(|| format!("no such cell {cell} (fleet has {})", cells.len()))?;
+        let c = &mut cells[index];
         c.engine.inject_event(event, &mut c.recorder)
     }
 
-    /// Freezes the complete fleet state into a versioned checkpoint.
-    /// Call between windows (the cells must be aligned), never from inside
-    /// an observer callback.
-    pub fn checkpoint(&self) -> FleetCheckpoint {
-        FleetCheckpoint {
-            format_version: FLEET_CHECKPOINT_FORMAT_VERSION,
-            scenario_name: self.scenario.name.clone(),
-            master_seed: self.config.base.seed,
-            slot: self.slot(),
-            total_slots: self.total_slots(),
-            scenario: self.scenario.clone(),
-            config: self.config,
-            cells: self
-                .cells
-                .iter()
-                .map(|c| CellRuntime {
-                    cell: c.cell,
-                    seed: c.seed,
-                    engine: c.engine.clone(),
-                    recorder: c.recorder.clone(),
-                    slot_latencies_ms: c.slot_latencies_ms.clone(),
-                })
-                .collect(),
-            balancer: self.balancer.clone(),
-            migrations: self.migrations.clone(),
-            next_admission: self.next_admission,
-            fleet_admissions_granted: self.fleet_admissions_granted,
-            fleet_admissions_denied: self.fleet_admissions_denied,
-        }
+    /// Lends the complete fleet state as a versioned checkpoint: the
+    /// machine's own state value, read in place — `fleet.checkpoint().save(..)`
+    /// and `.to_json()` serialise the live fleet without copying it (clone
+    /// the [`ElasticFleet`] itself for a throwaway copy). Call between
+    /// windows, never from inside an observer callback.
+    pub fn checkpoint(&self) -> &FleetCheckpoint {
+        &self.state
     }
 
     /// Closes every cell's final partial episodes and aggregates the fleet
@@ -458,7 +421,8 @@ impl ElasticFleet {
                 self.total_slots()
             ));
         }
-        let outcomes: Result<Vec<CellOutcome>, String> = self
+        let state = self.state;
+        let outcomes: Result<Vec<CellOutcome>, String> = state
             .cells
             .into_par_iter()
             .map(|mut c| {
@@ -480,18 +444,18 @@ impl ElasticFleet {
             .collect();
         let outcomes = outcomes?;
         let mut report = aggregate_fleet(
-            &self.scenario.name,
-            self.config.base.seed,
+            &state.scenario_name,
+            state.master_seed,
             &outcomes,
             wall_clock_ms,
         );
-        report.migrations = self.migrations;
-        report.fleet_admissions_granted = self.fleet_admissions_granted;
-        report.fleet_admissions_denied = self.fleet_admissions_denied;
+        report.migrations = state.migrations;
+        report.fleet_admissions_granted = state.fleet_admissions_granted;
+        report.fleet_admissions_denied = state.fleet_admissions_denied;
         let trace = FleetTrace {
             format_version: FLEET_TRACE_FORMAT_VERSION,
-            scenario: self.scenario.name.clone(),
-            master_seed: self.config.base.seed,
+            scenario: state.scenario_name,
+            master_seed: state.master_seed,
             cells: outcomes
                 .iter()
                 .map(|c| CellTraceEntry {
@@ -568,12 +532,15 @@ fn trunk_shape(agent: &OnSlicingAgent) -> [Vec<(usize, usize)>; 2] {
     })
 }
 
-/// A versioned, self-describing snapshot of a whole elastic fleet run:
-/// every cell's deployment and telemetry recorder, the balancer's window
-/// baselines, the scripted-timeline cursor and the admission counters.
-/// Restoring continues the run byte-exactly — the final trace of a resumed
-/// fleet is byte-identical to the uninterrupted run's.
-#[derive(Debug, Serialize, Deserialize)]
+/// A versioned, self-describing snapshot of a whole elastic fleet run, and
+/// the one declaration of the fleet machine's state: a self-describing
+/// header, every cell's deployment and telemetry recorder, the balancer's
+/// window baselines, the scripted-timeline cursor and the admission
+/// counters. A live [`ElasticFleet`] owns one and lends it through
+/// [`ElasticFleet::checkpoint`]; restoring a saved one continues the run
+/// byte-exactly — the final trace of a resumed fleet is byte-identical to
+/// the uninterrupted run's.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FleetCheckpoint {
     /// Layout version ([`FLEET_CHECKPOINT_FORMAT_VERSION`] at capture).
     pub format_version: u32,
@@ -590,52 +557,101 @@ pub struct FleetCheckpoint {
     cells: Vec<CellRuntime>,
     balancer: FleetBalancer,
     migrations: Vec<MigrationRecord>,
+    /// Cursor into the scripted fleet admissions (sorted by slot).
     next_admission: usize,
     fleet_admissions_granted: usize,
     fleet_admissions_denied: usize,
 }
 
 impl FleetCheckpoint {
-    /// Consumes the checkpoint and rebuilds the live fleet. The processed
-    /// sync-point cursor is recomputed from the restored slot (see the
-    /// module docs' invariant), so nothing replays and nothing is skipped.
+    /// Validates the checkpoint and wraps it as the live fleet's state.
+    ///
+    /// A file edited by hand (or torn in a way that still parses) never went
+    /// through the doors a live fleet guards, so everything the machine
+    /// relies on is checked here, each refusal naming both values: the
+    /// scenario and config must form a buildable fleet, the header must
+    /// describe the body (`scenario_name`, `master_seed`,
+    /// `total_slots` and the cell count against the serialized scenario and
+    /// config), every cell must sit at the header's `slot`, the balancer's
+    /// baselines must match the cell count and every cell's agents must
+    /// share one trunk shape. The processed sync-point cursor is recomputed
+    /// from the slot (see the module docs' invariant), so nothing replays
+    /// and nothing is skipped.
     pub fn restore(self) -> Result<ElasticFleet, String> {
-        if self.cells.is_empty() {
-            return Err("fleet checkpoint holds no cells".to_string());
+        self.validate()
+            .map_err(|e| format!("fleet checkpoint is inconsistent: {e}"))?;
+        let sync_points = compute_sync_points(&self.scenario, &self.config);
+        let next_sync = sync_points.partition_point(|s| *s <= self.slot);
+        Ok(ElasticFleet {
+            state: self,
+            sync_points,
+            next_sync,
+        })
+    }
+
+    /// What [`FleetCheckpoint::restore`] refuses, as the first problem found.
+    fn validate(&self) -> Result<(), String> {
+        // What `ElasticFleet::new` demands of a scenario and tuning (a zero
+        // balancer cadence would never finish computing its sync points).
+        ElasticFleet::validate(&self.scenario, &self.config)?;
+        if self.scenario_name != self.scenario.name {
+            return Err(format!(
+                "header names scenario `{}`, the serialized scenario is `{}`",
+                self.scenario_name, self.scenario.name
+            ));
+        }
+        if self.master_seed != self.config.base.seed {
+            return Err(format!(
+                "header master seed is {}, the serialized config is seeded {}",
+                self.master_seed, self.config.base.seed
+            ));
+        }
+        if self.total_slots != self.scenario.base.total_slots {
+            return Err(format!(
+                "header says {} total slots, the serialized scenario runs {}",
+                self.total_slots, self.scenario.base.total_slots
+            ));
+        }
+        if self.cells.len() != self.config.cells {
+            return Err(format!(
+                "it holds {} cells, the serialized config says {}",
+                self.cells.len(),
+                self.config.cells
+            ));
+        }
+        // `advance_to` steps every cell up to a common stop: a laggard would
+        // silently be stepped past sync points that already ran.
+        if let Some(c) = self
+            .cells
+            .iter()
+            .find(|c| c.engine.current_slot() != self.slot)
+        {
+            return Err(format!(
+                "cell {} sits at slot {}, the header says {}",
+                c.cell,
+                c.engine.current_slot(),
+                self.slot
+            ));
         }
         // The balancer's window baselines were sized for the fleet shape at
         // capture time; restoring them against a different cell count would
-        // index out of bounds inside a later rebalancing round. Fail loudly
-        // here instead.
-        self.balancer
-            .validate_cells(self.cells.len())
-            .map_err(|e| format!("fleet checkpoint is inconsistent: {e}"))?;
+        // index out of bounds inside a later rebalancing round.
+        self.balancer.validate_cells(self.cells.len())?;
         // An orchestrator refuses a slice whose networks do not have its
-        // cell's trunk shape where the slice enters; a file edited by hand
-        // never went through that door, and the cell's fused forward pass
-        // would hit its shape assert mid-run.
+        // cell's trunk shape where the slice enters; the cell's fused
+        // forward pass would hit its shape assert mid-run.
         for c in &self.cells {
             let mut shapes = c.engine.orchestrator().agents().iter().map(trunk_shape);
             if let Some(first) = shapes.next() {
                 if let Some(other) = shapes.find(|s| *s != first) {
                     return Err(format!(
-                        "fleet checkpoint is inconsistent: cell {} mixes agents with layer \
-                         dimensions {first:?} and {other:?}",
+                        "cell {} mixes agents with layer dimensions {first:?} and {other:?}",
                         c.cell
                     ));
                 }
             }
         }
-        Ok(ElasticFleet::assemble(
-            self.scenario,
-            self.config,
-            self.cells,
-            self.balancer,
-            self.migrations,
-            self.next_admission,
-            self.fleet_admissions_granted,
-            self.fleet_admissions_denied,
-        ))
+        Ok(())
     }
 
     /// The balance policy the checkpointed run was using. A resume must run
@@ -654,14 +670,11 @@ impl FleetCheckpoint {
         serde_json::to_string(self).expect("fleet checkpoint serialization cannot fail")
     }
 
-    /// Parses a fleet checkpoint, rejecting unknown layout versions with a
-    /// clear version error (the stamp is peeked before the structural
-    /// parse, like the single-cell [`onslicing_replay::Checkpoint`]).
+    /// Parses a fleet checkpoint through the one versioned-document loader
+    /// ([`from_versioned_json`]): one parse, and an unknown layout version
+    /// is reported before any other field is read.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        peek_format_version(text, "fleet checkpoint", FLEET_CHECKPOINT_FORMAT_VERSION)?;
-        let checkpoint: FleetCheckpoint =
-            serde_json::from_str(text).map_err(|e| format!("malformed fleet checkpoint: {e}"))?;
-        Ok(checkpoint)
+        from_versioned_json(text, "fleet checkpoint", FLEET_CHECKPOINT_FORMAT_VERSION)
     }
 
     /// Writes the checkpoint crash-safely (temp file + fsync + atomic
@@ -790,12 +803,11 @@ mod tests {
     fn incomplete_fleets_refuse_to_finish_and_stale_versions_fail_clearly() {
         let mut fleet = ElasticFleet::new(tiny_fleet_scenario(), quick_config(1)).unwrap();
         fleet.advance_to(4).unwrap();
-        let checkpoint = fleet.checkpoint();
+        let json = fleet.checkpoint().to_json();
         assert!(fleet.finish(0.0).unwrap_err().contains("incomplete"));
         // Version gate: a stale stamp (v1 = the weight-sampling predictor's
         // RNG stream) reports the version, not a missing field; a missing
         // stamp is malformed.
-        let json = checkpoint.to_json();
         assert!(json.starts_with("{\"format_version\":2,"));
         let doctored = json.replacen("\"format_version\":2", "\"format_version\":1", 1);
         let err = FleetCheckpoint::from_json(&doctored).unwrap_err();
@@ -811,7 +823,7 @@ mod tests {
     fn restore_refuses_a_checkpoint_doctored_to_mix_trunk_shapes() {
         let mut fleet = ElasticFleet::new(tiny_fleet_scenario(), quick_config(2)).unwrap();
         fleet.advance_to(4).unwrap();
-        let mut checkpoint = fleet.checkpoint();
+        let mut checkpoint = fleet.checkpoint().clone();
         // Swap one agent of cell 1 for a twin with the other network size —
         // a cell no orchestrator entry point would have let form.
         let agents = checkpoint.cells[1].engine.orchestrator_mut().agents_mut();
@@ -830,7 +842,108 @@ mod tests {
             "{err}"
         );
         // Untouched, the same checkpoint restores.
-        assert!(fleet.checkpoint().restore().is_ok());
+        assert!(fleet.checkpoint().clone().restore().is_ok());
+    }
+
+    #[test]
+    fn restore_refuses_a_header_that_does_not_describe_the_body() {
+        // One doctored fact at a time; every refusal names both values.
+        let mut fleet = ElasticFleet::new(tiny_fleet_scenario(), quick_config(2)).unwrap();
+        fleet.advance_to(4).unwrap();
+        let refused = |doctor: &dyn Fn(&mut FleetCheckpoint)| {
+            let mut checkpoint = fleet.checkpoint().clone();
+            doctor(&mut checkpoint);
+            checkpoint.restore().unwrap_err()
+        };
+        assert_eq!(
+            refused(&|c| c.scenario_name = "other-run".to_string()),
+            "fleet checkpoint is inconsistent: header names scenario `other-run`, \
+             the serialized scenario is `tiny-live`"
+        );
+        assert_eq!(
+            refused(&|c| c.master_seed = 12),
+            "fleet checkpoint is inconsistent: header master seed is 12, \
+             the serialized config is seeded 11"
+        );
+        assert_eq!(
+            refused(&|c| c.total_slots = 64),
+            "fleet checkpoint is inconsistent: header says 64 total slots, \
+             the serialized scenario runs 32"
+        );
+        assert_eq!(
+            refused(&|c| c.config.cells = 3),
+            "fleet checkpoint is inconsistent: it holds 2 cells, the serialized config says 3"
+        );
+        assert_eq!(
+            refused(&|c| c.slot = 5),
+            "fleet checkpoint is inconsistent: cell 0 sits at slot 4, the header says 5"
+        );
+        assert_eq!(
+            refused(&|c| c.config.balancer.cadence_slots = 0),
+            "fleet checkpoint is inconsistent: balancer cadence must be at least one slot"
+        );
+    }
+
+    #[test]
+    fn restore_refuses_cells_that_sit_at_different_slots() {
+        // Cell 1 spliced in from one slot later: `advance_to` would step
+        // cell 0 alone past whatever sync point lies between them.
+        let mut fleet = ElasticFleet::new(tiny_fleet_scenario(), quick_config(2)).unwrap();
+        fleet.advance_to(4).unwrap();
+        let mut checkpoint = fleet.checkpoint().clone();
+        fleet.advance_to(5).unwrap();
+        checkpoint.cells[1] = fleet.cells()[1].clone();
+        assert_eq!(
+            checkpoint.restore().unwrap_err(),
+            "fleet checkpoint is inconsistent: cell 1 sits at slot 5, the header says 4"
+        );
+    }
+
+    #[test]
+    fn checkpoint_json_top_level_keys_are_pinned_in_order() {
+        // The layout is the struct's declaration order: a reordered or
+        // renamed field is a format change and must show up here.
+        let fleet = ElasticFleet::new(tiny_fleet_scenario(), quick_config(1)).unwrap();
+        let value: serde::Value = serde_json::from_str(&fleet.checkpoint().to_json()).unwrap();
+        let serde::Value::Obj(pairs) = value else {
+            panic!("a fleet checkpoint is a JSON object");
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "format_version",
+                "scenario_name",
+                "master_seed",
+                "slot",
+                "total_slots",
+                "scenario",
+                "config",
+                "cells",
+                "balancer",
+                "migrations",
+                "next_admission",
+                "fleet_admissions_granted",
+                "fleet_admissions_denied",
+            ]
+        );
+    }
+
+    #[test]
+    fn a_cloned_fleet_advances_independently_to_the_same_trace() {
+        let mut fleet = ElasticFleet::new(tiny_fleet_scenario(), quick_config(2)).unwrap();
+        fleet.advance_to(13).unwrap();
+        let mut copy = fleet.clone();
+        // The copy runs ahead in its own windows; the original must not
+        // notice, and both must end on the same bytes.
+        copy.advance_to(20).unwrap();
+        assert_eq!(fleet.slot(), 13);
+        copy.advance_to(32).unwrap();
+        fleet.advance_to(32).unwrap();
+        assert_eq!(
+            copy.finish(0.0).unwrap().trace.to_json(),
+            fleet.finish(0.0).unwrap().trace.to_json()
+        );
     }
 
     #[test]

@@ -10,14 +10,19 @@
 //! pure function of (config, checkpoint, request log): replaying the log
 //! with `step`/`pause` pins produces the same bytes.
 //!
-//! Durability: a [`FleetCheckpoint`] is written crash-safely every time
-//! the global slot crosses a `[checkpoint] cadence_slots` boundary, on
+//! Durability: a [`FleetCheckpoint`] — the live fleet's own state, lent by
+//! [`ElasticFleet::checkpoint`] and serialised in place — is written
+//! crash-safely every time the global slot crosses a
+//! `[checkpoint] cadence_slots` boundary, on
 //! demand (`checkpoint`), at graceful shutdown and at completion; older
 //! files beyond `[checkpoint] retain` are garbage-collected. On startup
 //! the daemon resumes from the **newest complete** checkpoint — torn
 //! `*.tmp` partials are never even considered (the atomic-rename protocol
-//! keeps them out of the namespace), and an unreadable or stale-format
-//! file falls back to the next older one with a warning. When the
+//! keeps them out of the namespace), and an unreadable, stale-format,
+//! config-incompatible or self-inconsistent file (a header that does not
+//! describe its body, cells at different slots — see
+//! [`FleetCheckpoint::restore`]) falls back to the next older one with the
+//! reason on stderr. When the
 //! scenario completes, the daemon writes the final fleet trace
 //! (`TRACE_FLEET_<scenario>.json`) and exits; re-starting a completed
 //! state dir re-derives the identical trace and exits again — restart is
@@ -143,7 +148,9 @@ fn build_or_resume(config: &FleetdConfig) -> Result<ElasticFleet, String> {
 /// A checkpoint is only resumable into a daemon whose config names the
 /// same run: same scenario, same master seed, same admission and balance
 /// policies — resuming under a different policy would splice two different
-/// deterministic histories into one trace.
+/// deterministic histories into one trace. The header fields read here are
+/// held to the serialized scenario and config the machine actually runs on
+/// by [`FleetCheckpoint::restore`], the next step of the chain.
 fn check_compatible(
     config: &FleetdConfig,
 ) -> impl Fn(FleetCheckpoint) -> Result<FleetCheckpoint, String> + '_ {

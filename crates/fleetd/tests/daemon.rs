@@ -17,7 +17,7 @@ use onslicing_fleet::{ElasticFleet, ElasticFleetConfig};
 use onslicing_fleetd::{
     final_trace_path, send_request, LOCK_FILE_NAME, MAX_REQUEST_LINE_BYTES, REQUEST_LOG_NAME,
 };
-use onslicing_replay::ATOMIC_WRITE_PAUSE_ENV;
+use onslicing_replay::{checkpoint_file_name, ATOMIC_WRITE_PAUSE_ENV};
 use onslicing_scenario::fleet_by_name;
 
 const SCENARIO: &str = "hotspot-shift";
@@ -68,11 +68,15 @@ impl Drop for TestDir {
 }
 
 fn spawn_daemon(config: &Path, extra_env: &[(&str, &str)]) -> Child {
+    spawn_daemon_with_stderr(config, extra_env, Stdio::null())
+}
+
+fn spawn_daemon_with_stderr(config: &Path, extra_env: &[(&str, &str)], stderr: Stdio) -> Child {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_fleetd"));
     cmd.arg("run")
         .arg(config)
         .stdout(Stdio::null())
-        .stderr(Stdio::null());
+        .stderr(stderr);
     for (k, v) in extra_env {
         cmd.env(k, v);
     }
@@ -257,6 +261,47 @@ fn rolling_upgrade_drill_is_bit_exact() {
     // Both arms audit-logged their requests.
     assert!(uninterrupted.state_dir().join(REQUEST_LOG_NAME).exists());
     assert!(upgraded.state_dir().join(REQUEST_LOG_NAME).exists());
+}
+
+#[test]
+fn a_checkpoint_whose_header_contradicts_its_cells_is_skipped_with_the_reason() {
+    // Two checkpoints a real fleet wrote; the newer one's header is then
+    // doctored to claim slot 17 while its cells sit at 16. `restore` must
+    // refuse it, and the daemon must say why and resume from slot 8.
+    let dir = TestDir::new("doctored-header");
+    let config = dir.write_config();
+    std::fs::create_dir_all(dir.state_dir()).unwrap();
+    let mut fleet = ElasticFleet::new(fleet_by_name(SCENARIO).unwrap(), fleet_config()).unwrap();
+    for slot in [8, 16] {
+        fleet.advance_to(slot).unwrap();
+        let json = fleet.checkpoint().to_json();
+        let json = if slot == 16 {
+            json.replacen("\"slot\":16", "\"slot\":17", 1)
+        } else {
+            json
+        };
+        std::fs::write(dir.state_dir().join(checkpoint_file_name(slot)), json).unwrap();
+    }
+
+    let stderr_path = dir.root.join("stderr.log");
+    let log = std::fs::File::create(&stderr_path).unwrap();
+    let mut daemon = spawn_daemon_with_stderr(&config, &[], log.into());
+    wait_ready(&dir.socket());
+    let status = ctl_ok(&dir.socket(), "{\"op\":\"status\"}");
+    assert_eq!(status.get("slot").and_then(Value::as_u64), Some(8));
+    ctl_ok(&dir.socket(), "{\"op\":\"shutdown\"}");
+    assert!(wait_exit(&mut daemon).success());
+
+    let stderr = std::fs::read_to_string(&stderr_path).unwrap();
+    let skipped = stderr
+        .lines()
+        .find(|l| l.contains("skipping checkpoint") && l.contains(&checkpoint_file_name(16)))
+        .unwrap_or_else(|| panic!("no skip line for slot 16 in: {stderr}"));
+    assert!(
+        skipped.contains("cell 0 sits at slot 16, the header says 17"),
+        "{skipped}"
+    );
+    assert!(stderr.contains("(slot 8)"), "{stderr}");
 }
 
 #[test]

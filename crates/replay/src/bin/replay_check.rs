@@ -38,7 +38,7 @@ fn usage() -> String {
      commands:\n\
        list                                   print the built-in scenario names\n\
        trace <scenario> [--seed N] [--out PATH]\n\
-       golden <scenario>... [--goldens DIR] [--seed N] [--update] [--rel X] [--abs Y]\n\
+       golden <scenario>... [--goldens DIR] [--seed N] [--update]\n\
        checkpoint <scenario> --at-slot T [--seed N] [--out CK] [--trace-out TRACE]\n\
        resume --from CK [--expect TRACE] [--out PATH] [--policy NAME]\n\
      scenarios are built-in names or paths to scenario JSON files"
@@ -72,8 +72,6 @@ struct Options {
     out: Option<String>,
     goldens: PathBuf,
     update: bool,
-    rel: f64,
-    abs: f64,
     at_slot: Option<usize>,
     trace_out: Option<String>,
     from: Option<String>,
@@ -88,8 +86,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         out: None,
         goldens: PathBuf::from(DEFAULT_GOLDEN_DIR),
         update: false,
-        rel: Tolerance::default().rel,
-        abs: Tolerance::default().abs,
         at_slot: None,
         trace_out: None,
         from: None,
@@ -111,14 +107,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--out" => opts.out = Some(value("--out")?),
             "--goldens" => opts.goldens = PathBuf::from(value("--goldens")?),
             "--update" => opts.update = true,
-            "--rel" => {
-                let v = value("--rel")?;
-                opts.rel = v.parse().map_err(|_| format!("invalid --rel `{v}`"))?;
-            }
-            "--abs" => {
-                let v = value("--abs")?;
-                opts.abs = v.parse().map_err(|_| format!("invalid --abs `{v}`"))?;
-            }
             "--at-slot" => {
                 let v = value("--at-slot")?;
                 opts.at_slot = Some(v.parse().map_err(|_| format!("invalid --at-slot `{v}`"))?);
@@ -157,10 +145,6 @@ fn cmd_golden(opts: &Options) -> Result<bool, String> {
     if opts.positional.is_empty() {
         return Err("golden needs at least one scenario".to_string());
     }
-    let tol = Tolerance {
-        rel: opts.rel,
-        abs: opts.abs,
-    };
     let mut all_pass = true;
     for name in &opts.positional {
         let trace = record(name, opts.seed)?;
@@ -169,7 +153,7 @@ fn cmd_golden(opts: &Options) -> Result<bool, String> {
             println!("golden updated: {}", path.display());
             continue;
         }
-        match check_against_golden(&trace, &opts.goldens, tol) {
+        match check_against_golden(&trace, &opts.goldens, Tolerance::default()) {
             Ok(()) => println!(
                 "golden ok: `{}` ({} slots, {} episodes)",
                 trace.scenario,

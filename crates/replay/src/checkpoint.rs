@@ -12,6 +12,10 @@
 //! restored into a fresh process produces byte-identical telemetry for
 //! slots `t..total_slots` (verified by `replay_check resume` in CI and the
 //! property tests in `tests/checkpoint_replay.rs`).
+//!
+//! Loading goes through [`from_versioned_json`], shared with the telemetry
+//! trace and the fleet crate's checkpoint and trace: the document is parsed
+//! once and its `format_version` is checked before any other field is read.
 
 use std::path::Path;
 
@@ -21,15 +25,20 @@ use onslicing_scenario::{AdmissionPolicyName, ScenarioEngine};
 
 use crate::fsio::atomic_write;
 
-/// Reads the `format_version` stamp out of a snapshot document *before*
-/// attempting the full deserialization, so a file written by an older (or
-/// newer) layout fails with a clear "version X is not supported" error
-/// instead of whatever missing-field noise the structural parse would hit
-/// first. Public so other versioned snapshot formats (the fleet checkpoint,
-/// for one) apply the same gate.
-pub fn peek_format_version(text: &str, what: &str, expected: u32) -> Result<(), String> {
-    let value: serde::Value =
-        serde_json::from_str(text).map_err(|e| format!("malformed {what}: {e}"))?;
+/// The one loader of every versioned document in the workspace — this
+/// crate's [`Checkpoint`] and [`crate::TelemetryTrace`], the fleet crate's
+/// checkpoint and trace: the text is parsed into a value tree **once**, the
+/// `format_version` stamp is checked on that tree, and only then is the same
+/// tree decoded into `T`. A file written by an older (or newer) layout
+/// therefore fails with "`what` format version X is not supported", never
+/// with whatever missing-field noise the structural decode would hit first.
+pub fn from_versioned_json<T: Deserialize>(
+    text: &str,
+    what: &str,
+    expected: u32,
+) -> Result<T, String> {
+    let malformed = |e: serde_json::Error| format!("malformed {what}: {e}");
+    let value: serde::Value = serde_json::from_str(text).map_err(malformed)?;
     let version = value
         .get("format_version")
         .and_then(|v| v.as_u64())
@@ -39,7 +48,7 @@ pub fn peek_format_version(text: &str, what: &str, expected: u32) -> Result<(), 
             "{what} format version {version} is not supported (expected {expected})"
         ));
     }
-    Ok(())
+    T::from_value(&value).map_err(|e| malformed(e.into()))
 }
 
 /// Version stamp of the checkpoint JSON layout; bump on breaking changes so
@@ -128,14 +137,11 @@ impl Checkpoint {
         serde_json::to_string(self).expect("checkpoint serialization cannot fail")
     }
 
-    /// Parses a checkpoint, rejecting unknown layout versions. The version
-    /// stamp is peeked before the structural parse, so a v2 file produces
-    /// "format version 2 is not supported", not a missing-field error.
+    /// Parses a checkpoint through [`from_versioned_json`]: a v2 file
+    /// produces "format version 2 is not supported", not a missing-field
+    /// error.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        peek_format_version(text, "checkpoint", CHECKPOINT_FORMAT_VERSION)?;
-        let checkpoint: Checkpoint =
-            serde_json::from_str(text).map_err(|e| format!("malformed checkpoint: {e}"))?;
-        Ok(checkpoint)
+        from_versioned_json(text, "checkpoint", CHECKPOINT_FORMAT_VERSION)
     }
 
     /// Writes the checkpoint to a file crash-safely (temp file + fsync +
@@ -241,8 +247,8 @@ mod tests {
     fn truncated_documents_are_rejected_not_misparsed() {
         // A torn write that escaped the atomic-rename protocol is a prefix
         // of a valid document — different from arbitrary garbage, because
-        // the version stamp may still peek successfully before the
-        // structural parse hits the cut.
+        // it starts with a good version stamp, so only the parse hitting the
+        // cut can reject it.
         let mut engine = ScenarioEngine::new(builtin::steady(), ScenarioConfig::default()).unwrap();
         engine.run_until(3, &mut ());
         let full = Checkpoint::capture(&engine).to_json();

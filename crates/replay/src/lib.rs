@@ -11,7 +11,10 @@
 //!   and Adam moments, rollout buffers, Lagrangian state, per-slice
 //!   environment/simulator/RNG streams, domain allocations, run-loop
 //!   cursor). `capture` → `save` → `load` → `restore` resumes the scenario
-//!   exactly where it left off.
+//!   exactly where it left off. It also holds [`from_versioned_json`], the
+//!   one loader every versioned document in the workspace goes through
+//!   (both checkpoint and both trace formats): parse once, check the
+//!   `format_version` stamp, then decode the same tree.
 //! * [`telemetry`] — [`TelemetryRecorder`]: a
 //!   [`onslicing_scenario::SlotObserver`] that records per-slot, per-slice
 //!   metrics (cost, shaped reward, utilization, Lagrangian multiplier,
@@ -31,7 +34,7 @@ pub mod fsio;
 pub mod golden;
 pub mod telemetry;
 
-pub use checkpoint::{peek_format_version, Checkpoint, CHECKPOINT_FORMAT_VERSION};
+pub use checkpoint::{from_versioned_json, Checkpoint, CHECKPOINT_FORMAT_VERSION};
 pub use fsio::{
     atomic_write, checkpoint_file_name, gc_checkpoint_dir, list_checkpoint_slots,
     parse_checkpoint_slot, ATOMIC_WRITE_PAUSE_ENV,

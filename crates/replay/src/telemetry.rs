@@ -222,17 +222,10 @@ impl TelemetryTrace {
         serde_json::to_string_pretty(self).expect("trace serialization cannot fail")
     }
 
-    /// Parses a trace, rejecting unknown layout versions.
+    /// Parses a trace, rejecting unknown layout versions before any other
+    /// field is read ([`crate::from_versioned_json`]).
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let trace: TelemetryTrace =
-            serde_json::from_str(text).map_err(|e| format!("malformed trace: {e}"))?;
-        if trace.format_version != TRACE_FORMAT_VERSION {
-            return Err(format!(
-                "trace format version {} is not supported (expected {})",
-                trace.format_version, TRACE_FORMAT_VERSION
-            ));
-        }
-        Ok(trace)
+        crate::from_versioned_json(text, "trace", TRACE_FORMAT_VERSION)
     }
 
     /// Writes the trace to a file crash-safely (temp file + fsync + atomic
@@ -638,6 +631,20 @@ mod tests {
             slots.len() + trace.slots.iter().filter(|s| s.slot < 24).count(),
             trace.slots.len()
         );
+    }
+
+    #[test]
+    fn stale_trace_versions_fail_with_the_version_error_not_a_missing_field() {
+        // A layout change usually removes or renames fields too: the loader
+        // must name the version — the actionable message — before it looks
+        // at any other field.
+        let stale = r#"{"format_version":0,"scenario":"steady","seed":7}"#;
+        assert_eq!(
+            TelemetryTrace::from_json(stale).unwrap_err(),
+            format!("trace format version 0 is not supported (expected {TRACE_FORMAT_VERSION})")
+        );
+        let err = TelemetryTrace::from_json(r#"{"scenario":"steady"}"#).unwrap_err();
+        assert_eq!(err, "malformed trace: missing format_version stamp");
     }
 
     #[test]

@@ -197,7 +197,7 @@ impl Deserialize for AdmissionPolicyName {
 }
 
 /// Tuning of the admission check.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AdmissionConfig {
     /// Estimated steady-state share of each resource a new slice needs.
     pub estimated_share: f64,
@@ -206,42 +206,6 @@ pub struct AdmissionConfig {
     pub headroom: f64,
     /// The registered decision rule to apply (default `greedy`).
     pub policy: AdmissionPolicyName,
-}
-
-// Hand-written instead of derived so that the `policy` field is optional on
-// input (older scenario files and checkpoints predate it) and defaults to
-// `greedy`, the historical behaviour.
-impl Serialize for AdmissionConfig {
-    fn serialize_value(&self) -> Value {
-        Value::Obj(vec![
-            (
-                "estimated_share".to_string(),
-                self.estimated_share.serialize_value(),
-            ),
-            ("headroom".to_string(), self.headroom.serialize_value()),
-            ("policy".to_string(), self.policy.serialize_value()),
-        ])
-    }
-}
-
-impl Deserialize for AdmissionConfig {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| DeError::msg(format!("AdmissionConfig: missing field `{name}`")))
-        };
-        let estimated_share = f64::from_value(field("estimated_share")?)?;
-        let headroom = f64::from_value(field("headroom")?)?;
-        let policy = match v.get("policy") {
-            Some(p) => AdmissionPolicyName::from_value(p)?,
-            None => AdmissionPolicyName::GREEDY,
-        };
-        Ok(Self {
-            estimated_share,
-            headroom,
-            policy,
-        })
-    }
 }
 
 impl AdmissionConfig {
@@ -540,15 +504,27 @@ mod tests {
     }
 
     #[test]
-    fn admission_config_policy_field_round_trips_and_defaults_to_greedy() {
-        // A config serialized before the registry existed has no `policy`
-        // key; deserialization must default it to greedy.
+    fn admission_config_keys_are_pinned_in_order() {
+        // Part of every checkpoint's layout: a reordered or renamed field
+        // is a format change.
+        let Value::Obj(pairs) = AdmissionConfig::default().serialize_value() else {
+            panic!("an admission config serializes to an object");
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["estimated_share", "headroom", "policy"]);
+    }
+
+    #[test]
+    fn admission_config_policy_field_round_trips_and_is_required() {
+        // A `policy`-less config was only ever written by checkpoint
+        // versions the version gate refuses: a missing field, not a silent
+        // greedy.
         let mut legacy = AdmissionConfig::default().serialize_value();
         if let Value::Obj(pairs) = &mut legacy {
             pairs.retain(|(k, _)| k != "policy");
         }
-        let config = AdmissionConfig::from_value(&legacy).unwrap();
-        assert_eq!(config.policy, AdmissionPolicyName::GREEDY);
+        let err = AdmissionConfig::from_value(&legacy).unwrap_err();
+        assert!(err.0.contains("missing field `policy`"), "{}", err.0);
         // An explicit cautious selection round-trips...
         let cautious = AdmissionConfig {
             policy: AdmissionPolicyName::CAUTIOUS,
