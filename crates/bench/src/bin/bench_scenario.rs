@@ -1,16 +1,15 @@
-//! Emits `BENCH_scenario.json` — the machine-readable record of scenario
-//! throughput, tracked across PRs alongside `BENCH_hotpath.json`.
-//!
-//! Measures the full episode wall-clock of the two workload extremes:
+//! Emits `BENCH_scenario.json` — the deterministic outcome of the two
+//! workload extremes of the scenario engine, gated exactly by
+//! `bench_regress` against `baselines/BENCH_scenario.json`:
 //!
 //! * `steady` — the paper's three-slice stationary setting;
 //! * `stress-many-slices` — 12 cloned slices on a 4× infrastructure, the
 //!   deployment that exercises the per-slice rayon fan-out.
 //!
-//! For each it reports the median wall-clock of one full scenario run and
-//! the derived per-slice-slot latency, plus the ratio of the two per-slot
-//! latencies (`stress_per_slot / steady_per_slot`; values near or below 1.0
-//! mean the fan-out absorbs the 4× slice count).
+//! Each is run once and reports its executed slot counts and SLA-violation
+//! percentage — all seed-pinned, none reads the clock. How *fast* these
+//! slots run is the repository benchmark's question (`benchmark/`,
+//! `cell-dense` and `churn-admit`).
 //!
 //! Usage: `cargo run --release --bin bench_scenario [output-path]`
 //! (default output: `BENCH_scenario.json` in the current directory).
@@ -20,88 +19,49 @@ use serde::Serialize;
 use onslicing_scenario::{builtin, Scenario, ScenarioConfig, ScenarioEngine};
 
 #[derive(Serialize)]
-struct ScenarioTiming {
+struct ScenarioOutcome {
     scenario: String,
     slices: usize,
     total_slots: usize,
     slice_slots: usize,
-    median_run_ms: f64,
-    ns_per_slice_slot: f64,
     sla_violation_percent: f64,
 }
 
 #[derive(Serialize)]
 struct BenchFile {
     schema: String,
-    threads: usize,
-    samples: usize,
-    timings: Vec<ScenarioTiming>,
-    stress_vs_steady_per_slot: f64,
+    timings: Vec<ScenarioOutcome>,
 }
 
-const SAMPLES: usize = 3;
-
-fn measure(scenario: Scenario) -> ScenarioTiming {
-    let config = ScenarioConfig::default();
-    let mut runs_ms = Vec::with_capacity(SAMPLES);
-    let mut last = None;
-    for _ in 0..SAMPLES {
-        // Engine construction (calibration, pre-training) stays outside the
-        // timed region: the metric is the online scenario execution.
-        let mut engine =
-            ScenarioEngine::new(scenario.clone(), config).expect("built-in scenarios are valid");
-        let start = std::time::Instant::now();
-        let report = engine.run();
-        runs_ms.push(start.elapsed().as_secs_f64() * 1_000.0);
-        last = Some(report);
-    }
-    runs_ms.sort_by(|a, b| a.partial_cmp(b).expect("NaN timing"));
-    let median_run_ms = runs_ms[runs_ms.len() / 2];
-    let report = last.expect("at least one sample ran");
-    ScenarioTiming {
-        scenario: scenario.name.clone(),
-        slices: scenario.initial_slices.len(),
+fn run(scenario: Scenario) -> ScenarioOutcome {
+    let slices = scenario.initial_slices.len();
+    let mut engine = ScenarioEngine::new(scenario, ScenarioConfig::default())
+        .expect("built-in scenarios are valid");
+    let report = engine.run();
+    let outcome = ScenarioOutcome {
+        scenario: report.scenario.clone(),
+        slices,
         total_slots: report.total_slots,
         slice_slots: report.slice_slots,
-        median_run_ms,
-        ns_per_slice_slot: median_run_ms * 1.0e6 / report.slice_slots.max(1) as f64,
         sla_violation_percent: report.sla_violation_percent,
-    }
+    };
+    println!(
+        "  {}: {} slice-slots, {:.2}% SLA violations",
+        outcome.scenario, outcome.slice_slots, outcome.sla_violation_percent
+    );
+    outcome
 }
 
 fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_scenario.json".to_string());
-    println!("bench_scenario: timing steady vs stress-many-slices ...");
-
-    let steady = measure(builtin::steady());
-    println!(
-        "  steady: {:.0} ms/run, {:.0} ns/slice-slot",
-        steady.median_run_ms, steady.ns_per_slice_slot
-    );
-    let stress = measure(builtin::stress_many_slices());
-    println!(
-        "  stress-many-slices: {:.0} ms/run, {:.0} ns/slice-slot",
-        stress.median_run_ms, stress.ns_per_slice_slot
-    );
-
-    let ratio = stress.ns_per_slice_slot / steady.ns_per_slice_slot.max(1e-9);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    println!("bench_scenario: running steady and stress-many-slices ...");
     let payload = serde_json::to_string_pretty(&BenchFile {
-        schema: "onslicing-scenario-bench/1".to_string(),
-        threads,
-        samples: SAMPLES,
-        timings: vec![steady, stress],
-        stress_vs_steady_per_slot: ratio,
+        schema: "onslicing-scenario-bench/2".to_string(),
+        timings: vec![run(builtin::steady()), run(builtin::stress_many_slices())],
     })
     .expect("bench serialization cannot fail");
     std::fs::write(&out_path, &payload).expect("failed to write the benchmark JSON");
-    println!(
-        "\nper-slice-slot latency ratio (stress / steady): {ratio:.2} \
-         ({threads} thread(s); near or below 1.0 = the fan-out absorbs the slice count)"
-    );
     println!("wrote {out_path}");
 }

@@ -1,35 +1,14 @@
-//! Emits `BENCH_fleet.json` — the cells×slices scaling record of the
-//! multi-cell fleet, tracked across PRs alongside
-//! `BENCH_hotpath.json` and `BENCH_scenario.json`.
+//! Emits `BENCH_fleet.json` — the deterministic cells×slices record of the
+//! multi-cell fleet, gated exactly by `bench_regress` against
+//! `baselines/BENCH_fleet.json`.
 //!
 //! Default mode runs the `fleet-soak` per-cell workload (12 slices plus
 //! mid-run admission/burst/fault/teardown) at 1, 4 and 8 cells and reports
-//! each point's fleet metrics: executed slice-slots, fleet-wide
-//! SLA-violation %, deterministic cost percentiles, per-slot latency
-//! p50/p90/p99, the machine throughput (slice-slots over the fleet's
-//! wall clock on this host) and the **aggregate** throughput (the sum of
-//! the cells' independent rates — the shared-nothing capacity that scales
-//! with the cell count; see the `onslicing-fleet` crate docs). The headline
-//! `aggregate_speedup_max_vs_min_cells` is the aggregate-rate ratio of the
-//! largest point over the smallest one (1 cell in the default curve).
-//!
-//! **Reproducible schedule.** Curve mode pins `RAYON_NUM_THREADS=1` before
-//! measuring: per-cell rates are then free of cross-cell contention and of
-//! the host's core count, so the scaling curve — in particular the
-//! aggregate-speedup ratio the CI gate holds to −15 % — compares
-//! like-for-like across a 1-core container and a multi-core CI runner.
-//! (Unpinned, the 1-cell point would absorb the whole machine through the
-//! per-slice fan-out while the 8-cell points contend for it, collapsing
-//! the ratio on big hosts.) Be clear about what that buys: under the
-//! pinned schedule the ratio certifies the *shared-nothing capacity
-//! model* — cells stay independent and their rates sum, which any
-//! accidental cross-cell coupling (a global lock, a shared allocation
-//! choke point) would break — while uniform per-cell slowdowns are caught
-//! by the per-point rate floors, not by the ratio. Same-host parallel
-//! *speedup* is deliberately not gated (it is a property of the runner's
-//! core count, not of the code); the parallel execution path itself is
-//! exercised by the fleet tests and by the determinism-gate mode below,
-//! which leaves the pool width alone.
+//! each point's seed-pinned fleet metrics: peak slices, executed
+//! slice-slots, closed slice-episodes, fleet-wide SLA-violation % and the
+//! cost mean and percentiles. None of them reads the clock or depends on
+//! the rayon pool width; how fast a fleet runs is the repository
+//! benchmark's question (`benchmark/`, `fleet-elastic`).
 //!
 //! **Rebalance comparison.** The bench file also pins the elastic-fleet
 //! story: `hotspot-shift` at two cells with the balancer off (frozen
@@ -77,12 +56,6 @@ struct CurvePoint {
     cost_p50: f64,
     cost_p90: f64,
     cost_p99: f64,
-    wall_clock_ms: f64,
-    slice_slots_per_second: f64,
-    aggregate_cell_slots_per_second: f64,
-    slot_latency_p50_ms: f64,
-    slot_latency_p90_ms: f64,
-    slot_latency_p99_ms: f64,
 }
 
 impl CurvePoint {
@@ -98,12 +71,6 @@ impl CurvePoint {
             cost_p50: r.cost_p50,
             cost_p90: r.cost_p90,
             cost_p99: r.cost_p99,
-            wall_clock_ms: r.wall_clock_ms,
-            slice_slots_per_second: r.slice_slots_per_second,
-            aggregate_cell_slots_per_second: r.aggregate_cell_slots_per_second,
-            slot_latency_p50_ms: r.slot_latency_p50_ms,
-            slot_latency_p90_ms: r.slot_latency_p90_ms,
-            slot_latency_p99_ms: r.slot_latency_p99_ms,
         }
     }
 }
@@ -162,13 +129,10 @@ struct RebalanceComparison {
 #[derive(Serialize)]
 struct BenchFile {
     schema: String,
-    threads: usize,
-    schedule: String,
     scenario: String,
     seed: u64,
     slices_per_cell_initial: usize,
     curve: Vec<CurvePoint>,
-    aggregate_speedup_max_vs_min_cells: f64,
     rebalance_comparison: RebalanceComparison,
 }
 
@@ -308,7 +272,7 @@ fn run() -> Result<bool, String> {
     let frozen = FleetScenario::new(scenario, 1);
 
     if let Some(trace_out) = &opts.trace_out {
-        // Determinism-gate mode: one fleet, trace only, no timing fields.
+        // Determinism-gate mode: one fleet, trace only.
         let outcome = run_fleet(
             &frozen,
             opts.trace_cells,
@@ -327,12 +291,8 @@ fn run() -> Result<bool, String> {
         return Ok(true);
     }
 
-    // Pin the measurement schedule (see the module docs): per-cell rates
-    // must depend on neither the host's core count nor on cross-cell
-    // contention, or the gated scaling ratio would be machine-shaped.
-    std::env::set_var("RAYON_NUM_THREADS", "1");
     println!(
-        "fleet_runner: scaling `{}` over {:?} cells (single-thread pinned) ...",
+        "fleet_runner: `{}` over {:?} cells ...",
         opts.scenario, opts.cells
     );
     let mut curve = Vec::with_capacity(opts.cells.len());
@@ -345,33 +305,15 @@ fn run() -> Result<bool, String> {
         }
         println!(
             "  {cells} cell(s): {} peak slices, {} slice-slots, \
-             {:.1} slots/s machine, {:.1} slots/s aggregate, \
-             {:.2}% SLA violations, slot p50/p99 {:.1}/{:.1} ms",
+             {:.2}% SLA violations, slot cost p50/p99 {:.4}/{:.4}",
             report.peak_slices,
             report.slice_slots,
-            report.slice_slots_per_second,
-            report.aggregate_cell_slots_per_second,
             report.sla_violation_percent,
-            report.slot_latency_p50_ms,
-            report.slot_latency_p99_ms
+            report.cost_p50,
+            report.cost_p99
         );
         curve.push(CurvePoint::from_report(report));
     }
-
-    // Largest-cells point over smallest-cells point: a scaling collapse at
-    // the widest point must show in the headline, not be masked by a
-    // faster intermediate point.
-    let base_rate = curve
-        .iter()
-        .min_by_key(|p| p.cells)
-        .map(|p| p.aggregate_cell_slots_per_second)
-        .expect("curve is non-empty");
-    let wide_rate = curve
-        .iter()
-        .max_by_key(|p| p.cells)
-        .map(|p| p.aggregate_cell_slots_per_second)
-        .expect("curve is non-empty");
-    let speedup = wide_rate / base_rate.max(1e-9);
 
     // The elastic-fleet pin: hotspot-shift at two cells, frozen vs live
     // rebalancing. All compared fields are deterministic for the seeds.
@@ -410,26 +352,16 @@ fn run() -> Result<bool, String> {
         violation_reduction_points: reduction,
     };
 
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let payload = serde_json::to_string_pretty(&BenchFile {
-        schema: "onslicing-fleet-bench/3".to_string(),
-        threads,
-        schedule: "single-thread-pinned (RAYON_NUM_THREADS=1 for reproducible gating)".to_string(),
+        schema: "onslicing-fleet-bench/4".to_string(),
         scenario: opts.scenario.clone(),
         seed: opts.seed,
         slices_per_cell_initial: frozen.base.initial_slices.len(),
         curve,
-        aggregate_speedup_max_vs_min_cells: speedup,
         rebalance_comparison,
     })
     .expect("bench serialization cannot fail");
     std::fs::write(&opts.out, &payload).expect("failed to write the benchmark JSON");
-    println!(
-        "\naggregate throughput scaling (max vs smallest point): {speedup:.2}x \
-         ({threads} thread(s) on this host, measurement pinned to 1)"
-    );
     println!("wrote {}", opts.out);
     Ok(true)
 }

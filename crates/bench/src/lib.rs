@@ -9,6 +9,12 @@
 //!   (short episodes, few epochs) to a paper-scale run (96-slot episodes,
 //!   many more epochs — minutes to hours of compute).
 //!
+//! * `bench_scenario`, `fleet_runner`, `bench_tournament` emit the
+//!   seed-pinned JSON that `bench_regress` ([`regress`]) holds exactly
+//!   against `baselines/`; `bench_hotpath` ([`hotpath`]) emits the one
+//!   clock-reading baseline, gated at +35 %. End-to-end speed is measured by
+//!   the standalone `benchmark/` crate, not here.
+//!
 //! The helpers in this library are shared by the binaries: deployment
 //! construction, method presets, and plain-text table/series printing.
 

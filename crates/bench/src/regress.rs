@@ -1,33 +1,29 @@
-//! Perf-regression gating of `BENCH_*.json` artifacts against committed
+//! Regression gating of `BENCH_*.json` artifacts against committed
 //! baselines.
 //!
-//! The benches (`bench_hotpath`, `bench_scenario`, `fleet_runner`) emit
-//! machine-readable JSON; this module diffs a freshly produced file against
-//! the committed copy under `baselines/` and decides whether the change is
-//! a regression. Metrics are classified by key name:
+//! The bench bins (`bench_hotpath`, `bench_scenario`, `fleet_runner`,
+//! `bench_tournament`) emit machine-readable JSON; this module diffs a
+//! freshly produced file against the committed copy under `baselines/` and
+//! decides whether the change is a regression. Leaves are classified by key
+//! name:
 //!
-//! * **lower-is-better** (`*_ns`, `*_ms`, `ns_per_*`, `*latency*`,
-//!   `*wall*`, `*sublinearity*`, `*_vs_*`) — latency-like; fails when the
-//!   fresh value exceeds the baseline by more than the `slower` tolerance
-//!   (default +35 %, generous because wall-clock metrics are noisy).
-//! * **higher-is-better ratio** (`*speedup*`) — machine-normalized; fails
-//!   when the fresh value drops below the baseline by more than the
-//!   `speedup_loss` tolerance (default −15 %). Keys that also contain
-//!   `fused` additionally carry the absolute [`FUSED_SPEEDUP_FLOOR`]: any
-//!   value below 5.0 fails outright, so the fused-path advantage cannot be
-//!   re-baselined away one tolerant PR at a time.
-//! * **higher-is-better rate** (`*per_second*`) — an absolute throughput
-//!   is the reciprocal of a latency, so it gets the reciprocal of the
-//!   latency band: fresh ≥ baseline / (1 + `slower`), i.e. the same
-//!   machine-speed headroom the `*_ns` metrics enjoy.
-//! * **exact** (`*violation*`, `*cost*`, strings, booleans, and any number
-//!   that is integer-valued on either side: counts, seeds, schema
-//!   versions) — metrics the determinism contract pins for a fixed seed;
-//!   fails on any drift beyond `1e-9`. A float metric matching no name
-//!   rule is skipped (visibly, in the summary) rather than guessed at.
-//! * **informational** (`threads`, `samples`, and wall-clock latency
-//!   p90/p99 tails — one scheduler hiccup of a shared host moves a
-//!   small-sample tail ±50 %) — tracked in the artifact, never compared.
+//! * **lower-is-better** (`*_ns`, `ns_per_*`, `*sublinearity*`) — the
+//!   wall-clock keys of `BENCH_hotpath.json`, the only baseline that reads
+//!   the clock; fails when the fresh value exceeds the baseline by more
+//!   than [`SLOWER_TOLERANCE`] (+35 %: single runs of one binary on a
+//!   shared VM range over 30 %).
+//! * **exact** (everything else: `*violation*`, `*cost*`, counts, seeds,
+//!   strings, booleans) — what the determinism contract pins for a fixed
+//!   seed; fails on any drift beyond [`EXACT_ABS_TOLERANCE`]. A number that
+//!   is fractional in both files and matches no name rule is skipped
+//!   (visibly, in the summary) rather than guessed at — and
+//!   `every_committed_baseline_leaf_is_gated_or_named_informational` keeps
+//!   such a key out of the committed baselines.
+//! * **informational** (`threads`) — a machine property: tracked in the
+//!   artifact, never compared.
+//!
+//! End-to-end rates and latencies are not gated here: the repository
+//! benchmark (`benchmark/`) reads them as medians of repeated runs.
 //!
 //! Structural drift (a metric appearing, disappearing, or an array
 //! changing length) always fails: it means the bench schema changed and
@@ -35,111 +31,49 @@
 
 use serde::Value;
 
-/// Relative/absolute tolerances of one comparison run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Tolerances {
-    /// Allowed relative slowdown of lower-is-better metrics (0.35 = +35 %).
-    pub slower: f64,
-    /// Allowed relative loss of higher-is-better metrics (0.15 = −15 %).
-    pub speedup_loss: f64,
-    /// Absolute slack of exact metrics.
-    pub exact_abs: f64,
-}
+/// Allowed relative slowdown of lower-is-better metrics (0.35 = +35 %).
+/// Not settable anywhere — a settable tolerance on a gate is a way to pass
+/// it.
+pub const SLOWER_TOLERANCE: f64 = 0.35;
 
-impl Default for Tolerances {
-    fn default() -> Self {
-        Self {
-            slower: 0.35,
-            speedup_loss: 0.15,
-            exact_abs: 1e-9,
-        }
-    }
-}
-
-/// Absolute floor for `fused*speedup*` metrics: the in-place fused rework
-/// must stay at least this many times faster than the reconstructed
-/// per-slice path regardless of the committed baseline value.
-pub const FUSED_SPEEDUP_FLOOR: f64 = 5.0;
+/// Absolute slack of exact metrics.
+pub const EXACT_ABS_TOLERANCE: f64 = 1e-9;
 
 /// How one metric is judged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricClass {
-    /// Latency-like: fresh may not exceed baseline by more than `slower`
-    /// of its magnitude.
+    /// Wall-clock time: fresh may not exceed baseline by more than
+    /// [`SLOWER_TOLERANCE`] of its magnitude.
     LowerIsBetter,
-    /// Machine-normalized ratio (speedups): fresh may not drop below
-    /// baseline by more than `speedup_loss` of its magnitude.
-    HigherIsBetter,
-    /// A speedup with an additional absolute floor
-    /// ([`FUSED_SPEEDUP_FLOOR`]): the fused-path rework must stay at least
-    /// that many times faster than the reconstructed per-slice path, no
-    /// matter what the committed baseline says. Catches the failure mode a
-    /// relative band cannot: a sequence of small regressions each inside
-    /// the band, re-baselined one PR at a time, walking the fused path back
-    /// to parity.
-    HigherIsBetterWithFloor,
-    /// Absolute throughput rate: the reciprocal of a latency, so it gets
-    /// the reciprocal of the latency band — fresh ≥ baseline / (1 +
-    /// slower). Tighter than that would couple the gate to the baseline
-    /// machine's per-core speed more strictly than the latency metrics it
-    /// mirrors.
-    HigherIsBetterRate,
     /// Deterministic for a fixed seed: any drift fails.
     Exact,
     /// Machine property: never compared.
     Informational,
 }
 
+/// The last segment of a dotted path, array index stripped, lower-cased.
+fn leaf_key(path: &str) -> String {
+    let key = path.rsplit('.').next().unwrap_or(path);
+    key.split('[').next().unwrap_or(key).to_ascii_lowercase()
+}
+
+/// Whether the key names a metric that is deterministic for a fixed seed
+/// even though it is float-valued (SLA violation rates, cost statistics).
+fn names_deterministic_metric(key: &str) -> bool {
+    key.contains("violation") || key.contains("cost")
+}
+
 /// Classifies a metric by the last segment of its dotted path (array
-/// indices stripped). Numbers that fall through every name rule are judged
-/// `Exact` when integer-valued (counts) and `Informational` otherwise.
+/// indices stripped).
 pub fn classify(path: &str) -> MetricClass {
-    let key = path
-        .rsplit('.')
-        .next()
-        .unwrap_or(path)
-        .split('[')
-        .next()
-        .unwrap_or(path)
-        .to_ascii_lowercase();
-    if key == "threads" || key == "samples" {
-        return MetricClass::Informational;
+    let key = leaf_key(path);
+    if key == "threads" {
+        MetricClass::Informational
+    } else if key.ends_with("_ns") || key.starts_with("ns_") || key.contains("sublinearity") {
+        MetricClass::LowerIsBetter
+    } else {
+        MetricClass::Exact
     }
-    if key.contains("violation") || key.contains("cost") {
-        return MetricClass::Exact;
-    }
-    // Wall-clock latency *tails* are tracked but not gated: a p90/p99 over
-    // a few hundred slot samples moves ±50% on one scheduler hiccup of a
-    // shared host, which no honest tolerance band absorbs. Medians are
-    // stable and stay gated; the cost percentiles are seed-deterministic
-    // and match the `cost` rule above, so they stay exact.
-    if key.contains("latency") && (key.contains("p90") || key.contains("p99")) {
-        return MetricClass::Informational;
-    }
-    if key.contains("speedup") {
-        return if key.contains("fused") {
-            MetricClass::HigherIsBetterWithFloor
-        } else {
-            MetricClass::HigherIsBetter
-        };
-    }
-    if key.contains("per_second") || key.contains("per_sec") {
-        return MetricClass::HigherIsBetterRate;
-    }
-    let latency_like = key.ends_with("_ns")
-        || key.ends_with("_ms")
-        || key.starts_with("ns_")
-        || key.starts_with("ms_")
-        || key.contains("_ns_")
-        || key.contains("_ms_")
-        || key.contains("latency")
-        || key.contains("wall")
-        || key.contains("sublinearity")
-        || key.contains("_vs_");
-    if latency_like {
-        return MetricClass::LowerIsBetter;
-    }
-    MetricClass::Exact
 }
 
 /// Outcome of a baseline comparison.
@@ -177,137 +111,73 @@ fn is_integer_valued(v: &Value) -> bool {
     }
 }
 
-fn compare_leaf(
-    path: &str,
-    baseline: &Value,
-    fresh: &Value,
-    tol: &Tolerances,
-    report: &mut ComparisonReport,
-) {
+fn compare_leaf(path: &str, baseline: &Value, fresh: &Value, report: &mut ComparisonReport) {
     let class = classify(path);
     if class == MetricClass::Informational {
         report.skipped.push(path.to_string());
         return;
     }
-    match (as_number(baseline), as_number(fresh)) {
-        (Some(b), Some(f)) => {
-            // A numeric metric with no latency/throughput name rule is
-            // held exact when it is count-like — integer-valued on either
-            // side (so a pinned count drifting to a fraction still fails).
-            // Only a metric that is fractional in BOTH files and matches
-            // no name rule is reported as skipped instead of risking a
-            // spurious gate failure; the skip is visible in the summary.
-            let class = if class == MetricClass::Exact
-                && !path_names_deterministic_metric(path)
-                && !is_integer_valued(baseline)
-                && !is_integer_valued(fresh)
-            {
-                report.skipped.push(path.to_string());
-                return;
-            } else {
-                class
-            };
-            report.checked += 1;
-            // Tolerances scale with |baseline| so a signed metric (a
-            // `*_vs_*` delta, say) is not judged against a band on the
-            // wrong side of zero.
-            match class {
-                MetricClass::LowerIsBetter => {
-                    let limit = b + b.abs() * tol.slower + 1e-6;
-                    if f > limit {
-                        report.regressions.push(format!(
-                            "{path}: {f:.1} exceeds baseline {b:.1} by more than +{:.0}% \
-                             (limit {limit:.1})",
-                            tol.slower * 100.0
-                        ));
-                    }
-                }
-                MetricClass::HigherIsBetter => {
-                    let limit = b - b.abs() * tol.speedup_loss - 1e-9;
-                    if f < limit {
-                        report.regressions.push(format!(
-                            "{path}: {f:.3} falls below baseline {b:.3} by more than -{:.0}% \
-                             (limit {limit:.3})",
-                            tol.speedup_loss * 100.0
-                        ));
-                    }
-                }
-                MetricClass::HigherIsBetterWithFloor => {
-                    let limit = b - b.abs() * tol.speedup_loss - 1e-9;
-                    if f < limit {
-                        report.regressions.push(format!(
-                            "{path}: {f:.3} falls below baseline {b:.3} by more than -{:.0}% \
-                             (limit {limit:.3})",
-                            tol.speedup_loss * 100.0
-                        ));
-                    } else if f < FUSED_SPEEDUP_FLOOR {
-                        report.regressions.push(format!(
-                            "{path}: {f:.3} is below the absolute fused-speedup floor \
-                             {FUSED_SPEEDUP_FLOOR:.1} (the fused path must stay ≥{FUSED_SPEEDUP_FLOOR:.0}x \
-                             the per-slice path regardless of the baseline)"
-                        ));
-                    }
-                }
-                MetricClass::HigherIsBetterRate => {
-                    // For a positive baseline this is b / (1 + slower);
-                    // written magnitude-based so a negative baseline keeps
-                    // the band on its own side of zero.
-                    let limit = b - b.abs() * (tol.slower / (1.0 + tol.slower)) - 1e-9;
-                    if f < limit {
-                        report.regressions.push(format!(
-                            "{path}: {f:.1} falls below baseline {b:.1} past the rate floor \
-                             (limit {limit:.1} = baseline / {:.2})",
-                            1.0 + tol.slower
-                        ));
-                    }
-                }
-                MetricClass::Exact | MetricClass::Informational => {
-                    if (f - b).abs() > tol.exact_abs {
-                        report.regressions.push(format!(
-                            "{path}: {f} drifted from the pinned baseline {b} \
-                             (deterministic metric; any drift fails)"
-                        ));
-                    }
-                }
-            }
+    let (Some(b), Some(f)) = (as_number(baseline), as_number(fresh)) else {
+        // Non-numeric leaves (schema strings, flags) must match exactly.
+        report.checked += 1;
+        if baseline != fresh {
+            report.regressions.push(format!(
+                "{path}: value changed from {baseline:?} to {fresh:?} \
+                 (schema drift; rebaseline with --update if intentional)"
+            ));
         }
-        _ => {
-            // Non-numeric leaves (schema strings, flags) must match exactly.
-            report.checked += 1;
-            if baseline != fresh {
-                report.regressions.push(format!(
-                    "{path}: value changed from {baseline:?} to {fresh:?} \
-                     (schema drift; rebaseline with --update if intentional)"
-                ));
-            }
+        return;
+    };
+    if class == MetricClass::LowerIsBetter {
+        report.checked += 1;
+        // The band scales with |baseline| so a signed metric is not judged
+        // against a band on the wrong side of zero.
+        let limit = b + b.abs() * SLOWER_TOLERANCE + 1e-6;
+        if f > limit {
+            report.regressions.push(format!(
+                "{path}: {f:.1} exceeds baseline {b:.1} by more than +{:.0}% (limit {limit:.1})",
+                SLOWER_TOLERANCE * 100.0
+            ));
         }
+        return;
+    }
+    // A numeric metric with no wall-clock name rule is held exact when it
+    // is named deterministic or count-like — integer-valued on either side
+    // (so a pinned count drifting to a fraction still fails). Only a metric
+    // that is fractional in BOTH files and matches no name rule is reported
+    // as skipped instead of risking a spurious gate failure; the skip is
+    // visible in the summary.
+    if !names_deterministic_metric(&leaf_key(path))
+        && !is_integer_valued(baseline)
+        && !is_integer_valued(fresh)
+    {
+        report.skipped.push(path.to_string());
+        return;
+    }
+    report.checked += 1;
+    if (f - b).abs() > EXACT_ABS_TOLERANCE {
+        report.regressions.push(format!(
+            "{path}: {f} drifted from the pinned baseline {b} \
+             (deterministic metric; any drift fails)"
+        ));
     }
 }
 
-/// Whether the key names a metric that is deterministic for a fixed seed
-/// even though it is float-valued (SLA violation rates, cost statistics).
-fn path_names_deterministic_metric(path: &str) -> bool {
-    let key = path.rsplit('.').next().unwrap_or(path).to_ascii_lowercase();
-    key.contains("violation") || key.contains("cost")
+fn child_path(path: &str, key: &str) -> String {
+    if path.is_empty() {
+        key.to_string()
+    } else {
+        format!("{path}.{key}")
+    }
 }
 
-fn walk(
-    path: &str,
-    baseline: &Value,
-    fresh: &Value,
-    tol: &Tolerances,
-    report: &mut ComparisonReport,
-) {
+fn walk(path: &str, baseline: &Value, fresh: &Value, report: &mut ComparisonReport) {
     match (baseline, fresh) {
         (Value::Obj(b), Value::Obj(f)) => {
             for (key, bv) in b {
-                let child = if path.is_empty() {
-                    key.clone()
-                } else {
-                    format!("{path}.{key}")
-                };
+                let child = child_path(path, key);
                 match f.iter().find(|(k, _)| k == key) {
-                    Some((_, fv)) => walk(&child, bv, fv, tol, report),
+                    Some((_, fv)) => walk(&child, bv, fv, report),
                     None => report.regressions.push(format!(
                         "{child}: metric disappeared from the fresh artifact \
                          (schema drift; rebaseline with --update if intentional)"
@@ -316,14 +186,10 @@ fn walk(
             }
             for (key, _) in f {
                 if !b.iter().any(|(k, _)| k == key) {
-                    let child = if path.is_empty() {
-                        key.clone()
-                    } else {
-                        format!("{path}.{key}")
-                    };
                     report.regressions.push(format!(
-                        "{child}: new metric absent from the baseline \
-                         (rebaseline with --update to start tracking it)"
+                        "{}: new metric absent from the baseline \
+                         (rebaseline with --update to start tracking it)",
+                        child_path(path, key)
                     ));
                 }
             }
@@ -338,31 +204,27 @@ fn walk(
                 return;
             }
             for (i, (bv, fv)) in b.iter().zip(f.iter()).enumerate() {
-                walk(&format!("{path}[{i}]"), bv, fv, tol, report);
+                walk(&format!("{path}[{i}]"), bv, fv, report);
             }
         }
-        _ => compare_leaf(path, baseline, fresh, tol, report),
+        _ => compare_leaf(path, baseline, fresh, report),
     }
 }
 
 /// Compares a fresh bench artifact against its baseline.
-pub fn compare_values(baseline: &Value, fresh: &Value, tol: &Tolerances) -> ComparisonReport {
+pub fn compare_values(baseline: &Value, fresh: &Value) -> ComparisonReport {
     let mut report = ComparisonReport::default();
-    walk("", baseline, fresh, tol, &mut report);
+    walk("", baseline, fresh, &mut report);
     report
 }
 
 /// Parses two JSON texts and compares them.
-pub fn compare_json(
-    baseline: &str,
-    fresh: &str,
-    tol: &Tolerances,
-) -> Result<ComparisonReport, String> {
+pub fn compare_json(baseline: &str, fresh: &str) -> Result<ComparisonReport, String> {
     let baseline: Value =
         serde_json::from_str(baseline).map_err(|e| format!("malformed baseline JSON: {e}"))?;
     let fresh: Value =
         serde_json::from_str(fresh).map_err(|e| format!("malformed fresh JSON: {e}"))?;
-    Ok(compare_values(&baseline, &fresh, tol))
+    Ok(compare_values(&baseline, &fresh))
 }
 
 #[cfg(test)]
@@ -373,7 +235,7 @@ mod tests {
         "schema": "onslicing-hotpath-bench/1",
         "threads": 4,
         "batch": 64,
-        "mlp_forward": { "per_sample_ns": 500000.0, "batched_ns": 120000.0, "speedup": 4.2 },
+        "mlp_forward": { "batched_ns": 120000.0 },
         "orchestrator_slot": [
             { "slices": 3, "ns_per_slot": 30000000.0 },
             { "slices": 9, "ns_per_slot": 90000000.0 }
@@ -390,7 +252,7 @@ mod tests {
 
     #[test]
     fn identical_artifacts_pass() {
-        let report = compare_json(BASELINE, BASELINE, &Tolerances::default()).unwrap();
+        let report = compare_json(BASELINE, BASELINE).unwrap();
         assert!(report.passed(), "regressions: {:?}", report.regressions);
         assert!(report.checked > 5);
         // `threads` is a machine property, never compared.
@@ -401,42 +263,24 @@ mod tests {
     fn faster_and_moderately_slower_runs_pass() {
         // 10% slower ns metric: within the +35% band.
         let fresh = fresh_with(|t| *t = t.replace("120000.0", "132000.0"));
-        assert!(compare_json(BASELINE, &fresh, &Tolerances::default())
-            .unwrap()
-            .passed());
+        assert!(compare_json(BASELINE, &fresh).unwrap().passed());
         // 50% faster: improvements always pass.
         let fresh = fresh_with(|t| *t = t.replace("120000.0", "60000.0"));
-        assert!(compare_json(BASELINE, &fresh, &Tolerances::default())
-            .unwrap()
-            .passed());
+        assert!(compare_json(BASELINE, &fresh).unwrap().passed());
     }
 
     #[test]
     fn a_big_slowdown_fails_the_gate() {
         let fresh = fresh_with(|t| *t = t.replace("120000.0", "170000.0"));
-        let report = compare_json(BASELINE, &fresh, &Tolerances::default()).unwrap();
+        let report = compare_json(BASELINE, &fresh).unwrap();
         assert!(!report.passed());
         assert!(report.regressions[0].contains("mlp_forward.batched_ns"));
     }
 
     #[test]
-    fn a_speedup_loss_fails_the_gate() {
-        // 4.2 -> 3.3 is a 21% loss, past the -15% band.
-        let fresh = fresh_with(|t| *t = t.replace("\"speedup\": 4.2", "\"speedup\": 3.3"));
-        let report = compare_json(BASELINE, &fresh, &Tolerances::default()).unwrap();
-        assert!(!report.passed());
-        assert!(report.regressions[0].contains("speedup"));
-        // A 5% loss stays inside the band.
-        let fresh = fresh_with(|t| *t = t.replace("\"speedup\": 4.2", "\"speedup\": 4.0"));
-        assert!(compare_json(BASELINE, &fresh, &Tolerances::default())
-            .unwrap()
-            .passed());
-    }
-
-    #[test]
     fn sla_metrics_are_exact() {
         let fresh = fresh_with(|t| *t = t.replace("2.7777777777", "2.9"));
-        let report = compare_json(BASELINE, &fresh, &Tolerances::default()).unwrap();
+        let report = compare_json(BASELINE, &fresh).unwrap();
         assert!(!report.passed());
         assert!(report.regressions[0].contains("sla_violation_percent"));
     }
@@ -446,7 +290,7 @@ mod tests {
         // 9 -> 8.5: the fresh side is no longer integer-valued, but the
         // baseline pin makes the metric count-like, so the drift fails.
         let fresh = fresh_with(|t| *t = t.replace("\"slices\": 9", "\"slices\": 8.5"));
-        let report = compare_json(BASELINE, &fresh, &Tolerances::default()).unwrap();
+        let report = compare_json(BASELINE, &fresh).unwrap();
         assert!(!report.passed());
         assert!(report.regressions[0].contains("orchestrator_slot[1].slices"));
     }
@@ -454,12 +298,12 @@ mod tests {
     #[test]
     fn counts_are_exact_and_arrays_are_walked() {
         let fresh = fresh_with(|t| *t = t.replace("\"slices\": 9", "\"slices\": 10"));
-        let report = compare_json(BASELINE, &fresh, &Tolerances::default()).unwrap();
+        let report = compare_json(BASELINE, &fresh).unwrap();
         assert!(!report.passed());
         assert!(report.regressions[0].contains("orchestrator_slot[1].slices"));
         // A slot-latency regression inside the array is caught too.
         let fresh = fresh_with(|t| *t = t.replace("90000000.0", "140000000.0"));
-        let report = compare_json(BASELINE, &fresh, &Tolerances::default()).unwrap();
+        let report = compare_json(BASELINE, &fresh).unwrap();
         assert!(!report.passed());
         assert!(report.regressions[0].contains("orchestrator_slot[1].ns_per_slot"));
     }
@@ -472,7 +316,7 @@ mod tests {
                 "\"orchestrator_sublinearity\": 1.5",
             )
         });
-        let report = compare_json(BASELINE, &fresh, &Tolerances::default()).unwrap();
+        let report = compare_json(BASELINE, &fresh).unwrap();
         assert!(!report.passed());
     }
 
@@ -480,11 +324,11 @@ mod tests {
     fn schema_drift_fails_in_both_directions() {
         let fresh =
             fresh_with(|t| *t = t.replace("\"batch\": 64,", "\"batch\": 64, \"new_metric\": 1.0,"));
-        let report = compare_json(BASELINE, &fresh, &Tolerances::default()).unwrap();
+        let report = compare_json(BASELINE, &fresh).unwrap();
         assert!(!report.passed());
         assert!(report.regressions[0].contains("new_metric"));
         let fresh = fresh_with(|t| *t = t.replace("\"batch\": 64,", ""));
-        let report = compare_json(BASELINE, &fresh, &Tolerances::default()).unwrap();
+        let report = compare_json(BASELINE, &fresh).unwrap();
         assert!(!report.passed());
         assert!(report.regressions[0].contains("batch"));
         let fresh = fresh_with(|t| {
@@ -493,127 +337,94 @@ mod tests {
                 "\"schema\": \"onslicing-hotpath-bench/2\"",
             )
         });
-        assert!(!compare_json(BASELINE, &fresh, &Tolerances::default())
-            .unwrap()
-            .passed());
+        assert!(!compare_json(BASELINE, &fresh).unwrap().passed());
     }
 
     #[test]
     fn classification_covers_the_emitted_key_families() {
-        assert_eq!(
-            classify("mlp_forward.per_sample_ns"),
-            MetricClass::LowerIsBetter
-        );
-        assert_eq!(
-            classify("timings[0].median_run_ms"),
-            MetricClass::LowerIsBetter
-        );
-        assert_eq!(
-            classify("timings[0].ns_per_slice_slot"),
-            MetricClass::LowerIsBetter
-        );
-        assert_eq!(
-            classify("curve[2].slot_latency_p50_ms"),
-            MetricClass::LowerIsBetter
-        );
-        // Latency tails flake on shared hosts; tracked, not gated.
-        assert_eq!(
-            classify("curve[2].slot_latency_p99_ms"),
-            MetricClass::Informational
-        );
-        assert_eq!(
-            classify("cells_detail[0].slot_latency_p90_ms"),
-            MetricClass::Informational
-        );
-        // Deterministic cost tails stay exact.
-        assert_eq!(classify("curve[0].cost_p99"), MetricClass::Exact);
-        assert_eq!(
-            classify("curve[2].wall_clock_ms"),
-            MetricClass::LowerIsBetter
-        );
-        assert_eq!(
-            classify("stress_vs_steady_per_slot"),
-            MetricClass::LowerIsBetter
-        );
-        assert_eq!(
-            classify("orchestrator_sublinearity"),
-            MetricClass::LowerIsBetter
-        );
-        assert_eq!(
-            classify("ppo_minibatch_update.speedup"),
-            MetricClass::HigherIsBetter
-        );
-        assert_eq!(
-            classify("curve[0].aggregate_cell_slots_per_second"),
-            MetricClass::HigherIsBetterRate
-        );
-        assert_eq!(
-            classify("timings[1].slice_slots_per_second"),
-            MetricClass::HigherIsBetterRate
-        );
-        assert_eq!(classify("sla_violation_percent"), MetricClass::Exact);
-        assert_eq!(classify("curve[0].cost_p90"), MetricClass::Exact);
+        // BENCH_hotpath.json: the only wall-clock keys under baselines/.
+        for path in [
+            "mlp_forward.batched_ns",
+            "bc_epoch_96_demos_ns",
+            "fused_cell_slot[2].fused_ns",
+            "coordination_machinery.in_place_ns",
+            "orchestrator_slot[1].ns_per_slot",
+            "orchestrator_sublinearity",
+        ] {
+            assert_eq!(classify(path), MetricClass::LowerIsBetter, "{path}");
+        }
         assert_eq!(classify("threads"), MetricClass::Informational);
-        assert_eq!(classify("samples"), MetricClass::Informational);
+        // Everything the determinism contract pins.
+        for path in [
+            "timings[0].sla_violation_percent",
+            "timings[1].slice_slots",
+            "curve[0].cost_p99",
+            "curve[2].avg_slot_cost",
+            "rebalance_comparison.violation_reduction_points",
+            "leaderboard[0].mean_avg_slot_cost",
+            "fused_cell_slot[2].slices",
+            "schema",
+        ] {
+            assert_eq!(classify(path), MetricClass::Exact, "{path}");
+        }
+    }
+
+    /// The dotted path of every leaf of `value`, in document order.
+    fn leaves(path: String, value: &Value, out: &mut Vec<String>) {
+        match value {
+            Value::Obj(fields) => {
+                for (key, v) in fields {
+                    leaves(child_path(&path, key), v, out);
+                }
+            }
+            Value::Arr(items) => {
+                for (i, v) in items.iter().enumerate() {
+                    leaves(format!("{path}[{i}]"), v, out);
+                }
+            }
+            _ => out.push(path),
+        }
     }
 
     #[test]
-    fn fused_speedups_carry_an_absolute_floor() {
-        assert_eq!(
-            classify("coordination_machinery.fused_speedup"),
-            MetricClass::HigherIsBetterWithFloor
-        );
-        // Plain speedups are unaffected by the floor rule.
-        assert_eq!(classify("mlp_forward.speedup"), MetricClass::HigherIsBetter);
-
-        let baseline = r#"{ "coordination_machinery": { "fused_speedup": 13.0 } }"#;
-        // A within-band dip stays comfortably above the floor: passes.
-        let fresh = r#"{ "coordination_machinery": { "fused_speedup": 12.0 } }"#;
-        assert!(compare_json(baseline, fresh, &Tolerances::default())
-            .unwrap()
-            .passed());
-        // A big relative loss fails on the band.
-        let fresh = r#"{ "coordination_machinery": { "fused_speedup": 9.0 } }"#;
-        assert!(!compare_json(baseline, fresh, &Tolerances::default())
-            .unwrap()
-            .passed());
-        // The floor binds even when the relative band would forgive: a 5.4
-        // baseline re-baselined downward cannot sink below 5.0.
-        let low_baseline = r#"{ "coordination_machinery": { "fused_speedup": 5.4 } }"#;
-        let fresh = r#"{ "coordination_machinery": { "fused_speedup": 4.9 } }"#;
-        let report = compare_json(low_baseline, fresh, &Tolerances::default()).unwrap();
-        assert!(!report.passed());
-        assert!(report.regressions[0].contains("absolute fused-speedup floor"));
-    }
-
-    #[test]
-    fn rates_get_the_reciprocal_of_the_latency_band() {
-        // A rate metric mirrors a latency: -26% (= 1/1.35) passes where
-        // the -15% speedup band would have failed, -30% fails.
-        let baseline = r#"{ "rate_slots_per_second": 1000.0 }"#;
-        let ok = r#"{ "rate_slots_per_second": 745.0 }"#;
-        assert!(compare_json(baseline, ok, &Tolerances::default())
-            .unwrap()
-            .passed());
-        let bad = r#"{ "rate_slots_per_second": 700.0 }"#;
-        let report = compare_json(baseline, bad, &Tolerances::default()).unwrap();
-        assert!(!report.passed());
-        assert!(report.regressions[0].contains("rate_slots_per_second"));
+    fn every_committed_baseline_leaf_is_gated_or_named_informational() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../baselines");
+        for (file, clock_reading) in [
+            ("BENCH_hotpath.json", true),
+            ("BENCH_scenario.json", false),
+            ("BENCH_fleet.json", false),
+            ("BENCH_tournament.json", false),
+        ] {
+            let text = std::fs::read_to_string(format!("{dir}/{file}")).unwrap();
+            let value: Value = serde_json::from_str(&text).unwrap();
+            let mut all = Vec::new();
+            leaves(String::new(), &value, &mut all);
+            let report = compare_values(&value, &value);
+            assert!(report.passed(), "{file}: {:?}", report.regressions);
+            // No float key falls through the name rules into the silent
+            // skip; `threads` is the one named informational key.
+            let expected_skips: &[&str] = if clock_reading { &["threads"] } else { &[] };
+            assert_eq!(report.skipped, expected_skips, "{file}");
+            assert_eq!(report.checked + report.skipped.len(), all.len(), "{file}");
+            // A wall-clock key creeping back into a deterministic baseline
+            // would classify `LowerIsBetter` (or match no rule and skip).
+            if !clock_reading {
+                for path in &all {
+                    assert_eq!(classify(path), MetricClass::Exact, "{file}: {path}");
+                }
+            }
+        }
     }
 
     #[test]
     fn unchanged_negative_metrics_pass_every_band() {
-        // Signed metrics (a future `*_vs_*` delta) must not fail a
-        // no-change run because the tolerance band flipped sides of zero.
-        let baseline =
-            r#"{ "drift_vs_reference": -10.0, "gain_speedup": -2.0, "neg_per_second": -5.0 }"#;
-        let report = compare_json(baseline, baseline, &Tolerances::default()).unwrap();
+        // A signed metric must not fail a no-change run because the
+        // tolerance band flipped sides of zero.
+        let baseline = r#"{ "drift_ns": -10.0, "delta_cost": -2.0 }"#;
+        let report = compare_json(baseline, baseline).unwrap();
         assert!(report.passed(), "regressions: {:?}", report.regressions);
         // And a genuine worsening of the negative latency-like delta fails.
-        let worse =
-            r#"{ "drift_vs_reference": -3.0, "gain_speedup": -2.0, "neg_per_second": -5.0 }"#;
-        assert!(!compare_json(baseline, worse, &Tolerances::default())
-            .unwrap()
-            .passed());
+        let worse = r#"{ "drift_ns": -3.0, "delta_cost": -2.0 }"#;
+        assert!(!compare_json(baseline, worse).unwrap().passed());
     }
 }

@@ -485,6 +485,19 @@ impl OnSlicingAgent {
         &self.ppo
     }
 
+    /// Per-layer `(in, out)` dimensions of the two networks the fused slot
+    /// path sweeps across a cell — the policy-mean net and the critic.
+    /// Weights are free to differ between the agents of a cell; these are
+    /// not.
+    pub fn trunk_shape(&self) -> [Vec<(usize, usize)>; 2] {
+        [self.ppo.policy().mean_net(), self.ppo.critic()].map(|net| {
+            net.layers_ref()
+                .iter()
+                .map(|l| (l.in_dim(), l.out_dim()))
+                .collect()
+        })
+    }
+
     /// Applies the action modifier `π_a` to an action under the current
     /// coordinating parameters.
     pub fn modify(&mut self, action: &Action, betas: &[f64; 6]) -> Action {

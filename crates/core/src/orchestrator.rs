@@ -311,8 +311,8 @@ impl Orchestrator {
         );
         for agent in agents.iter().skip(1) {
             assert_eq!(
-                trunk_shape(agent),
-                trunk_shape(&agents[0]),
+                agent.trunk_shape(),
+                agents[0].trunk_shape(),
                 "every agent of a cell must share one trunk shape"
             );
         }
@@ -376,7 +376,7 @@ impl Orchestrator {
         env: SliceEnvironment,
     ) -> Result<SliceId, OrchestratorError> {
         if let Some(first) = self.agents.first() {
-            let (cell, slice) = (trunk_shape(first), trunk_shape(&agent));
+            let (cell, slice) = (first.trunk_shape(), agent.trunk_shape());
             if cell != slice {
                 return Err(OrchestratorError::TrunkMismatch {
                     cell: format!("{cell:?}"),
@@ -715,18 +715,6 @@ impl Orchestrator {
         let runs: Vec<EpisodeMetrics> = (0..episodes).map(|_| self.run_episode(false)).collect();
         EpochMetrics::from_episodes(&runs)
     }
-}
-
-/// Per-layer `(in, out)` dimensions of the two networks the fused slot path
-/// sweeps across the cell — the agent's policy-mean net and its critic.
-/// Weights are free to differ between the agents of a cell; these are not.
-fn trunk_shape(agent: &OnSlicingAgent) -> [Vec<(usize, usize)>; 2] {
-    [agent.ppo().policy().mean_net(), agent.ppo().critic()].map(|net| {
-        net.layers_ref()
-            .iter()
-            .map(|l| (l.in_dim(), l.out_dim()))
-            .collect()
-    })
 }
 
 #[cfg(test)]

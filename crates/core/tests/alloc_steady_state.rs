@@ -3,8 +3,9 @@
 //! slot must run without touching the allocator at all — the gather
 //! buffers, fused cell batches, coordination scratch and outcome vectors
 //! are all reused, and the Bayesian predict path runs entirely inside its
-//! `PredictScratch` (16 sample rows stay below the GEMM's parallel fan-out
-//! threshold, so no block list is allocated either).
+//! `PredictScratch` (its GEMMs go through `Matrix::matmul_into`, the one
+//! driver, which writes into the caller's output and allocates nothing at
+//! any row count).
 //!
 //! The counting allocator is process-global, so this lives in its own
 //! integration-test binary and its tests take turns behind [`SERIAL`]: one

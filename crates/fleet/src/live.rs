@@ -521,17 +521,6 @@ fn route_fleet_admission(
     None
 }
 
-/// Per-layer `(in, out)` dimensions of an agent's policy-mean and critic
-/// networks — what every agent of a cell must share.
-fn trunk_shape(agent: &OnSlicingAgent) -> [Vec<(usize, usize)>; 2] {
-    [agent.ppo().policy().mean_net(), agent.ppo().critic()].map(|net| {
-        net.layers_ref()
-            .iter()
-            .map(|l| (l.in_dim(), l.out_dim()))
-            .collect()
-    })
-}
-
 /// A versioned, self-describing snapshot of a whole elastic fleet run, and
 /// the one declaration of the fleet machine's state: a self-describing
 /// header, every cell's deployment and telemetry recorder, the balancer's
@@ -641,7 +630,12 @@ impl FleetCheckpoint {
         // cell's trunk shape where the slice enters; the cell's fused
         // forward pass would hit its shape assert mid-run.
         for c in &self.cells {
-            let mut shapes = c.engine.orchestrator().agents().iter().map(trunk_shape);
+            let mut shapes = c
+                .engine
+                .orchestrator()
+                .agents()
+                .iter()
+                .map(OnSlicingAgent::trunk_shape);
             if let Some(first) = shapes.next() {
                 if let Some(other) = shapes.find(|s| *s != first) {
                     return Err(format!(

@@ -487,14 +487,6 @@ impl Matrix {
         }
     }
 
-    /// In-place element-wise addition of `scale * other`.
-    pub fn add_scaled_assign(&mut self, other: &Matrix, scale: f64) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += scale * b;
-        }
-    }
-
     /// Fills the matrix with a constant value.
     pub fn fill(&mut self, v: f64) {
         for x in &mut self.data {
@@ -580,15 +572,6 @@ mod tests {
         assert_eq!(o.rows(), 2);
         assert_eq!(o.cols(), 3);
         assert_eq!(o.row(1), &[6.0, 8.0, 10.0]);
-    }
-
-    #[test]
-    fn add_scaled_assign_accumulates() {
-        let mut a = Matrix::zeros(1, 3);
-        let g = Matrix::from_rows(&[vec![1.0, 2.0, 3.0]]);
-        a.add_scaled_assign(&g, 0.5);
-        a.add_scaled_assign(&g, 0.5);
-        assert_eq!(a.row(0), &[1.0, 2.0, 3.0]);
     }
 
     #[test]
