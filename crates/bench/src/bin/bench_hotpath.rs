@@ -10,6 +10,9 @@
 //! * the paper-sized MLP forward at batch 64 (one batched GEMM pass);
 //! * one PPO minibatch update (64 transitions, paper networks);
 //! * one behavior-cloning epoch over 96 demonstrations;
+//! * one switch statistic — `BayesianMlp::predict_with` on the estimator
+//!   trunk, 16 posterior samples, warm scratch — and one draw of the
+//!   `N(0, 1)` sampler under it;
 //! * one slot of cell-wide inference (policy mean + critic per slice, the
 //!   deployment-scale trunks the orchestrator actually runs) through the
 //!   fused `CellBatch` layer-major sweep at 3/9/12/18 slices;
@@ -29,8 +32,11 @@ use onslicing_bench::hotpath::{
     median_ns_per_iter, paper_actor_critic, scaled_orchestrator, CellInferenceFixture,
 };
 use onslicing_domains::DomainSet;
-use onslicing_nn::{Activation, BatchWorkspace, CellBatch, Matrix, Mlp};
-use onslicing_rl::{behavior_clone, BcConfig, Demonstration, PpoAgent};
+use onslicing_nn::policy::standard_normal;
+use onslicing_nn::{
+    Activation, BatchWorkspace, BayesianMlp, CellBatch, Matrix, Mlp, PredictScratch,
+};
+use onslicing_rl::{behavior_clone, BcConfig, CostEstimatorConfig, Demonstration, PpoAgent};
 use onslicing_slices::{ACTION_DIM, STATE_DIM};
 
 const BATCH: usize = 64;
@@ -79,6 +85,39 @@ fn measure_bc_epoch() -> f64 {
     median_ns_per_iter(SAMPLES, 10, || {
         std::hint::black_box(behavior_clone(&mut policy, &demos, &bc, &mut rng));
     })
+}
+
+/// The switch statistic as an agent computes it every slot: the estimator
+/// trunk of `CostValueEstimator::new`, its default number of posterior
+/// samples (16), a warm [`PredictScratch`].
+fn measure_bayes_predict() -> f64 {
+    let mut rng = ChaCha8Rng::seed_from_u64(6);
+    let net = BayesianMlp::new(&[STATE_DIM, 64, 32, 1], &mut rng);
+    let samples = CostEstimatorConfig::default().prediction_samples;
+    let mut scratch = PredictScratch::new();
+    let state = [0.3; STATE_DIM];
+    median_ns_per_iter(SAMPLES, 2000, || {
+        std::hint::black_box(net.predict_with(
+            std::hint::black_box(&state),
+            samples,
+            &mut rng,
+            &mut scratch,
+        ));
+    })
+}
+
+/// One `N(0, 1)` draw (1 024 to a timed iteration), generator included.
+fn measure_standard_normal() -> f64 {
+    const DRAWS: usize = 1024;
+    let mut rng = ChaCha8Rng::seed_from_u64(7);
+    let per_iter = median_ns_per_iter(SAMPLES, 200, || {
+        let mut sum = 0.0;
+        for _ in 0..DRAWS {
+            sum += standard_normal(&mut rng);
+        }
+        std::hint::black_box(sum);
+    });
+    per_iter / DRAWS as f64
 }
 
 /// One slot's worth of cell inference (policy mean + critic for every
@@ -159,6 +198,10 @@ fn main() {
     println!("  ppo minibatch update: {ppo:.0} ns");
     let bc_epoch = measure_bc_epoch();
     println!("  bc epoch (96 demos): {bc_epoch:.0} ns");
+    let bayes_predict = measure_bayes_predict();
+    println!("  bayes predict: {bayes_predict:.0} ns");
+    let standard_normal = measure_standard_normal();
+    println!("  standard normal draw: {standard_normal:.2} ns");
     let fused = measure_fused_cell();
     for (n, ns) in &fused {
         println!("  fused cell slot ({n} slices): {ns:.0} ns");
@@ -190,7 +233,7 @@ fn main() {
     };
     let json = format!(
         "{{\n\
-         \x20 \"schema\": \"onslicing-hotpath-bench/3\",\n\
+         \x20 \"schema\": \"onslicing-hotpath-bench/4\",\n\
          \x20 \"threads\": {threads},\n\
          \x20 \"batch\": {BATCH},\n\
          \x20 \"trunk\": \"onslicing_default 128x64x32\",\n\
@@ -201,6 +244,8 @@ fn main() {
          \x20   \"batched_ns\": {ppo:.1}\n\
          \x20 }},\n\
          \x20 \"bc_epoch_96_demos_ns\": {bc_epoch:.1},\n\
+         \x20 \"bayes_predict_ns\": {bayes_predict:.1},\n\
+         \x20 \"standard_normal_ns\": {standard_normal:.2},\n\
          \x20 \"fused_cell_slot\": [\n{fused_rows}\n\x20 ],\n\
          \x20 \"coordination_machinery\": {{\n\
          \x20   \"slices\": {COORDINATION_SLICES},\n\

@@ -249,7 +249,7 @@ fn kill_and_resume(fleet: ElasticFleet, dir: &Path) -> Result<ElasticFleet, Stri
     // A torn write: a crashed writer's partial temp file for the *next*
     // checkpoint. Listing and resume must ignore it.
     let torn = dir.join(format!("{}.tmp", checkpoint_file_name(slot + 1)));
-    std::fs::write(&torn, "{\"format_version\":2,\"scenario_na")
+    std::fs::write(&torn, "{\"format_vers")
         .map_err(|e| format!("chaos resume: cannot plant torn artifact: {e}"))?;
     let slots = list_checkpoint_slots(dir)
         .map_err(|e| format!("chaos resume: cannot list checkpoints: {e}"))?;

@@ -66,7 +66,11 @@ use crate::{
 /// v2: the Bayesian cost predictor samples pre-activations instead of
 /// weights, so a v1 checkpoint would resume onto a different RNG draw
 /// sequence than its writer would have produced; it is refused instead.
-pub const FLEET_CHECKPOINT_FORMAT_VERSION: u32 = 2;
+///
+/// v3: the agents' `N(0, 1)` sampler is a ziggurat with value-dependent
+/// word consumption; a v2 checkpoint (Box–Muller, two words a draw) is
+/// refused for the same reason.
+pub const FLEET_CHECKPOINT_FORMAT_VERSION: u32 = 3;
 
 /// Tuning of an elastic fleet run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -734,23 +738,42 @@ mod tests {
         );
     }
 
-    #[test]
-    fn checkpoint_resume_continues_bit_for_bit() {
-        // Snapshot mid-run (JSON round-trip included), continue both
-        // copies, and require byte-identical final traces.
-        let mut fleet = ElasticFleet::new(tiny_fleet_scenario(), quick_config(2)).unwrap();
-        fleet.advance_to(13).unwrap();
-        let snapshot = FleetCheckpoint::from_json(&fleet.checkpoint().to_json()).unwrap();
-        assert_eq!(snapshot.slot, 13);
+    /// Snapshots a run of `config` at slot `at` (JSON round-trip included),
+    /// continues both copies and requires byte-identical final traces.
+    /// Returns the checkpoint document.
+    fn assert_resume_continues_bit_for_bit(config: ElasticFleetConfig, at: usize) -> String {
+        let mut fleet = ElasticFleet::new(tiny_fleet_scenario(), config).unwrap();
+        fleet.advance_to(at).unwrap();
+        let json = fleet.checkpoint().to_json();
+        let snapshot = FleetCheckpoint::from_json(&json).unwrap();
+        assert_eq!(snapshot.slot, at);
 
         fleet.advance_to(32).unwrap();
         let reference = fleet.finish(0.0).unwrap();
 
         let mut resumed = snapshot.restore().unwrap();
-        assert_eq!(resumed.slot(), 13);
+        assert_eq!(resumed.slot(), at);
         resumed.advance_to(32).unwrap();
         let outcome = resumed.finish(0.0).unwrap();
         assert_eq!(outcome.trace.to_json(), reference.trace.to_json());
+        json
+    }
+
+    #[test]
+    fn checkpoint_resume_continues_bit_for_bit() {
+        assert_resume_continues_bit_for_bit(quick_config(2), 13);
+    }
+
+    #[test]
+    fn a_fleet_holding_a_non_finite_float_resumes_from_its_own_checkpoint() {
+        // `forced_noop` is `min_load_gap = ∞`, which JSON can only carry as
+        // the string the writer tags it with.
+        let config = quick_config(2).with_balancer(BalancerConfig::forced_noop());
+        let json = assert_resume_continues_bit_for_bit(config, 4);
+        assert!(
+            json.contains("\"min_load_gap\":\"inf\""),
+            "no infinity on file"
+        );
     }
 
     #[test]
@@ -799,15 +822,15 @@ mod tests {
         fleet.advance_to(4).unwrap();
         let json = fleet.checkpoint().to_json();
         assert!(fleet.finish(0.0).unwrap_err().contains("incomplete"));
-        // Version gate: a stale stamp (v1 = the weight-sampling predictor's
-        // RNG stream) reports the version, not a missing field; a missing
-        // stamp is malformed.
-        assert!(json.starts_with("{\"format_version\":2,"));
-        let doctored = json.replacen("\"format_version\":2", "\"format_version\":1", 1);
+        // Version gate: a stale stamp (v2 = the Box–Muller sampler's RNG
+        // stream) reports the version, not a missing field; a missing stamp
+        // is malformed.
+        assert!(json.starts_with("{\"format_version\":3,"));
+        let doctored = json.replacen("\"format_version\":3", "\"format_version\":2", 1);
         let err = FleetCheckpoint::from_json(&doctored).unwrap_err();
         assert_eq!(
             err,
-            "fleet checkpoint format version 1 is not supported (expected 2)"
+            "fleet checkpoint format version 2 is not supported (expected 3)"
         );
         let err = FleetCheckpoint::from_json("{\"slot\":4}").unwrap_err();
         assert!(err.contains("missing format_version"), "{err}");

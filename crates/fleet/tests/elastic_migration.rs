@@ -20,6 +20,7 @@ use onslicing_scenario::{
 };
 use onslicing_slices::SliceKind;
 use proptest::prelude::*;
+use rayon::prelude::*;
 
 fn tiny_base() -> Scenario {
     Scenario::new("tiny-elastic", 8, 16)
@@ -130,21 +131,32 @@ fn hotspot_shift_balancer_strictly_reduces_fleet_sla_violations() {
     // SLA-violation percentage versus frozen sharding — migrations give
     // the hot slices idle-neighbor capacity instead of a squeezed share.
     // A single seed can land either way (a migrated slice restarts its
-    // episode in a new cell), so the claim is about the mean over seeds.
-    const SEEDS: u64 = 8;
-    let run = |seed: u64, balancer: BalancerConfig| {
+    // episode in a new cell) and most land on neither — over seeds 0–31 the
+    // balanced run is strictly better on 12, tied on 19 and worse on 1 — so
+    // the claim is about the mean, over enough seeds to resolve it (8 were
+    // not; the figures are in ROADMAP item 5).
+    const SEEDS: usize = 32;
+    let run = |seed: usize, balancer: BalancerConfig| {
         ElasticFleet::run(
             hotspot_shift(),
             ElasticFleetConfig::new(2)
-                .with_seed(seed)
+                .with_seed(seed as u64)
                 .with_balancer(balancer),
         )
         .unwrap()
     };
+    // The 64 runs are independent: fan them out.
+    let outcomes: Vec<_> = (0..SEEDS)
+        .into_par_iter()
+        .map(|seed| {
+            (
+                run(seed, BalancerConfig::disabled()),
+                run(seed, BalancerConfig::default()),
+            )
+        })
+        .collect();
     let (mut frozen_sum, mut balanced_sum, mut migrations, mut granted) = (0.0, 0.0, 0, 0);
-    for seed in 0..SEEDS {
-        let frozen = run(seed, BalancerConfig::disabled());
-        let balanced = run(seed, BalancerConfig::default());
+    for (frozen, balanced) in &outcomes {
         frozen_sum += frozen.report.sla_violation_percent;
         balanced_sum += balanced.report.sla_violation_percent;
         migrations += balanced.report.migrations.len();

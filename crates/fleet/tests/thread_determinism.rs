@@ -32,14 +32,18 @@ fn fleet_trace_is_byte_identical_across_thread_counts() {
     // The elastic twin: a migrating hotspot-shift fleet — the balancer's
     // plan (and therefore the migration schedule embedded in the trace)
     // must be a pure function of deterministic state, never of scheduling.
-    let record_elastic = || {
-        let outcome =
-            ElasticFleet::run(hotspot_shift(), ElasticFleetConfig::new(2).with_seed(5)).unwrap();
-        assert!(
-            !outcome.report.migrations.is_empty(),
-            "the hotspot run must actually migrate for this gate to bite"
-        );
-        outcome.trace.to_json()
+    // Recorded twice: at a zero load-gap threshold, which makes the
+    // seven-against-four hotspot migrate on any RNG stream (at the default
+    // 0.25 most seeds do not), and at the shipped default.
+    let record_elastic = |balancer: BalancerConfig| {
+        let config = ElasticFleetConfig::new(2)
+            .with_seed(5)
+            .with_balancer(balancer);
+        ElasticFleet::run(hotspot_shift(), config).unwrap()
+    };
+    let always_migrates = BalancerConfig {
+        min_load_gap: 0.0,
+        ..BalancerConfig::default()
     };
     // Every registered non-default policy rides the same gate: the plans of
     // `predictive` and `cost-aware` (and the `cautious` admission variant)
@@ -57,12 +61,18 @@ fn fleet_trace_is_byte_identical_across_thread_counts() {
     };
     let previous = std::env::var("RAYON_NUM_THREADS").ok();
     let default_threads = record();
-    let default_elastic = record_elastic();
+    let default_elastic = record_elastic(always_migrates);
+    assert!(
+        !default_elastic.report.migrations.is_empty(),
+        "the hotspot run must actually migrate for this gate to bite"
+    );
+    let default_shipped = record_elastic(BalancerConfig::default());
     let default_predictive = record_policy("predictive");
     let default_cost_aware = record_policy("cost-aware");
     std::env::set_var("RAYON_NUM_THREADS", "1");
     let single_thread = record();
-    let single_elastic = record_elastic();
+    let single_elastic = record_elastic(always_migrates);
+    let single_shipped = record_elastic(BalancerConfig::default());
     let single_predictive = record_policy("predictive");
     let single_cost_aware = record_policy("cost-aware");
     match previous {
@@ -74,8 +84,14 @@ fn fleet_trace_is_byte_identical_across_thread_counts() {
         "fleet traces must not depend on the rayon worker count"
     );
     assert_eq!(
-        default_elastic, single_elastic,
+        default_elastic.trace.to_json(),
+        single_elastic.trace.to_json(),
         "elastic fleet traces (migrations included) must not depend on the rayon worker count"
+    );
+    assert_eq!(
+        default_shipped.trace.to_json(),
+        single_shipped.trace.to_json(),
+        "default-balancer fleet traces must not depend on the rayon worker count"
     );
     assert_eq!(
         default_predictive, single_predictive,

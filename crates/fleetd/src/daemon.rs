@@ -631,7 +631,7 @@ pub fn send_request(socket: &Path, line: &str) -> Result<String, String> {
 mod tests {
     use super::*;
     use crate::config::CheckpointPolicy;
-    use onslicing_fleet::ElasticFleetConfig;
+    use onslicing_fleet::{ElasticFleetConfig, FLEET_CHECKPOINT_FORMAT_VERSION};
 
     const SCENARIO: &str = "hotspot-shift";
     const SEED: u64 = 17;
@@ -688,7 +688,7 @@ mod tests {
         // considered (it is not in the checkpoint namespace).
         std::fs::write(
             dir.join(format!("{}.tmp", checkpoint_file_name(24))),
-            "{\"format_version\":2,\"scenario_na",
+            "{\"format_vers",
         )
         .unwrap();
         let fleet = build_or_resume(&test_config(&dir)).unwrap();
@@ -700,10 +700,11 @@ mod tests {
     fn stale_format_version_falls_back_to_the_next_older_checkpoint() {
         let dir = scratch("stale-format");
         plant(&dir, 8, &checkpoint_json(SCENARIO, SEED, 8));
-        // v1: written by a binary with the weight-sampling predictor.
+        // One version back: written by a binary on an older RNG stream.
+        let stamp = |version: u32| format!("\"format_version\":{version}");
         let doctored = checkpoint_json(SCENARIO, SEED, 16).replacen(
-            "\"format_version\":2",
-            "\"format_version\":1",
+            &stamp(FLEET_CHECKPOINT_FORMAT_VERSION),
+            &stamp(FLEET_CHECKPOINT_FORMAT_VERSION - 1),
             1,
         );
         plant(&dir, 16, &doctored);
@@ -711,7 +712,7 @@ mod tests {
         assert_eq!(
             fleet.slot(),
             8,
-            "the v1 file must be skipped with a warning"
+            "the stale file must be skipped with a warning"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -788,7 +789,7 @@ mod tests {
     #[test]
     fn all_checkpoints_bad_means_fresh_start_not_an_error() {
         let dir = scratch("all-bad");
-        plant(&dir, 8, "{\"format_version\":2,\"scenario_na");
+        plant(&dir, 8, "{\"format_vers");
         plant(&dir, 16, &checkpoint_json(SCENARIO, 99, 16));
         let fleet = build_or_resume(&test_config(&dir)).unwrap();
         assert_eq!(fleet.slot(), 0, "every file skipped, fresh start");

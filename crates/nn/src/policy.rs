@@ -14,6 +14,15 @@
 //! Samples are clipped to `[0, 1]` when handed to the environment, but the
 //! log-probability is always evaluated on the *unclipped* sample so that the
 //! PPO ratio remains well defined.
+//!
+//! The module also owns [`standard_normal`], the one `N(0, 1)` sampler of
+//! the `nn` and `core` crates: policy exploration, the Bayesian layers'
+//! weight and pre-activation noise, the action modifier's noise and the
+//! agent's estimator noise all draw from it, so a change to it moves every
+//! agent's RNG stream at once (and must re-pin goldens, baselines and the
+//! checkpoint format versions).
+
+use std::sync::OnceLock;
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -25,26 +34,78 @@ use crate::optimizer::ParameterSet;
 use crate::softplus;
 use crate::softplus_derivative;
 
-/// Draws a standard-normal sample using the Box–Muller transform.
-///
-/// Kept local to avoid pulling in `rand_distr`; this is the one scalar
-/// `N(0, 1)` sampler of the `nn` and `core` crates.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    // u1 in (0, 1] so that ln(u1) is finite.
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+/// Right edge of the ziggurat's base strip; beyond it the exponential tail
+/// takes over (256 layers, Marsaglia & Tsang 2000).
+const ZIGGURAT_R: f64 = 3.654_152_885_361_009;
+/// Common area of the 256 layers under the unnormalised density
+/// `f(x) = exp(-x²/2)`: `R·f(R) + ∫_R^∞ f`.
+const ZIGGURAT_V: f64 = 4.928_673_233_974_658e-3;
+
+/// Layer edges `x[0] = V/f(R) > x[1] = R > … > x[256] = 0` and the density
+/// at each, `f[i] = f(x[i])`. Layer `i ≥ 1` is the rectangle
+/// `[0, x[i]] × [f[i], f[i + 1]]`; layer 0 is the base strip `[0, R] × [0,
+/// f(R)]` plus the tail, stretched to the rectangle `[0, x[0]] × [0, f(R)]`.
+struct Ziggurat {
+    x: [f64; 257],
+    f: [f64; 257],
 }
 
-/// Draws two independent standard-normal samples from one Box–Muller
-/// transform (the cosine and the sine branch of the same radius), for the
-/// same two uniforms [`standard_normal`] spends on a single draw.
-pub fn standard_normal_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
-    let radius = (-2.0 * u1.ln()).sqrt();
-    let (sin, cos) = (2.0 * std::f64::consts::PI * u2).sin_cos();
-    (radius * cos, radius * sin)
+/// The process-wide tables, filled from the equal-area recurrence
+/// `x[i]·(f(x[i + 1]) − f(x[i])) = V` on first use.
+fn ziggurat() -> &'static Ziggurat {
+    static TABLES: OnceLock<Ziggurat> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let density = |x: f64| (-0.5 * x * x).exp();
+        let mut x = [0.0; 257];
+        x[0] = ZIGGURAT_V / density(ZIGGURAT_R);
+        x[1] = ZIGGURAT_R;
+        for i in 2..256 {
+            x[i] = (-2.0 * (ZIGGURAT_V / x[i - 1] + density(x[i - 1])).ln()).sqrt();
+        }
+        Ziggurat {
+            x,
+            f: x.map(density),
+        }
+    })
+}
+
+/// Draws a standard-normal sample with a 256-layer ziggurat (Marsaglia &
+/// Tsang 2000, with the layer index and the uniform taken from disjoint
+/// bits as in Doornik 2005) — an exact sampler.
+///
+/// One 64-bit word per draw on the ≈ 98.5 % fast path: the low 8 bits pick
+/// the layer, the top 53 bits are the signed uniform. A draw that lands
+/// outside its layer's inner strip spends one more word on the wedge test,
+/// or two per round of Marsaglia's exponential tail beyond `R`, and redraws
+/// on rejection — so the number of words a draw consumes depends on their
+/// values. This is the one `N(0, 1)` sampler of the `nn` and `core` crates.
+pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    let Ziggurat { x, f } = ziggurat();
+    loop {
+        let bits: u64 = rng.gen();
+        let layer = (bits & 0xff) as usize;
+        let u = (bits >> 11) as f64 * (2.0 / (1u64 << 53) as f64) - 1.0;
+        let z = u * x[layer];
+        if z.abs() < x[layer + 1] {
+            return z;
+        }
+        if layer == 0 {
+            // |z| ≥ R in the base strip stands for the tail: R plus an
+            // exponential of rate R, accepted against the Gaussian decay.
+            loop {
+                let a = -(1.0 - rng.gen::<f64>()).ln() / ZIGGURAT_R;
+                let b = -(1.0 - rng.gen::<f64>()).ln();
+                if 2.0 * b > a * a {
+                    return (ZIGGURAT_R + a).copysign(u);
+                }
+            }
+        }
+        // The wedge between the layer's inner strip and the density.
+        let y = f[layer] + rng.gen::<f64>() * (f[layer + 1] - f[layer]);
+        if y < (-0.5 * z * z).exp() {
+            return z;
+        }
+    }
 }
 
 /// A sample drawn from a [`GaussianPolicy`].
@@ -428,44 +489,94 @@ mod tests {
         log_probs
     }
 
-    #[test]
-    fn standard_normal_pair_halves_are_unit_variance_and_uncorrelated() {
-        let mut rng = ChaCha8Rng::seed_from_u64(17);
-        let n = 200_000;
-        let (mut sa, mut sb, mut saa, mut sbb, mut sab) = (0.0, 0.0, 0.0, 0.0, 0.0);
-        for _ in 0..n {
-            let (a, b) = standard_normal_pair(&mut rng);
-            sa += a;
-            sb += b;
-            saa += a * a;
-            sbb += b * b;
-            sab += a * b;
+    /// `Φ(x)` by Marsaglia's all-positive series
+    /// `½ + φ(x)·Σ_k x^(2k+1) / (1·3·…·(2k+1))` — independent of the tables.
+    fn normal_cdf(x: f64) -> f64 {
+        let (mut term, mut sum) = (x, x);
+        for k in 1..200 {
+            term *= x * x / (2 * k + 1) as f64;
+            sum += term;
         }
-        let n = n as f64;
-        // Standard errors: mean 1/√n, second moments √2/√n, cross 1/√n.
-        let tol = 5.0 / n.sqrt();
-        assert!((sa / n).abs() < tol && (sb / n).abs() < tol);
-        assert!(
-            (saa / n - 1.0).abs() < 1.5 * tol,
-            "cos half var {}",
-            saa / n
-        );
-        assert!(
-            (sbb / n - 1.0).abs() < 1.5 * tol,
-            "sin half var {}",
-            sbb / n
-        );
-        assert!((sab / n).abs() < tol, "halves correlate: {}", sab / n);
+        0.5 + sum * (-0.5 * x * x).exp() / (2.0 * std::f64::consts::PI).sqrt()
     }
 
     #[test]
-    fn standard_normal_pair_spends_the_uniforms_of_one_scalar_draw() {
-        let mut pair_rng = ChaCha8Rng::seed_from_u64(18);
-        let mut scalar_rng = pair_rng.clone();
-        let (a, _) = standard_normal_pair(&mut pair_rng);
-        let z = standard_normal(&mut scalar_rng);
-        assert!((a - z).abs() < 1e-12);
-        assert_eq!(pair_rng.gen::<u64>(), scalar_rng.gen::<u64>());
+    fn ziggurat_tables_are_strictly_decreasing_with_equal_layer_areas() {
+        let Ziggurat { x, f } = ziggurat();
+        assert!(x.windows(2).all(|w| w[0] > w[1]), "edges must decrease");
+        assert_eq!((x[1], x[256], f[256]), (ZIGGURAT_R, 0.0, 1.0));
+        // The base layer: the strip under f(R) plus the tail beyond R.
+        let tail = (2.0 * std::f64::consts::PI).sqrt() * (1.0 - normal_cdf(ZIGGURAT_R));
+        assert!((ZIGGURAT_R * f[1] + tail - ZIGGURAT_V).abs() < 1e-12);
+        assert!((x[0] * f[1] - ZIGGURAT_V).abs() < 1e-12);
+        for i in 1..256 {
+            let area = x[i] * (f[i + 1] - f[i]);
+            assert!((area - ZIGGURAT_V).abs() < 1e-12, "layer {i}: {area}");
+        }
+    }
+
+    #[test]
+    fn standard_normal_matches_the_gaussian_in_moments_tails_and_bins() {
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let n = 2_000_000usize;
+        // 63 inner edges of 64 equiprobable bins, by bisection on Φ.
+        let edges: Vec<f64> = (1..64)
+            .map(|k| {
+                let (mut lo, mut hi) = (-4.0, 4.0);
+                for _ in 0..60 {
+                    let mid = 0.5 * (lo + hi);
+                    if normal_cdf(mid) < k as f64 / 64.0 {
+                        lo = mid;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                lo
+            })
+            .collect();
+        let mut moments = [0.0f64; 4];
+        let (mut lag, mut prev) = (0.0, 0.0);
+        let mut tails = [0usize; 2];
+        let mut bins = [0usize; 64];
+        for _ in 0..n {
+            let z = standard_normal(&mut rng);
+            for (k, m) in moments.iter_mut().enumerate() {
+                *m += z.powi(k as i32 + 1);
+            }
+            lag += z * prev;
+            prev = z;
+            if z.abs() > ZIGGURAT_R {
+                tails[usize::from(z > 0.0)] += 1;
+            }
+            bins[edges.partition_point(|&e| e < z)] += 1;
+        }
+        let nf = n as f64;
+        // Five standard errors each: √(1, 2, 15, 96)/√n for the raw moments,
+        // 1/√n for the lag-1 product.
+        let se = 5.0 / nf.sqrt();
+        let [m1, m2, m3, m4] = moments.map(|m| m / nf);
+        assert!(m1.abs() < se, "mean {m1}");
+        assert!((m2 - 1.0).abs() < se * 2f64.sqrt(), "variance {m2}");
+        assert!(m3.abs() < se * 15f64.sqrt(), "skew {m3}");
+        assert!((m4 - 3.0).abs() < se * 96f64.sqrt(), "fourth moment {m4}");
+        assert!((lag / nf).abs() < se, "lag-1 correlation {}", lag / nf);
+        // Each side of the tail beyond R holds 1 − Φ(R) ≈ 1.29e-4 of the
+        // mass (≈ 258 of 2 M draws), Poisson to five standard deviations.
+        let side = nf * (1.0 - normal_cdf(ZIGGURAT_R));
+        assert!((side * 2.0 / nf - 2.58e-4).abs() < 1e-6);
+        for count in tails {
+            assert!(
+                (count as f64 - side).abs() < 5.0 * side.sqrt(),
+                "tail counts {tails:?} vs {side} a side"
+            );
+        }
+        // χ² with 63 degrees of freedom: mean 63, standard deviation √126.
+        let expected = nf / 64.0;
+        let chi2: f64 = bins
+            .iter()
+            .map(|&b| (b as f64 - expected).powi(2) / expected)
+            .sum();
+        assert!(chi2 < 63.0 + 5.0 * 126f64.sqrt(), "chi-square {chi2}");
     }
 
     #[test]

@@ -69,7 +69,11 @@ pub fn from_versioned_json<T: Deserialize>(
 /// slot. A v3 snapshot still parses, but resuming it would continue on a
 /// different draw sequence than the binary that wrote it — a silent break
 /// of the upgrade-invariance contract — so it is refused instead.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 4;
+///
+/// v5: the one `N(0, 1)` sampler of the agents is a ziggurat that spends a
+/// value-dependent number of words per draw where Box–Muller spent two, so
+/// a v4 snapshot would likewise resume onto a different stream; refused.
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 5;
 
 /// A versioned, self-describing snapshot of a scenario run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -228,14 +232,15 @@ mod tests {
     fn stale_format_versions_fail_with_the_version_error_not_a_parse_error() {
         // A stale file may be structurally incompatible (v2: fields have
         // come and gone) or parse fine but continue on the wrong RNG stream
-        // (v3: written under the weight-sampling predictor); either way the
-        // loader must report the version mismatch — the actionable message —
-        // before it looks at any other field.
-        for version in [2, 3] {
+        // (v3: written under the weight-sampling predictor, v4: under the
+        // Box–Muller sampler); either way the loader must report the version
+        // mismatch — the actionable message — before it looks at any other
+        // field.
+        for version in [2, 3, 4] {
             let stale = format!(r#"{{"format_version":{version},"scenario":"steady","seed":7}}"#);
             assert_eq!(
                 Checkpoint::from_json(&stale).unwrap_err(),
-                format!("checkpoint format version {version} is not supported (expected 4)")
+                format!("checkpoint format version {version} is not supported (expected 5)")
             );
         }
         // A document with no stamp at all is malformed, not "version 0".

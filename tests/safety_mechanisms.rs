@@ -53,14 +53,24 @@ fn lambda_grows_only_for_violating_agents() {
 }
 
 /// Switching variants: disabling the baseline switch can only increase (or
-/// keep equal) the online violation rate relative to full OnSlicing.
+/// keep equal) the online violation rate relative to full OnSlicing. A
+/// single seed can land either way (three short episodes, a handful of
+/// violations), so the claim is about the mean over seeds.
 #[test]
 fn removing_the_switch_does_not_reduce_violations() {
-    let with_switch = online_violation(AgentConfig::onslicing(), 21);
-    let without_switch = online_violation(AgentConfig::onslicing_nb(), 21);
+    const SEEDS: u64 = 8;
+    let mean = |config: AgentConfig| {
+        (0..SEEDS)
+            .map(|seed| online_violation(config, seed))
+            .sum::<f64>()
+            / SEEDS as f64
+    };
+    let with_switch = mean(AgentConfig::onslicing());
+    let without_switch = mean(AgentConfig::onslicing_nb());
     assert!(
         without_switch + 1e-9 >= with_switch,
-        "OnSlicing-NB ({without_switch:.1}%) should not violate less than OnSlicing ({with_switch:.1}%)"
+        "OnSlicing-NB (mean {without_switch:.1}% over {SEEDS} seeds) should not violate less \
+         than OnSlicing ({with_switch:.1}%)"
     );
 }
 
