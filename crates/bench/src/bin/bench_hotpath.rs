@@ -173,7 +173,7 @@ fn measure_orchestrator() -> Vec<(usize, f64)> {
     [3usize, 9, 18]
         .into_iter()
         .map(|num_slices| {
-            let mut orch = scaled_orchestrator(num_slices, 10 + num_slices as u64);
+            let mut orch = scaled_orchestrator(num_slices, 24, 10 + num_slices as u64);
             // The slots one `run_episode` really executes (a 96-slot day).
             let horizon = orch.env().envs()[0].horizon() as f64;
             // One warm-up episode so lazily-sized buffers settle.

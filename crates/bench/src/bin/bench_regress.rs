@@ -1,5 +1,6 @@
-//! The regression gate: compares a freshly produced `BENCH_*.json` against
-//! its committed baseline and exits non-zero on regression.
+//! The regression gate: compares a freshly produced `BENCH_*.json` (or the
+//! `experiments` ledger) against its committed baseline and exits non-zero
+//! on regression.
 //!
 //! ```sh
 //! # Gate (CI): fail when the fresh artifact regresses past the tolerances.
@@ -14,8 +15,8 @@
 //! not settable here — a settable tolerance on a gate is a way to pass it):
 //! the wall-clock keys of `BENCH_hotpath.json` (`*_ns`, `ns_per_*`,
 //! `*sublinearity*`) may regress up to +35 %; everything else (SLA
-//! violation rates, cost statistics, counts, schema strings — all of the
-//! other three baselines) must match exactly. Structural drift — metrics
+//! violation rates, cost statistics, counts, schema strings, claim verdicts
+//! — all of the other four baselines) must match exactly. Structural drift — metrics
 //! added, removed, or series resized — always fails; rebaseline with
 //! `--update` when the change is intentional. Exit codes: 0 = pass,
 //! 1 = regression, 2 = usage/setup error.

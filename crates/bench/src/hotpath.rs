@@ -157,10 +157,12 @@ pub fn coordination_proposals(n: usize) -> Vec<Action> {
 }
 
 /// Builds an `num_slices`-slice deployment (paper agents, paper networks
-/// scaled to a short horizon) for the orchestrator-slot scaling benchmark.
-pub fn scaled_orchestrator(num_slices: usize, seed: u64) -> Orchestrator {
+/// scaled to a short `horizon`) on an infrastructure that grows with it —
+/// one "cell worth" of every resource per three slices, as the paper's
+/// large-scale emulation adds capacity as it adds slices — for the
+/// orchestrator-slot scaling benchmark and Fig. 19.
+pub fn scaled_orchestrator(num_slices: usize, horizon: usize, seed: u64) -> Orchestrator {
     let network = NetworkConfig::testbed_default();
-    let horizon = 24;
     let baselines = DeploymentBuilder::new()
         .scaled_down(horizon)
         .seed(seed)

@@ -2,12 +2,12 @@
 //!
 //! The experiment harness of the OnSlicing reproduction.
 //!
-//! * `src/bin/` contains one binary per table and figure of the paper's
-//!   evaluation (§7); each prints the same rows or series the paper reports.
-//!   Run them with `cargo run --release --bin <name>`; every binary accepts
-//!   an optional `--full` flag that switches from the CI-scale configuration
-//!   (short episodes, few epochs) to a paper-scale run (96-slot episodes,
-//!   many more epochs — minutes to hours of compute).
+//! * [`experiments`] is the paper's evaluation (§7) as one registry: every
+//!   table and figure is an entry that returns the rows the paper reports
+//!   and its claims as predicates over those rows. The `experiments` binary
+//!   runs entries by id (`--full` switches from the CI-scale configuration
+//!   to 96-slot episodes and 40 epochs); its `--out` file is the fifth
+//!   baseline, `baselines/EXPERIMENTS.json`.
 //!
 //! * `bench_scenario`, `fleet_runner`, `bench_tournament` emit the
 //!   seed-pinned JSON that `bench_regress` ([`regress`]) holds exactly
@@ -15,9 +15,10 @@
 //!   clock-reading baseline, gated at +35 %. End-to-end speed is measured by
 //!   the standalone `benchmark/` crate, not here.
 //!
-//! The helpers in this library are shared by the binaries: deployment
-//! construction, method presets, and plain-text table/series printing.
+//! The helpers in this file are what the experiments share: the run scale,
+//! deployment construction and the method presets.
 
+pub mod experiments;
 pub mod hotpath;
 pub mod regress;
 
@@ -25,7 +26,7 @@ use onslicing_core::{
     evaluate_policy, AgentConfig, CoordinationMode, DeploymentBuilder, EpochMetrics,
     ModelBasedPolicy, Orchestrator, PolicyEvaluation, RuleBasedBaseline, SliceEnvironment,
 };
-use onslicing_netsim::NetworkConfig;
+use onslicing_netsim::{NetworkConfig, RanConfig};
 use onslicing_slices::{Sla, SliceKind};
 
 /// Scale of an experiment run.
@@ -66,33 +67,62 @@ impl RunScale {
             eval_episodes: 5,
         }
     }
-
-    /// Parses the scale from the process arguments (`--full` selects the
-    /// paper-scale run).
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--full") {
-            Self::full()
-        } else {
-            Self::quick()
-        }
-    }
 }
 
-/// Builds a scaled deployment for the given agent variant and coordination
-/// mode.
-pub fn build_deployment(
-    variant: AgentConfig,
-    coordination: CoordinationMode,
-    scale: RunScale,
-    seed: u64,
-) -> Orchestrator {
+/// A learning method of the evaluation, by the name the paper's tables
+/// print: its agent variant, coordination mode and network.
+fn method(name: &str) -> (AgentConfig, CoordinationMode, NetworkConfig) {
+    use CoordinationMode::Projection;
+    let (onslicing, modifier) = (AgentConfig::onslicing(), CoordinationMode::default());
+    // Single round so that pinned betas are what the modifier sees.
+    let one_round = CoordinationMode::Modifier {
+        max_rounds: 1,
+        warm_start: true,
+    };
+    let (agent, mode) = match name {
+        "OnSlicing" | "5G NR (fixed MCS 9)" | "4G LTE (fixed MCS 9)" => (onslicing, modifier),
+        "OnSlicing-NE" => (AgentConfig::onslicing_ne(), modifier),
+        "OnSlicing-NB" => (AgentConfig::onslicing_nb(), modifier),
+        "OnSlicing Est. Noise" => (AgentConfig::onslicing_estimator_noise(1.0), modifier),
+        "OnSlicing Md. Noise" => (AgentConfig::onslicing_modifier_noise(1.0), modifier),
+        "OnSlicing-projection" => (onslicing, Projection),
+        "OnSlicing, one modifier round" => (onslicing, one_round),
+        "OnRL" => (AgentConfig::onrl(), Projection),
+        "Unsafe DRL" => (AgentConfig::unsafe_drl(), Projection),
+        _ => panic!("no method preset `{name}`"),
+    };
+    let testbed = NetworkConfig::testbed_default();
+    let network = match name {
+        "5G NR (fixed MCS 9)" => testbed.with_ran(RanConfig::nr_fixed_mcs9()),
+        "4G LTE (fixed MCS 9)" => testbed.with_ran(RanConfig::lte_fixed_mcs9()),
+        _ => testbed,
+    };
+    (agent, mode, network)
+}
+
+/// Builds the scaled deployment of a method preset.
+pub fn deploy(method_name: &str, scale: RunScale, seed: u64) -> Orchestrator {
+    let (variant, coordination, network) = method(method_name);
     DeploymentBuilder::new()
+        .network(network)
         .agent_config(variant)
         .coordination(coordination)
         .episodes_per_epoch(scale.episodes_per_epoch)
         .scaled_down(scale.horizon)
         .seed(seed)
         .build()
+}
+
+/// Deploys a method, pre-trains it offline when the variant imitates, and
+/// runs the online learning phase; returns the trained deployment and its
+/// learning curve.
+pub fn learn(method_name: &str, scale: RunScale, seed: u64) -> (Orchestrator, Vec<EpochMetrics>) {
+    let mut orch = deploy(method_name, scale, seed);
+    if method(method_name).0.enable_imitation {
+        orch.offline_pretrain_all(scale.pretrain_episodes);
+    }
+    let curve = orch.run_online(scale.online_epochs);
+    (orch, curve)
 }
 
 /// Result row of one method in a Table-1-style comparison.
@@ -106,30 +136,24 @@ pub struct MethodResult {
     pub violation_percent: f64,
 }
 
-/// Runs one learning-agent method end to end (pre-train → online learning →
-/// deterministic evaluation) and returns its test row plus the learning
-/// curve.
-pub fn run_learning_method(
-    name: &str,
-    variant: AgentConfig,
-    coordination: CoordinationMode,
+/// [`learn`]s each method, method `i` on seed `first_seed + i`, then
+/// evaluates it deterministically: its test row plus its learning curve.
+pub fn learn_and_test(
+    methods: &[&str],
     scale: RunScale,
-    seed: u64,
-) -> (MethodResult, Vec<EpochMetrics>) {
-    let mut orch = build_deployment(variant, coordination, scale, seed);
-    if variant.enable_imitation {
-        orch.offline_pretrain_all(scale.pretrain_episodes);
-    }
-    let curve = orch.run_online(scale.online_epochs);
-    let test = orch.evaluate(scale.eval_episodes);
-    (
-        MethodResult {
+    first_seed: u64,
+) -> Vec<(MethodResult, Vec<EpochMetrics>)> {
+    let run = |(name, seed): (&&str, u64)| {
+        let (mut orch, curve) = learn(name, scale, seed);
+        let test = orch.evaluate(scale.eval_episodes);
+        let row = MethodResult {
             name: name.to_string(),
             usage_percent: test.avg_usage_percent,
             violation_percent: test.violation_percent,
-        },
-        curve,
-    )
+        };
+        (row, curve)
+    };
+    methods.iter().zip(first_seed..).map(run).collect()
 }
 
 /// Evaluates the rule-based baseline on every slice and returns the averaged
@@ -168,7 +192,7 @@ pub fn evaluate_model_based(scale: RunScale, seed: u64) -> (MethodResult, Vec<Po
 }
 
 /// Builds one slice environment with an explicit horizon.
-pub fn slice_env(
+fn slice_env(
     kind: SliceKind,
     network: NetworkConfig,
     horizon: usize,
@@ -188,45 +212,6 @@ fn average_row(name: &str, evals: &[PolicyEvaluation]) -> MethodResult {
         name: name.to_string(),
         usage_percent: evals.iter().map(|e| e.avg_usage_percent).sum::<f64>() / n,
         violation_percent: evals.iter().map(|e| e.violation_percent).sum::<f64>() / n,
-    }
-}
-
-/// Prints a Table-1-style comparison.
-pub fn print_method_table(title: &str, rows: &[MethodResult]) {
-    println!("\n=== {title} ===");
-    println!(
-        "{:<24} {:>20} {:>22}",
-        "Method", "Avg. res. usage (%)", "Avg. SLA violation (%)"
-    );
-    for r in rows {
-        println!(
-            "{:<24} {:>20.2} {:>22.2}",
-            r.name, r.usage_percent, r.violation_percent
-        );
-    }
-}
-
-/// Prints a learning curve (one line per epoch).
-pub fn print_learning_curve(title: &str, curve: &[EpochMetrics]) {
-    println!("\n--- {title} ---");
-    println!(
-        "{:<8} {:>18} {:>20}",
-        "epoch", "avg usage (%)", "avg violation (%)"
-    );
-    for (i, m) in curve.iter().enumerate() {
-        println!(
-            "{:<8} {:>18.2} {:>20.2}",
-            i, m.avg_usage_percent, m.violation_percent
-        );
-    }
-}
-
-/// Prints a generic two-column numeric series.
-pub fn print_series(title: &str, x_label: &str, y_label: &str, points: &[(f64, f64)]) {
-    println!("\n--- {title} ---");
-    println!("{x_label:<16} {y_label:>16}");
-    for (x, y) in points {
-        println!("{x:<16.4} {y:>16.4}");
     }
 }
 

@@ -1,24 +1,20 @@
-//! Regression gating of `BENCH_*.json` artifacts against committed
-//! baselines.
+//! Regression gating of `BENCH_*.json` / `EXPERIMENTS.json` artifacts
+//! against committed baselines.
 //!
 //! The bench bins (`bench_hotpath`, `bench_scenario`, `fleet_runner`,
-//! `bench_tournament`) emit machine-readable JSON; this module diffs a
-//! freshly produced file against the committed copy under `baselines/` and
-//! decides whether the change is a regression. Leaves are classified by key
-//! name:
+//! `bench_tournament`, `experiments`) emit machine-readable JSON; this
+//! module diffs a freshly produced file against the committed copy under
+//! `baselines/` and decides whether the change is a regression. Leaves are
+//! classified by key name:
 //!
 //! * **lower-is-better** (`*_ns`, `ns_per_*`, `*sublinearity*`) — the
 //!   wall-clock keys of `BENCH_hotpath.json`, the only baseline that reads
 //!   the clock; fails when the fresh value exceeds the baseline by more
 //!   than [`SLOWER_TOLERANCE`] (+35 %: single runs of one binary on a
 //!   shared VM range over 30 %).
-//! * **exact** (everything else: `*violation*`, `*cost*`, counts, seeds,
-//!   strings, booleans) — what the determinism contract pins for a fixed
-//!   seed; fails on any drift beyond [`EXACT_ABS_TOLERANCE`]. A number that
-//!   is fractional in both files and matches no name rule is skipped
-//!   (visibly, in the summary) rather than guessed at — and
-//!   `every_committed_baseline_leaf_is_gated_or_named_informational` keeps
-//!   such a key out of the committed baselines.
+//! * **exact** (everything else: rates, costs, measured values, counts,
+//!   seeds, strings, booleans) — what the determinism contract pins for a
+//!   fixed seed; fails on any drift beyond [`EXACT_ABS_TOLERANCE`].
 //! * **informational** (`threads`) — a machine property: tracked in the
 //!   artifact, never compared.
 //!
@@ -55,12 +51,6 @@ pub enum MetricClass {
 fn leaf_key(path: &str) -> String {
     let key = path.rsplit('.').next().unwrap_or(path);
     key.split('[').next().unwrap_or(key).to_ascii_lowercase()
-}
-
-/// Whether the key names a metric that is deterministic for a fixed seed
-/// even though it is float-valued (SLA violation rates, cost statistics).
-fn names_deterministic_metric(key: &str) -> bool {
-    key.contains("violation") || key.contains("cost")
 }
 
 /// Classifies a metric by the last segment of its dotted path (array
@@ -103,14 +93,6 @@ fn as_number(v: &Value) -> Option<f64> {
     }
 }
 
-fn is_integer_valued(v: &Value) -> bool {
-    match v {
-        Value::Int(_) | Value::UInt(_) => true,
-        Value::Float(f) => f.fract() == 0.0,
-        _ => false,
-    }
-}
-
 fn compare_leaf(path: &str, baseline: &Value, fresh: &Value, report: &mut ComparisonReport) {
     let class = classify(path);
     if class == MetricClass::Informational {
@@ -139,19 +121,6 @@ fn compare_leaf(path: &str, baseline: &Value, fresh: &Value, report: &mut Compar
                 SLOWER_TOLERANCE * 100.0
             ));
         }
-        return;
-    }
-    // A numeric metric with no wall-clock name rule is held exact when it
-    // is named deterministic or count-like — integer-valued on either side
-    // (so a pinned count drifting to a fraction still fails). Only a metric
-    // that is fractional in BOTH files and matches no name rule is reported
-    // as skipped instead of risking a spurious gate failure; the skip is
-    // visible in the summary.
-    if !names_deterministic_metric(&leaf_key(path))
-        && !is_integer_valued(baseline)
-        && !is_integer_valued(fresh)
-    {
-        report.skipped.push(path.to_string());
         return;
     }
     report.checked += 1;
@@ -241,7 +210,9 @@ mod tests {
             { "slices": 9, "ns_per_slot": 90000000.0 }
         ],
         "orchestrator_sublinearity": 0.99,
-        "sla_violation_percent": 2.7777777777
+        "sla_violation_percent": 2.7777777777,
+        "measured": { "MAR usage, epoch 3": 20.957316 },
+        "holds": false
     }"#;
 
     fn fresh_with(f: impl Fn(&mut String)) -> String {
@@ -283,12 +254,18 @@ mod tests {
         let report = compare_json(BASELINE, &fresh).unwrap();
         assert!(!report.passed());
         assert!(report.regressions[0].contains("sla_violation_percent"));
+        // Exact means exact whatever the key is called: a measured float
+        // nudged by 1e-6, or a verdict flipping either way, fails.
+        let fresh = fresh_with(|t| *t = t.replace("20.957316", "20.957317"));
+        let report = compare_json(BASELINE, &fresh).unwrap();
+        assert!(report.regressions[0].contains("measured.MAR usage, epoch 3"));
+        let fresh = fresh_with(|t| *t = t.replace("\"holds\": false", "\"holds\": true"));
+        assert!(compare_json(BASELINE, &fresh).unwrap().regressions[0].contains("holds"));
     }
 
     #[test]
     fn an_integer_count_drifting_to_a_fraction_fails() {
-        // 9 -> 8.5: the fresh side is no longer integer-valued, but the
-        // baseline pin makes the metric count-like, so the drift fails.
+        // 9 -> 8.5: a pinned count drifting to a fraction is a drift.
         let fresh = fresh_with(|t| *t = t.replace("\"slices\": 9", "\"slices\": 8.5"));
         let report = compare_json(BASELINE, &fresh).unwrap();
         assert!(!report.passed());
@@ -394,6 +371,7 @@ mod tests {
             ("BENCH_scenario.json", false),
             ("BENCH_fleet.json", false),
             ("BENCH_tournament.json", false),
+            ("EXPERIMENTS.json", false),
         ] {
             let text = std::fs::read_to_string(format!("{dir}/{file}")).unwrap();
             let value: Value = serde_json::from_str(&text).unwrap();
@@ -401,13 +379,12 @@ mod tests {
             leaves(String::new(), &value, &mut all);
             let report = compare_values(&value, &value);
             assert!(report.passed(), "{file}: {:?}", report.regressions);
-            // No float key falls through the name rules into the silent
-            // skip; `threads` is the one named informational key.
+            // `threads` is the one named informational key.
             let expected_skips: &[&str] = if clock_reading { &["threads"] } else { &[] };
             assert_eq!(report.skipped, expected_skips, "{file}");
             assert_eq!(report.checked + report.skipped.len(), all.len(), "{file}");
             // A wall-clock key creeping back into a deterministic baseline
-            // would classify `LowerIsBetter` (or match no rule and skip).
+            // would classify `LowerIsBetter`.
             if !clock_reading {
                 for path in &all {
                     assert_eq!(classify(path), MetricClass::Exact, "{file}: {path}");

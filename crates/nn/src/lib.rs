@@ -60,7 +60,7 @@ pub use bayesian::{
 };
 pub use cell::CellBatch;
 pub use layer::Dense;
-pub use loss::{gaussian_nll, gaussian_nll_grad, huber_grad, huber_loss, mse_grad, mse_loss};
+pub use loss::{mse_grad, mse_loss};
 pub use matrix::Matrix;
 pub use mlp::{BatchWorkspace, Mlp};
 pub use optimizer::{Adam, ParameterSet};
