@@ -1,25 +1,22 @@
 //! The regression gate: compares a freshly produced `BENCH_*.json` (or the
 //! `experiments` ledger) against its committed baseline and exits non-zero
-//! on regression.
+//! on drift.
 //!
 //! ```sh
-//! # Gate (CI): fail when the fresh artifact regresses past the tolerances.
-//! cargo run --release --bin bench_regress -- ci-bench.json baselines/BENCH_hotpath.json
+//! # Gate (CI): fail when the fresh artifact differs from the baseline.
+//! cargo run --release --bin bench_regress -- ci-fleet.json baselines/BENCH_fleet.json
 //! # Intentional rebaseline: overwrite the committed baseline with the
 //! # fresh artifact (commit the result). A fresh file that does not parse
 //! # is refused and the baseline left as it was.
-//! cargo run --release --bin bench_regress -- ci-bench.json baselines/BENCH_hotpath.json --update
+//! cargo run --release --bin bench_regress -- ci-fleet.json baselines/BENCH_fleet.json --update
 //! ```
 //!
-//! Tolerances (two constants of `onslicing_bench::regress`, deliberately
-//! not settable here — a settable tolerance on a gate is a way to pass it):
-//! the wall-clock keys of `BENCH_hotpath.json` (`*_ns`, `ns_per_*`,
-//! `*sublinearity*`) may regress up to +35 %; everything else (SLA
-//! violation rates, cost statistics, counts, schema strings, claim verdicts
-//! — all of the other four baselines) must match exactly. Structural drift — metrics
-//! added, removed, or series resized — always fails; rebaseline with
-//! `--update` when the change is intentional. Exit codes: 0 = pass,
-//! 1 = regression, 2 = usage/setup error.
+//! One rule (`onslicing_bench::regress`, its one tolerance deliberately not
+//! settable here — a settable tolerance on a gate is a way to pass it):
+//! every numeric leaf equal within 1e-9, every other leaf equal, structure
+//! included — metrics added, removed, or series resized always fail;
+//! rebaseline with `--update` when the change is intentional. Exit codes:
+//! 0 = pass, 1 = drift, 2 = usage/setup error.
 
 use std::process::ExitCode;
 
@@ -71,9 +68,8 @@ fn run(args: &[String]) -> Result<bool, String> {
     if report.passed() {
         println!(
             "bench_regress ok: {fresh_path} within tolerance of {baseline_path} \
-             ({} metrics checked, {} informational)",
-            report.checked,
-            report.skipped.len()
+             ({} metrics checked)",
+            report.checked
         );
         Ok(true)
     } else {

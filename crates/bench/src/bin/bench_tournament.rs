@@ -6,9 +6,8 @@
 //! Every reported metric is a pure function of the seed — fleet SLA
 //! violation %, average per-slice-slot cost, migration count, admission
 //! counters — so the committed baseline under `baselines/` is compared
-//! **exactly** by `bench_regress` (its key classifier puts `violation` and
-//! `cost` metrics in the exact class): any drift in any policy's plan on
-//! any scenario fails CI, the same contract the goldens enforce for traces.
+//! **exactly** by `bench_regress`: any drift in any policy's plan on any
+//! scenario fails CI, the same contract the goldens enforce for traces.
 //!
 //! The per-policy `leaderboard` aggregates the matrix (mean SLA% and mean
 //! cost across scenarios) — the standing, CI-judged comparison ROADMAP

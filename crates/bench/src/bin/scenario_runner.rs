@@ -19,8 +19,8 @@
 //! `--out PATH` (metrics file, default `SCENARIO_metrics.json`),
 //! `--dump NAME` (print a built-in scenario's JSON and exit).
 //!
-//! The process exits non-zero if any scenario panics or reports a
-//! non-finite metric, which is what the CI smoke step keys on.
+//! Exit codes: 0 = ok, 1 = a scenario reported a non-finite metric (what
+//! the CI smoke step keys on), 2 = usage/setup error.
 
 use std::process::ExitCode;
 
@@ -62,7 +62,7 @@ struct Args {
     out: String,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         names: Vec::new(),
         file: None,
@@ -71,7 +71,7 @@ fn parse_args() -> Result<Args, String> {
         seed: 0,
         out: "SCENARIO_metrics.json".to_string(),
     };
-    let mut iter = std::env::args().skip(1);
+    let mut iter = argv.iter().cloned();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--list" => args.list = true,
@@ -128,14 +128,10 @@ fn print_report(report: &ScenarioReport) {
     }
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("scenario_runner: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// `Ok(false)` = some scenario reported a non-finite metric; `Err` = a
+/// usage or setup error (nothing was measured).
+fn run(argv: &[String]) -> Result<bool, String> {
+    let args = parse_args(argv)?;
     if args.list {
         println!("built-in scenarios:");
         for scenario in builtin::all() {
@@ -145,38 +141,22 @@ fn main() -> ExitCode {
         for scenario in fleet::all_fleet_builtins() {
             println!("  {:<20} {}", scenario.name, scenario.description);
         }
-        return ExitCode::SUCCESS;
+        return Ok(true);
     }
     if let Some(name) = &args.dump {
-        match builtin::by_name(name) {
-            Some(scenario) => {
-                println!("{}", scenario.to_json());
-                return ExitCode::SUCCESS;
-            }
-            None => {
-                eprintln!("scenario_runner: no built-in scenario named `{name}`");
-                return ExitCode::FAILURE;
-            }
-        }
+        let scenario =
+            builtin::by_name(name).ok_or_else(|| format!("no built-in scenario named `{name}`"))?;
+        println!("{}", scenario.to_json());
+        return Ok(true);
     }
 
     let mut scenarios: Vec<Scenario> = Vec::new();
     let mut fleet_scenarios: Vec<fleet::FleetScenario> = Vec::new();
     if let Some(path) = &args.file {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("scenario_runner: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match Scenario::from_json(&text) {
-            Ok(s) => scenarios.push(s),
-            Err(e) => {
-                eprintln!("scenario_runner: invalid scenario file {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let scenario =
+            Scenario::from_json(&text).map_err(|e| format!("invalid scenario file {path}: {e}"))?;
+        scenarios.push(scenario);
     }
     if args.file.is_none() && args.names.is_empty() {
         scenarios = builtin::all();
@@ -188,8 +168,7 @@ fn main() -> ExitCode {
         } else if let Some(f) = fleet::fleet_by_name(name) {
             fleet_scenarios.push(f);
         } else {
-            eprintln!("scenario_runner: no built-in scenario named `{name}` (try --list)");
-            return ExitCode::FAILURE;
+            return Err(format!("no built-in scenario named `{name}` (try --list)"));
         }
     }
 
@@ -205,13 +184,7 @@ fn main() -> ExitCode {
     let mut reports = Vec::new();
     let mut nan_failures = 0usize;
     for scenario in scenarios {
-        let mut engine = match ScenarioEngine::new(scenario, config) {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("scenario_runner: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let mut engine = ScenarioEngine::new(scenario, config)?;
         let report = engine.run();
         print_report(&report);
         if report.has_non_finite() {
@@ -230,16 +203,10 @@ fn main() -> ExitCode {
     let mut fleet_reports = Vec::new();
     for fleet_scenario in fleet_scenarios {
         let cells = fleet_scenario.min_cells.max(2);
-        let outcome = match ElasticFleet::run(
+        let outcome = ElasticFleet::run(
             fleet_scenario,
             ElasticFleetConfig::new(cells).with_seed(args.seed),
-        ) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("scenario_runner: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        )?;
         let report = &outcome.report;
         println!(
             "  {:<20} {:>2} cells  {:>4} slice-slots  {:>6.1}% violations  {} migrations  \
@@ -278,14 +245,44 @@ fn main() -> ExitCode {
         fleet_scenarios: fleet_reports,
     })
     .expect("report serialization cannot fail");
-    if let Err(e) = std::fs::write(&args.out, &payload) {
-        eprintln!("scenario_runner: cannot write {}: {e}", args.out);
-        return ExitCode::FAILURE;
-    }
+    std::fs::write(&args.out, &payload).map_err(|e| format!("cannot write {}: {e}", args.out))?;
     println!("wrote {}", args.out);
     if nan_failures > 0 {
         eprintln!("scenario_runner: {nan_failures} scenario(s) reported non-finite metrics");
-        return ExitCode::FAILURE;
     }
-    ExitCode::SUCCESS
+    Ok(nan_failures == 0)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match run(&args) {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::from(1),
+        Err(e) => {
+            eprintln!("scenario_runner: {e}");
+            ExitCode::from(2)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::run;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn usage_errors_are_errors_not_findings() {
+        // A typo must not look like a NaN: `Err` exits 2, a finding exits 1.
+        let err = run(&args("--sed 3 steady")).unwrap_err();
+        assert!(err.contains("unknown option `--sed`"), "{err}");
+        let err = run(&args("no-such-scenario")).unwrap_err();
+        assert!(err.contains("no built-in scenario named"), "{err}");
+        assert!(run(&args("--file")).unwrap_err().contains("needs a path"));
+        assert!(run(&args("--dump no-such-scenario")).is_err());
+        assert!(run(&args("--file /nonexistent/scenario.json")).is_err());
+        assert_eq!(run(&args("--list")), Ok(true));
+    }
 }

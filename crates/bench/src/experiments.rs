@@ -18,15 +18,17 @@ use std::fmt;
 use std::ops::RangeBounds;
 
 use onslicing_core::{
-    evaluate_policy, EpisodeMetrics, EpochMetrics, RuleBasedBaseline, SliceEnvironment, SlicePolicy,
+    evaluate_policy, AgentConfig, CoordinationMode, DeploymentBuilder, EpisodeMetrics,
+    EpochMetrics, MultiSliceEnvironment, OnSlicingAgent, Orchestrator, OrchestratorConfig,
+    RuleBasedBaseline, SliceEnvironment, SlicePolicy,
 };
+use onslicing_domains::DomainSet;
 use onslicing_netsim::ran::retransmission_probability;
 use onslicing_netsim::{Direction, NetworkConfig, NetworkSimulator, RanConfig};
 use onslicing_slices::{ActionDim, Sla, SliceKind};
 use onslicing_traffic::DiurnalTraceConfig;
 use serde::Value;
 
-use crate::hotpath::scaled_orchestrator;
 use crate::{
     deploy, empirical_cdf, evaluate_model_based, evaluate_rule_based, learn, learn_and_test,
     slice_env, MethodResult, RunScale,
@@ -671,6 +673,43 @@ fn fig18(scale: RunScale) -> Outcome {
     let below_20_users = table.column(columns[1])[..3].to_vec();
     claims.push(bounded(text, ..=NEAR_ZERO, below_20_users));
     Outcome(vec![table], claims)
+}
+
+/// An `num_slices`-slice deployment (paper agents, paper networks scaled to
+/// a short `horizon`) on an infrastructure that grows with it — one "cell
+/// worth" of every resource per three slices, as the paper's large-scale
+/// emulation adds capacity as it adds slices.
+fn scaled_orchestrator(num_slices: usize, horizon: usize, seed: u64) -> Orchestrator {
+    let network = NetworkConfig::testbed_default();
+    let baselines = DeploymentBuilder::new()
+        .scaled_down(horizon)
+        .seed(seed)
+        .calibrate_baselines();
+    let mut envs = Vec::new();
+    let mut agents = Vec::new();
+    for i in 0..num_slices {
+        let kind = SliceKind::ALL[i % 3];
+        envs.push(SliceEnvironment::new(kind, network, seed + i as u64));
+        let mut cfg = AgentConfig::onslicing().scaled_down(horizon);
+        cfg.horizon = envs[i].horizon();
+        agents.push(OnSlicingAgent::new(
+            kind,
+            Sla::for_kind(kind),
+            baselines[i % 3].clone(),
+            cfg,
+            seed + 100 + i as u64,
+        ));
+    }
+    let capacity = (num_slices as f64 / 3.0).max(1.0);
+    Orchestrator::new(
+        MultiSliceEnvironment::from_envs(envs),
+        agents,
+        DomainSet::with_parameters(capacity, 1.0),
+        OrchestratorConfig {
+            coordination: CoordinationMode::default(),
+            episodes_per_epoch: 1,
+        },
+    )
 }
 
 fn fig19(scale: RunScale) -> Outcome {

@@ -6,20 +6,18 @@
 //!   table and figure is an entry that returns the rows the paper reports
 //!   and its claims as predicates over those rows. The `experiments` binary
 //!   runs entries by id (`--full` switches from the CI-scale configuration
-//!   to 96-slot episodes and 40 epochs); its `--out` file is the fifth
-//!   baseline, `baselines/EXPERIMENTS.json`.
+//!   to 96-slot episodes and 40 epochs); its `--out` file is the
+//!   baseline `baselines/EXPERIMENTS.json`.
 //!
 //! * `bench_scenario`, `fleet_runner`, `bench_tournament` emit the
 //!   seed-pinned JSON that `bench_regress` ([`regress`]) holds exactly
-//!   against `baselines/`; `bench_hotpath` ([`hotpath`]) emits the one
-//!   clock-reading baseline, gated at +35 %. End-to-end speed is measured by
-//!   the standalone `benchmark/` crate, not here.
+//!   against `baselines/`. Nothing here reads the clock for a committed
+//!   number: speed is measured by the standalone `benchmark/` crate.
 //!
 //! The helpers in this file are what the experiments share: the run scale,
 //! deployment construction and the method presets.
 
 pub mod experiments;
-pub mod hotpath;
 pub mod regress;
 
 use onslicing_core::{

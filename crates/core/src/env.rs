@@ -236,12 +236,6 @@ impl SliceEnvironment {
     pub fn is_violated(&self) -> bool {
         self.sla.violates(self.average_cost())
     }
-
-    /// Mutable access to the underlying simulator (used by the rule-based
-    /// baseline's calibration grid search).
-    pub fn simulator_mut(&mut self) -> &mut NetworkSimulator {
-        &mut self.sim
-    }
 }
 
 /// A bundle of per-slice environments sharing one infrastructure, in

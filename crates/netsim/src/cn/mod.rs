@@ -118,11 +118,6 @@ impl SpgwuPool {
         }
     }
 
-    /// Number of instances in the pool.
-    pub fn num_instances(&self) -> usize {
-        self.users_per_instance.len()
-    }
-
     /// Total number of attached users.
     pub fn total_users(&self) -> u32 {
         self.users_per_instance.iter().sum()

@@ -190,11 +190,6 @@ impl NetworkSimulator {
         &self.config
     }
 
-    /// Overrides the channel model of one slice (e.g. a poor-coverage slice).
-    pub fn set_channel(&mut self, kind: SliceKind, channel: ChannelModel) {
-        self.channels.insert(kind, channel);
-    }
-
     /// Resets the simulator's random state (new episode with fresh dynamics).
     pub fn reseed(&mut self, seed: u64) {
         self.rng = ChaCha8Rng::seed_from_u64(seed);

@@ -190,12 +190,6 @@ impl PpoAgent {
         &self.critic
     }
 
-    /// Mutable access to the critic (used by offline value pre-training and
-    /// the per-sample reference implementation in the benchmarks).
-    pub fn critic_mut(&mut self) -> &mut Mlp {
-        &mut self.critic
-    }
-
     /// Samples a stochastic action.
     pub fn act<R: Rng + ?Sized>(&self, state: &[f64], rng: &mut R) -> PolicySample {
         self.policy.sample(state, rng)

@@ -37,15 +37,6 @@ impl SliceKind {
         }
     }
 
-    /// The unit of the slice's raw performance metric.
-    pub fn performance_unit(self) -> &'static str {
-        match self {
-            SliceKind::Mar => "ms (round-trip latency)",
-            SliceKind::Hvs => "FPS",
-            SliceKind::Rdc => "delivery reliability",
-        }
-    }
-
     /// Peak traffic rate used by the paper's testbed, in users per second
     /// (5 for MAR, 2 for HVS, 100 for RDC; §7.1).
     pub fn default_peak_users_per_second(self) -> f64 {

@@ -237,13 +237,6 @@ impl TraceGenerator {
         }
     }
 
-    /// Overrides the slot duration (useful for tests at a faster timescale).
-    pub fn with_slot_seconds(mut self, slot_seconds: f64) -> Self {
-        assert!(slot_seconds > 0.0, "slot duration must be positive");
-        self.slot_seconds = slot_seconds;
-        self
-    }
-
     /// The generator's configuration.
     pub fn config(&self) -> &DiurnalTraceConfig {
         &self.config
