@@ -766,6 +766,23 @@ mod tests {
     }
 
     #[test]
+    fn over_deep_checkpoint_is_refused_by_the_parser_and_falls_back() {
+        // Nothing but opening brackets: the parser used to recurse once per
+        // bracket and overflow the stack, killing the daemon at startup.
+        let dir = scratch("over-deep");
+        plant(&dir, 8, &checkpoint_json(SCENARIO, SEED, 8));
+        plant(&dir, 16, &"[".repeat(1 << 20));
+        let reason = FleetCheckpoint::load(dir.join(checkpoint_file_name(16))).unwrap_err();
+        assert!(
+            reason.contains("nesting deeper than 128 at byte 128"),
+            "{reason}"
+        );
+        let fleet = build_or_resume(&test_config(&dir)).unwrap();
+        assert_eq!(fleet.slot(), 8);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn unrestorable_checkpoint_falls_back_instead_of_aborting_startup() {
         // A file that loads and passes the compatibility gate but whose
         // restore() fails (no cells) used to abort startup; it must fall

@@ -547,6 +547,18 @@ fn garbage_truncated_and_oversized_requests_never_kill_the_daemon() {
         raw_request(&dir.socket(), padded.as_bytes()).expect("padded line gets a response");
     assert!(response.contains("exceeds"), "{response}");
 
+    // Nothing but opening brackets, small enough for the transport cap to
+    // let through: the parser refuses at 128 levels instead of recursing
+    // once per bracket (30 000 of them used to overflow the daemon's stack).
+    for depth in [30_000, MAX_REQUEST_LINE_BYTES] {
+        let response = raw_request(&dir.socket(), "[".repeat(depth).as_bytes())
+            .expect("over-deep line gets a response");
+        assert!(
+            response.contains("nesting deeper than 128") && response.contains("\"ok\":false"),
+            "{response}"
+        );
+    }
+
     // After all of that abuse the daemon still serves real requests.
     let status = ctl_ok(&dir.socket(), "{\"op\":\"status\"}");
     assert_eq!(status.get("slot").and_then(Value::as_u64), Some(0));
