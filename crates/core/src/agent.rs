@@ -211,10 +211,12 @@ pub struct PretrainReport {
 
 /// One individualized OnSlicing agent.
 ///
-/// Serializes its complete learning state — policy/critic/estimator weights
-/// and Adam moments, the Lagrangian multiplier, the rollout buffer, the
-/// per-episode accumulators and the agent's RNG stream — so a deserialized
-/// agent decides, records and updates exactly like the original.
+/// Serializes its complete learning state — policy/critic/estimator weights,
+/// the Adam moments of the two networks PPO keeps training, the Lagrangian
+/// multiplier, the rollout buffer, the per-episode accumulators and the
+/// agent's RNG stream — so a deserialized agent decides, records and updates
+/// exactly like the original. Gradients and other per-update scratch are
+/// not part of it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OnSlicingAgent {
     kind: SliceKind,
@@ -496,6 +498,13 @@ impl OnSlicingAgent {
                 .map(|l| (l.in_dim(), l.out_dim()))
                 .collect()
         })
+    }
+
+    /// Learned state whose pieces fit each other ([`PpoAgent::validate`],
+    /// [`CostValueEstimator::validate`]).
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        self.ppo.validate()?;
+        self.estimator.validate()
     }
 
     /// Applies the action modifier `π_a` to an action under the current

@@ -345,6 +345,19 @@ impl Orchestrator {
         &self.slice_ids
     }
 
+    /// What a deserialised orchestrator must satisfy before its next slot:
+    /// every agent's learned state fits together (bias lengths against
+    /// weight rows, Adam moments against parameter counts) — a mismatch
+    /// would otherwise panic inside a kernel, slots or an epoch later.
+    pub fn validate(&self) -> Result<(), String> {
+        for (id, agent) in self.slice_ids.iter().zip(&self.agents) {
+            agent
+                .validate()
+                .map_err(|e| format!("slice {}: {e}", id.0))?;
+        }
+        Ok(())
+    }
+
     /// Number of currently active slices.
     pub fn num_slices(&self) -> usize {
         self.agents.len()

@@ -71,13 +71,6 @@ impl DomainSet {
         self.set_domain_capacity_scale(o.domain, o.scale);
     }
 
-    /// Heals every domain back to its nominal capacity.
-    pub fn clear_capacity_overrides(&mut self) {
-        for m in &mut self.managers {
-            m.set_capacity_scale(1.0);
-        }
-    }
-
     /// The *effective* (possibly fault-degraded) capacity of one resource.
     /// Resources no manager owns report the set-wide nominal capacity.
     pub fn capacity_of(&self, resource: ResourceKind) -> f64 {
@@ -306,7 +299,7 @@ mod tests {
         set.project_in_place(&mut projected);
         assert!(set.is_feasible_slice(&projected));
         // Healing restores everything.
-        set.clear_capacity_overrides();
+        set.set_domain_capacity_scale(DomainKind::Transport, 1.0);
         assert!(set.is_feasible_slice(&requests));
         assert!((set.residual_capacity(ResourceKind::TransportBandwidth) - 0.7).abs() < 1e-12);
     }

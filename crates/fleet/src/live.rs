@@ -70,7 +70,10 @@ use crate::{
 /// v3: the agents' `N(0, 1)` sampler is a ziggurat with value-dependent
 /// word consumption; a v2 checkpoint (Box–Muller, two words a draw) is
 /// refused for the same reason.
-pub const FLEET_CHECKPOINT_FORMAT_VERSION: u32 = 3;
+///
+/// v4: layer scratch (gradients, the last weight draw) and the estimator's
+/// optimiser are no longer part of the layout.
+pub const FLEET_CHECKPOINT_FORMAT_VERSION: u32 = 4;
 
 /// Tuning of an elastic fleet run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -566,8 +569,10 @@ impl FleetCheckpoint {
     /// describe the body (`scenario_name`, `master_seed`,
     /// `total_slots` and the cell count against the serialized scenario and
     /// config), every cell must sit at the header's `slot`, the balancer's
-    /// baselines must match the cell count and every cell's agents must
-    /// share one trunk shape. The processed sync-point cursor is recomputed
+    /// baselines must match the cell count, every agent's learned state must
+    /// fit together (bias lengths against weight rows, Adam moments against
+    /// parameter counts) and every cell's agents must share one trunk shape.
+    /// The processed sync-point cursor is recomputed
     /// from the slot (see the module docs' invariant), so nothing replays
     /// and nothing is skipped.
     pub fn restore(self) -> Result<ElasticFleet, String> {
@@ -630,13 +635,17 @@ impl FleetCheckpoint {
         // capture time; restoring them against a different cell count would
         // index out of bounds inside a later rebalancing round.
         self.balancer.validate_cells(self.cells.len())?;
-        // An orchestrator refuses a slice whose networks do not have its
-        // cell's trunk shape where the slice enters; the cell's fused
-        // forward pass would hit its shape assert mid-run.
         for c in &self.cells {
-            let mut shapes = c
-                .engine
-                .orchestrator()
+            let orchestrator = c.engine.orchestrator();
+            // Learned state whose lengths disagree would panic inside a
+            // kernel at the next slot or epoch boundary.
+            orchestrator
+                .validate()
+                .map_err(|e| format!("cell {} {e}", c.cell))?;
+            // An orchestrator refuses a slice whose networks do not have its
+            // cell's trunk shape where the slice enters; the cell's fused
+            // forward pass would hit its shape assert mid-run.
+            let mut shapes = orchestrator
                 .agents()
                 .iter()
                 .map(OnSlicingAgent::trunk_shape);
@@ -822,15 +831,15 @@ mod tests {
         fleet.advance_to(4).unwrap();
         let json = fleet.checkpoint().to_json();
         assert!(fleet.finish(0.0).unwrap_err().contains("incomplete"));
-        // Version gate: a stale stamp (v2 = the Box–Muller sampler's RNG
-        // stream) reports the version, not a missing field; a missing stamp
-        // is malformed.
-        assert!(json.starts_with("{\"format_version\":3,"));
-        let doctored = json.replacen("\"format_version\":3", "\"format_version\":2", 1);
+        // Version gate: a stale stamp (v3 = layer scratch and the
+        // estimator's optimiser still on file) reports the version, not a
+        // missing field; a missing stamp is malformed.
+        assert!(json.starts_with("{\"format_version\":4,"));
+        let doctored = json.replacen("\"format_version\":4", "\"format_version\":3", 1);
         let err = FleetCheckpoint::from_json(&doctored).unwrap_err();
         assert_eq!(
             err,
-            "fleet checkpoint format version 2 is not supported (expected 3)"
+            "fleet checkpoint format version 3 is not supported (expected 4)"
         );
         let err = FleetCheckpoint::from_json("{\"slot\":4}").unwrap_err();
         assert!(err.contains("missing format_version"), "{err}");

@@ -265,43 +265,66 @@ fn rolling_upgrade_drill_is_bit_exact() {
 
 #[test]
 fn a_checkpoint_whose_header_contradicts_its_cells_is_skipped_with_the_reason() {
-    // Two checkpoints a real fleet wrote; the newer one's header is then
-    // doctored to claim slot 17 while its cells sit at 16. `restore` must
-    // refuse it, and the daemon must say why and resume from slot 8.
-    let dir = TestDir::new("doctored-header");
-    let config = dir.write_config();
-    std::fs::create_dir_all(dir.state_dir()).unwrap();
-    let mut fleet = ElasticFleet::new(fleet_by_name(SCENARIO).unwrap(), fleet_config()).unwrap();
-    for slot in [8, 16] {
-        fleet.advance_to(slot).unwrap();
-        let json = fleet.checkpoint().to_json();
-        let json = if slot == 16 {
-            json.replacen("\"slot\":16", "\"slot\":17", 1)
-        } else {
-            json
-        };
-        std::fs::write(dir.state_dir().join(checkpoint_file_name(slot)), json).unwrap();
+    // Two checkpoints a real fleet wrote; the newer one is then doctored
+    // into a file that parses up to the flaw. The loader must refuse it,
+    // and the daemon must say why, resume from slot 8 and keep serving.
+    type Doctor = fn(String) -> String;
+    let doctored: [(&str, Doctor, &str); 2] = [
+        // The header claims slot 17 while the cells sit at 16: `restore`.
+        (
+            "doctored-header",
+            |json| json.replacen("\"slot\":16", "\"slot\":17", 1),
+            "cell 0 sits at slot 16, the header says 17",
+        ),
+        // The first weight matrix is one element short of its shape — it
+        // used to load and panic a rayon worker a slot later: `from_json`.
+        (
+            "short-matrix",
+            |json| {
+                let data = json.find("\"weights\":").unwrap();
+                let first = data + json[data..].find("\"data\":[").unwrap() + "\"data\":[".len();
+                let second = first + json[first..].find(',').unwrap() + 1;
+                format!("{}{}", &json[..first], &json[second..])
+            },
+            "Matrix `data` holds 287 elements, its 32 rows × 9 columns need 288",
+        ),
+    ];
+    for (tag, doctor, reason) in doctored {
+        let dir = TestDir::new(tag);
+        let config = dir.write_config();
+        std::fs::create_dir_all(dir.state_dir()).unwrap();
+        let mut fleet =
+            ElasticFleet::new(fleet_by_name(SCENARIO).unwrap(), fleet_config()).unwrap();
+        for slot in [8, 16] {
+            fleet.advance_to(slot).unwrap();
+            let json = fleet.checkpoint().to_json();
+            let json = if slot == 16 { doctor(json) } else { json };
+            std::fs::write(dir.state_dir().join(checkpoint_file_name(slot)), json).unwrap();
+        }
+
+        let stderr_path = dir.root.join("stderr.log");
+        let log = std::fs::File::create(&stderr_path).unwrap();
+        let mut daemon = spawn_daemon_with_stderr(&config, &[], log.into());
+        wait_ready(&dir.socket());
+        let status = ctl_ok(&dir.socket(), "{\"op\":\"status\"}");
+        assert_eq!(status.get("slot").and_then(Value::as_u64), Some(8), "{tag}");
+        let stepped = ctl_ok(&dir.socket(), "{\"op\":\"step\",\"to_slot\":9}");
+        assert_eq!(
+            stepped.get("slot").and_then(Value::as_u64),
+            Some(9),
+            "{tag}"
+        );
+        ctl_ok(&dir.socket(), "{\"op\":\"shutdown\"}");
+        assert!(wait_exit(&mut daemon).success());
+
+        let stderr = std::fs::read_to_string(&stderr_path).unwrap();
+        let skipped = stderr
+            .lines()
+            .find(|l| l.contains("skipping checkpoint") && l.contains(&checkpoint_file_name(16)))
+            .unwrap_or_else(|| panic!("{tag}: no skip line for slot 16 in: {stderr}"));
+        assert!(skipped.contains(reason), "{tag}: {skipped}");
+        assert!(stderr.contains("(slot 8)"), "{tag}: {stderr}");
     }
-
-    let stderr_path = dir.root.join("stderr.log");
-    let log = std::fs::File::create(&stderr_path).unwrap();
-    let mut daemon = spawn_daemon_with_stderr(&config, &[], log.into());
-    wait_ready(&dir.socket());
-    let status = ctl_ok(&dir.socket(), "{\"op\":\"status\"}");
-    assert_eq!(status.get("slot").and_then(Value::as_u64), Some(8));
-    ctl_ok(&dir.socket(), "{\"op\":\"shutdown\"}");
-    assert!(wait_exit(&mut daemon).success());
-
-    let stderr = std::fs::read_to_string(&stderr_path).unwrap();
-    let skipped = stderr
-        .lines()
-        .find(|l| l.contains("skipping checkpoint") && l.contains(&checkpoint_file_name(16)))
-        .unwrap_or_else(|| panic!("no skip line for slot 16 in: {stderr}"));
-    assert!(
-        skipped.contains("cell 0 sits at slot 16, the header says 17"),
-        "{skipped}"
-    );
-    assert!(stderr.contains("(slot 8)"), "{stderr}");
 }
 
 #[test]

@@ -8,8 +8,7 @@
 //! At the orchestration timescale the relevant behaviour is packet-processing
 //! latency and loss as a function of the CPU share granted to the slice's
 //! SPGW-U containers, which this module models as an M/M/1 processor-sharing
-//! queue, plus a small [`SpgwuPool`] bookkeeping structure that the CDM uses
-//! for instance management and user attachment.
+//! queue.
 
 use serde::{Deserialize, Serialize};
 
@@ -83,87 +82,6 @@ impl CnConfig {
     }
 }
 
-/// SPGW-U scheduling policy used when attaching a new user to an instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AttachPolicy {
-    /// Cycle through the instances (the paper's default during attachment).
-    RoundRobin,
-    /// Attach to the instance with the fewest users.
-    MinLoad,
-}
-
-/// A per-slice pool of SPGW-U user-plane instances.
-///
-/// The pool is exclusively associated with one slice, which is how the CDM
-/// guarantees user-plane isolation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpgwuPool {
-    /// Number of users attached to each instance.
-    users_per_instance: Vec<u32>,
-    policy: AttachPolicy,
-    next_rr: usize,
-}
-
-impl SpgwuPool {
-    /// Creates a pool with `instances` SPGW-U containers.
-    ///
-    /// # Panics
-    /// Panics if `instances` is zero.
-    pub fn new(instances: usize, policy: AttachPolicy) -> Self {
-        assert!(instances > 0, "a slice needs at least one SPGW-U instance");
-        Self {
-            users_per_instance: vec![0; instances],
-            policy,
-            next_rr: 0,
-        }
-    }
-
-    /// Total number of attached users.
-    pub fn total_users(&self) -> u32 {
-        self.users_per_instance.iter().sum()
-    }
-
-    /// Users attached to each instance.
-    pub fn users_per_instance(&self) -> &[u32] {
-        &self.users_per_instance
-    }
-
-    /// Attaches a user and returns the index of the chosen instance.
-    pub fn attach_user(&mut self) -> usize {
-        let idx = match self.policy {
-            AttachPolicy::RoundRobin => {
-                let idx = self.next_rr;
-                self.next_rr = (self.next_rr + 1) % self.users_per_instance.len();
-                idx
-            }
-            AttachPolicy::MinLoad => self
-                .users_per_instance
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, n)| **n)
-                .map(|(i, _)| i)
-                .expect("pool is non-empty"),
-        };
-        self.users_per_instance[idx] += 1;
-        idx
-    }
-
-    /// Detaches a user from the given instance (no-op when already empty).
-    pub fn detach_user(&mut self, instance: usize) {
-        if let Some(n) = self.users_per_instance.get_mut(instance) {
-            *n = n.saturating_sub(1);
-        }
-    }
-
-    /// Largest-minus-smallest attached-user difference across instances; a
-    /// measure of load balance (0 = perfectly balanced).
-    pub fn imbalance(&self) -> u32 {
-        let max = self.users_per_instance.iter().max().copied().unwrap_or(0);
-        let min = self.users_per_instance.iter().min().copied().unwrap_or(0);
-        max - min
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,38 +117,5 @@ mod tests {
         let out = cn.evaluate(0.2, 0.0);
         assert_eq!(out.loss_prob, 0.0);
         assert!((out.avg_delay_ms - cn.base_delay_ms).abs() < 1e-9);
-    }
-
-    #[test]
-    fn round_robin_attachment_cycles_through_instances() {
-        let mut pool = SpgwuPool::new(3, AttachPolicy::RoundRobin);
-        let picks: Vec<usize> = (0..6).map(|_| pool.attach_user()).collect();
-        assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
-        assert_eq!(pool.total_users(), 6);
-        assert_eq!(pool.imbalance(), 0);
-    }
-
-    #[test]
-    fn min_load_attachment_fills_the_emptiest_instance() {
-        let mut pool = SpgwuPool::new(2, AttachPolicy::MinLoad);
-        pool.attach_user();
-        pool.attach_user();
-        pool.attach_user();
-        assert_eq!(pool.imbalance(), 1);
-        pool.detach_user(0);
-        assert_eq!(pool.total_users(), 2);
-    }
-
-    #[test]
-    fn detach_from_empty_instance_is_a_noop() {
-        let mut pool = SpgwuPool::new(2, AttachPolicy::RoundRobin);
-        pool.detach_user(1);
-        assert_eq!(pool.total_users(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one SPGW-U instance")]
-    fn empty_pool_is_rejected() {
-        let _ = SpgwuPool::new(0, AttachPolicy::RoundRobin);
     }
 }

@@ -15,8 +15,7 @@
 //!   paper's iperf3 measurements;
 //! * [`tn`] — OpenFlow-meter bandwidth limiting and path reservation with
 //!   M/M/1 queueing;
-//! * [`cn`] — SPGW-U packet processing as a CPU-share-scaled queue, plus the
-//!   per-slice SPGW-U pool bookkeeping used by the core domain manager;
+//! * [`cn`] — SPGW-U packet processing as a CPU-share-scaled queue;
 //! * [`edge`] — Docker-contained edge compute whose service rate scales with
 //!   the CPU share and whose concurrency is bounded by the RAM share;
 //! * [`pipeline`] — the composition of all four into per-slot
@@ -39,7 +38,7 @@ pub mod pipeline;
 pub mod ran;
 pub mod tn;
 
-pub use cn::{AttachPolicy, CnConfig, CnOutcome, SpgwuPool};
+pub use cn::{CnConfig, CnOutcome};
 pub use edge::{EdgeConfig, EdgeOutcome};
 pub use pipeline::{NetworkConfig, NetworkSimulator, SliceWorkload, SlotBreakdown};
 pub use ran::{ChannelModel, Direction, RanConfig, RatKind, RatProfile};

@@ -67,17 +67,27 @@ pub struct BayesianLinear {
     weight_rho: Matrix,
     bias_mu: Vec<f64>,
     bias_rho: Vec<f64>,
-    // Gradients.
+    // Everything down to `prior_std` is run-time scratch, never serialised:
+    // `zero_grad` sizes the gradients and `resample_weights` the draw, and
+    // one of each opens every update.
+    #[serde(skip)]
     grad_weight_mu: Matrix,
+    #[serde(skip)]
     grad_weight_rho: Matrix,
+    #[serde(skip)]
     grad_bias_mu: Vec<f64>,
+    #[serde(skip)]
     grad_bias_rho: Vec<f64>,
     // The ε of the last `resample_weights` draw, for `backward_batch`.
+    #[serde(skip)]
     cached_weight_eps: Matrix,
+    #[serde(skip)]
     cached_bias_eps: Vec<f64>,
     // Materialized weight sample `W = μ + softplus(ρ)·ε` for the batched
     // path, where one posterior draw serves a whole minibatch.
+    #[serde(skip)]
     sampled_weights: Matrix,
+    #[serde(skip)]
     sampled_bias: Vec<f64>,
     /// Weight of the prior's standard deviation (standard-normal prior when 1).
     prior_std: f64,
@@ -152,6 +162,9 @@ impl BayesianLinear {
     /// gradients through both `μ` and `ρ`.
     pub fn resample_weights<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         self.sampled_weights.resize(self.out_dim, self.in_dim);
+        self.cached_weight_eps.resize(self.out_dim, self.in_dim);
+        self.cached_bias_eps.resize(self.out_dim, 0.0);
+        self.sampled_bias.resize(self.out_dim, 0.0);
         for r in 0..self.out_dim {
             for c in 0..self.in_dim {
                 let eps = standard_normal(rng);
@@ -334,21 +347,39 @@ impl BayesianLinear {
         }
     }
 
-    /// Resets accumulated gradients.
+    /// Resets accumulated gradients to zero, sized from the layer's shape.
     pub fn zero_grad(&mut self) {
-        self.grad_weight_mu.fill(0.0);
-        self.grad_weight_rho.fill(0.0);
-        for g in &mut self.grad_bias_mu {
-            *g = 0.0;
-        }
-        for g in &mut self.grad_bias_rho {
-            *g = 0.0;
+        self.grad_weight_mu.resize(self.out_dim, self.in_dim);
+        self.grad_weight_rho.resize(self.out_dim, self.in_dim);
+        for grad in [&mut self.grad_bias_mu, &mut self.grad_bias_rho] {
+            grad.clear();
+            grad.resize(self.out_dim, 0.0);
         }
     }
 
     /// Number of trainable parameters (`μ` and `ρ` for weights and biases).
     pub fn num_parameters(&self) -> usize {
         2 * (self.out_dim * self.in_dim + self.out_dim)
+    }
+
+    /// Whether the `μ` and `ρ` blocks have the shapes `in_dim` and `out_dim`
+    /// promise; the refusal shows the first pair that does not.
+    fn validate(&self) -> Result<(), String> {
+        let (rows, cols) = (self.out_dim, self.in_dim);
+        for (w, b) in [
+            (&self.weight_mu, &self.bias_mu),
+            (&self.weight_rho, &self.bias_rho),
+        ] {
+            if (w.rows(), w.cols(), b.len()) != (rows, cols, rows) {
+                return Err(format!(
+                    "is {rows} × {cols} but holds a {} × {} weight block with a bias of length {}",
+                    w.rows(),
+                    w.cols(),
+                    b.len()
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -592,6 +623,17 @@ impl BayesianMlp {
             .iter()
             .map(BayesianLinear::grad_norm_squared)
             .sum()
+    }
+
+    /// What a deserialised network must satisfy before a kernel slices it:
+    /// every layer's weight and bias blocks have the layer's dimensions.
+    pub fn validate(&self) -> Result<(), String> {
+        for (i, layer) in self.layers.iter().enumerate() {
+            layer
+                .validate()
+                .map_err(|e| format!("bayesian layer {i} {e}"))?;
+        }
+        Ok(())
     }
 
     /// Predictive mean and standard deviation of the scalar output, estimated

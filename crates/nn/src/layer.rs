@@ -4,7 +4,9 @@
 //! whole minibatch and [`Dense::backward_batch`] *accumulates* its gradients
 //! into the layer (`grad_weights`, `grad_bias`); the caller scales the loss
 //! gradient by `1 / batch` and owns every activation buffer, so the layer
-//! itself holds parameters and gradients only.
+//! itself holds parameters and gradients only — and the gradients are
+//! run-time scratch, never serialised: a deserialised layer has none until
+//! [`Dense::zero_grad`], which opens every update, sizes them.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -18,7 +20,9 @@ use crate::matrix::Matrix;
 pub struct Dense {
     weights: Matrix,
     bias: Vec<f64>,
+    #[serde(skip)]
     grad_weights: Matrix,
+    #[serde(skip)]
     grad_bias: Vec<f64>,
     activation: Activation,
 }
@@ -210,12 +214,12 @@ impl Dense {
         f(&mut self.bias, &self.grad_bias, 1.0);
     }
 
-    /// Resets accumulated gradients to zero.
+    /// Resets accumulated gradients to zero, sized from the parameters.
     pub fn zero_grad(&mut self) {
-        self.grad_weights.fill(0.0);
-        for g in &mut self.grad_bias {
-            *g = 0.0;
-        }
+        self.grad_weights
+            .resize(self.weights.rows(), self.weights.cols());
+        self.grad_bias.clear();
+        self.grad_bias.resize(self.bias.len(), 0.0);
     }
 
     /// Number of trainable parameters in this layer.

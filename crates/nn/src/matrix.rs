@@ -29,7 +29,7 @@
 //! per-slice paths they replace. The kernels never spawn threads:
 //! parallelism lives one level up, across slices and cells.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Widest register tile, in output columns, tried by the tiled GEMM kernels
 /// ([`Matrix::matmul_into`], [`Matrix::matmul_tn_acc_into`]).
@@ -45,11 +45,35 @@ use serde::{Deserialize, Serialize};
 pub const TILE_W: usize = 16;
 
 /// Row-major dense matrix of `f64`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+/// Written by hand so that a document whose `data` does not hold
+/// `rows × cols` elements is refused where it enters: every kernel slices
+/// `data` by the two dimensions and would panic on the first use instead.
+impl Deserialize for Matrix {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let field = |name: &str| {
+            v.get(name)
+                .ok_or_else(|| DeError(format!("missing field `{name}` in Matrix")))
+        };
+        let rows = usize::from_value(field("rows")?)?;
+        let cols = usize::from_value(field("cols")?)?;
+        let data = Vec::<f64>::from_value(field("data")?)?;
+        let expected = rows.checked_mul(cols);
+        if expected != Some(data.len()) {
+            return Err(DeError(format!(
+                "Matrix `data` holds {} elements, its {rows} rows × {cols} columns need {}",
+                data.len(),
+                expected.map_or("more than a `usize`".to_string(), |n| n.to_string())
+            )));
+        }
+        Ok(Self { rows, cols, data })
+    }
 }
 
 /// Register-tile micro-kernel for `matmul_into`: accumulates a
@@ -796,6 +820,27 @@ mod tests {
         m.add_row_broadcast(&[1.0, -2.0]);
         for r in 0..3 {
             assert_eq!(m.row(r), &[1.0, -2.0]);
+        }
+    }
+
+    #[test]
+    fn deserialize_refuses_data_that_does_not_fill_the_shape() {
+        let m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
+        let json = serde_json::to_string(&m).unwrap();
+        assert_eq!(serde_json::from_str::<Matrix>(&json).unwrap(), m);
+        for (doctored, reason) in [
+            (
+                json.replace(",6.0]", "]"),
+                "`data` holds 5 elements, its 2 rows × 3 columns need 6",
+            ),
+            (
+                json.replace("\"cols\":3", &format!("\"cols\":{}", usize::MAX)),
+                "columns need more than a `usize`",
+            ),
+        ] {
+            assert_ne!(doctored, json);
+            let err = serde_json::from_str::<Matrix>(&doctored).unwrap_err();
+            assert!(err.to_string().contains(reason), "{err}");
         }
     }
 }

@@ -284,12 +284,19 @@ impl Mlp {
         }
     }
 
-    /// Copies the parameters from another MLP with the same architecture.
-    ///
-    /// # Panics
-    /// Panics if the architectures differ.
-    pub fn copy_parameters_from(&mut self, other: &Mlp) {
-        self.set_parameters(&other.parameters());
+    /// What a deserialised network must satisfy before a kernel slices it:
+    /// every layer's bias is as long as its weight matrix has rows.
+    pub fn validate(&self) -> Result<(), String> {
+        for (i, layer) in self.layers.iter().enumerate() {
+            if layer.bias().len() != layer.out_dim() {
+                return Err(format!(
+                    "dense layer {i} has {} rows and a bias of length {}",
+                    layer.out_dim(),
+                    layer.bias().len()
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -562,7 +569,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let a = Mlp::new(&[3, 8, 2], Activation::Relu, Activation::Sigmoid, &mut rng);
         let mut b = Mlp::new(&[3, 8, 2], Activation::Relu, Activation::Sigmoid, &mut rng);
-        b.copy_parameters_from(&a);
+        b.set_parameters(&a.parameters());
         let x = vec![0.1, 0.9, -0.3];
         assert_eq!(a.forward(&x), b.forward(&x));
     }

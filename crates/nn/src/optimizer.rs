@@ -59,6 +59,20 @@ impl Adam {
         self.learning_rate
     }
 
+    /// Whether both moment vectors cover exactly `num_parameters`
+    /// parameters — what [`Adam::step_set`] asserts at the first step, as a
+    /// value for a loader to refuse.
+    pub fn validate_for(&self, num_parameters: usize) -> Result<(), String> {
+        let moments = (self.first_moment.len(), self.second_moment.len());
+        if moments != (num_parameters, num_parameters) {
+            return Err(format!(
+                "holds {} first and {} second moments for {num_parameters} parameters",
+                moments.0, moments.1
+            ));
+        }
+        Ok(())
+    }
+
     /// Applies one Adam update to a [`ParameterSet`] in place, with no
     /// per-step heap allocation.
     ///

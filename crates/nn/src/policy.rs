@@ -131,6 +131,9 @@ pub struct GaussianPolicy {
     mean_net: Mlp,
     /// Unconstrained per-dimension parameters; `std = softplus(rho) + min_std`.
     log_std_rho: Vec<f64>,
+    /// Run-time scratch, never serialised; [`GaussianPolicy::zero_grad`]
+    /// sizes it.
+    #[serde(skip)]
     grad_log_std_rho: Vec<f64>,
     min_std: f64,
 }
@@ -397,9 +400,8 @@ impl GaussianPolicy {
     /// Resets accumulated gradients.
     pub fn zero_grad(&mut self) {
         self.mean_net.zero_grad();
-        for g in &mut self.grad_log_std_rho {
-            *g = 0.0;
-        }
+        self.grad_log_std_rho.clear();
+        self.grad_log_std_rho.resize(self.log_std_rho.len(), 0.0);
     }
 
     /// Total number of trainable parameters (mean network + std parameters).
@@ -428,11 +430,6 @@ impl GaussianPolicy {
         let n = self.mean_net.num_parameters();
         self.mean_net.set_parameters(&params[..n]);
         self.log_std_rho.copy_from_slice(&params[n..]);
-    }
-
-    /// Copies parameters from another policy with identical architecture.
-    pub fn copy_parameters_from(&mut self, other: &GaussianPolicy) {
-        self.set_parameters(&other.parameters());
     }
 
     /// Mutable access to the underlying mean network (used by behavior
@@ -790,7 +787,7 @@ mod tests {
     fn copy_parameters_from_clones_behaviour() {
         let a = small_policy(9);
         let mut b = small_policy(10);
-        b.copy_parameters_from(&a);
+        b.set_parameters(&a.parameters());
         let state = [0.9, -0.3, 0.0, 0.1];
         assert_eq!(a.mean_action(&state), b.mean_action(&state));
         assert_eq!(a.std(), b.std());

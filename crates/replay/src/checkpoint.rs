@@ -2,8 +2,9 @@
 //!
 //! A [`Checkpoint`] wraps a [`ScenarioEngine`] serialized *between slots*
 //! with enough metadata to sanity-check a restore. Everything dynamic is
-//! inside the engine's own serialization: MLP/Gaussian/Bayesian weights and
-//! Adam moments, PPO/BC/cost-estimator/Lagrangian state, rollout buffers,
+//! inside the engine's own serialization: MLP/Gaussian/Bayesian weights,
+//! the Adam moments of the two networks PPO keeps training (gradients and
+//! other per-update scratch are not state), Lagrangian state, rollout buffers,
 //! per-slice environment + traffic-trace cursors and RNG streams, domain
 //! capacities/overrides, orchestrator slice membership and the run-loop
 //! cursor (pending event index, transient restores, report accumulators).
@@ -73,7 +74,10 @@ pub fn from_versioned_json<T: Deserialize>(
 /// v5: the one `N(0, 1)` sampler of the agents is a ziggurat that spends a
 /// value-dependent number of words per draw where Box–Muller spent two, so
 /// a v4 snapshot would likewise resume onto a different stream; refused.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 5;
+///
+/// v6: layer scratch (gradients, the last weight draw) and the estimator's
+/// optimiser are no longer part of the layout.
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 6;
 
 /// A versioned, self-describing snapshot of a scenario run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -144,8 +148,18 @@ impl Checkpoint {
     /// Parses a checkpoint through [`from_versioned_json`]: a v2 file
     /// produces "format version 2 is not supported", not a missing-field
     /// error.
+    ///
+    /// [`Checkpoint::restore`] cannot fail, so what it relies on is checked
+    /// here: every agent's learned state must fit together
+    /// ([`Orchestrator::validate`](onslicing_core::Orchestrator::validate)).
     pub fn from_json(text: &str) -> Result<Self, String> {
-        from_versioned_json(text, "checkpoint", CHECKPOINT_FORMAT_VERSION)
+        let checkpoint: Self = from_versioned_json(text, "checkpoint", CHECKPOINT_FORMAT_VERSION)?;
+        checkpoint
+            .engine
+            .orchestrator()
+            .validate()
+            .map_err(|e| format!("checkpoint is inconsistent: {e}"))?;
+        Ok(checkpoint)
     }
 
     /// Writes the checkpoint to a file crash-safely (temp file + fsync +
@@ -233,19 +247,38 @@ mod tests {
         // A stale file may be structurally incompatible (v2: fields have
         // come and gone) or parse fine but continue on the wrong RNG stream
         // (v3: written under the weight-sampling predictor, v4: under the
-        // Box–Muller sampler); either way the loader must report the version
-        // mismatch — the actionable message — before it looks at any other
-        // field.
-        for version in [2, 3, 4] {
+        // Box–Muller sampler) or carry state nothing reads (v5: layer
+        // scratch, the estimator's optimiser); either way the loader must
+        // report the version mismatch — the actionable message — before it
+        // looks at any other field.
+        for version in [2, 3, 4, 5] {
             let stale = format!(r#"{{"format_version":{version},"scenario":"steady","seed":7}}"#);
             assert_eq!(
                 Checkpoint::from_json(&stale).unwrap_err(),
-                format!("checkpoint format version {version} is not supported (expected 5)")
+                format!("checkpoint format version {version} is not supported (expected 6)")
             );
         }
         // A document with no stamp at all is malformed, not "version 0".
         let err = Checkpoint::from_json(r#"{"scenario":"steady"}"#).unwrap_err();
         assert!(err.contains("missing format_version"), "{err}");
+    }
+
+    #[test]
+    fn learned_state_whose_lengths_disagree_is_refused_at_load() {
+        // `restore` cannot fail, so the load is where a bias one element
+        // short of its layer's rows must be turned away, with both lengths.
+        let mut engine = ScenarioEngine::new(builtin::steady(), ScenarioConfig::default()).unwrap();
+        engine.run_until(2, &mut ());
+        let json = Checkpoint::capture(&engine).to_json();
+        let bias = json.find("\"bias\":[").unwrap() + "\"bias\":[".len();
+        let second = bias + json[bias..].find(',').unwrap() + 1;
+        let doctored = format!("{}{}", &json[..bias], &json[second..]);
+        assert_eq!(
+            Checkpoint::from_json(&doctored).unwrap_err(),
+            "checkpoint is inconsistent: slice 0: policy dense layer 0 has 32 rows \
+             and a bias of length 31"
+        );
+        assert!(Checkpoint::from_json(&json).is_ok());
     }
 
     #[test]

@@ -56,7 +56,6 @@ impl Default for CostEstimatorConfig {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CostValueEstimator {
     network: BayesianMlp,
-    optimizer: Adam,
     config: CostEstimatorConfig,
     /// Scratch memory of the predict path — never serialized; a deserialized
     /// estimator starts with an invalid (empty) cache and rebuilds it on
@@ -74,11 +73,8 @@ impl CostValueEstimator {
         config: CostEstimatorConfig,
         rng: &mut R,
     ) -> Self {
-        let network = BayesianMlp::new(&[state_dim, 64, 32, 1], rng);
-        let optimizer = Adam::new(network.num_parameters(), config.learning_rate);
         Self {
-            network,
-            optimizer,
+            network: BayesianMlp::new(&[state_dim, 64, 32, 1], rng),
             config,
             predict_scratch: PredictScratch::new(),
         }
@@ -87,6 +83,14 @@ impl CostValueEstimator {
     /// The estimator's configuration.
     pub fn config(&self) -> &CostEstimatorConfig {
         &self.config
+    }
+
+    /// What a deserialised estimator must satisfy before its first
+    /// prediction: a well-formed network.
+    pub fn validate(&self) -> Result<(), String> {
+        self.network
+            .validate()
+            .map_err(|e| format!("estimator {e}"))
     }
 
     /// Builds cost-to-go training pairs from one baseline episode: for each
@@ -122,10 +126,15 @@ impl CostValueEstimator {
     /// Bayes-by-backprop minibatch scheme), instead of resampling every
     /// weight for every data point as the per-sample loop did. Both are
     /// unbiased ELBO gradient estimators; the batched one is far cheaper.
+    ///
+    /// Each call starts Adam from fresh moments, as
+    /// [`crate::bc::behavior_clone`] does: π_φ is fitted offline, once, on
+    /// the baseline's data, so no optimiser state outlives the call.
     pub fn fit<R: Rng + ?Sized>(&mut self, dataset: &[CostToGoSample], rng: &mut R) -> Vec<f64> {
         if dataset.is_empty() {
             return Vec::new();
         }
+        let mut optimizer = Adam::new(self.network.num_parameters(), self.config.learning_rate);
         let n = dataset.len() as f64;
         let state_dim = self.network.input_dim();
         let mut states = Matrix::zeros(dataset.len(), state_dim);
@@ -152,7 +161,7 @@ impl CostValueEstimator {
             }
             self.network.backward_batch(&grad, &mut ws);
             self.network.accumulate_kl_grad(self.config.kl_weight / n);
-            self.optimizer.step_set(&mut self.network);
+            optimizer.step_set(&mut self.network);
             epoch_errors.push(err_sum / n);
         }
         // Parameters moved: the predict path's parameter cache is stale.
@@ -176,13 +185,6 @@ impl CostValueEstimator {
         // Remaining cost is non-negative by construction.
         p.mean = p.mean.max(0.0);
         p
-    }
-
-    /// Deterministic point prediction (posterior means only) — the
-    /// "non-estimator" ablations use the cumulative cost alone, but this is
-    /// still handy for diagnostics.
-    pub fn predict_mean(&self, state: &[f64]) -> f64 {
-        self.network.forward_mean(state)[0].max(0.0)
     }
 }
 
@@ -250,7 +252,6 @@ mod tests {
         // Untrained network may output negatives; the wrapper clamps the mean.
         let p = est.predict(&[0.5, 0.5], &mut rng);
         assert!(p.mean >= 0.0);
-        assert!(est.predict_mean(&[0.5, 0.5]) >= 0.0);
     }
 
     #[test]
@@ -323,6 +324,46 @@ mod tests {
         let fresh = cold.predict(&[0.1, 0.2], &mut ChaCha8Rng::seed_from_u64(7));
         assert_eq!(warm.mean.to_bits(), fresh.mean.to_bits());
         assert_eq!(warm.std.to_bits(), fresh.std.to_bits());
+    }
+
+    /// A fitted estimator and what deserialising its serialised form gives.
+    fn fitted_and_restored() -> (CostValueEstimator, CostValueEstimator) {
+        let mut rng = ChaCha8Rng::seed_from_u64(10);
+        let mut live = CostValueEstimator::new(2, CostEstimatorConfig::default(), &mut rng);
+        let dataset: Vec<CostToGoSample> = (0..16)
+            .map(|i| CostToGoSample {
+                state: vec![i as f64 / 16.0, 0.5],
+                cost_to_go: i as f64 / 8.0,
+            })
+            .collect();
+        live.fit(&dataset, &mut rng);
+        assert!(live.network.grad_norm_squared() > 0.0);
+        let document = live.serialize_value();
+        let restored = CostValueEstimator::from_value(&document).unwrap();
+        assert_eq!(restored.serialize_value(), document);
+        (live, restored)
+    }
+
+    #[test]
+    fn a_restored_estimator_predicts_exactly_like_the_live_one() {
+        let (mut live, mut restored) = fitted_and_restored();
+        restored.validate().unwrap();
+        // Gradients and the last weight draw stayed behind.
+        assert_eq!(restored.network.grad_norm_squared(), 0.0);
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let a = live.predict(&[0.3, 0.5], &mut rng.clone());
+        let b = restored.predict(&[0.3, 0.5], &mut rng);
+        assert_eq!(a.mean.to_bits(), b.mean.to_bits());
+        assert_eq!(a.std.to_bits(), b.std.to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "forward_batch called before resample_weights")]
+    fn a_restored_estimator_has_no_weight_draw_until_it_resamples() {
+        let (_, restored) = fitted_and_restored();
+        let _ = restored
+            .network
+            .forward_batch(&Matrix::zeros(3, 2), &mut BayesWorkspace::new());
     }
 
     #[test]

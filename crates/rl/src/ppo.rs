@@ -190,6 +190,20 @@ impl PpoAgent {
         &self.critic
     }
 
+    /// What a deserialised learner must satisfy before its first update:
+    /// well-formed networks, and for each an optimiser of its size.
+    pub fn validate(&self) -> Result<(), String> {
+        let mean_net = self.policy.mean_net();
+        mean_net.validate().map_err(|e| format!("policy {e}"))?;
+        self.critic.validate().map_err(|e| format!("critic {e}"))?;
+        self.actor_opt
+            .validate_for(self.policy.num_parameters())
+            .map_err(|e| format!("actor optimizer {e}"))?;
+        self.critic_opt
+            .validate_for(self.critic.num_parameters())
+            .map_err(|e| format!("critic optimizer {e}"))
+    }
+
     /// Samples a stochastic action.
     pub fn act<R: Rng + ?Sized>(&self, state: &[f64], rng: &mut R) -> PolicySample {
         self.policy.sample(state, rng)
@@ -387,6 +401,7 @@ impl PpoAgent {
 mod tests {
     use super::*;
     use crate::buffer::Transition;
+    use onslicing_nn::ParameterSet;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -512,6 +527,39 @@ mod tests {
         assert!((0.0..=1.0).contains(&stats.clip_fraction));
         assert!(stats.mean_ratio > 0.0);
         assert!(stats.value_loss >= 0.0);
+    }
+
+    #[test]
+    fn a_restored_learner_updates_exactly_like_the_live_one() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut live = PpoAgent::new_small(2, 2, PpoConfig::default(), &mut rng);
+        let mut buffer = RolloutBuffer::new();
+        collect_bandit_steps(&live, &mut rng, &mut buffer, 48);
+        // Mid-life: one update behind it, so the moments are off zero and
+        // the layers hold the last minibatch's gradients.
+        live.update(&buffer, &mut rng);
+        assert!(ParameterSet::grad_norm_squared(&live.policy) > 0.0);
+        let document = live.serialize_value();
+        let mut restored = PpoAgent::from_value(&document).unwrap();
+        restored.validate().unwrap();
+        // The gradients stayed behind; everything an update reads came along.
+        assert_eq!(ParameterSet::grad_norm_squared(&restored.policy), 0.0);
+        assert_eq!(restored.critic.grad_norm_squared(), 0.0);
+        assert_eq!(restored.serialize_value(), document);
+
+        let mut buffer = RolloutBuffer::new();
+        collect_bandit_steps(&live, &mut rng, &mut buffer, 48);
+        live.update(&buffer, &mut rng.clone());
+        restored.update(&buffer, &mut rng);
+        let bits = |p: Vec<f64>| p.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(
+            bits(restored.policy.parameters()),
+            bits(live.policy.parameters())
+        );
+        assert_eq!(
+            bits(restored.critic.parameters()),
+            bits(live.critic.parameters())
+        );
     }
 
     #[test]

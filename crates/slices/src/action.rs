@@ -81,18 +81,6 @@ impl ActionDim {
             .expect("dimension is in ALL")
     }
 
-    /// Whether this dimension contributes to the resource-usage reward
-    /// (Eq. 9). MCS offsets and scheduler selectors do not.
-    pub fn counts_toward_usage(self) -> bool {
-        !matches!(
-            self,
-            ActionDim::UlMcsOffset
-                | ActionDim::UlScheduler
-                | ActionDim::DlMcsOffset
-                | ActionDim::DlScheduler
-        )
-    }
-
     /// The shared infrastructure resource this dimension draws from, if any.
     pub fn resource(self) -> Option<ResourceKind> {
         match self {
@@ -193,15 +181,6 @@ impl SchedulerKind {
             SchedulerKind::ProportionalFair
         } else {
             SchedulerKind::MaxCqi
-        }
-    }
-
-    /// The canonical normalized value that decodes back to this scheduler.
-    pub fn to_normalized(self) -> f64 {
-        match self {
-            SchedulerKind::RoundRobin => 1.0 / 6.0,
-            SchedulerKind::ProportionalFair => 0.5,
-            SchedulerKind::MaxCqi => 5.0 / 6.0,
         }
     }
 }
@@ -394,19 +373,6 @@ impl Action {
     pub fn dl_scheduler_kind(&self) -> SchedulerKind {
         SchedulerKind::from_normalized(self.dl_scheduler)
     }
-
-    /// Element-wise linear interpolation `(1 - t) · self + t · other`,
-    /// clamped to the action box.
-    pub fn lerp(&self, other: &Action, t: f64) -> Action {
-        let a = self.to_vec();
-        let b = other.to_vec();
-        let v: Vec<f64> = a
-            .iter()
-            .zip(b.iter())
-            .map(|(x, y)| (1.0 - t) * x + t * y)
-            .collect();
-        Action::from_vec(&v)
-    }
 }
 
 impl Default for Action {
@@ -429,15 +395,13 @@ mod tests {
 
     #[test]
     fn usage_counts_exactly_six_dimensions() {
+        // MCS offsets and scheduler selectors map to no shared resource and
+        // stay out of the resource-usage reward (Eq. 9).
         let counted = ActionDim::ALL
             .iter()
-            .filter(|d| d.counts_toward_usage())
+            .filter(|d| d.resource().is_some())
             .count();
         assert_eq!(counted, 6);
-        // and they are exactly the dimensions mapped to shared resources
-        for d in ActionDim::ALL {
-            assert_eq!(d.counts_toward_usage(), d.resource().is_some());
-        }
     }
 
     #[test]
@@ -519,13 +483,6 @@ mod tests {
             SchedulerKind::ProportionalFair
         );
         assert_eq!(SchedulerKind::from_normalized(0.9), SchedulerKind::MaxCqi);
-        for k in [
-            SchedulerKind::RoundRobin,
-            SchedulerKind::ProportionalFair,
-            SchedulerKind::MaxCqi,
-        ] {
-            assert_eq!(SchedulerKind::from_normalized(k.to_normalized()), k);
-        }
     }
 
     #[test]
@@ -535,16 +492,6 @@ mod tests {
         assert_eq!(a.squared_distance(&a), 0.0);
         assert!((a.squared_distance(&b) - b.squared_distance(&a)).abs() < 1e-12);
         assert!((a.squared_distance(&b) - 10.0 * 0.09).abs() < 1e-9);
-    }
-
-    #[test]
-    fn lerp_interpolates_between_endpoints() {
-        let a = Action::uniform(0.0);
-        let b = Action::uniform(1.0);
-        let mid = a.lerp(&b, 0.25);
-        assert!((mid.cpu - 0.25).abs() < 1e-12);
-        assert_eq!(a.lerp(&b, 0.0), a);
-        assert_eq!(a.lerp(&b, 1.0), b);
     }
 
     #[test]

@@ -47,12 +47,6 @@ impl SliceKind {
         }
     }
 
-    /// Whether a *larger* raw performance value is better (true for FPS and
-    /// reliability, false for latency).
-    pub fn higher_is_better(self) -> bool {
-        !matches!(self, SliceKind::Mar)
-    }
-
     /// Lowercase name used in scenario files and CLI arguments.
     pub fn lowercase_name(self) -> &'static str {
         match self {
@@ -130,13 +124,6 @@ mod tests {
         assert_eq!(SliceKind::Mar.default_peak_users_per_second(), 5.0);
         assert_eq!(SliceKind::Hvs.default_peak_users_per_second(), 2.0);
         assert_eq!(SliceKind::Rdc.default_peak_users_per_second(), 100.0);
-    }
-
-    #[test]
-    fn only_latency_is_lower_is_better() {
-        assert!(!SliceKind::Mar.higher_is_better());
-        assert!(SliceKind::Hvs.higher_is_better());
-        assert!(SliceKind::Rdc.higher_is_better());
     }
 
     #[test]

@@ -159,23 +159,9 @@ impl TrafficTrace {
         self.rates[t % self.rates.len()]
     }
 
-    /// Expected number of arrivals in slot `t` (`rate · slot_seconds`).
-    pub fn expected_arrivals_at(&self, t: usize) -> f64 {
-        self.rate_at(t) * self.slot_seconds
-    }
-
     /// The maximum rate over the trace.
     pub fn peak_rate(&self) -> f64 {
         self.rates.iter().cloned().fold(0.0, f64::max)
-    }
-
-    /// The mean rate over the trace.
-    pub fn mean_rate(&self) -> f64 {
-        if self.rates.is_empty() {
-            0.0
-        } else {
-            self.rates.iter().sum::<f64>() / self.rates.len() as f64
-        }
     }
 
     /// Immutable access to the raw per-slot rates.
@@ -193,20 +179,6 @@ impl TrafficTrace {
             scale >= 0.0 && scale.is_finite(),
             "traffic scale must be finite and non-negative"
         );
-        Self {
-            rates: self.rates.iter().map(|r| r * scale).collect(),
-            slot_seconds: self.slot_seconds,
-        }
-    }
-
-    /// Returns a copy rescaled so that its peak equals `new_peak`.
-    ///
-    /// # Panics
-    /// Panics if the trace is empty or all-zero.
-    pub fn rescaled_to_peak(&self, new_peak: f64) -> Self {
-        let peak = self.peak_rate();
-        assert!(peak > 0.0, "cannot rescale an all-zero trace");
-        let scale = new_peak / peak;
         Self {
             rates: self.rates.iter().map(|r| r * scale).collect(),
             slot_seconds: self.slot_seconds,
@@ -363,7 +335,9 @@ mod tests {
             TraceGenerator::new(DiurnalTraceConfig::mar_default()).generate_mean(SLOTS_PER_DAY);
         let rdc =
             TraceGenerator::new(DiurnalTraceConfig::rdc_default()).generate_mean(SLOTS_PER_DAY);
-        let ratio = |t: &TrafficTrace| t.mean_rate() / t.peak_rate();
+        let ratio = |t: &TrafficTrace| {
+            t.rates().iter().sum::<f64>() / t.rates().len() as f64 / t.peak_rate()
+        };
         assert!(
             ratio(&rdc) > ratio(&mar),
             "machine-type traffic should be flatter"
@@ -390,13 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn expected_arrivals_scales_with_slot_duration() {
-        let trace = TrafficTrace::from_rates(vec![2.0, 4.0], 10.0);
-        assert_eq!(trace.expected_arrivals_at(0), 20.0);
-        assert_eq!(trace.expected_arrivals_at(1), 40.0);
-    }
-
-    #[test]
     fn scaled_multiplies_every_rate_and_keeps_the_slot_duration() {
         let trace = TrafficTrace::from_rates(vec![1.0, 2.0, 4.0], 900.0);
         let surged = trace.scaled(1.5);
@@ -409,14 +376,6 @@ mod tests {
     #[should_panic(expected = "traffic scale must be finite")]
     fn negative_traffic_scale_is_rejected() {
         let _ = TrafficTrace::from_rates(vec![1.0], 900.0).scaled(-1.0);
-    }
-
-    #[test]
-    fn rescaled_to_peak_changes_only_the_scale() {
-        let trace = TrafficTrace::from_rates(vec![1.0, 2.0, 4.0], 900.0);
-        let scaled = trace.rescaled_to_peak(8.0);
-        assert_eq!(scaled.rates(), &[2.0, 4.0, 8.0]);
-        assert_eq!(scaled.slot_seconds(), 900.0);
     }
 
     #[test]
