@@ -23,8 +23,7 @@ use onslicing_nn::policy::standard_normal;
 use onslicing_nn::PolicySample;
 use onslicing_rl::{
     behavior_clone, BcConfig, CostEstimatorConfig, CostValueEstimator, Demonstration,
-    LagrangianMultiplier, PpoAgent, PpoConfig, PpoUpdateScratch, PpoUpdateStats, RolloutBuffer,
-    Transition,
+    LagrangianMultiplier, PpoAgent, PpoConfig, PpoUpdateStats, RolloutBuffer, Transition,
 };
 use onslicing_slices::{Action, Sla, SliceKind, SliceState, SlotKpi, ACTION_DIM, STATE_DIM};
 
@@ -626,19 +625,6 @@ impl OnSlicingAgent {
     /// update and clears the rollout buffer.
     pub fn update_policy(&mut self) -> PpoUpdateStats {
         let stats = self.ppo.update(&self.buffer, &mut self.rng);
-        self.buffer.clear();
-        stats
-    }
-
-    /// [`OnSlicingAgent::update_policy`] with a caller-owned scratch: all
-    /// same-shaped agents of a cell can share one set of update buffers
-    /// (the minibatch matrices keep their dimensions from agent to agent,
-    /// so the fused epoch reallocates nothing). Bit-identical to
-    /// `update_policy`.
-    pub fn update_policy_with_scratch(&mut self, scratch: &mut PpoUpdateScratch) -> PpoUpdateStats {
-        let stats = self
-            .ppo
-            .update_with_scratch(&self.buffer, &mut self.rng, scratch);
         self.buffer.clear();
         stats
     }

@@ -46,8 +46,8 @@
 //! row-tiles large matrix products across cores); the slot loop itself runs
 //! the gather → fused sweep → scatter sequence single-threaded, which costs
 //! nothing at cell sizes and keeps the per-slot allocation count at zero in
-//! steady state. Offline pre-training still fans out across cores with
-//! `rayon` (episode-grained, embarrassingly parallel). Determinism is
+//! steady state. Offline pre-training and the epoch-boundary PPO updates
+//! fan out across cores with `rayon`, one agent per task. Determinism is
 //! unaffected everywhere: no RNG is shared between agents, and the kernels'
 //! per-row reduction order is tiling-invariant, so results are identical at
 //! every thread count.
@@ -57,7 +57,6 @@ use serde::{Deserialize, Serialize};
 
 use onslicing_domains::{DomainSet, SliceId};
 use onslicing_nn::CellBatch;
-use onslicing_rl::PpoUpdateScratch;
 use onslicing_slices::{Action, Sla, SliceState, STATE_DIM};
 
 use onslicing_slices::SlotKpi;
@@ -240,11 +239,10 @@ pub struct SliceCheckpoint {
 }
 
 /// Reusable buffers of the fused slot path: the gather vectors, the two
-/// fused-forward workspaces (policy means and critic values), the
-/// coordination scratch and the cell-shared PPO update scratch. Pure
-/// caches — cleared and refilled every slot, so a freshly-`Default`ed
-/// workspace (e.g. after deserialization) warms up on the first slot and
-/// allocates nothing from then on.
+/// fused-forward workspaces (policy means and critic values) and the
+/// coordination scratch. Pure caches — cleared and refilled every slot, so
+/// a freshly-`Default`ed workspace (e.g. after deserialization) warms up on
+/// the first slot and allocates nothing from then on.
 #[derive(Debug, Clone, Default)]
 struct SlotWorkspace {
     /// One observation per active slice, gathered at the top of the slot.
@@ -261,10 +259,6 @@ struct SlotWorkspace {
     policy_cell: CellBatch,
     /// Fused forward workspace for the critic networks.
     critic_cell: CellBatch,
-    /// One PPO update scratch shared by every agent in the cell: the trunk
-    /// shapes match, so the minibatch buffers keep their dimensions from
-    /// agent to agent across the epoch's update sweep.
-    ppo_scratch: PpoUpdateScratch,
     /// The slot outcome reused across an episode's slots.
     episode_outcome: SlotOutcome,
 }
@@ -701,18 +695,12 @@ impl Orchestrator {
         for _ in 0..self.config.episodes_per_epoch {
             episodes.push(self.run_episode(true));
         }
-        // PPO updates run back to back through one shared scratch: every
-        // agent in the cell shares the trunk architecture, so the minibatch
-        // buffers keep their dimensions from agent to agent and the whole
-        // sweep reallocates nothing. Each update's arithmetic and RNG use are
-        // exactly those of `OnSlicingAgent::update_policy`, and agents own
-        // independent streams, so the sequential sweep is bit-identical to
-        // the old per-core fan-out.
-        let mut scratch = std::mem::take(&mut self.workspace.ppo_scratch);
-        for agent in &mut self.agents {
-            agent.update_policy_with_scratch(&mut scratch);
-        }
-        self.workspace.ppo_scratch = scratch;
+        // One core per agent, each through its own update scratch; agents
+        // own independent RNG streams, so the result is the same at any
+        // pool width.
+        self.agents.par_iter_mut().for_each(|a| {
+            a.update_policy();
+        });
         EpochMetrics::from_episodes(&episodes)
     }
 

@@ -22,7 +22,8 @@
 //! config-incompatible or self-inconsistent file (a header that does not
 //! describe its body, cells at different slots — see
 //! [`FleetCheckpoint::restore`]) falls back to the next older one with the
-//! reason on stderr. When the
+//! reason on stderr and is renamed `checkpoint_<slot>.json.rejected`, which
+//! the retention sweep neither counts nor deletes. When the
 //! scenario completes, the daemon writes the final fleet trace
 //! (`TRACE_FLEET_<scenario>.json`) and exits; re-starting a completed
 //! state dir re-derives the identical trace and exits again — restart is
@@ -116,13 +117,17 @@ pub fn run(config: FleetdConfig) -> Result<ExitReason, String> {
 /// a fresh fleet when there is none. Unreadable, stale-format, incompatible
 /// or unrestorable files fall back to the next older checkpoint with a
 /// warning on stderr — a single bad file must never abort startup while an
-/// older good one is sitting right next to it.
+/// older good one is sitting right next to it. Each skipped file is renamed
+/// to `checkpoint_<slot>.json.rejected`, out of the canonical namespace, so
+/// the retention sweep never counts it against the restorable files and
+/// never collects the one this run resumed from.
 fn build_or_resume(config: &FleetdConfig) -> Result<ElasticFleet, String> {
     let mut slots = list_checkpoint_slots(&config.state_dir)
         .map_err(|e| format!("cannot scan state dir: {e}"))?;
     slots.reverse();
     for slot in slots {
-        let path = config.state_dir.join(checkpoint_file_name(slot));
+        let name = checkpoint_file_name(slot);
+        let path = config.state_dir.join(&name);
         match FleetCheckpoint::load(&path)
             .and_then(check_compatible(config))
             .and_then(FleetCheckpoint::restore)
@@ -131,7 +136,20 @@ fn build_or_resume(config: &FleetdConfig) -> Result<ElasticFleet, String> {
                 eprintln!("fleetd: resuming from {} (slot {slot})", path.display());
                 return Ok(fleet);
             }
-            Err(e) => eprintln!("fleetd: skipping checkpoint {}: {e}", path.display()),
+            Err(e) => {
+                let rejected = config.state_dir.join(format!("{name}.rejected"));
+                std::fs::rename(&path, &rejected).map_err(|io| {
+                    format!(
+                        "cannot set aside unrestorable checkpoint {} ({e}): {io}",
+                        path.display()
+                    )
+                })?;
+                eprintln!(
+                    "fleetd: skipping checkpoint {}: {e} (renamed to {})",
+                    path.display(),
+                    rejected.display()
+                );
+            }
         }
     }
     let scenario = fleet_by_name(&config.scenario).ok_or_else(|| {

@@ -47,13 +47,17 @@ impl TestDir {
     /// Writes a config.toml with the shared test fleet shape. Checkpoint
     /// cadence 8, retention 2 (small enough that GC actually runs).
     fn write_config(&self) -> PathBuf {
+        self.write_config_retaining(2)
+    }
+
+    fn write_config_retaining(&self, retain: usize) -> PathBuf {
         let path = self.root.join("config.toml");
         std::fs::write(
             &path,
             format!(
                 "scenario = \"{SCENARIO}\"\ncells = {CELLS}\nseed = {SEED}\n\
                  state_dir = \"state\"\nstart_paused = true\n\n\
-                 [checkpoint]\ncadence_slots = 8\nretain = 2\n"
+                 [checkpoint]\ncadence_slots = 8\nretain = {retain}\n"
             ),
         )
         .unwrap();
@@ -325,6 +329,65 @@ fn a_checkpoint_whose_header_contradicts_its_cells_is_skipped_with_the_reason() 
         assert!(skipped.contains(reason), "{tag}: {skipped}");
         assert!(stderr.contains("(slot 8)"), "{tag}: {stderr}");
     }
+}
+
+#[test]
+fn unrestorable_newer_checkpoints_never_cost_the_daemon_its_good_one() {
+    // One good checkpoint at slot 8 and two bad newer ones, with room to
+    // keep a single file. The daemon resumes from slot 8 and writes slot 9;
+    // if the bad files still counted, the retention sweep would keep slot 24
+    // and delete both good files, and the restart would begin from scratch.
+    let dir = TestDir::new("retain-bad");
+    let config = dir.write_config_retaining(1);
+    std::fs::create_dir_all(dir.state_dir()).unwrap();
+    let mut fleet = ElasticFleet::new(fleet_by_name(SCENARIO).unwrap(), fleet_config()).unwrap();
+    fleet.advance_to(8).unwrap();
+    std::fs::write(
+        dir.state_dir().join(checkpoint_file_name(8)),
+        fleet.checkpoint().to_json(),
+    )
+    .unwrap();
+    fleet.advance_to(16).unwrap();
+    let contradictory = fleet
+        .checkpoint()
+        .to_json()
+        .replacen("\"slot\":16", "\"slot\":17", 1);
+    for (slot, body) in [(16, contradictory.as_str()), (24, "not a checkpoint")] {
+        std::fs::write(dir.state_dir().join(checkpoint_file_name(slot)), body).unwrap();
+    }
+
+    let mut daemon = spawn_daemon(&config, &[]);
+    wait_ready(&dir.socket());
+    let status = ctl_ok(&dir.socket(), "{\"op\":\"status\"}");
+    assert_eq!(status.get("slot").and_then(Value::as_u64), Some(8));
+    ctl_ok(&dir.socket(), "{\"op\":\"step\",\"to_slot\":9}");
+    ctl_ok(&dir.socket(), "{\"op\":\"checkpoint\"}");
+    daemon.kill().unwrap();
+    let _ = daemon.wait();
+
+    let mut names: Vec<String> = std::fs::read_dir(dir.state_dir())
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with("checkpoint_"))
+        .collect();
+    names.sort();
+    let expected = [
+        checkpoint_file_name(9),
+        format!("{}.rejected", checkpoint_file_name(16)),
+        format!("{}.rejected", checkpoint_file_name(24)),
+    ];
+    assert_eq!(names, expected);
+
+    let mut revived = spawn_daemon(&config, &[]);
+    wait_ready(&dir.socket());
+    let status = ctl_ok(&dir.socket(), "{\"op\":\"status\"}");
+    assert_eq!(
+        status.get("slot").and_then(Value::as_u64),
+        Some(9),
+        "the restart must resume from the checkpoint written after the skip"
+    );
+    ctl_ok(&dir.socket(), "{\"op\":\"shutdown\"}");
+    assert!(wait_exit(&mut revived).success());
 }
 
 #[test]

@@ -19,6 +19,11 @@
 //!   the plain reparameterization trick: one weight draw
 //!   `W = μ + σ · ε`, `ε ∼ N(0, 1)` per call, shared by the whole minibatch,
 //!   with gradients flowing through both `μ` and `ρ`.
+//! * **Training's scales** `σ = softplus(ρ)` and `σ′ = sigmoid(ρ)` are
+//!   computed once per value of `ρ` and cached per parameter: the draw, the
+//!   backward pass and the KL gradient of one step read the same cache, and
+//!   the optimiser's step (the only way `ρ` moves) invalidates it. The
+//!   cache is never serialised, so a restored layer starts stale.
 //! * **Prediction** ([`BayesianMlp::predict_with`]) uses the *local*
 //!   reparameterization trick: for a factorized Gaussian posterior and a
 //!   fixed input row `x`, every pre-activation is itself exactly Gaussian and
@@ -42,7 +47,7 @@ use serde::{Deserialize, Serialize};
 use crate::activation::Activation;
 use crate::matrix::Matrix;
 use crate::policy::standard_normal;
-use crate::{softplus, softplus_derivative};
+use crate::{softplus, softplus_and_sigmoid};
 
 /// Summary statistics of the stochastic predictions of a [`BayesianMlp`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -89,8 +94,68 @@ pub struct BayesianLinear {
     sampled_weights: Matrix,
     #[serde(skip)]
     sampled_bias: Vec<f64>,
+    // σ and σ′ of the current ρ, valid while `scales_fresh`: `refresh`
+    // fills them and `visit_param_blocks`, the one way ρ moves, clears the
+    // flag.
+    #[serde(skip)]
+    weight_scales: Scales,
+    #[serde(skip)]
+    bias_scales: Scales,
+    #[serde(skip)]
+    scales_fresh: bool,
     /// Weight of the prior's standard deviation (standard-normal prior when 1).
     prior_std: f64,
+}
+
+/// `σ = softplus(ρ)` and `σ′ = sigmoid(ρ)` for every entry of one ρ block.
+#[derive(Debug, Clone, Default)]
+struct Scales {
+    sigma: Vec<f64>,
+    dsigma: Vec<f64>,
+}
+
+impl Scales {
+    fn fill(&mut self, rho: &[f64]) {
+        self.sigma.resize(rho.len(), 0.0);
+        self.dsigma.resize(rho.len(), 0.0);
+        for ((s, d), &r) in self.sigma.iter_mut().zip(&mut self.dsigma).zip(rho) {
+            (*s, *d) = softplus_and_sigmoid(r);
+        }
+    }
+
+    /// Draws one `ε ∼ N(0, 1)` per entry, in order, into `eps` and writes
+    /// the sample `μ + σ·ε` into `sampled`.
+    fn draw<R: Rng + ?Sized>(&self, mu: &[f64], eps: &mut [f64], sampled: &mut [f64], rng: &mut R) {
+        for (((w, e), &m), &s) in sampled.iter_mut().zip(eps).zip(mu).zip(&self.sigma) {
+            *e = standard_normal(rng);
+            *w = m + s * *e;
+        }
+    }
+
+    /// Adds `weight · ∂KL/∂μ` and `weight · ∂KL/∂ρ` to the gradients.
+    fn add_kl_grad(
+        &self,
+        mu: &[f64],
+        grad_mu: &mut [f64],
+        grad_rho: &mut [f64],
+        weight: f64,
+        prior_var: f64,
+    ) {
+        for ((((gm, gr), &m), &s), &d) in grad_mu
+            .iter_mut()
+            .zip(grad_rho)
+            .zip(mu)
+            .zip(&self.sigma)
+            .zip(&self.dsigma)
+        {
+            let sigma = s.max(1e-9);
+            // d KL / d mu = mu / prior_var
+            *gm += weight * m / prior_var;
+            // d KL / d sigma = -1/sigma + sigma/prior_var
+            let d_sigma = -1.0 / sigma + sigma / prior_var;
+            *gr += weight * d_sigma * d;
+        }
+    }
 }
 
 impl BayesianLinear {
@@ -131,6 +196,9 @@ impl BayesianLinear {
             // the batched passes can detect a never-drawn sample.
             sampled_weights: Matrix::default(),
             sampled_bias: vec![0.0; out_dim],
+            weight_scales: Scales::default(),
+            bias_scales: Scales::default(),
+            scales_fresh: false,
             prior_std: 1.0,
         }
     }
@@ -161,23 +229,42 @@ impl BayesianLinear {
     /// draw is cached so [`BayesianLinear::backward_batch`] can route
     /// gradients through both `μ` and `ρ`.
     pub fn resample_weights<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+        self.refresh();
         self.sampled_weights.resize(self.out_dim, self.in_dim);
         self.cached_weight_eps.resize(self.out_dim, self.in_dim);
         self.cached_bias_eps.resize(self.out_dim, 0.0);
         self.sampled_bias.resize(self.out_dim, 0.0);
-        for r in 0..self.out_dim {
-            for c in 0..self.in_dim {
-                let eps = standard_normal(rng);
-                self.cached_weight_eps.set(r, c, eps);
-                let w = self.weight_mu.get(r, c) + softplus(self.weight_rho.get(r, c)) * eps;
-                self.sampled_weights.set(r, c, w);
-            }
+        self.weight_scales.draw(
+            self.weight_mu.data(),
+            self.cached_weight_eps.data_mut(),
+            self.sampled_weights.data_mut(),
+            rng,
+        );
+        self.bias_scales.draw(
+            &self.bias_mu,
+            &mut self.cached_bias_eps,
+            &mut self.sampled_bias,
+            rng,
+        );
+    }
+
+    /// Recomputes σ and σ′ from ρ unless they already belong to it: the
+    /// one place training evaluates `softplus` or its derivative.
+    fn refresh(&mut self) {
+        if !self.scales_fresh {
+            self.weight_scales.fill(self.weight_rho.data());
+            self.bias_scales.fill(&self.bias_rho);
+            self.scales_fresh = true;
         }
-        for r in 0..self.out_dim {
-            let eps = standard_normal(rng);
-            self.cached_bias_eps[r] = eps;
-            self.sampled_bias[r] = self.bias_mu[r] + softplus(self.bias_rho[r]) * eps;
-        }
+    }
+
+    /// Refuses to accumulate into gradients `zero_grad` has not sized.
+    fn assert_grads_sized(&self) {
+        assert_eq!(
+            (self.grad_weight_rho.data().len(), self.grad_bias_rho.len()),
+            (self.out_dim * self.in_dim, self.out_dim),
+            "gradients accumulated before zero_grad"
+        );
     }
 
     /// Batched stochastic forward pass under the weight sample drawn by the
@@ -241,22 +328,31 @@ impl BayesianLinear {
             .mul_derivative_into(pre.data(), delta.data_mut());
         grad_scratch.resize(self.out_dim, self.in_dim);
         delta.matmul_tn_acc_into(input, grad_scratch);
-        for r in 0..self.out_dim {
-            for c in 0..self.in_dim {
-                let g = grad_scratch.get(r, c);
-                self.grad_weight_mu
-                    .set(r, c, self.grad_weight_mu.get(r, c) + g);
-                let chain = self.cached_weight_eps.get(r, c)
-                    * softplus_derivative(self.weight_rho.get(r, c));
-                self.grad_weight_rho
-                    .set(r, c, self.grad_weight_rho.get(r, c) + g * chain);
-            }
+        self.refresh();
+        self.assert_grads_sized();
+        for ((((gm, gr), &g), &eps), &d) in self
+            .grad_weight_mu
+            .data_mut()
+            .iter_mut()
+            .zip(self.grad_weight_rho.data_mut())
+            .zip(grad_scratch.data())
+            .zip(self.cached_weight_eps.data())
+            .zip(&self.weight_scales.dsigma)
+        {
+            *gm += g;
+            *gr += g * (eps * d);
         }
         for b in 0..delta.rows() {
-            for (r, d) in delta.row(b).iter().enumerate() {
-                self.grad_bias_mu[r] += d;
-                self.grad_bias_rho[r] +=
-                    d * self.cached_bias_eps[r] * softplus_derivative(self.bias_rho[r]);
+            for ((((gm, gr), &g), &eps), &d) in self
+                .grad_bias_mu
+                .iter_mut()
+                .zip(&mut self.grad_bias_rho)
+                .zip(delta.row(b))
+                .zip(&self.cached_bias_eps)
+                .zip(&self.bias_scales.dsigma)
+            {
+                *gm += g;
+                *gr += g * eps * d;
             }
         }
         if let Some(grad_input) = grad_input {
@@ -282,8 +378,10 @@ impl BayesianLinear {
     }
 
     /// Visits `(params, grads, scale)` blocks — `weight_mu`, `weight_rho`,
-    /// `bias_mu`, `bias_rho` — without allocating.
+    /// `bias_mu`, `bias_rho` — without allocating. The visitor may move ρ,
+    /// so the cached σ and σ′ are stale afterwards.
     pub fn visit_param_blocks(&mut self, f: &mut crate::optimizer::ParamBlockVisitor<'_>) {
+        self.scales_fresh = false;
         f(self.weight_mu.data_mut(), self.grad_weight_mu.data(), 1.0);
         f(self.weight_rho.data_mut(), self.grad_weight_rho.data(), 1.0);
         f(&mut self.bias_mu, &self.grad_bias_mu, 1.0);
@@ -316,35 +414,23 @@ impl BayesianLinear {
     /// Called once per optimizer step with `weight = kl_weight / dataset_size`
     /// (the standard Bayes-by-backprop minibatch scaling).
     pub fn accumulate_kl_grad(&mut self, weight: f64) {
+        self.refresh();
+        self.assert_grads_sized();
         let prior_var = self.prior_std * self.prior_std;
-        for r in 0..self.out_dim {
-            for c in 0..self.in_dim {
-                let mu = self.weight_mu.get(r, c);
-                let rho = self.weight_rho.get(r, c);
-                let sigma = softplus(rho).max(1e-9);
-                // d KL / d mu = mu / prior_var
-                self.grad_weight_mu.set(
-                    r,
-                    c,
-                    self.grad_weight_mu.get(r, c) + weight * mu / prior_var,
-                );
-                // d KL / d sigma = -1/sigma + sigma/prior_var
-                let d_sigma = -1.0 / sigma + sigma / prior_var;
-                self.grad_weight_rho.set(
-                    r,
-                    c,
-                    self.grad_weight_rho.get(r, c) + weight * d_sigma * softplus_derivative(rho),
-                );
-            }
-        }
-        for i in 0..self.out_dim {
-            let mu = self.bias_mu[i];
-            let rho = self.bias_rho[i];
-            let sigma = softplus(rho).max(1e-9);
-            self.grad_bias_mu[i] += weight * mu / prior_var;
-            let d_sigma = -1.0 / sigma + sigma / prior_var;
-            self.grad_bias_rho[i] += weight * d_sigma * softplus_derivative(rho);
-        }
+        self.weight_scales.add_kl_grad(
+            self.weight_mu.data(),
+            self.grad_weight_mu.data_mut(),
+            self.grad_weight_rho.data_mut(),
+            weight,
+            prior_var,
+        );
+        self.bias_scales.add_kl_grad(
+            &self.bias_mu,
+            &mut self.grad_bias_mu,
+            &mut self.grad_bias_rho,
+            weight,
+            prior_var,
+        );
     }
 
     /// Resets accumulated gradients to zero, sized from the layer's shape.
@@ -760,6 +846,7 @@ impl crate::optimizer::ParameterSet for BayesianMlp {
 mod tests {
     use super::*;
     use crate::optimizer::Adam;
+    use crate::softplus_derivative;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -814,14 +901,136 @@ mod tests {
         }
     }
 
-    /// A `[9, 64, 32, 1]` estimator trunk (the production shape) trained for
-    /// a few epochs through the batched path, so the posterior means are not
-    /// the initializer's and the scales have moved off their common start.
-    fn trained_trunk() -> BayesianMlp {
-        let mut rng = ChaCha8Rng::seed_from_u64(40);
-        let mut net = BayesianMlp::new(&[9, 64, 32, 1], &mut rng);
-        let mut opt = Adam::new(net.num_parameters(), 5e-3);
-        let batch = 48;
+    // The per-call scale loops the cached σ, σ′ replaced: `softplus` and its
+    // derivative evaluated afresh at every use, kept only as the bit-level
+    // oracle of a training step.
+
+    impl BayesianLinear {
+        fn reference_resample_weights<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+            self.sampled_weights.resize(self.out_dim, self.in_dim);
+            self.cached_weight_eps.resize(self.out_dim, self.in_dim);
+            self.cached_bias_eps.resize(self.out_dim, 0.0);
+            self.sampled_bias.resize(self.out_dim, 0.0);
+            for r in 0..self.out_dim {
+                for c in 0..self.in_dim {
+                    let eps = standard_normal(rng);
+                    self.cached_weight_eps.set(r, c, eps);
+                    let w = self.weight_mu.get(r, c) + softplus(self.weight_rho.get(r, c)) * eps;
+                    self.sampled_weights.set(r, c, w);
+                }
+            }
+            for r in 0..self.out_dim {
+                let eps = standard_normal(rng);
+                self.cached_bias_eps[r] = eps;
+                self.sampled_bias[r] = self.bias_mu[r] + softplus(self.bias_rho[r]) * eps;
+            }
+        }
+
+        fn reference_backward_batch(
+            &mut self,
+            delta: &mut Matrix,
+            input: &Matrix,
+            pre: &Matrix,
+            grad_scratch: &mut Matrix,
+            grad_input: Option<&mut Matrix>,
+        ) {
+            self.activation
+                .mul_derivative_into(pre.data(), delta.data_mut());
+            grad_scratch.resize(self.out_dim, self.in_dim);
+            delta.matmul_tn_acc_into(input, grad_scratch);
+            for r in 0..self.out_dim {
+                for c in 0..self.in_dim {
+                    let g = grad_scratch.get(r, c);
+                    self.grad_weight_mu
+                        .set(r, c, self.grad_weight_mu.get(r, c) + g);
+                    let chain = self.cached_weight_eps.get(r, c)
+                        * softplus_derivative(self.weight_rho.get(r, c));
+                    self.grad_weight_rho
+                        .set(r, c, self.grad_weight_rho.get(r, c) + g * chain);
+                }
+            }
+            for b in 0..delta.rows() {
+                for (r, d) in delta.row(b).iter().enumerate() {
+                    self.grad_bias_mu[r] += d;
+                    self.grad_bias_rho[r] +=
+                        d * self.cached_bias_eps[r] * softplus_derivative(self.bias_rho[r]);
+                }
+            }
+            if let Some(grad_input) = grad_input {
+                delta.matmul_into(&self.sampled_weights, grad_input);
+            }
+        }
+
+        fn reference_accumulate_kl_grad(&mut self, weight: f64) {
+            let prior_var = self.prior_std * self.prior_std;
+            for r in 0..self.out_dim {
+                for c in 0..self.in_dim {
+                    let mu = self.weight_mu.get(r, c);
+                    let rho = self.weight_rho.get(r, c);
+                    let sigma = softplus(rho).max(1e-9);
+                    self.grad_weight_mu.set(
+                        r,
+                        c,
+                        self.grad_weight_mu.get(r, c) + weight * mu / prior_var,
+                    );
+                    let d_sigma = -1.0 / sigma + sigma / prior_var;
+                    self.grad_weight_rho.set(
+                        r,
+                        c,
+                        self.grad_weight_rho.get(r, c)
+                            + weight * d_sigma * softplus_derivative(rho),
+                    );
+                }
+            }
+            for i in 0..self.out_dim {
+                let mu = self.bias_mu[i];
+                let rho = self.bias_rho[i];
+                let sigma = softplus(rho).max(1e-9);
+                self.grad_bias_mu[i] += weight * mu / prior_var;
+                let d_sigma = -1.0 / sigma + sigma / prior_var;
+                self.grad_bias_rho[i] += weight * d_sigma * softplus_derivative(rho);
+            }
+        }
+    }
+
+    impl BayesianMlp {
+        fn reference_backward_batch(&mut self, grad_output: &Matrix, ws: &mut BayesWorkspace) {
+            ws.delta_a.resize(grad_output.rows(), grad_output.cols());
+            ws.delta_a.data_mut().copy_from_slice(grad_output.data());
+            for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+                let BayesWorkspace {
+                    activations,
+                    pre_activations,
+                    delta_a,
+                    delta_b,
+                    grad_scratch,
+                    ..
+                } = ws;
+                let grad_input = if i > 0 { Some(&mut *delta_b) } else { None };
+                layer.reference_backward_batch(
+                    delta_a,
+                    &activations[i],
+                    &pre_activations[i],
+                    grad_scratch,
+                    grad_input,
+                );
+                if i > 0 {
+                    std::mem::swap(delta_a, delta_b);
+                }
+            }
+        }
+    }
+
+    /// Which code a training step runs, and whether the optimiser moves ρ
+    /// between the backward pass and the KL gradient.
+    #[derive(Clone, Copy)]
+    struct Arm {
+        reference: bool,
+        step_before_kl: bool,
+    }
+
+    /// A regression minibatch over `[0, 1)^9` with a linear target.
+    fn regression_batch(rng: &mut ChaCha8Rng, batch: usize) -> (Matrix, Vec<f64>) {
         let mut states = Matrix::zeros(batch, 9);
         let mut targets = vec![0.0; batch];
         for (b, target) in targets.iter_mut().enumerate() {
@@ -830,20 +1039,124 @@ mod tests {
                 *target += if c % 2 == 0 { -*v } else { 0.5 * *v };
             }
         }
+        (states, targets)
+    }
+
+    /// One ELBO step in the order `CostValueEstimator::fit` takes it: zero
+    /// the gradients, draw, push the batch through, add the KL term, step.
+    fn elbo_step(
+        net: &mut BayesianMlp,
+        opt: &mut Adam,
+        (states, targets): &(Matrix, Vec<f64>),
+        rng: &mut ChaCha8Rng,
+        arm: Arm,
+    ) {
         let mut ws = BayesWorkspace::new();
-        let mut grad = Matrix::zeros(batch, 1);
-        for _ in 0..60 {
-            net.zero_grad();
-            net.resample_weights(&mut rng);
-            let y = net.forward_batch(&states, &mut ws);
-            for (b, target) in targets.iter().enumerate() {
-                grad.set(b, 0, (y.get(b, 0) - target) / batch as f64);
-            }
+        let n = targets.len() as f64;
+        net.zero_grad();
+        if arm.reference {
+            net.layers
+                .iter_mut()
+                .for_each(|l| l.reference_resample_weights(rng));
+        } else {
+            net.resample_weights(rng);
+        }
+        let y = net.forward_batch(states, &mut ws);
+        let mut grad = Matrix::zeros(targets.len(), 1);
+        for (b, target) in targets.iter().enumerate() {
+            grad.set(b, 0, (y.get(b, 0) - target) / n);
+        }
+        if arm.reference {
+            net.reference_backward_batch(&grad, &mut ws);
+        } else {
             net.backward_batch(&grad, &mut ws);
-            net.accumulate_kl_grad(1e-4 / batch as f64);
-            opt.step_set(&mut net);
+        }
+        if arm.step_before_kl {
+            opt.step_set(net);
+        }
+        if arm.reference {
+            net.layers
+                .iter_mut()
+                .for_each(|l| l.reference_accumulate_kl_grad(1e-4 / n));
+        } else {
+            net.accumulate_kl_grad(1e-4 / n);
+        }
+        opt.step_set(net);
+    }
+
+    /// A `[9, 64, 32, 1]` estimator trunk (the production shape) trained for
+    /// a few epochs through the batched path, so the posterior means are not
+    /// the initializer's and the scales have moved off their common start.
+    fn trained_trunk() -> BayesianMlp {
+        let mut rng = ChaCha8Rng::seed_from_u64(40);
+        let mut net = BayesianMlp::new(&[9, 64, 32, 1], &mut rng);
+        let mut opt = Adam::new(net.num_parameters(), 5e-3);
+        let batch = regression_batch(&mut rng, 48);
+        let product = Arm {
+            reference: false,
+            step_before_kl: false,
+        };
+        for _ in 0..60 {
+            elbo_step(&mut net, &mut opt, &batch, &mut rng, product);
         }
         net
+    }
+
+    /// Trains one net through the product and a clone of it, on a clone of
+    /// the generator, through the reference for 40 steps, and requires every
+    /// `μ` and `ρ` and the generators to end bit-equal.
+    fn assert_product_matches_reference(step_before_kl: bool) {
+        let mut rng = ChaCha8Rng::seed_from_u64(43);
+        let mut product = BayesianMlp::new(&[9, 64, 32, 1], &mut rng);
+        let batch = regression_batch(&mut rng, 24);
+        let mut reference = product.clone();
+        let mut reference_rng = rng.clone();
+        let mut product_opt = Adam::new(product.num_parameters(), 2e-3);
+        let mut reference_opt = product_opt.clone();
+        for _ in 0..40 {
+            elbo_step(
+                &mut product,
+                &mut product_opt,
+                &batch,
+                &mut rng,
+                Arm {
+                    reference: false,
+                    step_before_kl,
+                },
+            );
+            elbo_step(
+                &mut reference,
+                &mut reference_opt,
+                &batch,
+                &mut reference_rng,
+                Arm {
+                    reference: true,
+                    step_before_kl,
+                },
+            );
+        }
+        assert_eq!(rng, reference_rng, "the draws took different words");
+        for (i, (p, r)) in product.layers.iter().zip(&reference.layers).enumerate() {
+            for (name, a, b) in [
+                ("weight_mu", p.weight_mu.data(), r.weight_mu.data()),
+                ("weight_rho", p.weight_rho.data(), r.weight_rho.data()),
+                ("bias_mu", &p.bias_mu[..], &r.bias_mu[..]),
+                ("bias_rho", &p.bias_rho[..], &r.bias_rho[..]),
+            ] {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(a), bits(b), "layer {i} {name}");
+            }
+        }
+    }
+
+    #[test]
+    fn cached_scales_train_bit_identically_to_the_per_call_reference() {
+        assert_product_matches_reference(false);
+    }
+
+    #[test]
+    fn an_optimiser_step_before_the_kl_gradient_invalidates_the_cached_scales() {
+        assert_product_matches_reference(true);
     }
 
     #[test]

@@ -95,6 +95,19 @@ pub fn sigmoid(x: f64) -> f64 {
     }
 }
 
+/// `(softplus(x), sigmoid(x))`, bit-identical to the two calls. On
+/// `-30 ≤ x < 0` both evaluate `e^x` through the same expression, so it is
+/// computed once there; every other input (±0, NaN, ±inf included) takes
+/// the two functions as they are.
+pub(crate) fn softplus_and_sigmoid(x: f64) -> (f64, f64) {
+    if (-30.0..0.0).contains(&x) {
+        let e = x.exp();
+        ((1.0 + e).ln(), e / (1.0 + e))
+    } else {
+        (softplus(x), sigmoid(x))
+    }
+}
+
 /// Fixtures shared by the unit tests of the batched path.
 #[cfg(test)]
 pub(crate) mod test_util {
@@ -147,6 +160,37 @@ mod tests {
             assert!((s + sigmoid(-x) - 1.0).abs() < 1e-12);
         }
         assert!((sigmoid(0.0) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn the_fused_scale_pair_is_bit_identical_to_the_two_functions() {
+        let below_minus_30 = f64::from_bits((-30.0f64).to_bits() + 1);
+        let mut inputs = vec![
+            -30.0,
+            below_minus_30,
+            -0.0,
+            0.0,
+            30.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE / 2.0,
+            -f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            -f64::MIN_POSITIVE,
+            -1e-300,
+            -3.0,
+            f64::MAX,
+            f64::MIN,
+        ];
+        inputs.extend((-4000..=4000).map(|i| i as f64 / 100.0));
+        inputs.extend((0..2000).map(|i| -30.0 + i as f64 * 0.0150001));
+        for x in inputs {
+            let (s, d) = softplus_and_sigmoid(x);
+            assert_eq!(s.to_bits(), softplus(x).to_bits(), "softplus({x:e})");
+            assert_eq!(d.to_bits(), sigmoid(x).to_bits(), "sigmoid({x:e})");
+        }
     }
 
     #[test]

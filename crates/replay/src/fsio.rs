@@ -173,10 +173,10 @@ mod tests {
     fn checkpoint_names_round_trip_and_sort_by_slot() {
         assert_eq!(checkpoint_file_name(7), "checkpoint_0000000007.json");
         assert_eq!(parse_checkpoint_slot("checkpoint_0000000007.json"), Some(7));
-        assert_eq!(
-            parse_checkpoint_slot("checkpoint_0000000007.json.tmp"),
-            None
-        );
+        for set_aside in ["tmp", "rejected"] {
+            let name = format!("checkpoint_0000000007.json.{set_aside}");
+            assert_eq!(parse_checkpoint_slot(&name), None, "{name}");
+        }
         assert_eq!(parse_checkpoint_slot("checkpoint_7.json"), None);
         assert_eq!(parse_checkpoint_slot("other.json"), None);
         assert!(checkpoint_file_name(9) < checkpoint_file_name(10));

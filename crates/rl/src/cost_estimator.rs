@@ -358,6 +358,29 @@ mod tests {
     }
 
     #[test]
+    fn a_restored_estimator_fits_exactly_like_the_live_one() {
+        // The live layers keep the σ cache of their last fit (marked stale by
+        // its final step); the restored ones start with none.
+        let (mut live, mut restored) = fitted_and_restored();
+        let dataset: Vec<CostToGoSample> = (0..24)
+            .map(|i| CostToGoSample {
+                state: vec![0.5, i as f64 / 24.0],
+                cost_to_go: 3.0 - i as f64 / 8.0,
+            })
+            .collect();
+        let rng = ChaCha8Rng::seed_from_u64(12);
+        let bits = |errors: Vec<f64>| errors.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(live.fit(&dataset, &mut rng.clone())),
+            bits(restored.fit(&dataset, &mut rng.clone()))
+        );
+        assert_eq!(
+            format!("{:?}", live.serialize_value()),
+            format!("{:?}", restored.serialize_value())
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "forward_batch called before resample_weights")]
     fn a_restored_estimator_has_no_weight_draw_until_it_resamples() {
         let (_, restored) = fitted_and_restored();

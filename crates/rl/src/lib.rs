@@ -37,4 +37,4 @@ pub use bc::{behavior_clone, imitation_error, BcConfig, Demonstration};
 pub use buffer::{compute_gae, RolloutBuffer, Transition};
 pub use cost_estimator::{CostEstimatorConfig, CostToGoSample, CostValueEstimator};
 pub use lagrangian::LagrangianMultiplier;
-pub use ppo::{PpoAgent, PpoConfig, PpoUpdateScratch, PpoUpdateStats};
+pub use ppo::{PpoAgent, PpoConfig, PpoUpdateStats};

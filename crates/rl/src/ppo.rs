@@ -77,15 +77,12 @@ pub struct PpoUpdateStats {
 }
 
 /// Reusable buffers for [`PpoAgent::update`]: network workspaces, gathered
-/// minibatch matrices and per-sample scalars. By default they live inside
-/// the agent and persist across updates, so steady-state training
-/// re-touches warm memory instead of faulting in fresh allocations every
-/// epoch. Because all slice agents in a cell share one trunk shape, a
-/// single scratch can also serve every agent of a cell in turn
-/// ([`PpoAgent::update_with_scratch`]): the buffer dimensions never change
-/// between agents, so the fused slot-update loop reallocates nothing.
+/// minibatch matrices and per-sample scalars. They live inside the agent
+/// and persist across updates, so steady-state training re-touches warm
+/// memory instead of faulting in fresh allocations every epoch, and agents
+/// can update in parallel.
 #[derive(Debug, Clone, Default)]
-pub struct PpoUpdateScratch {
+struct PpoUpdateScratch {
     actor_ws: BatchWorkspace,
     critic_ws: BatchWorkspace,
     all_states: Matrix,
@@ -96,13 +93,6 @@ pub struct PpoUpdateScratch {
     new_log_probs: Vec<f64>,
     weights: Vec<f64>,
     indices: Vec<usize>,
-}
-
-impl PpoUpdateScratch {
-    /// Creates an empty scratch; buffers are sized on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// A PPO actor-critic agent.
@@ -244,24 +234,6 @@ impl PpoAgent {
         buffer: &RolloutBuffer,
         rng: &mut R,
     ) -> PpoUpdateStats {
-        // Route through the shared-scratch form using the agent-owned
-        // scratch (moved out and back; no allocation, no clone).
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let stats = self.update_with_scratch(buffer, rng, &mut scratch);
-        self.scratch = scratch;
-        stats
-    }
-
-    /// [`PpoAgent::update`] with a caller-owned scratch, so one scratch can
-    /// serve every same-shaped agent of a cell in turn (the fused slot
-    /// update). The arithmetic is identical to `update` — results are
-    /// bit-for-bit the same regardless of which scratch is passed.
-    pub fn update_with_scratch<R: Rng + ?Sized>(
-        &mut self,
-        buffer: &RolloutBuffer,
-        rng: &mut R,
-        scratch: &mut PpoUpdateScratch,
-    ) -> PpoUpdateStats {
         let (transitions, _advantages, returns) = buffer.ready_batch();
         let advantages = buffer.normalized_advantages();
         let n = transitions.len();
@@ -280,8 +252,7 @@ impl PpoAgent {
             critic,
             actor_opt,
             critic_opt,
-            // The agent-owned scratch is bypassed: the caller's is used.
-            scratch: _,
+            scratch,
         } = self;
         let state_dim = policy.state_dim();
         let action_dim = policy.action_dim();
