@@ -1,14 +1,13 @@
-//! The regression gate: compares a freshly produced `BENCH_*.json` (or the
-//! `experiments` ledger) against its committed baseline and exits non-zero
-//! on drift.
+//! The regression gate: compares a freshly produced `experiments` ledger
+//! against its committed baseline and exits non-zero on drift.
 //!
 //! ```sh
 //! # Gate (CI): fail when the fresh artifact differs from the baseline.
-//! cargo run --release --bin bench_regress -- ci-fleet.json baselines/BENCH_fleet.json
+//! cargo run --release --bin bench_regress -- ci-experiments.json baselines/EXPERIMENTS.json
 //! # Intentional rebaseline: overwrite the committed baseline with the
 //! # fresh artifact (commit the result). A fresh file that does not parse
 //! # is refused and the baseline left as it was.
-//! cargo run --release --bin bench_regress -- ci-fleet.json baselines/BENCH_fleet.json --update
+//! cargo run --release --bin bench_regress -- ci-experiments.json baselines/EXPERIMENTS.json --update
 //! ```
 //!
 //! One rule (`onslicing_bench::regress`, its one tolerance deliberately not

@@ -1,21 +1,22 @@
-//! Runs the paper's tables and figures from the one registry in
-//! `onslicing_bench::experiments`.
+//! Runs the paper's tables and figures, and the fleet results, from the one
+//! registry in `onslicing_bench::experiments`.
 //!
 //! ```sh
 //! cargo run --release --bin experiments -- --list
-//! cargo run --release --bin experiments -- table1 fig19          # CI scale, seconds
+//! cargo run --release --bin experiments -- table1 fig19 tournament   # CI scale, seconds
 //! cargo run --release --bin experiments -- all --full --out ci-experiments.json
 //! ```
 //!
-//! Each experiment prints its tables and, under them, the paper's sentences
-//! about them as `[holds]` / `[UNMET]` verdicts. `--out` writes the claims
-//! alone — the document `baselines/EXPERIMENTS.json` pins and `bench_regress`
-//! holds exactly. The exit code never depends on a verdict: 0 = ran,
-//! 2 = usage or I/O error.
+//! Each experiment prints its tables and, under them, its sentences about
+//! them as `[holds]` / `[UNMET]` verdicts; the run ends with the scoreboard
+//! (`claims: H of N hold`, then each id with unmet claims). `--out` writes
+//! every table cell and claim — the document `baselines/EXPERIMENTS.json`
+//! pins and `bench_regress` holds exactly. The exit code never depends on
+//! a verdict: 0 = ran, 2 = usage or I/O error.
 
 use std::process::ExitCode;
 
-use onslicing_bench::experiments::{claims_json, Experiment, EXPERIMENTS};
+use onslicing_bench::experiments::{claims_json, scoreboard, Experiment, EXPERIMENTS};
 use onslicing_bench::RunScale;
 
 /// Every usage error enumerates the registered ids.
@@ -25,7 +26,7 @@ fn usage(error: &str) -> String {
     format!("{error}\n{usage}\n  ids: {}", ids.join(", "))
 }
 
-/// What to run, in paper order whatever the argument order; `None` is
+/// What to run, in registry order whatever the argument order; `None` is
 /// `--list`.
 type Request = Option<(bool, Option<String>, Vec<&'static Experiment>)>;
 
@@ -53,7 +54,7 @@ fn parse(args: &[String]) -> Result<Request, String> {
 }
 
 fn list() -> String {
-    let line = |e: &Experiment| format!("{:<8}{}\n", e.id, e.title);
+    let line = |e: &Experiment| format!("{:<16}{}\n", e.id, e.title);
     EXPERIMENTS.iter().map(line).collect()
 }
 
@@ -73,8 +74,9 @@ fn run(args: &[String]) -> Result<(), String> {
         print!("{outcome}");
         results.push((experiment.id, outcome));
     }
+    print!("\n{}", scoreboard(&results));
     if let Some(path) = out {
-        let ledger = claims_json(scale_name, &results);
+        let ledger = claims_json(scale_name, scale.seeds, &results);
         std::fs::write(&path, ledger).map_err(|e| format!("cannot write `{path}`: {e}"))?;
         println!("\nwrote {path}");
     }

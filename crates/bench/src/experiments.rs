@@ -1,14 +1,17 @@
-//! The paper's evaluation (§7: Tables 1–4, Figs. 3–19) as one registry.
+//! Everything the repository pins, as one registry: the paper's evaluation
+//! (§7: Tables 1–4, Figs. 3–19), then the reproduction's own scenario and
+//! fleet results.
 //!
 //! Every entry of [`EXPERIMENTS`] runs one table or figure at a [`RunScale`]
-//! and returns an [`Outcome`]: the rows the paper reports, as uniform tables
-//! printed by one printer, and the figure's closing sentence as claims —
+//! and returns an [`Outcome`]: the rows it reports, as uniform tables
+//! printed by one printer, and its closing sentences as claims —
 //! predicates over those same rows, each carrying the values it read and
 //! whether it holds. A claim the reproduction does not meet is reported with
 //! `holds: false` and its numbers; nothing here decides an exit code.
-//! [`claims_json`] is what `baselines/EXPERIMENTS.json` pins: every number is
-//! seed-pinned and clock-free, so `bench_regress` holds the file exactly and
-//! a verdict flipping either way is a one-line baseline diff.
+//! [`claims_json`] is what `baselines/EXPERIMENTS.json` pins: every table
+//! cell and every claim, all seed-pinned and clock-free, so `bench_regress`
+//! holds the file exactly and a number moving or a verdict flipping either
+//! way is a one-line baseline diff.
 //!
 //! The predicates are four combinators (`monotone`, `ordered`, `bounded`,
 //! `near_reference`) over two thresholds shared by every entry
@@ -23,8 +26,15 @@ use onslicing_core::{
     RuleBasedBaseline, SliceEnvironment, SlicePolicy,
 };
 use onslicing_domains::DomainSet;
+use onslicing_fleet::{
+    balance_policy_names, BalancePolicyName, BalancerConfig, ElasticFleet, ElasticFleetConfig,
+    FleetReport,
+};
 use onslicing_netsim::ran::retransmission_probability;
 use onslicing_netsim::{Direction, NetworkConfig, NetworkSimulator, RanConfig};
+use onslicing_scenario::{
+    all_fleet_builtins, builtin, hotspot_shift, run_scenario, FleetScenario, ScenarioConfig,
+};
 use onslicing_slices::{ActionDim, Sla, SliceKind};
 use onslicing_traffic::DiurnalTraceConfig;
 use serde::Value;
@@ -100,16 +110,28 @@ impl Table {
         let r = r.unwrap_or_else(|| panic!("{}: no row `{row}`", self.label));
         self.column(column).swap_remove(r)
     }
+
+    /// Every cell, column by column, under the name [`Table::column`] gives
+    /// it (the registry test holds the two to the same names).
+    fn cells(&self) -> impl Iterator<Item = Named> + '_ {
+        let columns = self.columns.iter().enumerate();
+        columns.flat_map(move |(c, column)| {
+            let cell = move |(row, values): &(String, Vec<f64>)| {
+                (format!("{column}, {} {row}", self.label), values[c])
+            };
+            self.rows.iter().map(cell)
+        })
+    }
 }
 
 impl fmt::Display for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "\n{:<24}", self.label)?;
+        write!(f, "\n{:<26}", self.label)?;
         for name in &self.columns {
             write!(f, " {name:>12}")?;
         }
         for (label, values) in &self.rows {
-            write!(f, "\n{label:<24}")?;
+            write!(f, "\n{label:<26}")?;
             for (v, name) in values.iter().zip(&self.columns) {
                 let w = name.len().max(12);
                 match self.format {
@@ -198,6 +220,12 @@ fn paper_points<const N: usize>(table: &Table, references: &[(&str, [f64; N])]) 
 #[derive(Debug, Clone, PartialEq)]
 pub struct Outcome(Vec<Table>, Vec<Claim>);
 
+impl Outcome {
+    fn cells(&self) -> impl Iterator<Item = Named> + '_ {
+        self.0.iter().flat_map(Table::cells)
+    }
+}
+
 impl fmt::Display for Outcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for table in &self.0 {
@@ -232,8 +260,8 @@ const fn entry(id: &'static str, title: &'static str, run: fn(RunScale) -> Outco
     Experiment { id, title, run }
 }
 
-/// Every experiment, in paper order.
-pub static EXPERIMENTS: [Experiment; 18] = [
+/// Every experiment: the paper's in paper order, then the fleet's.
+pub static EXPERIMENTS: [Experiment; 22] = [
     entry("fig3", "Fig. 3: unsafe DRL while it learns", fig3),
     entry("fig5", "Fig. 5: slice data rates under the RDM", fig5),
     entry("fig6", "Fig. 6: retransmissions vs MCS offset", fig6),
@@ -252,31 +280,60 @@ pub static EXPERIMENTS: [Experiment; 18] = [
     entry("table2", "Table 2: baseline-switching variants", table2),
     entry("table3", "Table 3: modification vs projection", table3),
     entry("table4", "Table 4: 4G LTE vs 5G NSA", table4),
+    entry("scenario-scale", "Scenarios: steady vs stress", scenarios),
+    entry("fleet-scale", "Fleet: fleet-soak, 1/4/8 cells", fleet_scale),
+    entry("rebalance", "Fleet: hotspot-shift rebalancing", rebalance),
+    entry("tournament", "Fleet: policies × built-ins", tournament),
 ];
 
-/// The claims of a run as the JSON `baselines/EXPERIMENTS.json` pins:
-/// `schema`, `scale`, then per id each claim's text, what it measured and
-/// whether it holds.
-pub fn claims_json(scale: &str, results: &[(&str, Outcome)]) -> String {
+/// A run as the JSON `baselines/EXPERIMENTS.json` pins: `schema`, `scale`,
+/// `seeds`, then per id every table cell by name and each claim's text,
+/// what it measured and whether it holds.
+pub fn claims_json(scale: &str, seeds: usize, results: &[(&str, Outcome)]) -> String {
     let field = |key: &str, value| (key.to_string(), value);
+    let numbers = |named: &[Named]| {
+        let named = named.iter().map(|(name, v)| field(name, Value::Float(*v)));
+        Value::Obj(named.collect())
+    };
     let claim_value = |claim: &Claim| {
-        let measured = claim.measured.iter();
-        let measured = measured.map(|(name, v)| field(name, Value::Float(*v)));
         Value::Obj(vec![
             field("claim", Value::Str(claim.text.clone())),
-            field("measured", Value::Obj(measured.collect())),
+            field("measured", numbers(&claim.measured)),
             field("holds", Value::Bool(claim.holds)),
         ])
     };
     let mut document = vec![
-        field("schema", Value::Str("onslicing-experiments/1".into())),
+        field("schema", Value::Str("onslicing-experiments/2".into())),
         field("scale", Value::Str(scale.into())),
+        field("seeds", Value::UInt(seeds as u64)),
     ];
     for (id, outcome) in results {
+        let cells: Vec<Named> = outcome.cells().collect();
         let claims = outcome.1.iter().map(claim_value).collect();
-        document.push(field(id, Value::Arr(claims)));
+        let entry = vec![
+            field("cells", numbers(&cells)),
+            field("claims", Value::Arr(claims)),
+        ];
+        document.push(field(id, Value::Obj(entry)));
     }
     serde_json::to_string_pretty(&Value::Obj(document)).expect("a Value always serializes")
+}
+
+/// `claims: H of N hold`, then each id with unmet claims and how many.
+pub fn scoreboard(results: &[(&str, Outcome)]) -> String {
+    let (mut held, mut total, mut unmet) = (0, 0, Vec::new());
+    for (id, outcome) in results {
+        let misses = outcome.1.iter().filter(|claim| !claim.holds).count();
+        (held, total) = (held + outcome.1.len() - misses, total + outcome.1.len());
+        if misses > 0 {
+            unmet.push(format!("{id} ({misses})"));
+        }
+    }
+    let mut line = format!("claims: {held} of {total} hold\n");
+    if !unmet.is_empty() {
+        line += &format!("unmet: {}\n", unmet.join(", "));
+    }
+    line
 }
 
 const USAGE: &str = "Avg. res. usage (%)";
@@ -784,6 +841,212 @@ fn table4(scale: RunScale) -> Outcome {
     Outcome(vec![table], claims)
 }
 
+fn scenarios(_: RunScale) -> Outcome {
+    let columns = ["slices", "total slots", "slice-slots", "SLA violation (%)"];
+    let mut table = Table::new("scenario", Fixed(2), &columns);
+    for scenario in [builtin::steady(), builtin::stress_many_slices()] {
+        let slices = scenario.initial_slices.len() as f64;
+        let r = run_scenario(scenario, ScenarioConfig::default()).expect("built-ins are valid");
+        let (total, slice_slots) = (r.total_slots as f64, r.slice_slots as f64);
+        table.row(
+            &r.scenario,
+            &[slices, total, slice_slots, r.sla_violation_percent],
+        );
+    }
+    let text =
+        format!("steady, the paper's stationary setting, violates at most {NEAR_ZERO} % (seed 0)");
+    let claims = vec![bounded(
+        text,
+        ..=NEAR_ZERO,
+        vec![table.cell("steady", columns[3])],
+    )];
+    Outcome(vec![table], claims)
+}
+
+/// A fleet run to the end; only the deterministic report is kept.
+fn run_fleet(
+    scenario: &FleetScenario,
+    cells: usize,
+    seed: u64,
+    balancer: BalancerConfig,
+) -> FleetReport {
+    let config = ElasticFleetConfig::new(cells)
+        .with_seed(seed)
+        .with_balancer(balancer);
+    let outcome = ElasticFleet::run(scenario.clone(), config);
+    outcome
+        .expect("the built-in fleet scenarios run at these cell counts")
+        .report
+}
+
+/// A [`FleetReport`] field as a table column.
+type ReportColumn = (&'static str, fn(&FleetReport) -> f64);
+
+const FLEET_SLA: ReportColumn = ("SLA violation (%)", |r| r.sla_violation_percent);
+const SLOT_COST: ReportColumn = ("avg slot cost", |r| r.avg_slot_cost);
+
+/// One row per labelled report, one column per field.
+fn report_table(
+    label: &'static str,
+    format: Fmt,
+    columns: &[ReportColumn],
+    rows: &[(String, FleetReport)],
+) -> Table {
+    let names: Vec<_> = columns.iter().map(|c| c.0).collect();
+    let mut table = Table::new(label, format, &names);
+    for (row, report) in rows {
+        let values: Vec<_> = columns.iter().map(|c| (c.1)(report)).collect();
+        table.row(row, &values);
+    }
+    table
+}
+
+fn fleet_scale(_: RunScale) -> Outcome {
+    // Frozen sharding: an event-free fleet scenario, no balancer.
+    let frozen = FleetScenario::new(builtin::fleet_soak(), 1);
+    let run = |cells: usize| {
+        (
+            cells.to_string(),
+            run_fleet(&frozen, cells, 0, BalancerConfig::disabled()),
+        )
+    };
+    let runs = [1, 4, 8].map(run);
+    let counts: [ReportColumn; 3] = [
+        ("peak slices", |r| r.peak_slices as f64),
+        ("slice-slots", |r| r.slice_slots as f64),
+        ("slice-episodes", |r| r.slice_episodes as f64),
+    ];
+    let metrics: [ReportColumn; 6] = [
+        FLEET_SLA,
+        ("avg cost", |r| r.avg_cost),
+        SLOT_COST,
+        ("cost p50", |r| r.cost_p50),
+        ("cost p90", |r| r.cost_p90),
+        ("cost p99", |r| r.cost_p99),
+    ];
+    let counts = report_table("cells", Fixed(0), &counts, &runs);
+    let metrics = report_table("cells", Fixed(6), &metrics, &runs);
+    let initial = frozen.base.initial_slices.len();
+    let setting = format!("fleet-soak ({initial} slices per cell at start), frozen cells, seed 0");
+    let text = format!("{setting}: peak slices rise with the cell count");
+    let mut claims = vec![monotone(
+        text,
+        Trend::Rising,
+        0.0,
+        counts.column("peak slices"),
+    )];
+    let text =
+        format!("{setting}: fleet SLA violation never rises with the cell count, and ends lower");
+    claims.push(monotone(
+        text,
+        Trend::Falling,
+        0.0,
+        metrics.column(FLEET_SLA.0),
+    ));
+    Outcome(vec![counts, metrics], claims)
+}
+
+fn rebalance(scale: RunScale) -> Outcome {
+    let hotspot = hotspot_shift();
+    let mean_sla = "mean SLA violation (%)";
+    let columns = [
+        mean_sla,
+        "violations",
+        "slice-episodes",
+        "migrations",
+        "admissions granted",
+        "admissions denied",
+    ];
+    let mut table = Table::new("balancer", Fixed(2), &columns);
+    for (arm, balancer) in [
+        ("off", BalancerConfig::disabled()),
+        ("on", BalancerConfig::default()),
+    ] {
+        let runs = (0..scale.seeds as u64).map(|seed| run_fleet(&hotspot, 2, seed, balancer));
+        let reports: Vec<_> = runs.collect();
+        let total =
+            |field: fn(&FleetReport) -> usize| reports.iter().map(field).sum::<usize>() as f64;
+        let row = [
+            mean(reports.iter().map(|r| r.sla_violation_percent)),
+            total(|r| r.violations),
+            total(|r| r.slice_episodes),
+            total(|r| r.migrations.len()),
+            total(|r| r.fleet_admissions_granted),
+            total(|r| r.fleet_admissions_denied),
+        ];
+        table.row(arm, &row);
+    }
+    let (off, on) = (table.cell("off", mean_sla), table.cell("on", mean_sla));
+    let mut reduction = Table::new("balancer", Fixed(2), &["mean SLA reduction (points)"]);
+    reduction.row("off - on", &[off.1 - on.1]);
+    let setting = format!(
+        "hotspot-shift at 2 cells, mean over seeds 0..{}",
+        scale.seeds
+    );
+    let text = format!("{setting}: the balancer strictly lowers the fleet SLA violation");
+    Outcome(vec![table, reduction], vec![ordered(text, on, off)])
+}
+
+fn tournament(_: RunScale) -> Outcome {
+    let scenarios = all_fleet_builtins();
+    let mut runs = Vec::new();
+    for name in balance_policy_names() {
+        let policy = BalancePolicyName::parse(name).expect("registered names parse");
+        let balancer = BalancerConfig {
+            policy,
+            ..BalancerConfig::default()
+        };
+        for scenario in &scenarios {
+            runs.push((
+                format!("{name}, {}", scenario.name),
+                run_fleet(scenario, 2, 0, balancer),
+            ));
+        }
+    }
+    let counts: [ReportColumn; 5] = [
+        ("violations", |r| r.violations as f64),
+        ("slice-episodes", |r| r.slice_episodes as f64),
+        ("migrations", |r| r.migrations.len() as f64),
+        ("admissions granted", |r| r.fleet_admissions_granted as f64),
+        ("admissions denied", |r| r.fleet_admissions_denied as f64),
+    ];
+    let label = "policy, scenario";
+    let metrics = report_table(label, Fixed(6), &[FLEET_SLA, SLOT_COST], &runs);
+    let counts = report_table(label, Fixed(0), &counts, &runs);
+    let board = [
+        "mean SLA violation (%)",
+        "mean avg slot cost",
+        "total migrations",
+    ];
+    let mut leaderboard = Table::new("policy", Fixed(6), &board);
+    for (name, rows) in balance_policy_names()
+        .into_iter()
+        .zip(runs.chunks(scenarios.len()))
+    {
+        let reports = || rows.iter().map(|(_, report)| report);
+        let migrations = reports().map(|r| r.migrations.len()).sum::<usize>() as f64;
+        let means = [FLEET_SLA.1, SLOT_COST.1].map(|field| mean(reports().map(field)));
+        leaderboard.row(name, &[means[0], means[1], migrations]);
+    }
+    let diurnal =
+        |policy, column: ReportColumn| metrics.cell(&format!("{policy}, diurnal-fleet"), column.0);
+    let setting = "on diurnal-fleet (2 cells, seed 0)";
+    let text = format!("{setting}, predictive's avg slot cost is below greedy's");
+    let mut claims = vec![ordered(
+        text,
+        diurnal("predictive", SLOT_COST),
+        diurnal("greedy", SLOT_COST),
+    )];
+    let text = format!("{setting}, predictive's SLA violation is at most greedy's (a tie holds)");
+    let greedy = diurnal("greedy", FLEET_SLA).1;
+    claims.push(bounded(
+        text,
+        ..=greedy,
+        vec![diurnal("predictive", FLEET_SLA)],
+    ));
+    Outcome(vec![metrics, counts, leaderboard], claims)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -798,9 +1061,9 @@ mod tests {
         let ids: Vec<_> = EXPERIMENTS.iter().map(|e| e.id).collect();
         let figures = [3, 5, 6, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19];
         let expected = figures.map(|n| format!("fig{n}")).into_iter();
-        let expected: Vec<_> = expected
-            .chain([1, 2, 3, 4].map(|n| format!("table{n}")))
-            .collect();
+        let expected = expected.chain([1, 2, 3, 4].map(|n| format!("table{n}")));
+        let fleet = ["scenario-scale", "fleet-scale", "rebalance", "tournament"];
+        let expected: Vec<_> = expected.chain(fleet.map(String::from)).collect();
         assert_eq!(ids, expected);
     }
 
@@ -841,12 +1104,19 @@ mod tests {
         assert!(claims[0].holds && claims[0].text.contains("paper 0.06"));
         assert!(claims[1].holds && claims[1].text.contains("3.00"));
         assert_eq!(claims[1].measured, [("v (%), Method b".to_string(), 4.0)]);
-        let text = Outcome(vec![table], claims).to_string();
+        let unmet = bounded("b is zero", ..=0.0, vec![table.cell("b", "v (%)")]);
+        let met = Outcome(vec![table], claims);
+        let text = met.to_string();
         assert!(
             text.contains("Method ") && text.contains(" 0.00\n"),
             "{text}"
         );
         assert!(text.contains("[holds] b: v (%) is within ×1.5"), "{text}");
+        // The scoreboard counts every claim and names each id that misses.
+        assert_eq!(scoreboard(&[("t", met.clone())]), "claims: 2 of 2 hold\n");
+        let missed = Outcome(Vec::new(), vec![unmet.clone(), unmet]);
+        let board = scoreboard(&[("t", met.clone()), ("u", missed), ("v", met)]);
+        assert_eq!(board, "claims: 4 of 6 hold\nunmet: u (2)\n");
     }
 
     #[test]
@@ -857,29 +1127,54 @@ mod tests {
             online_epochs: 2,
             episodes_per_epoch: 1,
             eval_episodes: 1,
+            seeds: 1,
         };
         for experiment in &EXPERIMENTS {
             let id = experiment.id;
             let outcome = (experiment.run)(scale);
             assert!(!outcome.0.is_empty() && !outcome.1.is_empty(), "{id}");
+            // A repeated name would be a repeated JSON key, of which the gate
+            // compares only the first.
+            let cells: Vec<Named> = outcome.cells().collect();
+            for (i, (name, value)) in cells.iter().enumerate() {
+                assert!(value.is_finite(), "{id}: {name} = {value}");
+                let earlier = &cells[..i];
+                assert!(
+                    earlier.iter().all(|(other, _)| other != name),
+                    "{id}: {name}"
+                );
+            }
+            // Claims read the tables they name: every value a claim reports
+            // is a printed cell, under the same name, unchanged.
             for claim in &outcome.1 {
                 assert!(!claim.measured.is_empty(), "{id}: {}", claim.text);
-                for (i, (name, value)) in claim.measured.iter().enumerate() {
-                    assert!(value.is_finite(), "{id}: {name} = {value}");
-                    // A repeated name would be a repeated JSON key, of which
-                    // the gate compares only the first.
-                    let earlier = &claim.measured[..i];
+                for (i, named) in claim.measured.iter().enumerate() {
+                    let text = &claim.text;
                     assert!(
-                        earlier.iter().all(|(other, _)| other != name),
-                        "{id}: {name}"
+                        cells.contains(named),
+                        "{id}: `{text}` read {named:?}, no cell"
+                    );
+                    assert!(
+                        !claim.measured[..i].contains(named),
+                        "{id}: {named:?} twice"
                     );
                 }
             }
-            // The ledger carries every claim with its verdict and values.
+            // The ledger carries every cell, and every claim with its verdict
+            // and values.
             let (claim, claims) = (outcome.1[0].clone(), outcome.1.len());
-            let doc: Value = serde_json::from_str(&claims_json("tiny", &[(id, outcome)])).unwrap();
+            let doc = claims_json("tiny", scale.seeds, &[(id, outcome)]);
+            let doc: Value = serde_json::from_str(&doc).unwrap();
             assert_eq!(doc.get("scale").and_then(Value::as_str), Some("tiny"));
-            let ledger = doc.get(id).and_then(Value::as_arr).unwrap();
+            assert_eq!(doc.get("seeds").and_then(Value::as_f64), Some(1.0));
+            let entry = doc.get(id).unwrap();
+            let Some(Value::Obj(ledger_cells)) = entry.get("cells") else {
+                panic!("{id}: no cells")
+            };
+            let ledger_cells: Vec<_> = ledger_cells.iter().map(|(k, v)| (k, v.as_f64())).collect();
+            let printed = cells.iter().map(|(name, v)| (name, Some(*v)));
+            assert_eq!(ledger_cells, printed.collect::<Vec<_>>(), "{id}");
+            let ledger = entry.get("claims").and_then(Value::as_arr).unwrap();
             assert_eq!(ledger.len(), claims, "{id}");
             assert_eq!(
                 ledger[0].get("holds").and_then(Value::as_bool),

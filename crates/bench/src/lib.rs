@@ -2,17 +2,15 @@
 //!
 //! The experiment harness of the OnSlicing reproduction.
 //!
-//! * [`experiments`] is the paper's evaluation (§7) as one registry: every
-//!   table and figure is an entry that returns the rows the paper reports
-//!   and its claims as predicates over those rows. The `experiments` binary
-//!   runs entries by id (`--full` switches from the CI-scale configuration
-//!   to 96-slot episodes and 40 epochs); its `--out` file is the
-//!   baseline `baselines/EXPERIMENTS.json`.
-//!
-//! * `bench_scenario`, `fleet_runner`, `bench_tournament` emit the
-//!   seed-pinned JSON that `bench_regress` ([`regress`]) holds exactly
-//!   against `baselines/`. Nothing here reads the clock for a committed
-//!   number: speed is measured by the standalone `benchmark/` crate.
+//! * [`experiments`] is everything pinned, as one registry: the paper's
+//!   evaluation (§7) and the reproduction's own fleet results. Every entry
+//!   returns its rows as tables and its claims as predicates over those
+//!   rows. The `experiments` binary runs entries by id (`--full` switches
+//!   from the CI-scale configuration to 96-slot episodes, 40 epochs and
+//!   32 seeds); its `--out` file is the baseline
+//!   `baselines/EXPERIMENTS.json`, which `bench_regress` ([`regress`])
+//!   holds exactly. Nothing here reads the clock for a committed number:
+//!   speed is measured by the standalone `benchmark/` crate.
 //!
 //! The helpers in this file are what the experiments share: the run scale,
 //! deployment construction and the method presets.
@@ -40,6 +38,9 @@ pub struct RunScale {
     pub episodes_per_epoch: usize,
     /// Deterministic evaluation episodes.
     pub eval_episodes: usize,
+    /// Seeds (0 onward) an entry averages over when one seed cannot
+    /// resolve its claim.
+    pub seeds: usize,
 }
 
 impl RunScale {
@@ -52,6 +53,7 @@ impl RunScale {
             online_epochs: 4,
             episodes_per_epoch: 1,
             eval_episodes: 2,
+            seeds: 4,
         }
     }
 
@@ -63,6 +65,7 @@ impl RunScale {
             online_epochs: 40,
             episodes_per_epoch: 2,
             eval_episodes: 5,
+            seeds: 32,
         }
     }
 }
@@ -257,6 +260,7 @@ mod tests {
             online_epochs: 1,
             episodes_per_epoch: 1,
             eval_episodes: 1,
+            seeds: 1,
         };
         let (row, evals) = evaluate_rule_based(scale, 1);
         assert_eq!(evals.len(), 3);

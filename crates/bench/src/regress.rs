@@ -1,10 +1,9 @@
-//! Regression gating of `BENCH_*.json` / `EXPERIMENTS.json` artifacts
-//! against committed baselines.
+//! Regression gating of the `EXPERIMENTS.json` ledger against its
+//! committed baseline.
 //!
-//! The bench bins (`bench_scenario`, `fleet_runner`, `bench_tournament`,
-//! `experiments`) emit machine-readable JSON in which every field is a pure
-//! function of the seed; this module diffs a freshly produced file against
-//! the committed copy under `baselines/`. There is one rule: same
+//! The `experiments` binary emits machine-readable JSON in which every field
+//! is a pure function of the seed; this module diffs a freshly produced file
+//! against the committed copy under `baselines/`. There is one rule: same
 //! structure, every numeric leaf within [`EXACT_ABS_TOLERANCE`] of its
 //! baseline, every other leaf (schema strings, booleans) equal. Nothing
 //! under `baselines/` reads the clock — speed is the repository benchmark's
@@ -259,28 +258,21 @@ mod tests {
         for key in ["avg_slot_cost", "slices", "sla_violation_percent", "runs"] {
             assert!(!clock_like(key), "`{key}` should be allowed");
         }
-        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../baselines");
-        for file in [
-            "BENCH_scenario.json",
-            "BENCH_fleet.json",
-            "BENCH_tournament.json",
-            "EXPERIMENTS.json",
-        ] {
-            let text = std::fs::read_to_string(format!("{dir}/{file}")).unwrap();
-            let value: Value = serde_json::from_str(&text).unwrap();
-            let mut keys = Vec::new();
-            leaf_keys("", &value, &mut keys);
-            let report = compare_values(&value, &value);
-            assert!(report.passed(), "{file}: {:?}", report.regressions);
-            assert_eq!(report.checked, keys.len(), "{file}");
-            // The gate has no class for a value that may move: a key named
-            // like a clock reading or a machine property must not come back.
-            for key in keys {
-                assert!(
-                    !clock_like(key),
-                    "{file}: `{key}` names a machine-dependent value"
-                );
-            }
+        // The one committed baseline: every leaf compared, none clock-like.
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../baselines/EXPERIMENTS.json"
+        );
+        let value: Value = serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let mut keys = Vec::new();
+        leaf_keys("", &value, &mut keys);
+        let report = compare_values(&value, &value);
+        assert!(report.passed(), "{:?}", report.regressions);
+        assert_eq!(report.checked, keys.len());
+        // The gate has no class for a value that may move: a key named like a
+        // clock reading or a machine property must not come back.
+        for key in keys {
+            assert!(!clock_like(key), "`{key}` names a machine-dependent value");
         }
     }
 }

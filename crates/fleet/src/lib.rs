@@ -44,7 +44,8 @@
 //!   cells' individual rates: the shared-nothing **capacity** of the fleet,
 //!   i.e. what the same cells deliver when placed on independent hardware.
 //!   Because cells share no state, this is the number that scales with the
-//!   cell count; the `fleet_runner` bench tracks its scaling curve.
+//!   cell count. Neither is pinned anywhere: fleet speed is read by the
+//!   repository benchmark's `fleet-elastic` workload.
 
 use serde::{Deserialize, Serialize};
 

@@ -4,14 +4,15 @@
 //!   both through the registry lookup and through `BalancerConfig`
 //!   deserialization, so a bad `config.toml` never reaches a run.
 //! * Selecting `greedy` through the registry is byte-identical to the
-//!   pre-registry balancer (the goldens and `BENCH_fleet.json` pin the same
-//!   fact from the outside; this pins it at the trace level).
+//!   pre-registry balancer (the goldens and the `rebalance` and
+//!   `tournament` cells of `baselines/EXPERIMENTS.json` pin the same fact
+//!   from the outside; this pins it at the trace level).
 //! * The non-greedy policies honor the same checkpoint/resume contract as
 //!   greedy: a kill/resume mid-run yields a byte-identical final trace.
 //! * On `diurnal-fleet` the forecast-driven policy evacuates ahead of the
 //!   peak where greedy waits, and over that peak it strictly beats greedy on
 //!   cost at no worse SLA, as a mean over seeds — the "prediction can
-//!   actually win" claim behind the tournament bench.
+//!   actually win" claim behind the `tournament` experiment.
 
 use onslicing_fleet::{
     balance_policy_by_name, balance_policy_names, BalancePolicyName, BalancerConfig, ElasticFleet,

@@ -2,8 +2,10 @@
 //! multi-cell fleet run must emit a byte-identical [`FleetTrace`] with the
 //! rayon pool forced to one thread and at the machine default — cells share
 //! nothing, and every cell's RNG chain is keyed by its derived seed, not by
-//! the worker that happened to execute it. CI additionally runs the same
-//! comparison across separate `fleet_runner` processes.
+//! the worker that happened to execute it. CI additionally compares fleet
+//! traces across separate processes: the upgrade drill's 2-cell
+//! `hotspot-shift` run (default pool vs `RAYON_NUM_THREADS=1`) and the
+//! `chaos_fuzz --cases 12 --seed 7` gate's generated multi-cell fleets.
 //!
 //! This is deliberately the **only** test in this binary: the vendored
 //! rayon reads `RAYON_NUM_THREADS` on every call, and mutating the process

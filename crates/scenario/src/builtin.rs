@@ -219,8 +219,7 @@ pub fn by_name(name: &str) -> Option<Scenario> {
 }
 
 /// Resolves a CLI scenario argument: a built-in name, or a path to a
-/// scenario JSON file (validated on load). Shared by the `replay_check`
-/// and `fleet_runner` binaries so the resolution rules cannot drift apart.
+/// scenario JSON file (validated on load), for the `replay_check` binary.
 pub fn by_name_or_file(arg: &str) -> Result<Scenario, String> {
     if let Some(scenario) = by_name(arg) {
         return Ok(scenario);
