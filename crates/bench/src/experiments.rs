@@ -27,8 +27,7 @@ use onslicing_core::{
 };
 use onslicing_domains::DomainSet;
 use onslicing_fleet::{
-    balance_policy_names, BalancePolicyName, BalancerConfig, ElasticFleet, ElasticFleetConfig,
-    FleetReport,
+    BalancePolicy, BalancerConfig, ElasticFleet, ElasticFleetConfig, FleetReport,
 };
 use onslicing_netsim::ran::retransmission_probability;
 use onslicing_netsim::{Direction, NetworkConfig, NetworkSimulator, RanConfig};
@@ -990,15 +989,14 @@ fn rebalance(scale: RunScale) -> Outcome {
 fn tournament(_: RunScale) -> Outcome {
     let scenarios = all_fleet_builtins();
     let mut runs = Vec::new();
-    for name in balance_policy_names() {
-        let policy = BalancePolicyName::parse(name).expect("registered names parse");
+    for policy in BalancePolicy::ALL {
         let balancer = BalancerConfig {
             policy,
             ..BalancerConfig::default()
         };
         for scenario in &scenarios {
             runs.push((
-                format!("{name}, {}", scenario.name),
+                format!("{policy}, {}", scenario.name),
                 run_fleet(scenario, 2, 0, balancer),
             ));
         }
@@ -1019,14 +1017,11 @@ fn tournament(_: RunScale) -> Outcome {
         "total migrations",
     ];
     let mut leaderboard = Table::new("policy", Fixed(6), &board);
-    for (name, rows) in balance_policy_names()
-        .into_iter()
-        .zip(runs.chunks(scenarios.len()))
-    {
+    for (policy, rows) in BalancePolicy::ALL.iter().zip(runs.chunks(scenarios.len())) {
         let reports = || rows.iter().map(|(_, report)| report);
         let migrations = reports().map(|r| r.migrations.len()).sum::<usize>() as f64;
         let means = [FLEET_SLA.1, SLOT_COST.1].map(|field| mean(reports().map(field)));
-        leaderboard.row(name, &[means[0], means[1], migrations]);
+        leaderboard.row(policy.name(), &[means[0], means[1], migrations]);
     }
     let diurnal =
         |policy, column: ReportColumn| metrics.cell(&format!("{policy}, diurnal-fleet"), column.0);

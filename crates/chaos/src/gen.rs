@@ -18,12 +18,9 @@
 use proptest::prelude::*;
 
 use onslicing_domains::DomainKind;
-use onslicing_fleet::{
-    balance_policy_names, BalancePolicyName, BalancerConfig, ElasticFleetConfig,
-};
+use onslicing_fleet::{BalancePolicy, BalancerConfig, ElasticFleetConfig};
 use onslicing_scenario::{
-    admission_policy_names, AdmissionPolicyName, FleetEvent, FleetScenario, Scenario,
-    ScenarioEvent, SliceSpec, TimedFleetEvent,
+    AdmissionPolicy, FleetEvent, FleetScenario, Scenario, ScenarioEvent, SliceSpec, TimedFleetEvent,
 };
 use onslicing_slices::SliceKind;
 use onslicing_traffic::DiurnalTraceConfig;
@@ -61,17 +58,17 @@ pub struct ChaosCase {
     pub seed: u64,
     /// Admission controller estimated per-slice share.
     pub estimated_share: f64,
-    /// Registered admission policy the cells run (typo-proof: the name is
-    /// re-interned through the registry on deserialization).
-    pub admission_policy: AdmissionPolicyName,
+    /// Admission policy the cells run (a misspelled name fails to
+    /// deserialize).
+    pub admission_policy: AdmissionPolicy,
     /// Admission controller headroom fraction.
     pub headroom: f64,
     /// Offline pretraining episodes per admitted slice.
     pub pretrain_episodes: usize,
     /// Whether the fleet balancer is on.
     pub balancer_enabled: bool,
-    /// Registered balance policy the balancer plans with.
-    pub balance_policy: BalancePolicyName,
+    /// Balance policy the balancer plans with.
+    pub balance_policy: BalancePolicy,
     /// Balancer cadence in slots.
     pub balancer_cadence: usize,
     /// Balancer minimum load gap before it migrates.
@@ -275,10 +272,10 @@ pub fn chaos_case() -> impl Strategy<Value = ChaosCase> {
             prop::bool::ANY,
             prop::sample::select(vec![4usize, 6, 12]),
             prop::sample::select(vec![0.0, 0.25, 1.0]),
-            // Every registered policy pair is fair game: a case must hold
-            // the whole invariant battery whichever policies it drew.
-            prop::sample::select(admission_policy_names()),
-            prop::sample::select(balance_policy_names()),
+            // Every policy pair is fair game: a case must hold the whole
+            // invariant battery whichever policies it drew.
+            prop::sample::select(AdmissionPolicy::ALL.to_vec()),
+            prop::sample::select(BalancePolicy::ALL.to_vec()),
         );
         (
             prop::collection::vec(slice_spec(), n_init),
@@ -316,13 +313,11 @@ pub fn chaos_case() -> impl Strategy<Value = ChaosCase> {
                         cells,
                         seed,
                         estimated_share,
-                        admission_policy: AdmissionPolicyName::parse(admission_policy)
-                            .expect("registry names parse"),
+                        admission_policy,
                         headroom,
                         pretrain_episodes,
                         balancer_enabled,
-                        balance_policy: BalancePolicyName::parse(balance_policy)
-                            .expect("registry names parse"),
+                        balance_policy,
                         balancer_cadence,
                         min_load_gap,
                         plan,

@@ -38,8 +38,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use onslicing_fleet::{ElasticFleet, FleetCheckpoint, FleetOutcome};
 use onslicing_replay::{checkpoint_file_name, gc_checkpoint_dir, list_checkpoint_slots};
-use onslicing_scenario::ScenarioEngine;
-use onslicing_scenario::SliceSpec;
+use onslicing_scenario::{AdmissionPolicy, ScenarioEngine, SliceSpec};
 use onslicing_slices::{ResourceKind, SliceKind};
 
 use crate::gen::ChaosCase;
@@ -326,19 +325,15 @@ fn check_admission_law(case: &ChaosCase, fleet: &ElasticFleet) -> Result<(), Str
 /// grant `k` requires, for every resource `r`,
 /// `residual(r) >= claim + headroom · capacity(r) + (pending + k) · share`,
 /// where the newcomer's own `claim` is the law of the case's admission
-/// policy, written out here rather than looked up in the registry: `share`
-/// under `greedy`, `2 · share` under `cautious`.
+/// policy, written out here rather than asking the product: `share` under
+/// `greedy`, `2 · share` under `cautious`. The `match` is exhaustive, so a
+/// new policy does not compile until it has a law here too.
 fn predicted_cell_grants(case: &ChaosCase, engine: &ScenarioEngine) -> Result<usize, String> {
     let domains = engine.orchestrator().domains();
     let share = case.estimated_share;
-    let claim = match case.admission_policy.as_str() {
-        "greedy" => share,
-        "cautious" => 2.0 * share,
-        other => {
-            return Err(format!(
-                "admission law: the harness has no independent oracle for policy `{other}`"
-            ))
-        }
+    let claim = match case.admission_policy {
+        AdmissionPolicy::Greedy => share,
+        AdmissionPolicy::Cautious => 2.0 * share,
     };
     let pending = engine.pending_admissions();
     let mut k = 0usize;

@@ -1,8 +1,7 @@
 //! The named rule registry.
 //!
-//! Rules are registered by name, mirroring the policy-registry idiom of
-//! the fleet's admission/balance policies: lookups by unknown names fail
-//! with an error that enumerates the registered set, and the same names
+//! Rules are registered by name: lookups by unknown names fail with an
+//! error that enumerates the registered set, and the same names
 //! are the currency of `allow(...)` pragmas and of findings. Three rules
 //! are token scanners over one file; two (`invalid-pragma`,
 //! `stale-allow`) are driven by the pragma table in the lint driver and

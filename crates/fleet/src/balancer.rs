@@ -28,7 +28,7 @@ use onslicing_replay::{MigrationEvent, TelemetryRecorder};
 use onslicing_scenario::ScenarioEngine;
 use onslicing_slices::{ResourceKind, SliceKind};
 
-use crate::policy::{BalancePolicyName, BalanceSignals};
+use crate::policy::{BalancePolicy, BalanceSignals};
 
 /// Tuning of the fleet balancer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -48,8 +48,8 @@ pub struct BalancerConfig {
     pub violation_weight: f64,
     /// A source cell never drops to fewer active slices than this.
     pub min_slices_per_cell: usize,
-    /// The registered migration strategy to plan with (default `greedy`).
-    pub policy: BalancePolicyName,
+    /// The migration strategy to plan with (default `greedy`).
+    pub policy: BalancePolicy,
 }
 
 impl Default for BalancerConfig {
@@ -67,7 +67,7 @@ impl Default for BalancerConfig {
             // the balancer chase last window's pain back and forth.
             violation_weight: 0.5,
             min_slices_per_cell: 1,
-            policy: BalancePolicyName::GREEDY,
+            policy: BalancePolicy::Greedy,
         }
     }
 }
@@ -263,7 +263,7 @@ impl FleetBalancer {
     }
 
     /// Runs one rebalancing round at global slot `slot`: repeatedly asks
-    /// the configured [`crate::BalancePolicy`] for a `(source, target)`
+    /// the configured [`BalancePolicy`] for a `(source, target)`
     /// pair over the current deterministic signals and moves the source's
     /// highest-id slice there (earlier same-round arrivals' estimated
     /// shares reserved), until the policy declines or the per-round
@@ -290,7 +290,7 @@ impl FleetBalancer {
             self.last_cost_totals[i] = c.engine.slot_cost_total();
             self.last_cost_slots[i] = c.engine.slice_slots();
         }
-        let policy = self.config.policy.policy();
+        let policy = self.config.policy;
         for _ in 0..self.config.max_migrations_per_round {
             // A slice that was admitted or arrived at this boundary — by a
             // fleet-routed admission or an earlier migration of this round
@@ -304,7 +304,7 @@ impl FleetBalancer {
                     cell_utilization(&c.engine)
                         + violation_terms[i]
                         + c.engine.pending_admissions() as f64
-                            * c.engine.admission().reserved_share_per_admission()
+                            * c.engine.config().admission.estimated_share
                 })
                 .collect();
             // Eligibility is policy-independent: a source must be able to

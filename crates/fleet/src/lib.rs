@@ -60,10 +60,7 @@ pub use balancer::{cell_utilization, BalancerConfig, CellRuntime, FleetBalancer,
 pub use live::{
     ElasticFleet, ElasticFleetConfig, FleetCheckpoint, FLEET_CHECKPOINT_FORMAT_VERSION,
 };
-pub use policy::{
-    balance_policy_by_name, balance_policy_names, BalancePolicy, BalancePolicyName, BalanceSignals,
-    BALANCE_POLICIES,
-};
+pub use policy::{BalancePolicy, BalanceSignals};
 
 /// Version stamp of the fleet-trace JSON layout; bump on breaking changes.
 pub const FLEET_TRACE_FORMAT_VERSION: u32 = 1;

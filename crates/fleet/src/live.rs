@@ -73,7 +73,10 @@ use crate::{
 ///
 /// v4: layer scratch (gradients, the last weight draw) and the estimator's
 /// optimiser are no longer part of the layout.
-pub const FLEET_CHECKPOINT_FORMAT_VERSION: u32 = 4;
+///
+/// v5: an engine no longer carries a second copy of its admission tuning
+/// (`engine.admission`); `engine.config.admission` is the only one.
+pub const FLEET_CHECKPOINT_FORMAT_VERSION: u32 = 5;
 
 /// Tuning of an elastic fleet run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -569,9 +572,12 @@ impl FleetCheckpoint {
     /// describe the body (`scenario_name`, `master_seed`,
     /// `total_slots` and the cell count against the serialized scenario and
     /// config), every cell must sit at the header's `slot`, the balancer's
-    /// baselines must match the cell count, every agent's learned state must
-    /// fit together (bias lengths against weight rows, Adam moments against
-    /// parameter counts) and every cell's agents must share one trunk shape.
+    /// baselines must match the cell count, cell `i` must be numbered `i`
+    /// and run the seed and configuration `config.base.for_cell(i)` derives
+    /// (so the header's policies are the ones the cells run), every engine
+    /// must pass [`ScenarioEngine::validate`] (agents' learned state fits
+    /// together, admission tuning in range) and every cell's agents must
+    /// share one trunk shape.
     /// The processed sync-point cursor is recomputed
     /// from the slot (see the module docs' invariant), so nothing replays
     /// and nothing is skipped.
@@ -635,13 +641,33 @@ impl FleetCheckpoint {
         // capture time; restoring them against a different cell count would
         // index out of bounds inside a later rebalancing round.
         self.balancer.validate_cells(self.cells.len())?;
-        for c in &self.cells {
-            let orchestrator = c.engine.orchestrator();
+        for (i, c) in self.cells.iter().enumerate() {
+            if c.cell as usize != i {
+                return Err(format!("cell at position {i} is numbered {}", c.cell));
+            }
+            // `ElasticFleet::new` builds cell `i` from exactly this config; a
+            // cell that differs would run a policy or seed the header (and
+            // fleetd's resume check) never sees.
+            let expected = self.config.base.for_cell(c.cell);
+            if c.seed != expected.seed {
+                return Err(format!(
+                    "cell {} is seeded {}, the serialized config derives {}",
+                    c.cell, c.seed, expected.seed
+                ));
+            }
+            if *c.engine.config() != expected {
+                return Err(format!(
+                    "cell {} runs {:?}, the serialized config derives {expected:?}",
+                    c.cell,
+                    c.engine.config()
+                ));
+            }
             // Learned state whose lengths disagree would panic inside a
             // kernel at the next slot or epoch boundary.
-            orchestrator
+            c.engine
                 .validate()
                 .map_err(|e| format!("cell {} {e}", c.cell))?;
+            let orchestrator = c.engine.orchestrator();
             // An orchestrator refuses a slice whose networks do not have its
             // cell's trunk shape where the slice enters; the cell's fused
             // forward pass would hit its shape assert mid-run.
@@ -663,12 +689,12 @@ impl FleetCheckpoint {
 
     /// The balance policy the checkpointed run was using. A resume must run
     /// the same one, or its trace would splice two deterministic histories.
-    pub fn balance_policy(&self) -> crate::BalancePolicyName {
+    pub fn balance_policy(&self) -> crate::BalancePolicy {
         self.config.balancer.policy
     }
 
     /// The admission policy the checkpointed run was using.
-    pub fn admission_policy(&self) -> onslicing_scenario::AdmissionPolicyName {
+    pub fn admission_policy(&self) -> onslicing_scenario::AdmissionPolicy {
         self.config.base.admission.policy
     }
 
@@ -831,15 +857,15 @@ mod tests {
         fleet.advance_to(4).unwrap();
         let json = fleet.checkpoint().to_json();
         assert!(fleet.finish(0.0).unwrap_err().contains("incomplete"));
-        // Version gate: a stale stamp (v3 = layer scratch and the
-        // estimator's optimiser still on file) reports the version, not a
-        // missing field; a missing stamp is malformed.
-        assert!(json.starts_with("{\"format_version\":4,"));
-        let doctored = json.replacen("\"format_version\":4", "\"format_version\":3", 1);
+        // Version gate: a stale stamp (v4 = a second copy of every
+        // engine's admission tuning still on file) reports the version, not
+        // a missing field; a missing stamp is malformed.
+        assert!(json.starts_with("{\"format_version\":5,"));
+        let doctored = json.replacen("\"format_version\":5", "\"format_version\":4", 1);
         let err = FleetCheckpoint::from_json(&doctored).unwrap_err();
         assert_eq!(
             err,
-            "fleet checkpoint format version 3 is not supported (expected 4)"
+            "fleet checkpoint format version 4 is not supported (expected 5)"
         );
         let err = FleetCheckpoint::from_json("{\"slot\":4}").unwrap_err();
         assert!(err.contains("missing format_version"), "{err}");
@@ -908,6 +934,70 @@ mod tests {
             refused(&|c| c.config.balancer.cadence_slots = 0),
             "fleet checkpoint is inconsistent: balancer cadence must be at least one slot"
         );
+    }
+
+    #[test]
+    fn restore_refuses_cells_the_serialized_config_would_not_build() {
+        // Each edit is one a hand-edited file could make; every refusal
+        // names both values.
+        let mut fleet = ElasticFleet::new(tiny_fleet_scenario(), quick_config(2)).unwrap();
+        fleet.advance_to(4).unwrap();
+        let json = fleet.checkpoint().to_json();
+        let refused = |doctored: String| {
+            assert_ne!(doctored, json, "the edit must change the document");
+            FleetCheckpoint::from_json(&doctored)
+                .unwrap()
+                .restore()
+                .unwrap_err()
+        };
+        // Out-of-range headroom everywhere — header and cells agree, the
+        // tuning itself is what `ElasticFleet::new` would refuse.
+        let err = refused(json.replace("\"headroom\":0.0", "\"headroom\":1.5"));
+        assert_eq!(
+            err,
+            "fleet checkpoint is inconsistent: cell 0 admission tuning: \
+             headroom must be in [0, 1), got 1.5"
+        );
+        // Cell 1 alone switched to `cautious`: the header still says greedy.
+        let cells = json.find("\"cells\":").unwrap();
+        let cell1 = cells + json[cells..].find("{\"cell\":1,").unwrap();
+        let policy = cell1 + json[cell1..].find("\"policy\":\"greedy\"").unwrap();
+        let doctored = format!(
+            "{}{}",
+            &json[..policy],
+            json[policy..].replacen("\"greedy\"", "\"cautious\"", 1)
+        );
+        let err = refused(doctored);
+        assert!(
+            err.starts_with("fleet checkpoint is inconsistent: cell 1 runs ")
+                && err.contains("policy: Cautious")
+                && err.contains("policy: Greedy"),
+            "{err}"
+        );
+        // Cell 1's seed edited.
+        let seed = fleet.cells()[1].seed;
+        let doctored = json.replacen(
+            &format!("{{\"cell\":1,\"seed\":{seed},"),
+            &format!("{{\"cell\":1,\"seed\":{},", seed ^ 1),
+            1,
+        );
+        assert_eq!(
+            refused(doctored),
+            format!(
+                "fleet checkpoint is inconsistent: cell 1 is seeded {}, \
+                 the serialized config derives {seed}",
+                seed ^ 1
+            )
+        );
+        // Cells out of order.
+        let mut checkpoint = fleet.checkpoint().clone();
+        checkpoint.cells.swap(0, 1);
+        assert_eq!(
+            checkpoint.restore().unwrap_err(),
+            "fleet checkpoint is inconsistent: cell at position 0 is numbered 1"
+        );
+        // Untouched, the same document restores.
+        assert!(FleetCheckpoint::from_json(&json).unwrap().restore().is_ok());
     }
 
     #[test]

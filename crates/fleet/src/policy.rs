@@ -1,23 +1,24 @@
-//! The balance-policy registry: named, deterministic migration strategies
-//! the [`crate::FleetBalancer`] dispatches through.
+//! The balance policies: deterministic migration strategies the
+//! [`crate::FleetBalancer`] plans with.
 //!
 //! A [`BalancePolicy`] picks at most one `(source, target)` cell pair per
 //! planning step from a [`BalanceSignals`] snapshot — pre-computed,
 //! deterministic per-cell signals (load scores, eligibility masks, traffic
-//! forecasts, windowed cost rates). Policies are registered in
-//! [`BALANCE_POLICIES`] and selected by name through
-//! [`crate::BalancerConfig::policy`]; unknown names are configuration
-//! errors that list the known set. The historical `FleetBalancer::rebalance`
-//! selection rule is the `greedy` policy and stays the default.
+//! forecasts, windowed cost rates). The policies share one selection
+//! skeleton and differ only in the per-cell score they feed it. One is
+//! selected through [`crate::BalancerConfig::policy`]; an unknown name is a
+//! configuration error that lists the known set. The historical
+//! `FleetBalancer::rebalance` selection rule is `greedy` and stays the
+//! default.
 //!
 //! ## Determinism contract
 //!
 //! Every signal in [`BalanceSignals`] is a pure function of simulated state
 //! (enforced shares, closed-episode SLA counts, deterministic arrival
-//! traces, deterministic slot costs). Policies must be pure functions of
-//! the snapshot — no interior state, clocks, or randomness — so a fleet's
-//! migration schedule is byte-identical across thread counts and across
-//! checkpoint/resume.
+//! traces, deterministic slot costs). [`BalancePolicy::plan_move`] is a pure
+//! function of the snapshot — no interior state, clocks, or randomness — so
+//! a fleet's migration schedule is byte-identical across thread counts and
+//! across checkpoint/resume.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -84,68 +85,11 @@ impl BalanceSignals {
     }
 }
 
-/// A named migration strategy: given one deterministic signal snapshot,
-/// pick at most one `(source, target)` cell pair. `None` ends the round.
-pub trait BalancePolicy: Sync {
-    /// The registry name (`config.toml` key).
-    fn name(&self) -> &'static str;
-    /// One-line, human-readable summary for catalogues and status verbs.
-    fn description(&self) -> &'static str;
-    /// Plans one move; see [`BalanceSignals`].
-    fn plan_move(&self, signals: &BalanceSignals) -> Option<(usize, usize)>;
-}
-
-/// The historical selection rule, unchanged: move from the most loaded cell
-/// to the least loaded admissible one whenever the load gap clears the
-/// threshold. Selecting `greedy` through the registry is byte-identical to
-/// the pre-registry balancer.
-struct GreedyBalance;
-
-impl BalancePolicy for GreedyBalance {
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-
-    fn description(&self) -> &'static str {
-        "most- to least-loaded cell by current utilization + SLA pressure (original rule)"
-    }
-
-    fn plan_move(&self, signals: &BalanceSignals) -> Option<(usize, usize)> {
-        signals.pick_by_score(|i| signals.loads[i])
-    }
-}
-
-/// Plans on where load is *about to be*: blends the deterministic traffic
-/// forecast for the next window into the load score, so a cell whose
-/// diurnal peak is approaching sheds slices before the peak arrives instead
-/// of after its SLA already burned.
-struct PredictiveBalance;
-
 /// Weight of the next-window traffic forecast in the predictive score. The
 /// forecast is a normalized per-slice mean in roughly `[0, 2]`, the same
 /// scale as the utilization term, so unit weight lets a clearly approaching
 /// peak outvote a mildly loaded present.
 const FORECAST_WEIGHT: f64 = 1.0;
-
-impl BalancePolicy for PredictiveBalance {
-    fn name(&self) -> &'static str {
-        "predictive"
-    }
-
-    fn description(&self) -> &'static str {
-        "blends the next window's deterministic traffic forecast into the load score"
-    }
-
-    fn plan_move(&self, signals: &BalanceSignals) -> Option<(usize, usize)> {
-        signals.pick_by_score(|i| signals.loads[i] + FORECAST_WEIGHT * signals.forecast[i])
-    }
-}
-
-/// Optimizes the fleet's `avg_slot_cost`, not just SLA%: cells whose
-/// recent per-slice-slot cost runs above the fleet mean score higher, so
-/// slices drain from expensive cells toward cheap ones even when raw
-/// utilization alone would not justify a move.
-struct CostAwareBalance;
 
 /// Weight of the relative window-cost term in the cost-aware score. The
 /// term is the cell's deviation from the fleet-mean window cost in mean
@@ -153,109 +97,102 @@ struct CostAwareBalance;
 /// while letting a persistently expensive cell tip the selection.
 const COST_WEIGHT: f64 = 0.5;
 
-impl BalancePolicy for CostAwareBalance {
-    fn name(&self) -> &'static str {
-        "cost-aware"
-    }
-
-    fn description(&self) -> &'static str {
-        "drains persistently above-fleet-mean-cost cells toward cheap ones"
-    }
-
-    fn plan_move(&self, signals: &BalanceSignals) -> Option<(usize, usize)> {
-        let n = signals.window_cost.len();
-        let mean = signals.window_cost.iter().sum::<f64>() / n.max(1) as f64;
-        let relative_cost = |i: usize| {
-            if mean > 0.0 {
-                (signals.window_cost[i] - mean) / mean
-            } else {
-                0.0
-            }
-        };
-        signals.pick_by_score(|i| signals.loads[i] + COST_WEIGHT * relative_cost(i))
-    }
-}
-
-/// Every registered balance policy, in catalogue order. `greedy` first —
-/// it is the default and the backwards-compatibility anchor.
-pub static BALANCE_POLICIES: [&'static dyn BalancePolicy; 3] =
-    [&GreedyBalance, &PredictiveBalance, &CostAwareBalance];
-
-/// The registered balance-policy names, in catalogue order.
-pub fn balance_policy_names() -> Vec<&'static str> {
-    BALANCE_POLICIES.iter().map(|p| p.name()).collect()
-}
-
-/// Looks up a registered balance policy; unknown names are errors that
-/// name the known set (the startup-error contract for config files).
-pub fn balance_policy_by_name(name: &str) -> Result<&'static dyn BalancePolicy, String> {
-    BALANCE_POLICIES
-        .iter()
-        .copied()
-        .find(|p| p.name() == name)
-        .ok_or_else(|| {
-            format!(
-                "unknown balance policy `{name}` (registered: {})",
-                balance_policy_names().join(", ")
-            )
-        })
-}
-
-/// An interned, copyable handle to a registered balance policy. Only
-/// constructible through the registry, so a held name is always resolvable.
+/// A deterministic migration strategy. Serialized as its name (`greedy`,
+/// `predictive`, `cost-aware`), the key `config.toml` uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BalancePolicyName(&'static str);
+pub enum BalancePolicy {
+    /// The original rule: move from the most loaded cell to the least
+    /// loaded admissible one whenever the load gap clears the threshold.
+    Greedy,
+    /// Plans on where load is *about to be*: blends the deterministic
+    /// traffic forecast for the next window into the load score, so a cell
+    /// whose diurnal peak is approaching sheds slices before the peak
+    /// arrives instead of after its SLA already burned.
+    Predictive,
+    /// Optimizes the fleet's `avg_slot_cost`, not just SLA%: cells whose
+    /// recent per-slice-slot cost runs above the fleet mean score higher,
+    /// so slices drain from expensive cells toward cheap ones even when raw
+    /// utilization alone would not justify a move.
+    CostAware,
+}
 
-impl BalancePolicyName {
-    /// The default policy — the historical selection rule.
-    pub const GREEDY: Self = Self("greedy");
-    /// The forecast-blending variant.
-    pub const PREDICTIVE: Self = Self("predictive");
-    /// The cost-draining variant.
-    pub const COST_AWARE: Self = Self("cost-aware");
+impl BalancePolicy {
+    /// Every balance policy, in catalogue order; `greedy` first.
+    pub const ALL: [BalancePolicy; 3] = [
+        BalancePolicy::Greedy,
+        BalancePolicy::Predictive,
+        BalancePolicy::CostAware,
+    ];
 
-    /// Interns a user-supplied name through the registry.
-    pub fn parse(name: &str) -> Result<Self, String> {
-        balance_policy_by_name(name).map(|p| Self(p.name()))
+    /// The name used in configuration files, traces and status replies.
+    pub fn name(self) -> &'static str {
+        match self {
+            BalancePolicy::Greedy => "greedy",
+            BalancePolicy::Predictive => "predictive",
+            BalancePolicy::CostAware => "cost-aware",
+        }
     }
 
-    /// The registry name.
-    pub fn as_str(&self) -> &'static str {
-        self.0
-    }
-
-    /// The policy this name resolves to.
-    pub fn policy(&self) -> &'static dyn BalancePolicy {
-        balance_policy_by_name(self.0).expect("interned balance policy name is registered")
+    /// Plans one move over `signals`; `None` ends the round.
+    pub fn plan_move(self, signals: &BalanceSignals) -> Option<(usize, usize)> {
+        match self {
+            BalancePolicy::Greedy => signals.pick_by_score(|i| signals.loads[i]),
+            BalancePolicy::Predictive => {
+                signals.pick_by_score(|i| signals.loads[i] + FORECAST_WEIGHT * signals.forecast[i])
+            }
+            BalancePolicy::CostAware => {
+                let n = signals.window_cost.len();
+                let mean = signals.window_cost.iter().sum::<f64>() / n.max(1) as f64;
+                let relative_cost = |i: usize| {
+                    if mean > 0.0 {
+                        (signals.window_cost[i] - mean) / mean
+                    } else {
+                        0.0
+                    }
+                };
+                signals.pick_by_score(|i| signals.loads[i] + COST_WEIGHT * relative_cost(i))
+            }
+        }
     }
 }
 
-impl Default for BalancePolicyName {
-    fn default() -> Self {
-        Self::GREEDY
-    }
-}
-
-impl std::fmt::Display for BalancePolicyName {
+impl std::fmt::Display for BalancePolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.0)
+        f.write_str(self.name())
     }
 }
 
-// Serialized as the bare registry name; deserialization re-interns through
-// the registry so unknown names fail with the known set listed.
-impl Serialize for BalancePolicyName {
+impl std::str::FromStr for BalancePolicy {
+    type Err = String;
+
+    /// Parses a policy name; an unknown one is an error naming the known set
+    /// (the startup-error contract for config files).
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        Self::ALL
+            .into_iter()
+            .find(|p| p.name() == s)
+            .ok_or_else(|| {
+                let names: Vec<&str> = Self::ALL.iter().map(|p| p.name()).collect();
+                format!(
+                    "unknown balance policy `{s}` (registered: {})",
+                    names.join(", ")
+                )
+            })
+    }
+}
+
+impl Serialize for BalancePolicy {
     fn serialize_value(&self) -> Value {
-        Value::Str(self.0.to_string())
+        Value::Str(self.name().to_string())
     }
 }
 
-impl Deserialize for BalancePolicyName {
+impl Deserialize for BalancePolicy {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         let s = v
             .as_str()
             .ok_or_else(|| DeError::msg("expected a string for a balance policy name"))?;
-        Self::parse(s).map_err(DeError)
+        s.parse().map_err(DeError)
     }
 }
 
@@ -276,31 +213,34 @@ mod tests {
 
     #[test]
     fn registry_resolves_every_name_and_rejects_unknown_ones() {
-        for policy in BALANCE_POLICIES {
-            let found = balance_policy_by_name(policy.name()).unwrap();
-            assert_eq!(found.name(), policy.name());
-            assert!(!policy.description().is_empty());
+        // One row per policy, in catalogue order.
+        let table = [
+            (BalancePolicy::Greedy, "greedy"),
+            (BalancePolicy::Predictive, "predictive"),
+            (BalancePolicy::CostAware, "cost-aware"),
+        ];
+        assert_eq!(BalancePolicy::ALL, table.map(|(p, _)| p));
+        for (policy, name) in table {
+            assert_eq!(policy.name(), name);
+            assert_eq!(policy.to_string(), name);
+            assert_eq!(name.parse::<BalancePolicy>().unwrap(), policy);
         }
-        let err = balance_policy_by_name("round-robin")
-            .map(|p| p.name())
-            .unwrap_err();
-        assert!(err.contains("unknown balance policy `round-robin`"));
-        assert!(err.contains("greedy, predictive, cost-aware"));
+        assert_eq!(
+            "round-robin".parse::<BalancePolicy>().unwrap_err(),
+            "unknown balance policy `round-robin` (registered: greedy, predictive, cost-aware)"
+        );
     }
 
     #[test]
     fn greedy_picks_extremes_and_respects_the_gap() {
         let s = signals();
-        assert_eq!(
-            BalancePolicyName::GREEDY.policy().plan_move(&s),
-            Some((0, 1))
-        );
+        assert_eq!(BalancePolicy::Greedy.plan_move(&s), Some((0, 1)));
         let mut close = signals();
         close.loads = vec![0.5, 0.4, 0.45];
-        assert_eq!(BalancePolicyName::GREEDY.policy().plan_move(&close), None);
+        assert_eq!(BalancePolicy::Greedy.plan_move(&close), None);
         let mut noop = signals();
         noop.min_load_gap = f64::INFINITY;
-        assert_eq!(BalancePolicyName::GREEDY.policy().plan_move(&noop), None);
+        assert_eq!(BalancePolicy::Greedy.plan_move(&noop), None);
     }
 
     #[test]
@@ -308,12 +248,9 @@ mod tests {
         let mut s = signals();
         s.can_source = vec![false, true, true];
         // Cell 0 is the most loaded but cannot source; cell 2 is next.
-        assert_eq!(
-            BalancePolicyName::GREEDY.policy().plan_move(&s),
-            Some((2, 1))
-        );
+        assert_eq!(BalancePolicy::Greedy.plan_move(&s), Some((2, 1)));
         s.can_target = vec![false, false, false];
-        assert_eq!(BalancePolicyName::GREEDY.policy().plan_move(&s), None);
+        assert_eq!(BalancePolicy::Greedy.plan_move(&s), None);
     }
 
     #[test]
@@ -322,11 +259,8 @@ mod tests {
         // Present loads are level; cell 2's peak is approaching.
         s.loads = vec![0.5, 0.5, 0.5];
         s.forecast = vec![0.2, 0.2, 1.4];
-        assert_eq!(BalancePolicyName::GREEDY.policy().plan_move(&s), None);
-        assert_eq!(
-            BalancePolicyName::PREDICTIVE.policy().plan_move(&s),
-            Some((2, 0))
-        );
+        assert_eq!(BalancePolicy::Greedy.plan_move(&s), None);
+        assert_eq!(BalancePolicy::Predictive.plan_move(&s), Some((2, 0)));
     }
 
     #[test]
@@ -334,22 +268,19 @@ mod tests {
         let mut s = signals();
         s.loads = vec![0.5, 0.5, 0.5];
         s.window_cost = vec![4.0, 1.0, 1.0];
-        assert_eq!(BalancePolicyName::GREEDY.policy().plan_move(&s), None);
-        assert_eq!(
-            BalancePolicyName::COST_AWARE.policy().plan_move(&s),
-            Some((0, 1))
-        );
+        assert_eq!(BalancePolicy::Greedy.plan_move(&s), None);
+        assert_eq!(BalancePolicy::CostAware.plan_move(&s), Some((0, 1)));
     }
 
     #[test]
     fn policy_names_round_trip_through_serde() {
-        for policy in BALANCE_POLICIES {
-            let name = BalancePolicyName::parse(policy.name()).unwrap();
-            let v = name.serialize_value();
-            assert_eq!(BalancePolicyName::from_value(&v).unwrap(), name);
+        for policy in BalancePolicy::ALL {
+            let v = policy.serialize_value();
+            assert_eq!(v, Value::Str(policy.name().to_string()));
+            assert_eq!(BalancePolicy::from_value(&v).unwrap(), policy);
         }
         let bogus = Value::Str("bogus".to_string());
-        assert!(BalancePolicyName::from_value(&bogus)
+        assert!(BalancePolicy::from_value(&bogus)
             .unwrap_err()
             .0
             .contains("unknown balance policy"));

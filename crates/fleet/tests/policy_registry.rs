@@ -1,10 +1,10 @@
-//! Contract tests for the pluggable balance-policy registry.
+//! Contract tests for the balance policies.
 //!
-//! * Unknown policy names are startup errors that name the registered set —
-//!   both through the registry lookup and through `BalancerConfig`
-//!   deserialization, so a bad `config.toml` never reaches a run.
-//! * Selecting `greedy` through the registry is byte-identical to the
-//!   pre-registry balancer (the goldens and the `rebalance` and
+//! * Unknown policy names are startup errors that name the known set —
+//!   both through `FromStr` and through `BalancerConfig` deserialization,
+//!   so a bad `config.toml` never reaches a run.
+//! * Selecting `greedy` by name is byte-identical to the default balancer
+//!   (the goldens and the `rebalance` and
 //!   `tournament` cells of `baselines/EXPERIMENTS.json` pin the same fact
 //!   from the outside; this pins it at the trace level).
 //! * The non-greedy policies honor the same checkpoint/resume contract as
@@ -15,14 +15,13 @@
 //!   actually win" claim behind the `tournament` experiment.
 
 use onslicing_fleet::{
-    balance_policy_by_name, balance_policy_names, BalancePolicyName, BalancerConfig, ElasticFleet,
-    ElasticFleetConfig, FleetCheckpoint, FleetOutcome, BALANCE_POLICIES,
+    BalancePolicy, BalancerConfig, ElasticFleet, ElasticFleetConfig, FleetCheckpoint, FleetOutcome,
 };
 use onslicing_scenario::{diurnal_fleet, hotspot_shift};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-fn config_with(policy: BalancePolicyName) -> ElasticFleetConfig {
+fn config_with(policy: BalancePolicy) -> ElasticFleetConfig {
     ElasticFleetConfig::new(2)
         .with_seed(0)
         .with_balancer(BalancerConfig {
@@ -31,21 +30,22 @@ fn config_with(policy: BalancePolicyName) -> ElasticFleetConfig {
         })
 }
 
-fn run_diurnal(policy: BalancePolicyName) -> FleetOutcome {
+fn run_diurnal(policy: BalancePolicy) -> FleetOutcome {
     ElasticFleet::run(diurnal_fleet(), config_with(policy)).unwrap()
 }
 
 #[test]
 fn unknown_balance_policy_is_a_startup_error_naming_the_registered_set() {
-    let err = balance_policy_by_name("round-robin")
-        .map(|p| p.name())
-        .unwrap_err();
+    let err = "round-robin".parse::<BalancePolicy>().unwrap_err();
     assert!(
         err.contains("unknown balance policy `round-robin`"),
         "{err}"
     );
-    for name in balance_policy_names() {
-        assert!(err.contains(name), "error must name `{name}`: {err}");
+    for policy in BalancePolicy::ALL {
+        assert!(
+            err.contains(policy.name()),
+            "error must name `{policy}`: {err}"
+        );
     }
     // The same check guards deserialized configs (fleetd's config.toml path):
     // a well-formed config with a misspelled policy name must fail to parse.
@@ -63,12 +63,16 @@ fn unknown_balance_policy_is_a_startup_error_naming_the_registered_set() {
 
 #[test]
 fn every_registered_policy_resolves_and_round_trips_by_name() {
-    for policy in BALANCE_POLICIES {
-        let resolved = balance_policy_by_name(policy.name()).unwrap();
-        assert_eq!(resolved.name(), policy.name());
-        let name = BalancePolicyName::parse(policy.name()).unwrap();
-        assert_eq!(name.as_str(), policy.name());
-        assert!(!policy.description().is_empty());
+    // Through the config a daemon reads: every policy survives a
+    // `BalancerConfig` round trip under its own name.
+    for policy in BalancePolicy::ALL {
+        let config = BalancerConfig {
+            policy,
+            ..BalancerConfig::default()
+        };
+        let back = BalancerConfig::from_value(&config.serialize_value()).unwrap();
+        assert_eq!(back.policy, policy);
+        assert_eq!(policy.name().parse::<BalancePolicy>().unwrap(), policy);
     }
 }
 
@@ -76,15 +80,12 @@ fn every_registered_policy_resolves_and_round_trips_by_name() {
 fn greedy_through_the_registry_is_byte_identical_to_the_default_config() {
     let implicit =
         ElasticFleet::run(hotspot_shift(), ElasticFleetConfig::new(2).with_seed(0)).unwrap();
-    let explicit = ElasticFleet::run(
-        hotspot_shift(),
-        config_with(BalancePolicyName::parse("greedy").unwrap()),
-    )
-    .unwrap();
+    let explicit =
+        ElasticFleet::run(hotspot_shift(), config_with("greedy".parse().unwrap())).unwrap();
     assert_eq!(
         implicit.trace.to_json(),
         explicit.trace.to_json(),
-        "selecting greedy by name must not perturb the pre-registry behavior"
+        "selecting greedy by name must not perturb the default behavior"
     );
 }
 
@@ -109,7 +110,7 @@ struct PeakTally {
 impl PeakTally {
     /// One `diurnal-fleet` run under `policy`, driven to the end of the
     /// morning peak (the second half of the scenario is not the claim's).
-    fn of(seed: usize, policy: BalancePolicyName) -> Self {
+    fn of(seed: usize, policy: BalancePolicy) -> Self {
         let config = config_with(policy).with_seed(seed as u64);
         let mut fleet = ElasticFleet::new(diurnal_fleet(), config).unwrap();
         fleet.advance_to(MORNING_PEAK.end).unwrap();
@@ -171,8 +172,8 @@ fn tournament_has_a_non_greedy_winner_on_diurnal_fleet() {
         .into_par_iter()
         .map(|seed| {
             (
-                PeakTally::of(seed, BalancePolicyName::GREEDY),
-                PeakTally::of(seed, BalancePolicyName::PREDICTIVE),
+                PeakTally::of(seed, BalancePolicy::Greedy),
+                PeakTally::of(seed, BalancePolicy::Predictive),
             )
         })
         .collect();
@@ -213,12 +214,11 @@ fn tournament_has_a_non_greedy_winner_on_diurnal_fleet() {
 
 #[test]
 fn non_greedy_policies_survive_checkpoint_resume_byte_identically() {
-    for policy in [BalancePolicyName::PREDICTIVE, BalancePolicyName::COST_AWARE] {
+    for policy in [BalancePolicy::Predictive, BalancePolicy::CostAware] {
         let reference = run_diurnal(policy);
         assert!(
             !reference.report.migrations.is_empty(),
-            "{policy}: the diurnal run must migrate for this gate to bite",
-            policy = policy.as_str()
+            "{policy}: the diurnal run must migrate for this gate to bite"
         );
         // Kill the fleet mid-run — past the first rebalancing round — and
         // resume from the serialized checkpoint.
@@ -236,8 +236,7 @@ fn non_greedy_policies_survive_checkpoint_resume_byte_identically() {
         assert_eq!(
             reference.trace.to_json(),
             outcome.trace.to_json(),
-            "{}: resumed trace diverges from the uninterrupted run",
-            policy.as_str()
+            "{policy}: resumed trace diverges from the uninterrupted run"
         );
     }
 }

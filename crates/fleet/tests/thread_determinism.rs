@@ -11,9 +11,9 @@
 //! rayon reads `RAYON_NUM_THREADS` on every call, and mutating the process
 //! environment is only safe while no other thread reads it concurrently.
 
-use onslicing_fleet::{BalancePolicyName, BalancerConfig, ElasticFleet, ElasticFleetConfig};
+use onslicing_fleet::{BalancePolicy, BalancerConfig, ElasticFleet, ElasticFleetConfig};
 use onslicing_scenario::{
-    diurnal_fleet, hotspot_shift, AdmissionPolicyName, FleetScenario, Scenario, SliceSpec,
+    diurnal_fleet, hotspot_shift, AdmissionPolicy, FleetScenario, Scenario, SliceSpec,
 };
 use onslicing_slices::SliceKind;
 
@@ -47,17 +47,17 @@ fn fleet_trace_is_byte_identical_across_thread_counts() {
         min_load_gap: 0.0,
         ..BalancerConfig::default()
     };
-    // Every registered non-default policy rides the same gate: the plans of
+    // Every non-default policy rides the same gate: the plans of
     // `predictive` and `cost-aware` (and the `cautious` admission variant)
     // must also be pure functions of deterministic state.
-    let record_policy = |balance: &'static str| {
+    let record_policy = |policy: BalancePolicy| {
         let mut config = ElasticFleetConfig::new(2)
             .with_seed(5)
             .with_balancer(BalancerConfig {
-                policy: BalancePolicyName::parse(balance).unwrap(),
+                policy,
                 ..BalancerConfig::default()
             });
-        config.base.admission.policy = AdmissionPolicyName::parse("cautious").unwrap();
+        config.base.admission.policy = AdmissionPolicy::Cautious;
         let outcome = ElasticFleet::run(diurnal_fleet(), config).unwrap();
         outcome.trace.to_json()
     };
@@ -69,14 +69,14 @@ fn fleet_trace_is_byte_identical_across_thread_counts() {
         "the hotspot run must actually migrate for this gate to bite"
     );
     let default_shipped = record_elastic(BalancerConfig::default());
-    let default_predictive = record_policy("predictive");
-    let default_cost_aware = record_policy("cost-aware");
+    let default_predictive = record_policy(BalancePolicy::Predictive);
+    let default_cost_aware = record_policy(BalancePolicy::CostAware);
     std::env::set_var("RAYON_NUM_THREADS", "1");
     let single_thread = record();
     let single_elastic = record_elastic(always_migrates);
     let single_shipped = record_elastic(BalancerConfig::default());
-    let single_predictive = record_policy("predictive");
-    let single_cost_aware = record_policy("cost-aware");
+    let single_predictive = record_policy(BalancePolicy::Predictive);
+    let single_cost_aware = record_policy(BalancePolicy::CostAware);
     match previous {
         Some(value) => std::env::set_var("RAYON_NUM_THREADS", value),
         None => std::env::remove_var("RAYON_NUM_THREADS"),

@@ -12,8 +12,8 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use onslicing_fleet::{BalancePolicyName, BalancerConfig, ElasticFleetConfig};
-use onslicing_scenario::{AdmissionConfig, AdmissionPolicyName, ScenarioConfig};
+use onslicing_fleet::{BalancerConfig, ElasticFleetConfig};
+use onslicing_scenario::{AdmissionConfig, ScenarioConfig};
 
 /// One scalar TOML value.
 #[derive(Debug, Clone, PartialEq)]
@@ -221,17 +221,17 @@ impl FleetdConfig {
         }
         reject_unknown(&root, "the top level")?;
 
-        // Both policies resolve through their registries at parse time, so a
-        // misspelled name is a startup error naming the registered set.
+        // Both policies parse here, so a misspelled name is a startup error
+        // naming the known set.
         let mut admission = AdmissionConfig::default();
         if let Some(name) = take_str(&mut admission_section, "policy")? {
-            admission.policy = AdmissionPolicyName::parse(&name)?;
+            admission.policy = name.parse()?;
         }
         reject_unknown(&admission_section, "[admission]")?;
 
         let mut balancer = BalancerConfig::default();
         if let Some(name) = take_str(&mut balancer_section, "policy")? {
-            balancer.policy = BalancePolicyName::parse(&name)?;
+            balancer.policy = name.parse()?;
         }
         if let Some(enabled) = take_bool(&mut balancer_section, "enabled")? {
             balancer.enabled = enabled;
@@ -356,6 +356,8 @@ fn reject_unknown(section: &BTreeMap<String, TomlValue>, what: &str) -> Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use onslicing_fleet::BalancePolicy;
+    use onslicing_scenario::AdmissionPolicy;
 
     #[test]
     fn full_config_parses_with_every_override() {
@@ -393,8 +395,11 @@ retain = 2
         assert_eq!(config.control_socket, Path::new("/tmp/fleetd.sock"));
         assert!(config.start_paused);
         assert_eq!(config.window_slots, 2);
-        assert_eq!(config.fleet.base.admission.policy.as_str(), "cautious");
-        assert_eq!(config.fleet.balancer.policy.as_str(), "predictive");
+        assert_eq!(
+            config.fleet.base.admission.policy,
+            AdmissionPolicy::Cautious
+        );
+        assert_eq!(config.fleet.balancer.policy, BalancePolicy::Predictive);
         assert_eq!(config.fleet.balancer.cadence_slots, 6);
         assert_eq!(config.fleet.balancer.min_load_gap, 0.5);
         assert_eq!(config.fleet.balancer.min_slices_per_cell, 2);

@@ -435,19 +435,11 @@ impl Service<'_> {
             ("cells", Value::UInt(self.fleet.cells().len() as u64)),
             (
                 "admission_policy",
-                Value::Str(
-                    self.fleet
-                        .config()
-                        .base
-                        .admission
-                        .policy
-                        .as_str()
-                        .to_string(),
-                ),
+                Value::Str(self.fleet.config().base.admission.policy.name().to_string()),
             ),
             (
                 "balance_policy",
-                Value::Str(self.fleet.config().balancer.policy.as_str().to_string()),
+                Value::Str(self.fleet.config().balancer.policy.name().to_string()),
             ),
             (
                 "active_slices",
@@ -750,7 +742,7 @@ mod tests {
 
     #[test]
     fn policy_mismatches_fall_back() {
-        use onslicing_fleet::{BalancePolicyName, BalancerConfig};
+        use onslicing_fleet::{BalancePolicy, BalancerConfig};
         let dir = scratch("policy-mismatch");
         plant(&dir, 8, &checkpoint_json(SCENARIO, SEED, 8));
         // Slot 16: same scenario and seed, but the run used the predictive
@@ -760,7 +752,7 @@ mod tests {
             ElasticFleetConfig::new(2)
                 .with_seed(SEED)
                 .with_balancer(BalancerConfig {
-                    policy: BalancePolicyName::PREDICTIVE,
+                    policy: BalancePolicy::Predictive,
                     ..BalancerConfig::default()
                 }),
         )

@@ -27,7 +27,7 @@ use onslicing_replay::{
     check_against_golden, diff_traces, write_golden, Checkpoint, TelemetryRecorder, TelemetryTrace,
     Tolerance,
 };
-use onslicing_scenario::{builtin, AdmissionPolicyName, Scenario, ScenarioConfig, ScenarioEngine};
+use onslicing_scenario::{builtin, Scenario, ScenarioConfig, ScenarioEngine};
 
 /// Default directory of the committed goldens, relative to the working
 /// directory (the repository root in CI).
@@ -40,7 +40,7 @@ fn usage() -> String {
        trace <scenario> [--seed N] [--out PATH]\n\
        golden <scenario>... [--goldens DIR] [--seed N] [--update]\n\
        checkpoint <scenario> --at-slot T [--seed N] [--out CK] [--trace-out TRACE]\n\
-       resume --from CK [--expect TRACE] [--out PATH] [--policy NAME]\n\
+       resume --from CK [--expect TRACE] [--out PATH]\n\
      scenarios are built-in names or paths to scenario JSON files"
         .to_string()
 }
@@ -76,7 +76,6 @@ struct Options {
     trace_out: Option<String>,
     from: Option<String>,
     expect: Option<String>,
-    policy: Option<AdmissionPolicyName>,
 }
 
 fn parse_options(args: &[String]) -> Result<Options, String> {
@@ -90,7 +89,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         trace_out: None,
         from: None,
         expect: None,
-        policy: None,
     };
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -114,7 +112,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--trace-out" => opts.trace_out = Some(value("--trace-out")?),
             "--from" => opts.from = Some(value("--from")?),
             "--expect" => opts.expect = Some(value("--expect")?),
-            "--policy" => opts.policy = Some(AdmissionPolicyName::parse(&value("--policy")?)?),
             other if other.starts_with("--") => return Err(format!("unknown option `{other}`")),
             name => opts.positional.push(name.to_string()),
         }
@@ -226,12 +223,7 @@ fn cmd_resume(opts: &Options) -> Result<bool, String> {
     let from = opts.from.as_deref().ok_or("resume needs --from")?;
     let checkpoint = Checkpoint::load(from)?;
     let start = checkpoint.slot;
-    // With --policy the resume is pinned to a named admission policy: a
-    // checkpoint captured under any other one is refused, not spliced.
-    let mut engine = match opts.policy {
-        Some(expected) => checkpoint.restore_expecting(expected)?,
-        None => checkpoint.restore(),
-    };
+    let mut engine = checkpoint.restore();
     let mut recorder = TelemetryRecorder::new(&engine);
     let report = engine.run_with_observer(&mut recorder);
     if report.has_non_finite() {

@@ -22,7 +22,7 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use onslicing_scenario::{AdmissionPolicyName, ScenarioEngine};
+use onslicing_scenario::ScenarioEngine;
 
 use crate::fsio::atomic_write;
 
@@ -77,7 +77,10 @@ pub fn from_versioned_json<T: Deserialize>(
 ///
 /// v6: layer scratch (gradients, the last weight draw) and the estimator's
 /// optimiser are no longer part of the layout.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 6;
+///
+/// v7: the engine no longer carries a second copy of its admission tuning
+/// (`engine.admission`); `engine.config.admission` is the only one.
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 7;
 
 /// A versioned, self-describing snapshot of a scenario run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -116,30 +119,6 @@ impl Checkpoint {
         self.engine
     }
 
-    /// The admission policy the checkpointed run was using (carried inside
-    /// the serialized engine's configuration).
-    pub fn admission_policy(&self) -> AdmissionPolicyName {
-        self.engine.config().admission.policy
-    }
-
-    /// Like [`Checkpoint::restore`], but first verifies the run was using
-    /// `expected` — resuming under a different admission policy would
-    /// splice two different deterministic histories into one trace, so the
-    /// mismatch is refused loudly instead.
-    pub fn restore_expecting(
-        self,
-        expected: AdmissionPolicyName,
-    ) -> Result<ScenarioEngine, String> {
-        let actual = self.admission_policy();
-        if actual != expected {
-            return Err(format!(
-                "checkpoint was captured under admission policy `{actual}`, \
-                 resume requested `{expected}`"
-            ));
-        }
-        Ok(self.engine)
-    }
-
     /// Serializes to compact JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("checkpoint serialization cannot fail")
@@ -150,13 +129,13 @@ impl Checkpoint {
     /// error.
     ///
     /// [`Checkpoint::restore`] cannot fail, so what it relies on is checked
-    /// here: every agent's learned state must fit together
-    /// ([`Orchestrator::validate`](onslicing_core::Orchestrator::validate)).
+    /// here: every agent's learned state must fit together and the admission
+    /// tuning must be one [`ScenarioEngine::new`] accepts
+    /// ([`ScenarioEngine::validate`]).
     pub fn from_json(text: &str) -> Result<Self, String> {
         let checkpoint: Self = from_versioned_json(text, "checkpoint", CHECKPOINT_FORMAT_VERSION)?;
         checkpoint
             .engine
-            .orchestrator()
             .validate()
             .map_err(|e| format!("checkpoint is inconsistent: {e}"))?;
         Ok(checkpoint)
@@ -198,35 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn resume_refuses_a_different_admission_policy() {
-        let cautious = ScenarioConfig {
-            admission: onslicing_scenario::AdmissionConfig {
-                policy: AdmissionPolicyName::CAUTIOUS,
-                ..Default::default()
-            },
-            ..ScenarioConfig::default()
-        };
-        let mut engine = ScenarioEngine::new(builtin::steady(), cautious).unwrap();
-        engine.run_until(3, &mut ());
-        let checkpoint = Checkpoint::capture(&engine);
-        assert_eq!(checkpoint.admission_policy(), AdmissionPolicyName::CAUTIOUS);
-        let err = Checkpoint::from_json(&checkpoint.to_json())
-            .unwrap()
-            .restore_expecting(AdmissionPolicyName::GREEDY)
-            .map(|_| ())
-            .unwrap_err();
-        assert!(
-            err.contains("captured under admission policy `cautious`"),
-            "{err}"
-        );
-        let restored = Checkpoint::from_json(&checkpoint.to_json())
-            .unwrap()
-            .restore_expecting(AdmissionPolicyName::CAUTIOUS)
-            .unwrap();
-        assert_eq!(restored.current_slot(), 3);
-    }
-
-    #[test]
     fn unknown_format_versions_are_rejected() {
         let mut engine = ScenarioEngine::new(builtin::steady(), ScenarioConfig::default()).unwrap();
         engine.run_until(1, &mut ());
@@ -248,14 +198,15 @@ mod tests {
         // come and gone) or parse fine but continue on the wrong RNG stream
         // (v3: written under the weight-sampling predictor, v4: under the
         // Box–Muller sampler) or carry state nothing reads (v5: layer
-        // scratch, the estimator's optimiser); either way the loader must
-        // report the version mismatch — the actionable message — before it
-        // looks at any other field.
-        for version in [2, 3, 4, 5] {
+        // scratch, the estimator's optimiser; v6: a second copy of the
+        // admission tuning); either way the loader must report the version
+        // mismatch — the actionable message — before it looks at any other
+        // field.
+        for version in [2, 3, 4, 5, 6] {
             let stale = format!(r#"{{"format_version":{version},"scenario":"steady","seed":7}}"#);
             assert_eq!(
                 Checkpoint::from_json(&stale).unwrap_err(),
-                format!("checkpoint format version {version} is not supported (expected 6)")
+                format!("checkpoint format version {version} is not supported (expected 7)")
             );
         }
         // A document with no stamp at all is malformed, not "version 0".
@@ -279,6 +230,21 @@ mod tests {
              and a bias of length 31"
         );
         assert!(Checkpoint::from_json(&json).is_ok());
+    }
+
+    #[test]
+    fn admission_tuning_the_engine_would_refuse_is_refused_at_load() {
+        // `ScenarioEngine::new` refuses a headroom outside [0, 1); a file
+        // edited to carry one must not resume either.
+        let mut engine = ScenarioEngine::new(builtin::steady(), ScenarioConfig::default()).unwrap();
+        engine.run_until(2, &mut ());
+        let json = Checkpoint::capture(&engine).to_json();
+        let doctored = json.replacen("\"headroom\":0.0", "\"headroom\":1.5", 1);
+        assert_ne!(doctored, json);
+        assert_eq!(
+            Checkpoint::from_json(&doctored).unwrap_err(),
+            "checkpoint is inconsistent: admission tuning: headroom must be in [0, 1), got 1.5"
+        );
     }
 
     #[test]

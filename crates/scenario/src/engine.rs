@@ -43,7 +43,7 @@ use onslicing_core::{
 use onslicing_domains::{CapacityOverride, DomainKind, DomainSet, SliceId};
 use onslicing_slices::{SliceKind, SlotKpi};
 
-use crate::admission::{AdmissionConfig, AdmissionController};
+use crate::admission::AdmissionConfig;
 use crate::spec::{Scenario, ScenarioEvent, SliceSpec, TimedEvent};
 
 /// Derives the master seed of one fleet cell from the fleet-wide seed.
@@ -545,7 +545,6 @@ pub struct ScenarioEngine {
     scenario: Scenario,
     config: ScenarioConfig,
     orch: Orchestrator,
-    admission: AdmissionController,
     factory: SliceFactory,
     /// Per-slice episode statistics, keyed by stable id. A BTreeMap keeps
     /// both the aggregation order and the serialized checkpoint bytes
@@ -591,7 +590,7 @@ impl ScenarioEngine {
         admission_slack: usize,
     ) -> Result<Self, String> {
         scenario.validate_with_admission_slack(admission_slack)?;
-        let admission = AdmissionController::try_new(config.admission)?;
+        config.admission.validate()?;
         let mut factory = SliceFactory::new(&config, scenario.horizon);
         let mut envs = Vec::new();
         let mut agents = Vec::new();
@@ -621,7 +620,6 @@ impl ScenarioEngine {
             scenario,
             config,
             orch,
-            admission,
             factory,
             stats,
             run,
@@ -669,10 +667,16 @@ impl ScenarioEngine {
         &mut self.orch
     }
 
-    /// The engine's admission controller (a fleet-level controller runs the
-    /// same check across cells before routing an admission here).
-    pub fn admission(&self) -> &AdmissionController {
-        &self.admission
+    /// Checks what a deserialized engine never had checked by
+    /// [`ScenarioEngine::new`]: every agent's learned state fits together
+    /// ([`Orchestrator::validate`]) and the admission tuning is valid. Both
+    /// checkpoint loaders run it before a restored engine takes a slot.
+    pub fn validate(&self) -> Result<(), String> {
+        self.orch.validate()?;
+        self.config
+            .admission
+            .validate()
+            .map_err(|e| format!("admission tuning: {e}"))
     }
 
     /// Slices admitted or injected since the last orchestration round —
@@ -690,10 +694,9 @@ impl ScenarioEngine {
     /// an earlier grant in the same slot or fleet sync round is never
     /// pledged twice.
     pub fn check_admission(&self) -> Result<(), crate::admission::AdmissionDenied> {
-        let reserved =
-            self.unenforced_admissions as f64 * self.admission.reserved_share_per_admission();
-        self.admission
-            .evaluate_with_reserved(self.orch.domains(), reserved)
+        let admission = &self.config.admission;
+        let reserved = self.unenforced_admissions as f64 * admission.estimated_share;
+        admission.evaluate_with_reserved(self.orch.domains(), reserved)
     }
 
     /// Total SLA-violating episodes closed so far across every slice — a
@@ -746,7 +749,7 @@ impl ScenarioEngine {
     }
 
     /// Admits a slice built from `spec` without consulting this engine's
-    /// admission controller — the caller (e.g. a fleet-level admission
+    /// [`ScenarioEngine::check_admission`] — the caller (e.g. a fleet-level admission
     /// controller that already reserved capacity here) decides placement.
     /// The slice pre-trains offline exactly like a scripted admission.
     pub fn force_admit(&mut self, spec: &SliceSpec, slot: usize) -> SliceId {

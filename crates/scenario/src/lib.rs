@@ -13,7 +13,7 @@
 //!
 //! * [`spec`] — the serializable scenario format ([`Scenario`],
 //!   [`ScenarioEvent`], [`SliceSpec`]) with JSON round-tripping;
-//! * [`admission`] — the residual-capacity admission controller consulted
+//! * [`admission`] — the residual-capacity admission check consulted
 //!   before any mid-run slice instantiation;
 //! * [`engine`] — the slot-by-slot executor ([`ScenarioEngine`]) and the
 //!   [`ScenarioReport`] metrics;
@@ -40,10 +40,7 @@ pub mod engine;
 pub mod fleet;
 pub mod spec;
 
-pub use admission::{
-    admission_policy_by_name, admission_policy_names, AdmissionConfig, AdmissionController,
-    AdmissionDenied, AdmissionPolicy, AdmissionPolicyName, ADMISSION_POLICIES,
-};
+pub use admission::{AdmissionConfig, AdmissionDenied, AdmissionPolicy};
 pub use engine::{
     derive_cell_seed, run_scenario, EpisodeEndEvent, LiveEventOutcome, ScenarioConfig,
     ScenarioEngine, ScenarioReport, SliceMigration, SliceReport, SlotObserver, SlotSample,
