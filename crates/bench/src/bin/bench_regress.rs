@@ -12,9 +12,10 @@
 //!
 //! One rule (`onslicing_bench::regress`, its one tolerance deliberately not
 //! settable here — a settable tolerance on a gate is a way to pass it):
-//! every numeric leaf equal within 1e-9, every other leaf equal, structure
-//! included — metrics added, removed, or series resized always fail;
-//! rebaseline with `--update` when the change is intentional. Exit codes:
+//! every float leaf equal within 1e-9, every other leaf equal, structure
+//! included — metrics added, removed, or series resized always fail, and
+//! each finding is named by its JSON path; rebaseline with `--update` when
+//! the change is intentional. Exit codes:
 //! 0 = pass, 1 = drift, 2 = usage/setup error.
 
 use std::process::ExitCode;
@@ -64,19 +65,19 @@ fn run(args: &[String]) -> Result<bool, String> {
         )
     })?;
     let report = compare_json(&baseline, &fresh)?;
-    if report.passed() {
+    if report.drifts.is_empty() {
         println!(
             "bench_regress ok: {fresh_path} within tolerance of {baseline_path} \
              ({} metrics checked)",
-            report.checked
+            report.leaves
         );
         Ok(true)
     } else {
         eprintln!(
             "bench_regress REGRESSION: {fresh_path} vs {baseline_path} — {} finding(s):",
-            report.regressions.len()
+            report.drifts.len()
         );
-        for r in &report.regressions {
+        for r in &report.drifts {
             eprintln!("  {r}");
         }
         eprintln!(

@@ -3,124 +3,38 @@
 //!
 //! The `experiments` binary emits machine-readable JSON in which every field
 //! is a pure function of the seed; this module diffs a freshly produced file
-//! against the committed copy under `baselines/`. There is one rule: same
-//! structure, every numeric leaf within [`EXACT_ABS_TOLERANCE`] of its
-//! baseline, every other leaf (schema strings, booleans) equal. Nothing
-//! under `baselines/` reads the clock — speed is the repository benchmark's
-//! question (`benchmark/`), read as medians of repeated runs.
+//! against the committed copy under `baselines/` with the walk every pinned
+//! document shares, [`onslicing_replay::diff_values`]. There is one rule:
+//! same structure, every float leaf within [`EXACT_ABS_TOLERANCE`] of its
+//! baseline (NaN matches nothing), every other leaf (counts, schema
+//! strings, booleans) equal. Nothing under `baselines/` reads the clock —
+//! speed is the repository benchmark's question (`benchmark/`), read as
+//! medians of repeated runs.
 //!
-//! Structural drift (a metric appearing, disappearing, or an array
-//! changing length) always fails: it means the bench schema changed and
-//! the baseline must be regenerated intentionally via `--update`.
+//! Structural drift (a metric appearing, disappearing, an array changing
+//! length, or a count turning into a float) always fails: it means the
+//! bench schema changed and the baseline must be regenerated intentionally
+//! via `bench_regress --update`.
 
+use onslicing_replay::{diff_values, Tolerance, ValueDiff};
 use serde::Value;
 
-/// Absolute slack of numeric leaves. Not settable anywhere — a settable
+/// Absolute slack of float leaves. Not settable anywhere — a settable
 /// tolerance on a gate is a way to pass it.
 pub const EXACT_ABS_TOLERANCE: f64 = 1e-9;
 
-/// Outcome of a baseline comparison.
-#[derive(Debug, Clone, Default)]
-pub struct ComparisonReport {
-    /// Human-readable description of every regression found.
-    pub regressions: Vec<String>,
-    /// Leaves compared.
-    pub checked: usize,
-}
-
-impl ComparisonReport {
-    /// Whether the fresh artifact passes the gate.
-    pub fn passed(&self) -> bool {
-        self.regressions.is_empty()
-    }
-}
-
-fn as_number(v: &Value) -> Option<f64> {
-    match v {
-        Value::Int(i) => Some(*i as f64),
-        Value::UInt(u) => Some(*u as f64),
-        Value::Float(f) => Some(*f),
-        _ => None,
-    }
-}
-
-fn compare_leaf(path: &str, baseline: &Value, fresh: &Value, report: &mut ComparisonReport) {
-    report.checked += 1;
-    let (Some(b), Some(f)) = (as_number(baseline), as_number(fresh)) else {
-        // Non-numeric leaves (schema strings, flags) must match exactly.
-        if baseline != fresh {
-            report.regressions.push(format!(
-                "{path}: value changed from {baseline:?} to {fresh:?} \
-                 (schema drift; rebaseline with --update if intentional)"
-            ));
-        }
-        return;
+/// Compares a fresh bench artifact against its baseline: every drift by
+/// its JSON path, and the leaves compared.
+fn compare_values(baseline: &Value, fresh: &Value) -> ValueDiff {
+    let tol = Tolerance {
+        rel: 0.0,
+        abs: EXACT_ABS_TOLERANCE,
     };
-    if (f - b).abs() > EXACT_ABS_TOLERANCE {
-        report.regressions.push(format!(
-            "{path}: {f} drifted from the pinned baseline {b} \
-             (deterministic metric; any drift fails)"
-        ));
-    }
-}
-
-fn child_path(path: &str, key: &str) -> String {
-    if path.is_empty() {
-        key.to_string()
-    } else {
-        format!("{path}.{key}")
-    }
-}
-
-fn walk(path: &str, baseline: &Value, fresh: &Value, report: &mut ComparisonReport) {
-    match (baseline, fresh) {
-        (Value::Obj(b), Value::Obj(f)) => {
-            for (key, bv) in b {
-                let child = child_path(path, key);
-                match f.iter().find(|(k, _)| k == key) {
-                    Some((_, fv)) => walk(&child, bv, fv, report),
-                    None => report.regressions.push(format!(
-                        "{child}: metric disappeared from the fresh artifact \
-                         (schema drift; rebaseline with --update if intentional)"
-                    )),
-                }
-            }
-            for (key, _) in f {
-                if !b.iter().any(|(k, _)| k == key) {
-                    report.regressions.push(format!(
-                        "{}: new metric absent from the baseline \
-                         (rebaseline with --update to start tracking it)",
-                        child_path(path, key)
-                    ));
-                }
-            }
-        }
-        (Value::Arr(b), Value::Arr(f)) => {
-            if b.len() != f.len() {
-                report.regressions.push(format!(
-                    "{path}: series length changed from {} to {} entries",
-                    b.len(),
-                    f.len()
-                ));
-                return;
-            }
-            for (i, (bv, fv)) in b.iter().zip(f.iter()).enumerate() {
-                walk(&format!("{path}[{i}]"), bv, fv, report);
-            }
-        }
-        _ => compare_leaf(path, baseline, fresh, report),
-    }
-}
-
-/// Compares a fresh bench artifact against its baseline.
-pub fn compare_values(baseline: &Value, fresh: &Value) -> ComparisonReport {
-    let mut report = ComparisonReport::default();
-    walk("", baseline, fresh, &mut report);
-    report
+    diff_values(baseline, fresh, tol)
 }
 
 /// Parses two JSON texts and compares them.
-pub fn compare_json(baseline: &str, fresh: &str) -> Result<ComparisonReport, String> {
+pub fn compare_json(baseline: &str, fresh: &str) -> Result<ValueDiff, String> {
     let baseline: Value =
         serde_json::from_str(baseline).map_err(|e| format!("malformed baseline JSON: {e}"))?;
     let fresh: Value =
@@ -155,30 +69,30 @@ mod tests {
     fn identical_artifacts_pass() {
         // Includes a signed metric that did not move.
         let report = compare_json(BASELINE, BASELINE).unwrap();
-        assert!(report.passed(), "regressions: {:?}", report.regressions);
+        assert!(report.drifts.is_empty(), "regressions: {:?}", report.drifts);
         let value: Value = serde_json::from_str(BASELINE).unwrap();
         let mut keys = Vec::new();
         leaf_keys("", &value, &mut keys);
-        assert_eq!(report.checked, keys.len());
+        assert_eq!(report.leaves, keys.len());
     }
 
     #[test]
     fn sla_metrics_are_exact() {
         let fresh = fresh_with(|t| *t = t.replace("2.7777777777", "2.9"));
         let report = compare_json(BASELINE, &fresh).unwrap();
-        assert!(!report.passed());
-        assert!(report.regressions[0].contains("sla_violation_percent"));
+        assert!(!report.drifts.is_empty());
+        assert!(report.drifts[0].contains("sla_violation_percent"));
         // Exact means exact whatever the key is called and whichever way it
         // moves: a measured float nudged by 1e-6, a signed metric moving,
         // or a verdict flipping either way, fails.
         let fresh = fresh_with(|t| *t = t.replace("20.957316", "20.957317"));
         let report = compare_json(BASELINE, &fresh).unwrap();
-        assert!(report.regressions[0].contains("measured.MAR usage, epoch 3"));
+        assert!(report.drifts[0].contains("measured.MAR usage, epoch 3"));
         let fresh = fresh_with(|t| *t = t.replace("-2.0", "-3.0"));
         let report = compare_json(BASELINE, &fresh).unwrap();
-        assert!(report.regressions[0].contains("violation_reduction_points"));
+        assert!(report.drifts[0].contains("violation_reduction_points"));
         let fresh = fresh_with(|t| *t = t.replace("\"holds\": false", "\"holds\": true"));
-        assert!(compare_json(BASELINE, &fresh).unwrap().regressions[0].contains("holds"));
+        assert!(compare_json(BASELINE, &fresh).unwrap().drifts[0].contains("holds"));
     }
 
     #[test]
@@ -186,21 +100,21 @@ mod tests {
         // 9 -> 8.5: a pinned count drifting to a fraction is a drift.
         let fresh = fresh_with(|t| *t = t.replace("\"slices\": 9", "\"slices\": 8.5"));
         let report = compare_json(BASELINE, &fresh).unwrap();
-        assert!(!report.passed());
-        assert!(report.regressions[0].contains("curve[1].slices"));
+        assert!(!report.drifts.is_empty());
+        assert!(report.drifts[0].contains("curve[1].slices"));
     }
 
     #[test]
     fn counts_are_exact_and_arrays_are_walked() {
         let fresh = fresh_with(|t| *t = t.replace("\"slices\": 9", "\"slices\": 10"));
         let report = compare_json(BASELINE, &fresh).unwrap();
-        assert!(!report.passed());
-        assert!(report.regressions[0].contains("curve[1].slices"));
+        assert!(!report.drifts.is_empty());
+        assert!(report.drifts[0].contains("curve[1].slices"));
         // A float inside the array is held too, even when it gets better.
         let fresh = fresh_with(|t| *t = t.replace("0.92", "0.91"));
         let report = compare_json(BASELINE, &fresh).unwrap();
-        assert!(!report.passed());
-        assert!(report.regressions[0].contains("curve[1].avg_slot_cost"));
+        assert!(!report.drifts.is_empty());
+        assert!(report.drifts[0].contains("curve[1].avg_slot_cost"));
     }
 
     #[test]
@@ -208,14 +122,14 @@ mod tests {
         let fresh =
             fresh_with(|t| *t = t.replace("\"batch\": 64,", "\"batch\": 64, \"new_metric\": 1.0,"));
         let report = compare_json(BASELINE, &fresh).unwrap();
-        assert!(!report.passed());
-        assert!(report.regressions[0].contains("new_metric"));
+        assert!(!report.drifts.is_empty());
+        assert!(report.drifts[0].contains("new_metric"));
         let fresh = fresh_with(|t| *t = t.replace("\"batch\": 64,", ""));
         let report = compare_json(BASELINE, &fresh).unwrap();
-        assert!(!report.passed());
-        assert!(report.regressions[0].contains("batch"));
+        assert!(!report.drifts.is_empty());
+        assert!(report.drifts[0].contains("batch"));
         let fresh = fresh_with(|t| *t = t.replace("fleet-bench/1", "fleet-bench/2"));
-        assert!(!compare_json(BASELINE, &fresh).unwrap().passed());
+        assert!(!compare_json(BASELINE, &fresh).unwrap().drifts.is_empty());
     }
 
     /// The object key every leaf of `value` sits under (array elements
@@ -267,8 +181,8 @@ mod tests {
         let mut keys = Vec::new();
         leaf_keys("", &value, &mut keys);
         let report = compare_values(&value, &value);
-        assert!(report.passed(), "{:?}", report.regressions);
-        assert_eq!(report.checked, keys.len());
+        assert!(report.drifts.is_empty(), "{:?}", report.drifts);
+        assert_eq!(report.leaves, keys.len());
         // The gate has no class for a value that may move: a key named like a
         // clock reading or a machine property must not come back.
         for key in keys {

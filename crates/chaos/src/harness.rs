@@ -37,9 +37,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use onslicing_fleet::{ElasticFleet, FleetCheckpoint, FleetOutcome};
-use onslicing_replay::{checkpoint_file_name, gc_checkpoint_dir, list_checkpoint_slots};
+use onslicing_replay::{
+    checkpoint_file_name, diff_values, first_non_finite, gc_checkpoint_dir, list_checkpoint_slots,
+    Tolerance,
+};
 use onslicing_scenario::{AdmissionPolicy, ScenarioEngine, SliceSpec};
 use onslicing_slices::{ResourceKind, SliceKind};
+use serde::Serialize;
 
 use crate::gen::ChaosCase;
 
@@ -72,87 +76,32 @@ pub fn check_case(case: &ChaosCase, scratch: &Path) -> Result<(), String> {
         .map_err(|e| format!("generator soundness: produced an invalid case: {e}"))?;
     let reference = ElasticFleet::run(case.scenario.clone(), case.fleet_config())
         .map_err(|e| format!("reference run failed: {e}"))?;
-    check_finite(&reference)?;
+    if reference.report.has_non_finite() {
+        return Err("finite metrics: fleet report contains a non-finite aggregate".to_string());
+    }
+    for cell in &reference.cells {
+        if let Some(path) = first_non_finite(&cell.trace.serialize_value()) {
+            return Err(format!(
+                "finite metrics: cell {} trace: {path} is not finite",
+                cell.cell
+            ));
+        }
+    }
     check_balancer_cadence(case, &reference)?;
     check_admission_conservation(case, &reference)?;
     let stepwise = run_stepwise(case, scratch)?;
-    let reference_trace = reference.trace.to_json();
-    let stepwise_trace = stepwise.trace.to_json();
-    if stepwise_trace != reference_trace {
+    if stepwise.trace.to_json() != reference.trace.to_json() {
+        let expected = reference.trace.serialize_value();
+        let actual = stepwise.trace.serialize_value();
+        let diff = diff_values(&expected, &actual, Tolerance::exact());
         return Err(format!(
             "window equivalence: stepwise/chaos trace diverges from the one-shot reference \
-             (windows {:?}, first difference at byte {})",
+             (windows {:?}, first drift {})",
             case.plan.windows,
-            first_difference(&reference_trace, &stepwise_trace)
+            diff.drifts
+                .first()
+                .map_or("unlocated: only a ±0.0 differs", String::as_str)
         ));
-    }
-    Ok(())
-}
-
-fn first_difference(a: &str, b: &str) -> usize {
-    a.bytes()
-        .zip(b.bytes())
-        .position(|(x, y)| x != y)
-        .unwrap_or_else(|| a.len().min(b.len()))
-}
-
-/// Invariant 1 (finiteness): the aggregate report and every per-slot,
-/// per-episode and per-summary metric of every cell trace is finite.
-fn check_finite(outcome: &FleetOutcome) -> Result<(), String> {
-    if outcome.report.has_non_finite() {
-        return Err("finite metrics: fleet report contains a non-finite aggregate".to_string());
-    }
-    for cell in &outcome.cells {
-        let broken = |name: &str, slot: usize, v: f64| {
-            format!(
-                "finite metrics: cell {} slot {slot}: {name} = {v} is not finite",
-                cell.cell
-            )
-        };
-        for slot in &cell.trace.slots {
-            for s in &slot.slices {
-                for (name, v) in [
-                    ("cost", s.cost),
-                    ("reward", s.reward),
-                    ("usage_percent", s.usage_percent),
-                    ("performance_score", s.performance_score),
-                    ("lambda", s.lambda),
-                ] {
-                    if !v.is_finite() {
-                        return Err(broken(name, slot.slot, v));
-                    }
-                }
-            }
-        }
-        for e in &cell.trace.episodes {
-            for (name, v) in [
-                ("avg_cost", e.avg_cost),
-                ("avg_usage_percent", e.avg_usage_percent),
-            ] {
-                if !v.is_finite() {
-                    return Err(broken(name, e.slot, v));
-                }
-            }
-        }
-        for s in &cell.trace.summaries {
-            for (name, v) in [
-                ("mean_reward", s.mean_reward),
-                ("cost_p50", s.cost_p50),
-                ("cost_p90", s.cost_p90),
-                ("cost_p99", s.cost_p99),
-                ("usage_p50", s.usage_p50),
-                ("usage_p90", s.usage_p90),
-                ("usage_p99", s.usage_p99),
-                ("final_lambda", s.final_lambda),
-            ] {
-                if !v.is_finite() {
-                    return Err(format!(
-                        "finite metrics: cell {} summary of slice {}: {name} = {v} is not finite",
-                        cell.cell, s.id
-                    ));
-                }
-            }
-        }
     }
     Ok(())
 }

@@ -49,7 +49,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use onslicing_replay::{atomic_write, from_versioned_json, percentile, TelemetryTrace};
+use onslicing_replay::{
+    atomic_write, first_non_finite, from_versioned_json, percentile, TelemetryTrace,
+};
 use onslicing_scenario::ScenarioReport;
 
 pub mod balancer;
@@ -169,41 +171,12 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Whether any aggregate **or per-cell** metric is NaN or infinite (the
-    /// CI smoke check). The gate is on `is_finite`, not `is_nan`: a cell
-    /// whose SLA or cost metric overflowed to `±inf` is as broken as a NaN
-    /// one and must not sail through.
+    /// Whether any float of the report — aggregate **or per-cell** — is NaN
+    /// or infinite (the CI smoke check). The gate is on `is_finite`, not
+    /// `is_nan`: a cell whose SLA or cost metric overflowed to `±inf` is as
+    /// broken as a NaN one and must not sail through.
     pub fn has_non_finite(&self) -> bool {
-        let aggregate_broken = [
-            self.sla_violation_percent,
-            self.avg_cost,
-            self.avg_slot_cost,
-            self.cost_p50,
-            self.cost_p90,
-            self.cost_p99,
-            self.wall_clock_ms,
-            self.slice_slots_per_second,
-            self.aggregate_cell_slots_per_second,
-            self.slot_latency_p50_ms,
-            self.slot_latency_p90_ms,
-            self.slot_latency_p99_ms,
-        ]
-        .iter()
-        .any(|v| !v.is_finite());
-        aggregate_broken
-            || self.cells_detail.iter().any(|c| {
-                [
-                    c.sla_violation_percent,
-                    c.avg_cost,
-                    c.avg_slot_cost,
-                    c.wall_clock_ms,
-                    c.slice_slots_per_second,
-                    c.slot_latency_p50_ms,
-                    c.slot_latency_p99_ms,
-                ]
-                .iter()
-                .any(|v| !v.is_finite())
-            })
+        first_non_finite(&self.serialize_value()).is_some()
     }
 }
 

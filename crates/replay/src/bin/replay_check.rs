@@ -24,10 +24,11 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use onslicing_replay::{
-    check_against_golden, diff_traces, write_golden, Checkpoint, TelemetryRecorder, TelemetryTrace,
+    check_against_golden, diff_values, write_golden, Checkpoint, TelemetryRecorder, TelemetryTrace,
     Tolerance,
 };
 use onslicing_scenario::{builtin, Scenario, ScenarioConfig, ScenarioEngine};
+use serde::{Serialize, Value};
 
 /// Default directory of the committed goldens, relative to the working
 /// directory (the repository root in CI).
@@ -150,7 +151,7 @@ fn cmd_golden(opts: &Options) -> Result<bool, String> {
             println!("golden updated: {}", path.display());
             continue;
         }
-        match check_against_golden(&trace, &opts.goldens, Tolerance::default()) {
+        match check_against_golden(&trace, &opts.goldens) {
             Ok(()) => println!(
                 "golden ok: `{}` ({} slots, {} episodes)",
                 trace.scenario,
@@ -244,12 +245,16 @@ fn cmd_resume(opts: &Options) -> Result<bool, String> {
     };
     let reference = TelemetryTrace::load(expect)?;
     let (expected_slots, expected_episodes) = reference.suffix_from(start);
+    let records = |slots: &Vec<_>, episodes: &Vec<_>| {
+        Value::Obj(vec![
+            ("slots".to_string(), Serialize::serialize_value(slots)),
+            ("episodes".to_string(), Serialize::serialize_value(episodes)),
+        ])
+    };
+    let expected = records(&expected_slots, &expected_episodes);
+    let actual = records(&resumed.slots, &resumed.episodes);
     // The replay contract is bit-for-bit: compare the serialized records.
-    let slots_match =
-        serde_json::to_string(&resumed.slots) == serde_json::to_string(&expected_slots);
-    let episodes_match =
-        serde_json::to_string(&resumed.episodes) == serde_json::to_string(&expected_episodes);
-    if slots_match && episodes_match {
+    if serde_json::to_string(&expected) == serde_json::to_string(&actual) {
         println!(
             "resume ok: `{}` slots {start}..{} reproduced bit-for-bit ({} slot records, {} episodes)",
             resumed.scenario,
@@ -259,15 +264,9 @@ fn cmd_resume(opts: &Options) -> Result<bool, String> {
         );
         Ok(true)
     } else {
-        let mut fake_expected = reference.clone();
-        fake_expected.slots = expected_slots;
-        fake_expected.episodes = expected_episodes;
-        fake_expected.start_slot = start;
-        fake_expected.summaries = Vec::new();
-        let mut resumed_cmp = resumed.clone();
-        resumed_cmp.summaries = Vec::new();
         eprintln!("resume MISMATCH: replay diverged from the reference run:");
-        for drift in diff_traces(&fake_expected, &resumed_cmp, Tolerance::exact())
+        for drift in diff_values(&expected, &actual, Tolerance::exact())
+            .drifts
             .iter()
             .take(20)
         {

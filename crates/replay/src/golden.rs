@@ -1,5 +1,6 @@
 //! Golden-trace comparison: diff a freshly recorded [`TelemetryTrace`]
-//! against a committed reference within numeric tolerances.
+//! against a committed reference within a fixed numeric tolerance, by the
+//! one JSON-tree walk in [`crate::values`].
 //!
 //! The committed goldens live in `goldens/TRACE_<scenario>.json` at the
 //! repository root. `replay_check golden <scenario>` re-runs the scenario
@@ -8,257 +9,47 @@
 
 use std::path::{Path, PathBuf};
 
+use serde::{Serialize, Value};
+
 use crate::telemetry::TelemetryTrace;
+use crate::values::{diff_values, Tolerance};
 
-/// Numeric tolerance for float comparisons: values `a`, `b` match when
-/// `|a - b| <= abs + rel * max(|a|, |b|)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Tolerance {
-    /// Relative component.
-    pub rel: f64,
-    /// Absolute component.
-    pub abs: f64,
-}
-
-impl Default for Tolerance {
-    /// Tight enough to catch any algorithmic drift, loose enough to absorb
-    /// a differently-ordered (but mathematically equivalent) float reduction
-    /// should one ever be introduced.
-    fn default() -> Self {
-        Self {
-            rel: 1e-9,
-            abs: 1e-12,
-        }
-    }
-}
-
-impl Tolerance {
-    /// Bitwise equality — the contract for checkpoint-resume suffixes.
-    pub fn exact() -> Self {
-        Self { rel: 0.0, abs: 0.0 }
-    }
-
-    /// Whether two floats match under this tolerance.
-    pub fn matches(&self, a: f64, b: f64) -> bool {
-        if a == b {
-            return true; // covers ±inf and exact zeros
-        }
-        (a - b).abs() <= self.abs + self.rel * a.abs().max(b.abs())
-    }
-}
-
-fn check_float(drifts: &mut Vec<String>, tol: Tolerance, name: &str, a: f64, b: f64) {
-    if !tol.matches(a, b) {
-        drifts.push(format!("{name}: expected {a:?}, got {b:?}"));
-    }
-}
-
-/// Compares two traces field by field and returns a human-readable list of
-/// drifts (empty = the traces match).
-pub fn diff_traces(
-    expected: &TelemetryTrace,
-    actual: &TelemetryTrace,
-    tol: Tolerance,
-) -> Vec<String> {
-    let mut drifts = Vec::new();
-    let check =
-        |drifts: &mut Vec<String>, name: &str, a: f64, b: f64| check_float(drifts, tol, name, a, b);
-    if expected.scenario != actual.scenario {
-        drifts.push(format!(
-            "scenario: expected `{}`, got `{}`",
-            expected.scenario, actual.scenario
-        ));
-    }
-    if expected.seed != actual.seed {
-        drifts.push(format!(
-            "seed: expected {}, got {}",
-            expected.seed, actual.seed
-        ));
-    }
-    if expected.start_slot != actual.start_slot {
-        drifts.push(format!(
-            "start_slot: expected {}, got {}",
-            expected.start_slot, actual.start_slot
-        ));
-    }
-    if expected.total_slots != actual.total_slots {
-        drifts.push(format!(
-            "total_slots: expected {}, got {}",
-            expected.total_slots, actual.total_slots
-        ));
-    }
-    if expected.slots.len() != actual.slots.len() {
-        drifts.push(format!(
-            "slot records: expected {}, got {}",
-            expected.slots.len(),
-            actual.slots.len()
-        ));
-    }
-    for (e, a) in expected.slots.iter().zip(&actual.slots) {
-        if e.slot != a.slot || e.slices.len() != a.slices.len() {
-            drifts.push(format!(
-                "slot {}: expected {} slices, got slot {} with {}",
-                e.slot,
-                e.slices.len(),
-                a.slot,
-                a.slices.len()
-            ));
-            continue;
-        }
-        for (es, as_) in e.slices.iter().zip(&a.slices) {
-            let tag = format!("slot {} slice {}", e.slot, es.id);
-            if es.id != as_.id || es.kind != as_.kind || es.used_baseline != as_.used_baseline {
-                drifts.push(format!(
-                    "{tag}: identity/switch drift (expected {:?}/{}/{}, got {:?}/{}/{})",
-                    es.kind, es.id, es.used_baseline, as_.kind, as_.id, as_.used_baseline
-                ));
-                continue;
-            }
-            check(&mut drifts, &format!("{tag} cost"), es.cost, as_.cost);
-            check(&mut drifts, &format!("{tag} reward"), es.reward, as_.reward);
-            check(
-                &mut drifts,
-                &format!("{tag} usage_percent"),
-                es.usage_percent,
-                as_.usage_percent,
-            );
-            check(
-                &mut drifts,
-                &format!("{tag} performance_score"),
-                es.performance_score,
-                as_.performance_score,
-            );
-            check(&mut drifts, &format!("{tag} lambda"), es.lambda, as_.lambda);
-        }
-    }
-    if expected.episodes.len() != actual.episodes.len() {
-        drifts.push(format!(
-            "episodes: expected {}, got {}",
-            expected.episodes.len(),
-            actual.episodes.len()
-        ));
-    }
-    for (e, a) in expected.episodes.iter().zip(&actual.episodes) {
-        let tag = format!("episode@{} slice {}", e.slot, e.slice);
-        if e.slot != a.slot
-            || e.slice != a.slice
-            || e.kind != a.kind
-            || e.violated != a.violated
-            || e.switched_to_baseline != a.switched_to_baseline
-        {
-            drifts.push(format!("{tag}: identity/outcome drift"));
-            continue;
-        }
-        check(
-            &mut drifts,
-            &format!("{tag} avg_cost"),
-            e.avg_cost,
-            a.avg_cost,
-        );
-        check(
-            &mut drifts,
-            &format!("{tag} avg_usage_percent"),
-            e.avg_usage_percent,
-            a.avg_usage_percent,
-        );
-    }
-    if expected.summaries.len() != actual.summaries.len() {
-        drifts.push(format!(
-            "summaries: expected {}, got {}",
-            expected.summaries.len(),
-            actual.summaries.len()
-        ));
-    }
-    for (e, a) in expected.summaries.iter().zip(&actual.summaries) {
-        let tag = format!("summary slice {}", e.id);
-        if e.id != a.id
-            || e.kind != a.kind
-            || e.slots != a.slots
-            || e.episodes != a.episodes
-            || e.violations != a.violations
-            || e.switched_episodes != a.switched_episodes
-            || e.baseline_slots != a.baseline_slots
-        {
-            drifts.push(format!("{tag}: count drift"));
-            continue;
-        }
-        check(
-            &mut drifts,
-            &format!("{tag} mean_reward"),
-            e.mean_reward,
-            a.mean_reward,
-        );
-        check(
-            &mut drifts,
-            &format!("{tag} cost_p50"),
-            e.cost_p50,
-            a.cost_p50,
-        );
-        check(
-            &mut drifts,
-            &format!("{tag} cost_p90"),
-            e.cost_p90,
-            a.cost_p90,
-        );
-        check(
-            &mut drifts,
-            &format!("{tag} cost_p99"),
-            e.cost_p99,
-            a.cost_p99,
-        );
-        check(
-            &mut drifts,
-            &format!("{tag} usage_p50"),
-            e.usage_p50,
-            a.usage_p50,
-        );
-        check(
-            &mut drifts,
-            &format!("{tag} usage_p90"),
-            e.usage_p90,
-            a.usage_p90,
-        );
-        check(
-            &mut drifts,
-            &format!("{tag} usage_p99"),
-            e.usage_p99,
-            a.usage_p99,
-        );
-        check(
-            &mut drifts,
-            &format!("{tag} final_lambda"),
-            e.final_lambda,
-            a.final_lambda,
-        );
-    }
-    drifts
-}
+/// Tight enough to catch any algorithmic drift, loose enough to absorb a
+/// differently-ordered (but mathematically equivalent) float reduction
+/// should one ever be introduced. A constant, not a parameter: a settable
+/// tolerance on a gate is a way to pass it.
+const GOLDEN_TOLERANCE: Tolerance = Tolerance {
+    rel: 1e-9,
+    abs: 1e-12,
+};
 
 /// The golden file path for a scenario: `<dir>/TRACE_<scenario>.json`.
-pub fn golden_path(dir: &Path, scenario: &str) -> PathBuf {
+fn golden_path(dir: &Path, scenario: &str) -> PathBuf {
     dir.join(format!("TRACE_{scenario}.json"))
 }
 
-/// Diffs a freshly recorded trace against the committed golden.
+/// Diffs a freshly recorded trace against the committed golden: the golden
+/// file's JSON tree against the trace's ([`diff_values`]), every float
+/// within relative 1e-9 / absolute 1e-12.
 ///
-/// Returns the drift list (empty = pass); a missing or unreadable golden is
-/// reported as a single drift entry so CI fails with a clear message.
-pub fn check_against_golden(
-    trace: &TelemetryTrace,
-    dir: &Path,
-    tol: Tolerance,
-) -> Result<(), Vec<String>> {
+/// Returns the drift list, each entry led by its JSON path (empty = pass);
+/// a missing or unparsable golden is reported as a single drift entry so
+/// CI fails with a clear message.
+pub fn check_against_golden(trace: &TelemetryTrace, dir: &Path) -> Result<(), Vec<String>> {
     let path = golden_path(dir, &trace.scenario);
-    let golden = match TelemetryTrace::load(&path) {
-        Ok(golden) => golden,
-        Err(e) => {
-            return Err(vec![format!(
+    let golden = std::fs::read_to_string(&path)
+        .map_err(|e| format!("cannot read golden {}: {e}", path.display()))
+        .and_then(|text| {
+            serde_json::from_str::<Value>(&text)
+                .map_err(|e| format!("malformed golden {}: {e}", path.display()))
+        })
+        .map_err(|e| {
+            vec![format!(
                 "{e} — run `replay_check golden {} --update` to create it",
                 trace.scenario
-            )])
-        }
-    };
-    let drifts = diff_traces(&golden, trace, tol);
+            )]
+        })?;
+    let drifts = diff_values(&golden, &trace.serialize_value(), GOLDEN_TOLERANCE).drifts;
     if drifts.is_empty() {
         Ok(())
     } else {
@@ -278,12 +69,19 @@ pub fn write_golden(trace: &TelemetryTrace, dir: &Path) -> Result<PathBuf, Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::record_scenario;
+    use crate::telemetry::{record_scenario, MigrationEvent};
     use onslicing_scenario::{builtin, ScenarioConfig};
+
+    /// What [`check_against_golden`] compares, without the disk: `golden`
+    /// as its file parses, against `actual`'s tree.
+    fn drifts(golden: &TelemetryTrace, actual: &TelemetryTrace, tol: Tolerance) -> Vec<String> {
+        let golden: Value = serde_json::from_str(&golden.to_json()).unwrap();
+        diff_values(&golden, &actual.serialize_value(), tol).drifts
+    }
 
     #[test]
     fn tolerance_matches_within_and_rejects_beyond() {
-        let tol = Tolerance::default();
+        let tol = GOLDEN_TOLERANCE;
         assert!(tol.matches(1.0, 1.0 + 1e-12));
         assert!(!tol.matches(1.0, 1.0 + 1e-6));
         assert!(Tolerance::exact().matches(0.25, 0.25));
@@ -293,8 +91,12 @@ mod tests {
 
     #[test]
     fn identical_traces_have_no_drift() {
+        // Exactly: the file round-trips every float bit for bit.
         let (trace, _) = record_scenario(builtin::steady(), ScenarioConfig::default()).unwrap();
-        assert!(diff_traces(&trace, &trace, Tolerance::exact()).is_empty());
+        assert_eq!(
+            drifts(&trace, &trace, Tolerance::exact()),
+            Vec::<String>::new()
+        );
     }
 
     #[test]
@@ -303,10 +105,37 @@ mod tests {
         let mut bad = trace.clone();
         bad.slots[3].slices[1].cost += 0.5;
         bad.summaries[0].violations += 1;
-        let drifts = diff_traces(&trace, &bad, Tolerance::default());
+        let drifts = drifts(&trace, &bad, GOLDEN_TOLERANCE);
         assert_eq!(drifts.len(), 2, "{drifts:?}");
-        assert!(drifts[0].contains("slot 3 slice 1 cost"), "{}", drifts[0]);
-        assert!(drifts[1].contains("summary slice 0"), "{}", drifts[1]);
+        assert!(
+            drifts[0].starts_with("slots[3].slices[1].cost: "),
+            "{}",
+            drifts[0]
+        );
+        assert!(
+            drifts[1].starts_with("summaries[0].violations: "),
+            "{}",
+            drifts[1]
+        );
+    }
+
+    #[test]
+    fn a_differing_migration_record_is_a_drift() {
+        let (mut trace, _) = record_scenario(builtin::steady(), ScenarioConfig::default()).unwrap();
+        trace.migrations.push(MigrationEvent {
+            slot: 12,
+            slice: 1,
+            kind: trace.summaries[1].kind,
+            arrived: false,
+            peer_cell: 1,
+            peer_slice: 4,
+        });
+        let mut bad = trace.clone();
+        bad.migrations[0].peer_cell = 2;
+        assert_eq!(
+            drifts(&trace, &bad, GOLDEN_TOLERANCE),
+            ["migrations[0].peer_cell: expected 1, got 2"]
+        );
     }
 
     #[test]
@@ -315,15 +144,14 @@ mod tests {
         let (trace, _) = record_scenario(builtin::steady(), ScenarioConfig::default()).unwrap();
         let path = write_golden(&trace, &dir).unwrap();
         assert_eq!(path, golden_path(&dir, "steady"));
-        check_against_golden(&trace, &dir, Tolerance::exact()).unwrap();
+        check_against_golden(&trace, &dir).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn missing_golden_is_a_clear_failure() {
         let (trace, _) = record_scenario(builtin::steady(), ScenarioConfig::default()).unwrap();
-        let err = check_against_golden(&trace, Path::new("/no/such/dir"), Tolerance::default())
-            .unwrap_err();
+        let err = check_against_golden(&trace, Path::new("/no/such/dir")).unwrap_err();
         assert_eq!(err.len(), 1);
         assert!(err[0].contains("--update"), "{}", err[0]);
     }

@@ -21,9 +21,15 @@
 //!   baseline switches) and per-episode outcomes, finalized into a
 //!   [`TelemetryTrace`] with per-slice percentile summaries — the
 //!   `TRACE_<scenario>.json` artifact.
-//! * [`golden`] — tolerance-based trace diffing and the golden-file
-//!   workflow behind the `replay_check` binary (see the README for how to
-//!   regenerate goldens when behavior intentionally changes).
+//! * [`golden`] — the golden-file workflow behind the `replay_check`
+//!   binary: a fresh trace's JSON tree against the committed file's, within
+//!   one fixed tolerance (see the README for how to regenerate goldens when
+//!   behavior intentionally changes).
+//! * [`values`] — [`diff_values`] and [`first_non_finite`], the one walk
+//!   over a `serde::Value` tree every pinned document is compared with (the
+//!   goldens, `replay_check resume`, the chaos harness and `bench_regress`):
+//!   each drift or non-finite float is named by its JSON path
+//!   (`slots[3].slices[1].cost`).
 //! * [`fsio`] — crash-safe snapshot file I/O: atomic writes (temp file +
 //!   fsync + rename), the slot-stamped checkpoint naming convention, and
 //!   the retention GC a cadence-checkpointing daemon runs over its state
@@ -33,14 +39,16 @@ pub mod checkpoint;
 pub mod fsio;
 pub mod golden;
 pub mod telemetry;
+pub mod values;
 
 pub use checkpoint::{from_versioned_json, Checkpoint, CHECKPOINT_FORMAT_VERSION};
 pub use fsio::{
     atomic_write, checkpoint_file_name, gc_checkpoint_dir, list_checkpoint_slots,
     parse_checkpoint_slot, ATOMIC_WRITE_PAUSE_ENV,
 };
-pub use golden::{check_against_golden, diff_traces, golden_path, write_golden, Tolerance};
+pub use golden::{check_against_golden, write_golden};
 pub use telemetry::{
     percentile, record_scenario, EpisodeTelemetry, MigrationEvent, SliceSlotTelemetry,
     SliceTelemetrySummary, SlotTelemetry, TelemetryRecorder, TelemetryTrace, TRACE_FORMAT_VERSION,
 };
+pub use values::{diff_values, first_non_finite, Tolerance, ValueDiff};

@@ -780,7 +780,15 @@ impl ScenarioEngine {
             return Err("cannot inject an event into a finished run".to_string());
         }
         let slot = self.run.slot;
-        Ok(match self.apply_event(slot, event, obs) {
+        let outcome = self.apply_event(slot, event, obs);
+        Ok(self.count_event(outcome))
+    }
+
+    /// Folds one applied event into the report counters (queueing its
+    /// restore, if any) — the one bookkeeping step scripted and injected
+    /// events share.
+    fn count_event(&mut self, outcome: EventOutcome) -> LiveEventOutcome {
+        match outcome {
             EventOutcome::Applied(restore) => {
                 self.run.report.events_applied += 1;
                 if let Some(r) = restore {
@@ -796,7 +804,7 @@ impl ScenarioEngine {
                 self.run.report.events_skipped += 1;
                 LiveEventOutcome::Skipped
             }
-        })
+        }
     }
 
     /// Detaches an active slice for migration: deregisters it from this
@@ -1098,16 +1106,8 @@ impl ScenarioEngine {
         {
             let event = self.run.timeline[self.run.next_event].event.clone();
             self.run.next_event += 1;
-            match self.apply_event(slot, &event, obs) {
-                EventOutcome::Applied(restore) => {
-                    self.run.report.events_applied += 1;
-                    if let Some(r) = restore {
-                        self.run.restores.push(r);
-                    }
-                }
-                EventOutcome::Denied => self.run.report.admissions_denied += 1,
-                EventOutcome::Skipped => self.run.report.events_skipped += 1,
-            }
+            let outcome = self.apply_event(slot, &event, obs);
+            self.count_event(outcome);
         }
         if self.orch.num_slices() > 0 {
             // Reused-workspace round: the orchestrator overwrites the
