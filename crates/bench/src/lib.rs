@@ -19,8 +19,9 @@ pub mod experiments;
 pub mod regress;
 
 use onslicing_core::{
-    evaluate_policy, AgentConfig, CoordinationMode, DeploymentBuilder, EpochMetrics,
-    ModelBasedPolicy, Orchestrator, PolicyEvaluation, RuleBasedBaseline, SliceEnvironment,
+    default_trace_config, evaluate_policy, AgentConfig, CoordinationMode, DeploymentBuilder,
+    EpochMetrics, ModelBasedPolicy, Orchestrator, PolicyEvaluation, RuleBasedBaseline,
+    SliceEnvironment,
 };
 use onslicing_netsim::{NetworkConfig, RanConfig};
 use onslicing_slices::{Sla, SliceKind};
@@ -199,11 +200,7 @@ fn slice_env(
     horizon: usize,
     seed: u64,
 ) -> SliceEnvironment {
-    let trace = match kind {
-        SliceKind::Mar => onslicing_traffic::DiurnalTraceConfig::mar_default(),
-        SliceKind::Hvs => onslicing_traffic::DiurnalTraceConfig::hvs_default(),
-        SliceKind::Rdc => onslicing_traffic::DiurnalTraceConfig::rdc_default(),
-    };
+    let trace = default_trace_config(kind);
     SliceEnvironment::with_trace_config(kind, Sla::for_kind(kind), network, trace, horizon, seed)
 }
 

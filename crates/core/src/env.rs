@@ -50,21 +50,25 @@ pub struct SliceEnvironment {
     traffic_scale: f64,
 }
 
+/// The paper's default diurnal traffic profile of a slice kind.
+pub fn default_trace_config(kind: SliceKind) -> DiurnalTraceConfig {
+    match kind {
+        SliceKind::Mar => DiurnalTraceConfig::mar_default(),
+        SliceKind::Hvs => DiurnalTraceConfig::hvs_default(),
+        SliceKind::Rdc => DiurnalTraceConfig::rdc_default(),
+    }
+}
+
 impl SliceEnvironment {
     /// Creates an environment with the paper's defaults for the given slice
     /// kind: its default SLA, its default traffic profile scaled to the
     /// testbed peak rate, the LTE testbed network and a 96-slot horizon.
     pub fn new(kind: SliceKind, network: NetworkConfig, seed: u64) -> Self {
-        let trace_config = match kind {
-            SliceKind::Mar => DiurnalTraceConfig::mar_default(),
-            SliceKind::Hvs => DiurnalTraceConfig::hvs_default(),
-            SliceKind::Rdc => DiurnalTraceConfig::rdc_default(),
-        };
         Self::with_trace_config(
             kind,
             Sla::for_kind(kind),
             network,
-            trace_config,
+            default_trace_config(kind),
             SLOTS_PER_DAY,
             seed,
         )

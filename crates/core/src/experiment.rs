@@ -9,7 +9,7 @@ use onslicing_slices::{Sla, SliceKind};
 
 use crate::agent::{AgentConfig, OnSlicingAgent};
 use crate::baselines::{RuleBasedBaseline, SlicePolicy};
-use crate::env::{MultiSliceEnvironment, SliceEnvironment};
+use crate::env::{default_trace_config, MultiSliceEnvironment, SliceEnvironment};
 use crate::metrics::PolicyEvaluation;
 use crate::orchestrator::{CoordinationMode, Orchestrator, OrchestratorConfig};
 
@@ -148,16 +148,11 @@ impl DeploymentBuilder {
             .iter()
             .enumerate()
             .map(|(i, kind)| {
-                let trace_config = match kind {
-                    SliceKind::Mar => onslicing_traffic::DiurnalTraceConfig::mar_default(),
-                    SliceKind::Hvs => onslicing_traffic::DiurnalTraceConfig::hvs_default(),
-                    SliceKind::Rdc => onslicing_traffic::DiurnalTraceConfig::rdc_default(),
-                };
                 SliceEnvironment::with_trace_config(
                     *kind,
                     Sla::for_kind(*kind),
                     self.network,
-                    trace_config,
+                    default_trace_config(*kind),
                     self.horizon,
                     self.seed.wrapping_add(i as u64),
                 )

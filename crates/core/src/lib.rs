@@ -42,7 +42,7 @@ pub mod orchestrator;
 
 pub use agent::{AgentConfig, Decision, OnSlicingAgent, PretrainReport};
 pub use baselines::{FixedPolicy, ModelBasedPolicy, RuleBasedBaseline, SlicePolicy};
-pub use env::{MultiSliceEnvironment, SliceEnvironment, StepResult};
+pub use env::{default_trace_config, MultiSliceEnvironment, SliceEnvironment, StepResult};
 pub use experiment::{evaluate_policy, DeploymentBuilder};
 pub use metrics::{EpisodeMetrics, EpochMetrics, PolicyEvaluation, SliceEpisodeSummary};
 pub use modifier::{ActionModifier, ModifierConfig};

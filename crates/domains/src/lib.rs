@@ -12,7 +12,8 @@
 //! expose the same three capabilities the paper relies on:
 //!
 //! 1. **slice lifecycle** — create/adjust/delete a slice's virtual resources
-//!    at sub-second (here: per-call) granularity;
+//!    at sub-second (here: per-call) granularity, in the one slice registry
+//!    the four managers share ([`DomainSet`]);
 //! 2. **capacity accounting** — detect over-requests `Σ_i â_i,k > L_k` and
 //!    either *project* all requests down (the baseline's method) or
 //! 3. **parameter coordination** — update the dual variables `β_k` by
@@ -40,12 +41,10 @@
 
 pub mod coordinator;
 pub mod manager;
-pub mod messages;
 pub mod set;
 
 pub use coordinator::ParameterCoordinator;
 pub use manager::{DomainKind, DomainManager};
-pub use messages::{CapacityOverride, SliceConfigCommand};
 pub use set::DomainSet;
 
 use serde::{Deserialize, Serialize};

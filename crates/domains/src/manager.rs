@@ -1,22 +1,20 @@
 //! Domain managers: RDM, TDM, CDM and EDM.
 //!
-//! Each manager owns the resources of one technical domain, keeps the
-//! per-slice allocations it has enforced, and runs one
-//! [`ParameterCoordinator`] per resource. The four concrete managers differ
+//! Each manager owns the resources of one technical domain: it runs one
+//! [`ParameterCoordinator`] per resource and carries the domain's fault
+//! state. The slice registry all four act on — which slices exist and what
+//! each was last enforced — is shared, so [`crate::DomainSet`] holds it
+//! once. The four concrete managers differ
 //! only in which resources they own (and in what they wrap on the real
 //! testbed — FlexRAN, OpenDayLight, OpenAir-CN, Docker); their orchestration
 //! behaviour is identical, which is why a single [`DomainManager`] type
 //! parameterized by [`DomainKind`] models all of them.
-
-use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
 use onslicing_slices::{Action, ResourceKind};
 
 use crate::coordinator::ParameterCoordinator;
-use crate::messages::SliceConfigCommand;
-use crate::SliceId;
 
 /// The four technical domains of the end-to-end slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -68,17 +66,12 @@ impl DomainKind {
     }
 }
 
-/// A domain manager: slice registry, enforced allocations and one parameter
-/// coordinator per owned resource.
+/// A domain manager: one parameter coordinator per owned resource and the
+/// domain's fault state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DomainManager {
     kind: DomainKind,
     coordinators: Vec<ParameterCoordinator>,
-    /// The most recently enforced allocation per slice.
-    allocations: BTreeMap<SliceId, Action>,
-    /// Count of enforcement operations (used to reason about virtualization
-    /// overhead in tests and benches).
-    enforcement_count: u64,
     /// Fault-free capacity of every owned resource; the coordinators carry
     /// `nominal_capacity · capacity_scale`.
     nominal_capacity: f64,
@@ -104,8 +97,6 @@ impl DomainManager {
         Self {
             kind,
             coordinators,
-            allocations: BTreeMap::new(),
-            enforcement_count: 0,
             nominal_capacity: capacity,
             capacity_scale: 1.0,
         }
@@ -119,26 +110,6 @@ impl DomainManager {
     /// The resources this manager owns.
     pub fn resources(&self) -> &'static [ResourceKind] {
         self.kind.resources()
-    }
-
-    /// Number of slices currently registered.
-    pub fn num_slices(&self) -> usize {
-        self.allocations.len()
-    }
-
-    /// Number of enforcement operations performed so far.
-    pub fn enforcement_count(&self) -> u64 {
-        self.enforcement_count
-    }
-
-    /// The last enforced allocation of a slice, if any.
-    pub fn allocation_of(&self, slice: SliceId) -> Option<&Action> {
-        self.allocations.get(&slice)
-    }
-
-    /// Whether a slice is registered with this manager.
-    pub fn has_slice(&self, slice: SliceId) -> bool {
-        self.allocations.contains_key(&slice)
     }
 
     /// The fault-free capacity every owned resource was configured with.
@@ -176,45 +147,6 @@ impl DomainManager {
         for c in &mut self.coordinators {
             c.set_capacity(self.nominal_capacity * scale);
         }
-    }
-
-    /// Applies a slice lifecycle command.
-    ///
-    /// Returns an error when creating an existing slice or
-    /// adjusting/deleting an unknown one.
-    pub fn apply(&mut self, command: SliceConfigCommand) -> Result<(), String> {
-        match command {
-            SliceConfigCommand::Create(id) => {
-                if self.allocations.contains_key(&id) {
-                    return Err(format!("{id} already exists in {}", self.kind.name()));
-                }
-                self.allocations.insert(id, Action::zeros());
-                Ok(())
-            }
-            SliceConfigCommand::Delete(id) => {
-                if self.allocations.remove(&id).is_none() {
-                    return Err(format!("{id} is not registered in {}", self.kind.name()));
-                }
-                Ok(())
-            }
-            SliceConfigCommand::Adjust(id, action) => {
-                let entry = self
-                    .allocations
-                    .get_mut(&id)
-                    .ok_or_else(|| format!("{id} is not registered in {}", self.kind.name()))?;
-                *entry = action;
-                self.enforcement_count += 1;
-                Ok(())
-            }
-        }
-    }
-
-    /// Sum of the currently enforced shares of one owned resource.
-    pub fn total_enforced_share(&self, resource: ResourceKind) -> f64 {
-        self.allocations
-            .values()
-            .map(|a| a.resource_share(resource))
-            .sum()
     }
 
     /// Whether the requested actions fit every resource this manager owns.
@@ -283,6 +215,7 @@ impl DomainManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DomainSet, SliceId};
 
     /// The manager's `(resource, β_k)` pairs, collected for assertions.
     fn betas(m: &DomainManager) -> Vec<(ResourceKind, f64)> {
@@ -312,31 +245,28 @@ mod tests {
 
     #[test]
     fn slice_lifecycle_is_enforced() {
-        let mut rdm = DomainManager::new(DomainKind::Radio);
+        let mut domains = DomainSet::testbed_default();
         let id = SliceId(1);
-        assert!(rdm.apply(SliceConfigCommand::Create(id)).is_ok());
-        assert!(rdm.apply(SliceConfigCommand::Create(id)).is_err());
-        assert!(rdm
-            .apply(SliceConfigCommand::Adjust(id, Action::uniform(0.4)))
-            .is_ok());
-        assert_eq!(rdm.allocation_of(id).unwrap().ul_bandwidth, 0.4);
-        assert_eq!(rdm.enforcement_count(), 1);
-        assert!(rdm.apply(SliceConfigCommand::Delete(id)).is_ok());
-        assert!(rdm.apply(SliceConfigCommand::Delete(id)).is_err());
-        assert!(rdm
-            .apply(SliceConfigCommand::Adjust(id, Action::zeros()))
-            .is_err());
+        assert!(domains.create_slice(id).is_ok());
+        assert!(domains.create_slice(id).is_err());
+        assert!(domains.enforce(id, Action::uniform(0.4)).is_ok());
+        let radio = ResourceKind::UplinkRadio;
+        assert!((domains.residual_capacity(radio) - 0.6).abs() < 1e-12);
+        assert!(domains.delete_slice(id).is_ok());
+        assert!(domains.delete_slice(id).is_err());
+        assert!(domains.enforce(id, Action::zeros()).is_err());
+        assert_eq!(domains.residual_capacity(radio), 1.0);
     }
 
     #[test]
     fn total_enforced_share_sums_over_slices() {
-        let mut edm = DomainManager::new(DomainKind::Edge);
+        let mut domains = DomainSet::testbed_default();
         for i in 0..3 {
-            edm.apply(SliceConfigCommand::Create(SliceId(i))).unwrap();
-            edm.apply(SliceConfigCommand::Adjust(SliceId(i), Action::uniform(0.2)))
-                .unwrap();
+            domains.create_slice(SliceId(i)).unwrap();
+            domains.enforce(SliceId(i), Action::uniform(0.2)).unwrap();
         }
-        assert!((edm.total_enforced_share(ResourceKind::EdgeCpu) - 0.6).abs() < 1e-12);
+        let enforced = 1.0 - domains.residual_capacity(ResourceKind::EdgeCpu);
+        assert!((enforced - 0.6).abs() < 1e-12);
     }
 
     #[test]

@@ -1,24 +1,29 @@
 //! The complete set of domain managers of one infrastructure.
 //!
-//! [`DomainSet`] bundles the RDM, TDM, CDM and EDM, routes slice lifecycle
-//! commands to all of them, and aggregates their coordinators into the
+//! [`DomainSet`] bundles the RDM, TDM, CDM and EDM with the one slice
+//! registry they share — every registered slice and the allocation last
+//! enforced for it — and aggregates the managers' coordinators into the
 //! per-resource `β` vector the agents' action modifiers consume. It also
 //! exposes the *projection* alternative so the baselines can share the same
 //! infrastructure object.
+
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
 use onslicing_slices::{Action, ResourceKind};
 
 use crate::manager::{DomainKind, DomainManager};
-use crate::messages::{CapacityOverride, SliceConfigCommand};
 use crate::SliceId;
 
-/// The four domain managers of one end-to-end infrastructure.
+/// The four domain managers of one end-to-end infrastructure and the slice
+/// registry they act on.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DomainSet {
     managers: Vec<DomainManager>,
-    capacity: f64,
+    /// The most recently enforced allocation of every registered slice
+    /// (all zeros until its first enforcement).
+    allocations: BTreeMap<SliceId, Action>,
 }
 
 impl DomainSet {
@@ -35,7 +40,10 @@ impl DomainSet {
             .iter()
             .map(|k| DomainManager::with_parameters(*k, capacity, step_size))
             .collect();
-        Self { managers, capacity }
+        Self {
+            managers,
+            allocations: BTreeMap::new(),
+        }
     }
 
     /// Immutable access to the individual managers.
@@ -66,60 +74,55 @@ impl DomainSet {
         self.manager_mut(kind).set_capacity_scale(scale);
     }
 
-    /// Applies a [`CapacityOverride`] message (fault injection / recovery).
-    pub fn apply_capacity_override(&mut self, o: &CapacityOverride) {
-        self.set_domain_capacity_scale(o.domain, o.scale);
-    }
-
     /// The *effective* (possibly fault-degraded) capacity of one resource.
-    /// Resources no manager owns report the set-wide nominal capacity.
     pub fn capacity_of(&self, resource: ResourceKind) -> f64 {
         self.managers
             .iter()
             .find_map(|m| m.capacity_of(resource))
-            .unwrap_or(self.capacity)
+            .expect("every resource has an owning domain")
     }
 
     /// Residual capacity of one resource after the currently *enforced*
     /// allocations: what an admission controller may still hand out.
     pub fn residual_capacity(&self, resource: ResourceKind) -> f64 {
         let enforced: f64 = self
-            .managers
-            .iter()
-            .find(|m| m.resources().contains(&resource))
-            .map(|m| m.total_enforced_share(resource))
-            .unwrap_or(0.0);
+            .allocations
+            .values()
+            .map(|a| a.resource_share(resource))
+            .sum();
         self.capacity_of(resource) - enforced
     }
 
-    /// Whether a slice is registered (in every domain; registration is
-    /// all-or-nothing through [`DomainSet::create_slice`]).
+    /// Whether a slice is registered.
     pub fn has_slice(&self, id: SliceId) -> bool {
-        self.managers.iter().all(|m| m.has_slice(id))
+        self.allocations.contains_key(&id)
     }
 
-    /// Registers a slice in every domain.
+    /// Registers a slice with every domain, holding no resources yet.
     pub fn create_slice(&mut self, id: SliceId) -> Result<(), String> {
-        for m in &mut self.managers {
-            m.apply(SliceConfigCommand::Create(id))?;
+        if self.allocations.contains_key(&id) {
+            return Err(format!("{id} already exists"));
         }
+        self.allocations.insert(id, Action::zeros());
         Ok(())
     }
 
-    /// Removes a slice from every domain.
+    /// Removes a slice from every domain, releasing its resources.
     pub fn delete_slice(&mut self, id: SliceId) -> Result<(), String> {
-        for m in &mut self.managers {
-            m.apply(SliceConfigCommand::Delete(id))?;
-        }
-        Ok(())
+        self.allocations
+            .remove(&id)
+            .map(|_| ())
+            .ok_or_else(|| format!("{id} is not registered"))
     }
 
     /// Enforces a slice's action in every domain (the per-slot configuration
     /// push).
     pub fn enforce(&mut self, id: SliceId, action: Action) -> Result<(), String> {
-        for m in &mut self.managers {
-            m.apply(SliceConfigCommand::Adjust(id, action))?;
-        }
+        let entry = self
+            .allocations
+            .get_mut(&id)
+            .ok_or_else(|| format!("{id} is not registered"))?;
+        *entry = action;
         Ok(())
     }
 
@@ -190,11 +193,6 @@ impl DomainSet {
         }
         out
     }
-
-    /// The nominal (fault-free) capacity shared by every resource.
-    pub fn capacity(&self) -> f64 {
-        self.capacity
-    }
 }
 
 #[cfg(test)]
@@ -208,9 +206,9 @@ mod tests {
         set.create_slice(id).unwrap();
         assert!(set.create_slice(id).is_err());
         set.enforce(id, Action::uniform(0.3)).unwrap();
-        for m in set.managers() {
-            assert_eq!(m.num_slices(), 1);
-            assert_eq!(m.allocation_of(id).unwrap().cpu, 0.3);
+        // One registry: every domain's resources see the one enforcement.
+        for r in ResourceKind::ALL {
+            assert!((set.residual_capacity(r) - 0.7).abs() < 1e-12);
         }
         set.delete_slice(id).unwrap();
         assert!(set.delete_slice(id).is_err());

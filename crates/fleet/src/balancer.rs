@@ -136,18 +136,16 @@ pub struct MigrationRecord {
     pub kind: SliceKind,
 }
 
-/// One live cell of an elastic fleet run: its engine, telemetry recorder
-/// and measured per-slot wall-clock latencies.
+/// One live cell of an elastic fleet run: its engine, telemetry recorder,
+/// measured per-slot wall-clock latencies and rebalancing-window baseline.
+/// A cell's number is its position in the fleet and its seed is its
+/// engine's, so neither is stored here.
 ///
 /// Serializable so a fleet checkpoint can freeze every cell whole —
 /// deployment, telemetry-so-far and (report-only) latency samples — and a
 /// restored cell continues exactly where the snapshot stopped.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CellRuntime {
-    /// Cell index (0-based).
-    pub cell: u32,
-    /// The cell's derived master seed.
-    pub seed: u64,
     /// The cell's live deployment.
     pub engine: ScenarioEngine,
     /// The cell's telemetry recorder (migrations included).
@@ -155,6 +153,43 @@ pub struct CellRuntime {
     /// Wall-clock latency of every executed slot, in milliseconds
     /// (report-only; never a balancer input).
     pub slot_latencies_ms: Vec<f64>,
+    /// The cell's totals at the previous rebalancing boundary.
+    window_start: WindowStart,
+}
+
+impl CellRuntime {
+    /// A cell that has not been through a rebalancing boundary yet.
+    pub(crate) fn new(engine: ScenarioEngine, recorder: TelemetryRecorder, slots: usize) -> Self {
+        Self {
+            engine,
+            recorder,
+            slot_latencies_ms: Vec::with_capacity(slots),
+            window_start: WindowStart::default(),
+        }
+    }
+}
+
+/// A cell's violation, episode, cost and slice-slot totals at the previous
+/// rebalancing boundary: the baseline the per-window SLA pressure and cost
+/// rate are measured against. Checkpointed with the cell, so a resumed
+/// fleet sees the same per-window pressure the uninterrupted run would.
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+struct WindowStart {
+    violations: usize,
+    episodes: usize,
+    cost_total: f64,
+    cost_slots: usize,
+}
+
+impl WindowStart {
+    fn of(engine: &ScenarioEngine) -> Self {
+        Self {
+            violations: engine.total_violations(),
+            episodes: engine.total_episodes(),
+            cost_total: engine.slot_cost_total(),
+            cost_slots: engine.slice_slots(),
+        }
+    }
 }
 
 /// Deterministic utilization of one cell: the worst resource's enforced
@@ -176,216 +211,136 @@ pub fn cell_utilization(engine: &ScenarioEngine) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// The balancer: plans and applies migrations between rebalancing windows.
-///
-/// Serializable (window baselines included) so a checkpointed fleet resumes
-/// with the same per-window SLA pressure the uninterrupted run would see.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FleetBalancer {
-    config: BalancerConfig,
-    /// Violation/episode totals at the previous window boundary, per cell —
-    /// the baseline the per-window SLA pressure is measured against.
-    last_violations: Vec<usize>,
-    last_episodes: Vec<usize>,
-    /// Cost/slice-slot totals at the previous window boundary, per cell —
-    /// the baseline the per-window cost rate (the `cost-aware` policy's
-    /// signal) is measured against.
-    last_cost_totals: Vec<f64>,
-    last_cost_slots: Vec<usize>,
-}
-
-impl FleetBalancer {
-    /// Creates a balancer for `cells` cells.
-    pub fn new(config: BalancerConfig, cells: usize) -> Self {
-        Self {
-            config,
-            last_violations: vec![0; cells],
-            last_episodes: vec![0; cells],
-            last_cost_totals: vec![0.0; cells],
-            last_cost_slots: vec![0; cells],
-        }
+/// Runs one rebalancing round at global slot `slot`: repeatedly asks the
+/// configured [`BalancePolicy`] for a `(source, target)` pair over the
+/// current deterministic signals and moves the source's highest-id slice
+/// there (earlier same-round arrivals' estimated shares reserved), until the
+/// policy declines or the per-round migration budget is spent. Records the
+/// departure/arrival pair in the cells' telemetry, restarts every cell's
+/// window and returns the applied migrations.
+pub fn rebalance(
+    config: &BalancerConfig,
+    slot: usize,
+    cells: &mut [CellRuntime],
+) -> Result<Vec<MigrationRecord>, String> {
+    let mut records = Vec::new();
+    if !config.enabled || cells.len() < 2 {
+        return Ok(records);
     }
-
-    /// The balancer's configuration.
-    pub fn config(&self) -> &BalancerConfig {
-        &self.config
+    // Per-window SLA pressure and cost rates are fixed for the round;
+    // utilization is re-measured after every migration (the move frees
+    // enforced shares at the source immediately). The SLA pressure is the
+    // violation rate of the episodes closed since the previous window,
+    // weighted; the cost rate is the per-slice-slot cost accrued since then
+    // (the `cost-aware` policy's signal).
+    let mut violation_terms = Vec::with_capacity(cells.len());
+    let mut window_cost = Vec::with_capacity(cells.len());
+    for c in cells.iter_mut() {
+        let now = WindowStart::of(&c.engine);
+        let was = std::mem::replace(&mut c.window_start, now);
+        let episodes = now.episodes - was.episodes;
+        violation_terms.push(
+            config.violation_weight * (now.violations - was.violations) as f64
+                / episodes.max(1) as f64,
+        );
+        window_cost.push(
+            (now.cost_total - was.cost_total) / (now.cost_slots - was.cost_slots).max(1) as f64,
+        );
     }
-
-    /// Checks that this balancer's per-cell window baselines match a fleet
-    /// of `cells` cells — the guard a checkpoint restore runs so a snapshot
-    /// restored into a differently-shaped fleet fails loudly instead of
-    /// indexing out of bounds inside a later rebalancing round.
-    pub fn validate_cells(&self, cells: usize) -> Result<(), String> {
-        for (what, len) in [
-            ("violation", self.last_violations.len()),
-            ("episode", self.last_episodes.len()),
-            ("cost-total", self.last_cost_totals.len()),
-            ("cost-slot", self.last_cost_slots.len()),
-        ] {
-            if len != cells {
-                return Err(format!(
-                    "balancer {what} baselines cover {len} cell(s) but the fleet has {cells}"
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// The weighted per-window SLA pressure of every cell: the violation
-    /// rate of the episodes closed since the previous window, scaled by
-    /// `violation_weight`. One of the two terms of the load score (the
-    /// other, utilization, is re-measured after every migration).
-    fn violation_terms(&self, cells: &[CellRuntime]) -> Vec<f64> {
-        cells
+    let policy = config.policy;
+    for _ in 0..config.max_migrations_per_round {
+        // A slice that was admitted or arrived at this boundary — by a
+        // fleet-routed admission or an earlier migration of this round
+        // — enforces nothing until the next slot, so its estimated
+        // share is added as a virtual load; otherwise every migrant of
+        // a round would pile onto the same still-cold-looking target.
+        let loads: Vec<f64> = cells
             .iter()
             .enumerate()
             .map(|(i, c)| {
-                let violations = c.engine.total_violations() - self.last_violations[i];
-                let episodes = c.engine.total_episodes() - self.last_episodes[i];
-                self.config.violation_weight * violations as f64 / episodes.max(1) as f64
+                cell_utilization(&c.engine)
+                    + violation_terms[i]
+                    + c.engine.pending_admissions() as f64
+                        * c.engine.config().admission.estimated_share
             })
-            .collect()
-    }
-
-    /// Per-slice-slot cost every cell accrued since the previous window
-    /// boundary — the deterministic signal the `cost-aware` policy drains
-    /// expensive cells by.
-    fn window_cost_terms(&self, cells: &[CellRuntime]) -> Vec<f64> {
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let cost = c.engine.slot_cost_total() - self.last_cost_totals[i];
-                let slots = c.engine.slice_slots() - self.last_cost_slots[i];
-                cost / slots.max(1) as f64
-            })
-            .collect()
-    }
-
-    /// Runs one rebalancing round at global slot `slot`: repeatedly asks
-    /// the configured [`BalancePolicy`] for a `(source, target)`
-    /// pair over the current deterministic signals and moves the source's
-    /// highest-id slice there (earlier same-round arrivals' estimated
-    /// shares reserved), until the policy declines or the per-round
-    /// migration budget is spent. Records the departure/arrival pair in the
-    /// cells' telemetry and returns the applied migrations.
-    pub fn rebalance(
-        &mut self,
-        slot: usize,
-        cells: &mut [CellRuntime],
-    ) -> Result<Vec<MigrationRecord>, String> {
-        let mut records = Vec::new();
-        if !self.config.enabled || cells.len() < 2 {
-            return Ok(records);
-        }
-        self.validate_cells(cells.len())?;
-        // Per-window SLA pressure and cost rates are fixed for the round;
-        // utilization is re-measured after every migration (the move frees
-        // enforced shares at the source immediately).
-        let violation_terms = self.violation_terms(cells);
-        let window_cost = self.window_cost_terms(cells);
-        for (i, c) in cells.iter().enumerate() {
-            self.last_violations[i] = c.engine.total_violations();
-            self.last_episodes[i] = c.engine.total_episodes();
-            self.last_cost_totals[i] = c.engine.slot_cost_total();
-            self.last_cost_slots[i] = c.engine.slice_slots();
-        }
-        let policy = self.config.policy;
-        for _ in 0..self.config.max_migrations_per_round {
-            // A slice that was admitted or arrived at this boundary — by a
-            // fleet-routed admission or an earlier migration of this round
-            // — enforces nothing until the next slot, so its estimated
-            // share is added as a virtual load; otherwise every migrant of
-            // a round would pile onto the same still-cold-looking target.
-            let loads: Vec<f64> = cells
+            .collect();
+        // Eligibility is policy-independent: a source must be able to
+        // spare a slice, a target must pass its own admission check —
+        // `check_admission` reserves the estimated share of every slice
+        // pending at this boundary, whether it came from a fleet-routed
+        // admission or an earlier migration of this same round.
+        let signals = BalanceSignals {
+            loads,
+            can_source: cells
                 .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    cell_utilization(&c.engine)
-                        + violation_terms[i]
-                        + c.engine.pending_admissions() as f64
-                            * c.engine.config().admission.estimated_share
+                .map(|c| c.engine.orchestrator().num_slices() > config.min_slices_per_cell)
+                .collect(),
+            can_target: cells
+                .iter()
+                .map(|c| c.engine.check_admission().is_ok())
+                .collect(),
+            // Half a window of lookahead: over a full diurnal period
+            // the mean normalized traffic is phase-blind (every trace
+            // averages to its own day mean), while the next half-window
+            // still sees *where in the day* each cell's peak falls.
+            forecast: cells
+                .iter()
+                .map(|c| {
+                    c.engine
+                        .forecast_normalized_traffic((config.cadence_slots / 2).max(1))
                 })
-                .collect();
-            // Eligibility is policy-independent: a source must be able to
-            // spare a slice, a target must pass its own admission check —
-            // `check_admission` reserves the estimated share of every slice
-            // pending at this boundary, whether it came from a fleet-routed
-            // admission or an earlier migration of this same round.
-            let signals = BalanceSignals {
-                loads,
-                can_source: cells
-                    .iter()
-                    .map(|c| c.engine.orchestrator().num_slices() > self.config.min_slices_per_cell)
-                    .collect(),
-                can_target: cells
-                    .iter()
-                    .map(|c| c.engine.check_admission().is_ok())
-                    .collect(),
-                // Half a window of lookahead: over a full diurnal period
-                // the mean normalized traffic is phase-blind (every trace
-                // averages to its own day mean), while the next half-window
-                // still sees *where in the day* each cell's peak falls.
-                forecast: cells
-                    .iter()
-                    .map(|c| {
-                        c.engine
-                            .forecast_normalized_traffic((self.config.cadence_slots / 2).max(1))
-                    })
-                    .collect(),
-                window_cost: window_cost.clone(),
-                min_load_gap: self.config.min_load_gap,
-            };
-            let Some((src, dst)) = policy.plan_move(&signals) else {
-                break;
-            };
-            if src == dst || src >= cells.len() || dst >= cells.len() {
-                return Err(format!(
-                    "balance policy `{}` planned an invalid move {src} -> {dst} \
-                     over {} cell(s)",
-                    self.config.policy,
-                    cells.len()
-                ));
-            }
-            let from_slice = cells[src]
-                .engine
-                .orchestrator()
-                .slice_ids()
-                .iter()
-                .map(|id| id.0)
-                .max()
-                .expect("source cell has more slices than the configured minimum");
-            let migration = cells[src].engine.extract_slice(from_slice, slot)?;
-            let kind = migration.checkpoint.kind;
-            let to_slice = cells[dst].engine.inject_slice(migration, slot)?.0;
-            let (from_cell, to_cell) = (cells[src].cell, cells[dst].cell);
-            cells[src].recorder.record_migration(MigrationEvent {
-                slot,
-                slice: from_slice,
-                kind,
-                arrived: false,
-                peer_cell: to_cell,
-                peer_slice: to_slice,
-            });
-            cells[dst].recorder.record_migration(MigrationEvent {
-                slot,
-                slice: to_slice,
-                kind,
-                arrived: true,
-                peer_cell: from_cell,
-                peer_slice: from_slice,
-            });
-            records.push(MigrationRecord {
-                slot,
-                from_cell,
-                from_slice,
-                to_cell,
-                to_slice,
-                kind,
-            });
+                .collect(),
+            window_cost: window_cost.clone(),
+            min_load_gap: config.min_load_gap,
+        };
+        let Some((src, dst)) = policy.plan_move(&signals) else {
+            break;
+        };
+        if src == dst || src >= cells.len() || dst >= cells.len() {
+            return Err(format!(
+                "balance policy `{policy}` planned an invalid move {src} -> {dst} \
+                 over {} cell(s)",
+                cells.len()
+            ));
         }
-        Ok(records)
+        let from_slice = cells[src]
+            .engine
+            .orchestrator()
+            .slice_ids()
+            .iter()
+            .map(|id| id.0)
+            .max()
+            .expect("source cell has more slices than the configured minimum");
+        let migration = cells[src].engine.extract_slice(from_slice, slot)?;
+        let kind = migration.checkpoint.kind;
+        let to_slice = cells[dst].engine.inject_slice(migration, slot)?.0;
+        let (from_cell, to_cell) = (src as u32, dst as u32);
+        cells[src].recorder.record_migration(MigrationEvent {
+            slot,
+            slice: from_slice,
+            kind,
+            arrived: false,
+            peer_cell: to_cell,
+            peer_slice: to_slice,
+        });
+        cells[dst].recorder.record_migration(MigrationEvent {
+            slot,
+            slice: to_slice,
+            kind,
+            arrived: true,
+            peer_cell: from_cell,
+            peer_slice: from_slice,
+        });
+        records.push(MigrationRecord {
+            slot,
+            from_cell,
+            from_slice,
+            to_cell,
+            to_slice,
+            kind,
+        });
     }
+    Ok(records)
 }
 
 #[cfg(test)]

@@ -58,7 +58,7 @@ pub mod balancer;
 pub mod live;
 pub mod policy;
 
-pub use balancer::{cell_utilization, BalancerConfig, CellRuntime, FleetBalancer, MigrationRecord};
+pub use balancer::{cell_utilization, rebalance, BalancerConfig, CellRuntime, MigrationRecord};
 pub use live::{
     ElasticFleet, ElasticFleetConfig, FleetCheckpoint, FLEET_CHECKPOINT_FORMAT_VERSION,
 };
@@ -476,7 +476,7 @@ mod tests {
         .unwrap();
         assert_eq!(fleet.cells().len(), 5);
         for (i, cell) in fleet.cells().iter().enumerate() {
-            assert_eq!(cell.seed, derive_cell_seed(11, i as u32));
+            assert_eq!(cell.engine.config().seed, derive_cell_seed(11, i as u32));
         }
     }
 }

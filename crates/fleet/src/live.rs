@@ -12,8 +12,8 @@
 //!   next **sync point** (a balancer cadence boundary, a scripted
 //!   fleet-admission slot, or the caller's target), then runs the
 //!   sequential fleet layer there: scripted admissions are routed to the
-//!   least-utilized cell that passes its admission check, then the
-//!   [`FleetBalancer`] migrates slices away from overloaded cells. Every
+//!   least-utilized cell that passes its admission check, then
+//!   [`rebalance`] migrates slices away from overloaded cells. Every
 //!   sync point is a pure function of deterministic state, so the
 //!   [`FleetTrace`] — migrations included — is byte-identical across rayon
 //!   worker counts and across any choice of window boundaries, and a run
@@ -25,13 +25,16 @@
 //!   a fleet driven by a logged request stream is bit-for-bit a fleet with
 //!   those events spliced into the timeline.
 //! * The live fleet **is** its own checkpoint: everything that defines the
-//!   run — every cell's deployment and telemetry recorder, the balancer's
-//!   window baselines, the scripted-timeline cursor, the admission counters
-//!   and the self-describing header — is declared once, in
-//!   [`FleetCheckpoint`], and the machine owns one. [`ElasticFleet::checkpoint`]
-//!   lends it (serialising reads the live state, nothing is copied);
-//!   [`FleetCheckpoint::restore`] validates a loaded one and wraps it, and
-//!   the run continues byte-exactly.
+//!   run — the scenario and tuning, every cell's deployment, telemetry
+//!   recorder and rebalancing-window baseline, the scripted-timeline cursor
+//!   and the admission counters — is declared once, in [`FleetCheckpoint`],
+//!   and the machine owns one. Each fact is stored once: the scenario name,
+//!   master seed and length are read off the scenario and config, the
+//!   current slot off the cells, a cell's number is its position and its
+//!   seed its engine's. [`ElasticFleet::checkpoint`] lends it (serialising
+//!   reads the live state, nothing is copied); [`FleetCheckpoint::restore`]
+//!   validates a loaded one and wraps it, and the run continues
+//!   byte-exactly.
 //!
 //! ## Sync-point invariant
 //!
@@ -52,9 +55,7 @@ use onslicing_scenario::{
     FleetScenario, LiveEventOutcome, ScenarioConfig, ScenarioEngine, ScenarioEvent, SliceSpec,
 };
 
-use crate::balancer::{
-    cell_utilization, BalancerConfig, CellRuntime, FleetBalancer, MigrationRecord,
-};
+use crate::balancer::{cell_utilization, rebalance, BalancerConfig, CellRuntime, MigrationRecord};
 use crate::{
     aggregate_fleet, CellOutcome, CellTraceEntry, FleetOutcome, FleetTrace,
     FLEET_TRACE_FORMAT_VERSION,
@@ -76,7 +77,13 @@ use crate::{
 ///
 /// v5: an engine no longer carries a second copy of its admission tuning
 /// (`engine.admission`); `engine.config.admission` is the only one.
-pub const FLEET_CHECKPOINT_FORMAT_VERSION: u32 = 5;
+///
+/// v6: no fact is stored twice. The header (`scenario_name`, `master_seed`,
+/// `slot`, `total_slots`), each cell's `cell` and `seed` and the balancer
+/// block are gone; a cell carries its own window baseline; an engine's four
+/// domain managers share one slice registry; a slice's episode averages are
+/// a count and two running sums instead of two growing lists.
+pub const FLEET_CHECKPOINT_FORMAT_VERSION: u32 = 6;
 
 /// Tuning of an elastic fleet run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -117,8 +124,7 @@ impl ElasticFleetConfig {
 /// and resumed. See the module docs for the contract.
 #[derive(Debug, Clone)]
 pub struct ElasticFleet {
-    /// The whole serialisable machine, header included (`state.slot` is
-    /// kept current wherever the cells advance).
+    /// The whole serialisable machine.
     state: FleetCheckpoint,
     /// Internal sync points (balancer cadence boundaries and scripted
     /// fleet-admission slots, plus the scenario end), ascending. A pure
@@ -169,13 +175,7 @@ impl ElasticFleet {
                     admission_slack,
                 )?;
                 let recorder = TelemetryRecorder::new(&engine);
-                Ok(CellRuntime {
-                    cell,
-                    seed: cell_config.seed,
-                    engine,
-                    recorder,
-                    slot_latencies_ms: Vec::with_capacity(total_slots),
-                })
+                Ok(CellRuntime::new(engine, recorder, total_slots))
             })
             .collect();
         let cells = cells?;
@@ -188,13 +188,8 @@ impl ElasticFleet {
             next_sync: 0,
             state: FleetCheckpoint {
                 format_version: FLEET_CHECKPOINT_FORMAT_VERSION,
-                scenario_name: scenario.name.clone(),
-                master_seed: config.base.seed,
-                slot: 0,
-                total_slots,
                 scenario,
                 config,
-                balancer: FleetBalancer::new(config.balancer, cells.len()),
                 cells,
                 migrations: Vec::new(),
                 next_admission: 0,
@@ -236,12 +231,12 @@ impl ElasticFleet {
     /// The current global slot; all cells are aligned on it at every public
     /// API boundary.
     pub fn slot(&self) -> usize {
-        self.state.slot
+        self.state.slot()
     }
 
     /// Scheduled end of the scenario, in slots.
     pub fn total_slots(&self) -> usize {
-        self.state.total_slots
+        self.state.scenario.base.total_slots
     }
 
     /// Whether every scheduled slot has executed.
@@ -293,13 +288,13 @@ impl ElasticFleet {
     /// round when the sync sits on the cadence. The scenario-end pseudo-sync
     /// does no fleet work.
     fn process_due_syncs(&mut self) -> Result<(), String> {
+        let slot = self.slot();
+        let total_slots = self.total_slots();
         let state = &mut self.state;
-        while self.next_sync < self.sync_points.len()
-            && self.sync_points[self.next_sync] <= state.slot
-        {
+        while self.next_sync < self.sync_points.len() && self.sync_points[self.next_sync] <= slot {
             let sync = self.sync_points[self.next_sync];
             self.next_sync += 1;
-            if sync >= state.total_slots {
+            if sync >= total_slots {
                 continue;
             }
             let admissions = state.scenario.fleet_admissions();
@@ -323,7 +318,7 @@ impl ElasticFleet {
                 && sync > 0
                 && sync.is_multiple_of(state.config.balancer.cadence_slots)
             {
-                let migrated = state.balancer.rebalance(sync, &mut state.cells)?;
+                let migrated = rebalance(&state.config.balancer, sync, &mut state.cells)?;
                 state.migrations.extend(migrated);
             }
         }
@@ -360,7 +355,6 @@ impl ElasticFleet {
                         .push(slot_start.elapsed().as_secs_f64() * 1_000.0);
                 }
             });
-            self.state.slot = stop;
         }
     }
 
@@ -401,11 +395,10 @@ impl ElasticFleet {
         event: &ScenarioEvent,
     ) -> Result<LiveEventOutcome, String> {
         let cells = &mut self.state.cells;
-        let index = cells
-            .iter()
-            .position(|c| c.cell == cell)
-            .ok_or_else(|| format!("no such cell {cell} (fleet has {})", cells.len()))?;
-        let c = &mut cells[index];
+        let count = cells.len();
+        let c = cells
+            .get_mut(cell as usize)
+            .ok_or_else(|| format!("no such cell {cell} (fleet has {count})"))?;
         c.engine.inject_event(event, &mut c.recorder)
     }
 
@@ -435,17 +428,18 @@ impl ElasticFleet {
         let outcomes: Result<Vec<CellOutcome>, String> = state
             .cells
             .into_par_iter()
-            .map(|mut c| {
+            .enumerate()
+            .map(|(i, mut c)| {
+                let (cell, seed) = (i as u32, c.engine.config().seed);
                 let report = c.engine.run_with_observer(&mut c.recorder);
                 if report.has_non_finite() {
                     return Err(format!(
-                        "cell {} (seed {}) produced non-finite metrics",
-                        c.cell, c.seed
+                        "cell {cell} (seed {seed}) produced non-finite metrics"
                     ));
                 }
                 Ok(CellOutcome {
-                    cell: c.cell,
-                    seed: c.seed,
+                    cell,
+                    seed,
                     report,
                     trace: c.recorder.finalize(),
                     slot_latencies_ms: c.slot_latencies_ms,
@@ -453,19 +447,16 @@ impl ElasticFleet {
             })
             .collect();
         let outcomes = outcomes?;
-        let mut report = aggregate_fleet(
-            &state.scenario_name,
-            state.master_seed,
-            &outcomes,
-            wall_clock_ms,
-        );
+        let master_seed = state.config.base.seed;
+        let mut report =
+            aggregate_fleet(&state.scenario.name, master_seed, &outcomes, wall_clock_ms);
         report.migrations = state.migrations;
         report.fleet_admissions_granted = state.fleet_admissions_granted;
         report.fleet_admissions_denied = state.fleet_admissions_denied;
         let trace = FleetTrace {
             format_version: FLEET_TRACE_FORMAT_VERSION,
-            scenario: state.scenario_name,
-            master_seed: state.master_seed,
+            scenario: state.scenario.name,
+            master_seed,
             cells: outcomes
                 .iter()
                 .map(|c| CellTraceEntry {
@@ -525,17 +516,17 @@ fn route_fleet_admission(
     for i in order {
         if cells[i].engine.check_admission().is_ok() {
             let slice = cells[i].engine.force_admit(spec, slot);
-            return Some((cells[i].cell, slice.0));
+            return Some((i as u32, slice.0));
         }
     }
     None
 }
 
-/// A versioned, self-describing snapshot of a whole elastic fleet run, and
-/// the one declaration of the fleet machine's state: a self-describing
-/// header, every cell's deployment and telemetry recorder, the balancer's
-/// window baselines, the scripted-timeline cursor and the admission
-/// counters. A live [`ElasticFleet`] owns one and lends it through
+/// A versioned snapshot of a whole elastic fleet run, and the one
+/// declaration of the fleet machine's state: the scenario and tuning, every
+/// cell's deployment, telemetry recorder and rebalancing-window baseline,
+/// the scripted-timeline cursor and the admission counters — each fact
+/// once. A live [`ElasticFleet`] owns one and lends it through
 /// [`ElasticFleet::checkpoint`]; restoring a saved one continues the run
 /// byte-exactly — the final trace of a resumed fleet is byte-identical to
 /// the uninterrupted run's.
@@ -543,18 +534,9 @@ fn route_fleet_admission(
 pub struct FleetCheckpoint {
     /// Layout version ([`FLEET_CHECKPOINT_FORMAT_VERSION`] at capture).
     pub format_version: u32,
-    /// Fleet scenario name.
-    pub scenario_name: String,
-    /// Fleet master seed.
-    pub master_seed: u64,
-    /// Next global slot the restored fleet will execute.
-    pub slot: usize,
-    /// Scheduled scenario length in slots.
-    pub total_slots: usize,
     scenario: FleetScenario,
     config: ElasticFleetConfig,
     cells: Vec<CellRuntime>,
-    balancer: FleetBalancer,
     migrations: Vec<MigrationRecord>,
     /// Cursor into the scripted fleet admissions (sorted by slot).
     next_admission: usize,
@@ -568,24 +550,20 @@ impl FleetCheckpoint {
     /// A file edited by hand (or torn in a way that still parses) never went
     /// through the doors a live fleet guards, so everything the machine
     /// relies on is checked here, each refusal naming both values: the
-    /// scenario and config must form a buildable fleet, the header must
-    /// describe the body (`scenario_name`, `master_seed`,
-    /// `total_slots` and the cell count against the serialized scenario and
-    /// config), every cell must sit at the header's `slot`, the balancer's
-    /// baselines must match the cell count, cell `i` must be numbered `i`
-    /// and run the seed and configuration `config.base.for_cell(i)` derives
-    /// (so the header's policies are the ones the cells run), every engine
-    /// must pass [`ScenarioEngine::validate`] (agents' learned state fits
-    /// together, admission tuning in range) and every cell's agents must
-    /// share one trunk shape.
-    /// The processed sync-point cursor is recomputed
-    /// from the slot (see the module docs' invariant), so nothing replays
-    /// and nothing is skipped.
+    /// scenario and config must form a buildable fleet holding
+    /// `config.cells` cells, every cell must sit at cell 0's slot, cell `i`
+    /// must run exactly the configuration `config.base.for_cell(i)` derives
+    /// (seed and policies included), every engine must pass
+    /// [`ScenarioEngine::validate`] (agents' learned state fits together,
+    /// admission tuning in range) and every cell's agents must share one
+    /// trunk shape. The processed sync-point cursor is recomputed from the
+    /// slot (see the module docs' invariant), so nothing replays and nothing
+    /// is skipped.
     pub fn restore(self) -> Result<ElasticFleet, String> {
         self.validate()
             .map_err(|e| format!("fleet checkpoint is inconsistent: {e}"))?;
         let sync_points = compute_sync_points(&self.scenario, &self.config);
-        let next_sync = sync_points.partition_point(|s| *s <= self.slot);
+        let next_sync = sync_points.partition_point(|s| *s <= self.slot());
         Ok(ElasticFleet {
             state: self,
             sync_points,
@@ -598,24 +576,6 @@ impl FleetCheckpoint {
         // What `ElasticFleet::new` demands of a scenario and tuning (a zero
         // balancer cadence would never finish computing its sync points).
         ElasticFleet::validate(&self.scenario, &self.config)?;
-        if self.scenario_name != self.scenario.name {
-            return Err(format!(
-                "header names scenario `{}`, the serialized scenario is `{}`",
-                self.scenario_name, self.scenario.name
-            ));
-        }
-        if self.master_seed != self.config.base.seed {
-            return Err(format!(
-                "header master seed is {}, the serialized config is seeded {}",
-                self.master_seed, self.config.base.seed
-            ));
-        }
-        if self.total_slots != self.scenario.base.total_slots {
-            return Err(format!(
-                "header says {} total slots, the serialized scenario runs {}",
-                self.total_slots, self.scenario.base.total_slots
-            ));
-        }
         if self.cells.len() != self.config.cells {
             return Err(format!(
                 "it holds {} cells, the serialized config says {}",
@@ -625,61 +585,45 @@ impl FleetCheckpoint {
         }
         // `advance_to` steps every cell up to a common stop: a laggard would
         // silently be stepped past sync points that already ran.
-        if let Some(c) = self
+        let slot = self.slot();
+        if let Some((i, c)) = self
             .cells
             .iter()
-            .find(|c| c.engine.current_slot() != self.slot)
+            .enumerate()
+            .find(|(_, c)| c.engine.current_slot() != slot)
         {
             return Err(format!(
-                "cell {} sits at slot {}, the header says {}",
-                c.cell,
-                c.engine.current_slot(),
-                self.slot
+                "cell {i} sits at slot {}, cell 0 at {slot}",
+                c.engine.current_slot()
             ));
         }
-        // The balancer's window baselines were sized for the fleet shape at
-        // capture time; restoring them against a different cell count would
-        // index out of bounds inside a later rebalancing round.
-        self.balancer.validate_cells(self.cells.len())?;
         for (i, c) in self.cells.iter().enumerate() {
-            if c.cell as usize != i {
-                return Err(format!("cell at position {i} is numbered {}", c.cell));
-            }
             // `ElasticFleet::new` builds cell `i` from exactly this config; a
-            // cell that differs would run a policy or seed the header (and
-            // fleetd's resume check) never sees.
-            let expected = self.config.base.for_cell(c.cell);
-            if c.seed != expected.seed {
-                return Err(format!(
-                    "cell {} is seeded {}, the serialized config derives {}",
-                    c.cell, c.seed, expected.seed
-                ));
-            }
+            // cell that differs would run a seed or policy fleetd's resume
+            // check never sees.
+            let expected = self.config.base.for_cell(i as u32);
             if *c.engine.config() != expected {
                 return Err(format!(
-                    "cell {} runs {:?}, the serialized config derives {expected:?}",
-                    c.cell,
+                    "cell {i} runs {:?}, the serialized config derives {expected:?}",
                     c.engine.config()
                 ));
             }
             // Learned state whose lengths disagree would panic inside a
             // kernel at the next slot or epoch boundary.
-            c.engine
-                .validate()
-                .map_err(|e| format!("cell {} {e}", c.cell))?;
-            let orchestrator = c.engine.orchestrator();
+            c.engine.validate().map_err(|e| format!("cell {i} {e}"))?;
             // An orchestrator refuses a slice whose networks do not have its
             // cell's trunk shape where the slice enters; the cell's fused
             // forward pass would hit its shape assert mid-run.
-            let mut shapes = orchestrator
+            let mut shapes = c
+                .engine
+                .orchestrator()
                 .agents()
                 .iter()
                 .map(OnSlicingAgent::trunk_shape);
             if let Some(first) = shapes.next() {
                 if let Some(other) = shapes.find(|s| *s != first) {
                     return Err(format!(
-                        "cell {} mixes agents with layer dimensions {first:?} and {other:?}",
-                        c.cell
+                        "cell {i} mixes agents with layer dimensions {first:?} and {other:?}"
                     ));
                 }
             }
@@ -687,15 +631,23 @@ impl FleetCheckpoint {
         Ok(())
     }
 
-    /// The balance policy the checkpointed run was using. A resume must run
-    /// the same one, or its trace would splice two deterministic histories.
-    pub fn balance_policy(&self) -> crate::BalancePolicy {
-        self.config.balancer.policy
+    /// Next global slot the fleet executes: cell 0's, which every other
+    /// cell shares in a checkpoint that restores (a fleet has at least one
+    /// cell).
+    fn slot(&self) -> usize {
+        self.cells[0].engine.current_slot()
     }
 
-    /// The admission policy the checkpointed run was using.
-    pub fn admission_policy(&self) -> onslicing_scenario::AdmissionPolicy {
-        self.config.base.admission.policy
+    /// The fleet scenario the checkpointed run executes.
+    pub fn scenario(&self) -> &FleetScenario {
+        &self.scenario
+    }
+
+    /// The fleet tuning the checkpointed run uses: master seed, cell count,
+    /// admission and balance policies. A resume must run the same, or its
+    /// trace would splice two deterministic histories.
+    pub fn config(&self) -> &ElasticFleetConfig {
+        &self.config
     }
 
     /// Serializes to compact JSON.
@@ -781,7 +733,6 @@ mod tests {
         fleet.advance_to(at).unwrap();
         let json = fleet.checkpoint().to_json();
         let snapshot = FleetCheckpoint::from_json(&json).unwrap();
-        assert_eq!(snapshot.slot, at);
 
         fleet.advance_to(32).unwrap();
         let reference = fleet.finish(0.0).unwrap();
@@ -858,15 +809,21 @@ mod tests {
         let json = fleet.checkpoint().to_json();
         assert!(fleet.finish(0.0).unwrap_err().contains("incomplete"));
         // Version gate: a stale stamp (v4 = a second copy of every
-        // engine's admission tuning still on file) reports the version, not
-        // a missing field; a missing stamp is malformed.
-        assert!(json.starts_with("{\"format_version\":5,"));
-        let doctored = json.replacen("\"format_version\":5", "\"format_version\":4", 1);
-        let err = FleetCheckpoint::from_json(&doctored).unwrap_err();
-        assert_eq!(
-            err,
-            "fleet checkpoint format version 4 is not supported (expected 5)"
-        );
+        // engine's admission tuning still on file, v5 = a header and
+        // per-cell fields restating the body) reports the version, not a
+        // missing field; a missing stamp is malformed.
+        assert!(json.starts_with("{\"format_version\":6,"));
+        for version in [4, 5] {
+            let doctored = json.replacen(
+                "\"format_version\":6",
+                &format!("\"format_version\":{version}"),
+                1,
+            );
+            assert_eq!(
+                FleetCheckpoint::from_json(&doctored).unwrap_err(),
+                format!("fleet checkpoint format version {version} is not supported (expected 6)")
+            );
+        }
         let err = FleetCheckpoint::from_json("{\"slot\":4}").unwrap_err();
         assert!(err.contains("missing format_version"), "{err}");
     }
@@ -899,7 +856,8 @@ mod tests {
 
     #[test]
     fn restore_refuses_a_header_that_does_not_describe_the_body() {
-        // One doctored fact at a time; every refusal names both values.
+        // The fleet shape the serialized config describes must hold. One
+        // doctored fact at a time; every refusal names both values.
         let mut fleet = ElasticFleet::new(tiny_fleet_scenario(), quick_config(2)).unwrap();
         fleet.advance_to(4).unwrap();
         let refused = |doctor: &dyn Fn(&mut FleetCheckpoint)| {
@@ -908,27 +866,8 @@ mod tests {
             checkpoint.restore().unwrap_err()
         };
         assert_eq!(
-            refused(&|c| c.scenario_name = "other-run".to_string()),
-            "fleet checkpoint is inconsistent: header names scenario `other-run`, \
-             the serialized scenario is `tiny-live`"
-        );
-        assert_eq!(
-            refused(&|c| c.master_seed = 12),
-            "fleet checkpoint is inconsistent: header master seed is 12, \
-             the serialized config is seeded 11"
-        );
-        assert_eq!(
-            refused(&|c| c.total_slots = 64),
-            "fleet checkpoint is inconsistent: header says 64 total slots, \
-             the serialized scenario runs 32"
-        );
-        assert_eq!(
             refused(&|c| c.config.cells = 3),
             "fleet checkpoint is inconsistent: it holds 2 cells, the serialized config says 3"
-        );
-        assert_eq!(
-            refused(&|c| c.slot = 5),
-            "fleet checkpoint is inconsistent: cell 0 sits at slot 4, the header says 5"
         );
         assert_eq!(
             refused(&|c| c.config.balancer.cadence_slots = 0),
@@ -950,7 +889,7 @@ mod tests {
                 .restore()
                 .unwrap_err()
         };
-        // Out-of-range headroom everywhere — header and cells agree, the
+        // Out-of-range headroom everywhere — config and cells agree, the
         // tuning itself is what `ElasticFleet::new` would refuse.
         let err = refused(json.replace("\"headroom\":0.0", "\"headroom\":1.5"));
         assert_eq!(
@@ -958,43 +897,52 @@ mod tests {
             "fleet checkpoint is inconsistent: cell 0 admission tuning: \
              headroom must be in [0, 1), got 1.5"
         );
-        // Cell 1 alone switched to `cautious`: the header still says greedy.
-        let cells = json.find("\"cells\":").unwrap();
-        let cell1 = cells + json[cells..].find("{\"cell\":1,").unwrap();
-        let policy = cell1 + json[cell1..].find("\"policy\":\"greedy\"").unwrap();
-        let doctored = format!(
-            "{}{}",
-            &json[..policy],
-            json[policy..].replacen("\"greedy\"", "\"cautious\"", 1)
-        );
-        let err = refused(doctored);
+        // One field of cell 1's engine config edited: the fleet config
+        // still says greedy and derives the original seed.
+        let cell1_config = |key: &str, value: serde::Value| {
+            let mut document: serde::Value = serde_json::from_str(&json).unwrap();
+            let serde::Value::Obj(top) = &mut document else {
+                panic!("a fleet checkpoint is a JSON object");
+            };
+            let (_, serde::Value::Arr(cells)) = top.iter_mut().find(|(k, _)| k == "cells").unwrap()
+            else {
+                panic!("`cells` is an array");
+            };
+            let mut target = &mut cells[1];
+            for step in ["engine", "config", key] {
+                let serde::Value::Obj(pairs) = target else {
+                    panic!("no `{step}` object");
+                };
+                target = &mut pairs.iter_mut().find(|(k, _)| k == step).unwrap().1;
+            }
+            *target = value;
+            serde_json::to_string(&document).unwrap()
+        };
+        let mut admission = fleet.cells()[1].engine.config().admission;
+        admission.policy = onslicing_scenario::AdmissionPolicy::Cautious;
+        let err = refused(cell1_config("admission", admission.serialize_value()));
         assert!(
             err.starts_with("fleet checkpoint is inconsistent: cell 1 runs ")
                 && err.contains("policy: Cautious")
                 && err.contains("policy: Greedy"),
             "{err}"
         );
-        // Cell 1's seed edited.
-        let seed = fleet.cells()[1].seed;
-        let doctored = json.replacen(
-            &format!("{{\"cell\":1,\"seed\":{seed},"),
-            &format!("{{\"cell\":1,\"seed\":{},", seed ^ 1),
-            1,
+        let seed = fleet.cells()[1].engine.config().seed;
+        let err = refused(cell1_config("seed", serde::Value::UInt(seed ^ 1)));
+        assert!(
+            err.starts_with("fleet checkpoint is inconsistent: cell 1 runs ")
+                && err.contains(&format!("seed: {}", seed ^ 1))
+                && err.contains(&format!("seed: {seed}")),
+            "{err}"
         );
-        assert_eq!(
-            refused(doctored),
-            format!(
-                "fleet checkpoint is inconsistent: cell 1 is seeded {}, \
-                 the serialized config derives {seed}",
-                seed ^ 1
-            )
-        );
-        // Cells out of order.
+        // Cells out of order: cell 0 runs what the config derives for cell 1.
         let mut checkpoint = fleet.checkpoint().clone();
         checkpoint.cells.swap(0, 1);
-        assert_eq!(
-            checkpoint.restore().unwrap_err(),
-            "fleet checkpoint is inconsistent: cell at position 0 is numbered 1"
+        let err = checkpoint.restore().unwrap_err();
+        assert!(
+            err.starts_with("fleet checkpoint is inconsistent: cell 0 runs ")
+                && err.contains(&format!("seed: {seed}")),
+            "{err}"
         );
         // Untouched, the same document restores.
         assert!(FleetCheckpoint::from_json(&json).unwrap().restore().is_ok());
@@ -1011,7 +959,7 @@ mod tests {
         checkpoint.cells[1] = fleet.cells()[1].clone();
         assert_eq!(
             checkpoint.restore().unwrap_err(),
-            "fleet checkpoint is inconsistent: cell 1 sits at slot 5, the header says 4"
+            "fleet checkpoint is inconsistent: cell 1 sits at slot 5, cell 0 at 4"
         );
     }
 
@@ -1029,14 +977,9 @@ mod tests {
             keys,
             [
                 "format_version",
-                "scenario_name",
-                "master_seed",
-                "slot",
-                "total_slots",
                 "scenario",
                 "config",
                 "cells",
-                "balancer",
                 "migrations",
                 "next_admission",
                 "fleet_admissions_granted",

@@ -1,5 +1,5 @@
-//! The balance policies: deterministic migration strategies the
-//! [`crate::FleetBalancer`] plans with.
+//! The balance policies: deterministic migration strategies
+//! [`crate::rebalance`] plans with.
 //!
 //! A [`BalancePolicy`] picks at most one `(source, target)` cell pair per
 //! planning step from a [`BalanceSignals`] snapshot — pre-computed,
@@ -8,8 +8,7 @@
 //! skeleton and differ only in the per-cell score they feed it. One is
 //! selected through [`crate::BalancerConfig::policy`]; an unknown name is a
 //! configuration error that lists the known set. The historical
-//! `FleetBalancer::rebalance` selection rule is `greedy` and stays the
-//! default.
+//! selection rule is `greedy` and stays the default.
 //!
 //! ## Determinism contract
 //!

@@ -7,7 +7,8 @@
 
 use onslicing_fleet::{ElasticFleet, ElasticFleetConfig, FleetCheckpoint};
 use onslicing_scenario::fleet_by_name;
-use serde::Value;
+use onslicing_slices::Action;
+use serde::{Deserialize, Serialize, Value};
 
 /// `hotspot-shift`, 3 cells, seed 0, stepped to slot 24 — the checkpoint
 /// ROADMAP item 1 quotes.
@@ -130,6 +131,43 @@ fn a_checkpoint_holds_parameters_and_live_moments_and_nothing_else() {
         .restore()
         .unwrap();
     assert!(restored.checkpoint().to_json() == json);
+}
+
+#[test]
+fn a_cell_carries_each_active_slice_enforced_action_once() {
+    // The four domain managers act on one slice registry; a cell that
+    // stored it per manager would hold every action four times.
+    let fleet = fleet_at_slot_24();
+    let document = tree(&fleet.checkpoint().to_json());
+    let cells = document.get("cells").and_then(Value::as_arr).unwrap();
+    for (i, (cell, live)) in cells.iter().zip(fleet.cells()).enumerate() {
+        let mut entries = Vec::new();
+        walk(cell, &mut |key, value| {
+            if key == "allocations" {
+                entries.extend(value.as_arr().unwrap());
+            }
+        });
+        let active = live.engine.orchestrator().slice_ids();
+        assert!(!active.is_empty());
+        assert_eq!(entries.len(), active.len(), "cell {i}: registry entries");
+        for id in active {
+            let id = id.serialize_value();
+            let copies: Vec<&Value> = entries
+                .iter()
+                .filter_map(|pair| match pair.as_arr() {
+                    Some([key, action]) if *key == id => Some(action),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                copies.len(),
+                1,
+                "cell {i} holds slice {id:?} {} times",
+                copies.len()
+            );
+            Action::from_value(copies[0]).unwrap();
+        }
+    }
 }
 
 /// `2·(in·out + out)` summed over the estimator's layers, from the

@@ -19,8 +19,8 @@
 //! the daemon resumes from the **newest complete** checkpoint — torn
 //! `*.tmp` partials are never even considered (the atomic-rename protocol
 //! keeps them out of the namespace), and an unreadable, stale-format,
-//! config-incompatible or self-inconsistent file (a header that does not
-//! describe its body, cells at different slots — see
+//! config-incompatible or self-inconsistent file (cells at different
+//! slots, a cell that does not run what the config derives — see
 //! [`FleetCheckpoint::restore`]) falls back to the next older one with the
 //! reason on stderr and is renamed `checkpoint_<slot>.json.rejected`, which
 //! the retention sweep neither counts nor deletes. When the
@@ -166,37 +166,37 @@ fn build_or_resume(config: &FleetdConfig) -> Result<ElasticFleet, String> {
 /// A checkpoint is only resumable into a daemon whose config names the
 /// same run: same scenario, same master seed, same admission and balance
 /// policies — resuming under a different policy would splice two different
-/// deterministic histories into one trace. The header fields read here are
-/// held to the serialized scenario and config the machine actually runs on
-/// by [`FleetCheckpoint::restore`], the next step of the chain.
+/// deterministic histories into one trace. The scenario and config read
+/// here are the ones the checkpointed cells run on:
+/// [`FleetCheckpoint::restore`], the next step of the chain, holds every
+/// cell to them.
 fn check_compatible(
     config: &FleetdConfig,
 ) -> impl Fn(FleetCheckpoint) -> Result<FleetCheckpoint, String> + '_ {
     move |checkpoint| {
-        if checkpoint.scenario_name != config.scenario {
+        let (scenario, fleet) = (&checkpoint.scenario().name, checkpoint.config());
+        if *scenario != config.scenario {
             return Err(format!(
-                "it belongs to scenario `{}`, config says `{}`",
-                checkpoint.scenario_name, config.scenario
+                "it belongs to scenario `{scenario}`, config says `{}`",
+                config.scenario
             ));
         }
-        if checkpoint.master_seed != config.fleet.base.seed {
+        if fleet.base.seed != config.fleet.base.seed {
             return Err(format!(
                 "it was seeded {}, config says {}",
-                checkpoint.master_seed, config.fleet.base.seed
+                fleet.base.seed, config.fleet.base.seed
             ));
         }
-        if checkpoint.balance_policy() != config.fleet.balancer.policy {
+        if fleet.balancer.policy != config.fleet.balancer.policy {
             return Err(format!(
                 "it ran balance policy `{}`, config says `{}`",
-                checkpoint.balance_policy(),
-                config.fleet.balancer.policy
+                fleet.balancer.policy, config.fleet.balancer.policy
             ));
         }
-        if checkpoint.admission_policy() != config.fleet.base.admission.policy {
+        if fleet.base.admission.policy != config.fleet.base.admission.policy {
             return Err(format!(
                 "it ran admission policy `{}`, config says `{}`",
-                checkpoint.admission_policy(),
-                config.fleet.base.admission.policy
+                fleet.base.admission.policy, config.fleet.base.admission.policy
             ));
         }
         Ok(checkpoint)
@@ -474,7 +474,7 @@ impl Service<'_> {
     /// the last `window` recorded slots plus lifetime counters.
     fn telemetry_response(&self, window: usize) -> String {
         let mut cells = Vec::with_capacity(self.fleet.cells().len());
-        for c in self.fleet.cells() {
+        for (i, c) in self.fleet.cells().iter().enumerate() {
             let slots = c.recorder.slots();
             let tail = &slots[slots.len().saturating_sub(window)..];
             let mut samples = 0usize;
@@ -495,7 +495,7 @@ impl Service<'_> {
                 }
             };
             cells.push(Value::Obj(vec![
-                ("cell".to_string(), Value::UInt(u64::from(c.cell))),
+                ("cell".to_string(), Value::UInt(i as u64)),
                 (
                     "active_slices".to_string(),
                     Value::UInt(c.engine.orchestrator().num_slices() as u64),

@@ -267,6 +267,25 @@ fn rolling_upgrade_drill_is_bit_exact() {
     assert!(upgraded.state_dir().join(REQUEST_LOG_NAME).exists());
 }
 
+/// A slot-16 checkpoint whose last cell's engine is doctored to sit at
+/// slot 17: a file that parses but cannot restore.
+fn last_cell_one_slot_ahead(json: String) -> String {
+    let at = json
+        .rfind("\"run\":{\"slot\":16,")
+        .expect("an engine at slot 16");
+    let doctored = format!(
+        "{}{}",
+        &json[..at],
+        json[at..].replacen("\"slot\":16", "\"slot\":17", 1)
+    );
+    assert_eq!(
+        json.matches("\"run\":{\"slot\":16,").count(),
+        CELLS,
+        "one engine cursor per cell"
+    );
+    doctored
+}
+
 #[test]
 fn a_checkpoint_whose_header_contradicts_its_cells_is_skipped_with_the_reason() {
     // Two checkpoints a real fleet wrote; the newer one is then doctored
@@ -274,11 +293,11 @@ fn a_checkpoint_whose_header_contradicts_its_cells_is_skipped_with_the_reason() 
     // and the daemon must say why, resume from slot 8 and keep serving.
     type Doctor = fn(String) -> String;
     let doctored: [(&str, Doctor, &str); 2] = [
-        // The header claims slot 17 while the cells sit at 16: `restore`.
+        // The last cell claims slot 17 while cell 0 sits at 16: `restore`.
         (
-            "doctored-header",
-            |json| json.replacen("\"slot\":16", "\"slot\":17", 1),
-            "cell 0 sits at slot 16, the header says 17",
+            "cells-apart",
+            last_cell_one_slot_ahead,
+            "cell 1 sits at slot 17, cell 0 at 16",
         ),
         // The first weight matrix is one element short of its shape — it
         // used to load and panic a rayon worker a slot later: `from_json`.
@@ -348,10 +367,7 @@ fn unrestorable_newer_checkpoints_never_cost_the_daemon_its_good_one() {
     )
     .unwrap();
     fleet.advance_to(16).unwrap();
-    let contradictory = fleet
-        .checkpoint()
-        .to_json()
-        .replacen("\"slot\":16", "\"slot\":17", 1);
+    let contradictory = last_cell_one_slot_ahead(fleet.checkpoint().to_json());
     for (slot, body) in [(16, contradictory.as_str()), (24, "not a checkpoint")] {
         std::fs::write(dir.state_dir().join(checkpoint_file_name(slot)), body).unwrap();
     }

@@ -223,7 +223,7 @@ fn cmd_checkpoint(opts: &Options) -> Result<(), String> {
 fn cmd_resume(opts: &Options) -> Result<bool, String> {
     let from = opts.from.as_deref().ok_or("resume needs --from")?;
     let checkpoint = Checkpoint::load(from)?;
-    let start = checkpoint.slot;
+    let start = checkpoint.slot();
     let mut engine = checkpoint.restore();
     let mut recorder = TelemetryRecorder::new(&engine);
     let report = engine.run_with_observer(&mut recorder);

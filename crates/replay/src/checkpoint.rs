@@ -1,8 +1,9 @@
 //! Full-state scenario checkpoints.
 //!
-//! A [`Checkpoint`] wraps a [`ScenarioEngine`] serialized *between slots*
-//! with enough metadata to sanity-check a restore. Everything dynamic is
-//! inside the engine's own serialization: MLP/Gaussian/Bayesian weights,
+//! A [`Checkpoint`] is a layout version and a [`ScenarioEngine`] serialized
+//! *between slots*, nothing else: the scenario, its seed and the next slot
+//! are read off the engine, so no header can disagree with it. Everything
+//! dynamic is inside the engine's own serialization: MLP/Gaussian/Bayesian weights,
 //! the Adam moments of the two networks PPO keeps training (gradients and
 //! other per-update scratch are not state), Lagrangian state, rollout buffers,
 //! per-slice environment + traffic-trace cursors and RNG streams, domain
@@ -22,7 +23,7 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use onslicing_scenario::ScenarioEngine;
+use onslicing_scenario::{Scenario, ScenarioEngine};
 
 use crate::fsio::atomic_write;
 
@@ -80,21 +81,18 @@ pub fn from_versioned_json<T: Deserialize>(
 ///
 /// v7: the engine no longer carries a second copy of its admission tuning
 /// (`engine.admission`); `engine.config.admission` is the only one.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 7;
+///
+/// v8: the header (`scenario`, `seed`, `slot`, `total_slots`) is gone, the
+/// engine holds each of those facts; the four domain managers share one
+/// slice registry instead of holding a copy each; a slice's episode
+/// averages are a count and two running sums instead of two growing lists.
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 8;
 
-/// A versioned, self-describing snapshot of a scenario run.
+/// A versioned snapshot of a scenario run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Checkpoint {
     /// Layout version ([`CHECKPOINT_FORMAT_VERSION`] at capture time).
     pub format_version: u32,
-    /// Name of the scenario being executed.
-    pub scenario: String,
-    /// Master seed of the run.
-    pub seed: u64,
-    /// Next slot the restored engine will execute.
-    pub slot: usize,
-    /// Scheduled scenario length in slots.
-    pub total_slots: usize,
     /// The complete serialized deployment.
     engine: ScenarioEngine,
 }
@@ -105,12 +103,18 @@ impl Checkpoint {
     pub fn capture(engine: &ScenarioEngine) -> Self {
         Self {
             format_version: CHECKPOINT_FORMAT_VERSION,
-            scenario: engine.scenario().name.clone(),
-            seed: engine.config().seed,
-            slot: engine.current_slot(),
-            total_slots: engine.scenario().total_slots,
             engine: engine.clone(),
         }
+    }
+
+    /// Next slot the restored engine will execute.
+    pub fn slot(&self) -> usize {
+        self.engine.current_slot()
+    }
+
+    /// The scenario being executed.
+    pub fn scenario(&self) -> &Scenario {
+        self.engine.scenario()
     }
 
     /// Consumes the checkpoint and returns the engine, ready to execute the
@@ -167,8 +171,8 @@ mod tests {
         let mut engine = ScenarioEngine::new(builtin::steady(), ScenarioConfig::default()).unwrap();
         engine.run_until(5, &mut ());
         let checkpoint = Checkpoint::capture(&engine);
-        assert_eq!(checkpoint.scenario, "steady");
-        assert_eq!(checkpoint.slot, 5);
+        assert_eq!(checkpoint.scenario().name, "steady");
+        assert_eq!(checkpoint.slot(), 5);
         let restored = Checkpoint::from_json(&checkpoint.to_json())
             .unwrap()
             .restore();
@@ -199,19 +203,34 @@ mod tests {
         // (v3: written under the weight-sampling predictor, v4: under the
         // Box–Muller sampler) or carry state nothing reads (v5: layer
         // scratch, the estimator's optimiser; v6: a second copy of the
-        // admission tuning); either way the loader must report the version
-        // mismatch — the actionable message — before it looks at any other
-        // field.
-        for version in [2, 3, 4, 5, 6] {
+        // admission tuning; v7: a header restating the engine, four copies
+        // of the slice registry); either way the loader must report the
+        // version mismatch — the actionable message — before it looks at
+        // any other field.
+        for version in [2, 3, 4, 5, 6, 7] {
             let stale = format!(r#"{{"format_version":{version},"scenario":"steady","seed":7}}"#);
             assert_eq!(
                 Checkpoint::from_json(&stale).unwrap_err(),
-                format!("checkpoint format version {version} is not supported (expected 7)")
+                format!("checkpoint format version {version} is not supported (expected 8)")
             );
         }
         // A document with no stamp at all is malformed, not "version 0".
         let err = Checkpoint::from_json(r#"{"scenario":"steady"}"#).unwrap_err();
         assert!(err.contains("missing format_version"), "{err}");
+    }
+
+    #[test]
+    fn checkpoint_json_top_level_keys_are_pinned_in_order() {
+        // The engine carries the scenario, the seed and the next slot; a
+        // header restating any of them could only disagree with it.
+        let engine = ScenarioEngine::new(builtin::steady(), ScenarioConfig::default()).unwrap();
+        let value: serde::Value =
+            serde_json::from_str(&Checkpoint::capture(&engine).to_json()).unwrap();
+        let serde::Value::Obj(pairs) = value else {
+            panic!("a checkpoint is a JSON object");
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["format_version", "engine"]);
     }
 
     #[test]
@@ -275,7 +294,7 @@ mod tests {
         let path = dir.join("checkpoint.json");
         checkpoint.save(&path).unwrap();
         let loaded = Checkpoint::load(&path).unwrap();
-        assert_eq!(loaded.slot, checkpoint.slot);
+        assert_eq!(loaded.slot(), checkpoint.slot());
         let temps: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())

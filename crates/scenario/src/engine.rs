@@ -40,7 +40,7 @@ use onslicing_core::{
     OrchestratorConfig, RuleBasedBaseline, SliceCheckpoint, SliceEnvironment, SliceEpisodeSummary,
     SlotOutcome,
 };
-use onslicing_domains::{CapacityOverride, DomainKind, DomainSet, SliceId};
+use onslicing_domains::{DomainKind, DomainSet, SliceId};
 use onslicing_slices::{SliceKind, SlotKpi};
 
 use crate::admission::AdmissionConfig;
@@ -295,8 +295,11 @@ struct SliceStats {
     kind: SliceKind,
     admitted_at_slot: usize,
     torn_down_at_slot: Option<usize>,
-    episode_costs: Vec<f64>,
-    episode_usages: Vec<f64>,
+    /// Closed episodes, and the running sums of their average cost and
+    /// usage: the state is a fixed size however long the slice runs.
+    episodes: usize,
+    cost_sum: f64,
+    usage_sum: f64,
     violations: usize,
     policy_updates: usize,
     switched_episodes: usize,
@@ -308,8 +311,11 @@ impl SliceStats {
             kind,
             admitted_at_slot,
             torn_down_at_slot: None,
-            episode_costs: Vec::new(),
-            episode_usages: Vec::new(),
+            // `Iterator::sum::<f64>` folds from -0.0, so sums started here
+            // and added to in episode order keep its bits.
+            episodes: 0,
+            cost_sum: -0.0,
+            usage_sum: -0.0,
             violations: 0,
             policy_updates: 0,
             switched_episodes: 0,
@@ -317,14 +323,8 @@ impl SliceStats {
     }
 
     fn to_report(&self, id: u32) -> SliceReport {
-        let n = self.episode_costs.len();
-        let mean = |v: &[f64]| {
-            if v.is_empty() {
-                0.0
-            } else {
-                v.iter().sum::<f64>() / v.len() as f64
-            }
-        };
+        let n = self.episodes;
+        let mean = |sum: f64| if n == 0 { 0.0 } else { sum / n as f64 };
         SliceReport {
             id,
             kind: self.kind,
@@ -334,8 +334,8 @@ impl SliceStats {
             violations: self.violations,
             policy_updates: self.policy_updates,
             switched_episodes: self.switched_episodes,
-            avg_cost: mean(&self.episode_costs),
-            avg_usage_percent: mean(&self.episode_usages),
+            avg_cost: mean(self.cost_sum),
+            avg_usage_percent: mean(self.usage_sum),
         }
     }
 }
@@ -708,7 +708,7 @@ impl ScenarioEngine {
 
     /// Total episodes closed so far across every slice.
     pub fn total_episodes(&self) -> usize {
-        self.stats.values().map(|s| s.episode_costs.len()).sum()
+        self.stats.values().map(|s| s.episodes).sum()
     }
 
     /// Cumulative deterministic cost of every executed slot so far — the
@@ -885,8 +885,9 @@ impl ScenarioEngine {
         let summary = self.orch.agents_mut()[index].end_episode();
         let update = self.orch.agents_mut()[index].update_policy();
         let stats = self.stats.get_mut(&id).expect("every slice has stats");
-        stats.episode_costs.push(summary.avg_cost);
-        stats.episode_usages.push(summary.avg_usage_percent);
+        stats.episodes += 1;
+        stats.cost_sum += summary.avg_cost;
+        stats.usage_sum += summary.avg_usage_percent;
         if summary.violated {
             stats.violations += 1;
         }
@@ -1006,10 +1007,7 @@ impl ScenarioEngine {
                 let previous = self.orch.domains().manager(*domain).capacity_scale();
                 self.orch
                     .domains_mut()
-                    .apply_capacity_override(&CapacityOverride {
-                        domain: *domain,
-                        scale: *capacity_scale,
-                    });
+                    .set_domain_capacity_scale(*domain, *capacity_scale);
                 EventOutcome::Applied(Some((
                     slot + duration_slots,
                     Restore::Domain {
@@ -1059,10 +1057,7 @@ impl ScenarioEngine {
                     if self.orch.domains().manager(domain).capacity_scale() == expected {
                         self.orch
                             .domains_mut()
-                            .apply_capacity_override(&CapacityOverride {
-                                domain,
-                                scale: previous,
-                            });
+                            .set_domain_capacity_scale(domain, previous);
                     }
                 }
                 Restore::Traffic {
@@ -1839,9 +1834,7 @@ mod tests {
         let orch = engine.orchestrator();
         assert_eq!(orch.num_slices(), 1);
         assert!(!orch.domains().has_slice(SliceId(1)));
-        for m in orch.domains().managers() {
-            assert_eq!(m.num_slices(), 1);
-        }
+        assert!(orch.domains().has_slice(SliceId(0)));
         // The survivor keeps running to the end; the torn-down slice's
         // report stops at slot 6.
         assert_eq!(report.slices[1].torn_down_at_slot, Some(6));

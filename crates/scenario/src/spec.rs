@@ -11,6 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use onslicing_core::default_trace_config;
 use onslicing_domains::DomainKind;
 use onslicing_slices::{Sla, SliceKind};
 use onslicing_traffic::DiurnalTraceConfig;
@@ -61,11 +62,7 @@ impl SliceSpec {
 
     /// The diurnal traffic profile this spec resolves to.
     pub fn trace_config(&self) -> DiurnalTraceConfig {
-        let config = match self.kind {
-            SliceKind::Mar => DiurnalTraceConfig::mar_default(),
-            SliceKind::Hvs => DiurnalTraceConfig::hvs_default(),
-            SliceKind::Rdc => DiurnalTraceConfig::rdc_default(),
-        };
+        let config = default_trace_config(self.kind);
         match self.peak_rate {
             Some(p) => config.with_peak_rate(p),
             None => config,

@@ -5,7 +5,7 @@ use onslicing::domains::SliceId;
 use onslicing::scenario::{
     builtin, run_scenario, Scenario, ScenarioConfig, ScenarioEngine, ScenarioEvent, SliceSpec,
 };
-use onslicing::slices::SliceKind;
+use onslicing::slices::{ResourceKind, SliceKind};
 
 /// The tentpole acceptance path: a slice admitted mid-run via a scenario
 /// event trains online and appears in the per-slice metrics, and a
@@ -45,15 +45,15 @@ fn admitted_slice_trains_online_and_torn_down_slice_releases_capacity() {
     assert_eq!(orch.num_slices(), 2);
     assert!(orch.index_of(SliceId(0)).is_none());
     assert!(!orch.domains().has_slice(SliceId(0)));
-    for manager in orch.domains().managers() {
-        assert_eq!(manager.num_slices(), 2);
-        assert!(manager.allocation_of(SliceId(0)).is_none());
-        for resource in manager.resources() {
-            assert!(
-                manager.total_enforced_share(*resource) <= orch.domains().capacity_of(*resource),
-                "survivors' allocations must fit without the torn-down slice"
-            );
-        }
+    assert!(orch
+        .slice_ids()
+        .iter()
+        .all(|id| orch.domains().has_slice(*id)));
+    for resource in ResourceKind::ALL {
+        assert!(
+            orch.domains().residual_capacity(resource) >= 0.0,
+            "survivors' allocations must fit without the torn-down slice"
+        );
     }
     let torn = report.slices.iter().find(|s| s.id == 0).unwrap();
     assert_eq!(torn.torn_down_at_slot, Some(48));
