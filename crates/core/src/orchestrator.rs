@@ -41,16 +41,15 @@
 //!
 //! Per-slice agents are fully independent between coordination rounds: each
 //! owns its policy networks, RNG and rollout buffer, and each slice
-//! environment owns its simulator. Since the fused refactor, thread-level
-//! parallelism lives *inside* the batched GEMM kernels (`onslicing_nn`
-//! row-tiles large matrix products across cores); the slot loop itself runs
-//! the gather → fused sweep → scatter sequence single-threaded, which costs
-//! nothing at cell sizes and keeps the per-slot allocation count at zero in
-//! steady state. Offline pre-training and the epoch-boundary PPO updates
-//! fan out across cores with `rayon`, one agent per task. Determinism is
-//! unaffected everywhere: no RNG is shared between agents, and the kernels'
-//! per-row reduction order is tiling-invariant, so results are identical at
-//! every thread count.
+//! environment owns its simulator. The slot loop runs the gather → fused
+//! sweep → scatter sequence and the environment steps single-threaded,
+//! which costs nothing at cell sizes and keeps the per-slot allocation count
+//! at zero in steady state; `onslicing_nn`'s kernels are sequential too.
+//! Offline pre-training ([`Orchestrator::offline_pretrain_all`]) and the
+//! epoch-boundary PPO updates ([`Orchestrator::run_epoch`]) fan out over the
+//! process's `rayon` pool, one agent per job. Determinism is unaffected: no
+//! RNG is shared between agents, so results are identical at every thread
+//! count.
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
