@@ -100,14 +100,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 fn print_report(report: &ScenarioReport) {
     println!(
         "  {:<20} {:>4} slots  {:>3} episodes  {:>6.1}% violations  {:>5.2} rounds/slot  \
-         {:>8.0} slice-slots/s  {:>7.0} ms",
+         {:>6} slice-slots",
         report.scenario,
         report.total_slots,
         report.slice_episodes,
         report.sla_violation_percent,
         report.avg_coordination_rounds,
-        report.slice_slots_per_second,
-        report.wall_clock_ms,
+        report.slice_slots,
     );
     for s in &report.slices {
         let lifetime = match s.torn_down_at_slot {

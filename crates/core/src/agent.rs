@@ -228,10 +228,12 @@ pub struct OnSlicingAgent {
     modifier: ActionModifier,
     buffer: RolloutBuffer,
     rng: ChaCha8Rng,
-    // Per-episode state.
+    // Per-episode state: the slots recorded and the running sums of their
+    // cost and usage, a fixed size however long the episode runs.
     switched: bool,
-    episode_costs: Vec<f64>,
-    episode_usages: Vec<f64>,
+    episode_slots: usize,
+    episode_cost_sum: f64,
+    episode_usage_sum: f64,
     pending_bootstrap: Option<f64>,
     /// Whether any π_θ transition was recorded this episode (evaluation
     /// episodes leave this false so they do not perturb the Lagrangian).
@@ -267,8 +269,11 @@ impl OnSlicingAgent {
             buffer: RolloutBuffer::new(),
             rng,
             switched: false,
-            episode_costs: Vec::new(),
-            episode_usages: Vec::new(),
+            episode_slots: 0,
+            // `Iterator::sum::<f64>` folds from -0.0, so sums started here
+            // and added to in slot order keep its bits.
+            episode_cost_sum: -0.0,
+            episode_usage_sum: -0.0,
             pending_bootstrap: None,
             learned_this_episode: false,
         }
@@ -554,8 +559,9 @@ impl OnSlicingAgent {
         done: bool,
         value: f64,
     ) {
-        self.episode_costs.push(kpi.cost);
-        self.episode_usages.push(kpi.resource_usage_percent());
+        self.episode_slots += 1;
+        self.episode_cost_sum += kpi.cost;
+        self.episode_usage_sum += kpi.resource_usage_percent();
         match &decision.sample {
             Some(sample) => {
                 self.learned_this_episode = true;
@@ -589,16 +595,11 @@ impl OnSlicingAgent {
         let bootstrap = self.pending_bootstrap.take().unwrap_or(0.0);
         self.buffer
             .finish_episode(bootstrap, self.config.ppo.gamma, self.config.ppo.gae_lambda);
-        let avg_cost = if self.episode_costs.is_empty() {
-            0.0
-        } else {
-            self.episode_costs.iter().sum::<f64>() / self.episode_costs.len() as f64
+        let mean = |sum: f64| match self.episode_slots {
+            0 => 0.0,
+            n => sum / n as f64,
         };
-        let avg_usage = if self.episode_usages.is_empty() {
-            0.0
-        } else {
-            self.episode_usages.iter().sum::<f64>() / self.episode_usages.len() as f64
-        };
+        let (avg_cost, avg_usage) = (mean(self.episode_cost_sum), mean(self.episode_usage_sum));
         if self.config.constraint_aware && self.learned_this_episode {
             self.lagrangian.update(avg_cost);
         }
@@ -609,8 +610,9 @@ impl OnSlicingAgent {
             avg_usage_percent: avg_usage,
             switched_to_baseline: self.switched,
         };
-        self.episode_costs.clear();
-        self.episode_usages.clear();
+        self.episode_slots = 0;
+        self.episode_cost_sum = -0.0;
+        self.episode_usage_sum = -0.0;
         self.switched = false;
         self.learned_this_episode = false;
         summary
@@ -738,7 +740,8 @@ mod tests {
         let before = agent.shaped_reward(&r.kpi);
         // Repeated violating *learning* episodes raise lambda.
         for _ in 0..3 {
-            agent.episode_costs.push(0.5);
+            agent.episode_slots += 1;
+            agent.episode_cost_sum += 0.5;
             agent.learned_this_episode = true;
             agent.end_episode();
         }

@@ -52,9 +52,9 @@ pub trait LintRule {
 }
 
 /// `wall-clock-in-det`: `Instant::now()` / `SystemTime` in deterministic
-/// crates. Wall-clock readings may only ever feed report-only fields
-/// (latency percentiles, `wall_clock_ms`) — never traces — and every such
-/// site must say so in an allow pragma.
+/// crates. Wall-clock readings may only ever feed report-only fields (a
+/// fleet's `wall_clock_ms`, raw slot latencies) — never traces — and every
+/// such site must say so in an allow pragma.
 struct WallClockInDet;
 
 impl LintRule for WallClockInDet {

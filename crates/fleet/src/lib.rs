@@ -29,23 +29,12 @@
 //! run: the [`FleetTrace`] (the concatenation of the per-cell telemetry
 //! traces, in cell order) is **byte-identical** whatever the rayon worker
 //! count, extending the repository's thread-count determinism gate to
-//! fleets. Wall-clock metrics (latency percentiles, throughput) live only
-//! in the [`FleetReport`], never in the trace.
-//!
-//! ## Throughput accounting
-//!
-//! Two throughput numbers are reported, because they answer different
-//! questions:
-//!
-//! * [`FleetReport::slice_slots_per_second`] — executed slice-slots divided
-//!   by the fleet's wall-clock time **on this machine**: what this host
-//!   actually sustained (bounded by its core count).
-//! * [`FleetReport::aggregate_cell_slots_per_second`] — the sum of the
-//!   cells' individual rates: the shared-nothing **capacity** of the fleet,
-//!   i.e. what the same cells deliver when placed on independent hardware.
-//!   Because cells share no state, this is the number that scales with the
-//!   cell count. Neither is pinned anywhere: fleet speed is read by the
-//!   repository benchmark's `fleet-elastic` workload.
+//! fleets. The cells' engines read no clock; the fleet's wall-clock
+//! figures ([`FleetReport::wall_clock_ms`], the caller's measurement of the
+//! run, [`FleetReport::slice_slots_per_second`] over it, and the raw
+//! per-slot latencies in [`CellOutcome::slot_latencies_ms`]) live only in
+//! the outcome, never in the trace, and nothing pins them: fleet speed is
+//! read by the repository benchmark's `fleet-elastic` workload.
 
 use serde::{Deserialize, Serialize};
 
@@ -104,14 +93,6 @@ pub struct CellSummary {
     pub avg_cost: f64,
     /// Mean per-slice-slot cost (the engine's cheap slot-level fold).
     pub avg_slot_cost: f64,
-    /// The cell's own wall-clock, in milliseconds.
-    pub wall_clock_ms: f64,
-    /// The cell's own throughput in slice-slots per second.
-    pub slice_slots_per_second: f64,
-    /// Median per-slot wall-clock latency, in milliseconds.
-    pub slot_latency_p50_ms: f64,
-    /// 99th-percentile per-slot wall-clock latency, in milliseconds.
-    pub slot_latency_p99_ms: f64,
 }
 
 /// The aggregated outcome of one fleet run.
@@ -146,19 +127,11 @@ pub struct FleetReport {
     pub cost_p90: f64,
     /// 99th-percentile per-slice-slot cost (deterministic).
     pub cost_p99: f64,
-    /// Fleet wall-clock of the parallel run, in milliseconds.
+    /// Fleet wall-clock of the run as the caller measured it, in
+    /// milliseconds.
     pub wall_clock_ms: f64,
     /// Executed slice-slots per wall-clock second on this machine.
     pub slice_slots_per_second: f64,
-    /// Sum of the cells' individual slice-slots-per-second rates: the
-    /// shared-nothing capacity of the fleet (see the module docs).
-    pub aggregate_cell_slots_per_second: f64,
-    /// Median per-slot wall-clock latency across all cells' slots, in ms.
-    pub slot_latency_p50_ms: f64,
-    /// 90th-percentile per-slot latency, in ms.
-    pub slot_latency_p90_ms: f64,
-    /// 99th-percentile per-slot latency, in ms.
-    pub slot_latency_p99_ms: f64,
     /// Live migrations the balancer applied, in application order (empty
     /// when the balancer is disabled).
     pub migrations: Vec<MigrationRecord>,
@@ -255,9 +228,7 @@ pub fn aggregate_fleet(
     let mut violations = 0usize;
     let mut cost_weighted = 0.0;
     let mut slot_cost_weighted = 0.0;
-    let mut aggregate_rate = 0.0;
     let mut slot_costs: Vec<f64> = Vec::new();
-    let mut latencies: Vec<f64> = Vec::new();
     let mut cells_detail = Vec::with_capacity(cells.len());
     for c in cells {
         let cell_violations: usize = c.report.slices.iter().map(|s| s.violations).sum();
@@ -267,11 +238,9 @@ pub fn aggregate_fleet(
         violations += cell_violations;
         cost_weighted += c.report.avg_cost * c.report.slice_episodes as f64;
         slot_cost_weighted += c.report.avg_slot_cost * c.report.slice_slots as f64;
-        aggregate_rate += c.report.slice_slots_per_second;
         for slot in &c.trace.slots {
             slot_costs.extend(slot.slices.iter().map(|s| s.cost));
         }
-        latencies.extend_from_slice(&c.slot_latencies_ms);
         cells_detail.push(CellSummary {
             cell: c.cell,
             seed: c.seed,
@@ -282,10 +251,6 @@ pub fn aggregate_fleet(
             sla_violation_percent: c.report.sla_violation_percent,
             avg_cost: c.report.avg_cost,
             avg_slot_cost: c.report.avg_slot_cost,
-            wall_clock_ms: c.report.wall_clock_ms,
-            slice_slots_per_second: c.report.slice_slots_per_second,
-            slot_latency_p50_ms: percentile(&c.slot_latencies_ms, 50.0),
-            slot_latency_p99_ms: percentile(&c.slot_latencies_ms, 99.0),
         });
     }
     FleetReport {
@@ -320,10 +285,6 @@ pub fn aggregate_fleet(
         } else {
             0.0
         },
-        aggregate_cell_slots_per_second: aggregate_rate,
-        slot_latency_p50_ms: percentile(&latencies, 50.0),
-        slot_latency_p90_ms: percentile(&latencies, 90.0),
-        slot_latency_p99_ms: percentile(&latencies, 99.0),
         // `ElasticFleet::finish` overwrites these after aggregation.
         migrations: Vec::new(),
         fleet_admissions_granted: 0,
@@ -372,8 +333,6 @@ mod tests {
             "a disabled balancer never migrates"
         );
         assert!(report.slice_slots_per_second > 0.0);
-        assert!(report.aggregate_cell_slots_per_second > 0.0);
-        assert!(report.slot_latency_p50_ms <= report.slot_latency_p99_ms);
         assert!(report.cost_p50 <= report.cost_p99);
         assert!(report.avg_slot_cost >= 0.0);
         assert_eq!(report.cells_detail.len(), 3);

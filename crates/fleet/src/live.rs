@@ -83,7 +83,11 @@ use crate::{
 /// block are gone; a cell carries its own window baseline; an engine's four
 /// domain managers share one slice registry; a slice's episode averages are
 /// a count and two running sums instead of two growing lists.
-pub const FLEET_CHECKPOINT_FORMAT_VERSION: u32 = 6;
+///
+/// v7: an engine stores its inputs once and reads no clock (run counters
+/// instead of a half-built report, no factory or `baseline_buckets` copies);
+/// an agent's episode lists are running sums.
+pub const FLEET_CHECKPOINT_FORMAT_VERSION: u32 = 7;
 
 /// Tuning of an elastic fleet run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -347,7 +351,7 @@ impl ElasticFleet {
             self.state.cells.par_iter_mut().for_each(|c| {
                 while c.engine.current_slot() < stop {
                     // detlint: allow(wall-clock) -- report-only: slot
-                    // latencies feed the report's percentile fields; every
+                    // latencies land in CellOutcome::slot_latencies_ms; every
                     // balancer plan reads deterministic signals only.
                     let slot_start = Instant::now();
                     c.engine.step_slot(&mut c.recorder);
@@ -552,8 +556,9 @@ impl FleetCheckpoint {
     /// relies on is checked here, each refusal naming both values: the
     /// scenario and config must form a buildable fleet holding
     /// `config.cells` cells, every cell must sit at cell 0's slot, cell `i`
-    /// must run exactly the configuration `config.base.for_cell(i)` derives
-    /// (seed and policies included), every engine must pass
+    /// must run exactly the scenario `scenario.scenario_for_cell(i)` and the
+    /// configuration `config.base.for_cell(i)` derive (seed and policies
+    /// included), every engine must pass
     /// [`ScenarioEngine::validate`] (agents' learned state fits together,
     /// admission tuning in range) and every cell's agents must share one
     /// trunk shape. The processed sync-point cursor is recomputed from the
@@ -598,9 +603,17 @@ impl FleetCheckpoint {
             ));
         }
         for (i, c) in self.cells.iter().enumerate() {
-            // `ElasticFleet::new` builds cell `i` from exactly this config; a
-            // cell that differs would run a seed or policy fleetd's resume
-            // check never sees.
+            // `ElasticFleet::new` builds cell `i` from exactly this scenario
+            // and config. A cell whose scenario differs would be stepped
+            // past its own end (or stop short of the fleet's) at the next
+            // window; one whose config differs would run a seed or policy
+            // fleetd's resume check never sees.
+            if *c.engine.scenario() != self.scenario.scenario_for_cell(i as u32) {
+                return Err(format!(
+                    "cell {i} runs a scenario the fleet scenario `{}` does not derive for it",
+                    self.scenario.name
+                ));
+            }
             let expected = self.config.base.for_cell(i as u32);
             if *c.engine.config() != expected {
                 return Err(format!(
@@ -810,18 +823,19 @@ mod tests {
         assert!(fleet.finish(0.0).unwrap_err().contains("incomplete"));
         // Version gate: a stale stamp (v4 = a second copy of every
         // engine's admission tuning still on file, v5 = a header and
-        // per-cell fields restating the body) reports the version, not a
+        // per-cell fields restating the body, v6 = engines carrying a clock
+        // reading and a half-built report) reports the version, not a
         // missing field; a missing stamp is malformed.
-        assert!(json.starts_with("{\"format_version\":6,"));
-        for version in [4, 5] {
+        assert!(json.starts_with("{\"format_version\":7,"));
+        for version in [4, 5, 6] {
             let doctored = json.replacen(
-                "\"format_version\":6",
+                "\"format_version\":7",
                 &format!("\"format_version\":{version}"),
                 1,
             );
             assert_eq!(
                 FleetCheckpoint::from_json(&doctored).unwrap_err(),
-                format!("fleet checkpoint format version {version} is not supported (expected 6)")
+                format!("fleet checkpoint format version {version} is not supported (expected 7)")
             );
         }
         let err = FleetCheckpoint::from_json("{\"slot\":4}").unwrap_err();
@@ -961,6 +975,42 @@ mod tests {
             checkpoint.restore().unwrap_err(),
             "fleet checkpoint is inconsistent: cell 1 sits at slot 5, cell 0 at 4"
         );
+    }
+
+    #[test]
+    fn restore_refuses_a_cell_whose_scenario_the_fleet_does_not_derive() {
+        // Cell 1's scenario shortened to 20 slots: it used to restore, and
+        // the first window past slot 20 panicked inside a pool job.
+        let mut fleet = ElasticFleet::new(tiny_fleet_scenario(), quick_config(2)).unwrap();
+        fleet.advance_to(4).unwrap();
+        let json = fleet.checkpoint().to_json();
+        let mut document: serde::Value = serde_json::from_str(&json).unwrap();
+        let serde::Value::Obj(top) = &mut document else {
+            panic!("a fleet checkpoint is a JSON object");
+        };
+        let (_, serde::Value::Arr(cells)) = top.iter_mut().find(|(k, _)| k == "cells").unwrap()
+        else {
+            panic!("`cells` is an array");
+        };
+        let mut target = &mut cells[1];
+        for step in ["engine", "scenario", "total_slots"] {
+            let serde::Value::Obj(pairs) = target else {
+                panic!("no `{step}` object");
+            };
+            target = &mut pairs.iter_mut().find(|(k, _)| k == step).unwrap().1;
+        }
+        assert_eq!(target.as_u64(), Some(32));
+        *target = serde::Value::UInt(20);
+        let doctored = serde_json::to_string(&document).unwrap();
+        assert_eq!(
+            FleetCheckpoint::from_json(&doctored)
+                .unwrap()
+                .restore()
+                .unwrap_err(),
+            "fleet checkpoint is inconsistent: cell 1 runs a scenario the fleet \
+             scenario `tiny-live` does not derive for it"
+        );
+        assert!(FleetCheckpoint::from_json(&json).unwrap().restore().is_ok());
     }
 
     #[test]

@@ -83,7 +83,6 @@ fn synthetic_cell(cell: u32, rng: &mut ChaCha8Rng) -> CellOutcome {
     }
     let slice_episodes: usize = slice_reports.iter().map(|s| s.episodes).sum();
     let violations: usize = slice_reports.iter().map(|s| s.violations).sum();
-    let wall_clock_ms = rng.gen_range(1.0..500.0);
     let slice_slots = num_slices * total_slots;
     // The engine's cheap fold: mean of the per-slice-slot costs.
     let slot_cost_sum: f64 = slots
@@ -110,8 +109,6 @@ fn synthetic_cell(cell: u32, rng: &mut ChaCha8Rng) -> CellOutcome {
         avg_slot_cost: slot_cost_sum / slice_slots as f64,
         avg_slot_usage_percent: rng.gen_range(0.0..100.0),
         avg_coordination_rounds: rng.gen_range(1.0..4.0),
-        slice_slots_per_second: slice_slots as f64 / (wall_clock_ms / 1_000.0),
-        wall_clock_ms,
         slices: slice_reports,
     };
     let trace = TelemetryTrace {
@@ -205,28 +202,11 @@ proptest! {
         ] {
             prop_assert!((got - reference_percentile(&all_costs, q)).abs() < 1e-12);
         }
-        let all_latencies: Vec<f64> = cells
-            .iter()
-            .flat_map(|c| c.slot_latencies_ms.iter().copied())
-            .collect();
-        for (got, q) in [
-            (report.slot_latency_p50_ms, 50.0),
-            (report.slot_latency_p90_ms, 90.0),
-            (report.slot_latency_p99_ms, 99.0),
-        ] {
-            prop_assert!((got - reference_percentile(&all_latencies, q)).abs() < 1e-12);
-        }
 
-        // Throughput: the machine rate divides by the fleet wall clock,
-        // the aggregate rate sums the cells' independent rates.
+        // Throughput: the machine rate divides by the fleet wall clock.
         prop_assert!(
             (report.slice_slots_per_second - slots as f64 / (wall / 1_000.0)).abs() < 1e-6
         );
-        let rate_sum: f64 = cells
-            .iter()
-            .map(|c| c.report.slice_slots_per_second)
-            .sum();
-        prop_assert!((report.aggregate_cell_slots_per_second - rate_sum).abs() < 1e-9);
 
         // The per-cell breakdown preserves cell order and per-cell counts.
         prop_assert_eq!(report.cells_detail.len(), num_cells);

@@ -286,13 +286,30 @@ fn last_cell_one_slot_ahead(json: String) -> String {
     doctored
 }
 
+/// A checkpoint whose last cell runs a 20-slot copy of the 48-slot fleet
+/// scenario: a file that parses, and that used to resume and then panic
+/// the daemon in the first window past slot 20.
+fn last_cell_scenario_shortened(json: String) -> String {
+    let at = json
+        .rfind("\"engine\":{\"scenario\":{")
+        .expect("a cell engine");
+    let doctored = format!(
+        "{}{}",
+        &json[..at],
+        json[at..].replacen("\"total_slots\":48,", "\"total_slots\":20,", 1)
+    );
+    assert_ne!(doctored, json, "the edit must change the document");
+    doctored
+}
+
 #[test]
 fn a_checkpoint_whose_header_contradicts_its_cells_is_skipped_with_the_reason() {
     // Two checkpoints a real fleet wrote; the newer one is then doctored
     // into a file that parses up to the flaw. The loader must refuse it,
-    // and the daemon must say why, resume from slot 8 and keep serving.
+    // and the daemon must say why, set it aside as `.rejected`, resume from
+    // slot 8 and keep serving.
     type Doctor = fn(String) -> String;
-    let doctored: [(&str, Doctor, &str); 2] = [
+    let doctored: [(&str, Doctor, &str); 3] = [
         // The last cell claims slot 17 while cell 0 sits at 16: `restore`.
         (
             "cells-apart",
@@ -310,6 +327,12 @@ fn a_checkpoint_whose_header_contradicts_its_cells_is_skipped_with_the_reason() 
                 format!("{}{}", &json[..first], &json[second..])
             },
             "Matrix `data` holds 287 elements, its 32 rows × 9 columns need 288",
+        ),
+        // The last cell runs a scenario the fleet does not derive: `restore`.
+        (
+            "short-cell",
+            last_cell_scenario_shortened,
+            "cell 1 runs a scenario the fleet scenario `hotspot-shift` does not derive for it",
         ),
     ];
     for (tag, doctor, reason) in doctored {
@@ -347,6 +370,11 @@ fn a_checkpoint_whose_header_contradicts_its_cells_is_skipped_with_the_reason() 
             .unwrap_or_else(|| panic!("{tag}: no skip line for slot 16 in: {stderr}"));
         assert!(skipped.contains(reason), "{tag}: {skipped}");
         assert!(stderr.contains("(slot 8)"), "{tag}: {stderr}");
+        let rejected = format!("{}.rejected", checkpoint_file_name(16));
+        assert!(
+            dir.state_dir().join(&rejected).exists(),
+            "{tag}: no {rejected}"
+        );
     }
 }
 

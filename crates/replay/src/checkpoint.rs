@@ -8,7 +8,9 @@
 //! other per-update scratch are not state), Lagrangian state, rollout buffers,
 //! per-slice environment + traffic-trace cursors and RNG streams, domain
 //! capacities/overrides, orchestrator slice membership and the run-loop
-//! cursor (pending event index, transient restores, report accumulators).
+//! cursor (pending event index, transient restores, run counters). Nothing
+//! in it reads a clock: one scenario and seed checkpointed at one slot
+//! writes the same bytes in any process.
 //!
 //! The restore contract is exact: a checkpoint taken after slot `t` and
 //! restored into a fresh process produces byte-identical telemetry for
@@ -86,7 +88,11 @@ pub fn from_versioned_json<T: Deserialize>(
 /// engine holds each of those facts; the four domain managers share one
 /// slice registry instead of holding a copy each; a slice's episode
 /// averages are a count and two running sums instead of two growing lists.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 8;
+///
+/// v9: the engine stores its inputs once and reads no clock (run counters
+/// instead of a half-built report with its `wall_clock_ms`, no factory or
+/// `baseline_buckets` copies); an agent's episode lists are running sums.
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 9;
 
 /// A versioned snapshot of a scenario run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -204,14 +210,14 @@ mod tests {
         // Box–Muller sampler) or carry state nothing reads (v5: layer
         // scratch, the estimator's optimiser; v6: a second copy of the
         // admission tuning; v7: a header restating the engine, four copies
-        // of the slice registry); either way the loader must report the
-        // version mismatch — the actionable message — before it looks at
-        // any other field.
-        for version in [2, 3, 4, 5, 6, 7] {
+        // of the slice registry; v8: a clock reading and a half-built
+        // report); either way the loader must report the version mismatch
+        // — the actionable message — before it looks at any other field.
+        for version in [2, 3, 4, 5, 6, 7, 8] {
             let stale = format!(r#"{{"format_version":{version},"scenario":"steady","seed":7}}"#);
             assert_eq!(
                 Checkpoint::from_json(&stale).unwrap_err(),
-                format!("checkpoint format version {version} is not supported (expected 8)")
+                format!("checkpoint format version {version} is not supported (expected 9)")
             );
         }
         // A document with no stamp at all is malformed, not "version 0".
@@ -231,6 +237,30 @@ mod tests {
         };
         let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["format_version", "engine"]);
+    }
+
+    #[test]
+    fn a_scenario_checkpoint_is_a_pure_function_of_its_run() {
+        // Two engines on one scenario and seed, stepped to the same
+        // mid-episode slot, write the same bytes: nothing in the state
+        // depends on the clock or on which process ran it.
+        let at_slot = |slot| {
+            let mut engine =
+                ScenarioEngine::new(builtin::steady(), ScenarioConfig::default()).unwrap();
+            engine.run_until(slot, &mut ());
+            Checkpoint::capture(&engine).to_json()
+        };
+        let json = at_slot(5);
+        assert_eq!(json, at_slot(5));
+        for key in [
+            "wall_clock_ms",
+            "slice_slots_per_second",
+            "baseline_buckets",
+            "episode_costs",
+            "episode_usages",
+        ] {
+            assert!(!json.contains(&format!("\"{key}\"")), "{key}");
+        }
     }
 
     #[test]

@@ -9,16 +9,16 @@
 //! seeds are derived from the admission order, the rayon fan-out inside the
 //! orchestrator shares no RNG between slices, and events fire at scripted
 //! slots. Two runs of the same scenario with the same seed produce identical
-//! reports (up to the wall-clock fields, which
-//! [`ScenarioReport::deterministic_fields_eq`] ignores), whatever the worker
-//! thread count.
+//! reports and byte-identical checkpoints, whatever the worker thread count:
+//! the engine reads no clock.
 //!
 //! ## Checkpoint / replay
 //!
 //! The engine executes one slot at a time ([`ScenarioEngine::step_slot`])
-//! and serializes its *complete* state between slots — orchestrator (agent
-//! networks, optimizer moments, RNG streams, simulator channels, traffic
-//! cursors), per-slice statistics and the run-loop cursor itself. A
+//! and serializes its *complete* state between slots — its inputs (the
+//! scenario and its configuration), the orchestrator (agent networks,
+//! optimizer moments, RNG streams, simulator channels, traffic cursors),
+//! per-slice statistics and the run-loop cursor with its counters. A
 //! deserialized engine resumes mid-scenario and reproduces the remaining
 //! slots bit-for-bit; `crates/replay` builds the checkpoint files and the
 //! golden-trace harness on top of this.
@@ -31,7 +31,6 @@
 //! [`EpisodeEndEvent`]. The no-op observer is `&mut ()`.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
@@ -72,8 +71,6 @@ pub struct ScenarioConfig {
     pub seed: u64,
     /// Over-request resolution mechanism.
     pub coordination: CoordinationMode,
-    /// Grid resolution of the rule-based baseline calibration.
-    pub baseline_buckets: usize,
     /// Offline imitation episodes before a slice goes online (initial and
     /// admitted slices alike).
     pub pretrain_episodes: usize,
@@ -97,7 +94,6 @@ impl Default for ScenarioConfig {
         Self {
             seed: 0,
             coordination: CoordinationMode::default(),
-            baseline_buckets: 4,
             // One pretrain episode leaves the cost estimator so uncertain
             // that the safety switch can pin a slice to its baseline for
             // the whole scenario; two make π_θ reliably go online.
@@ -169,42 +165,11 @@ pub struct ScenarioReport {
     pub avg_slot_usage_percent: f64,
     /// Mean agent↔manager coordination rounds per executed slot.
     pub avg_coordination_rounds: f64,
-    /// Executed slice-slots per wall-clock second (scenario throughput).
-    pub slice_slots_per_second: f64,
-    /// Wall-clock milliseconds accumulated over all executed slots. The
-    /// counter is checkpointed with the rest of the run state, so a resumed
-    /// run reports the *total* across processes (prefix + suffix) — which
-    /// keeps `slice_slots_per_second` consistent with `slice_slots`, at the
-    /// price of mixing timings from different machines if the checkpoint
-    /// moved hosts.
-    pub wall_clock_ms: f64,
     /// One report per slice that ever existed, in id order.
     pub slices: Vec<SliceReport>,
 }
 
 impl ScenarioReport {
-    fn initial(scenario: &Scenario, seed: u64) -> Self {
-        Self {
-            scenario: scenario.name.clone(),
-            seed,
-            total_slots: scenario.total_slots,
-            slice_slots: 0,
-            peak_concurrent_slices: 0,
-            events_applied: 0,
-            admissions_denied: 0,
-            events_skipped: 0,
-            slice_episodes: 0,
-            sla_violation_percent: 0.0,
-            avg_cost: 0.0,
-            avg_slot_cost: 0.0,
-            avg_slot_usage_percent: 0.0,
-            avg_coordination_rounds: 0.0,
-            slice_slots_per_second: 0.0,
-            wall_clock_ms: 0.0,
-            slices: Vec::new(),
-        }
-    }
-
     /// Whether any reported metric is NaN **or infinite** (the CI smoke
     /// check). `±inf` is as much of a health failure as NaN — a cost that
     /// overflowed to infinity must not sail through the gate — so the check
@@ -216,26 +181,12 @@ impl ScenarioReport {
             self.avg_slot_cost,
             self.avg_slot_usage_percent,
             self.avg_coordination_rounds,
-            self.slice_slots_per_second,
-            self.wall_clock_ms,
         ];
         aggregate.iter().any(|v| !v.is_finite())
             || self
                 .slices
                 .iter()
                 .any(|s| !s.avg_cost.is_finite() || !s.avg_usage_percent.is_finite())
-    }
-
-    /// Equality on everything except the wall-clock-derived fields — the
-    /// determinism contract of a fixed-seed run.
-    pub fn deterministic_fields_eq(&self, other: &Self) -> bool {
-        let strip = |r: &Self| {
-            let mut r = r.clone();
-            r.wall_clock_ms = 0.0;
-            r.slice_slots_per_second = 0.0;
-            r
-        };
-        strip(self) == strip(other)
     }
 }
 
@@ -323,20 +274,27 @@ impl SliceStats {
     }
 
     fn to_report(&self, id: u32) -> SliceReport {
-        let n = self.episodes;
-        let mean = |sum: f64| if n == 0 { 0.0 } else { sum / n as f64 };
         SliceReport {
             id,
             kind: self.kind,
             admitted_at_slot: self.admitted_at_slot,
             torn_down_at_slot: self.torn_down_at_slot,
-            episodes: n,
+            episodes: self.episodes,
             violations: self.violations,
             policy_updates: self.policy_updates,
             switched_episodes: self.switched_episodes,
-            avg_cost: mean(self.cost_sum),
-            avg_usage_percent: mean(self.usage_sum),
+            avg_cost: mean(self.cost_sum, self.episodes),
+            avg_usage_percent: mean(self.usage_sum, self.episodes),
         }
+    }
+}
+
+/// `sum / count`, or 0.0 for an empty count.
+fn mean(sum: f64, count: usize) -> f64 {
+    if count == 0 {
+        0.0
+    } else {
+        sum / count as f64
     }
 }
 
@@ -366,19 +324,20 @@ enum Restore {
     },
 }
 
+/// Grid resolution of the rule-based baseline calibration.
+const BASELINE_BUCKETS: usize = 4;
+
 /// Builds agent + environment pairs from [`SliceSpec`]s with seeds derived
-/// from the construction order, caching calibrated baselines (calibration is
-/// a grid search, so clones are much cheaper than re-deriving identical
-/// policies for cloned slices).
+/// from the engine's seed and the construction order, caching calibrated
+/// baselines (calibration is a grid search, so clones are much cheaper than
+/// re-deriving identical policies for cloned slices).
 ///
-/// The cache is *not* part of the serialized state: calibration is a
-/// deterministic function of `(kind, peak rate, cost threshold, seed)`, so a
-/// restored factory rebuilds identical entries on demand.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Its only state is how many slices it has built. The cache is *not* part
+/// of the serialized state: calibration is a deterministic function of
+/// `(kind, peak rate, cost threshold, seed)`, so a restored factory rebuilds
+/// identical entries on demand.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct SliceFactory {
-    seed: u64,
-    horizon: usize,
-    baseline_buckets: usize,
     // A BTreeMap, not a HashMap: the cache is keyed by bit-exact floats
     // and only ever read through `entry()`, so ordering is immaterial to
     // behavior today — but an unordered container in a deterministic
@@ -391,21 +350,18 @@ struct SliceFactory {
 }
 
 impl SliceFactory {
-    fn new(config: &ScenarioConfig, horizon: usize) -> Self {
-        Self {
-            seed: config.seed,
-            horizon,
-            baseline_buckets: config.baseline_buckets,
-            baseline_cache: BTreeMap::new(),
-            slices_built: 0,
-        }
-    }
-
-    fn build(&mut self, spec: &SliceSpec) -> (OnSlicingAgent, SliceEnvironment) {
+    /// Builds the next slice of an engine run under master seed `master` on
+    /// episodes of `horizon` slots.
+    fn build(
+        &mut self,
+        spec: &SliceSpec,
+        master: u64,
+        horizon: usize,
+    ) -> (OnSlicingAgent, SliceEnvironment) {
         let network = onslicing_netsim::NetworkConfig::testbed_default();
         let ordinal = self.slices_built;
         self.slices_built += 1;
-        let seed = self.seed.wrapping_add(1_000).wrapping_add(17 * ordinal);
+        let seed = master.wrapping_add(1_000).wrapping_add(17 * ordinal);
         let sla = spec.sla();
         let trace_config = spec.trace_config();
         let cache_key = (
@@ -422,8 +378,8 @@ impl SliceFactory {
                     &sla,
                     &network,
                     trace_config.peak_rate,
-                    self.baseline_buckets,
-                    self.seed.wrapping_add(77),
+                    BASELINE_BUCKETS,
+                    master.wrapping_add(77),
                 )
             })
             .clone();
@@ -432,30 +388,40 @@ impl SliceFactory {
             sla,
             network,
             trace_config,
-            self.horizon,
+            horizon,
             seed,
         );
         let agent = OnSlicingAgent::new(
             spec.kind,
             sla,
             baseline,
-            AgentConfig::onslicing().scaled_down(self.horizon),
+            AgentConfig::onslicing().scaled_down(horizon),
             seed.wrapping_add(1),
         );
         (agent, env)
     }
 }
 
-/// The serializable run-loop cursor: everything `run` used to keep in local
-/// variables, so a checkpoint taken between slots captures it too.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The serializable run-loop cursor and counters: everything `run` used to
+/// keep in local variables, so a checkpoint taken between slots captures it
+/// too. The report is assembled from them (and the per-slice statistics) by
+/// [`ScenarioEngine::finish`].
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct RunState {
     /// Next slot to execute (0-based global scenario time).
     slot: usize,
     /// Whether the final report has been produced.
     finished: bool,
-    /// The accumulating report (aggregate fields are filled at the end).
-    report: ScenarioReport,
+    /// Sum over executed slots of the number of active slices.
+    slice_slots: usize,
+    /// Largest number of concurrently active slices.
+    peak_concurrent_slices: usize,
+    /// Events applied (admissions count only when granted).
+    events_applied: usize,
+    /// Admissions the controller rejected.
+    admissions_denied: usize,
+    /// Events that referenced a slice no longer (or not yet) active.
+    events_skipped: usize,
     /// The event timeline, sorted by firing slot (stable, so same-slot
     /// events keep their scripted order).
     timeline: Vec<TimedEvent>,
@@ -471,25 +437,6 @@ struct RunState {
     slot_cost_total: f64,
     /// Sum over executed slots of (mean usage × active slices).
     slot_usage_weighted: f64,
-}
-
-impl RunState {
-    fn new(scenario: &Scenario, seed: u64) -> Self {
-        let mut timeline = scenario.events.clone();
-        timeline.sort_by_key(|t| t.at_slot);
-        Self {
-            slot: 0,
-            finished: false,
-            report: ScenarioReport::initial(scenario, seed),
-            timeline,
-            next_event: 0,
-            restores: Vec::new(),
-            rounds_total: 0,
-            executed_slots: 0,
-            slot_cost_total: 0.0,
-            slot_usage_weighted: 0.0,
-        }
-    }
 }
 
 /// How one applied event changed the report counters.
@@ -591,12 +538,12 @@ impl ScenarioEngine {
     ) -> Result<Self, String> {
         scenario.validate_with_admission_slack(admission_slack)?;
         config.admission.validate()?;
-        let mut factory = SliceFactory::new(&config, scenario.horizon);
+        let mut factory = SliceFactory::default();
         let mut envs = Vec::new();
         let mut agents = Vec::new();
         let mut stats = BTreeMap::new();
         for (i, spec) in scenario.initial_slices.iter().enumerate() {
-            let (agent, env) = factory.build(spec);
+            let (agent, env) = factory.build(spec, config.seed, scenario.horizon);
             agents.push(agent);
             envs.push(env);
             stats.insert(i as u32, SliceStats::new(spec.kind, 0));
@@ -610,7 +557,12 @@ impl ScenarioEngine {
                 episodes_per_epoch: 1,
             },
         );
-        let run = RunState::new(&scenario, config.seed);
+        let mut timeline = scenario.events.clone();
+        timeline.sort_by_key(|t| t.at_slot);
+        let run = RunState {
+            timeline,
+            ..RunState::default()
+        };
         // The initial slices enforce nothing until slot 0's orchestration
         // round, so their estimated shares count as pending too — a
         // scripted (or fleet-routed) admission at slot 0 must not treat
@@ -721,7 +673,7 @@ impl ScenarioEngine {
     /// Slice-slots executed so far — the running denominator of the
     /// report's `avg_slot_cost`.
     pub fn slice_slots(&self) -> usize {
-        self.run.report.slice_slots
+        self.run.slice_slots
     }
 
     /// Mean normalized traffic this cell's slices will see over the next
@@ -753,7 +705,7 @@ impl ScenarioEngine {
     /// controller that already reserved capacity here) decides placement.
     /// The slice pre-trains offline exactly like a scripted admission.
     pub fn force_admit(&mut self, spec: &SliceSpec, slot: usize) -> SliceId {
-        self.run.report.events_applied += 1;
+        self.run.events_applied += 1;
         self.grant_admission(spec, slot)
     }
 
@@ -790,18 +742,18 @@ impl ScenarioEngine {
     fn count_event(&mut self, outcome: EventOutcome) -> LiveEventOutcome {
         match outcome {
             EventOutcome::Applied(restore) => {
-                self.run.report.events_applied += 1;
+                self.run.events_applied += 1;
                 if let Some(r) = restore {
                     self.run.restores.push(r);
                 }
                 LiveEventOutcome::Applied
             }
             EventOutcome::Denied => {
-                self.run.report.admissions_denied += 1;
+                self.run.admissions_denied += 1;
                 LiveEventOutcome::Denied
             }
             EventOutcome::Skipped => {
-                self.run.report.events_skipped += 1;
+                self.run.events_skipped += 1;
                 LiveEventOutcome::Skipped
             }
         }
@@ -909,7 +861,9 @@ impl ScenarioEngine {
     /// admission check — the caller (scripted event path, fleet-level
     /// admission) has already decided the slice may join.
     fn grant_admission(&mut self, slice: &SliceSpec, slot: usize) -> SliceId {
-        let (mut agent, mut env) = self.factory.build(slice);
+        let (mut agent, mut env) =
+            self.factory
+                .build(slice, self.config.seed, self.scenario.horizon);
         if self.config.pretrain_episodes > 0 {
             // Admitted slices pre-train offline before going live, exactly
             // like the initial deployment did.
@@ -1086,9 +1040,6 @@ impl ScenarioEngine {
             !self.run.finished && self.run.slot < self.scenario.total_slots,
             "ScenarioEngine::run consumed the timeline already; build a new engine for a fresh run"
         );
-        // detlint: allow(wall-clock) -- report-only: accumulates into
-        // report.wall_clock_ms, which TelemetryTrace never serializes.
-        let start = Instant::now();
         let slot = self.run.slot;
         self.fire_due_restores(slot);
         // Slices granted since the last orchestration round (earlier this
@@ -1116,9 +1067,8 @@ impl ScenarioEngine {
             self.run.executed_slots += 1;
             self.run.slot_cost_total += aggregate.total_cost;
             self.run.slot_usage_weighted += aggregate.mean_usage_percent * aggregate.slices as f64;
-            self.run.report.slice_slots += aggregate.slices;
-            self.run.report.peak_concurrent_slices =
-                self.run.report.peak_concurrent_slices.max(aggregate.slices);
+            self.run.slice_slots += aggregate.slices;
+            self.run.peak_concurrent_slices = self.run.peak_concurrent_slices.max(aggregate.slices);
             self.slot_samples.clear();
             self.slot_samples
                 .extend((0..self.orch.num_slices()).map(|i| {
@@ -1149,7 +1099,6 @@ impl ScenarioEngine {
         // active slices no round ran, but then nothing was admitted either.)
         self.unenforced_admissions = 0;
         self.run.slot += 1;
-        self.run.report.wall_clock_ms += start.elapsed().as_secs_f64() * 1_000.0;
         self.run.slot < self.scenario.total_slots
     }
 
@@ -1162,51 +1111,48 @@ impl ScenarioEngine {
     }
 
     /// Closes the final partial episode of every still-active slice and
-    /// produces the aggregated report. Called automatically by
+    /// assembles the report from the scenario, the configuration, the run
+    /// counters and the per-slice statistics. Called automatically by
     /// [`ScenarioEngine::run_with_observer`] once the timeline is exhausted.
     fn finish(&mut self, obs: &mut dyn SlotObserver) -> ScenarioReport {
-        // detlint: allow(wall-clock) -- report-only: accumulates into
-        // report.wall_clock_ms, which TelemetryTrace never serializes.
-        let start = Instant::now();
         self.run.finished = true;
         for index in 0..self.orch.num_slices() {
             if self.orch.env().envs()[index].slot() > 0 {
                 self.close_episode(index, self.scenario.total_slots, obs);
             }
         }
-        let mut report = self.run.report.clone();
-        let mut per_slice: Vec<(u32, &SliceStats)> =
-            self.stats.iter().map(|(k, v)| (*k, v)).collect();
-        per_slice.sort_by_key(|(id, _)| *id);
+        // The BTreeMap iterates in id order.
+        let slices: Vec<SliceReport> = self.stats.iter().map(|(id, s)| s.to_report(*id)).collect();
+        let mut slice_episodes = 0;
+        let mut violations = 0.0;
         let mut episode_costs = 0.0;
-        for (id, stats) in per_slice {
-            let slice_report = stats.to_report(id);
-            report.slice_episodes += slice_report.episodes;
-            report.sla_violation_percent += slice_report.violations as f64;
-            episode_costs += slice_report.avg_cost * slice_report.episodes as f64;
-            report.slices.push(slice_report);
+        for s in &slices {
+            slice_episodes += s.episodes;
+            violations += s.violations as f64;
+            episode_costs += s.avg_cost * s.episodes as f64;
         }
-        if report.slice_episodes > 0 {
-            report.sla_violation_percent *= 100.0 / report.slice_episodes as f64;
-            report.avg_cost = episode_costs / report.slice_episodes as f64;
+        let run = &self.run;
+        ScenarioReport {
+            scenario: self.scenario.name.clone(),
+            seed: self.config.seed,
+            total_slots: self.scenario.total_slots,
+            slice_slots: run.slice_slots,
+            peak_concurrent_slices: run.peak_concurrent_slices,
+            events_applied: run.events_applied,
+            admissions_denied: run.admissions_denied,
+            events_skipped: run.events_skipped,
+            slice_episodes,
+            sla_violation_percent: if slice_episodes == 0 {
+                0.0
+            } else {
+                violations * (100.0 / slice_episodes as f64)
+            },
+            avg_cost: mean(episode_costs, slice_episodes),
+            avg_slot_cost: mean(run.slot_cost_total, run.slice_slots),
+            avg_slot_usage_percent: mean(run.slot_usage_weighted, run.slice_slots),
+            avg_coordination_rounds: mean(run.rounds_total as f64, run.executed_slots),
+            slices,
         }
-        if self.run.executed_slots > 0 {
-            report.avg_coordination_rounds =
-                self.run.rounds_total as f64 / self.run.executed_slots as f64;
-        }
-        if report.slice_slots > 0 {
-            report.avg_slot_cost = self.run.slot_cost_total / report.slice_slots as f64;
-            report.avg_slot_usage_percent =
-                self.run.slot_usage_weighted / report.slice_slots as f64;
-        }
-        report.wall_clock_ms += start.elapsed().as_secs_f64() * 1_000.0;
-        report.slice_slots_per_second = if report.wall_clock_ms > 0.0 {
-            report.slice_slots as f64 / (report.wall_clock_ms / 1_000.0)
-        } else {
-            0.0
-        };
-        self.run.report = report.clone();
-        report
     }
 
     /// Executes the remaining scenario slots (all of them on a fresh engine,
@@ -1324,7 +1270,7 @@ mod tests {
             );
         let a = run_scenario(scenario.clone(), quick_config()).unwrap();
         let b = run_scenario(scenario, quick_config()).unwrap();
-        assert!(a.deterministic_fields_eq(&b));
+        assert_eq!(a, b);
         let c = run_scenario(
             tiny_scenario(),
             ScenarioConfig {
@@ -1899,7 +1845,7 @@ mod tests {
         assert_eq!(engine.current_slot(), 10);
         assert!(!engine.is_finished());
         let stepwise = engine.run_with_observer(&mut ());
-        assert!(one_shot.deterministic_fields_eq(&stepwise));
+        assert_eq!(one_shot, stepwise);
     }
 
     #[test]
@@ -1929,7 +1875,7 @@ mod tests {
         let mut suffix = Recorder::default();
         let resumed_report = restored.run_with_observer(&mut suffix);
 
-        assert!(ref_report.deterministic_fields_eq(&resumed_report));
+        assert_eq!(ref_report, resumed_report);
         let replayed: Vec<SlotSample> = prefix
             .samples
             .iter()
@@ -1972,9 +1918,9 @@ mod tests {
         // shares learned so far; whatever the scripted timeline decided for
         // an admission, the live injection at the same boundary must decide.
         for slot in [1, 10] {
-            let denied_before = scripted.run.report.admissions_denied;
+            let denied_before = scripted.run.admissions_denied;
             scripted.run_until(slot + 1, &mut scripted_rec);
-            let scripted_outcome = if scripted.run.report.admissions_denied > denied_before {
+            let scripted_outcome = if scripted.run.admissions_denied > denied_before {
                 LiveEventOutcome::Denied
             } else {
                 LiveEventOutcome::Applied
@@ -2008,7 +1954,7 @@ mod tests {
         );
         let live_report = live.run_with_observer(&mut live_rec);
 
-        assert!(scripted_report.deterministic_fields_eq(&live_report));
+        assert_eq!(scripted_report, live_report);
         assert_eq!(live_rec.samples, scripted_rec.samples);
         assert_eq!(live_rec.episodes, scripted_rec.episodes);
     }

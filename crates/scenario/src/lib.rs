@@ -4,7 +4,9 @@
 //! a timeline of slice admissions and teardowns, traffic regime shifts and
 //! bursts, domain capacity faults and SLA renegotiations, executes it
 //! against a live multi-slice deployment and reports per-scenario metrics
-//! (SLA violation rate, coordination rounds, throughput, wall clock).
+//! (SLA violation rate, coordination rounds, slice-slots, admissions). The
+//! engine reads no clock: a report and a checkpoint are pure functions of
+//! the scenario, the configuration and the slot reached.
 //!
 //! The paper evaluates one fixed setting — three slices alive from t = 0 —
 //! but OnSlicing is an *online* system; this crate turns the reproduction
@@ -26,11 +28,11 @@
 //!
 //! let report = run_scenario(builtin::steady(), ScenarioConfig::default()).unwrap();
 //! println!(
-//!     "{}: {:.1}% violations, {:.2} rounds/slot, {:.0} slice-slots/s",
+//!     "{}: {:.1}% violations, {:.2} rounds/slot, {} slice-slots",
 //!     report.scenario,
 //!     report.sla_violation_percent,
 //!     report.avg_coordination_rounds,
-//!     report.slice_slots_per_second
+//!     report.slice_slots
 //! );
 //! ```
 

@@ -50,8 +50,8 @@ fn main() {
         report.avg_coordination_rounds
     );
     println!(
-        "peak {} concurrent slices, {:.0} slice-slots/s, {:.0} ms wall clock",
-        report.peak_concurrent_slices, report.slice_slots_per_second, report.wall_clock_ms
+        "peak {} concurrent slices, {} slice-slots, {} admissions denied",
+        report.peak_concurrent_slices, report.slice_slots, report.admissions_denied
     );
     for s in &report.slices {
         let lifetime = match s.torn_down_at_slot {

@@ -88,7 +88,7 @@ fn builtin_catalogue_is_valid_and_runs() {
 }
 
 /// Two runs of the same scenario with the same seed agree on every metric
-/// except wall clock — including through faults, which must also raise the
+/// — including through faults, which must also raise the
 /// coordination pressure they are designed to create.
 #[test]
 fn fault_scenario_is_deterministic_and_raises_coordination_pressure() {
@@ -99,7 +99,7 @@ fn fault_scenario_is_deterministic_and_raises_coordination_pressure() {
     };
     let a = run_scenario(scenario.clone(), config).unwrap();
     let b = run_scenario(scenario, config).unwrap();
-    assert!(a.deterministic_fields_eq(&b), "fixed-seed runs must agree");
+    assert_eq!(a, b, "fixed-seed runs must agree");
 
     let steady = run_scenario(builtin::steady(), config).unwrap();
     assert!(
