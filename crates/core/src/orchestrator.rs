@@ -339,10 +339,13 @@ impl Orchestrator {
     }
 
     /// What a deserialised orchestrator must satisfy before its next slot:
-    /// every agent's learned state fits together (bias lengths against
-    /// weight rows, Adam moments against parameter counts) — a mismatch
-    /// would otherwise panic inside a kernel, slots or an epoch later.
+    /// the domain set holds what its constructor and setters accept
+    /// ([`DomainSet::validate`]) and every agent's learned state fits
+    /// together (bias lengths against weight rows, Adam moments against
+    /// parameter counts) — a mismatch would otherwise panic inside a kernel,
+    /// slots or an epoch later.
     pub fn validate(&self) -> Result<(), String> {
+        self.domains.validate()?;
         for (id, agent) in self.slice_ids.iter().zip(&self.agents) {
             agent
                 .validate()

@@ -1,11 +1,4 @@
-//! The complete set of domain managers of one infrastructure.
-//!
-//! [`DomainSet`] bundles the RDM, TDM, CDM and EDM with the one slice
-//! registry they share — every registered slice and the allocation last
-//! enforced for it — and aggregates the managers' coordinators into the
-//! per-resource `β` vector the agents' action modifiers consume. It also
-//! exposes the *projection* alternative so the baselines can share the same
-//! infrastructure object.
+//! The four domain managers of one infrastructure, as one value.
 
 use std::collections::BTreeMap;
 
@@ -13,17 +6,43 @@ use serde::{Deserialize, Serialize};
 
 use onslicing_slices::{Action, ResourceKind};
 
-use crate::manager::{DomainKind, DomainManager};
-use crate::SliceId;
+use crate::{DomainKind, SliceId};
 
-/// The four domain managers of one end-to-end infrastructure and the slice
-/// registry they act on.
+/// What the RDM, TDM, CDM and EDM state between slots: the nominal capacity
+/// and step size they were configured with, each domain's fault scale, each
+/// resource's `β_k`, and the one slice registry they share. A resource's
+/// effective capacity is the nominal one times its owning domain's scale.
+/// The *projection* alternative lives here too, so the baselines share the
+/// same infrastructure object.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DomainSet {
-    managers: Vec<DomainManager>,
+    /// Fault-free capacity `L_max` of every resource (1.0 = the whole
+    /// infrastructure resource).
+    capacity: f64,
+    /// Sub-gradient step size `ε` of Eq. 14.
+    step_size: f64,
+    /// Each domain's fault multiplier on `capacity` (1.0 = healthy), in
+    /// [`DomainKind::ALL`] order.
+    capacity_scales: [f64; 4],
+    /// Each resource's dual variable `β_k ≥ 0`, in [`ResourceKind::ALL`]
+    /// order.
+    betas: [f64; 6],
     /// The most recently enforced allocation of every registered slice
     /// (all zeros until its first enforcement).
     allocations: BTreeMap<SliceId, Action>,
+}
+
+/// Index in [`DomainKind::ALL`] of the domain that owns `resource`.
+fn owner(resource: ResourceKind) -> usize {
+    DomainKind::ALL
+        .iter()
+        .position(|d| d.resources().contains(&resource))
+        .expect("every resource has an owning domain")
+}
+
+/// The shares of one resource, summed in order.
+fn total_share<'a>(actions: impl IntoIterator<Item = &'a Action>, r: ResourceKind) -> f64 {
+    actions.into_iter().map(|a| a.resource_share(r)).sum()
 }
 
 impl DomainSet {
@@ -34,63 +53,79 @@ impl DomainSet {
     }
 
     /// Builds a domain set with explicit per-resource capacity and
-    /// coordination step size.
+    /// coordination step size, every domain healthy and every `β` zero.
+    ///
+    /// # Panics
+    /// Panics if the capacity or step size is not positive.
     pub fn with_parameters(capacity: f64, step_size: f64) -> Self {
-        let managers = DomainKind::ALL
-            .iter()
-            .map(|k| DomainManager::with_parameters(*k, capacity, step_size))
-            .collect();
+        assert!(capacity > 0.0, "capacity must be positive");
+        assert!(step_size > 0.0, "step size must be positive");
         Self {
-            managers,
+            capacity,
+            step_size,
+            capacity_scales: [1.0; 4],
+            betas: [0.0; 6],
             allocations: BTreeMap::new(),
         }
     }
 
-    /// Immutable access to the individual managers.
-    pub fn managers(&self) -> &[DomainManager] {
-        &self.managers
-    }
-
-    /// The manager of one domain.
-    pub fn manager(&self, kind: DomainKind) -> &DomainManager {
-        self.managers
-            .iter()
-            .find(|m| m.kind() == kind)
-            .expect("all domains exist")
-    }
-
-    /// Mutable access to the manager of one domain.
-    pub fn manager_mut(&mut self, kind: DomainKind) -> &mut DomainManager {
-        self.managers
-            .iter_mut()
-            .find(|m| m.kind() == kind)
-            .expect("all domains exist")
+    /// What a deserialised set must satisfy to behave like a constructed
+    /// one: capacity, step size and every fault scale positive and finite,
+    /// every `β` finite and non-negative.
+    pub fn validate(&self) -> Result<(), String> {
+        let scales = DomainKind::ALL.iter().zip(self.capacity_scales);
+        let positives = [
+            ("capacity".to_string(), self.capacity),
+            ("step size".to_string(), self.step_size),
+        ]
+        .into_iter()
+        .chain(scales.map(|(kind, scale)| (format!("{} capacity scale", kind.name()), scale)));
+        for (what, v) in positives {
+            if !(v > 0.0 && v.is_finite()) {
+                return Err(format!(
+                    "domains: {what} must be positive and finite, got {v}"
+                ));
+            }
+        }
+        for (resource, beta) in ResourceKind::ALL.iter().zip(self.betas) {
+            if !(beta >= 0.0 && beta.is_finite()) {
+                return Err(format!(
+                    "domains: β of {resource:?} must be finite and non-negative, got {beta}"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Applies a fault (or recovery) to one domain: every resource that
     /// domain owns gets its effective capacity scaled to `nominal · scale`.
-    /// `scale = 1.0` heals the domain.
+    /// `scale = 1.0` heals the domain; `scale < 1.0` models degradation (a
+    /// failing transport link, a throttled edge host, radio interference).
+    ///
+    /// # Panics
+    /// Panics if the scale is not positive and finite.
     pub fn set_domain_capacity_scale(&mut self, kind: DomainKind, scale: f64) {
-        self.manager_mut(kind).set_capacity_scale(scale);
+        assert!(
+            scale > 0.0 && scale.is_finite(),
+            "capacity scale must be positive and finite"
+        );
+        self.capacity_scales[kind.index()] = scale;
+    }
+
+    /// The current fault multiplier of one domain (1.0 = healthy).
+    pub fn capacity_scale(&self, kind: DomainKind) -> f64 {
+        self.capacity_scales[kind.index()]
     }
 
     /// The *effective* (possibly fault-degraded) capacity of one resource.
     pub fn capacity_of(&self, resource: ResourceKind) -> f64 {
-        self.managers
-            .iter()
-            .find_map(|m| m.capacity_of(resource))
-            .expect("every resource has an owning domain")
+        self.capacity * self.capacity_scales[owner(resource)]
     }
 
     /// Residual capacity of one resource after the currently *enforced*
     /// allocations: what an admission controller may still hand out.
     pub fn residual_capacity(&self, resource: ResourceKind) -> f64 {
-        let enforced: f64 = self
-            .allocations
-            .values()
-            .map(|a| a.resource_share(resource))
-            .sum();
-        self.capacity_of(resource) - enforced
+        self.capacity_of(resource) - total_share(self.allocations.values(), resource)
     }
 
     /// Whether a slice is registered.
@@ -128,76 +163,142 @@ impl DomainSet {
 
     /// The current `β` vector in [`ResourceKind::ALL`] order.
     pub fn betas(&self) -> [f64; 6] {
-        let mut out = [0.0; 6];
-        for m in &self.managers {
-            m.for_each_beta(|resource, beta| out[resource.index()] = beta);
-        }
-        out
+        self.betas
     }
 
-    /// Whether the requested actions fit every resource of every domain.
+    /// Whether the requested actions fit every resource, within the 0.1 %
+    /// tolerance of the crate docs. Shares are summed straight off the
+    /// slice, so the hot coordination loop materializes nothing.
     pub fn is_feasible_slice(&self, actions: &[Action]) -> bool {
-        self.managers.iter().all(|m| m.is_feasible_slice(actions))
+        ResourceKind::ALL
+            .iter()
+            .all(|r| total_share(actions, *r) - self.capacity_of(*r) <= 1e-3)
     }
 
-    /// One coordination round across all domains: every manager updates its
-    /// owned `β_k` (Eq. 14). Returns the full per-resource `β` vector in
-    /// [`ResourceKind::ALL`] order, on the stack — nothing is materialized
-    /// along the way.
+    /// One coordination round: every resource's `β_k` takes one step of
+    /// Eq. 14, `β_k ← [β_k + ε (Σ_i â_i,k − L_k)]⁺`. Returns the full
+    /// per-resource `β` vector in [`ResourceKind::ALL`] order, on the stack
+    /// — nothing is materialized along the way.
     pub fn update_coordination_slice(&mut self, actions: &[Action]) -> [f64; 6] {
-        for m in &mut self.managers {
-            m.update_coordination_in_place(actions);
+        for (i, r) in ResourceKind::ALL.iter().enumerate() {
+            let excess = total_share(actions, *r) - self.capacity_of(*r);
+            self.betas[i] = (self.betas[i] + self.step_size * excess).max(0.0);
         }
-        self.betas()
+        self.betas
     }
 
     /// Scales the requested actions down in place, resource by resource, so
-    /// that every capacity is respected — the baseline's *projection* method.
+    /// that every capacity is respected — the baseline / OnRL over-request
+    /// handling the paper compares against (Table 3). Shares of a resource
+    /// that already fits are left untouched rather than multiplied by `1.0`.
     pub fn project_in_place(&self, actions: &mut [Action]) {
-        for m in &self.managers {
-            m.project_in_place(actions);
+        for r in ResourceKind::ALL {
+            let total = total_share(&*actions, r);
+            let capacity = self.capacity_of(r);
+            // Over capacity (a NaN total never is): `capacity / total < 1`.
+            if total > capacity && total > 0.0 {
+                let scale = capacity / total;
+                for a in actions.iter_mut() {
+                    let share = a.resource_share(r);
+                    a.set(r.action_dim(), share * scale);
+                }
+            }
         }
     }
 
-    /// Overwrites the `β` of one resource in whichever manager owns it.
+    /// Overwrites the `β` of one resource (warm start), clamped at zero.
     pub fn set_beta(&mut self, resource: ResourceKind, beta: f64) {
-        for m in &mut self.managers {
-            m.set_beta(resource, beta);
-        }
+        self.betas[resource.index()] = beta.max(0.0);
     }
 
     /// Sets every resource's `β` to the same value (the fixed-β sweep of
     /// Fig. 14).
     pub fn set_all_betas(&mut self, beta: f64) {
-        for r in ResourceKind::ALL {
-            self.set_beta(r, beta);
-        }
+        self.betas = [beta.max(0.0); 6];
     }
 
-    /// Resets every coordinator (cold start at the beginning of an episode
+    /// Resets every `β` to zero (cold start at the beginning of an episode
     /// when warm starting is disabled).
     pub fn reset_betas(&mut self) {
-        for m in &mut self.managers {
-            m.reset_betas();
-        }
+        self.betas = [0.0; 6];
     }
 
     /// The per-resource excess demand (`Σ â − L`, positive entries mean
     /// over-request) in [`ResourceKind::ALL`] order, against the *effective*
     /// (possibly fault-degraded) capacities.
     pub fn excess(&self, actions: &[Action]) -> [f64; 6] {
-        let mut out = [0.0; 6];
-        for (i, r) in ResourceKind::ALL.iter().enumerate() {
-            let total: f64 = actions.iter().map(|a| a.resource_share(*r)).sum();
-            out[i] = total - self.capacity_of(*r);
-        }
-        out
+        ResourceKind::ALL.map(|r| total_share(actions, r) - self.capacity_of(r))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn domain_set_keys_are_pinned_in_order() {
+        // Part of every checkpoint's layout: a reordered or renamed field is
+        // a format change.
+        let serde::Value::Obj(pairs) = DomainSet::testbed_default().serialize_value() else {
+            panic!("a domain set serializes to an object");
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "capacity",
+                "step_size",
+                "capacity_scales",
+                "betas",
+                "allocations"
+            ]
+        );
+    }
+
+    #[test]
+    fn validate_refuses_what_the_constructor_and_setters_refuse() {
+        let mut set = DomainSet::testbed_default();
+        set.set_domain_capacity_scale(DomainKind::Transport, 0.5);
+        set.set_beta(ResourceKind::EdgeRam, 0.25);
+        let json = serde_json::to_string(&set).unwrap();
+        let back: DomainSet = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, set);
+        back.validate().unwrap();
+        let table = [
+            (
+                "\"capacity\":1.0",
+                "\"capacity\":0.0",
+                "capacity must be positive",
+            ),
+            (
+                "\"step_size\":1.0",
+                "\"step_size\":-1.0",
+                "step size must be positive",
+            ),
+            (
+                "[1.0,0.5,",
+                "[1.0,0.0,",
+                "TDM capacity scale must be positive",
+            ),
+            (
+                "[1.0,0.5,",
+                "[1.0,1e999,",
+                "TDM capacity scale must be positive",
+            ),
+            (
+                ",0.25]",
+                ",-0.25]",
+                "β of EdgeRam must be finite and non-negative",
+            ),
+        ];
+        for (honest, doctored, reason) in table {
+            assert!(json.contains(honest), "{honest} not in {json}");
+            let doctored = json.replacen(honest, doctored, 1);
+            let set: DomainSet = serde_json::from_str(&doctored).unwrap();
+            let err = set.validate().unwrap_err();
+            assert!(err.contains(reason), "{doctored}: {err}");
+        }
+    }
 
     #[test]
     fn slice_lifecycle_spans_all_domains() {

@@ -136,6 +136,29 @@ pub struct MigrationRecord {
     pub kind: SliceKind,
 }
 
+impl MigrationRecord {
+    /// This migration as `cell`'s telemetry shows it: a departure when the
+    /// slice left `cell`, an arrival when it entered it, `None` when the
+    /// migration did not touch `cell`.
+    pub fn endpoint(&self, cell: u32) -> Option<MigrationEvent> {
+        let (slice, arrived, peer_cell, peer_slice) = if cell == self.from_cell {
+            (self.from_slice, false, self.to_cell, self.to_slice)
+        } else if cell == self.to_cell {
+            (self.to_slice, true, self.from_cell, self.from_slice)
+        } else {
+            return None;
+        };
+        Some(MigrationEvent {
+            slot: self.slot,
+            slice,
+            kind: self.kind,
+            arrived,
+            peer_cell,
+            peer_slice,
+        })
+    }
+}
+
 /// One live cell of an elastic fleet run: its engine, telemetry recorder,
 /// measured per-slot wall-clock latencies and rebalancing-window baseline.
 /// A cell's number is its position in the fleet and its seed is its
@@ -314,28 +337,11 @@ pub fn rebalance(
         let migration = cells[src].engine.extract_slice(from_slice, slot)?;
         let kind = migration.checkpoint.kind;
         let to_slice = cells[dst].engine.inject_slice(migration, slot)?.0;
-        let (from_cell, to_cell) = (src as u32, dst as u32);
-        cells[src].recorder.record_migration(MigrationEvent {
-            slot,
-            slice: from_slice,
-            kind,
-            arrived: false,
-            peer_cell: to_cell,
-            peer_slice: to_slice,
-        });
-        cells[dst].recorder.record_migration(MigrationEvent {
-            slot,
-            slice: to_slice,
-            kind,
-            arrived: true,
-            peer_cell: from_cell,
-            peer_slice: from_slice,
-        });
         records.push(MigrationRecord {
             slot,
-            from_cell,
+            from_cell: src as u32,
             from_slice,
-            to_cell,
+            to_cell: dst as u32,
             to_slice,
             kind,
         });
@@ -390,6 +396,36 @@ mod tests {
         }
         .validate()
         .unwrap();
+    }
+
+    #[test]
+    fn a_migration_is_a_departure_at_its_source_and_an_arrival_at_its_target() {
+        let record = MigrationRecord {
+            slot: 16,
+            from_cell: 2,
+            from_slice: 5,
+            to_cell: 0,
+            to_slice: 3,
+            kind: SliceKind::Hvs,
+        };
+        let departure = MigrationEvent {
+            slot: 16,
+            slice: 5,
+            kind: SliceKind::Hvs,
+            arrived: false,
+            peer_cell: 0,
+            peer_slice: 3,
+        };
+        let arrival = MigrationEvent {
+            slice: 3,
+            arrived: true,
+            peer_cell: 2,
+            peer_slice: 5,
+            ..departure
+        };
+        assert_eq!(record.endpoint(2), Some(departure));
+        assert_eq!(record.endpoint(0), Some(arrival));
+        assert_eq!(record.endpoint(1), None);
     }
 
     #[test]

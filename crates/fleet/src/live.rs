@@ -87,7 +87,11 @@ use crate::{
 /// v7: an engine stores its inputs once and reads no clock (run counters
 /// instead of a half-built report, no factory or `baseline_buckets` copies);
 /// an agent's episode lists are running sums.
-pub const FLEET_CHECKPOINT_FORMAT_VERSION: u32 = 7;
+///
+/// v8: each engine's domain block is one flat value (capacity and step size
+/// once, four capacity scales, six βs), and a migration is stored once, in
+/// `migrations`, instead of also as an endpoint in two cells' recorders.
+pub const FLEET_CHECKPOINT_FORMAT_VERSION: u32 = 8;
 
 /// Tuning of an elastic fleet run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -429,6 +433,7 @@ impl ElasticFleet {
             ));
         }
         let state = self.state;
+        let migrations = &state.migrations;
         let outcomes: Result<Vec<CellOutcome>, String> = state
             .cells
             .into_par_iter()
@@ -441,11 +446,13 @@ impl ElasticFleet {
                         "cell {cell} (seed {seed}) produced non-finite metrics"
                     ));
                 }
+                let mut trace = c.recorder.finalize();
+                trace.migrations = migrations.iter().filter_map(|m| m.endpoint(cell)).collect();
                 Ok(CellOutcome {
                     cell,
                     seed,
                     report,
-                    trace: c.recorder.finalize(),
+                    trace,
                     slot_latencies_ms: c.slot_latencies_ms,
                 })
             })
@@ -824,18 +831,19 @@ mod tests {
         // Version gate: a stale stamp (v4 = a second copy of every
         // engine's admission tuning still on file, v5 = a header and
         // per-cell fields restating the body, v6 = engines carrying a clock
-        // reading and a half-built report) reports the version, not a
-        // missing field; a missing stamp is malformed.
-        assert!(json.starts_with("{\"format_version\":7,"));
-        for version in [4, 5, 6] {
+        // reading and a half-built report, v7 = four domain managers per
+        // engine and every migration stored three times) reports the
+        // version, not a missing field; a missing stamp is malformed.
+        assert!(json.starts_with("{\"format_version\":8,"));
+        for version in [4, 5, 6, 7] {
             let doctored = json.replacen(
-                "\"format_version\":7",
+                "\"format_version\":8",
                 &format!("\"format_version\":{version}"),
                 1,
             );
             assert_eq!(
                 FleetCheckpoint::from_json(&doctored).unwrap_err(),
-                format!("fleet checkpoint format version {version} is not supported (expected 7)")
+                format!("fleet checkpoint format version {version} is not supported (expected 8)")
             );
         }
         let err = FleetCheckpoint::from_json("{\"slot\":4}").unwrap_err();
@@ -959,6 +967,44 @@ mod tests {
             "{err}"
         );
         // Untouched, the same document restores.
+        assert!(FleetCheckpoint::from_json(&json).unwrap().restore().is_ok());
+    }
+
+    #[test]
+    fn restore_refuses_restores_and_domain_scales_that_would_panic() {
+        // `cell-outage` drops cell 0's transport to 40 % from slot 12 to
+        // slot 36. Restored unchecked, the doctored bytes panic inside a
+        // pool job once the restore falls due; they are refused, naming the
+        // cell.
+        let scenario = fleet_by_name("cell-outage").unwrap();
+        let mut fleet = ElasticFleet::new(scenario, ElasticFleetConfig::new(2)).unwrap();
+        fleet.advance_to(13).unwrap();
+        let json = fleet.checkpoint().to_json();
+        let refused = |honest: &str, doctored: &str| {
+            let doctored = json.replacen(honest, doctored, 1);
+            assert_ne!(doctored, json, "{honest} is not on file");
+            FleetCheckpoint::from_json(&doctored)
+                .unwrap()
+                .restore()
+                .unwrap_err()
+        };
+        assert_eq!(
+            refused(
+                "\"expected\":0.4,\"previous\":1.0",
+                "\"expected\":0.4,\"previous\":0.0"
+            ),
+            "fleet checkpoint is inconsistent: cell 0 pending restore Domain { domain: \
+             Transport, expected: 0.4, previous: 0.0 } due at slot 36: scales must be positive \
+             and finite"
+        );
+        assert_eq!(
+            refused(
+                "\"capacity_scales\":[1.0,0.4,",
+                "\"capacity_scales\":[1.0,-0.4,"
+            ),
+            "fleet checkpoint is inconsistent: cell 0 domains: TDM capacity scale must be \
+             positive and finite, got -0.4"
+        );
         assert!(FleetCheckpoint::from_json(&json).unwrap().restore().is_ok());
     }
 

@@ -79,15 +79,39 @@ fn a_checkpoint_holds_parameters_and_live_moments_and_nothing_else() {
     let json = fleet.checkpoint().to_json();
     let document = tree(&json);
 
-    // (a) No scratch key anywhere, and no optimiser on an estimator.
+    // (a) No scratch key anywhere, no optimiser on an estimator, and each
+    // engine's domain block is one flat value: capacity and step size once,
+    // no per-domain or per-resource restatement of them.
+    let mut domain_blocks = 0;
     walk(&document, &mut |key, value| {
         for prefix in ["grad_", "cached_", "sampled_"] {
             assert!(!key.starts_with(prefix), "scratch key `{key}` is on file");
         }
+        for restated in ["managers", "coordinators", "nominal_capacity"] {
+            assert_ne!(key, restated, "`{key}` is on file");
+        }
         if key == "estimator" {
             assert!(value.get("optimizer").is_none(), "an estimator's optimiser");
         }
+        if key == "domains" {
+            let Value::Obj(pairs) = value else {
+                panic!("a domain block is an object");
+            };
+            let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(
+                keys,
+                [
+                    "capacity",
+                    "step_size",
+                    "capacity_scales",
+                    "betas",
+                    "allocations"
+                ]
+            );
+            domain_blocks += 1;
+        }
     });
+    assert_eq!(domain_blocks, fleet.cells().len());
 
     // (b) Per agent: parameters once, two moments for each of the two
     // networks PPO keeps training, the estimator's parameters, nothing else.

@@ -37,7 +37,7 @@ use std::time::Duration;
 
 use serde::Value;
 
-use onslicing_fleet::{ElasticFleet, FleetCheckpoint};
+use onslicing_fleet::{ElasticFleet, FleetCheckpoint, MigrationRecord};
 use onslicing_replay::{checkpoint_file_name, gc_checkpoint_dir, list_checkpoint_slots};
 use onslicing_scenario::{fleet_by_name, LiveEventOutcome, ScenarioEvent, FLEET_BUILTIN_NAMES};
 
@@ -487,6 +487,8 @@ impl Service<'_> {
                     usage_sum += slice.usage_percent;
                 }
             }
+            let touching = |m: &&MigrationRecord| m.endpoint(i as u32).is_some();
+            let migrations = self.fleet.migrations().iter().filter(touching).count();
             let mean = |sum: f64| {
                 if samples == 0 {
                     0.0
@@ -510,10 +512,7 @@ impl Service<'_> {
                     "episodes".to_string(),
                     Value::UInt(c.recorder.episodes().len() as u64),
                 ),
-                (
-                    "migrations".to_string(),
-                    Value::UInt(c.recorder.migrations().len() as u64),
-                ),
+                ("migrations".to_string(), Value::UInt(migrations as u64)),
             ]));
         }
         ok_response(vec![

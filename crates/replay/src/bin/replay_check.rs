@@ -17,8 +17,8 @@
 //! ```
 //!
 //! Scenario arguments are built-in names (`replay_check list` prints them)
-//! or paths to scenario JSON files. Exit codes: 0 = pass, 1 = drift or
-//! resume mismatch, 2 = usage/setup error.
+//! or paths to scenario JSON files. Exit codes: 0 = pass, 1 = drift, resume
+//! mismatch or a checkpoint that does not load, 2 = usage/setup error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -222,7 +222,12 @@ fn cmd_checkpoint(opts: &Options) -> Result<(), String> {
 
 fn cmd_resume(opts: &Options) -> Result<bool, String> {
     let from = opts.from.as_deref().ok_or("resume needs --from")?;
-    let checkpoint = Checkpoint::load(from)?;
+    // A file the loader refuses fails the check, like a replay that
+    // diverges — never a panic a slot later.
+    let Ok(checkpoint) = Checkpoint::load(from).inspect_err(|e| eprintln!("resume REFUSED: {e}"))
+    else {
+        return Ok(false);
+    };
     let start = checkpoint.slot();
     let mut engine = checkpoint.restore();
     let mut recorder = TelemetryRecorder::new(&engine);

@@ -92,7 +92,11 @@ pub fn from_versioned_json<T: Deserialize>(
 /// v9: the engine stores its inputs once and reads no clock (run counters
 /// instead of a half-built report with its `wall_clock_ms`, no factory or
 /// `baseline_buckets` copies); an agent's episode lists are running sums.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 9;
+///
+/// v10: the domain block is one flat value — capacity and step size once,
+/// four capacity scales and six βs — instead of four managers each holding
+/// the capacity, coordinators and a cached effective capacity per resource.
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 10;
 
 /// A versioned snapshot of a scenario run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -170,7 +174,8 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use onslicing_scenario::{builtin, ScenarioConfig};
+    use onslicing_domains::DomainKind;
+    use onslicing_scenario::{builtin, ScenarioConfig, ScenarioEvent};
 
     #[test]
     fn capture_restore_round_trips_through_json() {
@@ -211,13 +216,14 @@ mod tests {
         // scratch, the estimator's optimiser; v6: a second copy of the
         // admission tuning; v7: a header restating the engine, four copies
         // of the slice registry; v8: a clock reading and a half-built
-        // report); either way the loader must report the version mismatch
+        // report; v9: four domain managers restating capacity and step
+        // size); either way the loader must report the version mismatch
         // — the actionable message — before it looks at any other field.
-        for version in [2, 3, 4, 5, 6, 7, 8] {
+        for version in [2, 3, 4, 5, 6, 7, 8, 9] {
             let stale = format!(r#"{{"format_version":{version},"scenario":"steady","seed":7}}"#);
             assert_eq!(
                 Checkpoint::from_json(&stale).unwrap_err(),
-                format!("checkpoint format version {version} is not supported (expected 9)")
+                format!("checkpoint format version {version} is not supported (expected 10)")
             );
         }
         // A document with no stamp at all is malformed, not "version 0".
@@ -294,6 +300,61 @@ mod tests {
             Checkpoint::from_json(&doctored).unwrap_err(),
             "checkpoint is inconsistent: admission tuning: headroom must be in [0, 1), got 1.5"
         );
+    }
+
+    #[test]
+    fn restores_and_domain_scales_that_would_panic_are_refused_at_load() {
+        // Loaded unchecked, a pending restore rolling back to a
+        // non-positive scale panics in `step_slot` when it falls due, and a
+        // doctored domain scale reaches the capacity arithmetic.
+        let scenario = builtin::steady()
+            .at(
+                0,
+                ScenarioEvent::DomainFault {
+                    domain: DomainKind::Transport,
+                    capacity_scale: 0.5,
+                    duration_slots: 8,
+                },
+            )
+            .at(
+                0,
+                ScenarioEvent::TrafficBurst {
+                    slice: 0,
+                    scale: 2.0,
+                    duration_slots: 8,
+                },
+            );
+        let mut engine = ScenarioEngine::new(scenario, ScenarioConfig::default()).unwrap();
+        engine.run_until(2, &mut ());
+        let json = Checkpoint::capture(&engine).to_json();
+        let table = [
+            (
+                "\"expected\":0.5,\"previous\":1.0",
+                "\"expected\":0.5,\"previous\":0.0",
+                "pending restore Domain { domain: Transport, expected: 0.5, previous: 0.0 } \
+                 due at slot 8: scales must be positive and finite",
+            ),
+            (
+                "\"expected\":2.0,\"previous\":1.0",
+                "\"expected\":-2.0,\"previous\":1.0",
+                "pending restore Traffic { slice: 0, expected: -2.0, previous: 1.0 } \
+                 due at slot 8: scales must be positive and finite",
+            ),
+            (
+                "\"capacity_scales\":[1.0,0.5,",
+                "\"capacity_scales\":[1.0,0.0,",
+                "domains: TDM capacity scale must be positive and finite, got 0",
+            ),
+        ];
+        for (honest, doctored, reason) in table {
+            let doctored = json.replacen(honest, doctored, 1);
+            assert_ne!(doctored, json, "{honest} is not on file");
+            assert_eq!(
+                Checkpoint::from_json(&doctored).unwrap_err(),
+                format!("checkpoint is inconsistent: {reason}")
+            );
+        }
+        assert!(Checkpoint::from_json(&json).is_ok());
     }
 
     #[test]

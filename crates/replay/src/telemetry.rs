@@ -78,12 +78,12 @@ pub struct EpisodeTelemetry {
     pub switched_to_baseline: bool,
 }
 
-/// One live-migration endpoint recorded in a cell's telemetry stream: a
-/// slice departing this cell for another, or arriving from one. The fleet
-/// balancer records a departure in the source cell's trace and the matching
-/// arrival in the target cell's, so the pair reconstructs the migration
-/// from either side. Slice ids are per-cell: `slice` is this cell's id for
-/// the slice, `peer_slice` its id in the peer cell.
+/// One live-migration endpoint in a cell's telemetry trace: a slice
+/// departing this cell for another, or arriving from one. A fleet derives
+/// a departure in the source cell's trace and the matching arrival in the
+/// target cell's from its one list of migrations, so the pair reconstructs
+/// the migration from either side. Slice ids are per-cell: `slice` is this
+/// cell's id for the slice, `peer_slice` its id in the peer cell.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MigrationEvent {
     /// Global scenario slot the migration happened before (the slice's
@@ -274,7 +274,6 @@ pub struct TelemetryRecorder {
     total_slots: usize,
     slots: Vec<SlotTelemetry>,
     episodes: Vec<EpisodeTelemetry>,
-    migrations: Vec<MigrationEvent>,
 }
 
 impl TelemetryRecorder {
@@ -288,15 +287,7 @@ impl TelemetryRecorder {
             total_slots: engine.scenario().total_slots,
             slots: Vec::new(),
             episodes: Vec::new(),
-            migrations: Vec::new(),
         }
-    }
-
-    /// Records one live-migration endpoint (the fleet balancer calls this
-    /// on the source cell's recorder for the departure and on the target
-    /// cell's for the arrival).
-    pub fn record_migration(&mut self, event: MigrationEvent) {
-        self.migrations.push(event);
     }
 
     /// First recorded slot (0 for recorders attached to fresh engines).
@@ -315,12 +306,8 @@ impl TelemetryRecorder {
         &self.episodes
     }
 
-    /// The migration endpoints recorded so far, in occurrence order.
-    pub fn migrations(&self) -> &[MigrationEvent] {
-        &self.migrations
-    }
-
-    /// Finalizes the recording into a trace with per-slice summaries.
+    /// Finalizes the recording into a trace with per-slice summaries and
+    /// no migrations (a fleet fills those in from its own list).
     pub fn finalize(self) -> TelemetryTrace {
         // Every slice that appears anywhere in the window gets a summary —
         // including one whose only record is an episode end (e.g. a slice
@@ -398,7 +385,7 @@ impl TelemetryRecorder {
             total_slots: self.total_slots,
             slots: self.slots,
             episodes: self.episodes,
-            migrations: self.migrations,
+            migrations: Vec::new(),
             summaries,
         }
     }
@@ -539,8 +526,8 @@ mod tests {
         assert!(!trace.to_json().contains("\"migrations\""));
 
         let engine = ScenarioEngine::new(builtin::steady(), ScenarioConfig::default()).unwrap();
-        let mut rec = TelemetryRecorder::new(&engine);
-        rec.record_migration(MigrationEvent {
+        let mut trace = TelemetryRecorder::new(&engine).finalize();
+        trace.migrations.push(MigrationEvent {
             slot: 16,
             slice: 2,
             kind: SliceKind::Rdc,
@@ -548,8 +535,6 @@ mod tests {
             peer_cell: 1,
             peer_slice: 4,
         });
-        let trace = rec.finalize();
-        assert_eq!(trace.migrations.len(), 1);
         let json = trace.to_json();
         assert!(json.contains("\"migrations\""));
         let back = TelemetryTrace::from_json(&json).unwrap();

@@ -620,15 +620,35 @@ impl ScenarioEngine {
     }
 
     /// Checks what a deserialized engine never had checked by
-    /// [`ScenarioEngine::new`]: every agent's learned state fits together
-    /// ([`Orchestrator::validate`]) and the admission tuning is valid. Both
-    /// checkpoint loaders run it before a restored engine takes a slot.
+    /// [`ScenarioEngine::new`]: every agent's learned state and the domain
+    /// set fit together ([`Orchestrator::validate`]), the admission tuning
+    /// is valid, and every pending restore rolls back to a positive, finite
+    /// scale — the rule [`ScenarioEvent::validate`] applies to the event
+    /// that scheduled it. Both checkpoint loaders run it before a restored
+    /// engine takes a slot.
     pub fn validate(&self) -> Result<(), String> {
         self.orch.validate()?;
         self.config
             .admission
             .validate()
-            .map_err(|e| format!("admission tuning: {e}"))
+            .map_err(|e| format!("admission tuning: {e}"))?;
+        for (due, restore) in &self.run.restores {
+            let scales = match restore {
+                Restore::Domain {
+                    expected, previous, ..
+                } => [expected, previous],
+                Restore::Traffic {
+                    expected, previous, ..
+                } => [expected, previous],
+            };
+            if !scales.iter().all(|s| **s > 0.0 && s.is_finite()) {
+                return Err(format!(
+                    "pending restore {restore:?} due at slot {due}: \
+                     scales must be positive and finite"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Slices admitted or injected since the last orchestration round —
@@ -958,7 +978,7 @@ impl ScenarioEngine {
                 capacity_scale,
                 duration_slots,
             } => {
-                let previous = self.orch.domains().manager(*domain).capacity_scale();
+                let previous = self.orch.domains().capacity_scale(*domain);
                 self.orch
                     .domains_mut()
                     .set_domain_capacity_scale(*domain, *capacity_scale);
@@ -1008,7 +1028,7 @@ impl ScenarioEngine {
                     expected,
                     previous,
                 } => {
-                    if self.orch.domains().manager(domain).capacity_scale() == expected {
+                    if self.orch.domains().capacity_scale(domain) == expected {
                         self.orch
                             .domains_mut()
                             .set_domain_capacity_scale(domain, previous);
@@ -1754,11 +1774,8 @@ mod tests {
             );
         let mut engine = ScenarioEngine::new(scenario, quick_config()).unwrap();
         engine.run();
-        let transport = engine
-            .orchestrator()
-            .domains()
-            .manager(DomainKind::Transport);
-        assert_eq!(transport.capacity_scale(), 0.5);
+        let domains = engine.orchestrator().domains();
+        assert_eq!(domains.capacity_scale(DomainKind::Transport), 0.5);
     }
 
     #[test]
