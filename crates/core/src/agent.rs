@@ -32,6 +32,13 @@ use crate::env::SliceEnvironment;
 use crate::metrics::SliceEpisodeSummary;
 use crate::modifier::{ActionModifier, ModifierConfig};
 
+/// Penalty weight on the SLA cost when the reward is not constraint-aware
+/// (the unsafe DRL of Fig. 3).
+const FIXED_PENALTY_WEIGHT: f64 = 1.0;
+
+/// Risk-preference factor `η` of the switching rule (Eq. 8).
+const RISK_FACTOR_ETA: f64 = 2.0;
+
 /// Configuration of one OnSlicing agent; the paper's ablations are presets
 /// over these switches.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -59,12 +66,6 @@ pub struct AgentConfig {
     /// (Eq. 5); when false a fixed penalty weight is used (the unsafe DRL of
     /// Fig. 3).
     pub constraint_aware: bool,
-    /// Penalty weight used when `constraint_aware` is false.
-    pub fixed_penalty_weight: f64,
-    /// Dual step size `ε` of the Lagrangian update.
-    pub lagrangian_step: f64,
-    /// Risk-preference factor `η` of the switching rule (Eq. 8).
-    pub risk_factor_eta: f64,
     /// Episode length `T` in slots.
     pub horizon: usize,
     /// Use small policy networks instead of the paper's 128×64×32 trunks
@@ -96,9 +97,6 @@ impl AgentConfig {
             enable_estimator: true,
             estimator_noise_std: 0.0,
             constraint_aware: true,
-            fixed_penalty_weight: 1.0,
-            lagrangian_step: 10.0,
-            risk_factor_eta: 2.0,
             horizon: 96,
             use_small_networks: false,
         }
@@ -213,9 +211,9 @@ pub struct PretrainReport {
 /// Serializes its complete learning state — policy/critic/estimator weights,
 /// the Adam moments of the two networks PPO keeps training, the Lagrangian
 /// multiplier, the rollout buffer, the per-episode accumulators and the
-/// agent's RNG stream — so a deserialized agent decides, records and updates
-/// exactly like the original. Gradients and other per-update scratch are
-/// not part of it.
+/// agent's RNG stream — plus its variant, SLA and baseline table, so a
+/// deserialized agent decides, records and updates exactly like the
+/// original. Scratch, the method's constants and copies are not part of it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OnSlicingAgent {
     kind: SliceKind,
@@ -225,7 +223,6 @@ pub struct OnSlicingAgent {
     baseline: RuleBasedBaseline,
     estimator: CostValueEstimator,
     lagrangian: LagrangianMultiplier,
-    modifier: ActionModifier,
     buffer: RolloutBuffer,
     rng: ChaCha8Rng,
     // Per-episode state: the slots recorded and the running sums of their
@@ -242,6 +239,9 @@ pub struct OnSlicingAgent {
 
 impl OnSlicingAgent {
     /// Creates an agent for one slice around an already-calibrated baseline.
+    ///
+    /// # Panics
+    /// Panics if [`ActionModifier::new`] would refuse `config.modifier`.
     pub fn new(
         kind: SliceKind,
         sla: Sla,
@@ -249,6 +249,7 @@ impl OnSlicingAgent {
         config: AgentConfig,
         seed: u64,
     ) -> Self {
+        ActionModifier::new(config.modifier);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let ppo = if config.use_small_networks {
             PpoAgent::new_small(STATE_DIM, ACTION_DIM, config.ppo, &mut rng)
@@ -256,7 +257,6 @@ impl OnSlicingAgent {
             PpoAgent::new(STATE_DIM, ACTION_DIM, config.ppo, &mut rng)
         };
         let estimator = CostValueEstimator::new(STATE_DIM, config.estimator, &mut rng);
-        let lagrangian = LagrangianMultiplier::new(1.0, config.lagrangian_step, sla.cost_threshold);
         Self {
             kind,
             sla,
@@ -264,8 +264,7 @@ impl OnSlicingAgent {
             ppo,
             baseline,
             estimator,
-            lagrangian,
-            modifier: ActionModifier::new(config.modifier),
+            lagrangian: LagrangianMultiplier::new(1.0),
             buffer: RolloutBuffer::new(),
             rng,
             switched: false,
@@ -290,11 +289,10 @@ impl OnSlicingAgent {
     }
 
     /// Replaces the agent's SLA (renegotiation): the switching budget and
-    /// the violation check follow the new terms from the next decision; the
-    /// learned Lagrangian multiplier is kept so the dual state carries over.
+    /// the dual update's threshold follow the new terms from the next slot;
+    /// the learned Lagrangian multiplier is kept so the dual state carries over.
     pub fn set_sla(&mut self, sla: Sla) {
         self.sla = sla;
-        self.lagrangian.set_cost_threshold(sla.cost_threshold);
     }
 
     /// The agent's configuration.
@@ -402,7 +400,7 @@ impl OnSlicingAgent {
         // triggered switch still leaves the episode strictly under its budget
         // rather than exactly on it.
         let std = prediction.std.max(0.05);
-        cumulative_cost + prediction.mean + self.config.risk_factor_eta * std
+        cumulative_cost + prediction.mean + RISK_FACTOR_ETA * std
     }
 
     /// Produces the agent's orchestration decision for the upcoming slot
@@ -505,16 +503,28 @@ impl OnSlicingAgent {
     }
 
     /// Learned state whose pieces fit each other ([`PpoAgent::validate`],
-    /// [`CostValueEstimator::validate`]).
+    /// [`CostValueEstimator::validate`]), a baseline table `calibrate` could
+    /// make (two buckets or more: three actions) and a modifier
+    /// configuration [`ActionModifier::new`] accepts.
     pub(crate) fn validate(&self) -> Result<(), String> {
         self.ppo.validate()?;
-        self.estimator.validate()
+        self.estimator.validate()?;
+        let actions = self.baseline.table().len();
+        if actions < 3 {
+            return Err(format!(
+                "baseline table holds {actions} actions, a calibrated one at least 3"
+            ));
+        }
+        self.config
+            .modifier
+            .validate()
+            .map_err(|e| format!("config.modifier: {e}"))
     }
 
-    /// Applies the action modifier `π_a` to an action under the current
-    /// coordinating parameters.
+    /// Applies the action modifier `π_a` (`config.modifier`) to an action
+    /// under the current coordinating parameters.
     pub fn modify(&mut self, action: &Action, betas: &[f64; 6]) -> Action {
-        self.modifier.modify(action, betas, &mut self.rng)
+        ActionModifier::new(self.config.modifier).modify(action, betas, &mut self.rng)
     }
 
     /// The constraint-shaped learning reward for one slot: the normalized
@@ -524,7 +534,7 @@ impl OnSlicingAgent {
         if self.config.constraint_aware {
             self.lagrangian.shaped_reward(reward, kpi.cost)
         } else {
-            reward - self.config.fixed_penalty_weight * kpi.cost
+            reward - FIXED_PENALTY_WEIGHT * kpi.cost
         }
     }
 
@@ -601,7 +611,7 @@ impl OnSlicingAgent {
         };
         let (avg_cost, avg_usage) = (mean(self.episode_cost_sum), mean(self.episode_usage_sum));
         if self.config.constraint_aware && self.learned_this_episode {
-            self.lagrangian.update(avg_cost);
+            self.lagrangian.update(avg_cost, self.sla.cost_threshold);
         }
         let summary = SliceEpisodeSummary {
             kind: self.kind,

@@ -29,14 +29,14 @@ const CALIBRATION_MARGIN: f64 = 0.08;
 /// level.
 const EVAL_SLOTS: usize = 3;
 
-/// The grid-searched rule-based baseline for one slice.
+/// The grid-searched rule-based baseline for one slice: its table is all it
+/// holds, so the bucket count is `table.len() - 1` and the slice kind is the
+/// owning agent's.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RuleBasedBaseline {
-    kind: SliceKind,
     /// One pre-computed action per traffic bucket (index 0 = idle, last =
     /// peak traffic).
     table: Vec<Action>,
-    num_buckets: usize,
 }
 
 impl RuleBasedBaseline {
@@ -82,16 +82,7 @@ impl RuleBasedBaseline {
             });
             table.push(chosen);
         }
-        Self {
-            kind,
-            table,
-            num_buckets,
-        }
-    }
-
-    /// The slice this baseline was calibrated for.
-    pub fn kind(&self) -> SliceKind {
-        self.kind
+        Self { table }
     }
 
     /// The calibrated lookup table (one action per traffic bucket).
@@ -102,8 +93,9 @@ impl RuleBasedBaseline {
     /// The action chosen for a given normalized traffic level in `[0, 1]`.
     pub fn action_for_traffic(&self, normalized_traffic: f64) -> Action {
         let t = normalized_traffic.clamp(0.0, 1.0);
-        let bucket = (t * self.num_buckets as f64).ceil() as usize;
-        self.table[bucket.min(self.num_buckets)]
+        let num_buckets = self.table.len() - 1;
+        let bucket = (t * num_buckets as f64).ceil() as usize;
+        self.table[bucket.min(num_buckets)]
     }
 
     /// Default values of the non-key action dimensions for each slice kind.
@@ -251,7 +243,6 @@ mod tests {
     fn calibration_produces_one_action_per_bucket() {
         let b = calibrated(SliceKind::Mar);
         assert_eq!(b.table().len(), 6);
-        assert_eq!(b.kind(), SliceKind::Mar);
     }
 
     #[test]

@@ -38,6 +38,22 @@ pub struct ModifierConfig {
     pub noise_std: f64,
 }
 
+impl ModifierConfig {
+    /// The checks [`ActionModifier::new`] asserts, as a value a loader can
+    /// refuse: the retention floor lies in `[0, 1]` and the noise is
+    /// non-negative.
+    pub fn validate(&self) -> Result<(), String> {
+        let (floor, noise) = (self.retention_floor, self.noise_std);
+        if !(0.0..=1.0).contains(&floor) {
+            Err(format!("retention floor must be in [0, 1], got {floor}"))
+        } else if !(0.0..).contains(&noise) {
+            Err(format!("noise std must be non-negative, got {noise}"))
+        } else {
+            Ok(())
+        }
+    }
+}
+
 impl Default for ModifierConfig {
     fn default() -> Self {
         Self {
@@ -60,17 +76,8 @@ impl ActionModifier {
     /// Panics if the retention floor is outside `[0, 1]` or the noise is
     /// negative.
     pub fn new(config: ModifierConfig) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&config.retention_floor),
-            "retention floor must be in [0, 1]"
-        );
-        assert!(config.noise_std >= 0.0, "noise std must be non-negative");
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         Self { config }
-    }
-
-    /// The modifier's configuration.
-    pub fn config(&self) -> &ModifierConfig {
-        &self.config
     }
 
     /// Modifies the original action according to the coordinating parameters

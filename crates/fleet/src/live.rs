@@ -91,7 +91,11 @@ use crate::{
 /// v8: each engine's domain block is one flat value (capacity and step size
 /// once, four capacity scales, six βs), and a migration is stored once, in
 /// `migrations`, instead of also as an endpoint in two cells' recorders.
-pub const FLEET_CHECKPOINT_FORMAT_VERSION: u32 = 8;
+///
+/// v9: an agent stores what it learned plus its variant, no constant of the
+/// method or copy of another stored value, and an engine no longer stores a
+/// sorted copy of its scenario's events and a cursor into it.
+pub const FLEET_CHECKPOINT_FORMAT_VERSION: u32 = 9;
 
 /// Tuning of an elastic fleet run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -832,18 +836,20 @@ mod tests {
         // engine's admission tuning still on file, v5 = a header and
         // per-cell fields restating the body, v6 = engines carrying a clock
         // reading and a half-built report, v7 = four domain managers per
-        // engine and every migration stored three times) reports the
-        // version, not a missing field; a missing stamp is malformed.
-        assert!(json.starts_with("{\"format_version\":8,"));
-        for version in [4, 5, 6, 7] {
+        // engine and every migration stored three times, v8 = agents storing
+        // constants and copies, engines a sorted copy of their timeline)
+        // reports the version, not a missing field; a missing stamp is
+        // malformed.
+        assert!(json.starts_with("{\"format_version\":9,"));
+        for version in [4, 5, 6, 7, 8] {
             let doctored = json.replacen(
-                "\"format_version\":8",
+                "\"format_version\":9",
                 &format!("\"format_version\":{version}"),
                 1,
             );
             assert_eq!(
                 FleetCheckpoint::from_json(&doctored).unwrap_err(),
-                format!("fleet checkpoint format version {version} is not supported (expected 8)")
+                format!("fleet checkpoint format version {version} is not supported (expected 9)")
             );
         }
         let err = FleetCheckpoint::from_json("{\"slot\":4}").unwrap_err();

@@ -194,19 +194,92 @@ fn a_cell_carries_each_active_slice_enforced_action_once() {
     }
 }
 
-/// `2·(in·out + out)` summed over the estimator's layers, from the
-/// dimensions each layer declares.
+/// `2·(in·out + out)` summed over the estimator's layers, from the shape
+/// of each layer's `weight_mu`.
 fn estimator_parameters(estimator: &Value) -> usize {
-    let mut dims = Vec::new();
+    let mut total = 0;
     walk(estimator, &mut |key, value| {
-        if key == "in_dim" || key == "out_dim" {
-            dims.push(value.as_u64().unwrap() as usize);
+        if key == "weight_mu" {
+            let dim = |k| value.get(k).and_then(Value::as_u64).unwrap() as usize;
+            let (rows, cols) = (dim("rows"), dim("cols"));
+            total += 2 * (rows * cols + rows);
         }
     });
-    assert!(!dims.is_empty() && dims.len() % 2 == 0);
-    dims.chunks(2)
-        .map(|d| 2 * (d[0] * d[1] + d[1]))
-        .sum::<usize>()
+    assert!(total > 0);
+    total
+}
+
+/// Keys of the object `v`, in file order.
+fn keys_of(v: &Value) -> Vec<&str> {
+    let Value::Obj(pairs) = v else {
+        panic!("not an object: {v:?}");
+    };
+    pairs.iter().map(|(k, _)| k.as_str()).collect()
+}
+
+#[test]
+fn an_agent_stores_what_it_learned_plus_its_variant() {
+    // No constant of the method is on file — Adam's βs, ε and clip norm, the
+    // policy's std floor, the prior, PPO's clip and entropy weights, the KL
+    // weight, the dual step, η, the fixed penalty — and no copy of a stored
+    // value: a Bayesian layer's dimensions (its `weight_mu` shape), the
+    // baseline's kind and bucket count (the agent's kind, the table's
+    // length), the multiplier's threshold (the SLA's) or a second modifier
+    // configuration (`config.modifier`). An engine stores no sorted copy of
+    // its scenario's events and no cursor into it.
+    let fleet = fleet_at_slot_24();
+    let document = tree(&fleet.checkpoint().to_json());
+    let gone = [
+        "beta1",
+        "beta2",
+        "epsilon",
+        "max_grad_norm",
+        "min_std",
+        "prior_std",
+        "in_dim",
+        "out_dim",
+        "num_buckets",
+        "clip_epsilon",
+        "entropy_coef",
+        "kl_weight",
+        "lagrangian_step",
+        "risk_factor_eta",
+        "fixed_penalty_weight",
+        "step_size",
+        "timeline",
+        "next_event",
+    ];
+    let mut agents = 0;
+    let mut runs = 0;
+    walk(&document, &mut |key, value| {
+        if key == "agents" {
+            for agent in value.as_arr().unwrap() {
+                let mut thresholds = 0;
+                walk(agent, &mut |key, _| {
+                    assert!(!gone.contains(&key), "`{key}` is under an agent");
+                    thresholds += usize::from(key == "cost_threshold");
+                });
+                // The SLA is the threshold's one home.
+                assert!(agent.get("sla").unwrap().get("cost_threshold").is_some());
+                assert_eq!(
+                    thresholds, 1,
+                    "the cost threshold is stored {thresholds} times"
+                );
+                assert!(agent.get("modifier").is_none(), "a second modifier");
+                assert_eq!(keys_of(agent.get("baseline").unwrap()), ["table"]);
+                assert_eq!(keys_of(agent.get("lagrangian").unwrap()), ["lambda"]);
+                agents += 1;
+            }
+        }
+        if key == "run" {
+            for cursor in ["timeline", "next_event"] {
+                assert!(value.get(cursor).is_none(), "the engine stores `{cursor}`");
+            }
+            runs += 1;
+        }
+    });
+    assert!(agents > 0);
+    assert_eq!(runs, fleet.cells().len());
 }
 
 #[test]
@@ -280,4 +353,46 @@ fn learned_state_whose_lengths_disagree_is_refused_with_both_lengths() {
     }
     // Untouched, the same document restores.
     assert!(FleetCheckpoint::from_json(&json).unwrap().restore().is_ok());
+}
+
+#[test]
+fn a_short_baseline_table_or_a_bad_modifier_config_is_refused_at_restore() {
+    // Loaded unchecked, a baseline table of fewer than three actions
+    // panicked on the first slot the agent handed to its baseline, and a
+    // modifier configuration out of range changed every later action.
+    let fleet = fleet_at_slot_24();
+    let json = fleet.checkpoint().to_json();
+    let refused = |doctor: &dyn Fn(&mut Value)| {
+        let mut document = tree(&json);
+        doctor(&mut document);
+        FleetCheckpoint::from_json(&serde_json::to_string(&document).unwrap())
+            .unwrap()
+            .restore()
+            .map(|_| ())
+            .unwrap_err()
+    };
+    for keep in [0, 2] {
+        let reason = refused(&|document| {
+            let Some(Value::Arr(table)) = first_mut(document, "table") else {
+                panic!("no baseline table on file");
+            };
+            table.truncate(keep);
+        });
+        assert_eq!(
+            reason,
+            format!(
+                "fleet checkpoint is inconsistent: cell 0 slice 0: baseline table holds {keep} \
+                 actions, a calibrated one at least 3"
+            )
+        );
+    }
+    let reason = refused(&|document| {
+        let floor = first_mut(document, "retention_floor").unwrap();
+        *floor = Value::Float(1.5);
+    });
+    assert_eq!(
+        reason,
+        "fleet checkpoint is inconsistent: cell 0 slice 0: config.modifier: retention floor \
+         must be in [0, 1], got 1.5"
+    );
 }

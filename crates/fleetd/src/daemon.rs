@@ -164,39 +164,28 @@ fn build_or_resume(config: &FleetdConfig) -> Result<ElasticFleet, String> {
 }
 
 /// A checkpoint is only resumable into a daemon whose config names the
-/// same run: same scenario, same master seed, same admission and balance
-/// policies — resuming under a different policy would splice two different
-/// deterministic histories into one trace. The scenario and config read
-/// here are the ones the checkpointed cells run on:
-/// [`FleetCheckpoint::restore`], the next step of the chain, holds every
-/// cell to them.
+/// same run: the same scenario and the same fleet tuning — cell count, seed,
+/// admission and balance policies and every knob of each. Resuming under a
+/// different one would splice two different deterministic histories into
+/// one trace. The scenario and config read here are the ones the
+/// checkpointed cells run on: [`FleetCheckpoint::restore`], the next step
+/// of the chain, holds every cell to them.
 fn check_compatible(
     config: &FleetdConfig,
 ) -> impl Fn(FleetCheckpoint) -> Result<FleetCheckpoint, String> + '_ {
     move |checkpoint| {
-        let (scenario, fleet) = (&checkpoint.scenario().name, checkpoint.config());
+        let scenario = &checkpoint.scenario().name;
         if *scenario != config.scenario {
             return Err(format!(
                 "it belongs to scenario `{scenario}`, config says `{}`",
                 config.scenario
             ));
         }
-        if fleet.base.seed != config.fleet.base.seed {
+        if *checkpoint.config() != config.fleet {
             return Err(format!(
-                "it was seeded {}, config says {}",
-                fleet.base.seed, config.fleet.base.seed
-            ));
-        }
-        if fleet.balancer.policy != config.fleet.balancer.policy {
-            return Err(format!(
-                "it ran balance policy `{}`, config says `{}`",
-                fleet.balancer.policy, config.fleet.balancer.policy
-            ));
-        }
-        if fleet.base.admission.policy != config.fleet.base.admission.policy {
-            return Err(format!(
-                "it ran admission policy `{}`, config says `{}`",
-                fleet.base.admission.policy, config.fleet.base.admission.policy
+                "it ran fleet config {:?}, config says {:?}",
+                checkpoint.config(),
+                config.fleet
             ));
         }
         Ok(checkpoint)
@@ -586,11 +575,13 @@ fn serve(
 
 fn append_request_log(log: &mut std::fs::File, slot: usize, line: &str, response: &str) {
     // The audit log is best-effort (plain appends, no fsync): it exists so
-    // a drill can be replayed, not to survive torn tails.
-    let entry = format!(
-        "{{\"slot\":{slot},\"request\":{},\"response\":{response}}}\n",
-        line.trim()
-    );
+    // a drill can be replayed, not to survive torn tails. The raw line is
+    // written as a JSON string, so a line that is not JSON itself still
+    // leaves a parseable entry.
+    let Ok(request) = serde_json::to_string(line.trim()) else {
+        return;
+    };
+    let entry = format!("{{\"slot\":{slot},\"request\":{request},\"response\":{response}}}\n");
     let _ = log.write_all(entry.as_bytes());
 }
 
@@ -760,6 +751,32 @@ mod tests {
         plant(&dir, 16, &fleet.checkpoint().to_json());
         let resumed = build_or_resume(&test_config(&dir)).unwrap();
         assert_eq!(resumed.slot(), 8);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_checkpoint_of_a_different_fleet_shape_falls_back() {
+        let dir = scratch("shape-mismatch");
+        plant(&dir, 8, &checkpoint_json(SCENARIO, SEED, 8));
+        // Slot 16: same scenario and seed, but three cells where the
+        // daemon is configured for two.
+        let three_cells = ElasticFleetConfig::new(3).with_seed(SEED);
+        let mut fleet = ElasticFleet::new(fleet_by_name(SCENARIO).unwrap(), three_cells).unwrap();
+        fleet.advance_to(16).unwrap();
+        let checkpoint = FleetCheckpoint::from_json(&fleet.checkpoint().to_json()).unwrap();
+        let config = test_config(&dir);
+        let reason = check_compatible(&config)(checkpoint).unwrap_err();
+        assert_eq!(
+            reason,
+            format!(
+                "it ran fleet config {three_cells:?}, config says {:?}",
+                config.fleet
+            )
+        );
+        plant(&dir, 16, &fleet.checkpoint().to_json());
+        let resumed = build_or_resume(&config).unwrap();
+        assert_eq!(resumed.slot(), 8);
+        assert_eq!(resumed.cells().len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -699,3 +699,35 @@ fn garbage_truncated_and_oversized_requests_never_kill_the_daemon() {
     ctl_ok(&dir.socket(), "{\"op\":\"shutdown\"}");
     assert!(wait_exit(&mut daemon).success());
 }
+
+#[test]
+fn every_request_log_entry_is_json_even_when_the_request_is_not() {
+    let dir = TestDir::new("request-log");
+    let config = dir.write_config();
+    let mut daemon = spawn_daemon(&config, &[]);
+    wait_ready(&dir.socket());
+
+    let response = raw_request(&dir.socket(), b"hello\n").expect("a response to `hello`");
+    assert!(response.contains("\"ok\":false"), "{response}");
+    ctl_ok(&dir.socket(), "{\"op\":\"status\"}");
+    ctl_ok(&dir.socket(), "{\"op\":\"shutdown\"}");
+    assert!(wait_exit(&mut daemon).success());
+
+    let log = std::fs::read_to_string(dir.state_dir().join(REQUEST_LOG_NAME)).unwrap();
+    let entries: Vec<Value> = log
+        .lines()
+        .map(|line| serde_json::from_str(line).unwrap_or_else(|e| panic!("{e}: {line}")))
+        .collect();
+    let requests: Vec<&str> = entries
+        .iter()
+        .map(|entry| entry.get("request").and_then(Value::as_str).unwrap())
+        .collect();
+    // `wait_ready`'s own status probes come first.
+    assert!(
+        requests.ends_with(&["hello", "{\"op\":\"status\"}", "{\"op\":\"shutdown\"}"]),
+        "{requests:?}"
+    );
+    for entry in &entries {
+        assert!(entry.get("response").and_then(|r| r.get("ok")).is_some());
+    }
+}

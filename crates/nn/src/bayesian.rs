@@ -59,12 +59,14 @@ pub struct BayesianPrediction {
     pub std: f64,
 }
 
+/// Standard deviation of the weight prior `p(φ)` (a standard normal).
+const PRIOR_STD: f64 = 1.0;
+const PRIOR_VAR: f64 = PRIOR_STD * PRIOR_STD;
+
 /// A single variational dense layer `y = act(W x + b)` whose weights and
-/// biases carry a factorized Gaussian posterior.
+/// biases carry a factorized Gaussian posterior. Its shape is `weight_mu`'s.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BayesianLinear {
-    in_dim: usize,
-    out_dim: usize,
     activation: Activation,
     /// Posterior means for the weights (row-major `out_dim x in_dim`).
     weight_mu: Matrix,
@@ -72,7 +74,7 @@ pub struct BayesianLinear {
     weight_rho: Matrix,
     bias_mu: Vec<f64>,
     bias_rho: Vec<f64>,
-    // Everything down to `prior_std` is run-time scratch, never serialised:
+    // Everything below is run-time scratch, never serialised:
     // `zero_grad` sizes the gradients and `resample_weights` the draw, and
     // one of each opens every update.
     #[serde(skip)]
@@ -103,8 +105,6 @@ pub struct BayesianLinear {
     bias_scales: Scales,
     #[serde(skip)]
     scales_fresh: bool,
-    /// Weight of the prior's standard deviation (standard-normal prior when 1).
-    prior_std: f64,
 }
 
 /// `σ = softplus(ρ)` and `σ′ = sigmoid(ρ)` for every entry of one ρ block.
@@ -133,14 +133,7 @@ impl Scales {
     }
 
     /// Adds `weight · ∂KL/∂μ` and `weight · ∂KL/∂ρ` to the gradients.
-    fn add_kl_grad(
-        &self,
-        mu: &[f64],
-        grad_mu: &mut [f64],
-        grad_rho: &mut [f64],
-        weight: f64,
-        prior_var: f64,
-    ) {
+    fn add_kl_grad(&self, mu: &[f64], grad_mu: &mut [f64], grad_rho: &mut [f64], weight: f64) {
         for ((((gm, gr), &m), &s), &d) in grad_mu
             .iter_mut()
             .zip(grad_rho)
@@ -150,9 +143,9 @@ impl Scales {
         {
             let sigma = s.max(1e-9);
             // d KL / d mu = mu / prior_var
-            *gm += weight * m / prior_var;
+            *gm += weight * m / PRIOR_VAR;
             // d KL / d sigma = -1/sigma + sigma/prior_var
-            let d_sigma = -1.0 / sigma + sigma / prior_var;
+            let d_sigma = -1.0 / sigma + sigma / PRIOR_VAR;
             *gr += weight * d_sigma * d;
         }
     }
@@ -179,8 +172,6 @@ impl BayesianLinear {
         let mut weight_rho = Matrix::zeros(out_dim, in_dim);
         weight_rho.fill(-3.0);
         Self {
-            in_dim,
-            out_dim,
             activation,
             weight_mu,
             weight_rho,
@@ -199,24 +190,23 @@ impl BayesianLinear {
             weight_scales: Scales::default(),
             bias_scales: Scales::default(),
             scales_fresh: false,
-            prior_std: 1.0,
         }
     }
 
     /// Input dimensionality.
     pub fn in_dim(&self) -> usize {
-        self.in_dim
+        self.weight_mu.cols()
     }
 
     /// Output dimensionality.
     pub fn out_dim(&self) -> usize {
-        self.out_dim
+        self.weight_mu.rows()
     }
 
     /// Forward pass using only the posterior means (a deterministic
     /// point-estimate prediction).
     pub fn forward_mean(&self, input: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(input.len(), self.in_dim);
+        debug_assert_eq!(input.len(), self.in_dim());
         let mut pre = self.weight_mu.matvec(input);
         for (p, b) in pre.iter_mut().zip(self.bias_mu.iter()) {
             *p += b;
@@ -230,10 +220,10 @@ impl BayesianLinear {
     /// gradients through both `μ` and `ρ`.
     pub fn resample_weights<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         self.refresh();
-        self.sampled_weights.resize(self.out_dim, self.in_dim);
-        self.cached_weight_eps.resize(self.out_dim, self.in_dim);
-        self.cached_bias_eps.resize(self.out_dim, 0.0);
-        self.sampled_bias.resize(self.out_dim, 0.0);
+        self.sampled_weights.resize(self.out_dim(), self.in_dim());
+        self.cached_weight_eps.resize(self.out_dim(), self.in_dim());
+        self.cached_bias_eps.resize(self.out_dim(), 0.0);
+        self.sampled_bias.resize(self.out_dim(), 0.0);
         self.weight_scales.draw(
             self.weight_mu.data(),
             self.cached_weight_eps.data_mut(),
@@ -262,7 +252,7 @@ impl BayesianLinear {
     fn assert_grads_sized(&self) {
         assert_eq!(
             (self.grad_weight_rho.data().len(), self.grad_bias_rho.len()),
-            (self.out_dim * self.in_dim, self.out_dim),
+            (self.out_dim() * self.in_dim(), self.out_dim()),
             "gradients accumulated before zero_grad"
         );
     }
@@ -284,12 +274,12 @@ impl BayesianLinear {
     ) {
         assert_eq!(
             (self.sampled_weights.rows(), self.sampled_weights.cols()),
-            (self.out_dim, self.in_dim),
+            (self.out_dim(), self.in_dim()),
             "forward_batch called before resample_weights"
         );
         debug_assert_eq!(
             input.cols(),
-            self.in_dim,
+            self.in_dim(),
             "bayesian batch input size mismatch"
         );
         self.sampled_weights.transpose_into(weights_t);
@@ -316,7 +306,7 @@ impl BayesianLinear {
     ) {
         assert_eq!(
             delta.cols(),
-            self.out_dim,
+            self.out_dim(),
             "bayesian backward output dim mismatch"
         );
         assert_eq!(
@@ -326,7 +316,7 @@ impl BayesianLinear {
         );
         self.activation
             .mul_derivative_into(pre.data(), delta.data_mut());
-        grad_scratch.resize(self.out_dim, self.in_dim);
+        grad_scratch.resize(self.out_dim(), self.in_dim());
         delta.matmul_tn_acc_into(input, grad_scratch);
         self.refresh();
         self.assert_grads_sized();
@@ -391,67 +381,57 @@ impl BayesianLinear {
     /// KL divergence `KL(q(φ) ‖ p(φ))` of this layer's posterior from the
     /// standard-normal prior, summed over all weights and biases.
     pub fn kl_to_prior(&self) -> f64 {
-        let mut kl = 0.0;
-        let prior_var = self.prior_std * self.prior_std;
-        for r in 0..self.out_dim {
-            for c in 0..self.in_dim {
-                let mu = self.weight_mu.get(r, c);
-                let sigma = softplus(self.weight_rho.get(r, c)).max(1e-9);
-                kl += (self.prior_std / sigma).ln() + (sigma * sigma + mu * mu) / (2.0 * prior_var)
-                    - 0.5;
-            }
-        }
-        for (mu, rho) in self.bias_mu.iter().zip(self.bias_rho.iter()) {
-            let sigma = softplus(*rho).max(1e-9);
-            kl +=
-                (self.prior_std / sigma).ln() + (sigma * sigma + mu * mu) / (2.0 * prior_var) - 0.5;
-        }
-        kl
+        let weights = self.weight_mu.data().iter().zip(self.weight_rho.data());
+        weights
+            .chain(self.bias_mu.iter().zip(&self.bias_rho))
+            .map(|(&mu, &rho)| {
+                let sigma = softplus(rho).max(1e-9);
+                (PRIOR_STD / sigma).ln() + (sigma * sigma + mu * mu) / (2.0 * PRIOR_VAR) - 0.5
+            })
+            .sum()
     }
 
     /// Accumulates the gradient of `weight · KL(q ‖ p)` into the layer.
     ///
-    /// Called once per optimizer step with `weight = kl_weight / dataset_size`
+    /// Called once per optimizer step with `weight = KL weight / dataset size`
     /// (the standard Bayes-by-backprop minibatch scaling).
     pub fn accumulate_kl_grad(&mut self, weight: f64) {
         self.refresh();
         self.assert_grads_sized();
-        let prior_var = self.prior_std * self.prior_std;
         self.weight_scales.add_kl_grad(
             self.weight_mu.data(),
             self.grad_weight_mu.data_mut(),
             self.grad_weight_rho.data_mut(),
             weight,
-            prior_var,
         );
         self.bias_scales.add_kl_grad(
             &self.bias_mu,
             &mut self.grad_bias_mu,
             &mut self.grad_bias_rho,
             weight,
-            prior_var,
         );
     }
 
     /// Resets accumulated gradients to zero, sized from the layer's shape.
     pub fn zero_grad(&mut self) {
-        self.grad_weight_mu.resize(self.out_dim, self.in_dim);
-        self.grad_weight_rho.resize(self.out_dim, self.in_dim);
+        let (rows, cols) = (self.out_dim(), self.in_dim());
+        self.grad_weight_mu.resize(rows, cols);
+        self.grad_weight_rho.resize(rows, cols);
         for grad in [&mut self.grad_bias_mu, &mut self.grad_bias_rho] {
             grad.clear();
-            grad.resize(self.out_dim, 0.0);
+            grad.resize(rows, 0.0);
         }
     }
 
     /// Number of trainable parameters (`μ` and `ρ` for weights and biases).
     pub fn num_parameters(&self) -> usize {
-        2 * (self.out_dim * self.in_dim + self.out_dim)
+        2 * (self.out_dim() * self.in_dim() + self.out_dim())
     }
 
-    /// Whether the `μ` and `ρ` blocks have the shapes `in_dim` and `out_dim`
-    /// promise; the refusal shows the first pair that does not.
+    /// Whether `ρ` and both biases have the shape `μ` gives the layer; the
+    /// refusal shows the first pair that does not.
     fn validate(&self) -> Result<(), String> {
-        let (rows, cols) = (self.out_dim, self.in_dim);
+        let (rows, cols) = (self.out_dim(), self.in_dim());
         for (w, b) in [
             (&self.weight_mu, &self.bias_mu),
             (&self.weight_rho, &self.bias_rho),
@@ -779,7 +759,7 @@ impl BayesianMlp {
             for v in std.data_mut() {
                 *v = v.sqrt();
             }
-            y.resize(num_samples, layer.out_dim);
+            y.resize(num_samples, layer.out_dim());
             for s in 0..num_samples {
                 // One shared statistics row until the first noise is added.
                 let stats_row = if mean.rows() == 1 { 0 } else { s };
@@ -857,8 +837,8 @@ mod tests {
     impl BayesianLinear {
         /// Stochastic forward pass sampling every weight.
         fn forward_sample<R: Rng + ?Sized>(&self, input: &[f64], rng: &mut R) -> Vec<f64> {
-            assert_eq!(input.len(), self.in_dim);
-            (0..self.out_dim)
+            assert_eq!(input.len(), self.in_dim());
+            (0..self.out_dim())
                 .map(|r| {
                     let mut acc = 0.0;
                     for (c, &x) in input.iter().enumerate() {
@@ -907,19 +887,19 @@ mod tests {
 
     impl BayesianLinear {
         fn reference_resample_weights<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-            self.sampled_weights.resize(self.out_dim, self.in_dim);
-            self.cached_weight_eps.resize(self.out_dim, self.in_dim);
-            self.cached_bias_eps.resize(self.out_dim, 0.0);
-            self.sampled_bias.resize(self.out_dim, 0.0);
-            for r in 0..self.out_dim {
-                for c in 0..self.in_dim {
+            self.sampled_weights.resize(self.out_dim(), self.in_dim());
+            self.cached_weight_eps.resize(self.out_dim(), self.in_dim());
+            self.cached_bias_eps.resize(self.out_dim(), 0.0);
+            self.sampled_bias.resize(self.out_dim(), 0.0);
+            for r in 0..self.out_dim() {
+                for c in 0..self.in_dim() {
                     let eps = standard_normal(rng);
                     self.cached_weight_eps.set(r, c, eps);
                     let w = self.weight_mu.get(r, c) + softplus(self.weight_rho.get(r, c)) * eps;
                     self.sampled_weights.set(r, c, w);
                 }
             }
-            for r in 0..self.out_dim {
+            for r in 0..self.out_dim() {
                 let eps = standard_normal(rng);
                 self.cached_bias_eps[r] = eps;
                 self.sampled_bias[r] = self.bias_mu[r] + softplus(self.bias_rho[r]) * eps;
@@ -936,10 +916,10 @@ mod tests {
         ) {
             self.activation
                 .mul_derivative_into(pre.data(), delta.data_mut());
-            grad_scratch.resize(self.out_dim, self.in_dim);
+            grad_scratch.resize(self.out_dim(), self.in_dim());
             delta.matmul_tn_acc_into(input, grad_scratch);
-            for r in 0..self.out_dim {
-                for c in 0..self.in_dim {
+            for r in 0..self.out_dim() {
+                for c in 0..self.in_dim() {
                     let g = grad_scratch.get(r, c);
                     self.grad_weight_mu
                         .set(r, c, self.grad_weight_mu.get(r, c) + g);
@@ -962,18 +942,17 @@ mod tests {
         }
 
         fn reference_accumulate_kl_grad(&mut self, weight: f64) {
-            let prior_var = self.prior_std * self.prior_std;
-            for r in 0..self.out_dim {
-                for c in 0..self.in_dim {
+            for r in 0..self.out_dim() {
+                for c in 0..self.in_dim() {
                     let mu = self.weight_mu.get(r, c);
                     let rho = self.weight_rho.get(r, c);
                     let sigma = softplus(rho).max(1e-9);
                     self.grad_weight_mu.set(
                         r,
                         c,
-                        self.grad_weight_mu.get(r, c) + weight * mu / prior_var,
+                        self.grad_weight_mu.get(r, c) + weight * mu / PRIOR_VAR,
                     );
-                    let d_sigma = -1.0 / sigma + sigma / prior_var;
+                    let d_sigma = -1.0 / sigma + sigma / PRIOR_VAR;
                     self.grad_weight_rho.set(
                         r,
                         c,
@@ -982,12 +961,12 @@ mod tests {
                     );
                 }
             }
-            for i in 0..self.out_dim {
+            for i in 0..self.out_dim() {
                 let mu = self.bias_mu[i];
                 let rho = self.bias_rho[i];
                 let sigma = softplus(rho).max(1e-9);
-                self.grad_bias_mu[i] += weight * mu / prior_var;
-                let d_sigma = -1.0 / sigma + sigma / prior_var;
+                self.grad_bias_mu[i] += weight * mu / PRIOR_VAR;
+                let d_sigma = -1.0 / sigma + sigma / PRIOR_VAR;
                 self.grad_bias_rho[i] += weight * d_sigma * softplus_derivative(rho);
             }
         }

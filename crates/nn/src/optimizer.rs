@@ -25,15 +25,23 @@ pub trait ParameterSet {
 /// Visitor over `(params, grads, scale)` parameter blocks.
 pub type ParamBlockVisitor<'a> = dyn FnMut(&mut [f64], &[f64], f64) + 'a;
 
+/// Adam's first-moment decay `β₁`.
+const BETA1: f64 = 0.9;
+/// Adam's second-moment decay `β₂`.
+const BETA2: f64 = 0.999;
+/// Adam's denominator guard `ε`.
+const EPSILON: f64 = 1e-8;
+/// Global-norm gradient clip applied before every step.
+const MAX_GRAD_NORM: f64 = 5.0;
+
 /// Adam optimizer (Kingma & Ba, 2015) with global-norm gradient clipping.
+///
+/// Only what a step changes is state — the step count and the two moment
+/// vectors — plus the learning rate; `β₁`, `β₂`, `ε` and the clip norm are
+/// the method's constants.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Adam {
     learning_rate: f64,
-    beta1: f64,
-    beta2: f64,
-    epsilon: f64,
-    /// Global-norm gradient clip; `None` disables clipping.
-    max_grad_norm: Option<f64>,
     step_count: u64,
     first_moment: Vec<f64>,
     second_moment: Vec<f64>,
@@ -44,10 +52,6 @@ impl Adam {
     pub fn new(num_params: usize, learning_rate: f64) -> Self {
         Self {
             learning_rate,
-            beta1: 0.9,
-            beta2: 0.999,
-            epsilon: 1e-8,
-            max_grad_norm: Some(5.0),
             step_count: 0,
             first_moment: vec![0.0; num_params],
             second_moment: vec![0.0; num_params],
@@ -81,25 +85,20 @@ impl Adam {
     /// optimizer was created with.
     pub fn step_set<P: ParameterSet + ?Sized>(&mut self, set: &mut P) {
         self.step_count += 1;
-        let clip_scale = match self.max_grad_norm {
-            Some(clip) => {
-                let norm = set.grad_norm_squared().sqrt();
-                if norm > clip && norm > 0.0 {
-                    clip / norm
-                } else {
-                    1.0
-                }
-            }
-            None => 1.0,
+        let norm = set.grad_norm_squared().sqrt();
+        let clip_scale = if norm > MAX_GRAD_NORM {
+            MAX_GRAD_NORM / norm
+        } else {
+            1.0
         };
         // The counter lives in checkpoints and only ever grows; past
         // `i32::MAX` a plain cast would wrap to a negative exponent. βⁿ is
         // already exactly 0.0 long before that, so saturating changes no
         // reachable step.
         let exponent = self.step_count.min(i32::MAX as u64) as i32;
-        let inv_bc1 = 1.0 / (1.0 - self.beta1.powi(exponent));
-        let inv_bc2 = 1.0 / (1.0 - self.beta2.powi(exponent));
-        let (lr, b1, b2, eps) = (self.learning_rate, self.beta1, self.beta2, self.epsilon);
+        let inv_bc1 = 1.0 / (1.0 - BETA1.powi(exponent));
+        let inv_bc2 = 1.0 / (1.0 - BETA2.powi(exponent));
+        let lr = self.learning_rate;
         let first = &mut self.first_moment;
         let second = &mut self.second_moment;
         let mut offset = 0usize;
@@ -126,11 +125,11 @@ impl Adam {
                 .zip(sm.iter_mut())
             {
                 let g = g_raw * g_scale;
-                *m = b1 * *m + (1.0 - b1) * g;
-                *v = b2 * *v + (1.0 - b2) * g * g;
+                *m = BETA1 * *m + (1.0 - BETA1) * g;
+                *v = BETA2 * *v + (1.0 - BETA2) * g * g;
                 let m_hat = *m * inv_bc1;
                 let v_hat = *v * inv_bc2;
-                *p -= lr * m_hat / (v_hat.sqrt() + eps);
+                *p -= lr * m_hat / (v_hat.sqrt() + EPSILON);
             }
             offset += params.len();
         });

@@ -124,18 +124,20 @@ pub struct PolicySample {
     pub log_prob: f64,
 }
 
+/// Floor added to every standard deviation of a [`GaussianPolicy`].
+const MIN_STD: f64 = 1e-3;
+
 /// Diagonal-Gaussian stochastic policy with an MLP mean and learnable,
 /// state-independent standard deviations.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GaussianPolicy {
     mean_net: Mlp,
-    /// Unconstrained per-dimension parameters; `std = softplus(rho) + min_std`.
+    /// Unconstrained per-dimension parameters; `std = softplus(rho) + MIN_STD`.
     log_std_rho: Vec<f64>,
     /// Run-time scratch, never serialised; [`GaussianPolicy::zero_grad`]
     /// sizes it.
     #[serde(skip)]
     grad_log_std_rho: Vec<f64>,
-    min_std: f64,
 }
 
 impl GaussianPolicy {
@@ -165,9 +167,8 @@ impl GaussianPolicy {
             "mean network output must match the action dimension"
         );
         assert!(initial_std > 0.0, "initial_std must be positive");
-        let min_std = 1e-3;
-        // Invert softplus so that softplus(rho) + min_std == initial_std.
-        let target = (initial_std - min_std).max(1e-6);
+        // Invert softplus so that softplus(rho) + MIN_STD == initial_std.
+        let target = (initial_std - MIN_STD).max(1e-6);
         let rho = if target > 30.0 {
             target
         } else {
@@ -177,7 +178,6 @@ impl GaussianPolicy {
             grad_log_std_rho: vec![0.0; action_dim],
             log_std_rho: vec![rho; action_dim],
             mean_net,
-            min_std,
         }
     }
 
@@ -195,7 +195,7 @@ impl GaussianPolicy {
     pub fn std(&self) -> Vec<f64> {
         self.log_std_rho
             .iter()
-            .map(|&r| softplus(r) + self.min_std)
+            .map(|&r| softplus(r) + MIN_STD)
             .collect()
     }
 
@@ -389,7 +389,7 @@ impl GaussianPolicy {
     /// encouraging exploration when `coeff > 0` (entropy bonus).
     pub fn accumulate_entropy_grad(&mut self, coeff: f64) {
         for (i, &rho) in self.log_std_rho.iter().enumerate() {
-            let s = softplus(rho) + self.min_std;
+            let s = softplus(rho) + MIN_STD;
             // d entropy / d s = 1 / s ; ascent on entropy == descent on -entropy.
             let d_ent_d_rho = (1.0 / s) * softplus_derivative(rho);
             // Stored in ascent convention (see `visit_param_blocks`).

@@ -8,7 +8,7 @@
 //! other per-update scratch are not state), Lagrangian state, rollout buffers,
 //! per-slice environment + traffic-trace cursors and RNG streams, domain
 //! capacities/overrides, orchestrator slice membership and the run-loop
-//! cursor (pending event index, transient restores, run counters). Nothing
+//! cursor (next slot, transient restores, run counters). Nothing
 //! in it reads a clock: one scenario and seed checkpointed at one slot
 //! writes the same bytes in any process.
 //!
@@ -96,7 +96,11 @@ pub fn from_versioned_json<T: Deserialize>(
 /// v10: the domain block is one flat value — capacity and step size once,
 /// four capacity scales and six βs — instead of four managers each holding
 /// the capacity, coordinators and a cached effective capacity per resource.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 10;
+///
+/// v11: an agent stores what it learned plus its variant, no constant of
+/// the method (Adam's βs, the prior, η, …) or copy of another stored value;
+/// the engine stores no sorted timeline and cursor.
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 11;
 
 /// A versioned snapshot of a scenario run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -217,13 +221,14 @@ mod tests {
         // admission tuning; v7: a header restating the engine, four copies
         // of the slice registry; v8: a clock reading and a half-built
         // report; v9: four domain managers restating capacity and step
-        // size); either way the loader must report the version mismatch
+        // size; v10: agents storing constants and copies, a sorted copy of
+        // the timeline); either way the loader must report the version mismatch
         // — the actionable message — before it looks at any other field.
-        for version in [2, 3, 4, 5, 6, 7, 8, 9] {
+        for version in [2, 3, 4, 5, 6, 7, 8, 9, 10] {
             let stale = format!(r#"{{"format_version":{version},"scenario":"steady","seed":7}}"#);
             assert_eq!(
                 Checkpoint::from_json(&stale).unwrap_err(),
-                format!("checkpoint format version {version} is not supported (expected 10)")
+                format!("checkpoint format version {version} is not supported (expected 11)")
             );
         }
         // A document with no stamp at all is malformed, not "version 0".
@@ -285,6 +290,67 @@ mod tests {
              and a bias of length 31"
         );
         assert!(Checkpoint::from_json(&json).is_ok());
+    }
+
+    /// The checkpoint with the first agent's baseline table cut to its
+    /// first `keep` actions.
+    fn with_short_table(json: &str, keep: usize) -> String {
+        let start = json.find("\"table\":[").unwrap() + "\"table\":[".len();
+        let end = start + json[start..].find(']').unwrap();
+        let actions: Vec<&str> = json[start..end].split("},").collect();
+        assert!(actions.len() > keep, "{} actions on file", actions.len());
+        let kept = match keep {
+            0 => String::new(),
+            _ => format!("{}}}", actions[..keep].join("},")),
+        };
+        format!("{}{kept}{}", &json[..start], &json[end..])
+    }
+
+    #[test]
+    fn a_baseline_table_too_short_to_look_up_is_refused_at_load() {
+        // Loaded unchecked, an emptied table panicked on the first slot the
+        // agent handed to its baseline; a calibrated one holds at least two
+        // buckets, so three actions.
+        let mut engine = ScenarioEngine::new(builtin::steady(), ScenarioConfig::default()).unwrap();
+        engine.run_until(2, &mut ());
+        let json = Checkpoint::capture(&engine).to_json();
+        for keep in [0, 2] {
+            let doctored = with_short_table(&json, keep);
+            assert_eq!(
+                Checkpoint::from_json(&doctored).unwrap_err(),
+                format!(
+                    "checkpoint is inconsistent: slice 0: baseline table holds {keep} actions, \
+                     a calibrated one at least 3"
+                )
+            );
+        }
+        assert!(Checkpoint::from_json(&with_short_table(&json, 3)).is_ok());
+    }
+
+    #[test]
+    fn a_modifier_config_the_agent_would_refuse_is_refused_at_load() {
+        let mut engine = ScenarioEngine::new(builtin::steady(), ScenarioConfig::default()).unwrap();
+        engine.run_until(2, &mut ());
+        let json = Checkpoint::capture(&engine).to_json();
+        for (honest, doctored, reason) in [
+            (
+                "\"modifier\":{\"retention_floor\":0.6,",
+                "\"modifier\":{\"retention_floor\":1.5,",
+                "retention floor must be in [0, 1], got 1.5",
+            ),
+            (
+                "\"retention_floor\":0.6,\"noise_std\":0.0}",
+                "\"retention_floor\":0.6,\"noise_std\":-1.0}",
+                "noise std must be non-negative, got -1",
+            ),
+        ] {
+            let doctored = json.replacen(honest, doctored, 1);
+            assert_ne!(doctored, json, "{honest} is not on file");
+            assert_eq!(
+                Checkpoint::from_json(&doctored).unwrap_err(),
+                format!("checkpoint is inconsistent: slice 0: config.modifier: {reason}")
+            );
+        }
     }
 
     #[test]

@@ -27,6 +27,10 @@ pub struct CostToGoSample {
     pub cost_to_go: f64,
 }
 
+/// Weight of the KL regularizer relative to the likelihood (the `1/|D|`
+/// minibatch scaling of Bayes-by-backprop).
+const KL_WEIGHT: f64 = 1e-4;
+
 /// Hyper-parameters of the estimator's training stage.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CostEstimatorConfig {
@@ -34,9 +38,6 @@ pub struct CostEstimatorConfig {
     pub epochs: usize,
     /// Learning rate of the Adam optimizer.
     pub learning_rate: f64,
-    /// Weight of the KL regularizer relative to the likelihood (the
-    /// `1/|D|` minibatch scaling of Bayes-by-backprop).
-    pub kl_weight: f64,
     /// Number of posterior samples drawn per prediction.
     pub prediction_samples: usize,
 }
@@ -46,7 +47,6 @@ impl Default for CostEstimatorConfig {
         Self {
             epochs: 20,
             learning_rate: 2e-3,
-            kl_weight: 1e-4,
             prediction_samples: 16,
         }
     }
@@ -160,7 +160,7 @@ impl CostValueEstimator {
                 }
             }
             self.network.backward_batch(&grad, &mut ws);
-            self.network.accumulate_kl_grad(self.config.kl_weight / n);
+            self.network.accumulate_kl_grad(KL_WEIGHT / n);
             optimizer.step_set(&mut self.network);
             epoch_errors.push(err_sum / n);
         }

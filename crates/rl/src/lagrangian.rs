@@ -13,41 +13,28 @@
 
 use serde::{Deserialize, Serialize};
 
-/// The Lagrangian multiplier of one slice's SLA constraint.
+/// Dual step size `ε` of Eq. 5.
+const STEP_SIZE: f64 = 10.0;
+
+/// The Lagrangian multiplier of one slice's SLA constraint: the learned `λ`
+/// and nothing else — the step `ε` is the method's constant and the
+/// threshold `C_max` belongs to the SLA, which the caller passes in.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LagrangianMultiplier {
     /// Current multiplier value `λ ≥ 0`.
     lambda: f64,
-    /// Dual step size `ε`.
-    pub step_size: f64,
-    /// SLA threshold `C_max` on the average per-slot cost.
-    pub cost_threshold: f64,
 }
 
 impl LagrangianMultiplier {
     /// Creates a multiplier starting at `λ = initial_lambda`.
     ///
     /// # Panics
-    /// Panics if the step size is not positive, the threshold is outside
-    /// `[0, 1]` or the initial value is negative.
-    pub fn new(initial_lambda: f64, step_size: f64, cost_threshold: f64) -> Self {
+    /// Panics if the initial value is negative.
+    pub fn new(initial_lambda: f64) -> Self {
         assert!(initial_lambda >= 0.0, "lambda must be non-negative");
-        assert!(step_size > 0.0, "step size must be positive");
-        assert!(
-            (0.0..=1.0).contains(&cost_threshold),
-            "C_max must be in [0, 1]"
-        );
         Self {
             lambda: initial_lambda,
-            step_size,
-            cost_threshold,
         }
-    }
-
-    /// The paper-style default: start neutral (λ = 1) with a moderate dual
-    /// step size for the 5 % SLA threshold.
-    pub fn onslicing_default(cost_threshold: f64) -> Self {
-        Self::new(1.0, 10.0, cost_threshold)
     }
 
     /// The current multiplier.
@@ -63,30 +50,16 @@ impl LagrangianMultiplier {
     }
 
     /// Dual update from the average per-slot cost observed since the last
-    /// update (Eq. 5). Returns the new multiplier.
-    pub fn update(&mut self, average_cost: f64) -> f64 {
-        self.lambda =
-            (self.lambda + self.step_size * (average_cost - self.cost_threshold)).max(0.0);
+    /// update against the threshold `C_max` (Eq. 5). Returns the new
+    /// multiplier.
+    pub fn update(&mut self, average_cost: f64, cost_threshold: f64) -> f64 {
+        self.lambda = (self.lambda + STEP_SIZE * (average_cost - cost_threshold)).max(0.0);
         self.lambda
     }
 
-    /// Whether the observed average cost violates the constraint.
-    pub fn is_violated(&self, average_cost: f64) -> bool {
-        average_cost > self.cost_threshold + 1e-12
-    }
-
-    /// Replaces the constraint threshold `C_max` while keeping the learned
-    /// multiplier — an SLA renegotiation tightens or loosens the constraint
-    /// mid-deployment without resetting the dual state.
-    ///
-    /// # Panics
-    /// Panics if the threshold is outside `[0, 1]`.
-    pub fn set_cost_threshold(&mut self, cost_threshold: f64) {
-        assert!(
-            (0.0..=1.0).contains(&cost_threshold),
-            "C_max must be in [0, 1]"
-        );
-        self.cost_threshold = cost_threshold;
+    /// Whether the observed average cost violates the threshold `C_max`.
+    pub fn is_violated(&self, average_cost: f64, cost_threshold: f64) -> bool {
+        average_cost > cost_threshold + 1e-12
     }
 }
 
@@ -96,43 +69,43 @@ mod tests {
 
     #[test]
     fn violation_raises_lambda_and_satisfaction_lowers_it() {
-        let mut m = LagrangianMultiplier::new(1.0, 10.0, 0.05);
-        let up = m.update(0.15); // violated by 0.10
+        let mut m = LagrangianMultiplier::new(1.0);
+        let up = m.update(0.15, 0.05); // violated by 0.10
         assert!((up - 2.0).abs() < 1e-12);
-        let down = m.update(0.0); // satisfied with margin 0.05
+        let down = m.update(0.0, 0.05); // satisfied with margin 0.05
         assert!((down - 1.5).abs() < 1e-12);
     }
 
     #[test]
     fn lambda_never_goes_negative() {
-        let mut m = LagrangianMultiplier::new(0.1, 10.0, 0.05);
-        m.update(0.0);
+        let mut m = LagrangianMultiplier::new(0.1);
+        m.update(0.0, 0.05);
         assert_eq!(m.lambda(), 0.0);
-        m.update(0.0);
+        m.update(0.0, 0.05);
         assert_eq!(m.lambda(), 0.0);
     }
 
     #[test]
     fn shaped_reward_penalizes_cost_proportionally_to_lambda() {
-        let m = LagrangianMultiplier::new(2.0, 1.0, 0.05);
+        let m = LagrangianMultiplier::new(2.0);
         assert!((m.shaped_reward(-1.0, 0.5) + 2.0).abs() < 1e-12);
-        let zero = LagrangianMultiplier::new(0.0, 1.0, 0.05);
+        let zero = LagrangianMultiplier::new(0.0);
         assert_eq!(zero.shaped_reward(-1.0, 0.5), -1.0);
     }
 
     #[test]
     fn equilibrium_when_cost_equals_threshold() {
-        let mut m = LagrangianMultiplier::new(3.0, 10.0, 0.05);
-        let after = m.update(0.05);
+        let mut m = LagrangianMultiplier::new(3.0);
+        let after = m.update(0.05, 0.05);
         assert!((after - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn repeated_violations_grow_lambda_monotonically() {
-        let mut m = LagrangianMultiplier::onslicing_default(0.05);
+        let mut m = LagrangianMultiplier::new(1.0);
         let mut prev = m.lambda();
         for _ in 0..5 {
-            let now = m.update(0.2);
+            let now = m.update(0.2, 0.05);
             assert!(now > prev);
             prev = now;
         }
@@ -140,14 +113,8 @@ mod tests {
 
     #[test]
     fn violation_check_matches_threshold() {
-        let m = LagrangianMultiplier::onslicing_default(0.05);
-        assert!(!m.is_violated(0.05));
-        assert!(m.is_violated(0.0501));
-    }
-
-    #[test]
-    #[should_panic(expected = "step size must be positive")]
-    fn invalid_step_size_is_rejected() {
-        let _ = LagrangianMultiplier::new(1.0, 0.0, 0.05);
+        let m = LagrangianMultiplier::new(1.0);
+        assert!(!m.is_violated(0.05, 0.05));
+        assert!(m.is_violated(0.0501, 0.05));
     }
 }

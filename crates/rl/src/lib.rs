@@ -23,8 +23,8 @@
 //! let action = agent.act_deterministic(&[0.1, 0.2, 0.3, 0.4]);
 //! assert!(action.iter().all(|a| (0.0..=1.0).contains(a)));
 //!
-//! let mut lambda = LagrangianMultiplier::onslicing_default(0.05);
-//! assert!(lambda.update(0.2) > 1.0); // violations raise the multiplier
+//! let mut lambda = LagrangianMultiplier::new(1.0);
+//! assert!(lambda.update(0.2, 0.05) > 1.0); // violations raise the multiplier
 //! ```
 
 pub mod bc;

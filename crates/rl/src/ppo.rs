@@ -21,6 +21,11 @@ use onslicing_nn::{Activation, Adam, BatchWorkspace, GaussianPolicy, Matrix, Mlp
 
 use crate::buffer::RolloutBuffer;
 
+/// Clip range of the probability ratio.
+const CLIP_EPSILON: f64 = 0.2;
+/// Entropy bonus coefficient.
+const ENTROPY_COEF: f64 = 1e-3;
+
 /// Hyper-parameters of the PPO learner.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PpoConfig {
@@ -28,8 +33,6 @@ pub struct PpoConfig {
     pub gamma: f64,
     /// GAE λ.
     pub gae_lambda: f64,
-    /// Clip range of the probability ratio.
-    pub clip_epsilon: f64,
     /// Number of optimization epochs per update.
     pub epochs: usize,
     /// Minibatch size.
@@ -38,8 +41,6 @@ pub struct PpoConfig {
     pub actor_lr: f64,
     /// Critic learning rate.
     pub critic_lr: f64,
-    /// Entropy bonus coefficient.
-    pub entropy_coef: f64,
     /// Initial standard deviation of the Gaussian policy.
     pub initial_std: f64,
 }
@@ -49,12 +50,10 @@ impl Default for PpoConfig {
         Self {
             gamma: 0.99,
             gae_lambda: 0.95,
-            clip_epsilon: 0.2,
             epochs: 8,
             minibatch_size: 64,
             actor_lr: 3e-4,
             critic_lr: 1e-3,
-            entropy_coef: 1e-3,
             initial_std: 0.15,
         }
     }
@@ -273,8 +272,8 @@ impl PpoAgent {
         let mut last_value_loss = 0.0;
         let mut last_clip_fraction = 0.0;
         let mut last_mean_ratio = 1.0;
-        let clip_lo = 1.0 - config.clip_epsilon;
-        let clip_hi = 1.0 + config.clip_epsilon;
+        let clip_lo = 1.0 - CLIP_EPSILON;
+        let clip_hi = 1.0 + CLIP_EPSILON;
 
         for _epoch in 0..config.epochs {
             scratch.indices.shuffle(rng);
@@ -331,7 +330,7 @@ impl PpoAgent {
                     &mut scratch.actor_grad,
                 );
                 // Entropy bonus (per minibatch, not per sample).
-                policy.accumulate_entropy_grad(config.entropy_coef);
+                policy.accumulate_entropy_grad(ENTROPY_COEF);
 
                 // ---- critic: one batched forward/backward ----
                 let critic_in = scratch.critic_ws.input_mut(batch, state_dim);

@@ -43,7 +43,7 @@ use onslicing_domains::{DomainKind, DomainSet, SliceId};
 use onslicing_slices::{SliceKind, SlotKpi};
 
 use crate::admission::AdmissionConfig;
-use crate::spec::{Scenario, ScenarioEvent, SliceSpec, TimedEvent};
+use crate::spec::{Scenario, ScenarioEvent, SliceSpec};
 
 /// Derives the master seed of one fleet cell from the fleet-wide seed.
 ///
@@ -422,11 +422,6 @@ struct RunState {
     admissions_denied: usize,
     /// Events that referenced a slice no longer (or not yet) active.
     events_skipped: usize,
-    /// The event timeline, sorted by firing slot (stable, so same-slot
-    /// events keep their scripted order).
-    timeline: Vec<TimedEvent>,
-    /// Index of the next unfired timeline event.
-    next_event: usize,
     /// Pending transient-state restorations, as `(due_slot, restore)`.
     restores: Vec<(usize, Restore)>,
     /// Total coordination interactions over executed slots.
@@ -557,12 +552,6 @@ impl ScenarioEngine {
                 episodes_per_epoch: 1,
             },
         );
-        let mut timeline = scenario.events.clone();
-        timeline.sort_by_key(|t| t.at_slot);
-        let run = RunState {
-            timeline,
-            ..RunState::default()
-        };
         // The initial slices enforce nothing until slot 0's orchestration
         // round, so their estimated shares count as pending too — a
         // scripted (or fleet-routed) admission at slot 0 must not treat
@@ -574,7 +563,7 @@ impl ScenarioEngine {
             orch,
             factory,
             stats,
-            run,
+            run: RunState::default(),
             unenforced_admissions,
             slot_outcome: SlotOutcome::default(),
             slot_samples: Vec::new(),
@@ -1067,13 +1056,14 @@ impl ScenarioEngine {
         // nothing yet; `check_admission` inside the admission events
         // reserves their estimated shares (the flash-crowd over-admission
         // fix).
-        while self.run.next_event < self.run.timeline.len()
-            && self.run.timeline[self.run.next_event].at_slot <= slot
-        {
-            let event = self.run.timeline[self.run.next_event].event.clone();
-            self.run.next_event += 1;
-            let outcome = self.apply_event(slot, &event, obs);
-            self.count_event(outcome);
+        // Slots run once each, from 0 up: firing the events due now in file
+        // order is the stable sort by slot, and nothing fires twice.
+        for i in 0..self.scenario.events.len() {
+            if self.scenario.events[i].at_slot == slot {
+                let event = self.scenario.events[i].event.clone();
+                let outcome = self.apply_event(slot, &event, obs);
+                self.count_event(outcome);
+            }
         }
         if self.orch.num_slices() > 0 {
             // Reused-workspace round: the orchestrator overwrites the
