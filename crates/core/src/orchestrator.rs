@@ -40,16 +40,25 @@
 //! ## Parallelism
 //!
 //! Per-slice agents are fully independent between coordination rounds: each
-//! owns its policy networks, RNG and rollout buffer, and each slice
-//! environment owns its simulator. The slot loop runs the gather → fused
-//! sweep → scatter sequence and the environment steps single-threaded,
-//! which costs nothing at cell sizes and keeps the per-slot allocation count
-//! at zero in steady state; `onslicing_nn`'s kernels are sequential too.
-//! Offline pre-training ([`Orchestrator::offline_pretrain_all`]) and the
-//! epoch-boundary PPO updates ([`Orchestrator::run_epoch`]) fan out over the
-//! process's `rayon` pool, one agent per job. Determinism is unaffected: no
-//! RNG is shared between agents, so results are identical at every thread
-//! count.
+//! owns its policy networks, cost estimator, RNG and rollout buffer, and
+//! each slice environment owns its simulator. Work that touches one slice
+//! only runs on the process's `rayon` pool, one agent per element:
+//!
+//! - phase A, the switching statistic — the largest share of a slot, since
+//!   each agent draws its cost estimator's Monte-Carlo samples;
+//! - the episode-boundary PPO updates, both the scenario engine's
+//!   ([`Orchestrator::close_due_episodes`]) and the epoch's
+//!   ([`Orchestrator::run_epoch`]);
+//! - offline pre-training ([`Orchestrator::offline_pretrain_all`]).
+//!
+//! The fused forwards, coordination, enforcement and environment steps run
+//! on the calling thread; `onslicing_nn`'s kernels are sequential. A
+//! `for_each` over the pool allocates nothing once it is warm, so an
+//! evaluation slot still allocates nothing in steady state. Determinism is
+//! unaffected: no RNG or scratch is shared between agents, every result
+//! lands in its slice's own slot, and whatever is summed across slices is
+//! summed afterwards in slice order, so results are identical at every
+//! thread count.
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -62,7 +71,7 @@ use onslicing_slices::SlotKpi;
 
 use crate::agent::{Decision, OnSlicingAgent};
 use crate::env::{MultiSliceEnvironment, SliceEnvironment};
-use crate::metrics::{EpisodeMetrics, EpochMetrics};
+use crate::metrics::{EpisodeMetrics, EpochMetrics, SliceEpisodeSummary};
 
 /// How over-requests of shared resources are resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -577,15 +586,22 @@ impl Orchestrator {
                 state.write_row(input.row_mut(i));
             }
         }
-        // Phase A: switching statistics and proactive-switch classification.
-        // These draws are the only pre-action RNG consumption, and each agent
-        // owns an independent stream, so running them batch-first instead of
-        // interleaved with the forwards cannot change any draw.
+        // Phase A: switching statistics and proactive-switch classification,
+        // one agent per element on the pool. These draws are the only
+        // pre-action RNG consumption, and each agent owns an independent
+        // stream, so running them batch-first and in any order cannot change
+        // any draw.
         ws.statistics.clear();
-        for i in 0..n {
-            let row = ws.policy_cell.input().row(i);
-            ws.statistics
-                .push(self.agents[i].decide_phase_switch(row, ws.costs[i]));
+        ws.statistics.resize(n, 0.0);
+        {
+            let (input, costs) = (ws.policy_cell.input(), &ws.costs);
+            self.agents
+                .par_iter_mut()
+                .zip(ws.statistics.par_iter_mut())
+                .enumerate()
+                .for_each(|(i, (agent, statistic))| {
+                    *statistic = agent.decide_phase_switch(input.row(i), costs[i]);
+                });
         }
         // Phase B: the fused forwards (no RNG). Policy means feed phase C;
         // critic values feed the recording phase (bootstrap values for
@@ -661,6 +677,29 @@ impl Orchestrator {
             kpis.push(result.kpi);
         }
         self.workspace = ws;
+    }
+
+    /// Closes the episode of every slice whose environment has reached its
+    /// horizon: runs its agent's [`OnSlicingAgent::end_episode`] and then
+    /// [`OnSlicingAgent::update_policy`], one agent per element on the
+    /// pool. `closed` is cleared and refilled in slice order: entry `i`
+    /// holds slice `i`'s summary and the number of transitions its update
+    /// consumed, or `None` for a slice still mid-episode, whose agent is
+    /// left untouched. Environments are not reset; the caller records the
+    /// summaries and resets the closed ones.
+    pub fn close_due_episodes(&mut self, closed: &mut Vec<Option<(SliceEpisodeSummary, usize)>>) {
+        closed.clear();
+        closed.resize(self.agents.len(), None);
+        self.agents
+            .par_iter_mut()
+            .zip(self.env.envs_mut().par_iter_mut())
+            .zip(closed.par_iter_mut())
+            .for_each(|((agent, env), entry)| {
+                if env.slot() >= env.horizon() {
+                    let summary = agent.end_episode();
+                    *entry = Some((summary, agent.update_policy().num_transitions));
+                }
+            });
     }
 
     /// Runs one full episode (one emulated day) and returns its metrics.
@@ -1175,6 +1214,69 @@ mod tests {
                 serde_json::to_string(b).unwrap()
             );
         }
+    }
+
+    #[test]
+    fn close_due_episodes_matches_the_per_slice_reference() {
+        // Three slices start together and a fourth joins one slot later, so
+        // when the first three reach their horizon it is one slot short.
+        let mut orch = build(AgentConfig::onslicing(), CoordinationMode::default());
+        orch.env_mut().reset_all();
+        let horizon = orch.env().envs()[0].horizon();
+        orch.run_slot(true);
+        let (agent, mut env) = extra_slice(SliceKind::Mar, 400);
+        env.reset();
+        orch.admit_slice(agent, env).unwrap();
+        for _ in 1..horizon {
+            orch.run_slot(true);
+        }
+        assert_eq!(orch.env().envs()[3].slot(), horizon - 1);
+        let mut reference = orch.clone();
+
+        let mut closed = Vec::new();
+        orch.close_due_episodes(&mut closed);
+
+        let expected: Vec<Option<(SliceEpisodeSummary, usize)>> = reference
+            .agents
+            .iter_mut()
+            .zip(reference.env.envs())
+            .map(|(agent, env)| {
+                (env.slot() >= env.horizon()).then(|| {
+                    let summary = agent.end_episode();
+                    (summary, agent.update_policy().num_transitions)
+                })
+            })
+            .collect();
+        assert_eq!(
+            closed.iter().map(Option::is_some).collect::<Vec<_>>(),
+            [true, true, true, false]
+        );
+        assert!(closed
+            .iter()
+            .flatten()
+            .all(|&(_, transitions)| transitions > 0));
+        assert_eq!(closed, expected);
+        for (a, b) in orch.agents().iter().zip(reference.agents()) {
+            assert_eq!(
+                serde_json::to_string(a).unwrap(),
+                serde_json::to_string(b).unwrap()
+            );
+        }
+        // Environments are the caller's to reset.
+        assert_eq!(
+            serde_json::to_string(orch.env()).unwrap(),
+            serde_json::to_string(reference.env()).unwrap()
+        );
+
+        // The scratch is refilled, not appended to: the next call sees no
+        // slice at its horizon.
+        for env in &mut orch.env_mut().envs_mut()[..3] {
+            env.reset();
+        }
+        let before = serde_json::to_string(&orch.agents).unwrap();
+        orch.close_due_episodes(&mut closed);
+        assert_eq!(closed, [None; 4]);
+        assert_eq!(serde_json::to_string(&orch.agents).unwrap(), before);
     }
 
     #[test]

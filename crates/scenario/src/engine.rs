@@ -509,6 +509,10 @@ pub struct ScenarioEngine {
     slot_outcome: SlotOutcome,
     #[serde(skip)]
     slot_samples: Vec<SlotSample>,
+    /// Reused scratch of the episode-boundary updates, one entry per slice
+    /// (see [`Orchestrator::close_due_episodes`]).
+    #[serde(skip)]
+    closed_episodes: Vec<Option<(SliceEpisodeSummary, usize)>>,
 }
 
 impl ScenarioEngine {
@@ -567,6 +571,7 @@ impl ScenarioEngine {
             unenforced_admissions,
             slot_outcome: SlotOutcome::default(),
             slot_samples: Vec::new(),
+            closed_episodes: Vec::new(),
         };
         if engine.config.pretrain_episodes > 0 {
             engine
@@ -842,9 +847,24 @@ impl ScenarioEngine {
     /// Closes the running episode of the slice at `index`: harvests the
     /// summary, updates the policy, resets the environment.
     fn close_episode(&mut self, index: usize, slot: usize, obs: &mut dyn SlotObserver) {
+        let agent = &mut self.orch.agents_mut()[index];
+        let summary = agent.end_episode();
+        let transitions = agent.update_policy().num_transitions;
+        self.record_episode(index, slot, summary, transitions, obs);
+    }
+
+    /// The bookkeeping half of [`ScenarioEngine::close_episode`], once the
+    /// agent has ended its episode and updated on `transitions` transitions:
+    /// counts the episode, resets the environment, tells the observer.
+    fn record_episode(
+        &mut self,
+        index: usize,
+        slot: usize,
+        summary: SliceEpisodeSummary,
+        transitions: usize,
+        obs: &mut dyn SlotObserver,
+    ) {
         let id = self.orch.slice_ids()[index].0;
-        let summary = self.orch.agents_mut()[index].end_episode();
-        let update = self.orch.agents_mut()[index].update_policy();
         let stats = self.stats.get_mut(&id).expect("every slice has stats");
         stats.episodes += 1;
         stats.cost_sum += summary.avg_cost;
@@ -855,7 +875,7 @@ impl ScenarioEngine {
         if summary.switched_to_baseline {
             stats.switched_episodes += 1;
         }
-        if update.num_transitions > 0 {
+        if transitions > 0 {
             stats.policy_updates += 1;
         }
         self.orch.env_mut().envs_mut()[index].reset();
@@ -1095,13 +1115,16 @@ impl ScenarioEngine {
                 }));
             obs.on_slot(&self.slot_samples);
             // Staggered per-slice episode boundaries: a slice admitted at
-            // slot s ends its first episode at s + horizon.
-            for index in 0..self.orch.num_slices() {
-                let env = &self.orch.env().envs()[index];
-                if env.slot() >= env.horizon() {
-                    self.close_episode(index, slot, obs);
+            // slot s ends its first episode at s + horizon. The due agents
+            // update on the pool; their bookkeeping follows in slice order.
+            let mut closed = std::mem::take(&mut self.closed_episodes);
+            self.orch.close_due_episodes(&mut closed);
+            for (index, entry) in closed.iter().enumerate() {
+                if let Some((summary, transitions)) = *entry {
+                    self.record_episode(index, slot, summary, transitions, obs);
                 }
             }
+            self.closed_episodes = closed;
         }
         // Every active slice enforced its allocation this slot, so the
         // pending-admission reservations are now visible in the domain
