@@ -674,9 +674,51 @@ impl FleetCheckpoint {
         &self.config
     }
 
-    /// Serializes to compact JSON.
+    /// Serializes to compact JSON: each cell is rendered as one job on the
+    /// rayon pool, and the top-level fields are written around the cell
+    /// texts in declaration order. The layout is the `#[derive(Serialize)]`
+    /// on this type — `serde_json::to_string(checkpoint)` gives the same
+    /// bytes, and `crates/fleet/tests/reference_writer.rs` and
+    /// `thread_determinism.rs` hold the two equal at every pool width.
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("fleet checkpoint serialization cannot fail")
+        let json = |value: &dyn Serialize| {
+            serde_json::to_string(value).expect("fleet checkpoint serialization cannot fail")
+        };
+        let cells: Vec<String> = self.cells.par_iter().map(|cell| json(cell)).collect();
+        let field = |out: &mut String, name: &str, text: &str| {
+            out.push(if out.is_empty() { '{' } else { ',' });
+            out.push('"');
+            out.push_str(name);
+            out.push_str("\":");
+            out.push_str(text);
+        };
+        let mut out =
+            String::with_capacity(cells.iter().map(|c| c.len() + 1).sum::<usize>() + 4096);
+        field(&mut out, "format_version", &json(&self.format_version));
+        field(&mut out, "scenario", &json(&self.scenario));
+        field(&mut out, "config", &json(&self.config));
+        field(&mut out, "cells", "[");
+        for (i, cell) in cells.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(cell);
+        }
+        out.push(']');
+        field(&mut out, "migrations", &json(&self.migrations));
+        field(&mut out, "next_admission", &json(&self.next_admission));
+        field(
+            &mut out,
+            "fleet_admissions_granted",
+            &json(&self.fleet_admissions_granted),
+        );
+        field(
+            &mut out,
+            "fleet_admissions_denied",
+            &json(&self.fleet_admissions_denied),
+        );
+        out.push('}');
+        out
     }
 
     /// Parses a fleet checkpoint through the one versioned-document loader

@@ -4,10 +4,14 @@
 //! time. The two must agree byte for byte on the repository's largest
 //! documents — a fleet checkpoint (compact, ≈ 99 % floats) and a telemetry
 //! trace (pretty) — or checkpoints, goldens and baselines would all move.
+//! The oracle walks the checkpoint's derived `Serialize` value in one
+//! piece, so it also pins `FleetCheckpoint::to_json`, which renders cells
+//! as separate pool jobs and writes the top level by hand, to the derive's
+//! layout: at one cell, at two, and at five after a migration.
 
-use onslicing_fleet::{ElasticFleet, ElasticFleetConfig};
+use onslicing_fleet::{BalancerConfig, ElasticFleet, ElasticFleetConfig};
 use onslicing_replay::record_scenario;
-use onslicing_scenario::{builtin, fleet_by_name, ScenarioConfig};
+use onslicing_scenario::{builtin, fleet_by_name, hotspot_shift, FleetScenario, ScenarioConfig};
 use serde::{Serialize, Value};
 
 fn reference_escaped(s: &str, out: &mut String) {
@@ -74,6 +78,27 @@ fn reference_write(v: &Value, out: &mut String, pretty: Option<usize>) {
     out.push(close);
 }
 
+/// `fleet`'s checkpoint, written by `to_json` (one cell per pool job), by
+/// the derive through `serde_json::to_string` and by the reference writer:
+/// all three agree byte for byte.
+fn assert_checkpoint_matches_the_reference_writer(fleet: &ElasticFleet) -> String {
+    let checkpoint = fleet.checkpoint();
+    let mut expected = String::new();
+    reference_write(&checkpoint.serialize_value(), &mut expected, None);
+    let json = checkpoint.to_json();
+    assert!(
+        json == expected,
+        "compact checkpoint bytes of a {}-cell fleet differ",
+        fleet.cells().len()
+    );
+    assert!(
+        json == serde_json::to_string(checkpoint).unwrap(),
+        "to_json and the derive differ on a {}-cell fleet",
+        fleet.cells().len()
+    );
+    json
+}
+
 #[test]
 fn fleet_checkpoint_bytes_match_the_reference_writer() {
     let mut fleet = ElasticFleet::new(
@@ -82,16 +107,41 @@ fn fleet_checkpoint_bytes_match_the_reference_writer() {
     )
     .unwrap();
     fleet.advance_to(16).unwrap();
-    let checkpoint = fleet.checkpoint();
-    let mut expected = String::new();
-    reference_write(&checkpoint.serialize_value(), &mut expected, None);
-    let json = checkpoint.to_json();
+    let json = assert_checkpoint_matches_the_reference_writer(&fleet);
     assert!(
         json.len() > 1_000_000,
         "a real checkpoint, {} bytes",
         json.len()
     );
-    assert!(json == expected, "compact checkpoint bytes differ");
+
+    // One cell: a single job, no separator between cell texts.
+    let mut single = ElasticFleet::new(
+        FleetScenario::new(builtin::steady(), 1),
+        ElasticFleetConfig::new(1).with_seed(3),
+    )
+    .unwrap();
+    single.advance_to(8).unwrap();
+    assert_checkpoint_matches_the_reference_writer(&single);
+
+    // More cells than pool threads, past a migration, so every top-level
+    // field around the cell texts holds something.
+    let always_migrates = BalancerConfig {
+        min_load_gap: 0.0,
+        ..BalancerConfig::default()
+    };
+    let mut wide = ElasticFleet::new(
+        hotspot_shift(),
+        ElasticFleetConfig::new(5)
+            .with_seed(5)
+            .with_balancer(always_migrates),
+    )
+    .unwrap();
+    wide.advance_to(16).unwrap();
+    assert!(
+        !wide.migrations().is_empty(),
+        "the 5-cell fleet must migrate"
+    );
+    assert_checkpoint_matches_the_reference_writer(&wide);
 
     let (trace, _) = record_scenario(builtin::steady(), ScenarioConfig::default()).unwrap();
     let mut expected = String::new();

@@ -7,9 +7,17 @@
 //! `hotspot-shift` run (default pool vs `RAYON_NUM_THREADS=1`) and the
 //! `chaos_fuzz --cases 12 --seed 7` gate's generated multi-cell fleets.
 //!
-//! This is deliberately the **only** test in this binary: the vendored
-//! rayon reads `RAYON_NUM_THREADS` on every call, and mutating the process
-//! environment is only safe while no other thread reads it concurrently.
+//! A fleet checkpoint rides the same gate in-process: `to_json` renders one
+//! cell per pool job, and one live fleet's text must not depend on the pool
+//! width (across processes it differs anyway — each cell's
+//! `slot_latencies_ms` holds clock readings).
+//!
+//! This is deliberately the **only** binary whose tests set
+//! `RAYON_NUM_THREADS`: the vendored rayon reads it on every call, and
+//! mutating the process environment is only safe while no other thread
+//! reads it concurrently, so every test here holds [`ENV`] while it runs.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use onslicing_fleet::{BalancePolicy, BalancerConfig, ElasticFleet, ElasticFleetConfig};
 use onslicing_scenario::{
@@ -17,8 +25,59 @@ use onslicing_scenario::{
 };
 use onslicing_slices::SliceKind;
 
+/// Serializes this binary's tests: each one sets `RAYON_NUM_THREADS`.
+static ENV: Mutex<()> = Mutex::new(());
+
+fn env_lock() -> MutexGuard<'static, ()> {
+    ENV.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Sets `RAYON_NUM_THREADS` (`None` unsets it) and returns the prior value.
+fn set_width(width: Option<&str>) -> Option<String> {
+    let previous = std::env::var("RAYON_NUM_THREADS").ok();
+    match width {
+        Some(value) => std::env::set_var("RAYON_NUM_THREADS", value),
+        None => std::env::remove_var("RAYON_NUM_THREADS"),
+    }
+    previous
+}
+
+#[test]
+fn fleet_checkpoint_text_is_identical_across_thread_counts() {
+    let _env = env_lock();
+    let always_migrates = BalancerConfig {
+        min_load_gap: 0.0,
+        ..BalancerConfig::default()
+    };
+    let mut fleet = ElasticFleet::new(
+        hotspot_shift(),
+        ElasticFleetConfig::new(3)
+            .with_seed(5)
+            .with_balancer(always_migrates),
+    )
+    .unwrap();
+    fleet.advance_to(16).unwrap();
+    assert!(!fleet.migrations().is_empty());
+    let checkpoint = fleet.checkpoint();
+    let derived = serde_json::to_string(checkpoint).unwrap();
+    let previous = set_width(None);
+    let mut texts = vec![("default", checkpoint.to_json())];
+    for width in ["1", "2", "3"] {
+        set_width(Some(width));
+        texts.push((width, checkpoint.to_json()));
+    }
+    set_width(previous.as_deref());
+    for (width, text) in texts {
+        assert!(
+            text == derived,
+            "to_json at RAYON_NUM_THREADS={width} differs from the derive"
+        );
+    }
+}
+
 #[test]
 fn fleet_trace_is_byte_identical_across_thread_counts() {
+    let _env = env_lock();
     let scenario = Scenario::new("fleet-determinism", 8, 16)
         .with_capacity(2.0)
         .slice(SliceSpec::new(SliceKind::Mar))
@@ -61,7 +120,6 @@ fn fleet_trace_is_byte_identical_across_thread_counts() {
         let outcome = ElasticFleet::run(diurnal_fleet(), config).unwrap();
         outcome.trace.to_json()
     };
-    let previous = std::env::var("RAYON_NUM_THREADS").ok();
     let default_threads = record();
     let default_elastic = record_elastic(always_migrates);
     assert!(
@@ -71,16 +129,13 @@ fn fleet_trace_is_byte_identical_across_thread_counts() {
     let default_shipped = record_elastic(BalancerConfig::default());
     let default_predictive = record_policy(BalancePolicy::Predictive);
     let default_cost_aware = record_policy(BalancePolicy::CostAware);
-    std::env::set_var("RAYON_NUM_THREADS", "1");
+    let previous = set_width(Some("1"));
     let single_thread = record();
     let single_elastic = record_elastic(always_migrates);
     let single_shipped = record_elastic(BalancerConfig::default());
     let single_predictive = record_policy(BalancePolicy::Predictive);
     let single_cost_aware = record_policy(BalancePolicy::CostAware);
-    match previous {
-        Some(value) => std::env::set_var("RAYON_NUM_THREADS", value),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
+    set_width(previous.as_deref());
     assert_eq!(
         default_threads, single_thread,
         "fleet traces must not depend on the rayon worker count"
