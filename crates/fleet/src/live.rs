@@ -50,7 +50,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use onslicing_core::OnSlicingAgent;
-use onslicing_replay::{atomic_write, from_versioned_json, TelemetryRecorder};
+use onslicing_replay::{atomic_write, first_non_finite, from_versioned_json, TelemetryRecorder};
 use onslicing_scenario::{
     FleetScenario, LiveEventOutcome, ScenarioConfig, ScenarioEngine, ScenarioEvent, SliceSpec,
 };
@@ -222,8 +222,10 @@ impl ElasticFleet {
         scenario: FleetScenario,
         config: ElasticFleetConfig,
     ) -> Result<FleetOutcome, String> {
-        // detlint: allow(wall-clock) -- report-only: wall_clock_ms lands in
-        // FleetReport; FleetTrace (the byte-compared artifact) excludes it.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "report-only: wall_clock_ms lands in FleetReport; FleetTrace (the byte-compared artifact) excludes it"
+        )]
         let start = Instant::now();
         let mut fleet = Self::new(scenario, config)?;
         fleet.advance_to(fleet.total_slots())?;
@@ -358,9 +360,10 @@ impl ElasticFleet {
                 .min(target);
             self.state.cells.par_iter_mut().for_each(|c| {
                 while c.engine.current_slot() < stop {
-                    // detlint: allow(wall-clock) -- report-only: slot
-                    // latencies land in CellOutcome::slot_latencies_ms; every
-                    // balancer plan reads deterministic signals only.
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "report-only: slot latencies land in CellOutcome::slot_latencies_ms; every balancer plan reads deterministic signals only"
+                    )]
                     let slot_start = Instant::now();
                     c.engine.step_slot(&mut c.recorder);
                     c.slot_latencies_ms
@@ -571,10 +574,10 @@ impl FleetCheckpoint {
     /// configuration `config.base.for_cell(i)` derive (seed and policies
     /// included), every engine must pass
     /// [`ScenarioEngine::validate`] (agents' learned state fits together,
-    /// admission tuning in range) and every cell's agents must share one
-    /// trunk shape. The processed sync-point cursor is recomputed from the
-    /// slot (see the module docs' invariant), so nothing replays and nothing
-    /// is skipped.
+    /// admission tuning in range), every cell's agents must share one
+    /// trunk shape and every value a cell's recorder holds must be finite.
+    /// The processed sync-point cursor is recomputed from the slot (see the
+    /// module docs' invariant), so nothing replays and nothing is skipped.
     pub fn restore(self) -> Result<ElasticFleet, String> {
         self.validate()
             .map_err(|e| format!("fleet checkpoint is inconsistent: {e}"))?;
@@ -635,6 +638,13 @@ impl FleetCheckpoint {
             // Learned state whose lengths disagree would panic inside a
             // kernel at the next slot or epoch boundary.
             c.engine.validate().map_err(|e| format!("cell {i} {e}"))?;
+            // `finish` sorts each recorded series for its percentiles; a NaN
+            // has no place in that order.
+            if let Some(path) = first_non_finite(&c.recorder.serialize_value()) {
+                return Err(format!(
+                    "cell {i} recorder holds a non-finite value at {path}"
+                ));
+            }
             // An orchestrator refuses a slice whose networks do not have its
             // cell's trunk shape where the slice enters; the cell's fused
             // forward pass would hit its shape assert mid-run.
@@ -922,6 +932,37 @@ mod tests {
         );
         // Untouched, the same checkpoint restores.
         assert!(fleet.checkpoint().clone().restore().is_ok());
+    }
+
+    #[test]
+    fn a_recorded_nan_is_refused_at_restore_not_at_finish() {
+        // The writer tags a non-finite float as a string and the parser
+        // reads it back, so a doctored cost parses; unchecked, it restored
+        // and then panicked in `finish`'s percentile sort.
+        let scenario = fleet_by_name("hotspot-shift").unwrap();
+        let config = ElasticFleetConfig::new(2).with_seed(17);
+        let mut fleet = ElasticFleet::new(scenario, config).unwrap();
+        fleet.advance_to(24).unwrap();
+        let json = fleet.checkpoint().to_json();
+        assert!(
+            !json.contains("\"NaN\"") && !json.contains("\"inf\""),
+            "a clean checkpoint holds a non-finite float"
+        );
+        let recorder = json.find("\"recorder\"").expect("a cell recorder on file");
+        let cost = recorder + json[recorder..].find("\"cost\":").unwrap() + "\"cost\":".len();
+        let end = cost + json[cost..].find(',').unwrap();
+        let doctored = format!("{}\"NaN\"{}", &json[..cost], &json[end..]);
+        // That first recorded cost is cell 0's first slice in slot 0.
+        assert_eq!(
+            FleetCheckpoint::from_json(&doctored)
+                .unwrap()
+                .restore()
+                .unwrap_err(),
+            "fleet checkpoint is inconsistent: cell 0 recorder holds a non-finite value at \
+             slots[0].slices[0].cost"
+        );
+        // Untouched, the same checkpoint restores.
+        assert!(FleetCheckpoint::from_json(&json).unwrap().restore().is_ok());
     }
 
     #[test]

@@ -26,6 +26,13 @@
 //!   cell's telemetry recorder travels inside the checkpoint, the final
 //!   trace of a stopped-upgraded-resumed daemon is **byte-identical** to
 //!   an uninterrupted run's — the rolling-upgrade drill CI enforces.
+//!
+//! No request path may panic: a bad request or file degrades to an error
+//! response, so `unwrap`, `expect` and `panic!` are denied outside tests.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod config;
 pub mod daemon;

@@ -8,6 +8,10 @@
 //! See the crate docs ([`onslicing_fleetd`]) and the repository README's
 //! "Service mode" section for the config-file reference and the protocol
 //! catalogue.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::path::Path;
 use std::process::ExitCode;

@@ -6,6 +6,10 @@
 //! Every test drives a real daemon process (`CARGO_BIN_EXE_fleetd`) over
 //! its Unix control socket. Runs start paused and advance via `step`, so
 //! control requests land at scripted slots and the comparisons are exact.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "test deadlines for a real daemon process; no clock read reaches a trace"
+)]
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};

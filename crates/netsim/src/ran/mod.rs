@@ -118,7 +118,10 @@ impl RanConfig {
     /// * `demand_mbps` — offered load in Mbps.
     /// * `request_bits` — size of one application request in bits (used for
     ///   the per-request transmission delay).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per radio input of the link model, each documented above"
+    )]
     pub fn evaluate(
         &self,
         direction: Direction,

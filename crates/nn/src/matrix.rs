@@ -149,9 +149,10 @@ fn gemm_block_rows(a_data: &[f64], kd: usize, b_data: &[f64], n: usize, i: usize
     let mut j = 0;
     macro_rules! row_tile_pass {
         ($w:expr) => {
-            // `j + $w <= n` keeps every width on the same literal guard —
-            // clippy's `j < n` suggestion only holds for the `$w == 1` pass.
-            #[allow(clippy::int_plus_one)]
+            #[allow(
+                clippy::int_plus_one,
+                reason = "`j + $w <= n` keeps every width on the same literal guard; `j < n` only holds for the `$w == 1` pass"
+            )]
             while j + $w <= n {
                 let acc = gemm_tile_rows::<{ $w }>(a, b_data, n, j);
                 for (r, acc_row) in acc.iter().enumerate() {
@@ -388,7 +389,10 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if the batch dimensions disagree or `out` has the wrong shape.
-    #[allow(clippy::int_plus_one)] // `j + 1 <= n` arises from the W=1 tile macro instantiation
+    #[allow(
+        clippy::int_plus_one,
+        reason = "`j + 1 <= n` arises from the W=1 tile macro instantiation"
+    )]
     pub fn matmul_tn_acc_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "matmul_tn batch dimension mismatch");
         assert_eq!(

@@ -342,8 +342,8 @@ struct SliceFactory {
     // and only ever read through `entry()`, so ordering is immaterial to
     // behavior today — but an unordered container in a deterministic
     // crate is a standing hazard (any future iteration would inherit
-    // process-seeded order), and detlint's `unordered-container` rule
-    // bans them outright.
+    // process-seeded order), and the workspace `clippy.toml` bans them
+    // outright (`disallowed-types`).
     #[serde(skip)]
     baseline_cache: BTreeMap<(SliceKind, u64, u64), RuleBasedBaseline>,
     slices_built: u64,

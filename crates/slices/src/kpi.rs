@@ -52,7 +52,10 @@ impl SlotKpi {
     /// Builds a KPI record, deriving `performance_score`, `cost` and
     /// `resource_usage` from the SLA, the raw performance and the executed
     /// action.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per KPI input the record derives its fields from"
+    )]
     pub fn new(
         sla: &Sla,
         executed_action: &Action,
