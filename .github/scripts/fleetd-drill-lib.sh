@@ -5,16 +5,15 @@
 # slots, state under DIR/state.
 mk_config() {
   mkdir -p "$1"
-  cat > "$1/config.toml" <<'EOF'
-scenario = "hotspot-shift"
-cells = 2
-seed = 17
-state_dir = "state"
-start_paused = true
-
-[checkpoint]
-cadence_slots = 8
-retain = 2
+  cat > "$1/config.json" <<'EOF'
+{
+  "scenario": "hotspot-shift",
+  "cells": 2,
+  "seed": 17,
+  "state_dir": "state",
+  "start_paused": true,
+  "checkpoint": { "cadence_slots": 8, "retain": 2 }
+}
 EOF
 }
 

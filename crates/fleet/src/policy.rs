@@ -97,7 +97,7 @@ const FORECAST_WEIGHT: f64 = 1.0;
 const COST_WEIGHT: f64 = 0.5;
 
 /// A deterministic migration strategy. Serialized as its name (`greedy`,
-/// `predictive`, `cost-aware`), the key `config.toml` uses.
+/// `predictive`, `cost-aware`), the key `config.json` uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BalancePolicy {
     /// The original rule: move from the most loaded cell to the least

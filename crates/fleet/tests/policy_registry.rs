@@ -2,7 +2,7 @@
 //!
 //! * Unknown policy names are startup errors that name the known set —
 //!   both through `FromStr` and through `BalancerConfig` deserialization,
-//!   so a bad `config.toml` never reaches a run.
+//!   so a bad `config.json` never reaches a run.
 //! * Selecting `greedy` by name is byte-identical to the default balancer
 //!   (the goldens and the `rebalance` and
 //!   `tournament` cells of `baselines/EXPERIMENTS.json` pin the same fact
@@ -47,7 +47,7 @@ fn unknown_balance_policy_is_a_startup_error_naming_the_registered_set() {
             "error must name `{policy}`: {err}"
         );
     }
-    // The same check guards deserialized configs (fleetd's config.toml path):
+    // The same check guards deserialized configs (fleetd's config.json path):
     // a well-formed config with a misspelled policy name must fail to parse.
     let mut bad = BalancerConfig::default().serialize_value();
     if let serde::Value::Obj(pairs) = &mut bad {

@@ -5,11 +5,11 @@
 //! [`onslicing_fleet::ElasticFleet::run`] building a fleet, stepping it
 //! to the end and aggregating a report — `fleetd` runs continuously:
 //!
-//! * **Config file** ([`config`]) — a `config.toml` names the built-in
+//! * **Config file** ([`config`]) — a `config.json` names the built-in
 //!   fleet scenario, the fleet shape (cells, seed, balancer tuning), the
 //!   state directory, the control-socket path and the checkpoint
-//!   cadence/retention. Parsed by a vendored-dependency-free TOML-subset
-//!   parser that treats typos as startup errors.
+//!   cadence/retention. Read by the control protocol's own field reader,
+//!   which treats typos and repeated keys as startup errors.
 //! * **Exclusive state dir** ([`lock`]) — one daemon per state directory,
 //!   enforced by a PID lock file; locks left by crashed daemons are
 //!   detected (dead PID) and reclaimed automatically.

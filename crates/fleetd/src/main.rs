@@ -1,7 +1,7 @@
 //! `fleetd` — the elastic fleet as a service.
 //!
 //! ```text
-//! fleetd run <config.toml>          start the daemon (foreground)
+//! fleetd run <config.json>          start the daemon (foreground)
 //! fleetd ctl <socket> <json-line>   send one control request, print the response
 //! ```
 //!
@@ -18,7 +18,7 @@ use std::process::ExitCode;
 
 use onslicing_fleetd::{run, send_request, FleetdConfig};
 
-const USAGE: &str = "usage:\n  fleetd run <config.toml>\n  fleetd ctl <socket> <json-line>";
+const USAGE: &str = "usage:\n  fleetd run <config.json>\n  fleetd ctl <socket> <json-line>";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

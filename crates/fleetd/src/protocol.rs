@@ -7,7 +7,8 @@
 //! Parsing is hand-rolled over [`serde::Value`] rather than derived:
 //! derived deserialization in the vendored framework requires every field
 //! to be present, and a protocol where clients must spell out `null` for
-//! every optional knob is a protocol nobody gets right over `nc`.
+//! every optional knob is a protocol nobody gets right over `nc`. The
+//! hand-rolled reader, `Fields`, also reads the daemon's `config.json`.
 
 use serde::Value;
 
@@ -65,88 +66,160 @@ pub enum Request {
 }
 
 impl Request {
-    /// Parses one request line.
+    /// Parses one request line. Every key must be one the verb reads: a
+    /// typo or a repeated key is refused by name, never ignored, and an
+    /// `admit` spec is validated here so a bad one is answered, not run.
     pub fn parse(line: &str) -> Result<Self, String> {
         let value: Value =
             serde_json::from_str(line).map_err(|e| format!("malformed request: {e}"))?;
-        let op = value
-            .get("op")
-            .and_then(|v| v.as_str())
+        let mut fields = Fields::new(value, "the request")?;
+        let op = fields
+            .str("op")?
             .ok_or_else(|| "request needs a string `op` field".to_string())?;
-        match op {
-            "status" => Ok(Request::Status),
-            "telemetry" => Ok(Request::Telemetry {
-                window: match value.get("window") {
+        let mut id = |key: &str| -> Result<u32, String> {
+            fields
+                .u64(key)?
+                .and_then(|v| u32::try_from(v).ok())
+                .ok_or_else(|| format!("request needs a non-negative integer `{key}` field"))
+        };
+        let request = match op.as_str() {
+            "status" => Request::Status,
+            "telemetry" => Request::Telemetry {
+                window: match fields.u64("window")? {
                     None => DEFAULT_TELEMETRY_WINDOW,
-                    Some(v) => {
-                        let w = v
-                            .as_u64()
-                            .ok_or_else(|| "`window` must be a positive integer".to_string())?;
-                        if w == 0 {
-                            return Err("`window` must be a positive integer".to_string());
-                        }
-                        w as usize
-                    }
+                    Some(0) => return Err("`window` must be a positive integer".to_string()),
+                    Some(w) => w as usize,
                 },
-            }),
+            },
             "admit" => {
-                let kind = value
-                    .get("kind")
-                    .and_then(|v| v.as_str())
-                    .ok_or_else(|| "admit needs a string `kind` field".to_string())?;
-                let kind: SliceKind = kind.parse()?;
-                let mut spec = SliceSpec::new(kind);
-                spec.peak_rate = optional_f64(&value, "peak_rate")?;
-                spec.cost_threshold = optional_f64(&value, "cost_threshold")?;
-                Ok(Request::Admit { spec })
+                let kind: SliceKind = fields
+                    .str("kind")?
+                    .ok_or_else(|| "admit needs a string `kind` field".to_string())?
+                    .parse()?;
+                let spec = SliceSpec {
+                    kind,
+                    peak_rate: fields.f64("peak_rate")?,
+                    cost_threshold: fields.f64("cost_threshold")?,
+                };
+                spec.validate()?;
+                Request::Admit { spec }
             }
-            "teardown" => Ok(Request::Teardown {
-                cell: required_u32(&value, "cell")?,
-                slice: required_u32(&value, "slice")?,
-            }),
-            "renegotiate" => Ok(Request::Renegotiate {
-                cell: required_u32(&value, "cell")?,
-                slice: required_u32(&value, "slice")?,
-                cost_threshold: optional_f64(&value, "cost_threshold")?
+            "teardown" => Request::Teardown {
+                cell: id("cell")?,
+                slice: id("slice")?,
+            },
+            "renegotiate" => Request::Renegotiate {
+                cell: id("cell")?,
+                slice: id("slice")?,
+                cost_threshold: fields
+                    .f64("cost_threshold")?
                     .ok_or_else(|| "renegotiate needs a numeric `cost_threshold`".to_string())?,
-            }),
-            "checkpoint" => Ok(Request::Checkpoint),
-            "pause" => Ok(Request::Pause),
-            "resume" => Ok(Request::Resume),
-            "step" => {
-                let to_slot = value
-                    .get("to_slot")
-                    .and_then(|v| v.as_u64())
-                    .ok_or_else(|| "step needs a non-negative integer `to_slot`".to_string())?;
-                Ok(Request::Step {
-                    to_slot: to_slot as usize,
-                })
+            },
+            "checkpoint" => Request::Checkpoint,
+            "pause" => Request::Pause,
+            "resume" => Request::Resume,
+            "step" => Request::Step {
+                to_slot: fields
+                    .u64("to_slot")?
+                    .ok_or_else(|| "step needs a non-negative integer `to_slot`".to_string())?
+                    as usize,
+            },
+            "shutdown" => Request::Shutdown,
+            other => {
+                return Err(format!(
+                    "unknown op `{other}` (expected one of: status, telemetry, admit, teardown, \
+                     renegotiate, checkpoint, pause, resume, step, shutdown)"
+                ))
             }
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(format!(
-                "unknown op `{other}` (expected one of: status, telemetry, admit, teardown, \
-                 renegotiate, checkpoint, pause, resume, step, shutdown)"
-            )),
-        }
+        };
+        fields.finish()?;
+        Ok(request)
     }
 }
 
-fn required_u32(value: &Value, key: &str) -> Result<u32, String> {
-    value
-        .get(key)
-        .and_then(|v| v.as_u64())
-        .filter(|v| *v <= u64::from(u32::MAX))
-        .map(|v| v as u32)
-        .ok_or_else(|| format!("request needs a non-negative integer `{key}` field"))
+/// The one reader of a JSON object's fields, for control requests and the
+/// config file alike. Each taker removes its key and checks its type; a
+/// `null` reads as absent. [`Fields::finish`] then refuses the first key
+/// nobody took, so a misspelled key is an error naming it, not a default
+/// silently applied.
+pub(crate) struct Fields {
+    pairs: Vec<(String, Value)>,
+    /// Names the object in errors: `the request`, `the config`, `` `balancer` ``.
+    what: String,
 }
 
-fn optional_f64(value: &Value, key: &str) -> Result<Option<f64>, String> {
-    match value.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| format!("`{key}` must be a number")),
+impl Fields {
+    /// Opens an object, refusing a non-object and a key that appears twice
+    /// (the parser keeps both, and which one wins would be a guess).
+    pub(crate) fn new(value: Value, what: &str) -> Result<Self, String> {
+        let Value::Obj(pairs) = value else {
+            return Err(format!("{what} must be a JSON object"));
+        };
+        for (i, (key, _)) in pairs.iter().enumerate() {
+            if pairs[..i].iter().any(|(k, _)| k == key) {
+                return Err(format!("duplicate key `{key}` in {what}"));
+            }
+        }
+        Ok(Self {
+            pairs,
+            what: what.to_string(),
+        })
+    }
+
+    /// Removes `key`, converting its value with `read`; a value `read`
+    /// refuses is an error naming the key and the `kind` it must be.
+    fn take<T>(
+        &mut self,
+        key: &str,
+        kind: &str,
+        read: impl FnOnce(Value) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        let Some(i) = self.pairs.iter().position(|(k, _)| k == key) else {
+            return Ok(None);
+        };
+        match self.pairs.remove(i).1 {
+            Value::Null => Ok(None),
+            v => read(v)
+                .map(Some)
+                .ok_or_else(|| format!("`{key}` must be {kind}")),
+        }
+    }
+
+    pub(crate) fn str(&mut self, key: &str) -> Result<Option<String>, String> {
+        self.take(key, "a string", |v| match v {
+            Value::Str(s) => Some(s),
+            _ => None,
+        })
+    }
+
+    pub(crate) fn bool(&mut self, key: &str) -> Result<Option<bool>, String> {
+        self.take(key, "a boolean", |v| v.as_bool())
+    }
+
+    pub(crate) fn u64(&mut self, key: &str) -> Result<Option<u64>, String> {
+        self.take(key, "a non-negative integer", |v| v.as_u64())
+    }
+
+    pub(crate) fn f64(&mut self, key: &str) -> Result<Option<f64>, String> {
+        self.take(key, "a number", |v| v.as_f64())
+    }
+
+    /// A nested section; an absent one reads as empty.
+    pub(crate) fn object(&mut self, key: &str) -> Result<Fields, String> {
+        let what = format!("`{key}`");
+        let value = self.take(key, "an object", |v| match v {
+            Value::Obj(_) => Some(v),
+            _ => None,
+        })?;
+        Fields::new(value.unwrap_or(Value::Obj(Vec::new())), &what)
+    }
+
+    /// Refuses the first key no taker asked for.
+    pub(crate) fn finish(self) -> Result<(), String> {
+        match self.pairs.first() {
+            Some((key, _)) => Err(format!("unknown key `{key}` in {}", self.what)),
+            None => Ok(()),
+        }
     }
 }
 
@@ -270,6 +343,53 @@ mod tests {
         assert!(Request::parse("{\"op\":\"step\"}")
             .unwrap_err()
             .contains("to_slot"));
+        for (line, expected) in [
+            // A spec the admission path would panic on is refused here.
+            (
+                r#"{"op":"admit","kind":"mar","peak_rate":-5}"#,
+                "peak_rate must be positive and finite, got -5",
+            ),
+            (
+                r#"{"op":"admit","kind":"mar","peak_rate":1e400}"#,
+                "peak_rate must be positive and finite, got inf",
+            ),
+            (
+                r#"{"op":"admit","kind":"mar","cost_threshold":7}"#,
+                "cost_threshold must be in [0, 1], got 7",
+            ),
+            (
+                r#"{"op":"admit","kind":"mar","cost_threshold":-1}"#,
+                "cost_threshold must be in [0, 1], got -1",
+            ),
+            // Typos and repeats are refused by name, never defaulted.
+            (
+                r#"{"op":"telemetry","windw":4}"#,
+                "unknown key `windw` in the request",
+            ),
+            (
+                r#"{"op":"admit","kind":"mar","cost_treshold":0.1}"#,
+                "unknown key `cost_treshold` in the request",
+            ),
+            (
+                r#"{"op":"status","op":"shutdown"}"#,
+                "duplicate key `op` in the request",
+            ),
+            (
+                r#"{"op":"teardown","cell":0,"slice":4294967296}"#,
+                "`slice`",
+            ),
+            ("[1,2,3]", "the request must be a JSON object"),
+        ] {
+            let err = Request::parse(line).unwrap_err();
+            assert!(err.contains(expected), "{line}: {err}");
+        }
+        // `null` reads as absent: the paper defaults apply.
+        assert_eq!(
+            Request::parse(r#"{"op":"admit","kind":"rdc","peak_rate":null}"#).unwrap(),
+            Request::Admit {
+                spec: SliceSpec::new(SliceKind::Rdc)
+            }
+        );
     }
 
     #[test]

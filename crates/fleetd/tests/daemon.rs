@@ -48,20 +48,20 @@ impl TestDir {
         self.state_dir().join("control.sock")
     }
 
-    /// Writes a config.toml with the shared test fleet shape. Checkpoint
+    /// Writes a config.json with the shared test fleet shape. Checkpoint
     /// cadence 8, retention 2 (small enough that GC actually runs).
     fn write_config(&self) -> PathBuf {
         self.write_config_retaining(2)
     }
 
     fn write_config_retaining(&self, retain: usize) -> PathBuf {
-        let path = self.root.join("config.toml");
+        let path = self.root.join("config.json");
         std::fs::write(
             &path,
             format!(
-                "scenario = \"{SCENARIO}\"\ncells = {CELLS}\nseed = {SEED}\n\
-                 state_dir = \"state\"\nstart_paused = true\n\n\
-                 [checkpoint]\ncadence_slots = 8\nretain = {retain}\n"
+                "{{\"scenario\": \"{SCENARIO}\", \"cells\": {CELLS}, \"seed\": {SEED}, \
+                 \"state_dir\": \"state\", \"start_paused\": true,\n\
+                 \"checkpoint\": {{\"cadence_slots\": 8, \"retain\": {retain}}}}}\n"
             ),
         )
         .unwrap();
@@ -645,6 +645,10 @@ fn garbage_truncated_and_oversized_requests_never_kill_the_daemon() {
         b"{\"op\":\"admit\"}\n",
         b"{\"op\":\"admit\",\"kind\":\"xxl\"}\n",
         b"{\"op\":\"step\",\"to_slot\":\"many\"}\n",
+        b"{\"op\":\"admit\",\"kind\":\"mar\",\"peak_rate\":-5}\n",
+        b"{\"op\":\"admit\",\"kind\":\"mar\",\"peak_rate\":1e400}\n",
+        b"{\"op\":\"admit\",\"kind\":\"mar\",\"cost_threshold\":7}\n",
+        b"{\"op\":\"admit\",\"kind\":\"mar\",\"cost_threshold\":-1}\n",
         b"[1,2,3]\n",
         b"\n\n{\"op\":\"status\"}\n",
     ] {
@@ -699,6 +703,33 @@ fn garbage_truncated_and_oversized_requests_never_kill_the_daemon() {
     ctl_ok(&dir.socket(), "{\"op\":\"step\",\"to_slot\":4}");
     let status = ctl_ok(&dir.socket(), "{\"op\":\"status\"}");
     assert_eq!(status.get("slot").and_then(Value::as_u64), Some(4));
+
+    // A spec the admission path would panic on is answered with the
+    // reason once the clock has moved too, and the daemon serves on.
+    for (line, reason) in [
+        (
+            "{\"op\":\"admit\",\"kind\":\"mar\",\"peak_rate\":-5}",
+            "peak_rate must be positive and finite, got -5",
+        ),
+        (
+            "{\"op\":\"admit\",\"kind\":\"mar\",\"peak_rate\":1e400}",
+            "peak_rate must be positive and finite, got inf",
+        ),
+        (
+            "{\"op\":\"admit\",\"kind\":\"mar\",\"cost_threshold\":7}",
+            "cost_threshold must be in [0, 1], got 7",
+        ),
+        (
+            "{\"op\":\"admit\",\"kind\":\"mar\",\"cost_threshold\":-1}",
+            "cost_threshold must be in [0, 1], got -1",
+        ),
+    ] {
+        let response = ctl(&dir.socket(), line);
+        assert_eq!(response.get("ok").and_then(Value::as_bool), Some(false));
+        let error = response.get("error").and_then(Value::as_str).unwrap();
+        assert!(error.contains(reason), "{line}: {error}");
+        ctl_ok(&dir.socket(), "{\"op\":\"status\"}");
+    }
 
     ctl_ok(&dir.socket(), "{\"op\":\"shutdown\"}");
     assert!(wait_exit(&mut daemon).success());

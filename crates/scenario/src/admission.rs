@@ -21,7 +21,7 @@ use onslicing_domains::DomainSet;
 use onslicing_slices::ResourceKind;
 
 /// A deterministic admission rule. Serialized as its name (`greedy`,
-/// `cautious`), the key `config.toml` and scenario files use.
+/// `cautious`), the key `config.json` and scenario files use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionPolicy {
     /// The original rule: the newcomer claims its estimated share.
