@@ -234,7 +234,7 @@ fn check_admission_law(case: &ChaosCase, fleet: &ElasticFleet) -> Result<(), Str
     let mut probe = fleet.clone();
     let spec = SliceSpec::new(SliceKind::Mar);
     if probe.is_complete() {
-        if let Some((cell, slice)) = probe.admit(&spec) {
+        if let Some((cell, slice)) = probe.admit(&spec)? {
             return Err(format!(
                 "admission law: fleet already at its scenario end (slot {}) still granted \
                  an admission (cell {cell}, slice {slice}) — a finished fleet must deny",
@@ -248,7 +248,7 @@ fn check_admission_law(case: &ChaosCase, fleet: &ElasticFleet) -> Result<(), Str
         predicted += predicted_cell_grants(case, &cell.engine)?;
     }
     let mut granted = 0usize;
-    while probe.admit(&spec).is_some() {
+    while probe.admit(&spec)?.is_some() {
         granted += 1;
         if granted > ADMISSION_PROBE_CAP {
             return Err(format!(

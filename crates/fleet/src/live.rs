@@ -379,25 +379,26 @@ impl ElasticFleet {
     /// accepts it. Returns the hosting `(cell, slice_id)` pair, or `None`
     /// for a fleet-wide denial. Counted alongside the scripted fleet
     /// admissions.
-    pub fn admit(&mut self, spec: &SliceSpec) -> Option<(u32, u32)> {
+    ///
+    /// # Errors
+    /// A spec that fails [`SliceSpec::validate`] is refused with its reason
+    /// and counted neither way.
+    pub fn admit(&mut self, spec: &SliceSpec) -> Result<Option<(u32, u32)>, String> {
+        spec.validate()?;
         let slot = self.slot();
         // A fleet at its scenario end executes no further slots, so a
         // slice granted here would never run (and its zero-slot episode
         // would pollute the final aggregation): deny fleet-wide.
         if self.is_complete() {
             self.state.fleet_admissions_denied += 1;
-            return None;
+            return Ok(None);
         }
-        match route_fleet_admission(&mut self.state.cells, spec, slot) {
-            Some(placement) => {
-                self.state.fleet_admissions_granted += 1;
-                Some(placement)
-            }
-            None => {
-                self.state.fleet_admissions_denied += 1;
-                None
-            }
+        let placement = route_fleet_admission(&mut self.state.cells, spec, slot);
+        match placement {
+            Some(_) => self.state.fleet_admissions_granted += 1,
+            None => self.state.fleet_admissions_denied += 1,
         }
+        Ok(placement)
     }
 
     /// Applies one scenario event to a specific cell at the current window
@@ -846,7 +847,7 @@ mod tests {
         // and both outcomes update the fleet counters.
         let mut granted = 0;
         for _ in 0..64 {
-            match fleet.admit(&SliceSpec::new(SliceKind::Hvs)) {
+            match fleet.admit(&SliceSpec::new(SliceKind::Hvs)).unwrap() {
                 Some((cell, _)) => {
                     assert!((cell as usize) < 2);
                     granted += 1;
@@ -1270,11 +1271,29 @@ mod tests {
         let denied_before = fleet.fleet_admissions_denied();
         assert_eq!(
             fleet.admit(&SliceSpec::new(SliceKind::Mar)),
-            None,
+            Ok(None),
             "a slice granted at the scenario end would never execute a slot"
         );
         assert_eq!(fleet.fleet_admissions_denied(), denied_before + 1);
         fleet.finish(0.0).unwrap();
+    }
+
+    #[test]
+    fn an_invalid_live_admission_is_refused_uncounted() {
+        let mut fleet = ElasticFleet::new(tiny_fleet_scenario(), quick_config(2)).unwrap();
+        fleet.advance_to(8).unwrap();
+        let counts = |f: &ElasticFleet| (f.fleet_admissions_granted(), f.fleet_admissions_denied());
+        let before = counts(&fleet);
+        for spec in [
+            SliceSpec::new(SliceKind::Mar).with_peak_rate(-5.0),
+            SliceSpec::new(SliceKind::Mar).with_peak_rate(f64::INFINITY),
+            SliceSpec::new(SliceKind::Mar).with_cost_threshold(7.0),
+        ] {
+            assert_eq!(fleet.admit(&spec), Err(spec.validate().unwrap_err()));
+            assert_eq!(counts(&fleet), before, "{spec:?} was counted");
+        }
+        fleet.advance_to(16).unwrap();
+        assert_eq!(fleet.slot(), 16);
     }
 
     #[test]

@@ -332,16 +332,17 @@ impl Service<'_> {
             Request::Status => self.status_response(),
             Request::Telemetry { window } => self.telemetry_response(window),
             Request::Admit { spec } => match self.fleet.admit(&spec) {
-                Some((cell, slice)) => ok_response(vec![
+                Ok(Some((cell, slice))) => ok_response(vec![
                     ("outcome", Value::Str("granted".to_string())),
                     ("cell", Value::UInt(u64::from(cell))),
                     ("slice", Value::UInt(u64::from(slice))),
                     ("slot", Value::UInt(slot as u64)),
                 ]),
-                None => ok_response(vec![
+                Ok(None) => ok_response(vec![
                     ("outcome", Value::Str("denied".to_string())),
                     ("slot", Value::UInt(slot as u64)),
                 ]),
+                Err(e) => error_response(&e),
             },
             Request::Teardown { cell, slice } => {
                 self.event_response(cell, &ScenarioEvent::TeardownSlice { slice })

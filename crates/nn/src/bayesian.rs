@@ -32,9 +32,11 @@
 //!   pre-activations (one draw per unit) instead of the weights (one draw
 //!   per connection) and runs all posterior samples as one batch through the
 //!   GEMM kernels. The predictive distribution is the same; only the number
-//!   of RNG draws differs: `samples × Σ out_dim` scalar
-//!   [`standard_normal`] calls, layer by layer and row-major within a
-//!   layer (1 552 for 16 samples of the `[9, 64, 32, 1]` trunk).
+//!   of RNG draws differs: the words of `samples × Σ out_dim` scalar
+//!   [`standard_normal`](crate::policy::standard_normal) calls, layer by
+//!   layer and row-major within a layer (1 552 for 16 samples of the
+//!   `[9, 64, 32, 1]` trunk), drawn by one [`fill_standard_normal`] per
+//!   layer.
 //!
 //! `predict_with` aggregates the stochastic passes into a predictive mean and
 //! standard deviation, which is exactly the `(μ, σ)` pair the switching rule
@@ -46,7 +48,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::activation::Activation;
 use crate::matrix::Matrix;
-use crate::policy::standard_normal;
+use crate::policy::fill_standard_normal;
 use crate::{softplus, softplus_and_sigmoid};
 
 /// Summary statistics of the stochastic predictions of a [`BayesianMlp`].
@@ -126,9 +128,9 @@ impl Scales {
     /// Draws one `ε ∼ N(0, 1)` per entry, in order, into `eps` and writes
     /// the sample `μ + σ·ε` into `sampled`.
     fn draw<R: Rng + ?Sized>(&self, mu: &[f64], eps: &mut [f64], sampled: &mut [f64], rng: &mut R) {
-        for (((w, e), &m), &s) in sampled.iter_mut().zip(eps).zip(mu).zip(&self.sigma) {
-            *e = standard_normal(rng);
-            *w = m + s * *e;
+        fill_standard_normal(rng, eps);
+        for (((w, &e), &m), &s) in sampled.iter_mut().zip(&*eps).zip(mu).zip(&self.sigma) {
+            *w = m + s * e;
         }
     }
 
@@ -710,7 +712,8 @@ impl BayesianMlp {
     /// and variances are computed once and every sample only adds its own
     /// noise; from layer 1 on the samples are a `num_samples`-row batch and
     /// each layer costs two GEMMs (`X·μᵀ` and `X²·(σ²)ᵀ`) plus one
-    /// [`standard_normal`] draw per unit per sample, in row-major order. All
+    /// [`fill_standard_normal`] of one draw per unit per sample, in
+    /// row-major order, before the activation pass. All
     /// buffers live in `scratch`, so a warm call allocates nothing; the
     /// caller must [`PredictScratch::invalidate`] the scratch after any
     /// parameter update.
@@ -759,18 +762,15 @@ impl BayesianMlp {
             for v in std.data_mut() {
                 *v = v.sqrt();
             }
+            // The layer's noise block first, row-major, then the samples.
             y.resize(num_samples, layer.out_dim());
-            for s in 0..num_samples {
-                // One shared statistics row until the first noise is added.
-                let stats_row = if mean.rows() == 1 { 0 } else { s };
-                for ((out, &m), &sd) in y
-                    .row_mut(s)
-                    .iter_mut()
-                    .zip(mean.row(stats_row))
-                    .zip(std.row(stats_row))
-                {
-                    *out = layer.activation.apply(m + sd * standard_normal(rng));
-                }
+            fill_standard_normal(rng, y.data_mut());
+            match layer.activation {
+                // One loop per hidden and output activation keeps the
+                // match out of the element loop.
+                Activation::Relu => add_noise(mean, std, y, |v| Activation::Relu.apply(v)),
+                Activation::Identity => add_noise(mean, std, y, |v| v),
+                act => add_noise(mean, std, y, |v| act.apply(v)),
             }
             std::mem::swap(x, y);
         }
@@ -810,6 +810,24 @@ impl BayesianMlp {
     }
 }
 
+/// `y ← act(mean + std·y)`, `y` holding one noise draw per entry: row `s`
+/// of `y` reads row `s` of the statistics, or their one shared row before
+/// the first layer's noise.
+#[inline(always)]
+fn add_noise(mean: &Matrix, std: &Matrix, y: &mut Matrix, act: impl Fn(f64) -> f64) {
+    for s in 0..y.rows() {
+        let stats_row = if mean.rows() == 1 { 0 } else { s };
+        for ((out, &m), &sd) in y
+            .row_mut(s)
+            .iter_mut()
+            .zip(mean.row(stats_row))
+            .zip(std.row(stats_row))
+        {
+            *out = act(m + sd * *out);
+        }
+    }
+}
+
 impl crate::optimizer::ParameterSet for BayesianMlp {
     fn grad_norm_squared(&self) -> f64 {
         BayesianMlp::grad_norm_squared(self)
@@ -826,6 +844,7 @@ impl crate::optimizer::ParameterSet for BayesianMlp {
 mod tests {
     use super::*;
     use crate::optimizer::Adam;
+    use crate::policy::standard_normal;
     use crate::softplus_derivative;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;

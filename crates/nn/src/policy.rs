@@ -15,11 +15,12 @@
 //! log-probability is always evaluated on the *unclipped* sample so that the
 //! PPO ratio remains well defined.
 //!
-//! The module also owns [`standard_normal`], the one `N(0, 1)` sampler of
-//! the `nn` and `core` crates: policy exploration, the Bayesian layers'
-//! weight and pre-activation noise, the action modifier's noise and the
-//! agent's estimator noise all draw from it, so a change to it moves every
-//! agent's RNG stream at once (and must re-pin goldens, baselines and the
+//! The module also owns [`standard_normal`] and its batched form
+//! [`fill_standard_normal`], the one `N(0, 1)` sampler of the `nn` and
+//! `core` crates: policy exploration, the Bayesian layers' weight and
+//! pre-activation noise, the action modifier's noise and the agent's
+//! estimator noise all draw from it, so a change to it moves every agent's
+//! RNG stream at once (and must re-pin goldens, baselines and the
 //! checkpoint format versions).
 
 use std::sync::OnceLock;
@@ -80,15 +81,44 @@ fn ziggurat() -> &'static Ziggurat {
 /// on rejection — so the number of words a draw consumes depends on their
 /// values. This is the one `N(0, 1)` sampler of the `nn` and `core` crates.
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let Ziggurat { x, f } = ziggurat();
+    ziggurat_draw(ziggurat(), rng)
+}
+
+/// Fills `out` with standard-normal samples: the same values from the same
+/// words as `out.len()` calls of [`standard_normal`], in order, with the
+/// tables looked up once.
+pub fn fill_standard_normal<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
+    let tables = ziggurat();
+    for v in out {
+        *v = ziggurat_draw(tables, rng);
+    }
+}
+
+/// One draw of [`standard_normal`]: the one-word fast path, inlined into
+/// both callers.
+#[inline(always)]
+fn ziggurat_draw<R: Rng + ?Sized>(tables: &Ziggurat, rng: &mut R) -> f64 {
+    let bits: u64 = rng.gen();
+    let layer = (bits & 0xff) as usize;
+    let u = (bits >> 11) as f64 * (2.0 / (1u64 << 53) as f64) - 1.0;
+    let z = u * tables.x[layer];
+    if z.abs() < tables.x[layer + 1] {
+        return z;
+    }
+    outside_strip(tables, rng, layer, u, z)
+}
+
+/// The rest of a draw whose first word landed outside its layer's inner
+/// strip: the tail or the wedge test, then whole redraws until one accepts.
+#[inline(never)]
+fn outside_strip<R: Rng + ?Sized>(
+    Ziggurat { x, f }: &Ziggurat,
+    rng: &mut R,
+    mut layer: usize,
+    mut u: f64,
+    mut z: f64,
+) -> f64 {
     loop {
-        let bits: u64 = rng.gen();
-        let layer = (bits & 0xff) as usize;
-        let u = (bits >> 11) as f64 * (2.0 / (1u64 << 53) as f64) - 1.0;
-        let z = u * x[layer];
-        if z.abs() < x[layer + 1] {
-            return z;
-        }
         if layer == 0 {
             // |z| ≥ R in the base strip stands for the tail: R plus an
             // exponential of rate R, accepted against the Gaussian decay.
@@ -103,6 +133,13 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
         // The wedge between the layer's inner strip and the density.
         let y = f[layer] + rng.gen::<f64>() * (f[layer + 1] - f[layer]);
         if y < (-0.5 * z * z).exp() {
+            return z;
+        }
+        let bits: u64 = rng.gen();
+        layer = (bits & 0xff) as usize;
+        u = (bits >> 11) as f64 * (2.0 / (1u64 << 53) as f64) - 1.0;
+        z = u * x[layer];
+        if z.abs() < x[layer + 1] {
             return z;
         }
     }
@@ -510,6 +547,51 @@ mod tests {
             let area = x[i] * (f[i + 1] - f[i]);
             assert!((area - ZIGGURAT_V).abs() < 1e-12, "layer {i}: {area}");
         }
+    }
+
+    /// Counts the 64-bit words drawn from the wrapped generator.
+    struct Counting<'a>(&'a mut ChaCha8Rng, usize);
+
+    impl rand::RngCore for Counting<'_> {
+        fn next_u64(&mut self) -> u64 {
+            self.1 += 1;
+            self.0.next_u64()
+        }
+    }
+
+    #[test]
+    fn fill_standard_normal_equals_one_scalar_draw_per_entry() {
+        let (mut tails, mut wedges) = (0, 0);
+        for seed in 0..8 {
+            let mut filled = ChaCha8Rng::seed_from_u64(seed);
+            let mut scalar = filled.clone();
+            // Fills that start and end mid-block, the empty one included.
+            for len in [0, 1, 7, 1552, 2537] {
+                let mut out = vec![f64::NAN; len];
+                fill_standard_normal(&mut filled, &mut out);
+                for (k, &v) in out.iter().enumerate() {
+                    let mut counting = Counting(&mut scalar, 0);
+                    let want = standard_normal(&mut counting);
+                    assert_eq!(
+                        v.to_bits(),
+                        want.to_bits(),
+                        "seed {seed}, len {len}, entry {k}"
+                    );
+                    // Only the tail returns |z| ≥ R; any other draw that
+                    // spent a second word went through the wedge test.
+                    if want.abs() >= ZIGGURAT_R {
+                        tails += 1;
+                    } else if counting.1 > 1 {
+                        wedges += 1;
+                    }
+                }
+                assert_eq!(filled, scalar, "seed {seed}, len {len}: generator state");
+            }
+        }
+        assert!(
+            tails > 0 && wedges > 0,
+            "tail draws {tails}, wedge draws {wedges}"
+        );
     }
 
     #[test]
