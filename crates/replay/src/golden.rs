@@ -3,7 +3,8 @@
 //! one JSON-tree walk in [`crate::values`].
 //!
 //! The committed goldens live in `goldens/TRACE_<scenario>.json` at the
-//! repository root. `replay_check golden <scenario>` re-runs the scenario
+//! repository root. `replay_check golden <scenario>` (a binary of
+//! `onslicing-bench`, which can also run fleets) re-runs the scenario
 //! from its pinned seed and fails CI on any drift; `--update` regenerates
 //! the files after an *intentional* behavior change (see the README).
 

@@ -21,10 +21,10 @@
 //!   baseline switches) and per-episode outcomes, finalized into a
 //!   [`TelemetryTrace`] with per-slice percentile summaries — the
 //!   `TRACE_<scenario>.json` artifact.
-//! * [`golden`] — the golden-file workflow behind the `replay_check`
-//!   binary: a fresh trace's JSON tree against the committed file's, within
-//!   one fixed tolerance (see the README for how to regenerate goldens when
-//!   behavior intentionally changes).
+//! * [`golden`] — the golden-file workflow behind `onslicing-bench`'s
+//!   `replay_check` binary: a fresh trace's JSON tree against the
+//!   committed file's, within one fixed tolerance (see the README for how
+//!   to regenerate goldens when behavior intentionally changes).
 //! * [`values`] — [`diff_values`] and [`first_non_finite`], the one walk
 //!   over a `serde::Value` tree every pinned document is compared with (the
 //!   goldens, `replay_check resume`, the chaos harness and `bench_regress`):

@@ -19,7 +19,7 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 
 use onslicing_scenario::{
-    EpisodeEndEvent, ScenarioConfig, ScenarioEngine, SliceReport, SlotObserver, SlotSample,
+    EpisodeEndEvent, ScenarioConfig, ScenarioEngine, ScenarioReport, SlotObserver, SlotSample,
 };
 use onslicing_slices::SliceKind;
 
@@ -455,16 +455,15 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
 }
 
 /// Runs a scenario from scratch with a telemetry recorder attached and
-/// returns the trace plus the per-slice reports of the final
-/// [`onslicing_scenario::ScenarioReport`].
+/// returns the trace plus the run's final [`ScenarioReport`].
 pub fn record_scenario(
     scenario: onslicing_scenario::Scenario,
     config: ScenarioConfig,
-) -> Result<(TelemetryTrace, Vec<SliceReport>), String> {
+) -> Result<(TelemetryTrace, ScenarioReport), String> {
     let mut engine = ScenarioEngine::new(scenario, config)?;
     let mut recorder = TelemetryRecorder::new(&engine);
     let report = engine.run_with_observer(&mut recorder);
-    Ok((recorder.finalize(), report.slices))
+    Ok((recorder.finalize(), report))
 }
 
 #[cfg(test)]
@@ -545,20 +544,19 @@ mod tests {
 
     #[test]
     fn recorded_trace_covers_every_slot_and_episode() {
-        let (trace, slices) =
-            record_scenario(builtin::steady(), ScenarioConfig::default()).unwrap();
+        let (trace, run) = record_scenario(builtin::steady(), ScenarioConfig::default()).unwrap();
         assert_eq!(trace.scenario, "steady");
         assert_eq!(trace.start_slot, 0);
         assert_eq!(trace.slots.len(), trace.total_slots);
         assert_eq!(trace.summaries.len(), 3);
-        for (summary, report) in trace.summaries.iter().zip(&slices) {
+        for (summary, report) in trace.summaries.iter().zip(&run.slices) {
             assert_eq!(summary.id, report.id);
             assert_eq!(summary.episodes, report.episodes);
             assert_eq!(summary.violations, report.violations);
             assert!(summary.cost_p50 <= summary.cost_p90);
             assert!(summary.cost_p90 <= summary.cost_p99);
         }
-        let episode_count: usize = slices.iter().map(|s| s.episodes).sum();
+        let episode_count: usize = run.slices.iter().map(|s| s.episodes).sum();
         assert_eq!(trace.episodes.len(), episode_count);
     }
 

@@ -2,7 +2,7 @@
 //! scenario built to exercise the rayon fan-out) must emit byte-identical
 //! telemetry with the worker pool forced to one thread and at the machine
 //! default. CI additionally runs the same comparison across separate
-//! `replay_check` processes.
+//! `replay_check` processes, for every built-in.
 //!
 //! This is deliberately the **only** test in this binary: the vendored
 //! rayon reads `RAYON_NUM_THREADS` on every call, and mutating the process

@@ -219,7 +219,8 @@ pub fn by_name(name: &str) -> Option<Scenario> {
 }
 
 /// Resolves a CLI scenario argument: a built-in name, or a path to a
-/// scenario JSON file (validated on load), for the `replay_check` binary.
+/// scenario JSON file (validated on load). `onslicing-bench`'s
+/// `replay_check` binary resolves its single-cell arguments through it.
 pub fn by_name_or_file(arg: &str) -> Result<Scenario, String> {
     if let Some(scenario) = by_name(arg) {
         return Ok(scenario);

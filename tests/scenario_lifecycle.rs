@@ -61,8 +61,8 @@ fn admitted_slice_trains_online_and_torn_down_slice_releases_capacity() {
 }
 
 /// Every built-in scenario is valid, JSON round-trips, and the cheap ones
-/// run to completion (the full catalogue runs in release mode via the
-/// `scenario_runner` CI smoke step).
+/// run to completion (the full catalogue runs in release mode via CI's
+/// `replay_check trace` gate).
 #[test]
 fn builtin_catalogue_is_valid_and_runs() {
     let catalogue = builtin::all();
