@@ -20,6 +20,7 @@
 
 use std::process::ExitCode;
 
+use onslicing_bench::outln;
 use onslicing_bench::regress::compare_json;
 
 fn usage() -> String {
@@ -55,7 +56,7 @@ fn run(args: &[String]) -> Result<bool, String> {
         }
         std::fs::write(baseline_path, &fresh)
             .map_err(|e| format!("cannot write baseline `{baseline_path}`: {e}"))?;
-        println!("baseline updated: {fresh_path} -> {baseline_path}");
+        outln!("baseline updated: {fresh_path} -> {baseline_path}");
         return Ok(true);
     }
     let baseline = std::fs::read_to_string(baseline_path).map_err(|e| {
@@ -66,7 +67,7 @@ fn run(args: &[String]) -> Result<bool, String> {
     })?;
     let report = compare_json(&baseline, &fresh)?;
     if report.drifts.is_empty() {
-        println!(
+        outln!(
             "bench_regress ok: {fresh_path} within tolerance of {baseline_path} \
              ({} metrics checked)",
             report.leaves

@@ -17,7 +17,7 @@
 use std::process::ExitCode;
 
 use onslicing_bench::experiments::{claims_json, scoreboard, Experiment, EXPERIMENTS};
-use onslicing_bench::RunScale;
+use onslicing_bench::{out, outln, RunScale};
 
 /// Every usage error enumerates the registered ids.
 fn usage(error: &str) -> String {
@@ -60,7 +60,7 @@ fn list() -> String {
 
 fn run(args: &[String]) -> Result<(), String> {
     let Some((full, out, selected)) = parse(args)? else {
-        print!("{}", list());
+        out!("{}", list());
         return Ok(());
     };
     let (scale, scale_name) = match full {
@@ -69,16 +69,16 @@ fn run(args: &[String]) -> Result<(), String> {
     };
     let mut results = Vec::new();
     for experiment in selected {
-        println!("\n##### {} — {}", experiment.id, experiment.title);
+        outln!("\n##### {} — {}", experiment.id, experiment.title);
         let outcome = (experiment.run)(scale);
-        print!("{outcome}");
+        out!("{outcome}");
         results.push((experiment.id, outcome));
     }
-    print!("\n{}", scoreboard(&results));
+    out!("\n{}", scoreboard(&results));
     if let Some(path) = out {
         let ledger = claims_json(scale_name, scale.seeds, &results);
         std::fs::write(&path, ledger).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        println!("\nwrote {path}");
+        outln!("\nwrote {path}");
     }
     Ok(())
 }

@@ -21,6 +21,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use onslicing_bench::{out, outln};
 use onslicing_fleet::{ElasticFleet, ElasticFleetConfig};
 use onslicing_replay::{
     check_against_golden, diff_values, record_scenario, write_golden, Checkpoint,
@@ -48,16 +49,20 @@ fn options_read_by(command: &str) -> Result<&'static [&'static str], String> {
 }
 
 fn usage() -> String {
-    "usage: replay_check <command> [options]\n\
-     commands:\n\
-       list                                   print both built-in catalogues\n\
-       dump <scenario>                        print a built-in as JSON\n\
-       trace <scenario> [--seed N] [--out PATH]\n\
-       golden <scenario>... [--goldens DIR] [--seed N] [--update]\n\
-       checkpoint <scenario> --at-slot T [--seed N] [--out CK] [--trace-out TRACE]\n\
-       resume --from CK [--expect TRACE] [--out PATH]\n\
-     scenarios: built-in names or scenario JSON files (`trace`, `dump`: also fleet built-ins)"
-        .to_string()
+    // One literal line per printed line: a `\` continuation would strip
+    // the commands' indentation.
+    [
+        "usage: replay_check <command> [options]",
+        "commands:",
+        "  list                                   print both built-in catalogues",
+        "  dump <scenario>                        print a built-in as JSON",
+        "  trace <scenario> [--seed N] [--out PATH]",
+        "  golden <scenario>... [--goldens DIR] [--seed N] [--update]",
+        "  checkpoint <scenario> --at-slot T [--seed N] [--out CK] [--trace-out TRACE]",
+        "  resume --from CK [--expect TRACE] [--out PATH]",
+        "scenarios: built-in names or scenario JSON files (`trace`, `dump`: also fleet built-ins)",
+    ]
+    .join("\n")
 }
 
 enum Target {
@@ -175,8 +180,8 @@ fn one_scenario<'a>(opts: &'a Options, command: &str) -> Result<&'a str, String>
 fn cmd_dump(opts: &Options) -> Result<bool, String> {
     let name = one_scenario(opts, "dump")?;
     match resolve(name)? {
-        Target::Cell(scenario) => println!("{}", scenario.to_json()),
-        Target::Fleet(scenario) => println!("{}", scenario.to_json()),
+        Target::Cell(scenario) => outln!("{}", scenario.to_json()),
+        Target::Fleet(scenario) => outln!("{}", scenario.to_json()),
     }
     Ok(true)
 }
@@ -194,7 +199,7 @@ fn cmd_trace(opts: &Options) -> Result<bool, String> {
             }
             let out = out(format!("TRACE_FLEET_{name}.json"));
             outcome.trace.save(&out)?;
-            println!(
+            outln!(
                 "recorded fleet `{name}` (seed {}, {cells} cells) -> {out}",
                 opts.config.seed
             );
@@ -206,7 +211,7 @@ fn cmd_trace(opts: &Options) -> Result<bool, String> {
             }
             let out = out(format!("TRACE_{}.json", trace.scenario));
             trace.save(&out)?;
-            println!(
+            outln!(
                 "recorded `{name}` (seed {}): {} slots, {} episodes -> {out}",
                 opts.config.seed,
                 trace.slots.len(),
@@ -230,11 +235,11 @@ fn cmd_golden(opts: &Options) -> Result<bool, String> {
         }
         if opts.update {
             let path = write_golden(&trace, &opts.goldens)?;
-            println!("golden updated: {}", path.display());
+            outln!("golden updated: {}", path.display());
             continue;
         }
         match check_against_golden(&trace, &opts.goldens) {
-            Ok(()) => println!(
+            Ok(()) => outln!(
                 "golden ok: `{}` ({} slots, {} episodes)",
                 trace.scenario,
                 trace.slots.len(),
@@ -282,7 +287,7 @@ fn cmd_checkpoint(opts: &Options) -> Result<bool, String> {
         .clone()
         .unwrap_or_else(|| format!("TRACE_{}.json", trace.scenario));
     trace.save(&trace_out)?;
-    println!(
+    outln!(
         "checkpointed `{name}` at slot {at_slot}/{} -> {ck_out}; reference trace -> {trace_out}",
         trace.total_slots
     );
@@ -309,7 +314,7 @@ fn cmd_resume(opts: &Options) -> Result<bool, String> {
         resumed.save(out)?;
     }
     let Some(expect) = opts.expect.as_deref() else {
-        println!(
+        outln!(
             "resumed `{}` from slot {start}: {} slots, {} episodes (no --expect given)",
             resumed.scenario,
             resumed.slots.len(),
@@ -329,7 +334,7 @@ fn cmd_resume(opts: &Options) -> Result<bool, String> {
     let actual = records(&resumed.slots, &resumed.episodes);
     // The replay contract is bit-for-bit: compare the serialized records.
     if serde_json::to_string(&expected) == serde_json::to_string(&actual) {
-        println!(
+        outln!(
             "resume ok: `{}` slots {start}..{} reproduced bit-for-bit ({} slot records, {} episodes)",
             resumed.scenario,
             resumed.total_slots,
@@ -351,7 +356,7 @@ fn run(args: &[String]) -> Result<bool, String> {
     let opts = parse_options(command, rest).map_err(|e| format!("{e}\n{}", usage()))?;
     match command.as_str() {
         "list" => {
-            print!("{}", catalogue());
+            out!("{}", catalogue());
             Ok(true)
         }
         "dump" => cmd_dump(&opts),
@@ -406,6 +411,19 @@ mod tests {
         assert!(run(&args("frobnicate")).is_err());
         assert!(run(&[]).is_err());
         assert_eq!(run(&args("list")), Ok(true));
+    }
+
+    #[test]
+    fn usage_indents_each_command_under_its_heading() {
+        let text = usage();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[1], "commands:");
+        for command in ["list", "dump", "trace", "golden", "checkpoint", "resume"] {
+            let line = lines.iter().find(|l| l.trim_start().starts_with(command));
+            let line = line.unwrap_or_else(|| panic!("`{command}` missing:\n{text}"));
+            assert!(line.starts_with(&format!("  {command} ")), "{line:?}");
+        }
+        assert!(lines.last().unwrap().starts_with("scenarios: "), "{text}");
     }
 
     #[test]

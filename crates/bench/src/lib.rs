@@ -18,6 +18,8 @@
 pub mod experiments;
 pub mod regress;
 
+use std::io::Write;
+
 use onslicing_core::{
     default_trace_config, evaluate_policy, AgentConfig, CoordinationMode, DeploymentBuilder,
     EpochMetrics, ModelBasedPolicy, Orchestrator, PolicyEvaluation, RuleBasedBaseline,
@@ -25,6 +27,37 @@ use onslicing_core::{
 };
 use onslicing_netsim::{NetworkConfig, RanConfig};
 use onslicing_slices::{Sla, SliceKind};
+
+/// Writes to stdout through its lock, as `print!` does, except that a
+/// reader who closed the pipe early (`replay_check dump steady | head -3`)
+/// ends the process with exit 0 instead of a panic: it took what it wanted.
+/// Any other write error still panics. The binaries call it through
+/// [`out!`] and [`outln!`].
+pub fn print_stdout(args: std::fmt::Arguments) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout.write_fmt(args).and_then(|()| stdout.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+/// `print!` through [`print_stdout`].
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::print_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`print_stdout`].
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::print_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// Scale of an experiment run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

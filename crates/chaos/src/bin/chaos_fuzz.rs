@@ -11,10 +11,12 @@
 //! invariant over each, and on failure prints the violation plus the
 //! shrunk, committable counterexample JSON; exit status 1 if anything
 //! failed. Trace mode skips the battery and concatenates each case's
-//! one-shot reference fleet trace into `F` — CI runs it twice under
-//! different `RAYON_NUM_THREADS` and byte-compares the files (the rayon
-//! shim pins its pool size per process, so thread-count determinism is
-//! checkable only across processes).
+//! one-shot reference fleet trace into `F` — CI runs it at the default
+//! pool width, under `RAYON_NUM_THREADS=1` and under `=3`, and
+//! byte-compares the files, so each width runs the whole set in a fresh
+//! process. (The rayon shim re-reads `RAYON_NUM_THREADS` on every parallel
+//! call, so the in-process twin, `crates/fleet/tests/thread_determinism.rs`,
+//! can switch widths mid-process.)
 
 use std::process::ExitCode;
 

@@ -1,7 +1,9 @@
 //! The generated set CI's cross-process determinism gate runs
-//! (`chaos_fuzz --cases 12 --seed 7 --trace-out`, once at the default pool
-//! width and once at `RAYON_NUM_THREADS=1`, then `cmp`) is the only
-//! cross-process pool-width comparison of multi-cell fleets. This test
+//! (`chaos_fuzz --cases 12 --seed 7 --trace-out`, at the default pool
+//! width, at `RAYON_NUM_THREADS=1` and at `=3`, then `cmp`) is the only
+//! cross-process pool-width comparison of *generated* multi-cell fleets;
+//! the Scenario trace gate compares the three fleet built-ins at the same
+//! three widths. This test
 //! keeps that coverage from drifting away with the generator: the set must
 //! hold a multi-cell fleet, and one of them must migrate in its reference
 //! run.

@@ -4,7 +4,9 @@
 //! nothing, and every cell's RNG chain is keyed by its derived seed, not by
 //! the worker that happened to execute it. CI additionally compares fleet
 //! traces across separate processes: the upgrade drill's 2-cell
-//! `hotspot-shift` run (default pool vs `RAYON_NUM_THREADS=1`) and the
+//! `hotspot-shift` run (default pool vs `RAYON_NUM_THREADS=1`), the
+//! Scenario trace gate's `replay_check trace` of the three fleet built-ins
+//! (default pool vs `RAYON_NUM_THREADS=1` and `=3`) and the
 //! `chaos_fuzz --cases 12 --seed 7` gate's generated multi-cell fleets.
 //!
 //! A fleet checkpoint rides the same gate in-process: `to_json` renders one

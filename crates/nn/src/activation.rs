@@ -18,8 +18,6 @@ pub enum Activation {
     Sigmoid,
     /// Hyperbolic tangent, output in `(-1, 1)`.
     Tanh,
-    /// Leaky ReLU with slope 0.01 for negative inputs.
-    LeakyRelu,
     /// Pass-through (no nonlinearity).
     Identity,
 }
@@ -32,13 +30,6 @@ impl Activation {
             Activation::Relu => x.max(0.0),
             Activation::Sigmoid => sigmoid(x),
             Activation::Tanh => x.tanh(),
-            Activation::LeakyRelu => {
-                if x >= 0.0 {
-                    x
-                } else {
-                    0.01 * x
-                }
-            }
             Activation::Identity => x,
         }
     }
@@ -62,13 +53,6 @@ impl Activation {
             Activation::Tanh => {
                 let t = x.tanh();
                 1.0 - t * t
-            }
-            Activation::LeakyRelu => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    0.01
-                }
             }
             Activation::Identity => 1.0,
         }
@@ -151,12 +135,7 @@ mod tests {
 
     #[test]
     fn analytic_derivatives_match_numeric_ones() {
-        for act in [
-            Activation::Sigmoid,
-            Activation::Tanh,
-            Activation::Identity,
-            Activation::LeakyRelu,
-        ] {
+        for act in [Activation::Sigmoid, Activation::Tanh, Activation::Identity] {
             for i in -10..=10 {
                 let x = i as f64 / 3.0 + 0.05; // avoid the ReLU kink at 0
                 let analytic = act.derivative(x);

@@ -18,7 +18,11 @@
 //!   [`BayesianMlp::forward_batch`] → [`BayesianMlp::backward_batch`]) uses
 //!   the plain reparameterization trick: one weight draw
 //!   `W = μ + σ · ε`, `ε ∼ N(0, 1)` per call, shared by the whole minibatch,
-//!   with gradients flowing through both `μ` and `ρ`.
+//!   with gradients flowing through both `μ` and `ρ`. The draw is an
+//!   ordinary [`Mlp`], so both passes are [`Mlp::forward_batch`] and
+//!   [`Mlp::backward_batch`]; the backward pass then only chains the draw's
+//!   gradients into `μ` (`∂W/∂μ = 1`) and `ρ` (`∂W/∂ρ = ε·σ′`), the bias
+//!   terms from each layer's `dL/d(pre-activation)` row by row.
 //! * **Training's scales** `σ = softplus(ρ)` and `σ′ = sigmoid(ρ)` are
 //!   computed once per value of `ρ` and cached per parameter: the draw, the
 //!   backward pass and the KL gradient of one step read the same cache, and
@@ -47,7 +51,10 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::activation::Activation;
+use crate::init::Init;
+use crate::layer::Dense;
 use crate::matrix::Matrix;
+use crate::mlp::{BatchWorkspace, Mlp};
 use crate::policy::fill_standard_normal;
 use crate::{softplus, softplus_and_sigmoid};
 
@@ -77,8 +84,8 @@ pub struct BayesianLinear {
     bias_mu: Vec<f64>,
     bias_rho: Vec<f64>,
     // Everything below is run-time scratch, never serialised:
-    // `zero_grad` sizes the gradients and `resample_weights` the draw, and
-    // one of each opens every update.
+    // `zero_grad` sizes the gradients and `BayesianMlp::resample_weights`
+    // the draw, and one of each opens every update.
     #[serde(skip)]
     grad_weight_mu: Matrix,
     #[serde(skip)]
@@ -87,17 +94,12 @@ pub struct BayesianLinear {
     grad_bias_mu: Vec<f64>,
     #[serde(skip)]
     grad_bias_rho: Vec<f64>,
-    // The ε of the last `resample_weights` draw, for `backward_batch`.
+    // The ε of the last weight draw, for `BayesianMlp::backward_batch`;
+    // sized with the network's weight sample.
     #[serde(skip)]
     cached_weight_eps: Matrix,
     #[serde(skip)]
     cached_bias_eps: Vec<f64>,
-    // Materialized weight sample `W = μ + softplus(ρ)·ε` for the batched
-    // path, where one posterior draw serves a whole minibatch.
-    #[serde(skip)]
-    sampled_weights: Matrix,
-    #[serde(skip)]
-    sampled_bias: Vec<f64>,
     // σ and σ′ of the current ρ, valid while `scales_fresh`: `refresh`
     // fills them and `visit_param_blocks`, the one way ρ moves, clears the
     // flag.
@@ -163,12 +165,9 @@ impl BayesianLinear {
         activation: Activation,
         rng: &mut R,
     ) -> Self {
-        let limit = (6.0 / (in_dim + out_dim).max(1) as f64).sqrt();
         let mut weight_mu = Matrix::zeros(out_dim, in_dim);
-        for r in 0..out_dim {
-            for c in 0..in_dim {
-                weight_mu.set(r, c, rng.gen_range(-limit..limit));
-            }
+        for w in weight_mu.data_mut() {
+            *w = Init::XavierUniform.sample(in_dim, out_dim, rng);
         }
         // softplus(-3.0) ≈ 0.0486
         let mut weight_rho = Matrix::zeros(out_dim, in_dim);
@@ -183,12 +182,8 @@ impl BayesianLinear {
             grad_weight_rho: Matrix::zeros(out_dim, in_dim),
             grad_bias_mu: vec![0.0; out_dim],
             grad_bias_rho: vec![0.0; out_dim],
-            cached_weight_eps: Matrix::zeros(out_dim, in_dim),
-            cached_bias_eps: vec![0.0; out_dim],
-            // Deliberately empty until the first `resample_weights` call, so
-            // the batched passes can detect a never-drawn sample.
-            sampled_weights: Matrix::default(),
-            sampled_bias: vec![0.0; out_dim],
+            cached_weight_eps: Matrix::default(),
+            cached_bias_eps: Vec::new(),
             weight_scales: Scales::default(),
             bias_scales: Scales::default(),
             scales_fresh: false,
@@ -216,26 +211,20 @@ impl BayesianLinear {
         pre.iter().map(|&x| self.activation.apply(x)).collect()
     }
 
-    /// Draws one posterior weight sample and materializes the effective
-    /// `W = μ + softplus(ρ)·ε` and bias for the batched passes below. The ε
-    /// draw is cached so [`BayesianLinear::backward_batch`] can route
-    /// gradients through both `μ` and `ρ`.
-    pub fn resample_weights<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+    /// Draws one posterior sample `W = μ + softplus(ρ)·ε` into `sample`,
+    /// weights then bias, keeping ε for the chain into `μ` and `ρ`.
+    fn draw<R: Rng + ?Sized>(&mut self, sample: &mut Dense, rng: &mut R) {
         self.refresh();
-        self.sampled_weights.resize(self.out_dim(), self.in_dim());
-        self.cached_weight_eps.resize(self.out_dim(), self.in_dim());
-        self.cached_bias_eps.resize(self.out_dim(), 0.0);
-        self.sampled_bias.resize(self.out_dim(), 0.0);
         self.weight_scales.draw(
             self.weight_mu.data(),
             self.cached_weight_eps.data_mut(),
-            self.sampled_weights.data_mut(),
+            sample.weights.data_mut(),
             rng,
         );
         self.bias_scales.draw(
             &self.bias_mu,
             &mut self.cached_bias_eps,
-            &mut self.sampled_bias,
+            &mut sample.bias,
             rng,
         );
     }
@@ -259,67 +248,10 @@ impl BayesianLinear {
         );
     }
 
-    /// Batched stochastic forward pass under the weight sample drawn by the
-    /// last [`BayesianLinear::resample_weights`] — one GEMM for the whole
-    /// minibatch (one shared posterior draw). `weights_t` is the
-    /// transposed-weight scratch (see [`crate::layer::Dense::forward_batch_into`]).
-    ///
-    /// # Panics
-    /// Panics if [`BayesianLinear::resample_weights`] has never been called
-    /// (the materialized sample would otherwise silently be all zeros).
-    pub fn forward_batch_into(
-        &self,
-        input: &Matrix,
-        weights_t: &mut Matrix,
-        pre: &mut Matrix,
-        out: &mut Matrix,
-    ) {
-        assert_eq!(
-            (self.sampled_weights.rows(), self.sampled_weights.cols()),
-            (self.out_dim(), self.in_dim()),
-            "forward_batch called before resample_weights"
-        );
-        debug_assert_eq!(
-            input.cols(),
-            self.in_dim(),
-            "bayesian batch input size mismatch"
-        );
-        self.sampled_weights.transpose_into(weights_t);
-        input.matmul_into(weights_t, pre);
-        pre.add_row_broadcast(&self.sampled_bias);
-        out.resize(pre.rows(), pre.cols());
-        self.activation.apply_into(pre.data(), out.data_mut());
-    }
-
-    /// Batched backward pass through the last
-    /// [`BayesianLinear::forward_batch_into`].
-    ///
-    /// `delta` enters as `dL/dy` and is turned into `dL/d(pre)` in place;
-    /// `grad_scratch` is a caller-owned `(out × in)` buffer for the shared
-    /// `δᵀ·X` GEMM, whose result feeds both the `μ` gradient (directly) and
-    /// the `ρ` gradient (chained through the cached ε and softplus').
-    pub fn backward_batch(
-        &mut self,
-        delta: &mut Matrix,
-        input: &Matrix,
-        pre: &Matrix,
-        grad_scratch: &mut Matrix,
-        grad_input: Option<&mut Matrix>,
-    ) {
-        assert_eq!(
-            delta.cols(),
-            self.out_dim(),
-            "bayesian backward output dim mismatch"
-        );
-        assert_eq!(
-            input.rows(),
-            delta.rows(),
-            "bayesian backward batch mismatch"
-        );
-        self.activation
-            .mul_derivative_into(pre.data(), delta.data_mut());
-        grad_scratch.resize(self.out_dim(), self.in_dim());
-        delta.matmul_tn_acc_into(input, grad_scratch);
+    /// Chains the gradients of the last backward pass through `sample`,
+    /// whose `dL/d(pre-activation)` was `delta`, into `μ` and `ρ`: `∂W/∂μ = 1`
+    /// and `∂W/∂ρ = ε·σ′`, the bias terms summed row by row.
+    fn chain_sample_grads(&mut self, sample: &Dense, delta: &Matrix) {
         self.refresh();
         self.assert_grads_sized();
         for ((((gm, gr), &g), &eps), &d) in self
@@ -327,7 +259,7 @@ impl BayesianLinear {
             .data_mut()
             .iter_mut()
             .zip(self.grad_weight_rho.data_mut())
-            .zip(grad_scratch.data())
+            .zip(sample.grad_weights.data())
             .zip(self.cached_weight_eps.data())
             .zip(&self.weight_scales.dsigma)
         {
@@ -346,9 +278,6 @@ impl BayesianLinear {
                 *gm += g;
                 *gr += g * eps * d;
             }
-        }
-        if let Some(grad_input) = grad_input {
-            delta.matmul_into(&self.sampled_weights, grad_input);
         }
     }
 
@@ -451,34 +380,9 @@ impl BayesianLinear {
     }
 }
 
-/// Reusable scratch buffers for the batched Bayesian forward/backward pass
-/// (mirrors [`crate::mlp::BatchWorkspace`] plus the shared-GEMM gradient
-/// scratch the variational backward pass needs).
-#[derive(Debug, Clone, Default)]
-pub struct BayesWorkspace {
-    /// `activations[0]` is the input batch, `activations[i + 1]` layer `i`'s
-    /// output.
-    activations: Vec<Matrix>,
-    pre_activations: Vec<Matrix>,
-    weights_t: Vec<Matrix>,
-    delta_a: Matrix,
-    delta_b: Matrix,
-    grad_scratch: Matrix,
-}
-
-impl BayesWorkspace {
-    /// Creates an empty workspace; buffers are sized on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The output batch of the last batched forward pass.
-    pub fn output(&self) -> &Matrix {
-        self.activations
-            .last()
-            .expect("forward_batch has not run on this workspace")
-    }
-}
+/// The batched passes' workspace under its old name, kept only while the
+/// benchmark harness (`benchmark/src/micro.rs`) still names it.
+pub type BayesWorkspace = BatchWorkspace;
 
 /// Reusable scratch for [`BayesianMlp::predict_with`].
 ///
@@ -535,6 +439,11 @@ impl PredictScratch {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BayesianMlp {
     layers: Vec<BayesianLinear>,
+    /// The last weight draw as a plain network, through which the batched
+    /// passes run; empty until the first [`BayesianMlp::resample_weights`],
+    /// so a pass before it is detected, and never serialised.
+    #[serde(skip)]
+    sample: Mlp,
 }
 
 impl BayesianMlp {
@@ -558,7 +467,10 @@ impl BayesianMlp {
             };
             layers.push(BayesianLinear::new(w[0], w[1], act, rng));
         }
-        Self { layers }
+        Self {
+            layers,
+            sample: Mlp::default(),
+        }
     }
 
     /// The paper's default estimator trunk (`128x64x32`) with a scalar head.
@@ -585,79 +497,53 @@ impl BayesianMlp {
         x
     }
 
-    /// Draws one posterior weight sample per layer for the batched passes.
+    /// Draws one posterior weight sample per layer for the batched passes,
+    /// layer by layer, weights then bias, row-major.
     pub fn resample_weights<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        for layer in &mut self.layers {
-            layer.resample_weights(rng);
+        if self.sample.layers.is_empty() {
+            for layer in &mut self.layers {
+                let (rows, cols) = (layer.out_dim(), layer.in_dim());
+                layer.cached_weight_eps.resize(rows, cols);
+                layer.cached_bias_eps.resize(rows, 0.0);
+                let dense = Dense::zeros(cols, rows, layer.activation);
+                self.sample.layers.push(dense);
+            }
+        }
+        for (layer, dense) in self.layers.iter_mut().zip(&mut self.sample.layers) {
+            layer.draw(dense, rng);
         }
     }
 
     /// Batched stochastic forward pass under the current weight sample — one
     /// GEMM per layer for the whole minibatch. `input` is
     /// `(batch × input_dim)`; the returned reference is the output batch
-    /// inside `ws`. Call [`BayesianMlp::resample_weights`] first.
-    pub fn forward_batch<'w>(&self, input: &Matrix, ws: &'w mut BayesWorkspace) -> &'w Matrix {
+    /// inside `ws`.
+    ///
+    /// # Panics
+    /// Panics if [`BayesianMlp::resample_weights`] has never been called.
+    pub fn forward_batch<'w>(&self, input: &Matrix, ws: &'w mut BatchWorkspace) -> &'w Matrix {
         assert_eq!(
-            input.cols(),
-            self.input_dim(),
-            "forward_batch input dim mismatch"
+            self.sample.layers.len(),
+            self.layers.len(),
+            "forward_batch called before resample_weights"
         );
-        ws.activations
-            .resize_with(self.layers.len() + 1, Matrix::default);
-        ws.pre_activations
-            .resize_with(self.layers.len(), Matrix::default);
-        ws.weights_t.resize_with(self.layers.len(), Matrix::default);
-        ws.activations[0].resize(input.rows(), input.cols());
-        ws.activations[0].data_mut().copy_from_slice(input.data());
-        for (i, layer) in self.layers.iter().enumerate() {
-            let BayesWorkspace {
-                activations,
-                pre_activations,
-                weights_t,
-                ..
-            } = ws;
-            let (head, tail) = activations.split_at_mut(i + 1);
-            layer.forward_batch_into(
-                &head[i],
-                &mut weights_t[i],
-                &mut pre_activations[i],
-                &mut tail[0],
-            );
-        }
-        ws.output()
+        self.sample.forward_batch(input, ws)
     }
 
     /// Batched backward pass over the caches of the last
     /// [`BayesianMlp::forward_batch`]; `grad_output` is `dL/dy` for the whole
-    /// minibatch. Gradients for `μ` and `ρ` accumulate into the layers.
-    pub fn backward_batch(&mut self, grad_output: &Matrix, ws: &mut BayesWorkspace) {
-        assert_eq!(
-            ws.activations.len(),
-            self.layers.len() + 1,
-            "backward_batch called before forward_batch"
-        );
-        ws.delta_a.resize(grad_output.rows(), grad_output.cols());
-        ws.delta_a.data_mut().copy_from_slice(grad_output.data());
-        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
-            let BayesWorkspace {
-                activations,
-                pre_activations,
-                delta_a,
-                delta_b,
-                grad_scratch,
-                ..
-            } = ws;
-            let grad_input = if i > 0 { Some(&mut *delta_b) } else { None };
-            layer.backward_batch(
-                delta_a,
-                &activations[i],
-                &pre_activations[i],
-                grad_scratch,
-                grad_input,
-            );
-            if i > 0 {
-                std::mem::swap(delta_a, delta_b);
-            }
+    /// minibatch. The weight sample's gradients, fresh for each call, chain
+    /// into the `μ` and `ρ` gradients accumulating in the layers.
+    pub fn backward_batch(&mut self, grad_output: &Matrix, ws: &mut BatchWorkspace) {
+        self.sample.zero_grad();
+        self.sample.backward_batch(grad_output, ws);
+        for ((layer, dense), delta) in self
+            .layers
+            .iter_mut()
+            .zip(&self.sample.layers)
+            .zip(&ws.deltas)
+        {
+            layer.chain_sample_grads(dense, delta);
         }
     }
 
@@ -905,31 +791,32 @@ mod tests {
     // oracle of a training step.
 
     impl BayesianLinear {
-        fn reference_resample_weights<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-            self.sampled_weights.resize(self.out_dim(), self.in_dim());
+        fn reference_resample_weights<R: Rng + ?Sized>(&mut self, sample: &mut Dense, rng: &mut R) {
             self.cached_weight_eps.resize(self.out_dim(), self.in_dim());
             self.cached_bias_eps.resize(self.out_dim(), 0.0);
-            self.sampled_bias.resize(self.out_dim(), 0.0);
             for r in 0..self.out_dim() {
                 for c in 0..self.in_dim() {
                     let eps = standard_normal(rng);
                     self.cached_weight_eps.set(r, c, eps);
                     let w = self.weight_mu.get(r, c) + softplus(self.weight_rho.get(r, c)) * eps;
-                    self.sampled_weights.set(r, c, w);
+                    sample.weights.set(r, c, w);
                 }
             }
             for r in 0..self.out_dim() {
                 let eps = standard_normal(rng);
                 self.cached_bias_eps[r] = eps;
-                self.sampled_bias[r] = self.bias_mu[r] + softplus(self.bias_rho[r]) * eps;
+                sample.bias[r] = self.bias_mu[r] + softplus(self.bias_rho[r]) * eps;
             }
         }
 
+        /// One layer's backward pass with its own loops and GEMM scratch,
+        /// never through `Dense::backward_batch`, whose use it checks.
         fn reference_backward_batch(
             &mut self,
             delta: &mut Matrix,
             input: &Matrix,
             pre: &Matrix,
+            sampled_weights: &Matrix,
             grad_scratch: &mut Matrix,
             grad_input: Option<&mut Matrix>,
         ) {
@@ -956,7 +843,7 @@ mod tests {
                 }
             }
             if let Some(grad_input) = grad_input {
-                delta.matmul_into(&self.sampled_weights, grad_input);
+                delta.matmul_into(sampled_weights, grad_input);
             }
         }
 
@@ -992,29 +879,36 @@ mod tests {
     }
 
     impl BayesianMlp {
-        fn reference_backward_batch(&mut self, grad_output: &Matrix, ws: &mut BayesWorkspace) {
-            ws.delta_a.resize(grad_output.rows(), grad_output.cols());
-            ws.delta_a.data_mut().copy_from_slice(grad_output.data());
+        /// Draws into a weight sample it builds itself, one scalar
+        /// `standard_normal` per entry.
+        fn reference_resample_weights<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+            if self.sample.layers.is_empty() {
+                for layer in &self.layers {
+                    let dense = Dense::zeros(layer.in_dim(), layer.out_dim(), layer.activation);
+                    self.sample.layers.push(dense);
+                }
+            }
+            for (layer, dense) in self.layers.iter_mut().zip(&mut self.sample.layers) {
+                layer.reference_resample_weights(dense, rng);
+            }
+        }
+
+        /// Backpropagates through the caches of the product's forward pass
+        /// with the layers' own delta ping-pong and GEMM scratch.
+        fn reference_backward_batch(&mut self, grad_output: &Matrix, ws: &BatchWorkspace) {
+            let mut delta = grad_output.clone();
+            let (mut below, mut grad_scratch) = (Matrix::default(), Matrix::default());
             for (i, layer) in self.layers.iter_mut().enumerate().rev() {
-                let BayesWorkspace {
-                    activations,
-                    pre_activations,
-                    delta_a,
-                    delta_b,
-                    grad_scratch,
-                    ..
-                } = ws;
-                let grad_input = if i > 0 { Some(&mut *delta_b) } else { None };
+                let grad_input = if i > 0 { Some(&mut below) } else { None };
                 layer.reference_backward_batch(
-                    delta_a,
-                    &activations[i],
-                    &pre_activations[i],
-                    grad_scratch,
+                    &mut delta,
+                    &ws.activations[i],
+                    &ws.pre_activations[i],
+                    &self.sample.layers[i].weights,
+                    &mut grad_scratch,
                     grad_input,
                 );
-                if i > 0 {
-                    std::mem::swap(delta_a, delta_b);
-                }
+                std::mem::swap(&mut delta, &mut below);
             }
         }
     }
@@ -1049,13 +943,11 @@ mod tests {
         rng: &mut ChaCha8Rng,
         arm: Arm,
     ) {
-        let mut ws = BayesWorkspace::new();
+        let mut ws = BatchWorkspace::new();
         let n = targets.len() as f64;
         net.zero_grad();
         if arm.reference {
-            net.layers
-                .iter_mut()
-                .for_each(|l| l.reference_resample_weights(rng));
+            net.reference_resample_weights(rng);
         } else {
             net.resample_weights(rng);
         }
@@ -1065,7 +957,7 @@ mod tests {
             grad.set(b, 0, (y.get(b, 0) - target) / n);
         }
         if arm.reference {
-            net.reference_backward_batch(&grad, &mut ws);
+            net.reference_backward_batch(&grad, &ws);
         } else {
             net.backward_batch(&grad, &mut ws);
         }
@@ -1195,24 +1087,19 @@ mod tests {
         // With rho very negative the sampled weights equal mu, so the
         // stochastic gradient must match the deterministic finite difference.
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let mut layer = BayesianLinear::new(3, 2, Activation::Tanh, &mut rng);
-        for r in 0..2 {
-            for c in 0..3 {
-                layer.weight_rho.set(r, c, -40.0);
-            }
-        }
-        for rho in &mut layer.bias_rho {
-            *rho = -40.0;
-        }
+        let mut net = BayesianMlp {
+            layers: vec![BayesianLinear::new(3, 2, Activation::Tanh, &mut rng)],
+            sample: Mlp::default(),
+        };
+        net.layers[0].weight_rho.fill(-40.0);
+        net.layers[0].bias_rho.fill(-40.0);
         let x = [0.3, -0.2, 0.5];
-        layer.zero_grad();
-        layer.resample_weights(&mut rng);
-        let input = Matrix::from_vec(1, 3, x.to_vec());
-        let (mut weights_t, mut pre, mut out) =
-            (Matrix::default(), Matrix::default(), Matrix::default());
-        layer.forward_batch_into(&input, &mut weights_t, &mut pre, &mut out);
-        let mut delta = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
-        layer.backward_batch(&mut delta, &input, &pre, &mut Matrix::default(), None);
+        net.zero_grad();
+        net.resample_weights(&mut rng);
+        let mut ws = BatchWorkspace::new();
+        let _ = net.forward_batch(&Matrix::from_vec(1, 3, x.to_vec()), &mut ws);
+        net.backward_batch(&Matrix::from_vec(1, 2, vec![1.0, 1.0]), &mut ws);
+        let layer = &mut net.layers[0];
         let h = 1e-6;
         for r in 0..2 {
             for c in 0..3 {
@@ -1245,7 +1132,7 @@ mod tests {
             })
             .collect();
         let states = Matrix::from_vec(32, 1, dataset.iter().map(|(x, _)| *x).collect());
-        let mut ws = BayesWorkspace::new();
+        let mut ws = BatchWorkspace::new();
         let mut grad = Matrix::zeros(32, 1);
         for _ in 0..400 {
             net.zero_grad();
@@ -1414,7 +1301,7 @@ mod tests {
     fn batched_forward_without_resample_panics() {
         let mut rng = ChaCha8Rng::seed_from_u64(10);
         let net = BayesianMlp::new(&[2, 4, 1], &mut rng);
-        let mut ws = BayesWorkspace::new();
+        let mut ws = BatchWorkspace::new();
         let input = Matrix::zeros(3, 2);
         let _ = net.forward_batch(&input, &mut ws);
     }
@@ -1424,7 +1311,7 @@ mod tests {
     fn backward_without_forward_panics() {
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let mut net = BayesianMlp::new(&[2, 4, 1], &mut rng);
-        net.backward_batch(&Matrix::zeros(3, 1), &mut BayesWorkspace::new());
+        net.backward_batch(&Matrix::zeros(3, 1), &mut BatchWorkspace::new());
     }
 
     #[test]

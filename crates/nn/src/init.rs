@@ -15,17 +15,13 @@ pub enum Init {
     HeUniform,
     /// Xavier (Glorot) uniform initialization, suited to sigmoid/tanh.
     XavierUniform,
-    /// All-zero initialization (used for biases and some heads).
-    Zeros,
-    /// Constant initialization.
-    Constant(f64),
 }
 
 impl Init {
     /// Chooses a sensible default scheme for the given activation.
     pub fn for_activation(act: Activation) -> Self {
         match act {
-            Activation::Relu | Activation::LeakyRelu => Init::HeUniform,
+            Activation::Relu => Init::HeUniform,
             Activation::Sigmoid | Activation::Tanh | Activation::Identity => Init::XavierUniform,
         }
     }
@@ -41,8 +37,6 @@ impl Init {
                 let limit = (6.0 / (fan_in + fan_out).max(1) as f64).sqrt();
                 rng.gen_range(-limit..limit)
             }
-            Init::Zeros => 0.0,
-            Init::Constant(c) => c,
         }
     }
 }
@@ -71,13 +65,6 @@ mod tests {
             let w = Init::XavierUniform.sample(64, 32, &mut rng);
             assert!(w.abs() <= limit);
         }
-    }
-
-    #[test]
-    fn zeros_and_constant() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        assert_eq!(Init::Zeros.sample(10, 10, &mut rng), 0.0);
-        assert_eq!(Init::Constant(0.3).sample(10, 10, &mut rng), 0.3);
     }
 
     #[test]

@@ -18,10 +18,10 @@ use crate::matrix::Matrix;
 /// A dense layer `y = act(W x + b)`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Dense {
-    weights: Matrix,
-    bias: Vec<f64>,
+    pub(crate) weights: Matrix,
+    pub(crate) bias: Vec<f64>,
     #[serde(skip)]
-    grad_weights: Matrix,
+    pub(crate) grad_weights: Matrix,
     #[serde(skip)]
     grad_bias: Vec<f64>,
     activation: Activation,
@@ -36,15 +36,19 @@ impl Dense {
         activation: Activation,
         rng: &mut R,
     ) -> Self {
+        let mut layer = Self::zeros(in_dim, out_dim, activation);
         let init = Init::for_activation(activation);
-        let mut weights = Matrix::zeros(out_dim, in_dim);
-        for r in 0..out_dim {
-            for c in 0..in_dim {
-                weights.set(r, c, init.sample(in_dim, out_dim, rng));
-            }
+        for w in layer.weights.data_mut() {
+            *w = init.sample(in_dim, out_dim, rng);
         }
+        layer
+    }
+
+    /// A layer of the given shape with zero weights and bias, for a caller
+    /// that writes the parameters itself (the Bayesian weight draw).
+    pub(crate) fn zeros(in_dim: usize, out_dim: usize, activation: Activation) -> Self {
         Self {
-            weights,
+            weights: Matrix::zeros(out_dim, in_dim),
             bias: vec![0.0; out_dim],
             grad_weights: Matrix::zeros(out_dim, in_dim),
             grad_bias: vec![0.0; out_dim],
@@ -67,28 +71,9 @@ impl Dense {
         self.activation
     }
 
-    /// Inference-only forward pass.
-    pub fn forward(&self, input: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(
-            input.len(),
-            self.in_dim(),
-            "dense layer input size mismatch"
-        );
-        let mut pre = self.weights.matvec(input);
-        for (p, b) in pre.iter_mut().zip(self.bias.iter()) {
-            *p += b;
-        }
-        pre.iter().map(|&x| self.activation.apply(x)).collect()
-    }
-
-    /// Inference forward pass into a caller-owned row buffer — the
-    /// zero-allocation form of [`Dense::forward`] used by the fused cell
+    /// Inference forward pass of one row into a caller-owned buffer — the
+    /// per-row path of [`crate::mlp::Mlp::forward`] and of the fused cell
     /// batch ([`crate::cell::CellBatch`]).
-    ///
-    /// Bit-identical to [`Dense::forward`]: the matvec kernel, the bias
-    /// addition and the activation are applied per element in the same
-    /// order, so `out[r]` carries exactly the bits `forward(input)[r]`
-    /// would.
     pub fn forward_row_into(&self, input: &[f64], out: &mut [f64]) {
         debug_assert_eq!(
             input.len(),
@@ -260,10 +245,17 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
+    /// One row through the inference path.
+    fn forward(layer: &Dense, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; layer.out_dim()];
+        layer.forward_row_into(x, &mut y);
+        y
+    }
+
     /// Σ over the batch of Σ over the outputs, through the inference path.
     fn sum_loss(layer: &Dense, x: &Matrix) -> f64 {
         (0..x.rows())
-            .map(|b| layer.forward(x.row(b)).iter().sum::<f64>())
+            .map(|b| forward(layer, x.row(b)).iter().sum::<f64>())
             .sum()
     }
 
@@ -283,7 +275,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let mut layer = Dense::new(2, 2, Activation::Identity, &mut rng);
         layer.set_parameters(&[1.0, 2.0, 3.0, 4.0, 0.5, -0.5]);
-        let y = layer.forward(&[1.0, 1.0]);
+        let y = forward(&layer, &[1.0, 1.0]);
         assert_eq!(y, vec![3.5, 6.5]);
     }
 
@@ -298,7 +290,7 @@ mod tests {
             layer.forward_batch_into(&x, &mut wt, &mut pre, &mut out);
             assert_eq!((out.rows(), out.cols()), (batch, 3));
             for b in 0..batch {
-                for (y, r) in out.row(b).iter().zip(layer.forward(x.row(b))) {
+                for (y, r) in out.row(b).iter().zip(forward(&layer, x.row(b))) {
                     assert!((y - r).abs() < 1e-12, "batch {batch} row {b}: {y} vs {r}");
                 }
             }
@@ -355,8 +347,8 @@ mod tests {
                     xp[i] += h;
                     let mut xm = x.row(b).to_vec();
                     xm[i] -= h;
-                    let fp: f64 = layer.forward(&xp).iter().sum();
-                    let fm: f64 = layer.forward(&xm).iter().sum();
+                    let fp: f64 = forward(&layer, &xp).iter().sum();
+                    let fm: f64 = forward(&layer, &xm).iter().sum();
                     let numeric = (fp - fm) / (2.0 * h);
                     assert!((numeric - dx.get(b, i)).abs() < 1e-5);
                 }

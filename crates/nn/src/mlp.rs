@@ -20,21 +20,23 @@ use crate::matrix::Matrix;
 /// the steady-state forward/backward path performs zero heap allocations.
 ///
 /// The workspace also carries the caches the backward pass needs
-/// (per-layer inputs and pre-activations), which keeps `Mlp::forward_batch`
+/// (per-layer inputs and pre-activations) and what it leaves behind (each
+/// layer's `dL/d(pre-activation)`), which keeps `Mlp::forward_batch`
 /// usable through `&self` and lets one network own many concurrent batched
 /// evaluations if needed.
 #[derive(Debug, Clone, Default)]
 pub struct BatchWorkspace {
     /// `activations[0]` is the input batch; `activations[i + 1]` is layer
     /// `i`'s output. Length `num_layers + 1` once used.
-    activations: Vec<Matrix>,
+    pub(crate) activations: Vec<Matrix>,
     /// `pre_activations[i]` is layer `i`'s pre-activation batch.
-    pre_activations: Vec<Matrix>,
+    pub(crate) pre_activations: Vec<Matrix>,
     /// Per-layer transposed-weight scratch for the forward GEMM.
     weights_t: Vec<Matrix>,
-    /// Ping-pong buffers for the backward delta.
-    delta_a: Matrix,
-    delta_b: Matrix,
+    /// `deltas[i]` is layer `i`'s `dL/d(pre-activation)` after
+    /// [`Mlp::backward_batch`]; the Bayesian network chains its weight
+    /// draw's gradients into `μ` and `ρ` from them.
+    pub(crate) deltas: Vec<Matrix>,
 }
 
 impl BatchWorkspace {
@@ -49,6 +51,7 @@ impl BatchWorkspace {
         self.pre_activations
             .resize_with(num_layers, Matrix::default);
         self.weights_t.resize_with(num_layers, Matrix::default);
+        self.deltas.resize_with(num_layers, Matrix::default);
     }
 
     /// The input buffer, resized to `(batch × dim)`; fill it (e.g. by
@@ -71,9 +74,9 @@ impl BatchWorkspace {
 }
 
 /// A feed-forward network: a stack of dense layers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Mlp {
-    layers: Vec<Dense>,
+    pub(crate) layers: Vec<Dense>,
 }
 
 impl Mlp {
@@ -148,7 +151,9 @@ impl Mlp {
     pub fn forward(&self, input: &[f64]) -> Vec<f64> {
         let mut x = input.to_vec();
         for layer in &self.layers {
-            x = layer.forward(&x);
+            let mut y = vec![0.0; layer.out_dim()];
+            layer.forward_row_into(&x, &mut y);
+            x = y;
         }
         x
     }
@@ -203,8 +208,9 @@ impl Mlp {
     /// Batched backward pass over the caches of the last
     /// [`Mlp::forward_batch`] on `ws`: `grad_output` is `dL/dy` for the whole
     /// minibatch `(batch × output_dim)`. Parameter gradients accumulate into
-    /// the layers (one GEMM per layer); the input gradient is not computed —
-    /// no caller needs `dL/dx` on the batched path.
+    /// the layers (one GEMM per layer) and each layer's `dL/d(pre-activation)`
+    /// stays in `ws`; the input gradient is not computed — no caller needs
+    /// `dL/dx` on the batched path.
     ///
     /// # Panics
     /// Panics if `ws` was not filled by a matching forward pass.
@@ -214,21 +220,16 @@ impl Mlp {
             self.layers.len() + 1,
             "backward_batch called before forward_batch"
         );
-        ws.delta_a.resize(grad_output.rows(), grad_output.cols());
-        ws.delta_a.data_mut().copy_from_slice(grad_output.data());
+        if let Some(last) = ws.deltas.last_mut() {
+            last.resize(grad_output.rows(), grad_output.cols());
+            last.data_mut().copy_from_slice(grad_output.data());
+        }
         for (i, layer) in self.layers.iter_mut().enumerate().rev() {
-            let BatchWorkspace {
-                activations,
-                pre_activations,
-                delta_a,
-                delta_b,
-                ..
-            } = ws;
-            let grad_input = if i > 0 { Some(&mut *delta_b) } else { None };
-            layer.backward_batch(delta_a, &activations[i], &pre_activations[i], grad_input);
-            if i > 0 {
-                std::mem::swap(delta_a, delta_b);
-            }
+            // Layer `i` turns `deltas[i]` into its `dL/d(pre)` and writes
+            // `dL/dx` into `deltas[i - 1]`, the next layer down's `dL/dy`.
+            let (below, rest) = ws.deltas.split_at_mut(i);
+            let (input, pre) = (&ws.activations[i], &ws.pre_activations[i]);
+            layer.backward_batch(&mut rest[0], input, pre, below.last_mut());
         }
     }
 

@@ -15,7 +15,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use onslicing_nn::{Adam, BayesWorkspace, BayesianMlp, BayesianPrediction, Matrix, PredictScratch};
+use onslicing_nn::{Adam, BatchWorkspace, BayesianMlp, BayesianPrediction, Matrix, PredictScratch};
 
 /// A `(state, remaining-episode cost)` training pair for the estimator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -141,7 +141,7 @@ impl CostValueEstimator {
         for (i, sample) in dataset.iter().enumerate() {
             states.copy_row_from(i, &sample.state);
         }
-        let mut ws = BayesWorkspace::new();
+        let mut ws = BatchWorkspace::new();
         let mut grad = Matrix::zeros(dataset.len(), 1);
         let mut epoch_errors = Vec::with_capacity(self.config.epochs);
         for _ in 0..self.config.epochs {
@@ -326,7 +326,7 @@ mod tests {
         assert_eq!(warm.std.to_bits(), fresh.std.to_bits());
     }
 
-    /// A fitted estimator and what deserialising its serialised form gives.
+    /// A fitted estimator and what deserialising its JSON text gives.
     fn fitted_and_restored() -> (CostValueEstimator, CostValueEstimator) {
         let mut rng = ChaCha8Rng::seed_from_u64(10);
         let mut live = CostValueEstimator::new(2, CostEstimatorConfig::default(), &mut rng);
@@ -338,9 +338,9 @@ mod tests {
             .collect();
         live.fit(&dataset, &mut rng);
         assert!(live.network.grad_norm_squared() > 0.0);
-        let document = live.serialize_value();
-        let restored = CostValueEstimator::from_value(&document).unwrap();
-        assert_eq!(restored.serialize_value(), document);
+        let text = serde_json::to_string(&live).unwrap();
+        let restored: CostValueEstimator = serde_json::from_str(&text).unwrap();
+        assert_eq!(serde_json::to_string(&restored).unwrap(), text);
         (live, restored)
     }
 
@@ -359,8 +359,9 @@ mod tests {
 
     #[test]
     fn a_restored_estimator_fits_exactly_like_the_live_one() {
-        // The live layers keep the σ cache of their last fit (marked stale by
-        // its final step); the restored ones start with none.
+        // The live network keeps its last weight draw and the layers the σ
+        // cache of their last fit (marked stale by its final step); the
+        // restored ones start with neither.
         let (mut live, mut restored) = fitted_and_restored();
         let dataset: Vec<CostToGoSample> = (0..24)
             .map(|i| CostToGoSample {
@@ -386,7 +387,7 @@ mod tests {
         let (_, restored) = fitted_and_restored();
         let _ = restored
             .network
-            .forward_batch(&Matrix::zeros(3, 2), &mut BayesWorkspace::new());
+            .forward_batch(&Matrix::zeros(3, 2), &mut BatchWorkspace::new());
     }
 
     #[test]

@@ -135,7 +135,7 @@ fn parent_format_checkpoint_with_dense_cache_keys_resumes_bit_for_bit() {
 
     let mut doctored = json.clone();
     let mut dense_layers = 0;
-    for act in ["Relu", "Sigmoid", "Tanh", "LeakyRelu", "Identity"] {
+    for act in ["Relu", "Sigmoid", "Tanh", "Identity"] {
         let tail = format!(r#""activation":"{act}"}}"#);
         dense_layers += json.matches(&tail).count();
         doctored = doctored.replace(
