@@ -32,7 +32,9 @@ use onslicing_slices::{Sla, SliceKind};
 /// reader who closed the pipe early (`replay_check dump steady | head -3`)
 /// ends the process with exit 0 instead of a panic: it took what it wanted.
 /// Any other write error still panics. The binaries call it through
-/// [`out!`] and [`outln!`].
+/// [`out!`] and [`outln!`], except in their test builds: the test harness
+/// captures `print!` but not writes to the locked stdout, so there the
+/// macros print with `print!`.
 pub fn print_stdout(args: std::fmt::Arguments) {
     let mut stdout = std::io::stdout().lock();
     if let Err(e) = stdout.write_fmt(args).and_then(|()| stdout.flush()) {
@@ -43,19 +45,29 @@ pub fn print_stdout(args: std::fmt::Arguments) {
     }
 }
 
-/// `print!` through [`print_stdout`].
+/// `print!` through [`print_stdout`] (through `print!` itself in a test
+/// build of the calling crate, so the harness captures it).
 #[macro_export]
 macro_rules! out {
     ($($arg:tt)*) => {
-        $crate::print_stdout(format_args!($($arg)*))
+        if cfg!(test) {
+            ::std::print!($($arg)*)
+        } else {
+            $crate::print_stdout(format_args!($($arg)*))
+        }
     };
 }
 
-/// `println!` through [`print_stdout`].
+/// `println!` through [`print_stdout`] (through `println!` itself in a test
+/// build of the calling crate, so the harness captures it).
 #[macro_export]
 macro_rules! outln {
     ($($arg:tt)*) => {
-        $crate::print_stdout(format_args!("{}\n", format_args!($($arg)*)))
+        if cfg!(test) {
+            ::std::println!($($arg)*)
+        } else {
+            $crate::print_stdout(format_args!("{}\n", format_args!($($arg)*)))
+        }
     };
 }
 

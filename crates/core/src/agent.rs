@@ -15,15 +15,16 @@
 //! the unsafe fixed-penalty DRL of Fig. 3) are just different configurations
 //! of the same agent.
 
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use onslicing_nn::policy::standard_normal;
 use onslicing_nn::PolicySample;
 use onslicing_rl::{
-    behavior_clone, BcConfig, CostEstimatorConfig, CostValueEstimator, Demonstration,
-    LagrangianMultiplier, PpoAgent, PpoConfig, PpoUpdateStats, RolloutBuffer, Transition,
+    behavior_clone, behavior_clone_draws, BcConfig, CostEstimatorConfig, CostValueEstimator,
+    Demonstration, LagrangianMultiplier, PpoAgent, PpoConfig, PpoUpdateStats, RolloutBuffer,
+    Transition,
 };
 use onslicing_slices::{Action, Sla, SliceKind, SliceState, SlotKpi, ACTION_DIM, STATE_DIM};
 
@@ -318,6 +319,15 @@ impl OnSlicingAgent {
     /// Offline pre-training (§5): runs the baseline policy for
     /// `num_episodes` in the environment, clones its behaviour into `π_θ`
     /// (Eq. 15) and fits the cost-value estimator `π_φ` on its cost-to-go.
+    ///
+    /// The clone and the fit touch separate networks and run side by side
+    /// on the pool ([`rayon::join`]). Their only shared state is the
+    /// agent's generator, and the clone draws a fixed number of words from
+    /// it ([`behavior_clone_draws`]): the fit takes a copy advanced by that
+    /// many words, so it starts where the clone ends. The agent then keeps
+    /// the fit's generator, or the clone's when it fits nothing. Every word
+    /// and result is the one of running the clone, then the fit, on one
+    /// generator.
     pub fn offline_pretrain(
         &mut self,
         env: &mut SliceEnvironment,
@@ -352,21 +362,37 @@ impl OnSlicingAgent {
                 &episode_costs,
             ));
         }
-        let bc_losses = if self.config.enable_imitation && !demos.is_empty() {
-            behavior_clone(
-                self.ppo.policy_mut(),
-                &demos,
-                &self.config.bc,
-                &mut self.rng,
-            )
-        } else {
-            Vec::new()
-        };
-        let estimator_errors = if self.config.enable_estimator && !cost_dataset.is_empty() {
-            self.estimator.fit(&cost_dataset, &mut self.rng)
-        } else {
-            Vec::new()
-        };
+        let imitate = self.config.enable_imitation && !demos.is_empty();
+        let fit = self.config.enable_estimator && !cost_dataset.is_empty();
+        let mut fit_rng = self.rng.clone();
+        if imitate && fit {
+            for _ in 0..behavior_clone_draws(demos.len(), &self.config.bc) {
+                fit_rng.next_u64();
+            }
+        }
+        let bc_rng = &mut self.rng;
+        let policy = self.ppo.policy_mut();
+        let estimator = &mut self.estimator;
+        let bc = &self.config.bc;
+        let (bc_losses, estimator_errors) = rayon::join(
+            || {
+                if imitate {
+                    behavior_clone(policy, &demos, bc, bc_rng)
+                } else {
+                    Vec::new()
+                }
+            },
+            || {
+                if fit {
+                    estimator.fit(&cost_dataset, &mut fit_rng)
+                } else {
+                    Vec::new()
+                }
+            },
+        );
+        if fit {
+            self.rng = fit_rng;
+        }
         PretrainReport {
             bc_losses,
             estimator_errors,
@@ -698,6 +724,127 @@ mod tests {
         );
         assert!(!report.estimator_errors.is_empty());
         assert!(report.baseline_usage_percent > 0.0);
+    }
+
+    /// The sequential reference of [`OnSlicingAgent::offline_pretrain`],
+    /// written out here: the baseline's demonstrations and cost-to-go, then
+    /// behaviour cloning, then the estimator fit, both on the agent's one
+    /// generator.
+    fn sequential_pretrain(
+        agent: &mut OnSlicingAgent,
+        env: &mut SliceEnvironment,
+        episodes: usize,
+    ) -> PretrainReport {
+        let mut demos = Vec::new();
+        let mut costs_to_go = Vec::new();
+        let mut usage_sum = 0.0;
+        for _ in 0..episodes {
+            let mut state = env.reset();
+            let (mut states, mut costs) = (Vec::new(), Vec::new());
+            loop {
+                let action = agent.baseline.act(&state);
+                states.push(state.to_vec());
+                demos.push(Demonstration {
+                    state: state.to_vec(),
+                    action: action.to_vec(),
+                });
+                let r = env.step(&action);
+                costs.push(r.kpi.cost);
+                usage_sum += r.kpi.resource_usage_percent();
+                state = r.next_state;
+                if r.done {
+                    break;
+                }
+            }
+            costs_to_go.extend(CostValueEstimator::cost_to_go_dataset(&states, &costs));
+        }
+        let bc_losses = if agent.config.enable_imitation {
+            behavior_clone(
+                agent.ppo.policy_mut(),
+                &demos,
+                &agent.config.bc,
+                &mut agent.rng,
+            )
+        } else {
+            Vec::new()
+        };
+        let estimator_errors = if agent.config.enable_estimator {
+            agent.estimator.fit(&costs_to_go, &mut agent.rng)
+        } else {
+            Vec::new()
+        };
+        PretrainReport {
+            bc_losses,
+            estimator_errors,
+            baseline_usage_percent: usage_sum / demos.len() as f64,
+            num_demonstrations: demos.len(),
+        }
+    }
+
+    /// Runs `offline_pretrain` and the sequential reference on twin agents
+    /// and environments and compares them bit for bit: the report, the
+    /// agent's serialised text and its generator.
+    fn assert_pretrains_like_the_sequential_path(
+        mut agent: OnSlicingAgent,
+        mut env: SliceEnvironment,
+        episodes: usize,
+        label: &str,
+    ) -> PretrainReport {
+        let (mut oracle, mut oracle_env) = (agent.clone(), env.clone());
+        let report = agent.offline_pretrain(&mut env, episodes);
+        let expected = sequential_pretrain(&mut oracle, &mut oracle_env, episodes);
+        assert_eq!(
+            serde_json::to_string(&report).unwrap(),
+            serde_json::to_string(&expected).unwrap(),
+            "{label}: report"
+        );
+        assert!(agent.rng == oracle.rng, "{label}: generator");
+        assert_eq!(
+            serde_json::to_string(&agent).unwrap(),
+            serde_json::to_string(&oracle).unwrap(),
+            "{label}: agent"
+        );
+        report
+    }
+
+    #[test]
+    fn pretraining_matches_the_sequential_clone_then_fit_under_every_flag() {
+        for imitate in [true, false] {
+            for estimate in [true, false] {
+                let config = AgentConfig {
+                    enable_imitation: imitate,
+                    enable_estimator: estimate,
+                    ..AgentConfig::onslicing()
+                };
+                let (agent, env) = quick_agent(SliceKind::Hvs, config);
+                let label = format!("imitation {imitate}, estimator {estimate}");
+                assert_pretrains_like_the_sequential_path(agent, env, 1, &label);
+            }
+        }
+    }
+
+    /// One demonstration: the clone draws no words, so the fit starts from
+    /// the untouched generator.
+    #[test]
+    fn pretraining_on_one_demonstration_matches_the_sequential_path() {
+        let kind = SliceKind::Mar;
+        let sla = Sla::for_kind(kind);
+        let network = NetworkConfig::testbed_default();
+        let baseline = RuleBasedBaseline::calibrate(kind, &sla, &network, 5.0, 4, 11);
+        let env = SliceEnvironment::with_trace_config(
+            kind,
+            sla,
+            network,
+            crate::env::default_trace_config(kind),
+            1,
+            17,
+        );
+        let config = AgentConfig::onslicing().scaled_down(1);
+        assert_eq!(behavior_clone_draws(1, &config.bc), 0);
+        let agent = OnSlicingAgent::new(kind, sla, baseline, config, 3);
+        let report = assert_pretrains_like_the_sequential_path(agent, env, 1, "one demonstration");
+        assert_eq!(report.num_demonstrations, 1);
+        assert_eq!(report.bc_losses.len(), config.bc.epochs);
     }
 
     #[test]

@@ -53,6 +53,11 @@ impl Default for BcConfig {
 /// Returns the mean l2 imitation loss after each epoch (a monotone-ish
 /// decreasing curve is the offline imitation curve of Fig. 10).
 ///
+/// The only use of `rng` is one shuffle of the demonstrations per epoch, so
+/// the call draws exactly [`behavior_clone_draws`] `next_u64` words whatever
+/// the data: a caller can hand a copy of the generator, advanced by that
+/// many words, to work that runs alongside.
+///
 /// # Panics
 /// Panics if the dataset is empty or a demonstration's dimensions do not
 /// match the policy.
@@ -96,6 +101,7 @@ pub fn behavior_clone<R: Rng + ?Sized>(
     let mut indices: Vec<usize> = (0..n).collect();
     let mut epoch_losses = Vec::with_capacity(config.epochs);
     for _ in 0..config.epochs {
+        // `n − 1` words: see `behavior_clone_draws`.
         indices.shuffle(rng);
         let mut loss_sum = 0.0;
         for chunk in indices.chunks(config.batch_size.max(1)) {
@@ -131,6 +137,13 @@ pub fn behavior_clone<R: Rng + ?Sized>(
     epoch_losses
 }
 
+/// The number of `next_u64` words [`behavior_clone`] draws from its
+/// generator on `num_demonstrations` demonstrations: the Fisher–Yates
+/// shuffle of each epoch draws one word per position but the first.
+pub fn behavior_clone_draws(num_demonstrations: usize, config: &BcConfig) -> usize {
+    config.epochs * num_demonstrations.saturating_sub(1)
+}
+
 /// Mean l2 imitation error of the policy on a demonstration set (no
 /// training) — used to verify the clone quality before going online.
 pub fn imitation_error(policy: &GaussianPolicy, demonstrations: &[Demonstration]) -> f64 {
@@ -148,7 +161,7 @@ pub fn imitation_error(policy: &GaussianPolicy, demonstrations: &[Demonstration]
 mod tests {
     use super::*;
     use onslicing_nn::{Activation, Mlp};
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     /// A synthetic "baseline": action = [s0, 1 - s0] clipped to [0.1, 0.9].
@@ -229,6 +242,28 @@ mod tests {
         let cloned = policy.mean_action(&s);
         for (c, t) in cloned.iter().zip(target.iter()) {
             assert!((c - t).abs() < 0.1, "cloned {c} vs baseline {t}");
+        }
+    }
+
+    /// The generator after cloning equals a copy that drew the stated
+    /// number of words, one demonstration (zero words) included.
+    #[test]
+    fn cloning_draws_exactly_the_stated_number_of_words() {
+        for (n, epochs, batch_size) in [(1, 10, 64), (2, 3, 1), (37, 4, 8), (256, 2, 64)] {
+            let config = BcConfig {
+                epochs,
+                batch_size,
+                learning_rate: 1e-3,
+            };
+            let mut rng = ChaCha8Rng::seed_from_u64(11);
+            let mut expected = rng.clone();
+            behavior_clone(&mut small_policy(12), &dataset(n), &config, &mut rng);
+            let draws = behavior_clone_draws(n, &config);
+            assert_eq!(draws, epochs * (n - 1));
+            for _ in 0..draws {
+                expected.next_u64();
+            }
+            assert_eq!(rng, expected, "{n} demonstrations, {epochs} epochs");
         }
     }
 

@@ -33,7 +33,7 @@ pub mod cost_estimator;
 pub mod lagrangian;
 pub mod ppo;
 
-pub use bc::{behavior_clone, imitation_error, BcConfig, Demonstration};
+pub use bc::{behavior_clone, behavior_clone_draws, imitation_error, BcConfig, Demonstration};
 pub use buffer::{compute_gae, RolloutBuffer, Transition};
 pub use cost_estimator::{CostEstimatorConfig, CostToGoSample, CostValueEstimator};
 pub use lagrangian::LagrangianMultiplier;

@@ -327,12 +327,19 @@ enum Restore {
 /// Grid resolution of the rule-based baseline calibration.
 const BASELINE_BUCKETS: usize = 4;
 
+/// The most calibrated baselines a [`SliceFactory`] keeps. A daemon admits
+/// slices with any valid peak rate and cost threshold, so an unbounded
+/// cache would grow with its uptime; past this many keys the cache is
+/// cleared and refilled on demand.
+const BASELINE_CACHE_KEYS: usize = 32;
+
 /// Builds agent + environment pairs from [`SliceSpec`]s with seeds derived
 /// from the engine's seed and the construction order, caching calibrated
 /// baselines (calibration is a grid search, so clones are much cheaper than
 /// re-deriving identical policies for cloned slices).
 ///
-/// Its only state is how many slices it has built. The cache is *not* part
+/// Its only state is how many slices it has built. The cache holds at most
+/// [`BASELINE_CACHE_KEYS`] entries and is *not* part
 /// of the serialized state: calibration is a deterministic function of
 /// `(kind, peak rate, cost threshold, seed)`, so a restored factory rebuilds
 /// identical entries on demand.
@@ -369,6 +376,11 @@ impl SliceFactory {
             trace_config.peak_rate.to_bits(),
             sla.cost_threshold.to_bits(),
         );
+        if self.baseline_cache.len() >= BASELINE_CACHE_KEYS
+            && !self.baseline_cache.contains_key(&cache_key)
+        {
+            self.baseline_cache.clear();
+        }
         let baseline = self
             .baseline_cache
             .entry(cache_key)
@@ -1239,6 +1251,30 @@ mod tests {
 
     fn quick_config() -> ScenarioConfig {
         ScenarioConfig::default()
+    }
+
+    #[test]
+    fn the_baseline_cache_stays_bounded_and_rebuilds_evicted_keys_alike() {
+        let spec = |i: usize| SliceSpec::new(SliceKind::Mar).with_peak_rate(1.0 + i as f64 / 8.0);
+        let mut factory = SliceFactory::default();
+        let (first, _) = factory.build(&spec(0), 5, 16);
+        for i in 1..3 * BASELINE_CACHE_KEYS {
+            factory.build(&spec(i), 5, 16);
+            assert!(
+                factory.baseline_cache.len() <= BASELINE_CACHE_KEYS,
+                "{} keys after {} builds",
+                factory.baseline_cache.len(),
+                i + 1
+            );
+        }
+        let key = (
+            SliceKind::Mar,
+            spec(0).trace_config().peak_rate.to_bits(),
+            spec(0).sla().cost_threshold.to_bits(),
+        );
+        assert!(!factory.baseline_cache.contains_key(&key), "key 0 evicted");
+        let (rebuilt, _) = factory.build(&spec(0), 5, 16);
+        assert_eq!(rebuilt.baseline(), first.baseline());
     }
 
     #[test]
