@@ -30,9 +30,11 @@
 //! idempotent at every point of the lifecycle.
 
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
+use std::net::Shutdown;
+use std::os::fd::OwnedFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use serde::Value;
@@ -100,7 +102,11 @@ pub fn run(config: FleetdConfig) -> Result<ExitReason, String> {
         )
     })?;
     let (tx, rx) = mpsc::channel::<ControlMsg>();
-    std::thread::spawn(move || accept_loop(listener, tx));
+    // The plane owns the channel's sender until every control thread is
+    // gone, so `serve` never sees the channel disconnect.
+    let plane = ControlPlane::start(listener, tx).inspect_err(|_| {
+        let _ = std::fs::remove_file(&config.control_socket);
+    })?;
     eprintln!(
         "fleetd: serving {} on {}",
         config.scenario,
@@ -108,6 +114,7 @@ pub fn run(config: FleetdConfig) -> Result<ExitReason, String> {
     );
 
     let reason = serve(&config, fleet, &rx);
+    plane.stop();
     let _ = std::fs::remove_file(&config.control_socket);
     drop(lock);
     reason
@@ -192,20 +199,181 @@ fn check_compatible(
     }
 }
 
-fn accept_loop(listener: UnixListener, tx: mpsc::Sender<ControlMsg>) {
-    for stream in listener.incoming() {
-        let Ok(stream) = stream else { break };
-        let tx = tx.clone();
-        std::thread::spawn(move || connection_loop(stream, tx));
+/// Shortest pause after a failed `accept`; it doubles while failures
+/// repeat, up to [`ACCEPT_BACKOFF_MAX`], and resets on the next success.
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(5);
+/// Longest pause after a failed `accept`.
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
+/// How long [`ControlPlane::stop`] waits for the acceptors to leave.
+const STOP_GRACE: Duration = Duration::from_secs(5);
+/// Most threads waiting in `accept` at once; a thread that has served
+/// its client ends rather than wait as one more. A one-shot client's next
+/// connection can arrive before the thread that served its last one has
+/// seen it hang up, so two or three threads may be busy at a time even
+/// with one client: with four, such a client never finds every thread
+/// busy, and no request in steady state starts a thread (with two, about
+/// 3 % of a back-to-back client's requests started one on a 2-core VM).
+/// The bound is there because waiting costs a descriptor: Linux reserves
+/// the new connection's descriptor number before `accept` blocks, so
+/// after a burst of clients, an unbounded number of threads waiting in
+/// `accept` would hold one each and leave none for a checkpoint.
+const MAX_ACCEPTING: usize = 4;
+
+/// The control plane: threads that each accept a connection from the one
+/// shared listener and serve it themselves (leader/followers). A thread
+/// that accepts while no other thread waits in `accept` first starts one
+/// replacement, so a silent client never holds up the next one. Once it
+/// has served its client, it waits in `accept` again, or ends if
+/// [`MAX_ACCEPTING`] threads already wait there. The thread count is the
+/// number of connections being served plus at most four.
+struct ControlPlane {
+    listener: UnixListener,
+    /// A second descriptor of `listener`'s socket, made at start so that
+    /// [`stop`](Self::stop) needs no free descriptor. It is wrapped as a
+    /// stream only because std offers `shutdown` on streams alone.
+    closer: UnixStream,
+    requests: mpsc::Sender<ControlMsg>,
+    roster: Mutex<Roster>,
+    /// Signalled on `stop` (it wakes a thread backing off from an accept
+    /// error) and when an acceptor leaves (it wakes `stop`).
+    roster_changed: Condvar,
+}
+
+struct Roster {
+    /// Threads waiting in `accept`, backing off from an accept error, or
+    /// started to take the place of one.
+    accepting: usize,
+    /// Set once by [`ControlPlane::stop`]; no thread accepts after it.
+    stopped: bool,
+}
+
+impl ControlPlane {
+    /// Starts the plane's first thread on `listener`.
+    fn start(
+        listener: UnixListener,
+        requests: mpsc::Sender<ControlMsg>,
+    ) -> Result<Arc<Self>, String> {
+        let closer = listener
+            .try_clone()
+            .map(|dup| UnixStream::from(OwnedFd::from(dup)))
+            .map_err(|e| format!("cannot duplicate the control socket: {e}"))?;
+        let plane = Arc::new(Self {
+            listener,
+            closer,
+            requests,
+            roster: Mutex::new(Roster {
+                accepting: 1,
+                stopped: false,
+            }),
+            roster_changed: Condvar::new(),
+        });
+        Self::spawn_acceptor(&plane).map_err(|e| format!("cannot start a control thread: {e}"))?;
+        Ok(plane)
+    }
+
+    fn roster(&self) -> MutexGuard<'_, Roster> {
+        self.roster.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Starts a thread that is already counted in `accepting`.
+    fn spawn_acceptor(plane: &Arc<Self>) -> std::io::Result<()> {
+        let plane = Arc::clone(plane);
+        std::thread::Builder::new()
+            .name("fleetd-control".to_string())
+            .spawn(move || plane.accept_and_serve())
+            .map(drop)
+    }
+
+    /// One control thread: accept, serve the client until it hangs up,
+    /// accept again — until [`stop`](Self::stop). An accept error (say,
+    /// `EMFILE` while clients hold every descriptor) is reported and
+    /// retried after a pause that doubles from [`ACCEPT_BACKOFF_MIN`] to
+    /// [`ACCEPT_BACKOFF_MAX`]: it neither ends the plane nor spins.
+    fn accept_and_serve(self: Arc<Self>) {
+        let mut backoff: Option<Duration> = None;
+        let roster = loop {
+            let accepted = self.listener.accept();
+            let mut roster = self.roster();
+            if roster.stopped {
+                break roster;
+            }
+            let stream = match accepted {
+                Ok((stream, _)) => stream,
+                Err(e) => {
+                    let pause =
+                        backoff.map_or(ACCEPT_BACKOFF_MIN, |p| (p * 2).min(ACCEPT_BACKOFF_MAX));
+                    backoff = Some(pause);
+                    eprintln!(
+                        "fleetd: cannot accept a control connection: {e}; retrying in {pause:?}"
+                    );
+                    let (roster, _) = self
+                        .roster_changed
+                        .wait_timeout_while(roster, pause, |r| !r.stopped)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    if roster.stopped {
+                        break roster;
+                    }
+                    continue;
+                }
+            };
+            backoff = None;
+            // The last acceptor hands its place in the count to the
+            // replacement it starts.
+            let replace = roster.accepting == 1;
+            if !replace {
+                roster.accepting -= 1;
+            }
+            drop(roster);
+            if replace {
+                if let Err(e) = Self::spawn_acceptor(&self) {
+                    eprintln!("fleetd: cannot start a control thread: {e}");
+                    self.leave(self.roster());
+                }
+            }
+            connection_loop(&stream, &self.requests);
+            drop(stream);
+            let mut roster = self.roster();
+            if roster.stopped || roster.accepting >= MAX_ACCEPTING {
+                return;
+            }
+            roster.accepting += 1;
+        };
+        self.leave(roster);
+    }
+
+    /// Takes one thread off the acceptors and wakes a waiting `stop`.
+    fn leave(&self, mut roster: MutexGuard<'_, Roster>) {
+        roster.accepting -= 1;
+        drop(roster);
+        self.roster_changed.notify_all();
+    }
+
+    /// Ends accepting and returns once no thread waits in `accept` (or
+    /// after [`STOP_GRACE`], with a warning). Shutting the listening
+    /// socket's read side fails every `accept` on it, blocked or later
+    /// (`EINVAL` on Linux), and refuses new connections. A thread still
+    /// serving a client ends when that client hangs up.
+    fn stop(&self) {
+        self.roster().stopped = true;
+        self.roster_changed.notify_all();
+        if let Err(e) = self.closer.shutdown(Shutdown::Read) {
+            eprintln!("fleetd: cannot close the control socket: {e}");
+            return;
+        }
+        let (roster, waited) = self
+            .roster_changed
+            .wait_timeout_while(self.roster(), STOP_GRACE, |r| r.accepting > 0)
+            .unwrap_or_else(PoisonError::into_inner);
+        drop(roster);
+        if waited.timed_out() {
+            eprintln!("fleetd: a control thread is still accepting after {STOP_GRACE:?}");
+        }
     }
 }
 
-fn connection_loop(stream: UnixStream, tx: mpsc::Sender<ControlMsg>) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
+fn connection_loop(stream: &UnixStream, requests: &mpsc::Sender<ControlMsg>) {
     let mut write_half = stream;
-    let mut reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(stream);
     let mut buf = Vec::new();
     loop {
         buf.clear();
@@ -254,7 +422,7 @@ fn connection_loop(stream: UnixStream, tx: mpsc::Sender<ControlMsg>) {
         }
         let (reply_tx, reply_rx) = mpsc::channel();
         let (written_tx, written_rx) = mpsc::channel();
-        if tx
+        if requests
             .send(ControlMsg {
                 line: line.trim_end_matches(['\n', '\r']).to_string(),
                 reply: reply_tx,
@@ -612,14 +780,11 @@ pub fn final_trace_path(state_dir: &Path, scenario: &str) -> PathBuf {
 pub fn send_request(socket: &Path, line: &str) -> Result<String, String> {
     let stream = UnixStream::connect(socket)
         .map_err(|e| format!("cannot connect to {}: {e}", socket.display()))?;
-    let mut write_half = stream
-        .try_clone()
-        .map_err(|e| format!("cannot clone socket: {e}"))?;
-    write_half
+    (&stream)
         .write_all(format!("{}\n", line.trim()).as_bytes())
         .map_err(|e| format!("cannot send request: {e}"))?;
     let mut response = String::new();
-    BufReader::new(stream)
+    BufReader::new(&stream)
         .read_line(&mut response)
         .map_err(|e| format!("cannot read response: {e}"))?;
     if response.is_empty() {

@@ -766,3 +766,130 @@ fn every_request_log_entry_is_json_even_when_the_request_is_not() {
         assert!(entry.get("response").and_then(|r| r.get("ok")).is_some());
     }
 }
+
+/// Sends one request on a fresh connection and waits at most 30 s for the
+/// answer, so a control plane that something holds up fails the test
+/// instead of hanging it.
+fn ctl_within_30s(socket: &Path, line: &str) -> Value {
+    use std::io::{BufRead as _, BufReader, Write as _};
+    let mut stream = std::os::unix::net::UnixStream::connect(socket).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("set a read timeout");
+    stream
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("send");
+    let mut response = String::new();
+    BufReader::new(stream)
+        .read_line(&mut response)
+        .unwrap_or_else(|e| panic!("no answer to {line} within 30 s: {e}"));
+    let value: Value = serde_json::from_str(&response).expect("response is JSON");
+    assert_eq!(
+        value.get("ok").and_then(Value::as_bool),
+        Some(true),
+        "request {line} failed: {value:?}"
+    );
+    value
+}
+
+#[test]
+fn a_stuck_client_blocks_no_one() {
+    use std::io::Write as _;
+    let dir = TestDir::new("stuck-client");
+    let config = dir.write_config();
+    let mut daemon = spawn_daemon(&config, &[]);
+    wait_ready(&dir.socket());
+
+    // One client says nothing; another sends half a line and stalls. Both
+    // stay connected while fresh connections are served.
+    let silent = std::os::unix::net::UnixStream::connect(dir.socket()).unwrap();
+    let mut stalled = std::os::unix::net::UnixStream::connect(dir.socket()).unwrap();
+    stalled.write_all(b"{\"op\":\"sta").unwrap();
+
+    let status = ctl_within_30s(&dir.socket(), "{\"op\":\"status\"}");
+    assert_eq!(status.get("slot").and_then(Value::as_u64), Some(0));
+    let stepped = ctl_within_30s(&dir.socket(), "{\"op\":\"step\",\"to_slot\":2}");
+    assert_eq!(stepped.get("slot").and_then(Value::as_u64), Some(2));
+    let status = ctl_within_30s(&dir.socket(), "{\"op\":\"status\"}");
+    assert_eq!(status.get("slot").and_then(Value::as_u64), Some(2));
+    ctl_within_30s(&dir.socket(), "{\"op\":\"shutdown\"}");
+    assert!(wait_exit(&mut daemon).success());
+    drop((silent, stalled));
+}
+
+/// User plus system CPU time of process `pid`, in clock ticks (100 per
+/// second on Linux), from `/proc/<pid>/stat`.
+fn cpu_ticks(pid: u32) -> u64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).unwrap();
+    // The command name is parenthesised and may hold spaces; the fields
+    // after it start at field 3, so utime (14) and stime (15) are the
+    // 12th and 13th.
+    let fields: Vec<&str> = stat[stat.rfind(')').unwrap() + 1..]
+        .split_whitespace()
+        .collect();
+    fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap()
+}
+
+/// Asserts that process `pid` uses under 0.2 s of CPU in the next 2 s.
+fn assert_idle_for_2s(pid: u32, when: &str) {
+    let before = cpu_ticks(pid);
+    std::thread::sleep(Duration::from_secs(2));
+    let used = cpu_ticks(pid) - before;
+    assert!(
+        used < 20,
+        "{when}, the daemon used {used} ticks of CPU in 2 s"
+    );
+}
+
+#[test]
+fn an_accept_error_is_reported_and_retried_without_spinning() {
+    let dir = TestDir::new("accept-error");
+    let config = dir.write_config();
+    let stderr_path = dir.root.join("stderr.log");
+    // 48 descriptors: 64 idle clients exhaust them, so `accept` fails with
+    // EMFILE while they stay connected.
+    let mut daemon = Command::new("sh")
+        .arg("-c")
+        .arg("ulimit -n 48; exec \"$0\" run \"$1\"")
+        .arg(env!("CARGO_BIN_EXE_fleetd"))
+        .arg(&config)
+        .stdout(Stdio::null())
+        .stderr(std::fs::File::create(&stderr_path).unwrap())
+        .spawn()
+        .expect("cannot spawn fleetd under sh");
+    wait_ready(&dir.socket());
+
+    let held: Vec<_> = (0..64)
+        .map(|_| std::os::unix::net::UnixStream::connect(dir.socket()).expect("connect"))
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let reported = loop {
+        let stderr = std::fs::read_to_string(&stderr_path).unwrap();
+        if let Some(line) = stderr
+            .lines()
+            .find(|l| l.contains("cannot accept a control connection"))
+        {
+            break line.to_string();
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no accept error reported: {stderr}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(
+        reported.contains("Too many open files") && reported.contains("retrying in"),
+        "{reported}"
+    );
+    // While `accept` keeps failing, the daemon backs off instead of
+    // spinning on it.
+    assert_idle_for_2s(daemon.id(), "while accept fails");
+    drop(held);
+
+    // Accepting resumed: the daemon answers, and idle it does not spin.
+    let status = ctl_ok(&dir.socket(), "{\"op\":\"status\"}");
+    assert_eq!(status.get("slot").and_then(Value::as_u64), Some(0));
+    assert_idle_for_2s(daemon.id(), "after the clients left");
+    ctl_ok(&dir.socket(), "{\"op\":\"shutdown\"}");
+    assert!(wait_exit(&mut daemon).success());
+}
