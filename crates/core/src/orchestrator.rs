@@ -348,12 +348,32 @@ impl Orchestrator {
     }
 
     /// What a deserialised orchestrator must satisfy before its next slot:
-    /// the domain set holds what its constructor and setters accept
+    /// one agent and one environment per slice id, every agent with one
+    /// trunk shape (the fused forward pass runs them as one batch), the
+    /// domain set holds what its constructor and setters accept
     /// ([`DomainSet::validate`]) and every agent's learned state fits
     /// together (bias lengths against weight rows, Adam moments against
     /// parameter counts) — a mismatch would otherwise panic inside a kernel,
     /// slots or an epoch later.
     pub fn validate(&self) -> Result<(), String> {
+        let (agents, envs, ids) = (
+            self.agents.len(),
+            self.env.envs().len(),
+            self.slice_ids.len(),
+        );
+        if agents != envs || agents != ids {
+            return Err(format!(
+                "it holds {agents} agents, {envs} slice environments and {ids} slice ids"
+            ));
+        }
+        let mut shapes = self.agents.iter().map(OnSlicingAgent::trunk_shape);
+        if let Some(first) = shapes.next() {
+            if let Some(other) = shapes.find(|s| *s != first) {
+                return Err(format!(
+                    "mixes agents with layer dimensions {first:?} and {other:?}"
+                ));
+            }
+        }
         self.domains.validate()?;
         for (id, agent) in self.slice_ids.iter().zip(&self.agents) {
             agent

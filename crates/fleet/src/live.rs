@@ -49,7 +49,6 @@ use std::time::Instant;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use onslicing_core::OnSlicingAgent;
 use onslicing_replay::{atomic_write, first_non_finite, from_versioned_json, TelemetryRecorder};
 use onslicing_scenario::{
     FleetScenario, LiveEventOutcome, ScenarioConfig, ScenarioEngine, ScenarioEvent, SliceSpec,
@@ -574,9 +573,9 @@ impl FleetCheckpoint {
     /// must run exactly the scenario `scenario.scenario_for_cell(i)` and the
     /// configuration `config.base.for_cell(i)` derive (seed and policies
     /// included), every engine must pass
-    /// [`ScenarioEngine::validate`] (agents' learned state fits together,
-    /// admission tuning in range), every cell's agents must share one
-    /// trunk shape and every value a cell's recorder holds must be finite.
+    /// [`ScenarioEngine::validate`] (agents' learned state fits together
+    /// and shares one trunk shape, admission tuning in range) and every
+    /// value a cell's recorder holds must be finite.
     /// The processed sync-point cursor is recomputed from the slot (see the
     /// module docs' invariant), so nothing replays and nothing is skipped.
     pub fn restore(self) -> Result<ElasticFleet, String> {
@@ -636,8 +635,9 @@ impl FleetCheckpoint {
                     c.engine.config()
                 ));
             }
-            // Learned state whose lengths disagree would panic inside a
-            // kernel at the next slot or epoch boundary.
+            // Learned state whose lengths disagree, or agents of two trunk
+            // shapes, would panic inside a kernel at the next slot or epoch
+            // boundary.
             c.engine.validate().map_err(|e| format!("cell {i} {e}"))?;
             // `finish` sorts each recorded series for its percentiles; a NaN
             // has no place in that order.
@@ -645,22 +645,6 @@ impl FleetCheckpoint {
                 return Err(format!(
                     "cell {i} recorder holds a non-finite value at {path}"
                 ));
-            }
-            // An orchestrator refuses a slice whose networks do not have its
-            // cell's trunk shape where the slice enters; the cell's fused
-            // forward pass would hit its shape assert mid-run.
-            let mut shapes = c
-                .engine
-                .orchestrator()
-                .agents()
-                .iter()
-                .map(OnSlicingAgent::trunk_shape);
-            if let Some(first) = shapes.next() {
-                if let Some(other) = shapes.find(|s| *s != first) {
-                    return Err(format!(
-                        "cell {i} mixes agents with layer dimensions {first:?} and {other:?}"
-                    ));
-                }
             }
         }
         Ok(())
@@ -763,6 +747,7 @@ impl FleetCheckpoint {
 mod tests {
     use super::*;
     use crate::balancer::BalancerConfig;
+    use onslicing_core::OnSlicingAgent;
     use onslicing_scenario::{fleet_by_name, Scenario};
     use onslicing_slices::SliceKind;
 

@@ -2,11 +2,13 @@
 //! multi-cell fleet run must emit a byte-identical [`FleetTrace`] with the
 //! rayon pool forced to one thread and at the machine default — cells share
 //! nothing, and every cell's RNG chain is keyed by its derived seed, not by
-//! the worker that happened to execute it. CI additionally compares fleet
-//! traces across separate processes: the upgrade drill's 2-cell
-//! `hotspot-shift` run (default pool vs `RAYON_NUM_THREADS=1`), the
-//! Scenario trace gate's `replay_check trace` of the three fleet built-ins
-//! (default pool vs `RAYON_NUM_THREADS=1` and `=3`) and the
+//! the worker that happened to execute it. Fleet traces are also compared
+//! across separate processes: `fleetd`'s service path by
+//! `crates/fleetd/tests/daemon.rs`'s `rolling_upgrade_drill_is_bit_exact`
+//! (a 2-cell `hotspot-shift` daemon on the default pool vs one stopped and
+//! restarted under `RAYON_NUM_THREADS=1`), and in CI the Scenario trace
+//! gate's `replay_check trace` of the three fleet built-ins (default pool
+//! vs `RAYON_NUM_THREADS=1` and `=3`) and the
 //! `chaos_fuzz --cases 12 --seed 7` gate's generated multi-cell fleets.
 //!
 //! A fleet checkpoint rides the same gate in-process: `to_json` renders one
@@ -15,7 +17,8 @@
 //! `slot_latencies_ms` holds clock readings).
 //!
 //! This is deliberately the **only** binary whose tests set
-//! `RAYON_NUM_THREADS`: the vendored rayon reads it on every call, and
+//! `RAYON_NUM_THREADS` in their own process (the daemon test sets it only
+//! for the child it spawns): the vendored rayon reads it on every call, and
 //! mutating the process environment is only safe while no other thread
 //! reads it concurrently, so every test here holds [`ENV`] while it runs.
 

@@ -1,8 +1,9 @@
 //! The daemon: an [`ElasticFleet`] run continuously as a service with a
 //! live control plane.
 //!
-//! One OS process per state directory (enforced by [`StateLock`]). The
-//! main loop alternates between draining the control channel and advancing
+//! One OS process per state directory, enforced by [`StateLock`]: a
+//! kernel file lock held until [`run`] returns or the process dies,
+//! however it dies. The main loop alternates between draining the control channel and advancing
 //! the fleet one window of slots; control requests therefore apply only at
 //! window boundaries — which are fleet sync boundaries — through the same
 //! admission machinery the scripted paths use. Because every request is
@@ -84,13 +85,7 @@ pub fn run(config: FleetdConfig) -> Result<ExitReason, String> {
             config.state_dir.display()
         )
     })?;
-    let (lock, reclaimed) = StateLock::acquire(&config.state_dir)?;
-    if reclaimed {
-        eprintln!(
-            "fleetd: reclaimed stale lock in {}",
-            config.state_dir.display()
-        );
-    }
+    let lock = StateLock::acquire(&config.state_dir)?;
     let fleet = build_or_resume(&config)?;
 
     // We hold the lock, so a leftover socket file is ours to sweep.

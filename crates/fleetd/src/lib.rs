@@ -11,8 +11,9 @@
 //!   cadence/retention. Read by the control protocol's own field reader,
 //!   which treats typos and repeated keys as startup errors.
 //! * **Exclusive state dir** ([`lock`]) — one daemon per state directory,
-//!   enforced by a PID lock file; locks left by crashed daemons are
-//!   detected (dead PID) and reclaimed automatically.
+//!   enforced by the kernel's exclusive file lock on `fleetd.lock`, which
+//!   the kernel releases however the daemon ends: a crash leaves nothing
+//!   to reclaim.
 //! * **Live control plane** ([`protocol`], [`daemon`]) — line-delimited
 //!   JSON over a Unix domain socket: `admit`, `teardown`, `renegotiate`,
 //!   `status`, `telemetry`, `checkpoint`, `pause`/`resume`/`step` and
@@ -25,7 +26,8 @@
 //!   daemon resumes from the newest complete checkpoint. Because each
 //!   cell's telemetry recorder travels inside the checkpoint, the final
 //!   trace of a stopped-upgraded-resumed daemon is **byte-identical** to
-//!   an uninterrupted run's — the rolling-upgrade drill CI enforces.
+//!   an uninterrupted run's, which `tests/daemon.rs` checks with a real
+//!   stop-and-restart and with a SIGKILL mid-checkpoint-write.
 //!
 //! No request path may panic: a bad request or file degrades to an error
 //! response, so `unwrap`, `expect` and `panic!` are denied outside tests.

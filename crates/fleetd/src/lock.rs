@@ -1,104 +1,63 @@
-//! The state-directory lock: one daemon per state dir, enforced by a PID
-//! lock file with stale-lock reclamation.
+//! The state-directory lock: one daemon per state dir, held as the
+//! kernel's exclusive file lock on `fleetd.lock`.
 //!
 //! Two daemons sharing a state directory would interleave checkpoints and
-//! race on the control socket, so acquisition is exclusive: the lock file
-//! is created with `O_CREAT | O_EXCL` (atomic on every filesystem the
-//! daemon targets) and holds the owner's PID. A daemon that died without
-//! cleanup leaves the file behind; the next acquisition reads the PID,
-//! checks liveness via `/proc/<pid>` and reclaims the lock if the owner is
-//! gone — crash recovery must not require a human to delete lock files.
+//! race on the control socket. The daemon holds the lock through an open
+//! file for its whole lifetime, and the kernel releases it however the
+//! process ends, so a crash leaves no lock to reclaim. The file holds the
+//! owner's PID for the refusal message only. It is never deleted: after
+//! an unlink, one acquirer could lock the old inode and another a new one.
 
-use std::fs::OpenOptions;
+use std::fs::{File, OpenOptions, TryLockError};
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Name of the lock file inside the state directory.
 pub const LOCK_FILE_NAME: &str = "fleetd.lock";
 
-/// An acquired state-directory lock; released (file removed) on drop.
+/// An acquired state-directory lock; the kernel releases it when the file
+/// closes — on drop, on exit or on a crash.
 #[derive(Debug)]
 pub struct StateLock {
-    path: PathBuf,
-    pid: u32,
-}
-
-/// Whether a process with this PID is currently alive, per `/proc`.
-/// A PID that cannot be probed is conservatively considered alive.
-fn pid_alive(pid: u32) -> bool {
-    Path::new(&format!("/proc/{pid}")).exists()
+    _file: File,
 }
 
 impl StateLock {
-    /// Acquires the lock for `state_dir`, reclaiming a stale lock whose
-    /// owner PID is dead. Returns a clear "already running" error when a
-    /// live owner holds it. `reclaimed` notes (for the caller's log line)
-    /// whether a stale lock was swept.
-    pub fn acquire(state_dir: &Path) -> Result<(Self, bool), String> {
+    /// Acquires the lock for `state_dir`, or names the fleetd that holds it.
+    pub fn acquire(state_dir: &Path) -> Result<Self, String> {
         let path = state_dir.join(LOCK_FILE_NAME);
-        let pid = std::process::id();
-        let mut reclaimed = false;
-        loop {
-            match OpenOptions::new().write(true).create_new(true).open(&path) {
-                Ok(mut file) => {
-                    file.write_all(pid.to_string().as_bytes())
-                        .and_then(|()| file.sync_all())
-                        .map_err(|e| format!("cannot write lock {}: {e}", path.display()))?;
-                    return Ok((Self { path, pid }, reclaimed));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    let owner = std::fs::read_to_string(&path)
-                        .ok()
-                        .and_then(|s| s.trim().parse::<u32>().ok());
-                    match owner {
-                        Some(owner) if pid_alive(owner) => {
-                            return Err(format!(
-                                "state dir {} is locked by a running fleetd (pid {owner})",
-                                state_dir.display()
-                            ));
-                        }
-                        _ => {
-                            // Stale (dead owner) or unreadable/torn lock:
-                            // sweep it and retry the exclusive create. The
-                            // race window against a concurrent reclaimer is
-                            // closed by `create_new` — exactly one retry
-                            // wins.
-                            std::fs::remove_file(&path).map_err(|e| {
-                                format!("cannot remove stale lock {}: {e}", path.display())
-                            })?;
-                            reclaimed = true;
-                        }
-                    }
-                }
-                Err(e) => return Err(format!("cannot create lock {}: {e}", path.display())),
+        let failed =
+            |what: &str, e: std::io::Error| format!("cannot {what} {}: {e}", path.display());
+        let mut file = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&path)
+            .map_err(|e| failed("open", e))?;
+        match file.try_lock() {
+            Ok(()) => {}
+            Err(TryLockError::WouldBlock) => {
+                let owner = std::fs::read_to_string(&path).unwrap_or_default();
+                return Err(format!(
+                    "state dir {} is locked by a running fleetd (pid {})",
+                    state_dir.display(),
+                    owner.trim()
+                ));
             }
+            Err(TryLockError::Error(e)) => return Err(failed("lock", e)),
         }
-    }
-
-    /// The lock file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl Drop for StateLock {
-    fn drop(&mut self) {
-        // Only remove a lock that is still ours — if the file was reclaimed
-        // (we must have died as far as others could tell; clock weirdness,
-        // manual intervention), deleting it would break the new owner.
-        let ours = std::fs::read_to_string(&self.path)
-            .ok()
-            .and_then(|s| s.trim().parse::<u32>().ok())
-            .is_some_and(|owner| owner == self.pid);
-        if ours {
-            let _ = std::fs::remove_file(&self.path);
-        }
+        file.set_len(0)
+            .and_then(|()| file.write_all(std::process::id().to_string().as_bytes()))
+            .map_err(|e| failed("write", e))?;
+        Ok(Self { _file: file })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
+    use std::sync::{Arc, Barrier};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("fleetd-lock-{tag}-{}", std::process::id()));
@@ -110,41 +69,60 @@ mod tests {
     #[test]
     fn second_acquisition_is_refused_while_owner_lives() {
         let dir = temp_dir("double");
-        let (lock, reclaimed) = StateLock::acquire(&dir).unwrap();
-        assert!(!reclaimed);
-        // Our own PID is alive, so a second acquire must fail…
+        let lock = StateLock::acquire(&dir).unwrap();
+        // The first lock is held, so a second acquire must fail and name
+        // the holder…
         let err = StateLock::acquire(&dir).unwrap_err();
-        assert!(err.contains("locked by a running fleetd"), "{err}");
+        let pid = std::process::id();
+        assert!(
+            err.contains(&format!("locked by a running fleetd (pid {pid})")),
+            "{err}"
+        );
         drop(lock);
         // …and releasing the lock frees the dir.
-        let (_lock, reclaimed) = StateLock::acquire(&dir).unwrap();
-        assert!(!reclaimed);
+        let _lock = StateLock::acquire(&dir).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn stale_and_garbage_locks_are_reclaimed() {
         let dir = temp_dir("stale");
-        // A PID that cannot exist: pid_max on Linux caps at 2^22.
-        std::fs::write(dir.join(LOCK_FILE_NAME), "4194999").unwrap();
-        let (lock, reclaimed) = StateLock::acquire(&dir).unwrap();
-        assert!(reclaimed);
-        drop(lock);
-        std::fs::write(dir.join(LOCK_FILE_NAME), "not-a-pid").unwrap();
-        let (_lock, reclaimed) = StateLock::acquire(&dir).unwrap();
-        assert!(reclaimed);
+        // A PID that cannot exist (pid_max on Linux caps at 2^22), then a
+        // file that names no PID at all: neither is a held lock.
+        for leftover in ["4194999", "not-a-pid"] {
+            std::fs::write(dir.join(LOCK_FILE_NAME), leftover).unwrap();
+            let lock = StateLock::acquire(&dir).unwrap();
+            assert_eq!(
+                std::fs::read_to_string(dir.join(LOCK_FILE_NAME)).unwrap(),
+                std::process::id().to_string()
+            );
+            drop(lock);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn drop_leaves_a_foreign_lock_alone() {
-        let dir = temp_dir("foreign");
-        let (lock, _) = StateLock::acquire(&dir).unwrap();
-        // Simulate a reclaim by another process while we still hold the
-        // handle: the file now names someone else.
-        std::fs::write(dir.join(LOCK_FILE_NAME), "4194998").unwrap();
-        drop(lock);
-        assert!(dir.join(LOCK_FILE_NAME).exists());
+    fn concurrent_acquirers_of_a_stale_lock_never_both_win() {
+        let dir = temp_dir("race");
+        for trial in 0..300 {
+            std::fs::write(dir.join(LOCK_FILE_NAME), "4194999").unwrap();
+            let start = Arc::new(Barrier::new(2));
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    let (dir, start) = (dir.clone(), Arc::clone(&start));
+                    std::thread::spawn(move || {
+                        start.wait();
+                        StateLock::acquire(&dir)
+                    })
+                })
+                .collect();
+            // Each winner keeps its lock until both racers are done.
+            let won: Vec<_> = racers
+                .into_iter()
+                .filter_map(|racer| racer.join().unwrap().ok())
+                .collect();
+            assert_eq!(won.len(), 1, "trial {trial}: {} acquirers won", won.len());
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,11 +1,14 @@
-//! End-to-end tests of the `fleetd` binary: lock discipline, crash
-//! recovery (SIGKILL mid-run and mid-checkpoint-write) and the rolling
-//! upgrade drill — stop, restart on the same state dir, and require the
-//! final trace to be **byte-identical** to an uninterrupted run's.
+//! End-to-end tests of the `fleetd` binary: lock discipline, config-typo
+//! refusal, crash recovery (SIGKILL mid-run and mid-checkpoint-write) and
+//! the rolling upgrade drill — stop, restart on the same state dir under a
+//! one-thread pool, and require the final trace to be **byte-identical**
+//! to an uninterrupted run's on the default pool.
 //!
 //! Every test drives a real daemon process (`CARGO_BIN_EXE_fleetd`) over
 //! its Unix control socket. Runs start paused and advance via `step`, so
 //! control requests land at scripted slots and the comparisons are exact.
+//! A mid-write crash point is a FIFO planted where the checkpoint's temp
+//! file goes: the daemon blocks in the write until the test kills it.
 #![expect(
     clippy::disallowed_methods,
     reason = "test deadlines for a real daemon process; no clock read reaches a trace"
@@ -19,9 +22,10 @@ use serde::Value;
 
 use onslicing_fleet::{ElasticFleet, ElasticFleetConfig};
 use onslicing_fleetd::{
-    final_trace_path, send_request, LOCK_FILE_NAME, MAX_REQUEST_LINE_BYTES, REQUEST_LOG_NAME,
+    final_trace_path, send_request, StateLock, LOCK_FILE_NAME, MAX_REQUEST_LINE_BYTES,
+    REQUEST_LOG_NAME,
 };
-use onslicing_replay::{checkpoint_file_name, ATOMIC_WRITE_PAUSE_ENV};
+use onslicing_replay::checkpoint_file_name;
 use onslicing_scenario::fleet_by_name;
 
 const SCENARIO: &str = "hotspot-shift";
@@ -75,11 +79,36 @@ impl Drop for TestDir {
     }
 }
 
-fn spawn_daemon(config: &Path, extra_env: &[(&str, &str)]) -> Child {
+/// A spawned daemon, killed and reaped when dropped: a test that fails
+/// midway leaves no daemon running.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+impl std::ops::Deref for Daemon {
+    type Target = Child;
+
+    fn deref(&self) -> &Child {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for Daemon {
+    fn deref_mut(&mut self) -> &mut Child {
+        &mut self.0
+    }
+}
+
+fn spawn_daemon(config: &Path, extra_env: &[(&str, &str)]) -> Daemon {
     spawn_daemon_with_stderr(config, extra_env, Stdio::null())
 }
 
-fn spawn_daemon_with_stderr(config: &Path, extra_env: &[(&str, &str)], stderr: Stdio) -> Child {
+fn spawn_daemon_with_stderr(config: &Path, extra_env: &[(&str, &str)], stderr: Stdio) -> Daemon {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_fleetd"));
     cmd.arg("run")
         .arg(config)
@@ -88,7 +117,16 @@ fn spawn_daemon_with_stderr(config: &Path, extra_env: &[(&str, &str)], stderr: S
     for (k, v) in extra_env {
         cmd.env(k, v);
     }
-    cmd.spawn().expect("cannot spawn fleetd")
+    Daemon(cmd.spawn().expect("cannot spawn fleetd"))
+}
+
+/// Spawns a daemon expected to refuse to start, waits for it and returns
+/// its exit status and stderr.
+fn refused_start(config: &Path, stderr_path: &Path) -> (std::process::ExitStatus, String) {
+    let log = std::fs::File::create(stderr_path).unwrap();
+    let mut daemon = spawn_daemon_with_stderr(config, &[], log.into());
+    let status = wait_exit(&mut daemon);
+    (status, std::fs::read_to_string(stderr_path).unwrap())
 }
 
 /// Waits until the daemon answers `status` on its socket.
@@ -114,6 +152,24 @@ fn wait_exit(child: &mut Child) -> std::process::ExitStatus {
         assert!(Instant::now() < deadline, "daemon never exited");
         std::thread::sleep(Duration::from_millis(20));
     }
+}
+
+/// Sends one request through `fleetd ctl`, the operator's one-shot client,
+/// and returns the `"ok":true` line it prints.
+fn ctl_cli_ok(socket: &Path, line: &str) -> Value {
+    let out = Command::new(env!("CARGO_BIN_EXE_fleetd"))
+        .arg("ctl")
+        .arg(socket)
+        .arg(line)
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "fleetd ctl {line}: {stdout}");
+    let answer = stdout
+        .lines()
+        .find(|l| l.contains("\"ok\":true"))
+        .unwrap_or_else(|| panic!("fleetd ctl {line} printed no ok line: {stdout}"));
+    serde_json::from_str(answer).expect("response is JSON")
 }
 
 /// Sends one request and asserts the transport-level send worked.
@@ -170,23 +226,19 @@ fn double_start_is_refused_and_stale_locks_are_reclaimed() {
 
     // A second daemon on the same state dir must refuse to start and say
     // who holds the lock.
-    let second = Command::new(env!("CARGO_BIN_EXE_fleetd"))
-        .arg("run")
-        .arg(&config)
-        .output()
-        .unwrap();
-    assert!(!second.status.success());
-    let stderr = String::from_utf8_lossy(&second.stderr);
+    let (status, stderr) = refused_start(&config, &dir.root.join("second.err"));
+    assert!(!status.success());
     assert!(
-        stderr.contains("locked by a running fleetd"),
+        stderr.contains(&format!("locked by a running fleetd (pid {})", daemon.id())),
         "unexpected stderr: {stderr}"
     );
 
-    // Graceful shutdown releases the lock and removes the socket.
+    // Graceful shutdown removes the socket and frees the lock: the lock
+    // file stays, and the lock on it is there to take.
     let response = ctl_ok(&dir.socket(), "{\"op\":\"shutdown\"}");
     assert!(response.get("checkpoint").is_some());
     assert!(wait_exit(&mut daemon).success());
-    assert!(!dir.state_dir().join(LOCK_FILE_NAME).exists());
+    drop(StateLock::acquire(&dir.state_dir()).expect("the exited daemon's lock is free"));
     assert!(!dir.socket().exists());
 
     // A lock left by a dead process (impossible PID) is reclaimed.
@@ -222,11 +274,14 @@ fn rolling_upgrade_drill_is_bit_exact() {
         (early, late)
     };
 
-    // Uninterrupted arm: one daemon process runs the whole scenario.
+    // Uninterrupted arm: one daemon process on the default pool runs the
+    // whole scenario, with a client connected throughout that never sends
+    // a byte: it must hold up no request.
     let uninterrupted = TestDir::new("drill-a");
     let config = uninterrupted.write_config();
     let mut daemon = spawn_daemon(&config, &[]);
     wait_ready(&uninterrupted.socket());
+    let silent = std::os::unix::net::UnixStream::connect(uninterrupted.socket()).unwrap();
     let reference_admits = drill(&uninterrupted.socket());
     assert_eq!(
         reference_admits.0.get("outcome").and_then(Value::as_str),
@@ -237,12 +292,16 @@ fn rolling_upgrade_drill_is_bit_exact() {
         &uninterrupted.state_dir(),
         &mut daemon,
     );
+    drop(silent);
 
     // Upgrade arm: same drill, but the daemon is stopped right after the
     // slot-20 admission and a "rebuilt" daemon resumes the same state dir.
+    // Both of its processes run a one-thread pool, so the comparison also
+    // holds the whole service path to the pool width across processes.
     let upgraded = TestDir::new("drill-b");
     let config = upgraded.write_config();
-    let mut first = spawn_daemon(&config, &[]);
+    let one_thread = [("RAYON_NUM_THREADS", "1")];
+    let mut first = spawn_daemon(&config, &one_thread);
     wait_ready(&upgraded.socket());
     assert_eq!(
         drill(&upgraded.socket()),
@@ -251,10 +310,11 @@ fn rolling_upgrade_drill_is_bit_exact() {
     );
     ctl_ok(&upgraded.socket(), "{\"op\":\"shutdown\"}");
     assert!(wait_exit(&mut first).success());
+    assert_checkpoints_hold_no_forbidden_key(&upgraded.state_dir());
 
-    let mut second = spawn_daemon(&config, &[]);
+    let mut second = spawn_daemon(&config, &one_thread);
     wait_ready(&upgraded.socket());
-    let status = ctl_ok(&upgraded.socket(), "{\"op\":\"status\"}");
+    let status = ctl_cli_ok(&upgraded.socket(), "{\"op\":\"status\"}");
     assert_eq!(
         status.get("slot").and_then(Value::as_u64),
         Some(20),
@@ -269,6 +329,88 @@ fn rolling_upgrade_drill_is_bit_exact() {
     // Both arms audit-logged their requests.
     assert!(uninterrupted.state_dir().join(REQUEST_LOG_NAME).exists());
     assert!(upgraded.state_dir().join(REQUEST_LOG_NAME).exists());
+
+    // The completed state dir restarts too, past a lock file that names a
+    // dead PID: it resumes at the end and reports the scenario complete.
+    std::fs::write(upgraded.state_dir().join(LOCK_FILE_NAME), "4194999").unwrap();
+    let mut third = spawn_daemon(&config, &one_thread);
+    wait_ready(&upgraded.socket());
+    let status = ctl_ok(&upgraded.socket(), "{\"op\":\"status\"}");
+    assert_eq!(status.get("complete").and_then(Value::as_bool), Some(true));
+    ctl_ok(&upgraded.socket(), "{\"op\":\"shutdown\"}");
+    assert!(wait_exit(&mut third).success());
+}
+
+/// Text no checkpoint may hold: layer scratch (key prefixes) …
+const LAYER_SCRATCH: [&str; 3] = ["grad_", "cached_", "sampled_"];
+/// … a fact the layout already stores once …
+const STORED_TWICE: [&str; 6] = [
+    "scenario_name",
+    "master_seed",
+    "enforcement_count",
+    "managers",
+    "coordinators",
+    "nominal_capacity",
+];
+/// … and an agent's constant or copy, or an engine's sorted timeline and
+/// its cursor.
+const CONSTANTS_AND_COPIES: [&str; 17] = [
+    "beta1",
+    "beta2",
+    "epsilon",
+    "max_grad_norm",
+    "min_std",
+    "prior_std",
+    "in_dim",
+    "out_dim",
+    "num_buckets",
+    "clip_epsilon",
+    "entropy_coef",
+    "kl_weight",
+    "lagrangian_step",
+    "risk_factor_eta",
+    "fixed_penalty_weight",
+    "timeline",
+    "next_event",
+];
+
+/// Scans the checkpoints a real daemon wrote for every forbidden key.
+fn assert_checkpoints_hold_no_forbidden_key(state_dir: &Path) {
+    let mut scanned = 0;
+    for entry in std::fs::read_dir(state_dir).unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        if !(name.starts_with("checkpoint_") && name.ends_with(".json")) {
+            continue;
+        }
+        let text = std::fs::read_to_string(state_dir.join(&name)).unwrap();
+        for prefix in LAYER_SCRATCH {
+            assert!(
+                !text.contains(&format!("\"{prefix}")),
+                "{name} holds layer scratch `{prefix}…`"
+            );
+        }
+        for key in STORED_TWICE.iter().chain(&CONSTANTS_AND_COPIES) {
+            assert!(
+                !text.contains(&format!("\"{key}\"")),
+                "{name} holds `{key}`"
+            );
+        }
+        scanned += 1;
+    }
+    assert!(scanned > 0, "no checkpoint in {}", state_dir.display());
+}
+
+#[test]
+fn a_config_key_typo_is_a_startup_error_naming_the_key() {
+    let dir = TestDir::new("typo");
+    let config = dir.write_config();
+    let text = std::fs::read_to_string(&config).unwrap();
+    let typo = text.replacen("\"cells\"", "\"celsl\"", 1);
+    assert_ne!(typo, text);
+    std::fs::write(&config, typo).unwrap();
+    let (status, stderr) = refused_start(&config, &dir.root.join("typo.err"));
+    assert_eq!(status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("unknown key `celsl`"), "{stderr}");
 }
 
 /// A slot-16 checkpoint whose last cell's engine is doctored to sit at
@@ -449,8 +591,9 @@ fn sigkill_mid_run_resumes_from_the_cadence_checkpoint() {
     assert!(dir.state_dir().join("checkpoint_0000000012.json").exists());
     daemon.kill().unwrap();
     let _ = daemon.wait();
-    // The crash left the lock behind.
+    // The crash left the lock file behind, but not the lock.
     assert!(dir.state_dir().join(LOCK_FILE_NAME).exists());
+    drop(StateLock::acquire(&dir.state_dir()).expect("the killed daemon's lock is free"));
 
     let mut revived = spawn_daemon(&config, &[]);
     wait_ready(&dir.socket());
@@ -466,46 +609,56 @@ fn sigkill_mid_run_resumes_from_the_cadence_checkpoint() {
 
 #[test]
 fn sigkill_mid_checkpoint_write_falls_back_to_the_previous_checkpoint() {
+    use std::io::Read as _;
     let dir = TestDir::new("torn");
     let config = dir.write_config();
-    // Every atomic write in this daemon pauses 1.5 s between fsync and
-    // rename — a wide-open window to kill it with a .tmp on disk.
-    let mut daemon = spawn_daemon(&config, &[(ATOMIC_WRITE_PAUSE_ENV, "1500")]);
+    let mut daemon = spawn_daemon(&config, &[]);
     wait_ready(&dir.socket());
     ctl_ok(&dir.socket(), "{\"op\":\"step\",\"to_slot\":4}");
-    // A complete checkpoint at slot 4 (the forced write also pauses, so
-    // this request takes ~1.5 s — it must still succeed).
+    // A complete checkpoint at slot 4.
     ctl_ok(&dir.socket(), "{\"op\":\"checkpoint\"}");
-    assert!(dir.state_dir().join("checkpoint_0000000004.json").exists());
-    ctl_ok(&dir.socket(), "{\"op\":\"step\",\"to_slot\":6}");
+    assert!(dir.state_dir().join(checkpoint_file_name(4)).exists());
+    let stepped = ctl_ok(&dir.socket(), "{\"op\":\"step\",\"to_slot\":6}");
+    assert_eq!(stepped.get("slot").and_then(Value::as_u64), Some(6));
 
-    // Ask for another checkpoint without waiting for the reply, poll for
-    // the torn temp file, and SIGKILL the daemon mid-write.
+    // A FIFO where the slot-6 checkpoint's temp file goes: the daemon's
+    // create blocks until this test opens the read end, and its write
+    // stalls once the pipe is full, so it is mid-write until killed.
+    let tmp = dir
+        .state_dir()
+        .join(format!("{}.tmp", checkpoint_file_name(6)));
+    let made = Command::new("mkfifo").arg(&tmp).status().unwrap();
+    assert!(made.success(), "mkfifo {}", tmp.display());
     let socket = dir.socket();
     let writer = std::thread::spawn(move || {
         // The daemon dies mid-request; the failure is the point.
         let _ = send_request(&socket, "{\"op\":\"checkpoint\"}");
     });
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let torn = std::fs::read_dir(dir.state_dir())
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .any(|e| e.file_name().to_string_lossy().ends_with(".tmp"));
-        if torn {
-            break;
-        }
-        assert!(Instant::now() < deadline, "no .tmp ever appeared");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    // Opening the read end blocks until the daemon opens the write end; a
+    // daemon that never does fails the test instead of hanging it.
+    let (opened, open) = std::sync::mpsc::channel();
+    let fifo = tmp.clone();
+    std::thread::spawn(move || opened.send(std::fs::File::open(fifo)));
+    let mut torn = open
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the daemon never opened the checkpoint's temp file")
+        .unwrap();
+    let mut head = [0u8; 4096];
+    torn.read_exact(&mut head).unwrap();
+    assert!(
+        head.starts_with(b"{\"format_version\":"),
+        "{}",
+        String::from_utf8_lossy(&head[..64])
+    );
     daemon.kill().unwrap();
     let _ = daemon.wait();
+    drop(torn);
     writer.join().unwrap();
     // The torn write never reached checkpoint_0000000006.json.
-    assert!(!dir.state_dir().join("checkpoint_0000000006.json").exists());
+    assert!(!dir.state_dir().join(checkpoint_file_name(6)).exists());
 
-    // Restart (no write pause): the daemon must resume from slot 4 — the
-    // newest *complete* checkpoint — and finish bit-exactly.
+    // Restart: the daemon must resume from slot 4 — the newest *complete*
+    // checkpoint — and finish bit-exactly.
     let mut revived = spawn_daemon(&config, &[]);
     wait_ready(&dir.socket());
     let status = ctl_ok(&dir.socket(), "{\"op\":\"status\"}");
@@ -516,6 +669,8 @@ fn sigkill_mid_checkpoint_write_falls_back_to_the_previous_checkpoint() {
     );
     let trace = run_to_completion(&dir.socket(), &dir.state_dir(), &mut revived);
     assert_eq!(trace, reference_trace_plain());
+    // The revived daemon's first retention sweep took the orphan.
+    assert!(!tmp.exists());
 }
 
 #[test]
@@ -848,15 +1003,17 @@ fn an_accept_error_is_reported_and_retried_without_spinning() {
     let stderr_path = dir.root.join("stderr.log");
     // 48 descriptors: 64 idle clients exhaust them, so `accept` fails with
     // EMFILE while they stay connected.
-    let mut daemon = Command::new("sh")
-        .arg("-c")
-        .arg("ulimit -n 48; exec \"$0\" run \"$1\"")
-        .arg(env!("CARGO_BIN_EXE_fleetd"))
-        .arg(&config)
-        .stdout(Stdio::null())
-        .stderr(std::fs::File::create(&stderr_path).unwrap())
-        .spawn()
-        .expect("cannot spawn fleetd under sh");
+    let mut daemon = Daemon(
+        Command::new("sh")
+            .arg("-c")
+            .arg("ulimit -n 48; exec \"$0\" run \"$1\"")
+            .arg(env!("CARGO_BIN_EXE_fleetd"))
+            .arg(&config)
+            .stdout(Stdio::null())
+            .stderr(std::fs::File::create(&stderr_path).unwrap())
+            .spawn()
+            .expect("cannot spawn fleetd under sh"),
+    );
     wait_ready(&dir.socket());
 
     let held: Vec<_> = (0..64)

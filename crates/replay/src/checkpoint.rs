@@ -178,6 +178,7 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use onslicing_core::OnSlicingAgent;
     use onslicing_domains::DomainKind;
     use onslicing_scenario::{builtin, ScenarioConfig, ScenarioEvent};
 
@@ -351,6 +352,31 @@ mod tests {
                 format!("checkpoint is inconsistent: slice 0: config.modifier: {reason}")
             );
         }
+    }
+
+    #[test]
+    fn agents_of_two_trunk_shapes_are_refused_at_load() {
+        // Loaded unchecked, a cell mixing network sizes panicked at its
+        // first slot, inside the fused forward pass's batch.
+        let mut engine = ScenarioEngine::new(builtin::steady(), ScenarioConfig::default()).unwrap();
+        engine.run_until(2, &mut ());
+        let json = Checkpoint::capture(&engine).to_json();
+        let agents = engine.orchestrator_mut().agents_mut();
+        let mut config = *agents[1].config();
+        config.use_small_networks = !config.use_small_networks;
+        agents[1] = OnSlicingAgent::new(
+            agents[1].kind(),
+            *agents[1].sla(),
+            agents[1].baseline().clone(),
+            config,
+            0,
+        );
+        let err = Checkpoint::from_json(&Checkpoint::capture(&engine).to_json()).unwrap_err();
+        assert!(
+            err.starts_with("checkpoint is inconsistent: mixes agents with layer dimensions"),
+            "{err}"
+        );
+        assert!(Checkpoint::from_json(&json).is_ok());
     }
 
     #[test]

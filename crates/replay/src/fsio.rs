@@ -19,14 +19,6 @@ use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Environment variable holding an artificial pause, in milliseconds,
-/// between the temp-file fsync and the atomic rename. A pure test hook: the
-/// crash-recovery suite kills a daemon inside this window to prove that an
-/// interrupted checkpoint write leaves only a `.tmp` orphan behind and the
-/// previous complete checkpoint still loads. Unset (the default) means no
-/// pause.
-pub const ATOMIC_WRITE_PAUSE_ENV: &str = "ONSLICING_ATOMIC_WRITE_PAUSE_MS";
-
 /// Writes `contents` to `path` crash-safely: temp file in the same
 /// directory, `fsync`, atomic rename. After a crash at any point the
 /// destination holds either its previous contents or the new contents in
@@ -46,13 +38,6 @@ pub fn atomic_write(path: impl AsRef<Path>, contents: &str) -> Result<(), String
     file.sync_all()
         .map_err(|e| format!("cannot fsync {}: {e}", tmp.display()))?;
     drop(file);
-    if let Some(pause_ms) = std::env::var(ATOMIC_WRITE_PAUSE_ENV)
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|ms| *ms > 0)
-    {
-        std::thread::sleep(std::time::Duration::from_millis(pause_ms));
-    }
     fs::rename(&tmp, path)
         .map_err(|e| format!("cannot rename {} -> {}: {e}", tmp.display(), path.display()))
 }
@@ -166,6 +151,41 @@ mod tests {
             leftovers.is_empty(),
             "temp files must not survive: {leftovers:?}"
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_write_whose_reader_leaves_fails_names_the_temp_file_and_leaves_an_orphan_gc_sweeps() {
+        use std::io::Read as _;
+        // A FIFO where the temp file goes: `File::create` opens it and
+        // blocks until a reader comes, and the write stalls once the pipe
+        // is full — a crash point held open for as long as the test likes.
+        let dir = temp_dir("fifo");
+        let path = dir.join(checkpoint_file_name(6));
+        let tmp = dir.join(format!("{}.tmp", checkpoint_file_name(6)));
+        let made = std::process::Command::new("mkfifo")
+            .arg(&tmp)
+            .status()
+            .unwrap();
+        assert!(made.success(), "mkfifo {}", tmp.display());
+        let reader = {
+            let tmp = tmp.clone();
+            std::thread::spawn(move || {
+                let mut head = vec![0u8; 64 * 1024];
+                File::open(&tmp).unwrap().read_exact(&mut head).unwrap();
+                head
+            })
+        };
+        let contents = "x".repeat(1 << 20);
+        let err = atomic_write(&path, &contents).unwrap_err();
+        assert!(
+            err.starts_with(&format!("cannot write {}: ", tmp.display())),
+            "{err}"
+        );
+        assert!(reader.join().unwrap().iter().all(|b| *b == b'x'));
+        assert!(!path.exists(), "the destination appeared mid-write");
+        assert_eq!(gc_checkpoint_dir(&dir, 1).unwrap(), vec![tmp.clone()]);
+        assert!(!tmp.exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -44,7 +44,7 @@ pub mod values;
 pub use checkpoint::{from_versioned_json, Checkpoint, CHECKPOINT_FORMAT_VERSION};
 pub use fsio::{
     atomic_write, checkpoint_file_name, gc_checkpoint_dir, list_checkpoint_slots,
-    parse_checkpoint_slot, ATOMIC_WRITE_PAUSE_ENV,
+    parse_checkpoint_slot,
 };
 pub use golden::{check_against_golden, write_golden};
 pub use telemetry::{

@@ -626,8 +626,9 @@ impl ScenarioEngine {
     }
 
     /// Checks what a deserialized engine never had checked by
-    /// [`ScenarioEngine::new`]: every agent's learned state and the domain
-    /// set fit together ([`Orchestrator::validate`]), the admission tuning
+    /// [`ScenarioEngine::new`]: the slices' agents, environments and ids,
+    /// every agent's learned state and the domain set fit together
+    /// ([`Orchestrator::validate`]), the admission tuning
     /// is valid, and every pending restore rolls back to a positive, finite
     /// scale — the rule [`ScenarioEvent::validate`] applies to the event
     /// that scheduled it. Both checkpoint loaders run it before a restored
