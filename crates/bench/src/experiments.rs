@@ -8,10 +8,10 @@
 //! predicates over those same rows, each carrying the values it read and
 //! whether it holds. A claim the reproduction does not meet is reported with
 //! `holds: false` and its numbers; nothing here decides an exit code.
-//! [`claims_json`] is what `baselines/EXPERIMENTS.json` pins: every table
-//! cell and every claim, all seed-pinned and clock-free, so `bench_regress`
-//! holds the file exactly and a number moving or a verdict flipping either
-//! way is a one-line baseline diff.
+//! [`ledger`] is what `baselines/EXPERIMENTS.json` pins: every table cell
+//! and every claim, all seed-pinned and clock-free, so `experiments
+//! --check` holds the file exactly ([`crate::regress`]) and a number
+//! moving or a verdict flipping either way is a one-line baseline diff.
 //!
 //! The predicates are four combinators (`monotone`, `ordered`, `bounded`,
 //! `near_reference`) over two thresholds shared by every entry
@@ -288,7 +288,7 @@ pub static EXPERIMENTS: [Experiment; 22] = [
 /// A run as the JSON `baselines/EXPERIMENTS.json` pins: `schema`, `scale`,
 /// `seeds`, then per id every table cell by name and each claim's text,
 /// what it measured and whether it holds.
-pub fn claims_json(scale: &str, seeds: usize, results: &[(&str, Outcome)]) -> String {
+pub fn ledger(scale: &str, seeds: usize, results: &[(&str, Outcome)]) -> Value {
     let field = |key: &str, value| (key.to_string(), value);
     let numbers = |named: &[Named]| {
         let named = named.iter().map(|(name, v)| field(name, Value::Float(*v)));
@@ -315,7 +315,7 @@ pub fn claims_json(scale: &str, seeds: usize, results: &[(&str, Outcome)]) -> St
         ];
         document.push(field(id, Value::Obj(entry)));
     }
-    serde_json::to_string_pretty(&Value::Obj(document)).expect("a Value always serializes")
+    Value::Obj(document)
 }
 
 /// `claims: H of N hold`, then each id with unmet claims and how many.
@@ -1158,8 +1158,7 @@ mod tests {
             // The ledger carries every cell, and every claim with its verdict
             // and values.
             let (claim, claims) = (outcome.1[0].clone(), outcome.1.len());
-            let doc = claims_json("tiny", scale.seeds, &[(id, outcome)]);
-            let doc: Value = serde_json::from_str(&doc).unwrap();
+            let doc = ledger("tiny", scale.seeds, &[(id, outcome)]);
             assert_eq!(doc.get("scale").and_then(Value::as_str), Some("tiny"));
             assert_eq!(doc.get("seeds").and_then(Value::as_f64), Some(1.0));
             let entry = doc.get(id).unwrap();

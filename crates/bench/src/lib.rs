@@ -7,10 +7,11 @@
 //!   returns its rows as tables and its claims as predicates over those
 //!   rows. The `experiments` binary runs entries by id (`--full` switches
 //!   from the CI-scale configuration to 96-slot episodes, 40 epochs and
-//!   32 seeds); its `--out` file is the baseline
-//!   `baselines/EXPERIMENTS.json`, which `bench_regress` ([`regress`])
-//!   holds exactly. Nothing here reads the clock for a committed number:
-//!   speed is measured by the standalone `benchmark/` crate.
+//!   32 seeds); its ledger is the baseline `baselines/EXPERIMENTS.json`,
+//!   which `experiments --check` ([`regress`]) holds exactly and
+//!   `experiments all --full --update` rewrites. Nothing here reads the
+//!   clock for a committed number: speed is measured by the standalone
+//!   `benchmark/` crate.
 //!
 //! The helpers in this file are what the experiments share: the run scale,
 //! deployment construction and the method presets.

@@ -1,50 +1,68 @@
 //! Regression gating of the `EXPERIMENTS.json` ledger against its
 //! committed baseline.
 //!
-//! The `experiments` binary emits machine-readable JSON in which every field
-//! is a pure function of the seed; this module diffs a freshly produced file
-//! against the committed copy under `baselines/` with the walk every pinned
-//! document shares, [`onslicing_replay::diff_values`]. There is one rule:
-//! same structure, every float leaf within [`EXACT_ABS_TOLERANCE`] of its
-//! baseline (NaN matches nothing), every other leaf (counts, schema
-//! strings, booleans) equal. Nothing under `baselines/` reads the clock —
-//! speed is the repository benchmark's question (`benchmark/`), read as
-//! medians of repeated runs.
+//! The `experiments` binary renders a ledger in which every field is a
+//! pure function of the seed; `experiments --check <baseline>` diffs it
+//! against the committed copy under `baselines/` through the gate every
+//! pinned artifact shares, [`onslicing_replay::diff_against_file`]. Only
+//! the header and the entries of the ids that ran are compared, so one id
+//! is judged without running the rest. There is one rule: same structure,
+//! every float leaf within [`EXACT_ABS_TOLERANCE`] of its baseline (NaN
+//! matches nothing), every other leaf (counts, schema strings, booleans)
+//! equal. Nothing under `baselines/` reads the clock — speed is the
+//! repository benchmark's question (`benchmark/`), read as medians of
+//! repeated runs.
 //!
 //! Structural drift (a metric appearing, disappearing, an array changing
 //! length, or a count turning into a float) always fails: it means the
 //! bench schema changed and the baseline must be regenerated intentionally
-//! via `bench_regress --update`.
+//! via `experiments all --full --update <baseline>`.
 
-use onslicing_replay::{diff_values, Tolerance, ValueDiff};
+use std::path::Path;
+
+use onslicing_replay::{diff_against_file, Tolerance, ValueDiff};
 use serde::Value;
+
+use crate::experiments::EXPERIMENTS;
 
 /// Absolute slack of float leaves. Not settable anywhere — a settable
 /// tolerance on a gate is a way to pass it.
 pub const EXACT_ABS_TOLERANCE: f64 = 1e-9;
 
-/// Compares a fresh bench artifact against its baseline: every drift by
-/// its JSON path, and the leaves compared.
-fn compare_values(baseline: &Value, fresh: &Value) -> ValueDiff {
-    let tol = Tolerance {
-        rel: 0.0,
-        abs: EXACT_ABS_TOLERANCE,
-    };
-    diff_values(baseline, fresh, tol)
-}
+const LEDGER_TOLERANCE: Tolerance = Tolerance {
+    rel: 0.0,
+    abs: EXACT_ABS_TOLERANCE,
+};
 
-/// Parses two JSON texts and compares them.
-pub fn compare_json(baseline: &str, fresh: &str) -> Result<ValueDiff, String> {
-    let baseline: Value =
-        serde_json::from_str(baseline).map_err(|e| format!("malformed baseline JSON: {e}"))?;
-    let fresh: Value =
-        serde_json::from_str(fresh).map_err(|e| format!("malformed fresh JSON: {e}"))?;
-    Ok(compare_values(&baseline, &fresh))
+/// Diffs a rendered ledger against the one committed at `baseline`: every
+/// drift by its JSON path, and the leaves compared. The committed entries
+/// of registered ids the ledger does not hold (they did not run) are left
+/// out; its header and any key no id names are compared.
+pub fn check_ledger(baseline: &Path, ledger: &Value) -> Result<ValueDiff, String> {
+    let ran_or_unregistered =
+        |key: &str| ledger.get(key).is_some() || EXPERIMENTS.iter().all(|e| e.id != key);
+    let update = format!("experiments all --full --update {}", baseline.display());
+    diff_against_file(
+        baseline,
+        ledger,
+        LEDGER_TOLERANCE,
+        ran_or_unregistered,
+        &update,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::ledger;
+    use crate::RunScale;
+    use onslicing_replay::diff_values;
+
+    /// The committed ledger.
+    const COMMITTED: &str = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../baselines/EXPERIMENTS.json"
+    );
 
     const BASELINE: &str = r#"{
         "schema": "onslicing-fleet-bench/1",
@@ -58,6 +76,16 @@ mod tests {
         "measured": { "MAR usage, epoch 3": 20.957316 },
         "holds": false
     }"#;
+
+    /// The rule on two JSON texts, without the disk.
+    fn compare_json(baseline: &str, fresh: &str) -> Result<ValueDiff, String> {
+        let parse = |text| serde_json::from_str::<Value>(text).map_err(|e| e.to_string());
+        Ok(diff_values(
+            &parse(baseline)?,
+            &parse(fresh)?,
+            LEDGER_TOLERANCE,
+        ))
+    }
 
     fn fresh_with(f: impl Fn(&mut String)) -> String {
         let mut text = BASELINE.to_string();
@@ -173,14 +201,11 @@ mod tests {
             assert!(!clock_like(key), "`{key}` should be allowed");
         }
         // The one committed baseline: every leaf compared, none clock-like.
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../baselines/EXPERIMENTS.json"
-        );
-        let value: Value = serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let text = std::fs::read_to_string(COMMITTED).unwrap();
+        let value: Value = serde_json::from_str(&text).unwrap();
         let mut keys = Vec::new();
         leaf_keys("", &value, &mut keys);
-        let report = compare_values(&value, &value);
+        let report = check_ledger(Path::new(COMMITTED), &value).unwrap();
         assert!(report.drifts.is_empty(), "{:?}", report.drifts);
         assert_eq!(report.leaves, keys.len());
         // The gate has no class for a value that may move: a key named like a
@@ -188,5 +213,66 @@ mod tests {
         for key in keys {
             assert!(!clock_like(key), "`{key}` names a machine-dependent value");
         }
+    }
+
+    /// A ledger of `ids` rendered now at full scale.
+    fn rendered(ids: &[&str]) -> Value {
+        let scale = RunScale::full();
+        let ran = EXPERIMENTS.iter().filter(|e| ids.contains(&e.id));
+        let results: Vec<_> = ran.map(|e| (e.id, (e.run)(scale))).collect();
+        ledger("full", scale.seeds, &results)
+    }
+
+    #[test]
+    fn scale_free_ids_rendered_now_equal_their_committed_entries() {
+        // fig5, fig6 and fig16 ignore the run scale: their full-scale
+        // entries render in milliseconds.
+        let ledger = rendered(&["fig5", "fig6", "fig16"]);
+        let report = check_ledger(Path::new(COMMITTED), &ledger).unwrap();
+        assert!(report.drifts.is_empty(), "{:?}", report.drifts);
+        let mut keys = Vec::new();
+        leaf_keys("", &ledger, &mut keys);
+        assert_eq!(report.leaves, keys.len());
+        let Value::Obj(fields) = &ledger else {
+            panic!("a ledger is an object")
+        };
+        let names: Vec<_> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names, ["schema", "scale", "seeds", "fig5", "fig6", "fig16"]);
+    }
+
+    #[test]
+    fn a_doctored_baseline_drifts_by_path_and_only_unrun_ids_are_left_out() {
+        let text = std::fs::read_to_string(COMMITTED).unwrap();
+        let fig6 = text.find("\"fig6\"").unwrap();
+        let holds = fig6 + text[fig6..].find("\"holds\": true").unwrap();
+        let doctored = format!(
+            "{}\"holds\": false{}",
+            &text[..holds],
+            &text[holds + "\"holds\": true".len()..]
+        );
+        // A key no id names stays in: a ledger without it is a drift.
+        let doctored = doctored.replacen('{', "{\"stray\": 1,", 1);
+        let path =
+            std::env::temp_dir().join(format!("ledger-doctored-{}.json", std::process::id()));
+        std::fs::write(&path, doctored).unwrap();
+        let report = check_ledger(&path, &rendered(&["fig6"])).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(report.drifts.len(), 2, "{:?}", report.drifts);
+        assert!(
+            report.drifts[0].starts_with("stray: missing"),
+            "{:?}",
+            report.drifts
+        );
+        assert!(
+            report.drifts[1].starts_with("fig6.claims[0].holds: "),
+            "{:?}",
+            report.drifts
+        );
+        let err =
+            check_ledger(Path::new("/no/such/ledger.json"), &rendered(&["fig6"])).unwrap_err();
+        assert!(
+            err.contains("cannot read") && err.contains("--update"),
+            "{err}"
+        );
     }
 }

@@ -699,16 +699,15 @@ fn serve(
     };
 
     loop {
-        // Control phase: when the clock is stopped (paused, or nothing
-        // left to step) block briefly on the channel; otherwise just drain
-        // whatever arrived during the last window.
-        let idle = service.paused || service.fleet.is_complete();
-        let first = if idle {
-            rx.recv_timeout(Duration::from_millis(50)).ok()
+        // Control phase: while paused, wait for a request (nothing else can
+        // change); otherwise just drain whatever arrived during the last
+        // window.
+        let mut next = if service.paused {
+            let request = rx.recv();
+            Some(request.map_err(|_| "the control plane is gone while paused".to_string())?)
         } else {
             rx.try_recv().ok()
         };
-        let mut next = first;
         while let Some(msg) = next {
             let response = service.handle(&msg.line);
             append_request_log(&mut request_log, service.fleet.slot(), &msg.line, &response);
@@ -721,14 +720,11 @@ fn serve(
             }
             next = rx.try_recv().ok();
         }
-        if service.fleet.is_complete() {
-            if !service.paused {
-                return finalize(config, service);
-            }
-            continue;
-        }
         if service.paused {
             continue;
+        }
+        if service.fleet.is_complete() {
+            return finalize(config, service);
         }
         // Clock phase: one window of slots, then durability bookkeeping.
         let target = service.fleet.slot() + config.window_slots;

@@ -1050,3 +1050,37 @@ fn an_accept_error_is_reported_and_retried_without_spinning() {
     ctl_ok(&dir.socket(), "{\"op\":\"shutdown\"}");
     assert!(wait_exit(&mut daemon).success());
 }
+
+/// Voluntary context switches of process `pid`'s main thread so far, from
+/// `/proc/<pid>/task/<pid>/status`: one per time the thread slept.
+fn main_thread_sleeps(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/task/{pid}/status")).unwrap();
+    let line = status
+        .lines()
+        .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+        .expect("a voluntary_ctxt_switches line");
+    line.trim().parse().unwrap()
+}
+
+#[test]
+fn a_paused_daemon_sleeps_until_a_request_arrives() {
+    let dir = TestDir::new("paused-sleeps");
+    let config = dir.write_config();
+    let mut daemon = spawn_daemon(&config, &[]);
+    wait_ready(&dir.socket());
+
+    // Paused, the serve loop waits on its channel without a timeout: an
+    // idle second wakes its thread at most for the last request's tail,
+    // where a 50 ms poll would wake it about 19 times.
+    let before = main_thread_sleeps(daemon.id());
+    std::thread::sleep(Duration::from_secs(1));
+    let woke = main_thread_sleeps(daemon.id()) - before;
+    assert!(
+        woke <= 2,
+        "a paused daemon's main thread woke {woke} times in 1 s"
+    );
+    let status = ctl_ok(&dir.socket(), "{\"op\":\"status\"}");
+    assert_eq!(status.get("slot").and_then(Value::as_u64), Some(0));
+    ctl_ok(&dir.socket(), "{\"op\":\"shutdown\"}");
+    assert!(wait_exit(&mut daemon).success());
+}

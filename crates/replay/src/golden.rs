@@ -1,19 +1,21 @@
-//! Golden-trace comparison: diff a freshly recorded [`TelemetryTrace`]
-//! against a committed reference within a fixed numeric tolerance, by the
-//! one JSON-tree walk in [`crate::values`].
+//! The pinned-artifact gate: a freshly rendered document against the copy
+//! committed on disk, within the caller's fixed tolerance, by the one
+//! JSON-tree walk in [`crate::values`]. Two gates call it.
 //!
-//! The committed goldens live in `goldens/TRACE_<scenario>.json` at the
+//! The golden traces live in `goldens/TRACE_<scenario>.json` at the
 //! repository root. `replay_check golden <scenario>` (a binary of
 //! `onslicing-bench`, which can also run fleets) re-runs the scenario
 //! from its pinned seed and fails CI on any drift; `--update` regenerates
 //! the files after an *intentional* behavior change (see the README).
+//! `experiments --check` holds the experiments ledger,
+//! `baselines/EXPERIMENTS.json` (`onslicing_bench::regress`).
 
 use std::path::{Path, PathBuf};
 
 use serde::{Serialize, Value};
 
 use crate::telemetry::TelemetryTrace;
-use crate::values::{diff_values, Tolerance};
+use crate::values::{diff_values, Tolerance, ValueDiff};
 
 /// Tight enough to catch any algorithmic drift, loose enough to absorb a
 /// differently-ordered (but mathematically equivalent) float reduction
@@ -29,32 +31,43 @@ fn golden_path(dir: &Path, scenario: &str) -> PathBuf {
     dir.join(format!("TRACE_{scenario}.json"))
 }
 
-/// Diffs a freshly recorded trace against the committed golden: the golden
-/// file's JSON tree against the trace's ([`diff_values`]), every float
-/// within relative 1e-9 / absolute 1e-12.
-///
-/// Returns the drift list, each entry led by its JSON path (empty = pass);
-/// a missing or unparsable golden is reported as a single drift entry so
-/// CI fails with a clear message.
+/// Diffs `actual` against the JSON document committed at `path`
+/// ([`diff_values`], every float within `tol`), leaving out the committed
+/// top-level keys `keep` refuses. An unreadable or malformed file is an
+/// error naming it and `update`, the command that writes it.
+pub fn diff_against_file(
+    path: &Path,
+    actual: &Value,
+    tol: Tolerance,
+    keep: impl Fn(&str) -> bool,
+    update: &str,
+) -> Result<ValueDiff, String> {
+    let text = std::fs::read_to_string(path);
+    let committed = text
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))
+        .and_then(|text| {
+            serde_json::from_str(&text).map_err(|e| format!("malformed {}: {e}", path.display()))
+        })
+        .map_err(|e| format!("{e} — run `{update}` to create it"))?;
+    let committed = match committed {
+        Value::Obj(fields) => Value::Obj(fields.into_iter().filter(|(k, _)| keep(k)).collect()),
+        other => other,
+    };
+    Ok(diff_values(&committed, actual, tol))
+}
+
+/// Diffs a freshly recorded trace against the committed golden, every
+/// float within relative 1e-9 / absolute 1e-12: the drifts, each led by
+/// its JSON path. A missing or unparsable golden is a single drift, so CI
+/// fails with a clear message.
 pub fn check_against_golden(trace: &TelemetryTrace, dir: &Path) -> Result<(), Vec<String>> {
     let path = golden_path(dir, &trace.scenario);
-    let golden = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read golden {}: {e}", path.display()))
-        .and_then(|text| {
-            serde_json::from_str::<Value>(&text)
-                .map_err(|e| format!("malformed golden {}: {e}", path.display()))
-        })
-        .map_err(|e| {
-            vec![format!(
-                "{e} — run `replay_check golden {} --update` to create it",
-                trace.scenario
-            )]
-        })?;
-    let drifts = diff_values(&golden, &trace.serialize_value(), GOLDEN_TOLERANCE).drifts;
-    if drifts.is_empty() {
-        Ok(())
-    } else {
-        Err(drifts)
+    let update = format!("replay_check golden {} --update", trace.scenario);
+    let actual = trace.serialize_value();
+    let diff = diff_against_file(&path, &actual, GOLDEN_TOLERANCE, |_| true, &update);
+    match diff.map_err(|e| vec![e])?.drifts {
+        drifts if drifts.is_empty() => Ok(()),
+        drifts => Err(drifts),
     }
 }
 

@@ -21,14 +21,16 @@
 //!   baseline switches) and per-episode outcomes, finalized into a
 //!   [`TelemetryTrace`] with per-slice percentile summaries — the
 //!   `TRACE_<scenario>.json` artifact.
-//! * [`golden`] — the golden-file workflow behind `onslicing-bench`'s
-//!   `replay_check` binary: a fresh trace's JSON tree against the
-//!   committed file's, within one fixed tolerance (see the README for how
-//!   to regenerate goldens when behavior intentionally changes).
+//! * [`golden`] — [`diff_against_file`], the one gate of a pinned
+//!   artifact: a freshly rendered JSON tree against the committed file's,
+//!   within the caller's fixed tolerance. `onslicing-bench`'s
+//!   `replay_check golden` holds the golden traces with it and
+//!   `experiments --check` the experiments ledger (see the README for how
+//!   to regenerate either when behavior intentionally changes).
 //! * [`values`] — [`diff_values`] and [`first_non_finite`], the one walk
 //!   over a `serde::Value` tree every pinned document is compared with (the
-//!   goldens, `replay_check resume`, the chaos harness and `bench_regress`):
-//!   each drift or non-finite float is named by its JSON path
+//!   goldens, the experiments ledger, `replay_check resume` and the chaos
+//!   harness): each drift or non-finite float is named by its JSON path
 //!   (`slots[3].slices[1].cost`).
 //! * [`fsio`] — crash-safe snapshot file I/O: atomic writes (temp file +
 //!   fsync + rename), the slot-stamped checkpoint naming convention, and
@@ -46,7 +48,7 @@ pub use fsio::{
     atomic_write, checkpoint_file_name, gc_checkpoint_dir, list_checkpoint_slots,
     parse_checkpoint_slot,
 };
-pub use golden::{check_against_golden, write_golden};
+pub use golden::{check_against_golden, diff_against_file, write_golden};
 pub use telemetry::{
     percentile, record_scenario, EpisodeTelemetry, MigrationEvent, SliceSlotTelemetry,
     SliceTelemetrySummary, SlotTelemetry, TelemetryRecorder, TelemetryTrace, TRACE_FORMAT_VERSION,

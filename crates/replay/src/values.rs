@@ -3,12 +3,12 @@
 //! float in one.
 //!
 //! Every gate that holds a document against a reference goes through
-//! [`diff_values`] — the golden traces (`check_against_golden`, within
-//! the golden tolerance), `replay_check resume` (exact), the chaos
-//! harness's window-equivalence message (exact) and `bench_regress`'s
-//! ledger (absolute 1e-9) — so a field added to any of those documents is
-//! compared the day it is serialized, with no field list to keep in step.
-//! A drift names where it is: `slots[3].slices[1].cost`.
+//! [`diff_values`] — the golden traces and the experiments ledger (both
+//! through `diff_against_file`, within the golden tolerance and absolute
+//! 1e-9), `replay_check resume` (exact) and the chaos harness's
+//! window-equivalence message (exact) — so a field added to any of those
+//! documents is compared the day it is serialized, with no field list to
+//! keep in step. A drift names where it is: `slots[3].slices[1].cost`.
 
 use std::fmt::Write as _;
 
