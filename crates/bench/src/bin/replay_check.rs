@@ -16,7 +16,8 @@
 //!
 //! Each command refuses an option it does not read. Exit codes: 0 = pass,
 //! 1 = a finding (golden drift, resume mismatch, a checkpoint that does not
-//! load, a non-finite metric), 2 = usage/setup error.
+//! load, a non-finite metric), 2 = usage/setup error (a golden that is
+//! missing or does not parse included).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -238,22 +239,22 @@ fn cmd_golden(opts: &Options) -> Result<bool, String> {
             outln!("golden updated: {}", path.display());
             continue;
         }
-        match check_against_golden(&trace, &opts.goldens) {
-            Ok(()) => outln!(
+        let drifts = check_against_golden(&trace, &opts.goldens)?;
+        if drifts.is_empty() {
+            outln!(
                 "golden ok: `{}` ({} slots, {} episodes)",
                 trace.scenario,
                 trace.slots.len(),
                 trace.episodes.len()
-            ),
-            Err(drifts) => {
-                all_pass = false;
-                eprintln!(
-                    "golden DRIFT: `{}` — {} difference(s):",
-                    trace.scenario,
-                    drifts.len()
-                );
-                print_drifts(&drifts);
-            }
+            );
+        } else {
+            all_pass = false;
+            eprintln!(
+                "golden DRIFT: `{}` — {} difference(s):",
+                trace.scenario,
+                drifts.len()
+            );
+            print_drifts(&drifts);
         }
     }
     Ok(all_pass)
@@ -447,6 +448,29 @@ mod tests {
                 "{line}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn a_missing_or_malformed_golden_is_a_setup_error() {
+        // `Err` exits 2; a drift is `Ok(false)`, exit 1 (CI's edited copy).
+        let dir =
+            std::env::temp_dir().join(format!("onslicing-replay-golden-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let line = format!("golden steady --goldens {}", dir.display());
+        let update = " — run `replay_check golden steady --update` to create it";
+        let err = run(&args(&line)).unwrap_err();
+        assert!(
+            err.starts_with("cannot read ") && err.ends_with(update),
+            "{err}"
+        );
+        std::fs::write(dir.join("TRACE_steady.json"), "{").unwrap();
+        let err = run(&args(&line)).unwrap_err();
+        assert!(
+            err.starts_with("malformed ") && err.ends_with(update),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

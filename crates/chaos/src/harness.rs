@@ -79,7 +79,7 @@ pub fn check_case(case: &ChaosCase, scratch: &Path) -> Result<(), String> {
     if reference.report.has_non_finite() {
         return Err("finite metrics: fleet report contains a non-finite aggregate".to_string());
     }
-    for cell in &reference.cells {
+    for cell in &reference.trace.cells {
         if let Some(path) = first_non_finite(&cell.trace.serialize_value()) {
             return Err(format!(
                 "finite metrics: cell {} trace: {path} is not finite",

@@ -15,6 +15,13 @@
 //! frozen shards (no fleet events, [`BalancerConfig::disabled`]) is the
 //! same call, and its cells then step straight through in one window.
 //!
+//! A finished fleet keeps each fact once: [`ElasticFleet::finish`] moves
+//! every cell's telemetry into the [`FleetTrace`] (which also names the
+//! scenario, master seed, cells and their seeds), each [`CellOutcome`]
+//! keeps only the cell's [`ScenarioReport`] and measured slot latencies,
+//! and the [`FleetReport`] holds the fleet-wide aggregates plus the fleet
+//! layer's migrations and admission counts.
+//!
 //! This is the scale axis of conf_conext_LiuCH21's per-slice-parallel
 //! design taken one level up: slice-local work dominates and cross-slice
 //! coordination is confined to a cell, so cells share *nothing* — no RNG,
@@ -56,54 +63,20 @@ pub use policy::{BalancePolicy, BalanceSignals};
 /// Version stamp of the fleet-trace JSON layout; bump on breaking changes.
 pub const FLEET_TRACE_FORMAT_VERSION: u32 = 1;
 
-/// One cell's complete outcome: the scenario report, the deterministic
-/// telemetry trace and the measured per-slot wall-clock latencies.
+/// One cell's outcome beside its trace (`FleetTrace::cells[i].trace`): the
+/// scenario report and the measured per-slot wall-clock latencies. A cell's
+/// number is its index, its seed `report.seed`.
 #[derive(Debug, Clone)]
 pub struct CellOutcome {
-    /// Cell index (0-based).
-    pub cell: u32,
-    /// The cell's derived master seed.
-    pub seed: u64,
     /// The cell's scenario report.
     pub report: ScenarioReport,
-    /// The cell's telemetry trace (deterministic).
-    pub trace: TelemetryTrace,
     /// Wall-clock latency of every executed scenario slot, in milliseconds.
     pub slot_latencies_ms: Vec<f64>,
-}
-
-/// Per-cell row of the fleet report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CellSummary {
-    /// Cell index.
-    pub cell: u32,
-    /// The cell's derived master seed.
-    pub seed: u64,
-    /// Largest number of concurrently active slices in the cell.
-    pub peak_slices: usize,
-    /// Executed slice-slots.
-    pub slice_slots: usize,
-    /// Closed slice-episodes.
-    pub episodes: usize,
-    /// Episodes that violated their SLA.
-    pub violations: usize,
-    /// Percentage of episodes that violated their SLA.
-    pub sla_violation_percent: f64,
-    /// Mean episode-average cost.
-    pub avg_cost: f64,
-    /// Mean per-slice-slot cost (the engine's cheap slot-level fold).
-    pub avg_slot_cost: f64,
 }
 
 /// The aggregated outcome of one fleet run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetReport {
-    /// Scenario executed by every cell.
-    pub scenario: String,
-    /// Fleet master seed.
-    pub master_seed: u64,
-    /// Number of cells.
-    pub cells: usize,
     /// Sum over cells of the peak concurrent slice count — the fleet's
     /// slice population at its widest point.
     pub peak_slices: usize,
@@ -139,15 +112,13 @@ pub struct FleetReport {
     pub fleet_admissions_granted: usize,
     /// Fleet-routed admissions denied fleet-wide (no cell could host).
     pub fleet_admissions_denied: usize,
-    /// Per-cell breakdown, in cell order.
-    pub cells_detail: Vec<CellSummary>,
 }
 
 impl FleetReport {
-    /// Whether any float of the report — aggregate **or per-cell** — is NaN
-    /// or infinite (the CI smoke check). The gate is on `is_finite`, not
-    /// `is_nan`: a cell whose SLA or cost metric overflowed to `±inf` is as
-    /// broken as a NaN one and must not sail through.
+    /// Whether any float of the report is NaN or infinite (the CI smoke
+    /// check). The gate is on `is_finite`, not `is_nan`: a cell whose SLA
+    /// or cost metric overflowed to `±inf` is as broken as a NaN one and
+    /// must not sail through.
     pub fn has_non_finite(&self) -> bool {
         first_non_finite(&self.serialize_value()).is_some()
     }
@@ -207,19 +178,23 @@ pub struct FleetOutcome {
     pub report: FleetReport,
     /// The deterministic fleet trace.
     pub trace: FleetTrace,
-    /// The raw per-cell outcomes, in cell order.
+    /// The per-cell reports and latencies, in cell order.
     pub cells: Vec<CellOutcome>,
 }
 
-/// Folds per-cell outcomes into the fleet-level report.
+/// Folds per-cell outcomes, their traces (`trace.cells[i]` is cell `i`'s)
+/// and the fleet layer's migrations and admission counters into the
+/// fleet-level report.
 ///
 /// Public so the aggregation math is property-testable: the fleet
 /// SLA-violation percentage and every percentile must equal the values
 /// recomputed from the concatenated per-cell samples.
 pub fn aggregate_fleet(
-    scenario: &str,
-    master_seed: u64,
     cells: &[CellOutcome],
+    trace: &FleetTrace,
+    migrations: Vec<MigrationRecord>,
+    fleet_admissions_granted: usize,
+    fleet_admissions_denied: usize,
     wall_clock_ms: f64,
 ) -> FleetReport {
     let mut peak_slices = 0usize;
@@ -228,54 +203,29 @@ pub fn aggregate_fleet(
     let mut violations = 0usize;
     let mut cost_weighted = 0.0;
     let mut slot_cost_weighted = 0.0;
-    let mut slot_costs: Vec<f64> = Vec::new();
-    let mut cells_detail = Vec::with_capacity(cells.len());
     for c in cells {
-        let cell_violations: usize = c.report.slices.iter().map(|s| s.violations).sum();
         peak_slices += c.report.peak_concurrent_slices;
         slice_slots += c.report.slice_slots;
         slice_episodes += c.report.slice_episodes;
-        violations += cell_violations;
+        violations += c.report.slices.iter().map(|s| s.violations).sum::<usize>();
         cost_weighted += c.report.avg_cost * c.report.slice_episodes as f64;
         slot_cost_weighted += c.report.avg_slot_cost * c.report.slice_slots as f64;
-        for slot in &c.trace.slots {
-            slot_costs.extend(slot.slices.iter().map(|s| s.cost));
-        }
-        cells_detail.push(CellSummary {
-            cell: c.cell,
-            seed: c.seed,
-            peak_slices: c.report.peak_concurrent_slices,
-            slice_slots: c.report.slice_slots,
-            episodes: c.report.slice_episodes,
-            violations: cell_violations,
-            sla_violation_percent: c.report.sla_violation_percent,
-            avg_cost: c.report.avg_cost,
-            avg_slot_cost: c.report.avg_slot_cost,
-        });
     }
+    let slot_costs: Vec<f64> = trace
+        .cells
+        .iter()
+        .flat_map(|c| &c.trace.slots)
+        .flat_map(|slot| slot.slices.iter().map(|s| s.cost))
+        .collect();
+    let ratio = |sum: f64, count: usize| if count > 0 { sum / count as f64 } else { 0.0 };
     FleetReport {
-        scenario: scenario.to_string(),
-        master_seed,
-        cells: cells.len(),
         peak_slices,
         slice_slots,
         slice_episodes,
         violations,
-        sla_violation_percent: if slice_episodes > 0 {
-            100.0 * violations as f64 / slice_episodes as f64
-        } else {
-            0.0
-        },
-        avg_cost: if slice_episodes > 0 {
-            cost_weighted / slice_episodes as f64
-        } else {
-            0.0
-        },
-        avg_slot_cost: if slice_slots > 0 {
-            slot_cost_weighted / slice_slots as f64
-        } else {
-            0.0
-        },
+        sla_violation_percent: ratio(100.0 * violations as f64, slice_episodes),
+        avg_cost: ratio(cost_weighted, slice_episodes),
+        avg_slot_cost: ratio(slot_cost_weighted, slice_slots),
         cost_p50: percentile(&slot_costs, 50.0),
         cost_p90: percentile(&slot_costs, 90.0),
         cost_p99: percentile(&slot_costs, 99.0),
@@ -285,11 +235,9 @@ pub fn aggregate_fleet(
         } else {
             0.0
         },
-        // `ElasticFleet::finish` overwrites these after aggregation.
-        migrations: Vec::new(),
-        fleet_admissions_granted: 0,
-        fleet_admissions_denied: 0,
-        cells_detail,
+        migrations,
+        fleet_admissions_granted,
+        fleet_admissions_denied,
     }
 }
 
@@ -320,9 +268,8 @@ mod tests {
     fn fleet_run_aggregates_every_cell() {
         let outcome = frozen(tiny_scenario(), 3, 7).unwrap();
         let report = &outcome.report;
-        assert_eq!(report.cells, 3);
-        assert_eq!(report.scenario, "tiny-fleet");
-        assert_eq!(report.master_seed, 7);
+        assert_eq!(outcome.trace.scenario, "tiny-fleet");
+        assert_eq!(outcome.trace.master_seed, 7);
         // Two slices × 16 slots × 3 cells.
         assert_eq!(report.slice_slots, 2 * 16 * 3);
         assert_eq!(report.peak_slices, 6);
@@ -335,11 +282,12 @@ mod tests {
         assert!(report.slice_slots_per_second > 0.0);
         assert!(report.cost_p50 <= report.cost_p99);
         assert!(report.avg_slot_cost >= 0.0);
-        assert_eq!(report.cells_detail.len(), 3);
-        for (i, cell) in report.cells_detail.iter().enumerate() {
-            assert_eq!(cell.cell, i as u32);
-            assert_eq!(cell.seed, derive_cell_seed(7, i as u32));
-            assert_eq!(cell.slice_slots, 32);
+        assert_eq!(outcome.cells.len(), 3);
+        for (i, (cell, entry)) in outcome.cells.iter().zip(&outcome.trace.cells).enumerate() {
+            assert_eq!(entry.cell, i as u32);
+            assert_eq!(cell.report.seed, derive_cell_seed(7, i as u32));
+            assert_eq!(entry.seed, cell.report.seed);
+            assert_eq!(cell.report.slice_slots, 32);
         }
         // Cells are distinct deployments: their seeds differ, and so do
         // their telemetry streams.
@@ -411,13 +359,10 @@ mod tests {
         let mut negative_infinite = report.clone();
         negative_infinite.avg_cost = f64::NEG_INFINITY;
         assert!(negative_infinite.has_non_finite());
-        // NaN still fails, and per-cell breakdowns are gated too.
-        let mut nan = report.clone();
+        // NaN still fails.
+        let mut nan = report;
         nan.sla_violation_percent = f64::NAN;
         assert!(nan.has_non_finite());
-        let mut cell_broken = report;
-        cell_broken.cells_detail[1].avg_slot_cost = f64::INFINITY;
-        assert!(cell_broken.has_non_finite());
     }
 
     #[test]

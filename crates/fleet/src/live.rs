@@ -26,23 +26,28 @@
 //!   those events spliced into the timeline.
 //! * The live fleet **is** its own checkpoint: everything that defines the
 //!   run — the scenario and tuning, every cell's deployment, telemetry
-//!   recorder and rebalancing-window baseline, the scripted-timeline cursor
-//!   and the admission counters — is declared once, in [`FleetCheckpoint`],
-//!   and the machine owns one. Each fact is stored once: the scenario name,
-//!   master seed and length are read off the scenario and config, the
-//!   current slot off the cells, a cell's number is its position and its
-//!   seed its engine's. [`ElasticFleet::checkpoint`] lends it (serialising
-//!   reads the live state, nothing is copied); [`FleetCheckpoint::restore`]
-//!   validates a loaded one and wraps it, and the run continues
-//!   byte-exactly.
+//!   recorder and rebalancing-window baseline, the scripted-admission
+//!   cursor and the admission counters — is declared once, in
+//!   [`FleetCheckpoint`], and the machine owns nothing else. Each fact is
+//!   stored once: the scenario name, master seed and length are read off
+//!   the scenario and config, the current slot off the cells, a cell's
+//!   number is its position and its seed its engine's.
+//!   [`ElasticFleet::checkpoint`] lends it (serialising reads the live
+//!   state, nothing is copied); [`FleetCheckpoint::restore`] validates a
+//!   loaded one and wraps it, and the run continues byte-exactly.
 //!
 //! ## Sync-point invariant
 //!
 //! At every public API boundary (after `new`, `advance_to` or `restore`),
-//! all internal sync points at slots `<=` the current slot have been
-//! processed. That makes the processed-sync cursor a pure function of the
-//! current slot, so checkpoints don't store it and a restored fleet cannot
-//! re-run (or skip) a balancer round.
+//! the fleet layer of every slot `<=` the current slot has run — the
+//! current slot's included — and the `next_admission` cursor counts the
+//! scripted fleet admissions at or before it (`restore` refuses a
+//! checkpoint whose cursor disagrees). So no schedule is stored: the next
+//! sync point is the smallest of the next cadence boundary above the
+//! current slot, the slot of the scripted admission the cursor points at
+//! (the first one after the current slot) and the scenario end, and a
+//! restored fleet neither re-runs nor skips a balancer round or an
+//! admission.
 
 use std::time::Instant;
 
@@ -137,12 +142,6 @@ impl ElasticFleetConfig {
 pub struct ElasticFleet {
     /// The whole serialisable machine.
     state: FleetCheckpoint,
-    /// Internal sync points (balancer cadence boundaries and scripted
-    /// fleet-admission slots, plus the scenario end), ascending. A pure
-    /// function of the scenario and config — never serialized.
-    sync_points: Vec<usize>,
-    /// First entry of `sync_points` strictly above the current slot.
-    next_sync: usize,
 }
 
 impl ElasticFleet {
@@ -174,7 +173,7 @@ impl ElasticFleet {
         // Cell timelines may reference ids only a fleet-routed admission
         // assigns; the engines must validate with that slack, exactly like
         // `FleetScenario::validate` does for the materialized scenarios.
-        let admission_slack = scenario.fleet_admissions().len();
+        let admission_slack = scenario.admissions().count();
         let cells: Result<Vec<CellRuntime>, String> = (0..config.cells)
             .into_par_iter()
             .map(|i| {
@@ -191,12 +190,6 @@ impl ElasticFleet {
             .collect();
         let cells = cells?;
         let mut fleet = Self {
-            sync_points: compute_sync_points(&scenario, &config),
-            // Unlike a restored fleet's cursor (past every sync point at or
-            // before its slot), a fresh one starts *at* the first sync
-            // point: fleet-layer work scheduled at slot 0 (a scripted
-            // admission, typically) runs before the caller sees the fleet.
-            next_sync: 0,
             state: FleetCheckpoint {
                 format_version: FLEET_CHECKPOINT_FORMAT_VERSION,
                 scenario,
@@ -208,7 +201,9 @@ impl ElasticFleet {
                 fleet_admissions_denied: 0,
             },
         };
-        fleet.process_due_syncs()?;
+        // Fleet-layer work scheduled at slot 0 (a scripted admission,
+        // typically) runs before the caller sees the fleet.
+        fleet.run_fleet_layer()?;
         Ok(fleet)
     }
 
@@ -296,67 +291,61 @@ impl ElasticFleet {
             .collect()
     }
 
-    /// Runs the sequential fleet layer of every sync point due at or before
-    /// the current slot: scripted fleet admissions first, then the balancer
-    /// round when the sync sits on the cadence. The scenario-end pseudo-sync
-    /// does no fleet work.
-    fn process_due_syncs(&mut self) -> Result<(), String> {
+    /// The next sync point above the current slot: the next balancer
+    /// cadence boundary, the slot of the scripted admission the
+    /// `next_admission` cursor points at (the first one after the current
+    /// slot, see the module docs' invariant) or the scenario end, whichever
+    /// comes first.
+    fn next_sync(&self) -> usize {
         let slot = self.slot();
-        let total_slots = self.total_slots();
+        let balancer = &self.state.config.balancer;
+        let cadence = balancer
+            .enabled
+            .then(|| (slot / balancer.cadence_slots + 1) * balancer.cadence_slots);
+        self.state
+            .scenario
+            .admissions()
+            .map(|(s, _)| s)
+            .filter(|s| *s > slot)
+            .chain(cadence)
+            .fold(self.total_slots(), usize::min)
+    }
+
+    /// Runs the sequential fleet layer at the current slot: the scripted
+    /// fleet admissions due here, in timeline order, then the balancer
+    /// round when the slot sits on the cadence. Nothing runs at the
+    /// scenario end, and no balancer round at slot 0 (a multiple of every
+    /// cadence, but the schedule starts at `1 * cadence_slots`).
+    fn run_fleet_layer(&mut self) -> Result<(), String> {
+        let slot = self.slot();
+        if slot >= self.total_slots() {
+            return Ok(());
+        }
         let state = &mut self.state;
-        while self.next_sync < self.sync_points.len() && self.sync_points[self.next_sync] <= slot {
-            let sync = self.sync_points[self.next_sync];
-            self.next_sync += 1;
-            if sync >= total_slots {
-                continue;
+        for (_, spec) in state.scenario.admissions().filter(|(s, _)| *s == slot) {
+            state.next_admission += 1;
+            match route_fleet_admission(&mut state.cells, spec, slot) {
+                Some(_) => state.fleet_admissions_granted += 1,
+                None => state.fleet_admissions_denied += 1,
             }
-            let admissions = state.scenario.fleet_admissions();
-            while state.next_admission < admissions.len()
-                && admissions[state.next_admission].0 <= sync
-            {
-                let (_, spec) = admissions[state.next_admission];
-                state.next_admission += 1;
-                match route_fleet_admission(&mut state.cells, &spec, sync) {
-                    Some(_) => state.fleet_admissions_granted += 1,
-                    None => state.fleet_admissions_denied += 1,
-                }
-            }
-            // The cadence schedule starts at `1 * cadence_slots` (see
-            // `compute_sync_points`); `sync == 0` only ever appears here
-            // because a scripted fleet admission sits at slot 0, and slot 0
-            // satisfies `is_multiple_of` for every cadence — without the
-            // guard that admission would trigger an unscheduled balancer
-            // round before any slot has executed.
-            if state.config.balancer.enabled
-                && sync > 0
-                && sync.is_multiple_of(state.config.balancer.cadence_slots)
-            {
-                let migrated = rebalance(&state.config.balancer, sync, &mut state.cells)?;
-                state.migrations.extend(migrated);
-            }
+        }
+        let balancer = &state.config.balancer;
+        if balancer.enabled && slot > 0 && slot.is_multiple_of(balancer.cadence_slots) {
+            let migrated = rebalance(balancer, slot, &mut state.cells)?;
+            state.migrations.extend(migrated);
         }
         Ok(())
     }
 
     /// Advances the fleet to global slot `target` (clamped to the scenario
-    /// end): windows of rayon-parallel per-cell stepping separated by the
-    /// sequential fleet layer at every internal sync point on the way.
-    /// Returns the slot actually reached. A `target` at or below the
-    /// current slot is a no-op.
+    /// end): windows of rayon-parallel per-cell stepping, each closed by the
+    /// sequential fleet layer at the slot it stops on, stopping at every
+    /// internal sync point on the way. Returns the slot actually reached. A
+    /// `target` at or below the current slot is a no-op.
     pub fn advance_to(&mut self, target: usize) -> Result<usize, String> {
         let target = target.min(self.total_slots());
-        loop {
-            self.process_due_syncs()?;
-            let slot = self.slot();
-            if slot >= target {
-                return Ok(slot);
-            }
-            let stop = self
-                .sync_points
-                .get(self.next_sync)
-                .copied()
-                .unwrap_or(self.total_slots())
-                .min(target);
+        while self.slot() < target {
+            let stop = self.next_sync().min(target);
             self.state.cells.par_iter_mut().for_each(|c| {
                 while c.engine.current_slot() < stop {
                     #[expect(
@@ -369,7 +358,9 @@ impl ElasticFleet {
                         .push(slot_start.elapsed().as_secs_f64() * 1_000.0);
                 }
             });
+            self.run_fleet_layer()?;
         }
+        Ok(self.slot())
     }
 
     /// Admits a slice at the current window boundary through the fleet
@@ -427,10 +418,11 @@ impl ElasticFleet {
     }
 
     /// Closes every cell's final partial episodes and aggregates the fleet
-    /// outcome — trace, report, per-cell breakdown. Only a complete fleet
-    /// can finish; a service that stops early checkpoints instead.
-    /// `wall_clock_ms` is the caller-measured wall time of the run (report
-    /// only; zero is fine for resumed service runs where it is meaningless).
+    /// outcome — trace, report, per-cell reports and latencies. Only a
+    /// complete fleet can finish; a service that stops early checkpoints
+    /// instead. `wall_clock_ms` is the caller-measured wall time of the run
+    /// (report only; zero is fine for resumed service runs where it is
+    /// meaningless).
     pub fn finish(self, wall_clock_ms: f64) -> Result<FleetOutcome, String> {
         if !self.is_complete() {
             return Err(format!(
@@ -441,7 +433,7 @@ impl ElasticFleet {
         }
         let state = self.state;
         let migrations = &state.migrations;
-        let outcomes: Result<Vec<CellOutcome>, String> = state
+        let finished: Result<Vec<(CellOutcome, CellTraceEntry)>, String> = state
             .cells
             .into_par_iter()
             .enumerate()
@@ -455,61 +447,34 @@ impl ElasticFleet {
                 }
                 let mut trace = c.recorder.finalize();
                 trace.migrations = migrations.iter().filter_map(|m| m.endpoint(cell)).collect();
-                Ok(CellOutcome {
-                    cell,
-                    seed,
+                let outcome = CellOutcome {
                     report,
-                    trace,
                     slot_latencies_ms: c.slot_latencies_ms,
-                })
+                };
+                Ok((outcome, CellTraceEntry { cell, seed, trace }))
             })
             .collect();
-        let outcomes = outcomes?;
-        let master_seed = state.config.base.seed;
-        let mut report =
-            aggregate_fleet(&state.scenario.name, master_seed, &outcomes, wall_clock_ms);
-        report.migrations = state.migrations;
-        report.fleet_admissions_granted = state.fleet_admissions_granted;
-        report.fleet_admissions_denied = state.fleet_admissions_denied;
+        let (cells, traces): (Vec<_>, Vec<_>) = finished?.into_iter().unzip();
         let trace = FleetTrace {
             format_version: FLEET_TRACE_FORMAT_VERSION,
             scenario: state.scenario.name,
-            master_seed,
-            cells: outcomes
-                .iter()
-                .map(|c| CellTraceEntry {
-                    cell: c.cell,
-                    seed: c.seed,
-                    trace: c.trace.clone(),
-                })
-                .collect(),
+            master_seed: state.config.base.seed,
+            cells: traces,
         };
+        let report = aggregate_fleet(
+            &cells,
+            &trace,
+            state.migrations,
+            state.fleet_admissions_granted,
+            state.fleet_admissions_denied,
+            wall_clock_ms,
+        );
         Ok(FleetOutcome {
             report,
             trace,
-            cells: outcomes,
+            cells,
         })
     }
-}
-
-/// The internal sync points of a fleet run: scripted fleet-admission slots
-/// and balancer cadence boundaries, plus the scenario end, ascending and
-/// deduplicated.
-fn compute_sync_points(scenario: &FleetScenario, config: &ElasticFleetConfig) -> Vec<usize> {
-    let total = scenario.base.total_slots;
-    let mut points: Vec<usize> = scenario
-        .fleet_admissions()
-        .iter()
-        .map(|(slot, _)| *slot)
-        .collect();
-    if config.balancer.enabled {
-        let cadence = config.balancer.cadence_slots;
-        points.extend((1..).map(|k| k * cadence).take_while(|s| *s < total));
-    }
-    points.push(total);
-    points.sort_unstable();
-    points.dedup();
-    points
 }
 
 /// Routes one fleet-level admission: cells are tried least-utilized first
@@ -556,7 +521,8 @@ pub struct FleetCheckpoint {
     config: ElasticFleetConfig,
     cells: Vec<CellRuntime>,
     migrations: Vec<MigrationRecord>,
-    /// Cursor into the scripted fleet admissions (sorted by slot).
+    /// Scripted fleet admissions adjudicated so far: those at or before the
+    /// current slot.
     next_admission: usize,
     fleet_admissions_granted: usize,
     fleet_admissions_denied: usize,
@@ -576,24 +542,19 @@ impl FleetCheckpoint {
     /// [`ScenarioEngine::validate`] (agents' learned state fits together
     /// and shares one trunk shape, admission tuning in range) and every
     /// value a cell's recorder holds must be finite.
-    /// The processed sync-point cursor is recomputed from the slot (see the
-    /// module docs' invariant), so nothing replays and nothing is skipped.
+    /// The scripted-admission cursor must count the admissions at or before
+    /// the slot (see the module docs' invariant), so nothing replays and
+    /// nothing is skipped.
     pub fn restore(self) -> Result<ElasticFleet, String> {
         self.validate()
             .map_err(|e| format!("fleet checkpoint is inconsistent: {e}"))?;
-        let sync_points = compute_sync_points(&self.scenario, &self.config);
-        let next_sync = sync_points.partition_point(|s| *s <= self.slot());
-        Ok(ElasticFleet {
-            state: self,
-            sync_points,
-            next_sync,
-        })
+        Ok(ElasticFleet { state: self })
     }
 
     /// What [`FleetCheckpoint::restore`] refuses, as the first problem found.
     fn validate(&self) -> Result<(), String> {
         // What `ElasticFleet::new` demands of a scenario and tuning (a zero
-        // balancer cadence would never finish computing its sync points).
+        // balancer cadence has no next sync point).
         ElasticFleet::validate(&self.scenario, &self.config)?;
         if self.cells.len() != self.config.cells {
             return Err(format!(
@@ -614,6 +575,21 @@ impl FleetCheckpoint {
             return Err(format!(
                 "cell {i} sits at slot {}, cell 0 at {slot}",
                 c.engine.current_slot()
+            ));
+        }
+        // The schedule is derived from the slot and this cursor: a cursor
+        // behind the slot would adjudicate an admission twice, one ahead
+        // would skip it.
+        let due = self
+            .scenario
+            .admissions()
+            .filter(|(s, _)| *s <= slot)
+            .count();
+        if self.next_admission != due {
+            return Err(format!(
+                "next_admission is {}, but {due} scripted fleet admissions fall at or before \
+                 slot {slot}",
+                self.next_admission
             ));
         }
         for (i, c) in self.cells.iter().enumerate() {
@@ -771,20 +747,38 @@ mod tests {
     #[test]
     fn stepwise_advance_matches_one_shot_runner_bit_for_bit() {
         // The machine, driven in awkward uneven windows, must produce the
-        // exact trace of a single run().
+        // exact trace of a single run(). The tiny fleet admits at slot 4
+        // and balances every 8 slots.
         let reference = ElasticFleet::run(tiny_fleet_scenario(), quick_config(2)).unwrap();
-
-        let mut fleet = ElasticFleet::new(tiny_fleet_scenario(), quick_config(2)).unwrap();
-        for target in [1usize, 4, 5, 9, 16, 17, 31, 32, 32] {
-            fleet.advance_to(target).unwrap();
+        let plans: [&[usize]; 5] = [
+            &[1, 4, 5, 9, 16, 17, 31, 32, 32],
+            // Exactly on the cadence boundaries, and on the admission slot.
+            &[8, 16, 24, 32],
+            &[4, 32],
+            // One slot before each of those.
+            &[3, 7, 15, 23, 31, 32],
+            // The current slot again, at a cadence boundary.
+            &[8, 8, 16, 16, 32],
+        ];
+        for plan in plans {
+            let mut fleet = ElasticFleet::new(tiny_fleet_scenario(), quick_config(2)).unwrap();
+            for &target in plan {
+                let before = (fleet.slot() == target).then(|| fleet.checkpoint().to_json());
+                assert_eq!(fleet.advance_to(target).unwrap(), target);
+                if let Some(before) = before {
+                    let again = fleet.checkpoint().to_json();
+                    assert!(again == before, "slot {target} ran its fleet layer twice");
+                }
+            }
+            let outcome = fleet.finish(0.0).unwrap();
+            let same = outcome.trace.to_json() == reference.trace.to_json();
+            assert!(same, "{plan:?} diverges");
+            assert_eq!(outcome.report.migrations, reference.report.migrations);
+            assert_eq!(
+                outcome.report.fleet_admissions_granted + outcome.report.fleet_admissions_denied,
+                1
+            );
         }
-        assert!(fleet.is_complete());
-        let outcome = fleet.finish(0.0).unwrap();
-        assert_eq!(outcome.trace.to_json(), reference.trace.to_json());
-        assert_eq!(
-            outcome.report.fleet_admissions_granted + outcome.report.fleet_admissions_denied,
-            1
-        );
     }
 
     /// Snapshots a run of `config` at slot `at` (JSON round-trip included),
@@ -972,6 +966,22 @@ mod tests {
         );
     }
 
+    /// `json` with the value at `path` inside cell 1 replaced by `value`.
+    fn doctor_cell1(json: &str, path: &[&str], value: serde::Value) -> String {
+        fn field<'a>(value: &'a mut serde::Value, key: &str) -> &'a mut serde::Value {
+            let serde::Value::Obj(pairs) = value else {
+                panic!("no `{key}` object");
+            };
+            &mut pairs.iter_mut().find(|(k, _)| k == key).unwrap().1
+        }
+        let mut document: serde::Value = serde_json::from_str(json).unwrap();
+        let serde::Value::Arr(cells) = field(&mut document, "cells") else {
+            panic!("`cells` is an array");
+        };
+        *path.iter().fold(&mut cells[1], |v, key| field(v, key)) = value;
+        serde_json::to_string(&document).unwrap()
+    }
+
     #[test]
     fn restore_refuses_cells_the_serialized_config_would_not_build() {
         // Each edit is one a hand-edited file could make; every refusal
@@ -996,25 +1006,7 @@ mod tests {
         );
         // One field of cell 1's engine config edited: the fleet config
         // still says greedy and derives the original seed.
-        let cell1_config = |key: &str, value: serde::Value| {
-            let mut document: serde::Value = serde_json::from_str(&json).unwrap();
-            let serde::Value::Obj(top) = &mut document else {
-                panic!("a fleet checkpoint is a JSON object");
-            };
-            let (_, serde::Value::Arr(cells)) = top.iter_mut().find(|(k, _)| k == "cells").unwrap()
-            else {
-                panic!("`cells` is an array");
-            };
-            let mut target = &mut cells[1];
-            for step in ["engine", "config", key] {
-                let serde::Value::Obj(pairs) = target else {
-                    panic!("no `{step}` object");
-                };
-                target = &mut pairs.iter_mut().find(|(k, _)| k == step).unwrap().1;
-            }
-            *target = value;
-            serde_json::to_string(&document).unwrap()
-        };
+        let cell1_config = |key, value| doctor_cell1(&json, &["engine", "config", key], value);
         let mut admission = fleet.cells()[1].engine.config().admission;
         admission.policy = onslicing_scenario::AdmissionPolicy::Cautious;
         let err = refused(cell1_config("admission", admission.serialize_value()));
@@ -1084,6 +1076,40 @@ mod tests {
     }
 
     #[test]
+    fn restore_refuses_an_admission_cursor_that_disagrees_with_the_slot() {
+        // `hotspot-shift` scripts two fleet admissions at slot 18, so a
+        // slot-20 checkpoint has adjudicated both. Unchecked, a cursor
+        // doctored to 0 adjudicated them again (four verdicts in all) and
+        // one doctored to 7 restored as if nothing were wrong.
+        let scenario = fleet_by_name("hotspot-shift").unwrap();
+        let mut fleet =
+            ElasticFleet::new(scenario, ElasticFleetConfig::new(2).with_seed(17)).unwrap();
+        fleet.advance_to(20).unwrap();
+        let json = fleet.checkpoint().to_json();
+        assert!(
+            json.contains("\"next_admission\":2,"),
+            "two admissions by slot 20"
+        );
+        for cursor in [0, 1, 7] {
+            let doctored = json.replace(
+                "\"next_admission\":2,",
+                &format!("\"next_admission\":{cursor},"),
+            );
+            assert_eq!(
+                FleetCheckpoint::from_json(&doctored)
+                    .unwrap()
+                    .restore()
+                    .unwrap_err(),
+                format!(
+                    "fleet checkpoint is inconsistent: next_admission is {cursor}, but 2 \
+                     scripted fleet admissions fall at or before slot 20"
+                )
+            );
+        }
+        assert!(FleetCheckpoint::from_json(&json).unwrap().restore().is_ok());
+    }
+
+    #[test]
     fn restore_refuses_cells_that_sit_at_different_slots() {
         // Cell 1 spliced in from one slot later: `advance_to` would step
         // cell 0 alone past whatever sync point lies between them.
@@ -1105,24 +1131,9 @@ mod tests {
         let mut fleet = ElasticFleet::new(tiny_fleet_scenario(), quick_config(2)).unwrap();
         fleet.advance_to(4).unwrap();
         let json = fleet.checkpoint().to_json();
-        let mut document: serde::Value = serde_json::from_str(&json).unwrap();
-        let serde::Value::Obj(top) = &mut document else {
-            panic!("a fleet checkpoint is a JSON object");
-        };
-        let (_, serde::Value::Arr(cells)) = top.iter_mut().find(|(k, _)| k == "cells").unwrap()
-        else {
-            panic!("`cells` is an array");
-        };
-        let mut target = &mut cells[1];
-        for step in ["engine", "scenario", "total_slots"] {
-            let serde::Value::Obj(pairs) = target else {
-                panic!("no `{step}` object");
-            };
-            target = &mut pairs.iter_mut().find(|(k, _)| k == step).unwrap().1;
-        }
-        assert_eq!(target.as_u64(), Some(32));
-        *target = serde::Value::UInt(20);
-        let doctored = serde_json::to_string(&document).unwrap();
+        let path = ["engine", "scenario", "total_slots"];
+        let doctored = doctor_cell1(&json, &path, serde::Value::UInt(20));
+        assert_ne!(doctored, json);
         assert_eq!(
             FleetCheckpoint::from_json(&doctored)
                 .unwrap()
@@ -1178,11 +1189,11 @@ mod tests {
 
     #[test]
     fn slot0_fleet_admission_is_adjudicated_without_a_balancer_round() {
-        // A fleet admission scripted at slot 0 creates sync point 0. The
-        // construction-time cursor must not skip it (the admission would be
-        // adjudicated late — or never, with the balancer disabled), and the
-        // balancer must not treat it as a cadence boundary (0 is a multiple
-        // of every cadence, but the schedule starts at 1 · cadence).
+        // A fleet admission scripted at slot 0 makes slot 0 a sync point.
+        // Construction must run it (every later sync point lies above the
+        // slot, so it would never run — the balancer disabled or not), and
+        // the balancer must not treat it as a cadence boundary (0 is a
+        // multiple of every cadence, but the schedule starts at 1 · cadence).
         let base = Scenario::new("slot0-admit", 8, 16)
             .with_capacity(1.5)
             .slice(SliceSpec::new(SliceKind::Mar))
@@ -1207,7 +1218,7 @@ mod tests {
             "no balancer round may run at slot 0"
         );
 
-        // With the balancer disabled the end pseudo-sync is the only other
+        // With the balancer disabled the scenario end is the only other
         // sync point and it does no fleet work — slot 0 is the one chance.
         let config = ElasticFleetConfig::new(2)
             .with_seed(3)

@@ -7,7 +7,10 @@
 //! cell run is — including an independent reimplementation of the
 //! nearest-rank percentile.
 
-use onslicing_fleet::{aggregate_fleet, CellOutcome};
+use onslicing_fleet::{
+    aggregate_fleet, CellOutcome, CellTraceEntry, FleetTrace, MigrationRecord,
+    FLEET_TRACE_FORMAT_VERSION,
+};
 use onslicing_replay::{EpisodeTelemetry, SliceSlotTelemetry, SlotTelemetry, TelemetryTrace};
 use onslicing_scenario::{derive_cell_seed, ScenarioConfig, ScenarioReport, SliceReport};
 use onslicing_slices::SliceKind;
@@ -27,8 +30,9 @@ fn reference_percentile(values: &[f64], q: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Builds one synthetic cell outcome with internally consistent counters.
-fn synthetic_cell(cell: u32, rng: &mut ChaCha8Rng) -> CellOutcome {
+/// Builds one synthetic cell outcome and its trace entry with internally
+/// consistent counters.
+fn synthetic_cell(cell: u32, rng: &mut ChaCha8Rng) -> (CellOutcome, CellTraceEntry) {
     let kinds = [SliceKind::Mar, SliceKind::Hvs, SliceKind::Rdc];
     let num_slices = rng.gen_range(1..5usize);
     let total_slots = rng.gen_range(1..20usize);
@@ -125,13 +129,18 @@ fn synthetic_cell(cell: u32, rng: &mut ChaCha8Rng) -> CellOutcome {
     let slot_latencies_ms = (0..total_slots)
         .map(|_| rng.gen_range(0.01..50.0))
         .collect();
-    CellOutcome {
+    let entry = CellTraceEntry {
         cell,
         seed: u64::from(cell),
-        report,
         trace,
-        slot_latencies_ms,
-    }
+    };
+    (
+        CellOutcome {
+            report,
+            slot_latencies_ms,
+        },
+        entry,
+    )
 }
 
 proptest! {
@@ -143,11 +152,26 @@ proptest! {
         num_cells in 1usize..6,
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(master);
-        let cells: Vec<CellOutcome> = (0..num_cells)
+        let (cells, entries): (Vec<CellOutcome>, Vec<CellTraceEntry>) = (0..num_cells)
             .map(|i| synthetic_cell(i as u32, &mut rng))
-            .collect();
+            .unzip();
+        let trace = FleetTrace {
+            format_version: FLEET_TRACE_FORMAT_VERSION,
+            scenario: "synthetic".to_string(),
+            master_seed: master,
+            cells: entries,
+        };
         let wall = rng.gen_range(1.0..1_000.0);
-        let report = aggregate_fleet("synthetic", master, &cells, wall);
+        let migrations = vec![MigrationRecord {
+            slot: rng.gen_range(1..20usize),
+            from_cell: 0,
+            from_slice: 0,
+            to_cell: (num_cells - 1) as u32,
+            to_slice: rng.gen_range(0..5u32),
+            kind: SliceKind::Mar,
+        }];
+        let (granted, denied) = (rng.gen_range(0..4usize), rng.gen_range(0..4usize));
+        let report = aggregate_fleet(&cells, &trace, migrations.clone(), granted, denied, wall);
 
         // Counter sums are exact.
         let episodes: usize = cells.iter().map(|c| c.report.slice_episodes).sum();
@@ -160,7 +184,10 @@ proptest! {
         prop_assert_eq!(report.slice_episodes, episodes);
         prop_assert_eq!(report.violations, violations);
         prop_assert_eq!(report.slice_slots, slots);
-        prop_assert_eq!(report.cells, num_cells);
+        // The fleet layer's facts are carried over whole.
+        prop_assert_eq!(&report.migrations, &migrations);
+        prop_assert_eq!(report.fleet_admissions_granted, granted);
+        prop_assert_eq!(report.fleet_admissions_denied, denied);
 
         // Fleet SLA-violation % equals the ratio over the concatenated
         // episode population (not the mean of per-cell percentages).
@@ -185,7 +212,8 @@ proptest! {
 
         // Percentiles equal the nearest-rank percentile of the
         // concatenated per-cell samples.
-        let all_costs: Vec<f64> = cells
+        let all_costs: Vec<f64> = trace
+            .cells
             .iter()
             .flat_map(|c| c.trace.slots.iter())
             .flat_map(|s| s.slices.iter())
@@ -208,13 +236,6 @@ proptest! {
             (report.slice_slots_per_second - slots as f64 / (wall / 1_000.0)).abs() < 1e-6
         );
 
-        // The per-cell breakdown preserves cell order and per-cell counts.
-        prop_assert_eq!(report.cells_detail.len(), num_cells);
-        for (i, detail) in report.cells_detail.iter().enumerate() {
-            prop_assert_eq!(detail.cell, i as u32);
-            prop_assert_eq!(detail.slice_slots, cells[i].report.slice_slots);
-            prop_assert_eq!(detail.episodes, cells[i].report.slice_episodes);
-        }
     }
 
     #[test]

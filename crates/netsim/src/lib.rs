@@ -43,13 +43,3 @@ pub use edge::{EdgeConfig, EdgeOutcome};
 pub use pipeline::{NetworkConfig, NetworkSimulator, SliceWorkload, SlotBreakdown};
 pub use ran::{ChannelModel, Direction, RanConfig, RatKind, RatProfile};
 pub use tn::{TnConfig, TnOutcome};
-
-use rand::Rng;
-
-/// Draws a standard-normal sample using the Box–Muller transform (shared by
-/// the channel model and the latency jitter).
-pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}

@@ -254,8 +254,8 @@ impl NetworkSimulator {
         let edge = SliceWorkload::edge_config(kind).evaluate(action.cpu, action.ram, arrival_rate);
 
         // Latency jitter from the RAN profile (scheduling randomness).
-        let jitter =
-            self.config.ran.profile.latency_jitter_ms * crate::standard_normal(&mut self.rng).abs();
+        let jitter = self.config.ran.profile.latency_jitter_ms
+            * onslicing_traffic::arrivals::standard_normal(&mut self.rng).abs();
 
         let breakdown = SlotBreakdown {
             ul_radio_ms: ul.avg_delay_ms,
@@ -356,7 +356,7 @@ impl NetworkSimulator {
             + 2.0 * self.config.tn.base_delay_ms
             + 2.0 * self.config.cn.base_delay_ms;
         let jitter = self.config.ran.profile.latency_jitter_ms
-            * crate::standard_normal(&mut self.rng).abs()
+            * onslicing_traffic::arrivals::standard_normal(&mut self.rng).abs()
             * 2.0;
         base + jitter + self.rng.gen::<f64>() * 2.0
     }

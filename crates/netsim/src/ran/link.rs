@@ -119,7 +119,7 @@ impl ChannelModel {
     /// Advances the AR(1) process by one slot and returns the new average CQI.
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
         let noise_std = self.std_cqi * (1.0 - self.correlation * self.correlation).sqrt();
-        let z = crate::standard_normal(rng);
+        let z = onslicing_traffic::arrivals::standard_normal(rng);
         let next =
             self.mean_cqi + self.correlation * (self.current_cqi - self.mean_cqi) + noise_std * z;
         self.current_cqi = next.clamp(1.0, f64::from(MAX_CQI));

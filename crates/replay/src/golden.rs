@@ -58,17 +58,13 @@ pub fn diff_against_file(
 
 /// Diffs a freshly recorded trace against the committed golden, every
 /// float within relative 1e-9 / absolute 1e-12: the drifts, each led by
-/// its JSON path. A missing or unparsable golden is a single drift, so CI
-/// fails with a clear message.
-pub fn check_against_golden(trace: &TelemetryTrace, dir: &Path) -> Result<(), Vec<String>> {
+/// its JSON path (none when it matches). A missing or unparsable golden is
+/// an error naming it and the `--update` command, not a drift.
+pub fn check_against_golden(trace: &TelemetryTrace, dir: &Path) -> Result<Vec<String>, String> {
     let path = golden_path(dir, &trace.scenario);
     let update = format!("replay_check golden {} --update", trace.scenario);
     let actual = trace.serialize_value();
-    let diff = diff_against_file(&path, &actual, GOLDEN_TOLERANCE, |_| true, &update);
-    match diff.map_err(|e| vec![e])?.drifts {
-        drifts if drifts.is_empty() => Ok(()),
-        drifts => Err(drifts),
-    }
+    Ok(diff_against_file(&path, &actual, GOLDEN_TOLERANCE, |_| true, &update)?.drifts)
 }
 
 /// Writes (or overwrites) the golden for a trace and returns its path.
@@ -158,7 +154,7 @@ mod tests {
         let (trace, _) = record_scenario(builtin::steady(), ScenarioConfig::default()).unwrap();
         let path = write_golden(&trace, &dir).unwrap();
         assert_eq!(path, golden_path(&dir, "steady"));
-        check_against_golden(&trace, &dir).unwrap();
+        assert_eq!(check_against_golden(&trace, &dir), Ok(Vec::new()));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -166,7 +162,10 @@ mod tests {
     fn missing_golden_is_a_clear_failure() {
         let (trace, _) = record_scenario(builtin::steady(), ScenarioConfig::default()).unwrap();
         let err = check_against_golden(&trace, Path::new("/no/such/dir")).unwrap_err();
-        assert_eq!(err.len(), 1);
-        assert!(err[0].contains("--update"), "{}", err[0]);
+        assert!(
+            err.starts_with("cannot read /no/such/dir/TRACE_steady.json: ")
+                && err.ends_with(" — run `replay_check golden steady --update` to create it"),
+            "{err}"
+        );
     }
 }

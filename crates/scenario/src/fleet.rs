@@ -72,7 +72,9 @@ pub struct FleetScenario {
     pub min_cells: usize,
     /// The scenario every cell starts from (same shape, per-cell seeds).
     pub base: Scenario,
-    /// The fleet timeline (sorted by the runner before execution).
+    /// The fleet timeline. Events need not be sorted: the engines fire a
+    /// slot's cell events, and the fleet layer a slot's admissions, in the
+    /// order they appear here.
     pub events: Vec<TimedFleetEvent>,
 }
 
@@ -122,11 +124,7 @@ impl FleetScenario {
         }
         // Fleet-routed admissions can land on any cell, so every cell's
         // assignable-id bound grows by the full fleet-admission count.
-        let fleet_admission_slack = self
-            .events
-            .iter()
-            .filter(|t| matches!(t.event, FleetEvent::FleetAdmit { .. }))
-            .count();
+        let fleet_admission_slack = self.admissions().count();
         self.base
             .validate_with_admission_slack(fleet_admission_slack)
             .map_err(|e| format!("base: {e}"))?;
@@ -169,9 +167,9 @@ impl FleetScenario {
     }
 
     /// Materializes cell `cell`'s own scenario: the base deployment with
-    /// this cell's targeted events spliced into the timeline (in fleet
-    /// timeline order, after the base's own events — the engine's stable
-    /// sort preserves that order for same-slot events).
+    /// this cell's targeted events appended to its timeline in fleet
+    /// timeline order, after the base's own events — the engine fires a
+    /// slot's events in file order, so same-slot events keep that order.
     pub fn scenario_for_cell(&self, cell: u32) -> Scenario {
         let mut scenario = self.base.clone();
         for t in &self.events {
@@ -186,16 +184,17 @@ impl FleetScenario {
 
     /// The fleet-routed admissions, as `(at_slot, spec)` in timeline order.
     pub fn fleet_admissions(&self) -> Vec<(usize, SliceSpec)> {
-        let mut admissions: Vec<(usize, SliceSpec)> = self
-            .events
-            .iter()
-            .filter_map(|t| match &t.event {
-                FleetEvent::FleetAdmit { slice } => Some((t.at_slot, *slice)),
-                FleetEvent::CellEvent { .. } => None,
-            })
-            .collect();
-        admissions.sort_by_key(|(slot, _)| *slot);
-        admissions
+        self.admissions()
+            .map(|(slot, spec)| (slot, *spec))
+            .collect()
+    }
+
+    /// [`FleetScenario::fleet_admissions`] without collecting them.
+    pub fn admissions(&self) -> impl Iterator<Item = (usize, &SliceSpec)> {
+        self.events.iter().filter_map(|t| match &t.event {
+            FleetEvent::FleetAdmit { slice } => Some((t.at_slot, slice)),
+            FleetEvent::CellEvent { .. } => None,
+        })
     }
 
     /// Serializes the fleet scenario to pretty JSON.

@@ -4,8 +4,8 @@
 //! crate under a single dependency so examples and downstream users can write
 //! `use onslicing::core::...`.
 //!
-//! See `README.md` and `DESIGN.md` at the repository root for the system
-//! inventory and the experiment index.
+//! See `README.md` at the repository root for the system inventory and the
+//! experiment index.
 
 pub use onslicing_core as core;
 pub use onslicing_domains as domains;
