@@ -654,11 +654,6 @@ impl OnSlicingAgent {
         summary
     }
 
-    /// Whether any learning transition was recorded in the current episode.
-    pub fn learned_this_episode(&self) -> bool {
-        self.learned_this_episode
-    }
-
     /// Runs one PPO update on the transitions accumulated since the last
     /// update and clears the rollout buffer.
     pub fn update_policy(&mut self) -> PpoUpdateStats {

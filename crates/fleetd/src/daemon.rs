@@ -727,7 +727,9 @@ fn serve(
             return finalize(config, service);
         }
         // Clock phase: one window of slots, then durability bookkeeping.
-        let target = service.fleet.slot() + config.window_slots;
+        // `window_slots` is any u64 the config holds: saturate, or a huge
+        // window would wrap to a target behind the fleet and never advance.
+        let target = service.fleet.slot().saturating_add(config.window_slots);
         service.fleet.advance_to(target)?;
         service.maybe_cadence_checkpoint()?;
     }

@@ -413,6 +413,31 @@ fn a_config_key_typo_is_a_startup_error_naming_the_key() {
     assert!(stderr.contains("unknown key `celsl`"), "{stderr}");
 }
 
+#[test]
+fn a_u64_max_window_runs_to_the_end_from_a_mid_run_slot() {
+    // `window_slots` takes any u64; from slot 4 the window's end must
+    // saturate, not overflow (a panic) or wrap behind the fleet (a spin).
+    let dir = TestDir::new("window-max");
+    let config = dir.write_config();
+    let text = std::fs::read_to_string(&config).unwrap();
+    let huge = text.replacen(
+        "\"start_paused\": true,",
+        &format!("\"start_paused\": true, \"window_slots\": {},", u64::MAX),
+        1,
+    );
+    assert_ne!(huge, text);
+    std::fs::write(&config, huge).unwrap();
+    let mut daemon = spawn_daemon(&config, &[]);
+    wait_ready(&dir.socket());
+    ctl_ok(&dir.socket(), "{\"op\":\"step\",\"to_slot\":4}");
+    ctl_ok(&dir.socket(), "{\"op\":\"resume\"}");
+    let status = wait_exit(&mut daemon);
+    assert_eq!(status.code(), Some(0), "daemon exited with {status:?}");
+    let trace = std::fs::read_to_string(final_trace_path(&dir.state_dir(), SCENARIO))
+        .expect("final trace written");
+    assert_eq!(trace, reference_trace_plain());
+}
+
 /// A slot-16 checkpoint whose last cell's engine is doctored to sit at
 /// slot 17: a file that parses but cannot restore.
 fn last_cell_one_slot_ahead(json: String) -> String {

@@ -5,8 +5,8 @@
 //! `docker update` (§6). The dominant effect at the orchestration timescale
 //! is compute latency: the MAR back-end extracts ORB features and matches
 //! them against a dataset, so its service rate scales with the CPU share,
-//! while the RAM share bounds how many requests can be processed or buffered
-//! concurrently.
+//! while the RAM share caps the sustainable rate a second time (at twice the
+//! full-CPU rate per unit of RAM share).
 
 use serde::{Deserialize, Serialize};
 
@@ -33,8 +33,6 @@ pub struct EdgeConfig {
     /// Requests per second a fully-provisioned container (CPU share = 1) can
     /// serve for this application class.
     pub max_service_rate_rps: f64,
-    /// Maximum number of concurrently held requests at RAM share = 1.
-    pub max_concurrent_requests: f64,
     /// Cap on the M/M/1 queueing multiplier.
     pub max_queue_multiplier: f64,
 }
@@ -45,7 +43,6 @@ impl EdgeConfig {
     pub fn mar_default() -> Self {
         Self {
             max_service_rate_rps: 40.0,
-            max_concurrent_requests: 64.0,
             max_queue_multiplier: 25.0,
         }
     }
@@ -55,7 +52,6 @@ impl EdgeConfig {
     pub fn hvs_default() -> Self {
         Self {
             max_service_rate_rps: 120.0,
-            max_concurrent_requests: 96.0,
             max_queue_multiplier: 25.0,
         }
     }
@@ -64,7 +60,6 @@ impl EdgeConfig {
     pub fn rdc_default() -> Self {
         Self {
             max_service_rate_rps: 4_000.0,
-            max_concurrent_requests: 512.0,
             max_queue_multiplier: 25.0,
         }
     }

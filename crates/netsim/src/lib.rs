@@ -17,7 +17,7 @@
 //!   M/M/1 queueing;
 //! * [`cn`] — SPGW-U packet processing as a CPU-share-scaled queue;
 //! * [`edge`] — Docker-contained edge compute whose service rate scales with
-//!   the CPU share and whose concurrency is bounded by the RAM share;
+//!   the CPU share and is capped by the RAM share;
 //! * [`pipeline`] — the composition of all four into per-slot
 //!   [`SlotKpi`](onslicing_slices::SlotKpi)s for the MAR / HVS / RDC
 //!   applications.
@@ -40,6 +40,6 @@ pub mod tn;
 
 pub use cn::{CnConfig, CnOutcome};
 pub use edge::{EdgeConfig, EdgeOutcome};
-pub use pipeline::{NetworkConfig, NetworkSimulator, SliceWorkload, SlotBreakdown};
+pub use pipeline::{NetworkConfig, NetworkSimulator, SliceWorkload};
 pub use ran::{ChannelModel, Direction, RanConfig, RatKind, RatProfile};
 pub use tn::{TnConfig, TnOutcome};

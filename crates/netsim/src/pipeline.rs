@@ -139,24 +139,6 @@ impl NetworkConfig {
     }
 }
 
-/// Detailed breakdown of one simulated slot (useful for debugging and for
-/// the fine-grained figures).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SlotBreakdown {
-    /// Uplink radio delay contribution in ms.
-    pub ul_radio_ms: f64,
-    /// Downlink radio delay contribution in ms.
-    pub dl_radio_ms: f64,
-    /// Transport delay contribution (both directions) in ms.
-    pub transport_ms: f64,
-    /// Core-network processing contribution (both directions) in ms.
-    pub core_ms: f64,
-    /// Edge-compute contribution in ms.
-    pub edge_ms: f64,
-    /// End-to-end service ratio (fraction of requests fully delivered).
-    pub service_ratio: f64,
-}
-
 /// The end-to-end network simulator standing in for the OAI / ODL /
 /// OpenAir-CN / Docker testbed.
 ///
@@ -196,17 +178,17 @@ impl NetworkSimulator {
     }
 
     /// Simulates one configuration slot for one slice and returns the KPI
-    /// record its application would report, plus the latency breakdown.
+    /// record its application would report.
     ///
     /// `arrival_rate` is the slot's mean user-request rate in users per
     /// second (from the slice's traffic trace).
-    pub fn step_slice_detailed(
+    pub fn step_slice(
         &mut self,
         kind: SliceKind,
         sla: &Sla,
         action: &Action,
         arrival_rate: f64,
-    ) -> (SlotKpi, SlotBreakdown) {
+    ) -> SlotKpi {
         let workload = SliceWorkload::for_kind(kind);
         let channel = self
             .channels
@@ -257,27 +239,21 @@ impl NetworkSimulator {
         let jitter = self.config.ran.profile.latency_jitter_ms
             * onslicing_traffic::arrivals::standard_normal(&mut self.rng).abs();
 
-        let breakdown = SlotBreakdown {
-            ul_radio_ms: ul.avg_delay_ms,
-            dl_radio_ms: dl.avg_delay_ms,
-            transport_ms: 2.0 * tn.avg_delay_ms,
-            core_ms: 2.0 * cn.avg_delay_ms,
-            edge_ms: edge.avg_delay_ms,
-            service_ratio: (1.0 - ul.residual_loss_prob)
-                * (1.0 - dl.residual_loss_prob)
-                * (1.0 - tn.loss_prob)
-                * (1.0 - cn.loss_prob)
-                * (1.0 - edge.loss_prob),
-        };
+        // End-to-end service ratio: the fraction of requests fully delivered.
+        let service_ratio = (1.0 - ul.residual_loss_prob)
+            * (1.0 - dl.residual_loss_prob)
+            * (1.0 - tn.loss_prob)
+            * (1.0 - cn.loss_prob)
+            * (1.0 - edge.loss_prob);
 
-        let rtt_ms = breakdown.ul_radio_ms
-            + breakdown.dl_radio_ms
-            + breakdown.transport_ms
-            + breakdown.core_ms
-            + breakdown.edge_ms
+        let rtt_ms = ul.avg_delay_ms
+            + dl.avg_delay_ms
+            + 2.0 * tn.avg_delay_ms
+            + 2.0 * cn.avg_delay_ms
+            + edge.avg_delay_ms
             + jitter;
 
-        let served_requests = (offered_requests as f64 * breakdown.service_ratio)
+        let served_requests = (offered_requests as f64 * service_ratio)
             .round()
             .min(offered_requests as f64) as u64;
 
@@ -295,7 +271,7 @@ impl NetworkSimulator {
                 SliceKind::Mar => {
                     // Dropped frames are counted as if they had to be resent:
                     // the effective latency grows as the service ratio falls.
-                    rtt_ms / breakdown.service_ratio.max(1e-3)
+                    rtt_ms / service_ratio.max(1e-3)
                 }
                 SliceKind::Hvs => {
                     let rate_factor = if dl_demand > 0.0 {
@@ -307,11 +283,11 @@ impl NetworkSimulator {
                         (1.0 - tn.loss_prob) * (1.0 - cn.loss_prob) * (1.0 - edge.loss_prob);
                     workload.target_fps * rate_factor * delivery_factor
                 }
-                SliceKind::Rdc => breakdown.service_ratio,
+                SliceKind::Rdc => service_ratio,
             }
         };
 
-        let kpi = SlotKpi::new(
+        SlotKpi::new(
             sla,
             action,
             raw_performance,
@@ -328,25 +304,13 @@ impl NetworkSimulator {
             if kind == SliceKind::Rdc {
                 raw_performance
             } else {
-                breakdown.service_ratio
+                service_ratio
             },
             ul.retransmission_prob.max(dl.retransmission_prob),
             channel_quality,
             0.5 * (ul.utilization + dl.utilization),
             edge.workload.max(cn.offered_load.min(2.0)),
-        );
-        (kpi, breakdown)
-    }
-
-    /// Simulates one configuration slot for one slice (KPI only).
-    pub fn step_slice(
-        &mut self,
-        kind: SliceKind,
-        sla: &Sla,
-        action: &Action,
-        arrival_rate: f64,
-    ) -> SlotKpi {
-        self.step_slice_detailed(kind, sla, action, arrival_rate).0
+        )
     }
 
     /// Samples a ping-style round-trip time through RAN + TN + CN (no edge
@@ -554,18 +518,5 @@ mod tests {
             let kb = b.step_slice(SliceKind::Mar, &sla, &generous(), 3.0);
             assert_eq!(ka, kb);
         }
-    }
-
-    #[test]
-    fn breakdown_components_sum_to_the_reported_latency_up_to_jitter() {
-        let mut s = sim();
-        let sla = Sla::for_kind(SliceKind::Mar);
-        let (kpi, b) = s.step_slice_detailed(SliceKind::Mar, &sla, &generous(), 5.0);
-        let sum = b.ul_radio_ms + b.dl_radio_ms + b.transport_ms + b.core_ms + b.edge_ms;
-        assert!(kpi.avg_latency_ms >= sum - 1e-9);
-        assert!(
-            kpi.avg_latency_ms <= sum + 5.0 * 4.0 + 1.0,
-            "jitter should be bounded"
-        );
     }
 }

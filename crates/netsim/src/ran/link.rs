@@ -100,11 +100,6 @@ impl ChannelModel {
         Self::new(12.0, 1.2, 0.7)
     }
 
-    /// Current average CQI (continuous, before rounding).
-    pub fn current_cqi(&self) -> f64 {
-        self.current_cqi
-    }
-
     /// Current average CQI rounded to an integer index in `1..=15`.
     pub fn current_cqi_index(&self) -> u8 {
         self.current_cqi.round().clamp(1.0, f64::from(MAX_CQI)) as u8

@@ -5,11 +5,11 @@
 //! far below the 15-minute timescale the agent operates on, so the simulator
 //! captures the *slot-aggregate* effect of the scheduling discipline: how
 //! efficiently the slice's PRBs are turned into throughput and how much
-//! queueing jitter users experience.
+//! queueing delay users see. (The slot's latency jitter is the RAN profile's
+//! `latency_jitter_ms` whatever the scheduler.)
 //!
 //! * **Round-robin** serves users in turn regardless of channel state; it
-//!   wastes some capacity on bad-channel users but gives the most uniform
-//!   latency.
+//!   wastes some capacity on bad-channel users.
 //! * **Proportional fair** weighs instantaneous channel against average
 //!   throughput; slightly better cell efficiency with near-RR fairness.
 //! * **Max-CQI** always serves the best channel; highest aggregate
@@ -26,8 +26,6 @@ pub struct SchedulerEffect {
     pub throughput_factor: f64,
     /// Multiplier on the per-request queueing delay.
     pub delay_factor: f64,
-    /// Multiplier on the delay jitter experienced by the worst users.
-    pub jitter_factor: f64,
 }
 
 /// Returns the aggregate effect of a scheduler choice, given the normalized
@@ -45,17 +43,14 @@ pub fn scheduler_effect(kind: SchedulerKind, channel_quality: f64) -> SchedulerE
         SchedulerKind::RoundRobin => SchedulerEffect {
             throughput_factor: 1.0 - 0.6 * diversity,
             delay_factor: 1.0,
-            jitter_factor: 1.0,
         },
         SchedulerKind::ProportionalFair => SchedulerEffect {
             throughput_factor: 1.0,
             delay_factor: 1.0,
-            jitter_factor: 1.1,
         },
         SchedulerKind::MaxCqi => SchedulerEffect {
             throughput_factor: 1.0 + diversity,
             delay_factor: 1.05,
-            jitter_factor: 1.6,
         },
     }
 }
@@ -65,14 +60,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn max_cqi_has_highest_throughput_and_worst_jitter() {
+    fn max_cqi_has_highest_throughput_and_worst_delay() {
         let q = 0.6;
         let rr = scheduler_effect(SchedulerKind::RoundRobin, q);
         let pf = scheduler_effect(SchedulerKind::ProportionalFair, q);
         let mc = scheduler_effect(SchedulerKind::MaxCqi, q);
         assert!(mc.throughput_factor > pf.throughput_factor);
         assert!(pf.throughput_factor > rr.throughput_factor);
-        assert!(mc.jitter_factor > rr.jitter_factor);
+        assert!(mc.delay_factor > rr.delay_factor);
     }
 
     #[test]
@@ -94,7 +89,6 @@ mod tests {
                 let e = scheduler_effect(kind, q);
                 assert!(e.throughput_factor > 0.5 && e.throughput_factor < 1.5);
                 assert!(e.delay_factor >= 1.0 && e.delay_factor < 2.0);
-                assert!(e.jitter_factor >= 1.0 && e.jitter_factor < 3.0);
             }
         }
     }

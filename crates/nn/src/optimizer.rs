@@ -58,11 +58,6 @@ impl Adam {
         }
     }
 
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f64 {
-        self.learning_rate
-    }
-
     /// Whether both moment vectors cover exactly `num_parameters`
     /// parameters — what [`Adam::step_set`] asserts at the first step, as a
     /// value for a loader to refuse.

@@ -289,15 +289,6 @@ impl GaussianPolicy {
         lp
     }
 
-    /// Entropy of the diagonal Gaussian (state independent because the
-    /// standard deviation is state independent).
-    pub fn entropy(&self) -> f64 {
-        self.std()
-            .iter()
-            .map(|s| 0.5 * (2.0 * std::f64::consts::PI * std::f64::consts::E * s * s).ln())
-            .sum()
-    }
-
     /// Batched log-probability evaluation: one forward GEMM per layer for
     /// the whole minibatch.
     ///
@@ -727,31 +718,6 @@ mod tests {
             })
             .sum();
         assert!((p.log_prob(&state, &action) - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn entropy_increases_with_std() {
-        let low = GaussianPolicy::from_mean_net(
-            Mlp::new(
-                &[2, 4, 2],
-                Activation::Relu,
-                Activation::Sigmoid,
-                &mut ChaCha8Rng::seed_from_u64(5),
-            ),
-            2,
-            0.05,
-        );
-        let high = GaussianPolicy::from_mean_net(
-            Mlp::new(
-                &[2, 4, 2],
-                Activation::Relu,
-                Activation::Sigmoid,
-                &mut ChaCha8Rng::seed_from_u64(6),
-            ),
-            2,
-            0.5,
-        );
-        assert!(high.entropy() > low.entropy());
     }
 
     #[test]

@@ -290,11 +290,6 @@ impl TelemetryRecorder {
         }
     }
 
-    /// First recorded slot (0 for recorders attached to fresh engines).
-    pub fn start_slot(&self) -> usize {
-        self.start_slot
-    }
-
     /// The per-slot records accumulated so far, in execution order — the
     /// live view a service reads for windowed telemetry without finalizing.
     pub fn slots(&self) -> &[SlotTelemetry] {

@@ -22,7 +22,9 @@ pub struct Transition {
     pub log_prob: f64,
     /// The (possibly constraint-shaped) reward used for learning.
     pub reward: f64,
-    /// The raw SLA cost of the slot (Eq. 10).
+    /// The raw SLA cost of the slot (Eq. 10). No update reads it (the
+    /// Lagrangian reads the agent's episode sums); it stays because both
+    /// checkpoint layouts carry it.
     pub cost: f64,
     /// Critic value estimate at `state`.
     pub value: f64,
@@ -155,24 +157,6 @@ impl RolloutBuffer {
         adv.iter().map(|a| (a - mean) / std).collect()
     }
 
-    /// Total raw cost of the ready transitions (for the Lagrangian update).
-    pub fn total_cost(&self) -> f64 {
-        self.transitions[..self.num_ready()]
-            .iter()
-            .map(|t| t.cost)
-            .sum()
-    }
-
-    /// Average raw cost per ready transition (0 when empty).
-    pub fn mean_cost(&self) -> f64 {
-        let n = self.num_ready();
-        if n == 0 {
-            0.0
-        } else {
-            self.total_cost() / n as f64
-        }
-    }
-
     /// Clears everything (after a learner update).
     pub fn clear(&mut self) {
         self.transitions.clear();
@@ -255,7 +239,6 @@ mod tests {
         buf.push(transition(1.0, 0.5, 0.0, false));
         assert_eq!(buf.len(), 3);
         assert_eq!(buf.num_ready(), 2);
-        assert!((buf.mean_cost() - 0.2).abs() < 1e-12);
     }
 
     #[test]

@@ -118,8 +118,10 @@ pub struct SliceReport {
     pub episodes: usize,
     /// Episodes that violated the slice's SLA.
     pub violations: usize,
-    /// PPO updates that consumed at least one transition (> 0 means the
-    /// slice actually trained online during the scenario).
+    /// Closed episodes that left at least one transition for a PPO update
+    /// (> 0 means the slice actually trained online during the scenario).
+    /// The episode a teardown or the scenario's end closes counts too,
+    /// though no update runs on it: nothing reads that agent again.
     pub policy_updates: usize,
     /// Episodes in which the agent switched to its baseline policy.
     pub switched_episodes: usize,
@@ -446,15 +448,7 @@ struct RunState {
     slot_usage_weighted: f64,
 }
 
-/// How one applied event changed the report counters.
-enum EventOutcome {
-    Applied(Option<(usize, Restore)>),
-    Denied,
-    Skipped,
-}
-
-/// How a live-injected event resolved (the public face of the scripted
-/// path's internal outcome, minus the restore plumbing the engine keeps).
+/// How an event resolved, scripted or live-injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LiveEventOutcome {
     /// The event took effect (admission granted, teardown done, …).
@@ -760,29 +754,17 @@ impl ScenarioEngine {
         }
         let slot = self.run.slot;
         let outcome = self.apply_event(slot, event, obs);
-        Ok(self.count_event(outcome))
+        self.count_event(outcome);
+        Ok(outcome)
     }
 
-    /// Folds one applied event into the report counters (queueing its
-    /// restore, if any) — the one bookkeeping step scripted and injected
-    /// events share.
-    fn count_event(&mut self, outcome: EventOutcome) -> LiveEventOutcome {
+    /// Folds one applied event into the report counters — the one
+    /// bookkeeping step scripted and injected events share.
+    fn count_event(&mut self, outcome: LiveEventOutcome) {
         match outcome {
-            EventOutcome::Applied(restore) => {
-                self.run.events_applied += 1;
-                if let Some(r) = restore {
-                    self.run.restores.push(r);
-                }
-                LiveEventOutcome::Applied
-            }
-            EventOutcome::Denied => {
-                self.run.admissions_denied += 1;
-                LiveEventOutcome::Denied
-            }
-            EventOutcome::Skipped => {
-                self.run.events_skipped += 1;
-                LiveEventOutcome::Skipped
-            }
+            LiveEventOutcome::Applied => self.run.events_applied += 1,
+            LiveEventOutcome::Denied => self.run.admissions_denied += 1,
+            LiveEventOutcome::Skipped => self.run.events_skipped += 1,
         }
     }
 
@@ -857,17 +839,19 @@ impl ScenarioEngine {
         Ok(id)
     }
 
-    /// Closes the running episode of the slice at `index`: harvests the
-    /// summary, updates the policy, resets the environment.
+    /// Closes the running episode of a slice that will never step again
+    /// (torn down, or the run is finishing): harvests the summary, counts
+    /// the transitions an update would have consumed, resets the
+    /// environment. No update runs — nothing reads the agent afterwards.
     fn close_episode(&mut self, index: usize, slot: usize, obs: &mut dyn SlotObserver) {
         let agent = &mut self.orch.agents_mut()[index];
         let summary = agent.end_episode();
-        let transitions = agent.update_policy().num_transitions;
+        let transitions = agent.pending_transitions();
         self.record_episode(index, slot, summary, transitions, obs);
     }
 
-    /// The bookkeeping half of [`ScenarioEngine::close_episode`], once the
-    /// agent has ended its episode and updated on `transitions` transitions:
+    /// The bookkeeping half of an episode close, once the agent has ended
+    /// its episode with `transitions` transitions ready for an update:
     /// counts the episode, resets the environment, tells the observer.
     fn record_episode(
         &mut self,
@@ -921,7 +905,8 @@ impl ScenarioEngine {
         id
     }
 
-    /// Applies one scripted event and reports how it resolved. Admissions
+    /// Applies one event, queueing its restore if it has one (a burst, a
+    /// fault), and reports how it resolved. Admissions
     /// go through [`ScenarioEngine::check_admission`], which reserves the
     /// estimated shares of every slice granted earlier in the same slot —
     /// scripted, fleet-routed or migrated in — so one slot's burst of
@@ -931,7 +916,7 @@ impl ScenarioEngine {
         slot: usize,
         event: &ScenarioEvent,
         obs: &mut dyn SlotObserver,
-    ) -> EventOutcome {
+    ) -> LiveEventOutcome {
         match event {
             ScenarioEvent::AdmitSlice { slice } => {
                 if self.check_admission().is_err() {
@@ -940,14 +925,14 @@ impl ScenarioEngine {
                     // events must keep targeting the slices the file author
                     // numbered, whatever this admission's runtime outcome.
                     let _ = self.orch.reserve_slice_id();
-                    return EventOutcome::Denied;
+                    return LiveEventOutcome::Denied;
                 }
                 self.grant_admission(slice, slot);
-                EventOutcome::Applied(None)
+                LiveEventOutcome::Applied
             }
             ScenarioEvent::TeardownSlice { slice } => {
                 let Some(index) = self.orch.index_of(SliceId(*slice)) else {
-                    return EventOutcome::Skipped;
+                    return LiveEventOutcome::Skipped;
                 };
                 // Close the partial episode so its slots still count.
                 if self.orch.env().envs()[index].slot() > 0 {
@@ -960,21 +945,21 @@ impl ScenarioEngine {
                     .get_mut(slice)
                     .expect("every slice has stats")
                     .torn_down_at_slot = Some(slot);
-                EventOutcome::Applied(None)
+                LiveEventOutcome::Applied
             }
             ScenarioEvent::SetTrafficScale { slice, scale } => {
                 let Some(index) = self.orch.index_of(SliceId(*slice)) else {
-                    return EventOutcome::Skipped;
+                    return LiveEventOutcome::Skipped;
                 };
                 self.orch.env_mut().envs_mut()[index].set_traffic_scale(*scale);
-                EventOutcome::Applied(None)
+                LiveEventOutcome::Applied
             }
             ScenarioEvent::SetTraceProfile { slice, profile } => {
                 let Some(index) = self.orch.index_of(SliceId(*slice)) else {
-                    return EventOutcome::Skipped;
+                    return LiveEventOutcome::Skipped;
                 };
                 self.orch.env_mut().envs_mut()[index].set_trace_config(profile.clone());
-                EventOutcome::Applied(None)
+                LiveEventOutcome::Applied
             }
             ScenarioEvent::TrafficBurst {
                 slice,
@@ -982,18 +967,19 @@ impl ScenarioEngine {
                 duration_slots,
             } => {
                 let Some(index) = self.orch.index_of(SliceId(*slice)) else {
-                    return EventOutcome::Skipped;
+                    return LiveEventOutcome::Skipped;
                 };
                 let previous = self.orch.env().envs()[index].traffic_scale();
                 self.orch.env_mut().envs_mut()[index].set_traffic_scale(*scale);
-                EventOutcome::Applied(Some((
+                self.run.restores.push((
                     slot + duration_slots,
                     Restore::Traffic {
                         slice: *slice,
                         expected: *scale,
                         previous,
                     },
-                )))
+                ));
+                LiveEventOutcome::Applied
             }
             ScenarioEvent::DomainFault {
                 domain,
@@ -1004,21 +990,22 @@ impl ScenarioEngine {
                 self.orch
                     .domains_mut()
                     .set_domain_capacity_scale(*domain, *capacity_scale);
-                EventOutcome::Applied(Some((
+                self.run.restores.push((
                     slot + duration_slots,
                     Restore::Domain {
                         domain: *domain,
                         expected: *capacity_scale,
                         previous,
                     },
-                )))
+                ));
+                LiveEventOutcome::Applied
             }
             ScenarioEvent::RenegotiateSla {
                 slice,
                 cost_threshold,
             } => {
                 let Some(index) = self.orch.index_of(SliceId(*slice)) else {
-                    return EventOutcome::Skipped;
+                    return LiveEventOutcome::Skipped;
                 };
                 let sla = self.orch.agents()[index]
                     .sla()
@@ -1026,7 +1013,7 @@ impl ScenarioEngine {
                 self.orch
                     .renegotiate_sla(SliceId(*slice), sla)
                     .expect("index_of verified the slice is active");
-                EventOutcome::Applied(None)
+                LiveEventOutcome::Applied
             }
         }
     }
@@ -1913,6 +1900,61 @@ mod tests {
         assert!(!engine.is_finished());
         let stepwise = engine.run_with_observer(&mut ());
         assert_eq!(one_shot, stepwise);
+    }
+
+    #[test]
+    fn finish_closes_final_episodes_without_training() {
+        // Every built-in slice ends its last episode on the final slot, so
+        // two slices join off the horizon grid: `finish` then has partial
+        // episodes to close.
+        let scenario = crate::builtin::flash_crowd();
+        let total = scenario.total_slots;
+        let mut engine = ScenarioEngine::new(scenario, quick_config()).unwrap();
+        engine.run_until(36, &mut ());
+        engine.force_admit(&SliceSpec::new(SliceKind::Rdc), 36);
+        engine.run_until(42, &mut ());
+        engine.force_admit(&SliceSpec::new(SliceKind::Mar), 42);
+        engine.run_until(total, &mut ());
+        assert!(!engine.is_finished());
+        let ppo_bytes = |e: &ScenarioEngine| -> Vec<String> {
+            e.orch
+                .agents()
+                .iter()
+                .map(|a| serde_json::to_string(a.ppo()).unwrap())
+                .collect()
+        };
+        let before = ppo_bytes(&engine);
+        // A throwaway copy ends each partial episode to read what an update
+        // would consume: the episode counts as a policy update exactly then.
+        let mut probe = engine.clone();
+        let mut expected_updates = BTreeMap::new();
+        let mut trained_partials = 0;
+        for index in 0..probe.orch.num_slices() {
+            let id = probe.orch.slice_ids()[index].0;
+            let mut updates = probe.stats[&id].policy_updates;
+            if probe.orch.env().envs()[index].slot() > 0 {
+                let agent = &mut probe.orch.agents_mut()[index];
+                agent.end_episode();
+                if agent.pending_transitions() > 0 {
+                    updates += 1;
+                    trained_partials += 1;
+                }
+            }
+            expected_updates.insert(id, updates);
+        }
+        assert!(
+            trained_partials > 0,
+            "no final partial episode holds transitions"
+        );
+
+        let report = engine.run_with_observer(&mut ());
+        for (index, (after, before)) in ppo_bytes(&engine).iter().zip(&before).enumerate() {
+            assert!(after == before, "finish trained agent {index}");
+        }
+        for (id, updates) in expected_updates {
+            let slice = report.slices.iter().find(|s| s.id == id).unwrap();
+            assert_eq!(slice.policy_updates, updates, "slice {id}");
+        }
     }
 
     #[test]

@@ -246,11 +246,11 @@ pub struct Scenario {
     pub capacity: f64,
     /// The slices alive at slot 0 (ids `0..n` in order).
     pub initial_slices: Vec<SliceSpec>,
-    /// The scripted timeline. The engine sorts it by `at_slot` with a
-    /// **stable** sort before running, so events scheduled at the same slot
-    /// fire in exactly the order they appear here (file order for JSON
-    /// scenarios, call order for the builder) — equal-slot ordering is part
-    /// of the format contract, not an implementation accident.
+    /// The scripted timeline, in any slot order. At each slot the engine
+    /// fires the events with that `at_slot` in the order they appear here
+    /// (file order for JSON scenarios, call order for the builder), so
+    /// same-slot events fire in exactly that order — equal-slot ordering is
+    /// part of the format contract, not an implementation accident.
     pub events: Vec<TimedEvent>,
 }
 

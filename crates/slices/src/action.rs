@@ -312,11 +312,6 @@ impl Action {
         }
     }
 
-    /// Clamps every dimension to `[0, 1]` (useful after arithmetic).
-    pub fn clamped(&self) -> Self {
-        Action::from_vec(&self.to_vec())
-    }
-
     /// Total virtual resource usage, i.e. the negated reward of Eq. 9:
     /// `U_u + U_d + U_b + U_l + U_c + U_r`. The result is in `[0, 6]`.
     pub fn resource_usage(&self) -> f64 {

@@ -120,16 +120,6 @@ impl SlotKpi {
         -self.resource_usage
     }
 
-    /// Fraction of offered requests that were served (1.0 when nothing was
-    /// offered).
-    pub fn service_ratio(&self) -> f64 {
-        if self.offered_requests == 0 {
-            1.0
-        } else {
-            self.served_requests as f64 / self.offered_requests as f64
-        }
-    }
-
     /// Average resource usage as a percentage (0–100), the unit reported in
     /// the paper's tables.
     pub fn resource_usage_percent(&self) -> f64 {
@@ -203,14 +193,7 @@ mod tests {
         let kpi = SlotKpi::idle(&Action::uniform(0.1));
         assert_eq!(kpi.cost, 0.0);
         assert_eq!(kpi.offered_requests, 0);
-        assert_eq!(kpi.service_ratio(), 1.0);
         assert!(kpi.validate().is_ok());
-    }
-
-    #[test]
-    fn service_ratio_divides_served_by_offered() {
-        let kpi = sample_kpi();
-        assert!((kpi.service_ratio() - 0.95).abs() < 1e-12);
     }
 
     #[test]

@@ -47,11 +47,6 @@ impl PoissonArrivals {
         self.rate
     }
 
-    /// The slot duration in seconds.
-    pub fn duration(&self) -> f64 {
-        self.duration
-    }
-
     /// Expected number of arrivals in the slot.
     pub fn expected_count(&self) -> f64 {
         self.rate * self.duration
